@@ -8,11 +8,8 @@ Monte Carlo campaigns.
 """
 
 from .adversary import (
-    CloneCloud,
     CloneSpec,
-    cheating_probability,
     clone_key,
-    clone_response_cloud,
     false_key,
 )
 from .experiments import (
@@ -43,7 +40,6 @@ from .homodyne import (
 )
 from .protocol import (
     CrpDatabase,
-    CrpRecord,
     VerificationConfig,
     VerificationReport,
     e_threshold,
@@ -73,11 +69,8 @@ from .streams import substream
 __version__ = "0.1.0"
 
 __all__ = [
-    "CloneCloud",
     "CloneSpec",
-    "cheating_probability",
     "clone_key",
-    "clone_response_cloud",
     "false_key",
     "EXPERIMENT_IDS",
     "CampaignConfig",
@@ -102,7 +95,6 @@ __all__ = [
     "quadrature_mean",
     "sample_quadrature",
     "CrpDatabase",
-    "CrpRecord",
     "VerificationConfig",
     "VerificationReport",
     "e_threshold",

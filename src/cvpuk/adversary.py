@@ -13,17 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homodyne import HomodyneChannel, ProbeSet, Response
-from .protocol import CrpDatabase, VerificationConfig, enroll_exact, verify
-from .scattering import CouplingProfile, ScatteringKey, generate_key, optimal_mask
+from .scattering import ScatteringKey, generate_key
 
 __all__ = [
     "CloneSpec",
-    "CloneCloud",
     "false_key",
     "clone_key",
-    "clone_response_cloud",
-    "cheating_probability",
 ]
 
 
@@ -33,20 +28,6 @@ class CloneSpec:
 
     fraction: float
     replaced_indices: frozenset[int]
-
-
-@dataclass(frozen=True)
-class CloneCloud:
-    """Phase-space responses of clone ensembles at several fractions.
-
-    ``points`` rows are ``(fraction, trial, x, y)``.  Each summary row is
-    ``(fraction, mean_x, mean_y, std_radius)`` where ``std_radius`` is the
-    root-mean-square distance of the cloud from its own mean.
-    """
-
-    true_response: Response
-    points: tuple[tuple[float, int, float, float], ...]
-    summaries: tuple[tuple[float, float, float, float], ...]
 
 
 def false_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
@@ -88,59 +69,3 @@ def clone_key(true_key: ScatteringKey, fraction: float,
         l_over_L=true_key.l_over_L,
     )
     return clone, CloneSpec(float(fraction), frozenset(int(i) for i in indices))
-
-
-def _response_under_mask(key: ScatteringKey, coupling: CouplingProfile,
-                         mask, probe_amplitude: complex) -> Response:
-    total = np.sum(key.coefficients * coupling.coefficients * np.exp(1j * mask.phases))
-    return Response.from_amplitude(probe_amplitude * total)
-
-
-def clone_response_cloud(true_key: ScatteringKey, coupling: CouplingProfile,
-                         probes: ProbeSet, channel: HomodyneChannel,
-                         d_values, trials: int,
-                         rng: np.random.Generator) -> CloneCloud:
-    """Responses of random clones under the true key's mask and first probe.
-
-    For every fraction in ``d_values``, builds ``trials`` independent
-    clones and records their responses, along with each cloud's mean
-    point and scatter radius.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    mask = optimal_mask(true_key, coupling)
-    probe_amplitude = probes.state(0).amplitude
-    true_response = _response_under_mask(true_key, coupling, mask, probe_amplitude)
-
-    points = []
-    summaries = []
-    for fraction in d_values:
-        xs = np.empty(trials)
-        ys = np.empty(trials)
-        for trial in range(trials):
-            clone, _ = clone_key(true_key, fraction, rng)
-            response = _response_under_mask(clone, coupling, mask, probe_amplitude)
-            xs[trial] = response.x
-            ys[trial] = response.y
-            points.append((float(fraction), trial, response.x, response.y))
-        mean_x = float(xs.mean())
-        mean_y = float(ys.mean())
-        std_radius = float(np.sqrt(np.mean((xs - mean_x) ** 2 + (ys - mean_y) ** 2)))
-        summaries.append((float(fraction), mean_x, mean_y, std_radius))
-    return CloneCloud(true_response, tuple(points), tuple(summaries))
-
-
-def cheating_probability(true_key: ScatteringKey, coupling: CouplingProfile,
-                         probes: ProbeSet, channel: HomodyneChannel,
-                         config: VerificationConfig, fraction: float,
-                         trials: int, rng: np.random.Generator) -> float:
-    """Fraction of random clones at the given fraction that pass verification."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    database: CrpDatabase = enroll_exact(true_key, coupling, probes, channel)
-    accepted = 0
-    for _ in range(trials):
-        clone, _ = clone_key(true_key, fraction, rng)
-        report = verify(clone, database, coupling, config, rng)
-        accepted += report.accepted
-    return accepted / trials

@@ -17,7 +17,7 @@ Sub-stream paths:
 ``(3, t)``            verification of false key ``t``
 ``(4, i)``            true key for the ``i``-th mode count
 ``(5, i, d, t)``      clone ``t`` at mode-count index ``i``, fraction index ``d``
-``(6, i, d, t)``      verification of that clone
+``(6, i, d, t)``      verification of that clone (not drawn by ``clone_cloud``)
 ====================  ==========================================
 """
 
@@ -40,7 +40,13 @@ from .protocol import (
     radii,
     verify,
 )
-from .scattering import enhancement, generate_key, optimal_mask, uniform_coupling
+from .scattering import (
+    enhancement,
+    generate_key,
+    optimal_mask,
+    scattered_amplitude,
+    uniform_coupling,
+)
 from .streams import substream
 
 __all__ = [
@@ -106,12 +112,24 @@ class CampaignConfig:
     def __post_init__(self):
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment_id {self.experiment_id!r}")
+        for name in ("n_modes", "n_probe_states", "m_sessions", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.n_modes < 1:
+            raise ValueError("n_modes must be at least 1")
+        if self.n_probe_states <= 2:
+            raise ValueError("a probe set must contain more than 2 states")
+        if self.m_sessions < 1:
+            raise ValueError("m_sessions must be at least 1")
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if self.histogram_bin <= 0.0:
             raise ValueError("histogram_bin must be positive")
         object.__setattr__(self, "d_values", tuple(float(d) for d in self.d_values))
         object.__setattr__(self, "mode_counts", tuple(int(n) for n in self.mode_counts))
+        if any(n < 1 for n in self.mode_counts):
+            raise ValueError("mode_counts must be at least 1")
         object.__setattr__(
             self,
             "photons_per_mode_values",
@@ -221,10 +239,13 @@ class CloneExperimentsResult:
     """Aggregates of the clone campaigns.
 
     ``clouds`` maps a mode count to ``(true_response, point rows,
-    summary rows)`` with rows as in :class:`cvpuk.adversary.CloneCloud`;
-    ``histograms`` maps ``(mode_count, fraction)`` to the in-bin
-    frequency histogram of the clone ensemble; ``cheating_rows`` are
-    ``(fraction, mode_count, accept_rate, trials)``.
+    summary rows)``: point rows are ``(fraction, trial, x, y)`` and
+    summary rows ``(fraction, mean_x, mean_y, std_radius)``, where
+    ``std_radius`` is the root-mean-square distance of a fraction's cloud
+    from its own mean.  ``histograms`` maps ``(mode_count, fraction)`` to
+    the in-bin frequency histogram of the clone ensemble;
+    ``cheating_rows`` are ``(fraction, mode_count, accept_rate, trials)``.
+    A ``clone_cloud`` run verifies no clone, so it leaves both empty.
     """
 
     clouds: dict
@@ -287,18 +308,18 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     gain = enhancement(true_key, coupling, mask, config.mu_c)
     rho_false, rho_true = radii(config.mu_c, true_key.variance, gain)
 
-    def response_of(key):
-        total = np.sum(key.coefficients * coupling.coefficients * np.exp(1j * mask.phases))
-        return Response.from_amplitude(probe_amplitude * total)
-
     points = []
     for trial in range(config.trials):
         impostor = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, trial))
-        response = response_of(impostor)
+        response = Response.from_amplitude(
+            scattered_amplitude(impostor, coupling, mask, probe_amplitude)
+        )
         points.append((trial, response.x, response.y))
 
     return ResponseCloudResult(
-        true_response=response_of(true_key),
+        true_response=Response.from_amplitude(
+            scattered_amplitude(true_key, coupling, mask, probe_amplitude)
+        ),
         points=tuple(points),
         rho_false=rho_false,
         rho_true=rho_true,
@@ -328,19 +349,39 @@ def run_enhancement_condition(config: CampaignConfig,
     return EnhancementConditionResult(tuple(rows), REPORTED_ENHANCEMENT_BAND)
 
 
+def _cloud_summary(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Mean point of a phase-space cloud and its rms distance from that point.
+
+    A cloud of identical points, such as perfect clones, returns that
+    point and a spread of exactly 0: the floating-point mean of equal
+    values can miss them by an ulp, which would read as a spread of
+    about 1e-14.
+    """
+    if xs.size == 0:
+        return 0.0, 0.0, 0.0
+    if np.all(xs == xs[0]) and np.all(ys == ys[0]):
+        return float(xs[0]), float(ys[0]), 0.0
+    mean_x = float(xs.mean())
+    mean_y = float(ys.mean())
+    return mean_x, mean_y, float(np.sqrt(np.mean((xs - mean_x) ** 2 + (ys - mean_y) ** 2)))
+
+
 def run_clone_experiments(config: CampaignConfig, d_values=None) -> CloneExperimentsResult:
     """Clone clouds, in-bin histograms and cheating rates across mode counts.
 
     For every mode count, enrolls one true key and, for every clone
     fraction, builds ``trials`` independent clones; each clone
-    contributes one phase-space response (under the first probe) and one
-    full verification run.
+    contributes one phase-space response (under the first probe) and,
+    unless the campaign is ``clone_cloud``, which writes phase-space
+    points only, one full verification run.
     """
     _require(config, "clone_cloud", "clone_histograms", "cheating_curve")
     if d_values is None:
         d_values = config.d_values
     channel = config.channel()
+    probes = config.probe_set()
     verification = config.verification()
+    verifies = config.experiment_id != "clone_cloud"
     probe_phase_zero = math.sqrt(config.mu_p)
 
     clouds = {}
@@ -348,14 +389,9 @@ def run_clone_experiments(config: CampaignConfig, d_values=None) -> CloneExperim
     cheating_rows = []
     for n_index, n_modes in enumerate(config.mode_counts):
         coupling = uniform_coupling(n_modes, config.tau)
-        probes = ProbeSet(config.n_probe_states, config.mu_p)
         true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
         database = enroll_exact(true_key, coupling, probes, channel)
         mask = database.mask
-
-        def response_of(key):
-            total = np.sum(key.coefficients * coupling.coefficients * np.exp(1j * mask.phases))
-            return Response.from_amplitude(probe_phase_zero * total)
 
         point_rows = []
         summary_rows = []
@@ -368,30 +404,30 @@ def run_clone_experiments(config: CampaignConfig, d_values=None) -> CloneExperim
                 clone, _ = clone_key(
                     true_key, fraction, substream(config.seed, 5, n_index, d_index, trial)
                 )
-                response = response_of(clone)
+                response = Response.from_amplitude(
+                    scattered_amplitude(clone, coupling, mask, probe_phase_zero)
+                )
                 xs[trial] = response.x
                 ys[trial] = response.y
                 point_rows.append((float(fraction), trial, response.x, response.y))
-                report = verify(
-                    clone, database, coupling, verification,
-                    substream(config.seed, 6, n_index, d_index, trial),
+                if verifies:
+                    report = verify(
+                        clone, database, coupling, verification,
+                        substream(config.seed, 6, n_index, d_index, trial),
+                    )
+                    p_ins.append(report.p_in)
+                    accepted += report.accepted
+            summary_rows.append((float(fraction), *_cloud_summary(xs, ys)))
+            if verifies:
+                histograms[(n_modes, float(fraction))] = Histogram.from_samples(
+                    p_ins, config.histogram_bin
                 )
-                p_ins.append(report.p_in)
-                accepted += report.accepted
-            mean_x = float(xs.mean()) if config.trials else 0.0
-            mean_y = float(ys.mean()) if config.trials else 0.0
-            spread = (
-                float(np.sqrt(np.mean((xs - mean_x) ** 2 + (ys - mean_y) ** 2)))
-                if config.trials
-                else 0.0
-            )
-            summary_rows.append((float(fraction), mean_x, mean_y, spread))
-            histograms[(n_modes, float(fraction))] = Histogram.from_samples(
-                p_ins, config.histogram_bin
-            )
-            rate = accepted / config.trials if config.trials else 0.0
-            cheating_rows.append((float(fraction), int(n_modes), rate, config.trials))
-        clouds[n_modes] = (response_of(true_key), tuple(point_rows), tuple(summary_rows))
+                rate = accepted / config.trials if config.trials else 0.0
+                cheating_rows.append((float(fraction), int(n_modes), rate, config.trials))
+        true_response = Response.from_amplitude(
+            scattered_amplitude(true_key, coupling, mask, probe_phase_zero)
+        )
+        clouds[n_modes] = (true_response, tuple(point_rows), tuple(summary_rows))
 
     return CloneExperimentsResult(
         clouds=clouds,

@@ -44,8 +44,8 @@ class ProbeState:
     index: int | None = None
 
     def __post_init__(self):
-        if self.mean_photons <= 0.0:
-            raise ValueError("mean_photons must be positive")
+        if not (math.isfinite(self.mean_photons) and self.mean_photons > 0.0):
+            raise ValueError("mean_photons must be positive and finite")
         if not math.isfinite(self.phase):
             raise ValueError("phase must be finite")
 
@@ -65,8 +65,8 @@ class ProbeSet:
     def __post_init__(self):
         if self.size <= 2:
             raise ValueError("a probe set must contain more than 2 states")
-        if self.mean_photons <= 0.0:
-            raise ValueError("mean_photons must be positive")
+        if not (math.isfinite(self.mean_photons) and self.mean_photons > 0.0):
+            raise ValueError("mean_photons must be positive and finite")
 
     def state(self, k: int) -> ProbeState:
         if not 0 <= k < self.size:

@@ -22,17 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homodyne import (
-    HALF_PI,
-    HomodyneChannel,
-    ProbeSet,
-    Response,
-    p_in_theoretical,
+from .homodyne import HALF_PI, HomodyneChannel, ProbeSet, p_in_theoretical
+from .scattering import (
+    CouplingProfile,
+    PhaseMask,
+    ScatteringKey,
+    optimal_mask,
+    scattered_amplitude,
 )
-from .scattering import CouplingProfile, PhaseMask, ScatteringKey, optimal_mask
 
 __all__ = [
-    "CrpRecord",
     "CrpDatabase",
     "VerificationConfig",
     "VerificationReport",
@@ -51,59 +50,41 @@ _THETAS = (0.0, HALF_PI)
 
 
 @dataclass(frozen=True)
-class CrpRecord:
-    """One stored challenge-response pair.
+class CrpDatabase:
+    """The enrolled challenge-response pairs of one key, one per probe state.
 
-    Couples a probe index with the enrolled response of the key under
-    the enrolled mask, plus the estimation error bound ``xi`` of the
-    enrollment procedure (0 for exact enrollment).
+    ``centers[k]`` holds the enrolled response ``(x, y)`` to probe ``k``,
+    the bin centres for local-oscillator phases 0 and pi/2; ``xi[k]`` is
+    the estimation error bound of that response (0 for exact
+    enrollment).  Every probe shares the one ``mask`` and ``target_mode``.
     """
 
     target_mode: int
-    probe_index: int
     mask: PhaseMask
-    response: Response
-    estimation_error: float
-
-    def __post_init__(self):
-        if self.probe_index < 0:
-            raise ValueError("probe_index must be non-negative")
-        if self.estimation_error < 0.0:
-            raise ValueError("estimation_error must be non-negative")
-
-
-@dataclass(frozen=True)
-class CrpDatabase:
-    """The enrolled record set for one key: one record per probe state."""
-
-    records: tuple[CrpRecord, ...]
+    centers: np.ndarray
+    xi: np.ndarray
     probe_set: ProbeSet
     channel: HomodyneChannel
     setup_loss: float
 
     def __post_init__(self):
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
-        if len(records) != self.probe_set.size:
-            raise ValueError("need exactly one record per probe state")
-        if [r.probe_index for r in records] != list(range(self.probe_set.size)):
-            raise ValueError("records must be ordered by probe index 0..N-1")
-        first = records[0]
-        for record in records[1:]:
-            if record.target_mode != first.target_mode:
-                raise ValueError("all records must share the target mode")
-            if not np.array_equal(record.mask.phases, first.mask.phases):
-                raise ValueError("all records must share the phase mask")
+        size = self.probe_set.size
+        centers = np.array(self.centers, dtype=float)
+        xi = np.array(self.xi, dtype=float)
+        if centers.shape != (size, 2):
+            raise ValueError(f"centers must have shape ({size}, 2), got {centers.shape}")
+        if xi.shape != (size,):
+            raise ValueError(f"xi must have shape ({size},), got {xi.shape}")
+        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(xi))):
+            raise ValueError("centers and xi must be finite")
+        if np.any(xi < 0.0):
+            raise ValueError("xi must be non-negative")
         if not 0.0 < self.setup_loss <= 1.0:
             raise ValueError("setup_loss must lie in (0, 1]")
-
-    @property
-    def mask(self) -> PhaseMask:
-        return self.records[0].mask
-
-    @property
-    def target_mode(self) -> int:
-        return self.records[0].target_mode
+        centers.flags.writeable = False
+        xi.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "xi", xi)
 
     @property
     def mode_count(self) -> int:
@@ -111,11 +92,7 @@ class CrpDatabase:
 
     @property
     def enrollment_error(self) -> float:
-        return max(record.estimation_error for record in self.records)
-
-    def centers(self) -> np.ndarray:
-        """Bin centres, shape (N, 2): column 0 for lo phase 0, column 1 for pi/2."""
-        return np.array([[r.response.x, r.response.y] for r in self.records])
+        return float(self.xi.max())
 
     def to_dict(self) -> dict:
         return {
@@ -128,13 +105,8 @@ class CrpDatabase:
             "setup_loss": float(self.setup_loss),
             "mask": [float(p) for p in self.mask.phases],
             "records": [
-                {
-                    "k": int(r.probe_index),
-                    "x": float(r.response.x),
-                    "y": float(r.response.y),
-                    "xi": float(r.estimation_error),
-                }
-                for r in self.records
+                {"k": k, "x": float(x), "y": float(y), "xi": float(xi)}
+                for k, ((x, y), xi) in enumerate(zip(self.centers, self.xi))
             ],
         }
 
@@ -143,27 +115,23 @@ class CrpDatabase:
         probe_set = ProbeSet(
             int(data["probe_set"]["size"]), float(data["probe_set"]["mean_photons"])
         )
-        channel = HomodyneChannel.from_dict(data["channel"])
-        mask = PhaseMask(np.array(data["mask"], dtype=float))
-        target_mode = int(data["target_mode"])
-        records = tuple(
-            CrpRecord(
-                target_mode=target_mode,
-                probe_index=int(r["k"]),
-                mask=mask,
-                response=Response(float(r["x"]), float(r["y"])),
-                estimation_error=float(r["xi"]),
-            )
-            for r in sorted(data["records"], key=lambda r: int(r["k"]))
+        records = sorted(data["records"], key=lambda r: int(r["k"]))
+        if [int(r["k"]) for r in records] != list(range(probe_set.size)):
+            raise ValueError("records must hold each probe index 0..N-1 exactly once")
+        return cls(
+            target_mode=int(data["target_mode"]),
+            mask=PhaseMask(np.array(data["mask"], dtype=float)),
+            centers=[[float(r["x"]), float(r["y"])] for r in records],
+            xi=[float(r["xi"]) for r in records],
+            probe_set=probe_set,
+            channel=HomodyneChannel.from_dict(data["channel"]),
+            setup_loss=float(data["setup_loss"]),
         )
-        return cls(records, probe_set, channel, float(data["setup_loss"]))
 
 
-def _enrolled_amplitudes(key: ScatteringKey, coupling: CouplingProfile,
-                         mask: PhaseMask, probes: ProbeSet) -> np.ndarray:
-    """Mean scattered amplitudes for all probe states under one mask."""
-    total = np.sum(key.coefficients * coupling.coefficients * np.exp(1j * mask.phases))
-    return total * probes.amplitudes()
+def _quadrature_means(amplitudes: np.ndarray) -> np.ndarray:
+    """Quadrature means (x, y) = sqrt(2) * (re, im), shape (N, 2)."""
+    return np.column_stack((_SQRT2 * amplitudes.real, _SQRT2 * amplitudes.imag))
 
 
 def enroll_exact(key: ScatteringKey, coupling: CouplingProfile,
@@ -175,18 +143,9 @@ def enroll_exact(key: ScatteringKey, coupling: CouplingProfile,
     error of every record is zero.
     """
     mask = optimal_mask(key, coupling)
-    amplitudes = _enrolled_amplitudes(key, coupling, mask, probes)
-    records = tuple(
-        CrpRecord(
-            target_mode=key.target_mode,
-            probe_index=k,
-            mask=mask,
-            response=Response.from_amplitude(amplitudes[k]),
-            estimation_error=0.0,
-        )
-        for k in range(probes.size)
-    )
-    return CrpDatabase(records, probes, channel, coupling.loss)
+    amplitudes = scattered_amplitude(key, coupling, mask, probes.amplitudes())
+    return CrpDatabase(key.target_mode, mask, _quadrature_means(amplitudes),
+                       np.zeros(probes.size), probes, channel, coupling.loss)
 
 
 def enroll_sampled(key: ScatteringKey, coupling: CouplingProfile,
@@ -204,25 +163,15 @@ def enroll_sampled(key: ScatteringKey, coupling: CouplingProfile,
     if per_quadrature_samples < 1:
         raise ValueError("per_quadrature_samples must be at least 1")
     mask = optimal_mask(key, coupling)
-    amplitudes = _enrolled_amplitudes(key, coupling, mask, probes)
+    amplitudes = scattered_amplitude(key, coupling, mask, probes.amplitudes())
     sigma = channel.shot_noise
-    xi = enrollment_error(per_quadrature_samples)
-    records = []
-    for k in range(probes.size):
-        x_true = _SQRT2 * amplitudes[k].real
-        y_true = _SQRT2 * amplitudes[k].imag
-        x_est = float(np.mean(rng.normal(x_true, sigma, size=per_quadrature_samples)))
-        y_est = float(np.mean(rng.normal(y_true, sigma, size=per_quadrature_samples)))
-        records.append(
-            CrpRecord(
-                target_mode=key.target_mode,
-                probe_index=k,
-                mask=mask,
-                response=Response(x_est, y_est),
-                estimation_error=xi,
-            )
-        )
-    return CrpDatabase(tuple(records), probes, channel, coupling.loss)
+    # one probe at a time, x before y: the generator's consumption order
+    centers = np.array([
+        [np.mean(rng.normal(mean, sigma, size=per_quadrature_samples)) for mean in row]
+        for row in _quadrature_means(amplitudes)
+    ])
+    xi = np.full(probes.size, enrollment_error(per_quadrature_samples))
+    return CrpDatabase(key.target_mode, mask, centers, xi, probes, channel, coupling.loss)
 
 
 def enrollment_error(per_quadrature_samples: int) -> float:
@@ -371,13 +320,12 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
             stacklevel=2,
         )
 
-    mask = database.mask
-    amplitudes = _enrolled_amplitudes(key_under_test, coupling, mask, database.probe_set)
-    means = np.column_stack((_SQRT2 * amplitudes.real, _SQRT2 * amplitudes.imag))
-    centers = database.centers()
+    amplitudes = scattered_amplitude(key_under_test, coupling, database.mask,
+                                     database.probe_set.amplitudes())
+    means = _quadrature_means(amplitudes)
     half = 0.5 * channel.bin_width
-    lows = centers - half
-    highs = centers + half
+    lows = database.centers - half
+    highs = database.centers + half
 
     sessions = config.sessions
     ks = rng.integers(0, database.probe_set.size, size=sessions)

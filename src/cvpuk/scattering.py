@@ -224,18 +224,21 @@ def _phased_products(key: ScatteringKey, coupling: CouplingProfile) -> np.ndarra
 
 
 def scattered_amplitude(key: ScatteringKey, coupling: CouplingProfile,
-                        mask: PhaseMask, probe_amplitude: complex) -> complex:
-    """Mean scattered field in the target mode for one probe.
+                        mask: PhaseMask, probe_amplitude):
+    """Mean scattered field in the target mode for one probe or many.
 
-    Returns the probe amplitude times the phase-controlled sum of the
-    per-mode reflection and coupling products.  The result is linear in
-    the probe amplitude by construction.
+    Returns the phase-controlled sum of the per-mode reflection and
+    coupling products times ``probe_amplitude``, a scalar or an array of
+    probe amplitudes (one field per probe).  The result is linear in the
+    probe amplitude by construction.  This is the one place the masked
+    sum is formed, so every response in the package carries the same
+    bits.
     """
     products = _phased_products(key, coupling)
     if len(mask) != key.mode_count:
         raise ValueError("mask length does not match the key's mode count")
     total = np.sum(products * np.exp(1j * mask.phases))
-    return complex(probe_amplitude * total)
+    return total * probe_amplitude
 
 
 def optimal_mask(key: ScatteringKey, coupling: CouplingProfile) -> PhaseMask:

@@ -125,8 +125,8 @@ def test_criterion_4_ensemble_statistics():
     gain = enhancement(key, coupling, database.mask, mu_c)
     enrolled_power = 2.0 * gain * key.variance * mu_c
     checks["enrolled records satisfy the power identity"] = all(
-        abs(r.response.x**2 + r.response.y**2 - enrolled_power) <= 1e-9 * enrolled_power
-        for r in database.records
+        abs(x**2 + y**2 - enrolled_power) <= 1e-9 * enrolled_power
+        for x, y in database.centers
     )
     _verdict(4, "ensemble statistics", checks)
 

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from cvpuk import (
+    CampaignConfig,
     HomodyneChannel,
     ProbeSet,
     Response,
     VerificationConfig,
-    cheating_probability,
     clone_key,
-    clone_response_cloud,
     enroll_exact,
     false_key,
     generate_key,
     optimal_mask,
     radii,
+    run_clone_experiments,
     scattered_amplitude,
     substream,
     uniform_coupling,
@@ -139,33 +139,40 @@ def test_clone_distance_grows_with_fraction():
     assert all(a < b for a, b in zip(means, means[1:]))
 
 
+def _clone_campaign(experiment_id, mode_counts, d_values, trials, seed, sessions=1000):
+    """Clone sweep at the reference physics: 11 probes of 2500 photons,
+    tau 0.8, eta 0.55, bin width two shot-noise units, error level 0.05."""
+    return run_clone_experiments(CampaignConfig(
+        experiment_id=experiment_id, mode_counts=mode_counts, d_values=d_values,
+        trials=trials, m_sessions=sessions, seed=seed,
+    ))
+
+
+def _accept_rates(result):
+    return {(n_modes, fraction): rate for fraction, n_modes, rate, _ in result.cheating_rows}
+
+
 def test_clone_cloud_zero_fraction_collapses_to_true_response():
-    true_key = generate_key(32, 0.2, substream(208, 0))
-    coupling = uniform_coupling(32, 0.8)
-    probes = ProbeSet(11, 2500.0)
-    cloud = clone_response_cloud(
-        true_key, coupling, probes, _channel(), [0.0], 50, substream(208, 1)
-    )
-    for _, _, x, y in cloud.points:
-        assert x == cloud.true_response.x
-        assert y == cloud.true_response.y
-    fraction, mean_x, mean_y, spread = cloud.summaries[0]
+    result = _clone_campaign("clone_cloud", (32,), (0.0,), 50, seed=208)
+    true_response, points, summaries = result.clouds[32]
+    assert len(points) == 50
+    for _, _, x, y in points:
+        assert x == true_response.x
+        assert y == true_response.y
+    fraction, mean_x, mean_y, spread = summaries[0]
     assert fraction == 0.0
     assert spread == 0.0
 
 
 def test_clone_cloud_separation_grows_with_fraction():
-    true_key = generate_key(121, 0.2, substream(209, 0))
-    coupling = uniform_coupling(121, 0.8)
-    probes = ProbeSet(11, 2500.0)
-    cloud = clone_response_cloud(
-        true_key, coupling, probes, _channel(),
-        [0.01, 0.02, 0.03, 0.04, 0.05], 500, substream(209, 1),
+    result = _clone_campaign(
+        "clone_cloud", (121,), (0.01, 0.02, 0.03, 0.04, 0.05), 500, seed=209
     )
-    true_point = np.array([cloud.true_response.x, cloud.true_response.y])
+    true_response, _, summaries = result.clouds[121]
+    true_point = np.array([true_response.x, true_response.y])
     separations = [
         math.hypot(mean_x - true_point[0], mean_y - true_point[1])
-        for _, mean_x, mean_y, _ in cloud.summaries
+        for _, mean_x, mean_y, _ in summaries
     ]
     assert all(a < b for a, b in zip(separations, separations[1:]))
 
@@ -173,59 +180,35 @@ def test_clone_cloud_separation_grows_with_fraction():
 def test_clone_cloud_relative_separation_grows_with_modes():
     # more modes concentrate the clone cloud around its displaced mean,
     # so the separation measured in cloud-spread units increases
-    probes = ProbeSet(11, 2500.0)
+    result = _clone_campaign("clone_cloud", (121, 625), (0.03,), 500, seed=210)
     ratios = {}
     for n_modes in (121, 625):
-        true_key = generate_key(n_modes, 0.2, substream(210, n_modes))
-        coupling = uniform_coupling(n_modes, 0.8)
-        cloud = clone_response_cloud(
-            true_key, coupling, probes, _channel(), [0.03], 500,
-            substream(210, n_modes, 1),
-        )
-        _, mean_x, mean_y, spread = cloud.summaries[0]
-        separation = math.hypot(
-            mean_x - cloud.true_response.x, mean_y - cloud.true_response.y
-        )
+        true_response, _, summaries = result.clouds[n_modes]
+        _, mean_x, mean_y, spread = summaries[0]
+        separation = math.hypot(mean_x - true_response.x, mean_y - true_response.y)
         ratios[n_modes] = separation / spread
     assert ratios[625] > ratios[121]
 
 
-def test_clone_cloud_validates_trials():
-    true_key = generate_key(8, 0.2, substream(211, 0))
-    with pytest.raises(ValueError):
-        clone_response_cloud(
-            true_key, uniform_coupling(8, 0.8), ProbeSet(3, 10.0), _channel(),
-            [0.1], 0, substream(211, 1),
-        )
-
-
 def test_cheating_probability_perfect_clone():
-    true_key = generate_key(64, 0.2, substream(212, 0))
-    coupling = uniform_coupling(64, 0.8)
-    probes = ProbeSet(11, 2500.0)
-    config = VerificationConfig(500, 0.05, 0.05)
-    rate = cheating_probability(
-        true_key, coupling, probes, _channel(), config, 0.0, 200, substream(212, 1)
-    )
-    assert rate >= 1.0 - config.confidence_param
+    result = _clone_campaign("cheating_curve", (64,), (0.0,), 200, seed=212, sessions=500)
+    assert _accept_rates(result)[(64, 0.0)] >= 1.0 - 0.05  # 1 - zeta
 
 
 def test_cheating_probability_total_randomization_matches_false_keys():
-    n_modes = 121
-    true_key = generate_key(n_modes, 0.2, substream(213, 0))
+    n_modes, seed = 121, 213
+    result = _clone_campaign("cheating_curve", (n_modes,), (1.0,), 200, seed=seed)
+    clone_rate = _accept_rates(result)[(n_modes, 1.0)]
+    # the campaign's true key for its first mode count, on stream (4, 0)
+    true_key = generate_key(n_modes, 0.2, substream(seed, 4, 0))
     coupling = uniform_coupling(n_modes, 0.8)
-    probes = ProbeSet(11, 2500.0)
-    channel = _channel()
+    database = enroll_exact(true_key, coupling, ProbeSet(11, 2500.0), _channel())
     config = VerificationConfig(1000, 0.05, 0.05)
-    clone_rate = cheating_probability(
-        true_key, coupling, probes, channel, config, 1.0, 200, substream(213, 1)
-    )
-    database = enroll_exact(true_key, coupling, probes, channel)
     accepted = 0
     for trial in range(200):
-        impostor = false_key(n_modes, 0.2, substream(213, 2, trial))
+        impostor = false_key(n_modes, 0.2, substream(seed, 2, trial))
         accepted += verify(
-            impostor, database, coupling, config, substream(213, 3, trial)
+            impostor, database, coupling, config, substream(seed, 3, trial)
         ).accepted
     false_rate = accepted / 200
     assert clone_rate <= 0.01
@@ -233,27 +216,9 @@ def test_cheating_probability_total_randomization_matches_false_keys():
 
 
 def test_cheating_probability_decreases_with_fraction():
-    true_key = generate_key(256, 0.2, substream(214, 0))
-    coupling = uniform_coupling(256, 0.8)
-    probes = ProbeSet(11, 2500.0)
-    config = VerificationConfig(1000, 0.05, 0.05)
-    low = cheating_probability(
-        true_key, coupling, probes, _channel(), config, 0.01, 200, substream(214, 1)
-    )
-    high = cheating_probability(
-        true_key, coupling, probes, _channel(), config, 0.05, 200, substream(214, 2)
-    )
-    assert high <= low
-
-
-def test_cheating_probability_validates_trials():
-    true_key = generate_key(8, 0.2, substream(215, 0))
-    config = VerificationConfig(10, 0.05, 0.05)
-    with pytest.raises(ValueError):
-        cheating_probability(
-            true_key, uniform_coupling(8, 0.8), ProbeSet(3, 10.0), _channel(),
-            config, 0.1, 0, substream(215, 1),
-        )
+    result = _clone_campaign("cheating_curve", (256,), (0.01, 0.05), 200, seed=214)
+    rates = _accept_rates(result)
+    assert rates[(256, 0.05)] <= rates[(256, 0.01)]
 
 
 def test_clone_fraction_bounds():

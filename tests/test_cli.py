@@ -62,7 +62,8 @@ def test_enroll_writes_key_and_database(tmp_path):
     key = ScatteringKey.from_dict(json.loads((out_dir / "key.json").read_text()))
     database = CrpDatabase.from_dict(json.loads((out_dir / "database.json").read_text()))
     assert key.mode_count == 32
-    assert len(database.records) == 11
+    assert database.centers.shape == (11, 2)
+    assert database.xi.shape == (11,)
     assert database.enrollment_error == 0.0
 
 
@@ -141,6 +142,26 @@ def test_verify_corrupted_database_exits_2(tmp_path, capsys):
         "--out", str(tmp_path),
     ]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_non_finite_database_exits_2(tmp_path, capsys):
+    # json.load accepts NaN literals; the database must still refuse them
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path)
+    out_dir = tmp_path / "out"
+    main(["enroll", "--config", str(config_path), "--out", str(out_dir)])
+    database_path = out_dir / "database.json"
+    document = json.loads(database_path.read_text())
+    document["records"][3]["x"] = float("nan")
+    document["records"][3]["xi"] = float("nan")
+    database_path.write_text(json.dumps(document))
+    assert "NaN" in database_path.read_text()
+    assert main([
+        "verify", "--database", str(database_path),
+        "--key", str(out_dir / "key.json"), "--out", str(out_dir),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
 
 
 def test_cli_round_trip_matches_in_memory(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import math
 
@@ -30,6 +31,21 @@ def test_config_validation():
         CampaignConfig(experiment_id="collision_histogram", trials=-1)
     with pytest.raises(ValueError):
         CampaignConfig.from_dict({"experiment_id": "collision_histogram", "bogus": 1})
+    for field, value in (
+        ("n_modes", 0),
+        ("n_probe_states", 2),
+        ("m_sessions", 0),
+        ("mode_counts", (121, 0)),
+    ):
+        with pytest.raises(ValueError):
+            CampaignConfig(experiment_id="collision_histogram", **{field: value})
+    for field in ("n_modes", "n_probe_states", "m_sessions", "trials", "seed"):
+        with pytest.raises(TypeError):
+            CampaignConfig(experiment_id="collision_histogram", **{field: True})
+    with pytest.raises(TypeError):
+        CampaignConfig.from_dict({"experiment_id": "collision_histogram", "m_sessions": 1.5})
+    # zero trials stays a valid (empty) campaign
+    assert CampaignConfig(experiment_id="collision_histogram", trials=0).trials == 0
 
 
 def test_config_round_trip():
@@ -205,6 +221,28 @@ def test_clone_experiments_small():
     for _, _, x, y in zero_fraction_points:
         assert x == true_response.x and y == true_response.y
     assert result.p_in_expected == pytest.approx(0.6826894921370859, rel=1e-12)
+
+
+def test_clone_cloud_runs_no_verification(monkeypatch, tmp_path):
+    config = CampaignConfig(
+        experiment_id="clone_cloud", trials=20, m_sessions=100,
+        d_values=(0.0, 0.03), mode_counts=(16, 32), seed=11,
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("clone_cloud must not verify")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("cvpuk.experiments.verify", forbidden)
+        cloud = run_clone_experiments(config)
+        paths = run_campaign(config, tmp_path / "cloud")
+    assert set(paths) == {"config", "summary", "cloud_n16", "cloud_n32"}
+    assert cloud.histograms == {}
+    assert cloud.cheating_rows == ()
+    # clones come from their own streams, so the verifying run sees the same clouds
+    cheating = run_clone_experiments(dataclasses.replace(config, experiment_id="cheating_curve"))
+    assert cloud.clouds == cheating.clouds
+    assert len(cheating.cheating_rows) == 4
 
 
 def test_clone_histograms_concentrate_near_p_in_only_for_tiny_fractions():

@@ -58,6 +58,11 @@ def test_probe_set_requires_more_than_two_states():
         ProbeSet(2, 100.0)
     with pytest.raises(ValueError):
         ProbeSet(5, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ProbeSet(5, bad)
+        with pytest.raises(ValueError):
+            ProbeState(bad, 0.0)
 
 
 def test_probe_set_index_bounds():

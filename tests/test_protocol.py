@@ -6,11 +6,11 @@ import pytest
 
 from cvpuk import (
     CrpDatabase,
-    CrpRecord,
     DegenerateKeyError,
     HomodyneChannel,
     PhaseMask,
     ProbeSet,
+    Response,
     ScatteringKey,
     VerificationConfig,
     clone_key,
@@ -105,21 +105,22 @@ def test_enrollment_sample_size_helpers():
 def test_enroll_exact_structure():
     key, coupling, probes, channel = _setup()
     database = enroll_exact(key, coupling, probes, channel)
-    assert len(database.records) == probes.size
-    assert [r.probe_index for r in database.records] == list(range(probes.size))
-    assert all(r.estimation_error == 0.0 for r in database.records)
+    assert database.centers.shape == (probes.size, 2)
+    assert database.xi.shape == (probes.size,)
+    assert np.all(database.xi == 0.0)
     assert database.enrollment_error == 0.0
     assert database.setup_loss == coupling.loss
+    assert database.target_mode == key.target_mode
 
-    magnitudes = [r.response.magnitude for r in database.records]
+    magnitudes = np.hypot(database.centers[:, 0], database.centers[:, 1])
     assert np.allclose(magnitudes, magnitudes[0], rtol=1e-12)
 
     # probe phases rotate the response rigidly in steps of 2*pi/N
     step = 2.0 * math.pi / probes.size
-    base = database.records[0].response.angle
-    for k, record in enumerate(database.records):
-        expected = math.remainder(base + k * step, 2.0 * math.pi)
-        assert math.remainder(record.response.angle - expected, 2.0 * math.pi) == pytest.approx(
+    angles = np.arctan2(database.centers[:, 1], database.centers[:, 0])
+    for k, angle in enumerate(angles):
+        expected = math.remainder(angles[0] + k * step, 2.0 * math.pi)
+        assert math.remainder(angle - expected, 2.0 * math.pi) == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -130,8 +131,8 @@ def test_enroll_exact_response_power_identity():
     mu_c = coupling.loss * probes.mean_photons
     gain = enhancement(key, coupling, database.mask, mu_c)
     expected = 2.0 * gain * key.variance * mu_c
-    for record in database.records:
-        power = record.response.x**2 + record.response.y**2
+    for x, y in database.centers:
+        power = x**2 + y**2
         assert abs(power - expected) <= 1e-9 * expected
 
 
@@ -145,7 +146,7 @@ def test_enroll_exact_degenerate_key():
 def test_enroll_sampled_error_tag():
     key, coupling, probes, channel = _setup(n_modes=16)
     database = enroll_sampled(key, coupling, probes, channel, 25, substream(102, 0))
-    assert all(r.estimation_error == 1.0 for r in database.records)
+    assert np.all(database.xi == 1.0)
     assert database.enrollment_error == 1.0
     with pytest.raises(ValueError):
         enroll_sampled(key, coupling, probes, channel, 0, substream(102, 1))
@@ -155,9 +156,9 @@ def test_enroll_sampled_converges_to_exact():
     key, coupling, probes, channel = _setup(n_modes=16, n_probes=3)
     exact = enroll_exact(key, coupling, probes, channel)
     sampled = enroll_sampled(key, coupling, probes, channel, 10_000_000, substream(103, 0))
-    for e_rec, s_rec in zip(exact.records, sampled.records):
-        assert abs(s_rec.response.x - e_rec.response.x) <= 1e-2
-        assert abs(s_rec.response.y - e_rec.response.y) <= 1e-2
+    for (e_x, e_y), (s_x, s_y) in zip(exact.centers, sampled.centers):
+        assert abs(s_x - e_x) <= 1e-2
+        assert abs(s_y - e_y) <= 1e-2
 
 
 # ----------------------------------------------------------------- database
@@ -166,17 +167,51 @@ def test_enroll_sampled_converges_to_exact():
 def test_database_validation():
     key, coupling, probes, channel = _setup(n_modes=8, n_probes=3)
     database = enroll_exact(key, coupling, probes, channel)
-    records = database.records
+
+    def rebuild(centers=database.centers, xi=database.xi, setup_loss=0.8):
+        return CrpDatabase(database.target_mode, database.mask, centers, xi,
+                           probes, channel, setup_loss)
+
+    assert rebuild().centers.tolist() == database.centers.tolist()
     with pytest.raises(ValueError):
-        CrpDatabase(records[:2], probes, channel, 0.8)
+        rebuild(centers=database.centers[:2])
     with pytest.raises(ValueError):
-        CrpDatabase(records[::-1], probes, channel, 0.8)
-    other_mask = PhaseMask(np.zeros(8))
-    tampered = records[:2] + (
-        CrpRecord(records[2].target_mode, 2, other_mask, records[2].response, 0.0),
-    )
+        rebuild(centers=database.centers[:, 0])
     with pytest.raises(ValueError):
-        CrpDatabase(tampered, probes, channel, 0.8)
+        rebuild(xi=database.xi[:2])
+    for bad in (math.nan, math.inf):
+        centers = database.centers.copy()
+        centers[1, 0] = bad
+        with pytest.raises(ValueError):
+            rebuild(centers=centers)
+        with pytest.raises(ValueError):
+            rebuild(xi=[0.0, bad, 0.0])
+    with pytest.raises(ValueError):
+        rebuild(xi=[0.0, -1e-3, 0.0])
+    with pytest.raises(ValueError):
+        rebuild(setup_loss=0.0)
+    # stored arrays are immutable
+    with pytest.raises(ValueError):
+        database.centers[0, 0] = 1.0
+
+
+def test_database_from_dict_validation():
+    key, coupling, probes, channel = _setup(n_modes=8, n_probes=3)
+    document = enroll_exact(key, coupling, probes, channel).to_dict()
+    records = document["records"]
+    for broken in (
+        records[:2],  # k = 2 missing
+        records[:2] + [dict(records[1])],  # k = 1 twice
+        records[:2] + [dict(records[2], k=3)],  # k out of range
+        records[:2] + [dict(records[2], x=math.nan)],
+        records[:2] + [dict(records[2], xi=math.inf)],
+        records[:2] + [dict(records[2], xi=-1.0)],
+    ):
+        with pytest.raises(ValueError):
+            CrpDatabase.from_dict(dict(document, records=broken))
+    # record order in the file does not matter
+    restored = CrpDatabase.from_dict(dict(document, records=records[::-1]))
+    assert restored.to_dict() == document
 
 
 def test_database_json_roundtrip():
@@ -192,9 +227,8 @@ def test_database_json_roundtrip():
     assert restored.channel == database.channel
     assert restored.setup_loss == database.setup_loss
     assert np.array_equal(restored.mask.phases, database.mask.phases)
-    for original, loaded in zip(database.records, restored.records):
-        assert loaded.response == original.response
-        assert loaded.estimation_error == original.estimation_error
+    assert np.array_equal(restored.centers, database.centers)
+    assert np.array_equal(restored.xi, database.xi)
 
 
 # ----------------------------------------------------------------- verify
@@ -264,7 +298,7 @@ def test_verify_trace_hits_recomputable_from_database():
         )
         assert len(report.session_trace) == 500
         for k, theta, outcome, hit in report.session_trace:
-            stored = database.records[k].response
+            stored = Response(*database.centers[k])
             assert hit == in_bin(outcome, stored, theta, channel.bin_width)
 
 

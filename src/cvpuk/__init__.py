@@ -7,19 +7,10 @@ quantifies collision resistance and clone detectability through seeded
 Monte Carlo campaigns.
 """
 
-from .adversary import (
-    CloneSpec,
-    clone_key,
-    false_key,
-)
+from .adversary import clone_key, false_key
 from .experiments import (
-    EXPERIMENT_IDS,
     CampaignConfig,
-    CloneExperimentsResult,
-    CollisionResult,
-    EnhancementConditionResult,
     Histogram,
-    ResponseCloudResult,
     run_campaign,
     run_clone_experiments,
     run_collision_histogram,
@@ -41,7 +32,6 @@ from .homodyne import (
 from .protocol import (
     CrpDatabase,
     VerificationConfig,
-    VerificationReport,
     e_threshold,
     enroll_exact,
     enroll_sampled,
@@ -52,7 +42,6 @@ from .protocol import (
     verify,
 )
 from .scattering import (
-    CouplingProfile,
     DegenerateKeyError,
     PhaseMask,
     ScatteringKey,
@@ -61,7 +50,6 @@ from .scattering import (
     iterative_mask,
     optimal_mask,
     scattered_amplitude,
-    uniform_coupling,
     wrap_phase,
 )
 from .streams import substream
@@ -69,16 +57,10 @@ from .streams import substream
 __version__ = "0.1.0"
 
 __all__ = [
-    "CloneSpec",
     "clone_key",
     "false_key",
-    "EXPERIMENT_IDS",
     "CampaignConfig",
-    "CloneExperimentsResult",
-    "CollisionResult",
-    "EnhancementConditionResult",
     "Histogram",
-    "ResponseCloudResult",
     "run_campaign",
     "run_clone_experiments",
     "run_collision_histogram",
@@ -96,7 +78,6 @@ __all__ = [
     "sample_quadrature",
     "CrpDatabase",
     "VerificationConfig",
-    "VerificationReport",
     "e_threshold",
     "enroll_exact",
     "enroll_sampled",
@@ -105,7 +86,6 @@ __all__ = [
     "radii",
     "total_enrollment_samples",
     "verify",
-    "CouplingProfile",
     "DegenerateKeyError",
     "PhaseMask",
     "ScatteringKey",
@@ -114,7 +94,6 @@ __all__ = [
     "iterative_mask",
     "optimal_mask",
     "scattered_amplitude",
-    "uniform_coupling",
     "wrap_phase",
     "substream",
     "__version__",

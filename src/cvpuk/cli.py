@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from .protocol import (
     radii,
     verify,
 )
-from .scattering import ScatteringKey, generate_key, uniform_coupling
+from .scattering import ScatteringKey, generate_key
 from .streams import substream
 
 __all__ = ["main"]
@@ -45,45 +44,47 @@ def _cmd_thresholds(args) -> int:
     return 0
 
 
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _cmd_enroll(args) -> int:
-    config = _load_json(args.config)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config = jsonio.load(args.config)
+    seed = args.seed
+    if seed is None:
+        seed = jsonio.require_int("seed", config.get("seed", 0))
 
-    n_modes = int(config["n_modes"])
-    coupling = uniform_coupling(n_modes, float(config["tau"]))
-    probes = ProbeSet(int(config["n_probe_states"]), float(config["mu_p"]))
+    n_modes = jsonio.require_int("n_modes", config["n_modes"])
+    tau = float(config["tau"])
+    probes = ProbeSet(
+        jsonio.require_int("n_probe_states", config["n_probe_states"]), float(config["mu_p"])
+    )
     channel = HomodyneChannel.from_delta_ratio(
         float(config["eta"]), float(config["delta_over_sigma"])
     )
 
     if "key_path" in config:
-        key = ScatteringKey.from_dict(_load_json(config["key_path"]))
+        key = ScatteringKey.from_dict(jsonio.load(config["key_path"]))
+        if key.mode_count != n_modes:
+            raise ValueError(f"key has {key.mode_count} modes, config says {n_modes}")
     else:
         key = generate_key(
             n_modes,
             float(config["l_over_L"]),
             substream(seed, 0),
-            target_mode=int(config.get("target_mode", 0)),
+            target_mode=jsonio.require_int("target_mode", config.get("target_mode", 0)),
         )
 
     mode = config.get("enrollment", "exact")
     if mode == "exact":
-        database = enroll_exact(key, coupling, probes, channel)
+        database = enroll_exact(key, tau, probes, channel)
     elif mode == "sampled":
         database = enroll_sampled(
-            key, coupling, probes, channel,
-            int(config["per_quadrature_samples"]), substream(seed, 1),
+            key, tau, probes, channel,
+            jsonio.require_int("per_quadrature_samples", config["per_quadrature_samples"]),
+            substream(seed, 1),
         )
     else:
         raise ValueError(f"unknown enrollment mode {mode!r}")
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     key_path = out_dir / "key.json"
     database_path = out_dir / "database.json"
     jsonio.dump(key.to_dict(), key_path)
@@ -94,12 +95,10 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    database = CrpDatabase.from_dict(_load_json(args.database))
-    key = ScatteringKey.from_dict(_load_json(args.key))
-    coupling = uniform_coupling(database.mode_count, database.setup_loss)
+    database = CrpDatabase.from_dict(jsonio.load(args.database))
+    key = ScatteringKey.from_dict(jsonio.load(args.key))
     config = VerificationConfig(args.sessions, args.epsilon, args.zeta)
-    report = verify(key, database, coupling, config, substream(args.seed, 0),
-                    trace=args.trace)
+    report = verify(key, database, config, substream(args.seed, 0), trace=args.trace)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,7 +119,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    raw = _load_json(args.config)
+    raw = jsonio.load(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     config = CampaignConfig.from_dict(raw)
@@ -191,7 +190,7 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,13 +41,7 @@ from .protocol import (
     radii,
     verify,
 )
-from .scattering import (
-    enhancement,
-    generate_key,
-    optimal_mask,
-    scattered_amplitude,
-    uniform_coupling,
-)
+from .scattering import enhancement, generate_key, optimal_mask, scattered_amplitude
 from .streams import substream
 
 __all__ = [
@@ -80,6 +75,34 @@ REPORTED_ENHANCEMENT_BAND = (50.0, 1000.0)
 
 _SQRT2 = math.sqrt(2.0)
 
+# allowed interval of every real-valued config field; a tuple field's
+# interval applies to each of its entries
+_INTERVALS = {
+    "l_over_L": "[0, 1)",
+    "mu_p": "(0, inf)",
+    "tau": "(0, 1]",
+    "eta": "(0, 1]",
+    "delta_over_sigma": "(0, inf)",
+    "epsilon": "(0, 1)",
+    "zeta": "(0, 1)",
+    "histogram_bin": "(0, 1]",
+    "d_values": "[0, 1]",
+    "photons_per_mode_values": "(0, inf)",
+}
+
+
+def _real(name: str, value, interval: str) -> float:
+    """``value`` as a float, if it is a finite real number inside ``interval``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    below = value <= high if interval[-1] == "]" else value < high
+    if not (math.isfinite(value) and above and below):
+        raise ValueError(f"{name} must be finite and lie in {interval}, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -88,7 +111,10 @@ class CampaignConfig:
     Defaults reproduce the reference parameter set used throughout the
     bundled experiments (121 modes, uniform illumination, tau 0.8,
     eta 0.55, bin width two shot-noise units, 11 probe states of 2500
-    photons, 1000 sessions, error level 0.05).
+    photons, 1000 sessions, error level 0.05).  Construction is the one
+    place a campaign's inputs are checked: integer fields must be ints,
+    and every real field must be finite and inside its ``_INTERVALS``
+    entry, so a bad config fails before any artifact is written.
     """
 
     experiment_id: str
@@ -113,9 +139,18 @@ class CampaignConfig:
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment_id {self.experiment_id!r}")
         for name in ("n_modes", "n_probe_states", "m_sessions", "trials", "seed"):
+            object.__setattr__(self, name, jsonio.require_int(name, getattr(self, name)))
+        object.__setattr__(
+            self, "mode_counts",
+            tuple(jsonio.require_int("mode_counts", n) for n in self.mode_counts),
+        )
+        for name, interval in _INTERVALS.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if name in ("d_values", "photons_per_mode_values"):
+                value = tuple(_real(name, entry, interval) for entry in value)
+            else:
+                value = _real(name, value, interval)
+            object.__setattr__(self, name, value)
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
         if self.n_probe_states <= 2:
@@ -124,17 +159,8 @@ class CampaignConfig:
             raise ValueError("m_sessions must be at least 1")
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
-        if self.histogram_bin <= 0.0:
-            raise ValueError("histogram_bin must be positive")
-        object.__setattr__(self, "d_values", tuple(float(d) for d in self.d_values))
-        object.__setattr__(self, "mode_counts", tuple(int(n) for n in self.mode_counts))
         if any(n < 1 for n in self.mode_counts):
             raise ValueError("mode_counts must be at least 1")
-        object.__setattr__(
-            self,
-            "photons_per_mode_values",
-            tuple(float(v) for v in self.photons_per_mode_values),
-        )
 
     @property
     def mu_c(self) -> float:
@@ -269,20 +295,19 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     their in-bin frequencies.
     """
     _require(config, "collision_histogram")
-    coupling = uniform_coupling(config.n_modes, config.tau)
     probes = config.probe_set()
     channel = config.channel()
     verification = config.verification()
 
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
-    database = enroll_exact(true_key, coupling, probes, channel)
-    true_report = verify(true_key, database, coupling, verification, substream(config.seed, 1))
+    database = enroll_exact(true_key, config.tau, probes, channel)
+    true_report = verify(true_key, database, verification, substream(config.seed, 1))
 
     false_p_ins = []
     accepted = 0
     for trial in range(config.trials):
         impostor = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, trial))
-        report = verify(impostor, database, coupling, verification, substream(config.seed, 3, trial))
+        report = verify(impostor, database, verification, substream(config.seed, 3, trial))
         false_p_ins.append(report.p_in)
         accepted += report.accepted
 
@@ -300,25 +325,24 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
 def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     """Phase-space responses of false keys against one enrolled key's mask."""
     _require(config, "response_cloud")
-    coupling = uniform_coupling(config.n_modes, config.tau)
     probe_amplitude = math.sqrt(config.mu_p)
 
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
-    mask = optimal_mask(true_key, coupling)
-    gain = enhancement(true_key, coupling, mask, config.mu_c)
+    mask = optimal_mask(true_key, config.tau)
+    gain = enhancement(true_key, config.tau, mask, config.mu_c)
     rho_false, rho_true = radii(config.mu_c, true_key.variance, gain)
 
     points = []
     for trial in range(config.trials):
         impostor = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, trial))
         response = Response.from_amplitude(
-            scattered_amplitude(impostor, coupling, mask, probe_amplitude)
+            scattered_amplitude(impostor, config.tau, mask, probe_amplitude)
         )
         points.append((trial, response.x, response.y))
 
     return ResponseCloudResult(
         true_response=Response.from_amplitude(
-            scattered_amplitude(true_key, coupling, mask, probe_amplitude)
+            scattered_amplitude(true_key, config.tau, mask, probe_amplitude)
         ),
         points=tuple(points),
         rho_false=rho_false,
@@ -327,8 +351,7 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     )
 
 
-def run_enhancement_condition(config: CampaignConfig,
-                              photon_per_mode_values=None) -> EnhancementConditionResult:
+def run_enhancement_condition(config: CampaignConfig) -> EnhancementConditionResult:
     """Detection-threshold enhancement across mode counts and photon budgets.
 
     For each mean photon number per incoming mode, tabulates the
@@ -337,12 +360,8 @@ def run_enhancement_condition(config: CampaignConfig,
     set-ups for overlay.
     """
     _require(config, "enhancement_condition")
-    if photon_per_mode_values is None:
-        photon_per_mode_values = config.photons_per_mode_values
     rows = []
-    for photons_per_mode in photon_per_mode_values:
-        if photons_per_mode <= 0.0:
-            raise ValueError("photon numbers per mode must be positive")
+    for photons_per_mode in config.photons_per_mode_values:
         for n_modes in config.mode_counts:
             threshold = e_threshold(photons_per_mode * n_modes, n_modes, config.l_over_L)
             rows.append((float(photons_per_mode), int(n_modes), threshold))
@@ -366,7 +385,7 @@ def _cloud_summary(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]
     return mean_x, mean_y, float(np.sqrt(np.mean((xs - mean_x) ** 2 + (ys - mean_y) ** 2)))
 
 
-def run_clone_experiments(config: CampaignConfig, d_values=None) -> CloneExperimentsResult:
+def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     """Clone clouds, in-bin histograms and cheating rates across mode counts.
 
     For every mode count, enrolls one true key and, for every clone
@@ -376,8 +395,6 @@ def run_clone_experiments(config: CampaignConfig, d_values=None) -> CloneExperim
     points only, one full verification run.
     """
     _require(config, "clone_cloud", "clone_histograms", "cheating_curve")
-    if d_values is None:
-        d_values = config.d_values
     channel = config.channel()
     probes = config.probe_set()
     verification = config.verification()
@@ -388,14 +405,13 @@ def run_clone_experiments(config: CampaignConfig, d_values=None) -> CloneExperim
     histograms = {}
     cheating_rows = []
     for n_index, n_modes in enumerate(config.mode_counts):
-        coupling = uniform_coupling(n_modes, config.tau)
         true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
-        database = enroll_exact(true_key, coupling, probes, channel)
+        database = enroll_exact(true_key, config.tau, probes, channel)
         mask = database.mask
 
         point_rows = []
         summary_rows = []
-        for d_index, fraction in enumerate(d_values):
+        for d_index, fraction in enumerate(config.d_values):
             p_ins = []
             accepted = 0
             xs = np.empty(config.trials)
@@ -405,14 +421,14 @@ def run_clone_experiments(config: CampaignConfig, d_values=None) -> CloneExperim
                     true_key, fraction, substream(config.seed, 5, n_index, d_index, trial)
                 )
                 response = Response.from_amplitude(
-                    scattered_amplitude(clone, coupling, mask, probe_phase_zero)
+                    scattered_amplitude(clone, config.tau, mask, probe_phase_zero)
                 )
                 xs[trial] = response.x
                 ys[trial] = response.y
                 point_rows.append((float(fraction), trial, response.x, response.y))
                 if verifies:
                     report = verify(
-                        clone, database, coupling, verification,
+                        clone, database, verification,
                         substream(config.seed, 6, n_index, d_index, trial),
                     )
                     p_ins.append(report.p_in)
@@ -425,7 +441,7 @@ def run_clone_experiments(config: CampaignConfig, d_values=None) -> CloneExperim
                 rate = accepted / config.trials if config.trials else 0.0
                 cheating_rows.append((float(fraction), int(n_modes), rate, config.trials))
         true_response = Response.from_amplitude(
-            scattered_amplitude(true_key, coupling, mask, probe_phase_zero)
+            scattered_amplitude(true_key, config.tau, mask, probe_phase_zero)
         )
         clouds[n_modes] = (true_response, tuple(point_rows), tuple(summary_rows))
 

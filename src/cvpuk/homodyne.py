@@ -99,13 +99,6 @@ class Response:
     def magnitude(self) -> float:
         return math.hypot(self.x, self.y)
 
-    @property
-    def angle(self) -> float:
-        return math.atan2(self.y, self.x)
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
     def quadrature_projection(self, lo_phase: float) -> float:
         """Projection of this response on the quadrature measured at ``lo_phase``.
 

@@ -3,16 +3,19 @@
 Serialized artifacts are reloaded and replayed by acceptance checks, so
 floats are rendered with 17 significant digits, enough to reconstruct
 the exact IEEE-754 double on load.  Output is deterministic: the same
-document always produces the same bytes.
+document always produces the same bytes.  Non-finite numbers are
+refused both ways: ``dumps`` will not write them and ``load`` will not
+read them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from pathlib import Path
 
-__all__ = ["dumps", "dump", "load"]
+__all__ = ["dumps", "dump", "load", "require_int"]
 
 
 def _render(value, indent: int) -> str:
@@ -55,6 +58,28 @@ def dump(document, path) -> None:
     Path(path).write_text(dumps(document), encoding="utf-8")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in JSON")
+    return value
+
+
 def load(path):
+    """Parse a JSON file, rejecting NaN, Infinity and out-of-range floats."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as an ``int``; bools and non-integer numbers raise TypeError.
+
+    ``int()`` would truncate 2.7 to 2 and accept ``True`` as 1, so an
+    ill-typed document could load as a different, valid one.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")

@@ -23,13 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .homodyne import HALF_PI, HomodyneChannel, ProbeSet, p_in_theoretical
-from .scattering import (
-    CouplingProfile,
-    PhaseMask,
-    ScatteringKey,
-    optimal_mask,
-    scattered_amplitude,
-)
+from .jsonio import require_int
+from .scattering import PhaseMask, ScatteringKey, optimal_mask, scattered_amplitude
 
 __all__ = [
     "CrpDatabase",
@@ -57,6 +52,8 @@ class CrpDatabase:
     the bin centres for local-oscillator phases 0 and pi/2; ``xi[k]`` is
     the estimation error bound of that response (0 for exact
     enrollment).  Every probe shares the one ``mask`` and ``target_mode``.
+    ``setup_loss`` is the set-up's power throughput ``tau``, the one
+    set-up quantity that verification needs.
     """
 
     target_mode: int
@@ -113,13 +110,14 @@ class CrpDatabase:
     @classmethod
     def from_dict(cls, data: dict) -> "CrpDatabase":
         probe_set = ProbeSet(
-            int(data["probe_set"]["size"]), float(data["probe_set"]["mean_photons"])
+            require_int("probe_set.size", data["probe_set"]["size"]),
+            float(data["probe_set"]["mean_photons"]),
         )
-        records = sorted(data["records"], key=lambda r: int(r["k"]))
-        if [int(r["k"]) for r in records] != list(range(probe_set.size)):
+        records = sorted(data["records"], key=lambda r: require_int("k", r["k"]))
+        if [r["k"] for r in records] != list(range(probe_set.size)):
             raise ValueError("records must hold each probe index 0..N-1 exactly once")
         return cls(
-            target_mode=int(data["target_mode"]),
+            target_mode=require_int("target_mode", data["target_mode"]),
             mask=PhaseMask(np.array(data["mask"], dtype=float)),
             centers=[[float(r["x"]), float(r["y"])] for r in records],
             xi=[float(r["xi"]) for r in records],
@@ -134,23 +132,24 @@ def _quadrature_means(amplitudes: np.ndarray) -> np.ndarray:
     return np.column_stack((_SQRT2 * amplitudes.real, _SQRT2 * amplitudes.imag))
 
 
-def enroll_exact(key: ScatteringKey, coupling: CouplingProfile,
-                 probes: ProbeSet, channel: HomodyneChannel) -> CrpDatabase:
+def enroll_exact(key: ScatteringKey, tau: float, probes: ProbeSet,
+                 channel: HomodyneChannel) -> CrpDatabase:
     """Enroll a key with exact (noise-free) responses.
 
     The stored responses are the true quadrature means, the idealized
     limit of an enroller free to take unbounded samples; the estimation
-    error of every record is zero.
+    error of every record is zero.  The set-up throughput ``tau`` is
+    stored as the database's ``setup_loss``.
     """
-    mask = optimal_mask(key, coupling)
-    amplitudes = scattered_amplitude(key, coupling, mask, probes.amplitudes())
+    mask = optimal_mask(key, tau)
+    amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
     return CrpDatabase(key.target_mode, mask, _quadrature_means(amplitudes),
-                       np.zeros(probes.size), probes, channel, coupling.loss)
+                       np.zeros(probes.size), probes, channel, tau)
 
 
-def enroll_sampled(key: ScatteringKey, coupling: CouplingProfile,
-                   probes: ProbeSet, channel: HomodyneChannel,
-                   per_quadrature_samples: int, rng: np.random.Generator) -> CrpDatabase:
+def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
+                   channel: HomodyneChannel, per_quadrature_samples: int,
+                   rng: np.random.Generator) -> CrpDatabase:
     """Enroll a key from finite homodyne samples.
 
     For each probe state and each of the two quadratures, draws
@@ -162,8 +161,8 @@ def enroll_sampled(key: ScatteringKey, coupling: CouplingProfile,
     """
     if per_quadrature_samples < 1:
         raise ValueError("per_quadrature_samples must be at least 1")
-    mask = optimal_mask(key, coupling)
-    amplitudes = scattered_amplitude(key, coupling, mask, probes.amplitudes())
+    mask = optimal_mask(key, tau)
+    amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
     sigma = channel.shot_noise
     # one probe at a time, x before y: the generator's consumption order
     centers = np.array([
@@ -171,7 +170,7 @@ def enroll_sampled(key: ScatteringKey, coupling: CouplingProfile,
         for row in _quadrature_means(amplitudes)
     ])
     xi = np.full(probes.size, enrollment_error(per_quadrature_samples))
-    return CrpDatabase(key.target_mode, mask, centers, xi, probes, channel, coupling.loss)
+    return CrpDatabase(key.target_mode, mask, centers, xi, probes, channel, tau)
 
 
 def enrollment_error(per_quadrature_samples: int) -> float:
@@ -290,15 +289,16 @@ class VerificationReport:
 
 
 def verify(key_under_test: ScatteringKey, database: CrpDatabase,
-           coupling: CouplingProfile, config: VerificationConfig,
-           rng: np.random.Generator, trace: bool = False) -> VerificationReport:
+           config: VerificationConfig, rng: np.random.Generator,
+           trace: bool = False) -> VerificationReport:
     """Run the verification protocol against an enrolled database.
 
     Each session draws a probe index uniformly, computes the physical
-    response of the key under test with the database's mask, measures
-    one uniformly chosen quadrature with shot noise, and scores a hit
-    when the outcome falls inside the closed bin centred on the stored
-    (enrolled) response for that probe and quadrature.  The key is
+    response of the key under test with the database's mask and set-up
+    throughput (the enrolled ``setup_loss``), measures one uniformly
+    chosen quadrature with shot noise, and scores a hit when the outcome
+    falls inside the closed bin centred on the stored (enrolled)
+    response for that probe and quadrature.  The key is
     accepted when the hit frequency lies within ``error_level`` of the
     public in-bin probability.
 
@@ -308,8 +308,6 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     """
     if key_under_test.mode_count != database.mode_count:
         raise ValueError("key and database mode counts do not match")
-    if coupling.mode_count != database.mode_count:
-        raise ValueError("coupling and database mode counts do not match")
 
     channel = database.channel
     expected = p_in_theoretical(channel)
@@ -320,7 +318,7 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
             stacklevel=2,
         )
 
-    amplitudes = scattered_amplitude(key_under_test, coupling, database.mask,
+    amplitudes = scattered_amplitude(key_under_test, database.setup_loss, database.mask,
                                      database.probe_set.amplitudes())
     means = _quadrature_means(amplitudes)
     half = 0.5 * channel.bin_width

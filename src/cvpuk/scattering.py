@@ -10,6 +10,10 @@ reflection-coupling product makes all terms of the scattered sum
 interfere constructively, which is the global optimum of phase-only
 control.
 
+The set-up illuminates the modulator uniformly: the probe fibre couples
+into every input mode with the same real amplitude ``sqrt(tau / n)``, so
+its only parameter is the power throughput ``tau`` in (0, 1].
+
 All operations are pure functions of their arguments plus an explicit
 random generator, and all value types are immutable after construction,
 so they are safe to share across threads.
@@ -22,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonio import require_int
+
 __all__ = [
     "DegenerateKeyError",
     "ScatteringKey",
-    "CouplingProfile",
     "PhaseMask",
     "wrap_phase",
     "generate_key",
-    "uniform_coupling",
     "scattered_amplitude",
     "optimal_mask",
     "iterative_mask",
@@ -107,7 +111,7 @@ class ScatteringKey:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScatteringKey":
-        mode_count = int(data["mode_count"])
+        mode_count = require_int("mode_count", data["mode_count"])
         l_over_L = float(data["l_over_L"])
         coefficients = np.array(
             [complex(re, im) for re, im in data["coefficients"]], dtype=complex
@@ -116,39 +120,9 @@ class ScatteringKey:
             coefficients=coefficients,
             variance=(1.0 - l_over_L) / mode_count,
             mode_count=mode_count,
-            target_mode=int(data["target_mode"]),
+            target_mode=require_int("target_mode", data["target_mode"]),
             l_over_L=l_over_L,
         )
-
-
-@dataclass(frozen=True)
-class CouplingProfile:
-    """Fixed coupling from the probe fiber to the modulator's input modes.
-
-    The coefficients are set-up constants, independent of any key, and
-    their squared magnitudes sum to the power throughput ``loss``.
-    """
-
-    coefficients: np.ndarray
-    loss: float
-
-    def __post_init__(self):
-        coefficients = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", coefficients)
-        if coefficients.ndim != 1 or coefficients.size < 1:
-            raise ValueError("coefficients must be a non-empty vector")
-        if not 0.0 < self.loss <= 1.0:
-            raise ValueError("loss must lie in (0, 1]")
-        if not np.all(np.isfinite(coefficients)):
-            raise ValueError("coefficients must be finite")
-        power = float(np.sum(np.abs(coefficients) ** 2))
-        if abs(power - self.loss) > 1e-12:
-            raise ValueError("coupling power does not sum to the stated loss")
-        coefficients.flags.writeable = False
-
-    @property
-    def mode_count(self) -> int:
-        return self.coefficients.size
 
 
 @dataclass(frozen=True)
@@ -203,28 +177,15 @@ def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
     )
 
 
-def uniform_coupling(mode_count: int, loss: float) -> CouplingProfile:
-    """Coupling profile for uniform illumination: all coefficients equal.
-
-    Every coefficient is the real positive value ``sqrt(loss / mode_count)``
-    so that the squared magnitudes sum to ``loss``.
-    """
-    if mode_count < 1:
-        raise ValueError("mode_count must be at least 1")
-    if not 0.0 < loss <= 1.0:
-        raise ValueError("loss must lie in (0, 1]")
-    value = math.sqrt(loss / mode_count)
-    return CouplingProfile(np.full(mode_count, value, dtype=complex), float(loss))
+def _phased_products(key: ScatteringKey, tau: float) -> np.ndarray:
+    """Per-mode reflection-coupling products under uniform illumination."""
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must be finite and lie in (0, 1], got {tau!r}")
+    return key.coefficients * math.sqrt(tau / key.mode_count)
 
 
-def _phased_products(key: ScatteringKey, coupling: CouplingProfile) -> np.ndarray:
-    if key.mode_count != coupling.mode_count:
-        raise ValueError("key and coupling must have matching lengths")
-    return key.coefficients * coupling.coefficients
-
-
-def scattered_amplitude(key: ScatteringKey, coupling: CouplingProfile,
-                        mask: PhaseMask, probe_amplitude):
+def scattered_amplitude(key: ScatteringKey, tau: float, mask: PhaseMask,
+                        probe_amplitude):
     """Mean scattered field in the target mode for one probe or many.
 
     Returns the phase-controlled sum of the per-mode reflection and
@@ -234,28 +195,28 @@ def scattered_amplitude(key: ScatteringKey, coupling: CouplingProfile,
     sum is formed, so every response in the package carries the same
     bits.
     """
-    products = _phased_products(key, coupling)
+    products = _phased_products(key, tau)
     if len(mask) != key.mode_count:
         raise ValueError("mask length does not match the key's mode count")
     total = np.sum(products * np.exp(1j * mask.phases))
     return total * probe_amplitude
 
 
-def optimal_mask(key: ScatteringKey, coupling: CouplingProfile) -> PhaseMask:
+def optimal_mask(key: ScatteringKey, tau: float) -> PhaseMask:
     """Globally optimal phase mask for the given key.
 
     Conjugates the phase of each reflection-coupling product, so every
     term of the scattered sum becomes real and non-negative.  No phase
     mask can produce a larger amplitude magnitude.
     """
-    products = _phased_products(key, coupling)
+    products = _phased_products(key, tau)
     if not np.any(products != 0):
         raise DegenerateKeyError("all reflection-coupling products vanish")
     return PhaseMask(-np.angle(products))
 
 
-def iterative_mask(key: ScatteringKey, coupling: CouplingProfile,
-                   phase_levels: int, sweeps: int) -> PhaseMask:
+def iterative_mask(key: ScatteringKey, tau: float, phase_levels: int,
+                   sweeps: int) -> PhaseMask:
     """Stepwise feedback optimization of the mask, one mode at a time.
 
     Visits every mode in index order, keeping for each the candidate
@@ -270,7 +231,7 @@ def iterative_mask(key: ScatteringKey, coupling: CouplingProfile,
         raise ValueError("phase_levels must be at least 2")
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
-    products = _phased_products(key, coupling)
+    products = _phased_products(key, tau)
     if not np.any(products != 0):
         raise DegenerateKeyError("all reflection-coupling products vanish")
 
@@ -293,7 +254,7 @@ def iterative_mask(key: ScatteringKey, coupling: CouplingProfile,
     return PhaseMask(phases)
 
 
-def enhancement(key: ScatteringKey, coupling: CouplingProfile, mask: PhaseMask,
+def enhancement(key: ScatteringKey, tau: float, mask: PhaseMask,
                 mean_challenge_photons: float) -> float:
     """Intensity gain of the masked key over the unoptimized ensemble mean.
 
@@ -307,7 +268,8 @@ def enhancement(key: ScatteringKey, coupling: CouplingProfile, mask: PhaseMask,
         raise ValueError("mean_challenge_photons must be positive")
     if key.variance <= 0.0:
         raise ValueError("a zero-variance key has no enhancement reference")
-    probe_amplitude = math.sqrt(mean_challenge_photons / coupling.loss)
-    amplitude = scattered_amplitude(key, coupling, mask, probe_amplitude)
-    photons = abs(amplitude) ** 2
+    # scale by the probe amplitude only after scattered_amplitude has
+    # checked tau; the product carries the same bits either way
+    amplitude = scattered_amplitude(key, tau, mask, 1.0)
+    photons = abs(amplitude * math.sqrt(mean_challenge_photons / tau)) ** 2
     return photons / (key.variance * mean_challenge_photons)

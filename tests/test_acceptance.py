@@ -26,7 +26,6 @@ from cvpuk import (
     run_collision_histogram,
     scattered_amplitude,
     substream,
-    uniform_coupling,
     verify,
 )
 
@@ -57,11 +56,10 @@ def test_criterion_2_enhancement_scaling():
     checks = {}
     for stream, n_modes in ((0, 121), (1, 256)):
         rng = substream(1000, stream)
-        coupling = uniform_coupling(n_modes, 0.8)
         gains = []
         for _ in range(200):
             key = generate_key(n_modes, 0.2, rng)
-            gains.append(enhancement(key, coupling, optimal_mask(key, coupling), 2000.0))
+            gains.append(enhancement(key, 0.8, optimal_mask(key, 0.8), 2000.0))
         expected = math.pi * n_modes / 4.0
         checks[f"mean gain at {n_modes} modes"] = (
             abs(float(np.mean(gains)) - expected) <= 0.10 * expected
@@ -97,7 +95,6 @@ def test_criterion_4_ensemble_statistics():
     n_keys, n_modes, mu_p, tau = 10_000, 121, 2500.0, 0.8
     mu_c = tau * mu_p
     variance = (1.0 - 0.2) / n_modes
-    coupling = uniform_coupling(n_modes, tau)
     rng = substream(1001, 0)
     probe_amplitude = math.sqrt(mu_p)
     # fixed, non-optimized mask: a frozen random mask
@@ -107,7 +104,7 @@ def test_criterion_4_ensemble_statistics():
     powers = np.empty(n_keys)
     for i in range(n_keys):
         key = generate_key(n_modes, 0.2, rng)
-        amplitude = scattered_amplitude(key, coupling, mask, probe_amplitude)
+        amplitude = scattered_amplitude(key, tau, mask, probe_amplitude)
         x = math.sqrt(2.0) * amplitude.real
         y = math.sqrt(2.0) * amplitude.imag
         powers[i] = x * x + y * y
@@ -121,8 +118,8 @@ def test_criterion_4_ensemble_statistics():
     key = generate_key(n_modes, 0.2, substream(1001, 2))
     probes = ProbeSet(11, mu_p)
     channel = HomodyneChannel.from_delta_ratio(0.55, 2.0)
-    database = enroll_exact(key, coupling, probes, channel)
-    gain = enhancement(key, coupling, database.mask, mu_c)
+    database = enroll_exact(key, tau, probes, channel)
+    gain = enhancement(key, tau, database.mask, mu_c)
     enrolled_power = 2.0 * gain * key.variance * mu_c
     checks["enrolled records satisfy the power identity"] = all(
         abs(x**2 + y**2 - enrolled_power) <= 1e-9 * enrolled_power
@@ -136,16 +133,15 @@ def test_criterion_5_chernoff_coverage():
     sessions = m_threshold(0.05, 0.05)
     assert sessions == 4427
     n_modes, runs = 121, 200
-    coupling = uniform_coupling(n_modes, 0.8)
     probes = ProbeSet(11, 2500.0)
     channel = HomodyneChannel.from_delta_ratio(0.55, 2.0)
     key = generate_key(n_modes, 0.2, substream(1002, 0))
-    database = enroll_exact(key, coupling, probes, channel)
+    database = enroll_exact(key, 0.8, probes, channel)
     config = VerificationConfig(sessions, 0.05, 0.05)
     expected = p_in_theoretical(channel)
     failures = 0
     for run in range(runs):
-        report = verify(key, database, coupling, config, substream(1002, 1, run))
+        report = verify(key, database, config, substream(1002, 1, run))
         failures += abs(report.p_in - expected) >= 0.05
     bound = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / runs)
     elapsed = time.monotonic() - started

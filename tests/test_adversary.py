@@ -18,7 +18,6 @@ from cvpuk import (
     run_clone_experiments,
     scattered_amplitude,
     substream,
-    uniform_coupling,
     verify,
 )
 from cvpuk.adversary import replaced_count
@@ -47,8 +46,7 @@ def test_false_key_responses_concentrate_near_origin():
     # effectively zero against the 2% allowance
     n_modes, mu_p, tau = 256, 2500.0, 0.8
     true_key = generate_key(n_modes, 0.2, substream(202, 0))
-    coupling = uniform_coupling(n_modes, tau)
-    mask = optimal_mask(true_key, coupling)
+    mask = optimal_mask(true_key, tau)
     mu_c = tau * mu_p
     rho_false, _ = radii(mu_c, true_key.variance, 201.0)
     rng = substream(202, 1)
@@ -58,7 +56,7 @@ def test_false_key_responses_concentrate_near_origin():
     for _ in range(trials):
         impostor = false_key(n_modes, 0.2, rng)
         response = Response.from_amplitude(
-            scattered_amplitude(impostor, coupling, mask, amplitude)
+            scattered_amplitude(impostor, tau, mask, amplitude)
         )
         outside += response.magnitude > 1.5 * rho_false
     assert outside / trials <= 0.02
@@ -116,11 +114,11 @@ def test_clone_replaced_index_uniformity():
 def test_clone_distance_grows_with_fraction():
     n_modes, mu_p = 121, 2500.0
     true_key = generate_key(n_modes, 0.2, substream(207, 0))
-    coupling = uniform_coupling(n_modes, 0.8)
-    mask = optimal_mask(true_key, coupling)
+    tau = 0.8
+    mask = optimal_mask(true_key, tau)
     amplitude = math.sqrt(mu_p)
     true_response = Response.from_amplitude(
-        scattered_amplitude(true_key, coupling, mask, amplitude)
+        scattered_amplitude(true_key, tau, mask, amplitude)
     )
     rng = substream(207, 1)
     fractions = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1]
@@ -130,7 +128,7 @@ def test_clone_distance_grows_with_fraction():
         for _ in range(500):
             clone, _ = clone_key(true_key, fraction, rng)
             response = Response.from_amplitude(
-                scattered_amplitude(clone, coupling, mask, amplitude)
+                scattered_amplitude(clone, tau, mask, amplitude)
             )
             distances.append(
                 math.hypot(response.x - true_response.x, response.y - true_response.y)
@@ -201,14 +199,13 @@ def test_cheating_probability_total_randomization_matches_false_keys():
     clone_rate = _accept_rates(result)[(n_modes, 1.0)]
     # the campaign's true key for its first mode count, on stream (4, 0)
     true_key = generate_key(n_modes, 0.2, substream(seed, 4, 0))
-    coupling = uniform_coupling(n_modes, 0.8)
-    database = enroll_exact(true_key, coupling, ProbeSet(11, 2500.0), _channel())
+    database = enroll_exact(true_key, 0.8, ProbeSet(11, 2500.0), _channel())
     config = VerificationConfig(1000, 0.05, 0.05)
     accepted = 0
     for trial in range(200):
         impostor = false_key(n_modes, 0.2, substream(seed, 2, trial))
         accepted += verify(
-            impostor, database, coupling, config, substream(seed, 3, trial)
+            impostor, database, config, substream(seed, 3, trial)
         ).accepted
     false_rate = accepted / 200
     assert clone_rate <= 0.01

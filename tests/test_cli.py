@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cvpuk import (
     CrpDatabase,
@@ -10,7 +11,6 @@ from cvpuk import (
     generate_key,
     jsonio,
     substream,
-    uniform_coupling,
     verify,
 )
 from cvpuk.cli import main
@@ -145,7 +145,8 @@ def test_verify_corrupted_database_exits_2(tmp_path, capsys):
 
 
 def test_verify_non_finite_database_exits_2(tmp_path, capsys):
-    # json.load accepts NaN literals; the database must still refuse them
+    # the JSON reader refuses NaN literals before a database is built
+    # (CrpDatabase's own finite check is covered in test_protocol)
     config_path = tmp_path / "config.json"
     _write_enroll_config(config_path)
     out_dir = tmp_path / "out"
@@ -164,6 +165,38 @@ def test_verify_non_finite_database_exits_2(tmp_path, capsys):
     assert not (out_dir / "report.json").exists()
 
 
+def test_verify_truncating_integer_database_exits_2(tmp_path, capsys):
+    # int() would truncate these to a valid 3-probe database
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, n_probe_states=3)
+    out_dir = tmp_path / "out"
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    database_path = out_dir / "database.json"
+    document = json.loads(database_path.read_text())
+    for record, k in zip(document["records"], (0.9, 1.2, 2.7)):
+        record["k"] = k
+    document["probe_set"]["size"] = 3.6
+    database_path.write_text(json.dumps(document))
+    assert main([
+        "verify", "--database", str(database_path),
+        "--key", str(out_dir / "key.json"), "--out", str(out_dir),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_probe_states", 11.5), ("n_modes", 32.0), ("seed", True), ("tau", 1.5),
+])
+def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value):
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, **{field: value})
+    out_dir = tmp_path / "out"
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_round_trip_matches_in_memory(tmp_path):
     # enroll -> serialize -> load -> verify must replay bit-for-bit
     config_path = tmp_path / "config.json"
@@ -172,19 +205,18 @@ def test_cli_round_trip_matches_in_memory(tmp_path):
     main(["enroll", "--config", str(config_path), "--out", str(out_dir)])
 
     key = generate_key(config["n_modes"], config["l_over_L"], substream(config["seed"], 0))
-    coupling = uniform_coupling(config["n_modes"], config["tau"])
     probes = ProbeSet(config["n_probe_states"], config["mu_p"])
     channel = HomodyneChannel.from_delta_ratio(config["eta"], config["delta_over_sigma"])
-    database = enroll_exact(key, coupling, probes, channel)
+    database = enroll_exact(key, config["tau"], probes, channel)
     in_memory = verify(
-        key, database, coupling, VerificationConfig(1000, 0.05, 0.05),
+        key, database, VerificationConfig(1000, 0.05, 0.05),
         substream(5, 0), trace=True,
     )
 
     loaded_db = CrpDatabase.from_dict(json.loads((out_dir / "database.json").read_text()))
     loaded_key = ScatteringKey.from_dict(json.loads((out_dir / "key.json").read_text()))
     replayed = verify(
-        loaded_key, loaded_db, coupling, VerificationConfig(1000, 0.05, 0.05),
+        loaded_key, loaded_db, VerificationConfig(1000, 0.05, 0.05),
         substream(5, 0), trace=True,
     )
     assert replayed.to_dict() == in_memory.to_dict()
@@ -208,6 +240,21 @@ def test_campaign_command(tmp_path, capsys):
     assert echoed["seed"] == 123
     assert (out_dir / "histogram.csv").exists()
     assert (out_dir / "summary.json").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"experiment_id": "response_cloud", "tau": NaN}',
+    '{"experiment_id": "response_cloud", "tau": 1.5}',
+    '{"experiment_id": "response_cloud", "mu_p": Infinity}',
+    '{"experiment_id": "clone_cloud", "d_values": [1.5]}',
+])
+def test_campaign_invalid_config_exits_2_without_output(tmp_path, capsys, text):
+    config_path = tmp_path / "campaign.json"
+    config_path.write_text(text)
+    out_dir = tmp_path / "campaign_out"
+    assert main(["campaign", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_campaign_unknown_experiment_exits_2(tmp_path, capsys):

@@ -19,7 +19,7 @@ from cvpuk import (
     verify,
 )
 from cvpuk.experiments import REPORTED_ENHANCEMENT_BAND
-from cvpuk import HomodyneChannel, VerificationConfig, enroll_exact, generate_key, uniform_coupling, ProbeSet
+from cvpuk import HomodyneChannel, VerificationConfig, enroll_exact, generate_key, ProbeSet
 
 
 def test_config_validation():
@@ -36,6 +36,28 @@ def test_config_validation():
         ("n_probe_states", 2),
         ("m_sessions", 0),
         ("mode_counts", (121, 0)),
+        ("tau", 0.0),
+        ("tau", 1.5),
+        ("tau", math.nan),
+        ("l_over_L", 1.0),
+        ("l_over_L", -0.1),
+        ("mu_p", 0.0),
+        ("mu_p", math.inf),
+        ("eta", 0.0),
+        ("eta", 1.01),
+        ("delta_over_sigma", 0.0),
+        ("delta_over_sigma", math.inf),
+        ("epsilon", 0.0),
+        ("epsilon", 1.0),
+        ("zeta", 1.0),
+        ("zeta", math.nan),
+        ("histogram_bin", 1.5),
+        ("histogram_bin", math.nan),
+        ("d_values", (0.0, 1.5)),
+        ("d_values", (-0.01,)),
+        ("d_values", (math.nan,)),
+        ("photons_per_mode_values", (0.0,)),
+        ("photons_per_mode_values", (1.0, math.inf)),
     ):
         with pytest.raises(ValueError):
             CampaignConfig(experiment_id="collision_histogram", **{field: value})
@@ -44,6 +66,14 @@ def test_config_validation():
             CampaignConfig(experiment_id="collision_histogram", **{field: True})
     with pytest.raises(TypeError):
         CampaignConfig.from_dict({"experiment_id": "collision_histogram", "m_sessions": 1.5})
+    with pytest.raises(TypeError):
+        CampaignConfig(experiment_id="clone_cloud", mode_counts=(121, 2.5))
+    for field, value in (("tau", True), ("mu_p", "2500"), ("d_values", (0.0, False))):
+        with pytest.raises(TypeError):
+            CampaignConfig(experiment_id="clone_cloud", **{field: value})
+    # the interval ends that are allowed
+    CampaignConfig(experiment_id="cheating_curve", tau=1.0, eta=1.0, l_over_L=0.0,
+                   histogram_bin=1.0, d_values=(0.0, 1.0))
     # zero trials stays a valid (empty) campaign
     assert CampaignConfig(experiment_id="collision_histogram", trials=0).trials == 0
 
@@ -103,14 +133,13 @@ def test_collision_histogram_trials_are_order_independent():
     config = _small_collision_config()
     result = run_collision_histogram(config)
     # rebuild trial 7 in isolation from its addressed streams
-    coupling = uniform_coupling(config.n_modes, config.tau)
     probes = ProbeSet(config.n_probe_states, config.mu_p)
     channel = HomodyneChannel.from_delta_ratio(config.eta, config.delta_over_sigma)
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
-    database = enroll_exact(true_key, coupling, probes, channel)
+    database = enroll_exact(true_key, config.tau, probes, channel)
     verification = VerificationConfig(config.m_sessions, config.epsilon, config.zeta)
     impostor = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, 7))
-    report = verify(impostor, database, coupling, verification, substream(config.seed, 3, 7))
+    report = verify(impostor, database, verification, substream(config.seed, 3, 7))
     assert report.p_in == result.false_p_ins[7]
 
 
@@ -172,9 +201,10 @@ def test_response_cloud_scales_with_probe_photons():
 
 def test_enhancement_condition_table():
     config = CampaignConfig(
-        experiment_id="enhancement_condition", mode_counts=(121, 256), seed=1
+        experiment_id="enhancement_condition", mode_counts=(121, 256), seed=1,
+        photons_per_mode_values=(2000.0 / 121.0, 7.8125),
     )
-    result = run_enhancement_condition(config, [2000.0 / 121.0, 7.8125])
+    result = run_enhancement_condition(config)
     assert result.band == REPORTED_ENHANCEMENT_BAND
     by_value = {}
     for photons_per_mode, n_modes, threshold in result.rows:
@@ -192,12 +222,13 @@ def test_enhancement_condition_table():
 
 def test_enhancement_condition_asymptote():
     config = CampaignConfig(
-        experiment_id="enhancement_condition", mode_counts=(121,), seed=1
+        experiment_id="enhancement_condition", mode_counts=(121,), seed=1,
+        photons_per_mode_values=(1e12,),
     )
-    result = run_enhancement_condition(config, [1e12])
+    result = run_enhancement_condition(config)
     assert result.rows[0][2] == pytest.approx(16.0, abs=1e-4)
     with pytest.raises(ValueError):
-        run_enhancement_condition(config, [0.0])
+        dataclasses.replace(config, photons_per_mode_values=(0.0,))
 
 
 def test_clone_experiments_small():

@@ -25,6 +25,23 @@ def test_rejects_non_finite_floats():
         jsonio.dumps({"value": math.inf})
 
 
+def test_load_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "doc.json"
+    for text in ('{"v": NaN}', '{"v": Infinity}', '{"v": [-Infinity]}', '{"v": 1e999}'):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            jsonio.load(path)
+    path.write_text('{"v": [0.1, -2, 1e300]}')
+    assert jsonio.load(path) == {"v": [0.1, -2, 1e300]}
+
+
+def test_require_int():
+    assert jsonio.require_int("n", 3) == 3
+    for value in (True, 2.7, 3.0, "3", None):
+        with pytest.raises(TypeError):
+            jsonio.require_int("n", value)
+
+
 def test_rejects_unknown_types():
     with pytest.raises(TypeError):
         jsonio.dumps({"value": object()})

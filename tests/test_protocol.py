@@ -27,17 +27,16 @@ from cvpuk import (
     radii,
     substream,
     total_enrollment_samples,
-    uniform_coupling,
     verify,
 )
 
 
 def _setup(n_modes=121, seed=100, mu_p=2500.0, n_probes=11):
     key = generate_key(n_modes, 0.2, substream(seed, 0))
-    coupling = uniform_coupling(n_modes, 0.8)
+    tau = 0.8
     probes = ProbeSet(n_probes, mu_p)
     channel = HomodyneChannel.from_delta_ratio(0.55, 2.0)
-    return key, coupling, probes, channel
+    return key, tau, probes, channel
 
 
 # ----------------------------------------------------------------- thresholds
@@ -103,13 +102,13 @@ def test_enrollment_sample_size_helpers():
 
 
 def test_enroll_exact_structure():
-    key, coupling, probes, channel = _setup()
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup()
+    database = enroll_exact(key, tau, probes, channel)
     assert database.centers.shape == (probes.size, 2)
     assert database.xi.shape == (probes.size,)
     assert np.all(database.xi == 0.0)
     assert database.enrollment_error == 0.0
-    assert database.setup_loss == coupling.loss
+    assert database.setup_loss == tau
     assert database.target_mode == key.target_mode
 
     magnitudes = np.hypot(database.centers[:, 0], database.centers[:, 1])
@@ -126,10 +125,10 @@ def test_enroll_exact_structure():
 
 
 def test_enroll_exact_response_power_identity():
-    key, coupling, probes, channel = _setup(seed=101)
-    database = enroll_exact(key, coupling, probes, channel)
-    mu_c = coupling.loss * probes.mean_photons
-    gain = enhancement(key, coupling, database.mask, mu_c)
+    key, tau, probes, channel = _setup(seed=101)
+    database = enroll_exact(key, tau, probes, channel)
+    mu_c = tau * probes.mean_photons
+    gain = enhancement(key, tau, database.mask, mu_c)
     expected = 2.0 * gain * key.variance * mu_c
     for x, y in database.centers:
         power = x**2 + y**2
@@ -137,25 +136,25 @@ def test_enroll_exact_response_power_identity():
 
 
 def test_enroll_exact_degenerate_key():
-    _, coupling, probes, channel = _setup(n_modes=4)
+    _, tau, probes, channel = _setup(n_modes=4)
     dead = ScatteringKey(np.zeros(4, dtype=complex), 0.0, 4, 0, 1.0)
     with pytest.raises(DegenerateKeyError):
-        enroll_exact(dead, uniform_coupling(4, 0.8), probes, channel)
+        enroll_exact(dead, tau, probes, channel)
 
 
 def test_enroll_sampled_error_tag():
-    key, coupling, probes, channel = _setup(n_modes=16)
-    database = enroll_sampled(key, coupling, probes, channel, 25, substream(102, 0))
+    key, tau, probes, channel = _setup(n_modes=16)
+    database = enroll_sampled(key, tau, probes, channel, 25, substream(102, 0))
     assert np.all(database.xi == 1.0)
     assert database.enrollment_error == 1.0
     with pytest.raises(ValueError):
-        enroll_sampled(key, coupling, probes, channel, 0, substream(102, 1))
+        enroll_sampled(key, tau, probes, channel, 0, substream(102, 1))
 
 
 def test_enroll_sampled_converges_to_exact():
-    key, coupling, probes, channel = _setup(n_modes=16, n_probes=3)
-    exact = enroll_exact(key, coupling, probes, channel)
-    sampled = enroll_sampled(key, coupling, probes, channel, 10_000_000, substream(103, 0))
+    key, tau, probes, channel = _setup(n_modes=16, n_probes=3)
+    exact = enroll_exact(key, tau, probes, channel)
+    sampled = enroll_sampled(key, tau, probes, channel, 10_000_000, substream(103, 0))
     for (e_x, e_y), (s_x, s_y) in zip(exact.centers, sampled.centers):
         assert abs(s_x - e_x) <= 1e-2
         assert abs(s_y - e_y) <= 1e-2
@@ -165,8 +164,8 @@ def test_enroll_sampled_converges_to_exact():
 
 
 def test_database_validation():
-    key, coupling, probes, channel = _setup(n_modes=8, n_probes=3)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(n_modes=8, n_probes=3)
+    database = enroll_exact(key, tau, probes, channel)
 
     def rebuild(centers=database.centers, xi=database.xi, setup_loss=0.8):
         return CrpDatabase(database.target_mode, database.mask, centers, xi,
@@ -196,8 +195,8 @@ def test_database_validation():
 
 
 def test_database_from_dict_validation():
-    key, coupling, probes, channel = _setup(n_modes=8, n_probes=3)
-    document = enroll_exact(key, coupling, probes, channel).to_dict()
+    key, tau, probes, channel = _setup(n_modes=8, n_probes=3)
+    document = enroll_exact(key, tau, probes, channel).to_dict()
     records = document["records"]
     for broken in (
         records[:2],  # k = 2 missing
@@ -209,14 +208,23 @@ def test_database_from_dict_validation():
     ):
         with pytest.raises(ValueError):
             CrpDatabase.from_dict(dict(document, records=broken))
+    # integer fields refuse bools and non-integers rather than truncating them
+    for broken in (
+        dict(document, records=records[:2] + [dict(records[2], k=2.7)]),
+        dict(document, records=[dict(records[0], k=False)] + records[1:]),
+        dict(document, probe_set=dict(document["probe_set"], size=3.6)),
+        dict(document, target_mode=0.5),
+    ):
+        with pytest.raises(TypeError):
+            CrpDatabase.from_dict(broken)
     # record order in the file does not matter
     restored = CrpDatabase.from_dict(dict(document, records=records[::-1]))
     assert restored.to_dict() == document
 
 
 def test_database_json_roundtrip():
-    key, coupling, probes, channel = _setup(n_modes=16, n_probes=5)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(n_modes=16, n_probes=5)
+    database = enroll_exact(key, tau, probes, channel)
     document = database.to_dict()
     assert set(document) == {
         "target_mode", "probe_set", "channel", "setup_loss", "mask", "records",
@@ -235,10 +243,10 @@ def test_database_json_roundtrip():
 
 
 def test_verify_true_key_accepted():
-    key, coupling, probes, channel = _setup(seed=104)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(seed=104)
+    database = enroll_exact(key, tau, probes, channel)
     config = VerificationConfig(1000, 0.05, 0.05)
-    report = verify(key, database, coupling, config, substream(104, 1))
+    report = verify(key, database, config, substream(104, 1))
     assert report.accepted
     assert abs(report.p_in - report.p_in_expected) < 0.05
     assert report.p_in_expected == p_in_theoretical(channel)
@@ -248,53 +256,65 @@ def test_verify_true_key_accepted():
 
 
 def test_verify_false_key_rejected():
-    key, coupling, probes, channel = _setup(seed=105)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(seed=105)
+    database = enroll_exact(key, tau, probes, channel)
     config = VerificationConfig(1000, 0.05, 0.05)
     impostor = generate_key(key.mode_count, 0.2, substream(105, 1))
-    report = verify(impostor, database, coupling, config, substream(105, 2))
+    report = verify(impostor, database, config, substream(105, 2))
     assert not report.accepted
     assert report.p_in < report.p_in_expected / 2.0
 
 
 def test_verify_single_session():
-    key, coupling, probes, channel = _setup(n_modes=16, seed=106)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(n_modes=16, seed=106)
+    database = enroll_exact(key, tau, probes, channel)
     config = VerificationConfig(1, 0.5, 0.05)
     with pytest.warns(UserWarning):  # 0.5 is deliberately not small against p_in
-        report = verify(key, database, coupling, config, substream(106, 1))
+        report = verify(key, database, config, substream(106, 1))
     assert report.hits in (0, 1)
     assert report.p_in in (0.0, 1.0)
 
 
 def test_verify_mode_count_mismatch():
-    key, coupling, probes, channel = _setup(n_modes=16, seed=107)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(n_modes=16, seed=107)
+    database = enroll_exact(key, tau, probes, channel)
     wrong_key = generate_key(8, 0.2, substream(107, 1))
     config = VerificationConfig(10, 0.05, 0.05)
     with pytest.raises(ValueError):
-        verify(wrong_key, database, coupling, config, substream(107, 2))
-    with pytest.raises(ValueError):
-        verify(key, database, uniform_coupling(8, 0.8), config, substream(107, 3))
+        verify(wrong_key, database, config, substream(107, 2))
+
+
+def test_verify_uses_enrolled_throughput():
+    # verify takes the set-up throughput from the database, so a genuine
+    # key passes under the tau it was enrolled with, whatever that is
+    key, _, probes, channel = _setup(seed=113)
+    database = enroll_exact(key, 0.3, probes, channel)
+    assert database.setup_loss == 0.3
+    config = VerificationConfig(1000, 0.05, 0.05)
+    assert verify(key, database, config, substream(113, 1)).accepted
+    # the same records stored under another throughput no longer match
+    relabelled = CrpDatabase(database.target_mode, database.mask, database.centers,
+                             database.xi, probes, channel, 0.8)
+    assert not verify(key, relabelled, config, substream(113, 1)).accepted
 
 
 def test_verify_warns_on_large_error_level():
-    key, coupling, probes, channel = _setup(n_modes=16, seed=108)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(n_modes=16, seed=108)
+    database = enroll_exact(key, tau, probes, channel)
     config = VerificationConfig(10, 0.4, 0.05)
     with pytest.warns(UserWarning):
-        verify(key, database, coupling, config, substream(108, 1))
+        verify(key, database, config, substream(108, 1))
 
 
 def test_verify_trace_hits_recomputable_from_database():
     # bins are a pure function of the stored records, whatever key is probed
-    key, coupling, probes, channel = _setup(seed=109)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(seed=109)
+    database = enroll_exact(key, tau, probes, channel)
     config = VerificationConfig(500, 0.05, 0.05)
     tampered, _ = clone_key(key, 0.5, substream(109, 1))
     for probe_key, stream in ((key, 2), (tampered, 3)):
         report = verify(
-            probe_key, database, coupling, config, substream(109, stream), trace=True
+            probe_key, database, config, substream(109, stream), trace=True
         )
         assert len(report.session_trace) == 500
         for k, theta, outcome, hit in report.session_trace:
@@ -303,25 +323,25 @@ def test_verify_trace_hits_recomputable_from_database():
 
 
 def test_verify_session_hits_uncorrelated():
-    key, coupling, probes, channel = _setup(seed=110)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(seed=110)
+    database = enroll_exact(key, tau, probes, channel)
     sessions = 4427
     config = VerificationConfig(sessions, 0.05, 0.05)
-    report = verify(key, database, coupling, config, substream(110, 1), trace=True)
+    report = verify(key, database, config, substream(110, 1), trace=True)
     hits = np.array([row[3] for row in report.session_trace], dtype=float)
     lag_one = float(np.corrcoef(hits[:-1], hits[1:])[0, 1])
     assert abs(lag_one) < 4.0 / math.sqrt(sessions)
 
 
 def test_rejection_rate_monotone_in_error_level():
-    key, coupling, probes, channel = _setup(seed=111)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(seed=111)
+    database = enroll_exact(key, tau, probes, channel)
     config = VerificationConfig(1000, 0.05, 0.05)
     expected = p_in_theoretical(channel)
     p_ins = []
     for trial in range(500):
         impostor = generate_key(key.mode_count, 0.2, substream(111, 1, trial))
-        report = verify(impostor, database, coupling, config, substream(111, 2, trial))
+        report = verify(impostor, database, config, substream(111, 2, trial))
         p_ins.append(report.p_in)
     p_ins = np.array(p_ins)
     rates = [
@@ -341,10 +361,10 @@ def test_verification_config_validation():
 
 
 def test_report_serialization():
-    key, coupling, probes, channel = _setup(n_modes=16, seed=112)
-    database = enroll_exact(key, coupling, probes, channel)
+    key, tau, probes, channel = _setup(n_modes=16, seed=112)
+    database = enroll_exact(key, tau, probes, channel)
     config = VerificationConfig(100, 0.05, 0.05)
-    report = verify(key, database, coupling, config, substream(112, 1))
+    report = verify(key, database, config, substream(112, 1))
     document = report.to_dict()
     assert document["accepted"] == (abs(document["p_in"] - document["p_in_expected"]) < 0.05)
     assert document["sessions"] == 100

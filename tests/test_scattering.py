@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cvpuk import (
-    CouplingProfile,
     DegenerateKeyError,
     PhaseMask,
     ScatteringKey,
@@ -14,7 +13,6 @@ from cvpuk import (
     optimal_mask,
     scattered_amplitude,
     substream,
-    uniform_coupling,
     wrap_phase,
 )
 
@@ -66,119 +64,138 @@ def test_key_coefficients_are_immutable():
         key.coefficients[0] = 1.0
 
 
-def test_uniform_coupling_values():
-    quarter = uniform_coupling(4, 1.0)
-    assert np.all(quarter.coefficients == 0.5)
-
-    reference = uniform_coupling(256, 0.8)
-    powers = np.abs(reference.coefficients) ** 2
-    assert abs(float(powers.sum()) - 0.8) <= 1e-12
-    assert powers[0] == pytest.approx(0.003125, rel=1e-12)
-
-    single = uniform_coupling(1, 0.49)
-    assert single.coefficients[0] == 0.7
+def _unit_key(coefficients):
+    """A key with exactly the given reflection coefficients."""
+    n = len(coefficients)
+    return ScatteringKey(np.asarray(coefficients, dtype=complex), 1.0 / n, n, 0, 0.0)
 
 
-@pytest.mark.parametrize("mode_count,loss", [(0, 0.5), (4, 0.0), (4, 1.2), (4, -0.1)])
-def test_uniform_coupling_rejects_bad_parameters(mode_count, loss):
+def test_uniform_illumination_values():
+    # uniform illumination couples every mode with the real amplitude
+    # sqrt(tau / n): a key reflecting one mode reads off that mode's value
+    flat = PhaseMask(np.zeros(4))
+    for mode in range(4):
+        assert scattered_amplitude(_unit_key(np.eye(4)[mode]), 1.0, flat, 1.0) == 0.5
+
+    flat = PhaseMask(np.zeros(256))
+    single_mode = scattered_amplitude(_unit_key(np.eye(256)[0]), 0.8, flat, 1.0)
+    assert abs(single_mode) ** 2 == pytest.approx(0.003125, rel=1e-12)
+    every_mode = scattered_amplitude(_unit_key(np.ones(256)), 0.8, flat, 1.0)
+    assert abs(abs(every_mode) ** 2 / 256 - 0.8) <= 1e-12
+
+    assert scattered_amplitude(_unit_key([1.0]), 0.49, PhaseMask(np.zeros(1)), 1.0) == 0.7
+
+
+@pytest.mark.parametrize(
+    "mode_count,tau",
+    [(0, 0.5), (4, 0.0), (4, 1.2), (4, -0.1), (4, math.nan), (4, math.inf)],
+)
+def test_uniform_illumination_rejects_bad_parameters(mode_count, tau):
+    # a coupling needs at least one mode, which every key has, and a
+    # finite throughput tau in (0, 1]
     with pytest.raises(ValueError):
-        uniform_coupling(mode_count, loss)
+        key = generate_key(mode_count, 0.2, substream(21, 0))
+        scattered_amplitude(key, tau, PhaseMask(np.zeros(mode_count)), 1.0)
 
 
-def test_coupling_power_must_sum_to_loss():
+@pytest.mark.parametrize("tau", [0.0, 1.2, math.nan, math.inf])
+def test_every_tau_entry_point_rejects_bad_tau(tau):
+    key = generate_key(4, 0.2, substream(22, 0))
+    mask = PhaseMask(np.zeros(4))
     with pytest.raises(ValueError):
-        CouplingProfile(np.array([0.5 + 0j, 0.5 + 0j]), 0.9)
+        optimal_mask(key, tau)
+    with pytest.raises(ValueError):
+        iterative_mask(key, tau, 8, 1)
+    with pytest.raises(ValueError):
+        enhancement(key, tau, mask, 10.0)
 
 
 def test_scattered_amplitude_zero_key():
     key = ScatteringKey(np.zeros(5, dtype=complex), 0.0, 5, 0, 1.0)
-    coupling = uniform_coupling(5, 0.8)
+    tau = 0.8
     mask = PhaseMask(np.linspace(-3, 3, 5))
-    assert scattered_amplitude(key, coupling, mask, 2.0 + 1.0j) == 0
+    assert scattered_amplitude(key, tau, mask, 2.0 + 1.0j) == 0
 
 
 def test_scattered_amplitude_phase_cancellation():
     key = ScatteringKey(
         np.array([0.1 * np.exp(1j * math.pi / 3)]), 0.8, 1, 0, 0.2
     )
-    coupling = CouplingProfile(np.array([0.5 + 0j]), 0.25)
+    tau = 0.25
     mask = PhaseMask(np.array([-math.pi / 3]))
-    amplitude = scattered_amplitude(key, coupling, mask, 2.0)
+    amplitude = scattered_amplitude(key, tau, mask, 2.0)
     assert amplitude.real == pytest.approx(0.1, rel=1e-12)
     assert abs(amplitude.imag) < 1e-15
 
 
 def test_scattered_amplitude_shape_mismatch():
     key = generate_key(4, 0.2, substream(5, 0))
-    coupling = uniform_coupling(5, 0.8)
-    mask = PhaseMask(np.zeros(4))
-    with pytest.raises(ValueError):
-        scattered_amplitude(key, coupling, mask, 1.0)
-    with pytest.raises(ValueError):
-        scattered_amplitude(key, uniform_coupling(4, 0.8), PhaseMask(np.zeros(5)), 1.0)
+    for wrong_length in (3, 5):
+        with pytest.raises(ValueError):
+            scattered_amplitude(key, 0.8, PhaseMask(np.zeros(wrong_length)), 1.0)
 
 
 def test_linearity_exact_for_binary_scalings():
     key = generate_key(16, 0.2, substream(6, 0))
-    coupling = uniform_coupling(16, 0.8)
+    tau = 0.8
     mask = PhaseMask(substream(6, 1).uniform(-math.pi, math.pi, 16))
     base = 1.3 - 0.4j
-    reference = scattered_amplitude(key, coupling, mask, base)
+    reference = scattered_amplitude(key, tau, mask, base)
     for scaling in (2.0, 0.5, -1.0, 2.0j):
-        assert scattered_amplitude(key, coupling, mask, scaling * base) == scaling * reference
+        assert scattered_amplitude(key, tau, mask, scaling * base) == scaling * reference
 
 
 def test_linearity_close_for_general_scalings():
     key = generate_key(16, 0.2, substream(7, 0))
-    coupling = uniform_coupling(16, 0.8)
+    tau = 0.8
     mask = PhaseMask(substream(7, 1).uniform(-math.pi, math.pi, 16))
     base = 0.7 + 0.2j
-    reference = scattered_amplitude(key, coupling, mask, base)
+    reference = scattered_amplitude(key, tau, mask, base)
     for scaling in (1.7 - 2.2j, -0.3 + 0.9j):
-        scaled = scattered_amplitude(key, coupling, mask, scaling * base)
+        scaled = scattered_amplitude(key, tau, mask, scaling * base)
         assert scaled == pytest.approx(scaling * reference, rel=1e-12)
 
 
 def test_optimal_mask_single_mode():
     key = ScatteringKey(np.array([0.3 * np.exp(1.1j)]), 0.8, 1, 0, 0.2)
-    coupling = CouplingProfile(np.array([0.5 + 0j]), 0.25)
-    mask = optimal_mask(key, coupling)
+    tau = 0.25
+    mask = optimal_mask(key, tau)
     assert mask.phases[0] == pytest.approx(-1.1, rel=1e-12)
 
 
 def test_optimal_mask_is_global_optimum():
     key = generate_key(32, 0.2, substream(8, 0))
-    coupling = uniform_coupling(32, 0.8)
-    best = abs(scattered_amplitude(key, coupling, optimal_mask(key, coupling), 1.0))
+    tau = 0.8
+    best = abs(scattered_amplitude(key, tau, optimal_mask(key, tau), 1.0))
     rng = substream(8, 1)
     for _ in range(1000):
         mask = PhaseMask(rng.uniform(-math.pi, math.pi, 32))
-        assert abs(scattered_amplitude(key, coupling, mask, 1.0)) < best
+        assert abs(scattered_amplitude(key, tau, mask, 1.0)) < best
 
 
 def test_optimal_mask_degenerate_key():
     key = ScatteringKey(np.zeros(3, dtype=complex), 0.0, 3, 0, 1.0)
     with pytest.raises(DegenerateKeyError):
-        optimal_mask(key, uniform_coupling(3, 0.8))
+        optimal_mask(key, 0.8)
 
 
 def test_optimal_mask_mean_enhancement():
     rng = substream(9, 0)
-    coupling = uniform_coupling(256, 0.8)
+    tau = 0.8
     gains = []
     for _ in range(200):
         key = generate_key(256, 0.2, rng)
-        gains.append(enhancement(key, coupling, optimal_mask(key, coupling), 2000.0))
+        gains.append(enhancement(key, tau, optimal_mask(key, tau), 2000.0))
     expected = math.pi * 256 / 4.0
     assert abs(float(np.mean(gains)) - expected) <= 0.10 * expected
 
 
 def test_iterative_mask_exact_for_two_modes():
     key = generate_key(2, 0.2, substream(10, 0))
-    coupling = uniform_coupling(2, 0.8)
-    best = abs(scattered_amplitude(key, coupling, optimal_mask(key, coupling), 1.0))
-    stepped = iterative_mask(key, coupling, phase_levels=4096, sweeps=1)
-    assert abs(scattered_amplitude(key, coupling, stepped, 1.0)) == pytest.approx(
+    tau = 0.8
+    best = abs(scattered_amplitude(key, tau, optimal_mask(key, tau), 1.0))
+    stepped = iterative_mask(key, tau, phase_levels=4096, sweeps=1)
+    assert abs(scattered_amplitude(key, tau, stepped, 1.0)) == pytest.approx(
         best, rel=1e-5
     )
 
@@ -186,43 +203,43 @@ def test_iterative_mask_exact_for_two_modes():
 def test_iterative_mask_near_optimal():
     for seed in range(5):
         key = generate_key(16, 0.2, substream(11, seed))
-        coupling = uniform_coupling(16, 0.8)
-        best = abs(scattered_amplitude(key, coupling, optimal_mask(key, coupling), 1.0)) ** 2
-        stepped = iterative_mask(key, coupling, phase_levels=64, sweeps=2)
-        found = abs(scattered_amplitude(key, coupling, stepped, 1.0)) ** 2
+        tau = 0.8
+        best = abs(scattered_amplitude(key, tau, optimal_mask(key, tau), 1.0)) ** 2
+        stepped = iterative_mask(key, tau, phase_levels=64, sweeps=2)
+        found = abs(scattered_amplitude(key, tau, stepped, 1.0)) ** 2
         assert found <= best * (1.0 + 1e-12)
         assert found >= 0.98 * best
 
 
 def test_iterative_mask_improves_with_sweeps():
     key = generate_key(24, 0.2, substream(12, 0))
-    coupling = uniform_coupling(24, 0.8)
-    one = abs(scattered_amplitude(key, coupling, iterative_mask(key, coupling, 8, 1), 1.0))
-    three = abs(scattered_amplitude(key, coupling, iterative_mask(key, coupling, 8, 3), 1.0))
+    tau = 0.8
+    one = abs(scattered_amplitude(key, tau, iterative_mask(key, tau, 8, 1), 1.0))
+    three = abs(scattered_amplitude(key, tau, iterative_mask(key, tau, 8, 3), 1.0))
     assert three >= one * (1.0 - 1e-12)
 
 
 def test_iterative_mask_parameter_errors():
     key = generate_key(4, 0.2, substream(13, 0))
-    coupling = uniform_coupling(4, 0.8)
+    tau = 0.8
     with pytest.raises(ValueError):
-        iterative_mask(key, coupling, phase_levels=8, sweeps=0)
+        iterative_mask(key, tau, phase_levels=8, sweeps=0)
     with pytest.raises(ValueError):
-        iterative_mask(key, coupling, phase_levels=1, sweeps=1)
+        iterative_mask(key, tau, phase_levels=1, sweeps=1)
 
 
 def test_iterative_mask_degenerate_key():
     key = ScatteringKey(np.zeros(3, dtype=complex), 0.0, 3, 0, 1.0)
     with pytest.raises(DegenerateKeyError):
-        iterative_mask(key, uniform_coupling(3, 0.8), 8, 1)
+        iterative_mask(key, 0.8, 8, 1)
 
 
 def test_enhancement_unoptimized_ensemble_mean_is_one():
     rng = substream(14, 0)
-    coupling = uniform_coupling(64, 0.8)
+    tau = 0.8
     mask = PhaseMask(np.zeros(64))
     gains = [
-        enhancement(generate_key(64, 0.2, rng), coupling, mask, 500.0)
+        enhancement(generate_key(64, 0.2, rng), tau, mask, 500.0)
         for _ in range(10_000)
     ]
     assert abs(float(np.mean(gains)) - 1.0) <= 0.05
@@ -230,40 +247,40 @@ def test_enhancement_unoptimized_ensemble_mean_is_one():
 
 def test_enhancement_single_mode():
     key = ScatteringKey(np.array([0.25 * np.exp(0.4j)]), 0.8, 1, 0, 0.2)
-    coupling = uniform_coupling(1, 0.5)
-    gain = enhancement(key, coupling, optimal_mask(key, coupling), 100.0)
+    tau = 0.5
+    gain = enhancement(key, tau, optimal_mask(key, tau), 100.0)
     assert gain == pytest.approx(abs(key.coefficients[0]) ** 2 / key.variance, rel=1e-12)
 
 
 def test_enhancement_independent_of_probe_strength():
     key = generate_key(32, 0.2, substream(15, 0))
-    coupling = uniform_coupling(32, 0.8)
-    mask = optimal_mask(key, coupling)
-    assert enhancement(key, coupling, mask, 1.0) == pytest.approx(
-        enhancement(key, coupling, mask, 12345.0), rel=1e-12
+    tau = 0.8
+    mask = optimal_mask(key, tau)
+    assert enhancement(key, tau, mask, 1.0) == pytest.approx(
+        enhancement(key, tau, mask, 12345.0), rel=1e-12
     )
 
 
 def test_enhancement_errors():
     key = generate_key(4, 0.2, substream(16, 0))
-    coupling = uniform_coupling(4, 0.8)
+    tau = 0.8
     mask = PhaseMask(np.zeros(4))
     with pytest.raises(ValueError):
-        enhancement(key, coupling, mask, 0.0)
+        enhancement(key, tau, mask, 0.0)
     degenerate = ScatteringKey(np.zeros(4, dtype=complex), 0.0, 4, 0, 1.0)
     with pytest.raises(ValueError):
-        enhancement(degenerate, coupling, mask, 10.0)
+        enhancement(degenerate, tau, mask, 10.0)
 
 
 def test_amplitude_squared_matches_enhancement():
     # photon number in the target mode must equal the squared mean field
     key = generate_key(121, 0.2, substream(17, 0))
-    coupling = uniform_coupling(121, 0.8)
-    mask = optimal_mask(key, coupling)
+    tau = 0.8
+    mask = optimal_mask(key, tau)
     mu_p = 2500.0
     mu_c = 0.8 * mu_p
-    amplitude = scattered_amplitude(key, coupling, mask, math.sqrt(mu_p))
-    gain = enhancement(key, coupling, mask, mu_c)
+    amplitude = scattered_amplitude(key, tau, mask, math.sqrt(mu_p))
+    gain = enhancement(key, tau, mask, mu_c)
     assert abs(amplitude) ** 2 == pytest.approx(gain * key.variance * mu_c, rel=1e-12)
 
 
@@ -272,11 +289,11 @@ def test_enhancement_scaling_slope():
     rng = substream(18, 0)
     means = []
     for n_modes in mode_counts:
-        coupling = uniform_coupling(n_modes, 0.8)
+        tau = 0.8
         gains = []
         for _ in range(100):
             key = generate_key(n_modes, 0.2, rng)
-            gains.append(enhancement(key, coupling, optimal_mask(key, coupling), 100.0))
+            gains.append(enhancement(key, tau, optimal_mask(key, tau), 100.0))
         means.append(float(np.mean(gains)))
     slope = float(np.polyfit(mode_counts, means, 1)[0])
     assert abs(slope - math.pi / 4.0) <= 0.10 * math.pi / 4.0
@@ -311,6 +328,10 @@ def test_key_json_roundtrip():
     assert restored.variance == key.variance
     assert restored.target_mode == 5
     assert restored.l_over_L == key.l_over_L
+    document = key.to_dict()
+    for field, value in (("mode_count", 32.0), ("mode_count", True), ("target_mode", 5.5)):
+        with pytest.raises(TypeError):
+            ScatteringKey.from_dict(dict(document, **{field: value}))
 
 
 def test_mask_json_roundtrip():

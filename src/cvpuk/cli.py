@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .experiments import CampaignConfig, run_campaign
+from .experiments import REAL_INTERVALS, CampaignConfig, run_campaign
 from .homodyne import HomodyneChannel, ProbeSet, p_in_theoretical
 from .protocol import (
     CrpDatabase,
@@ -50,14 +50,14 @@ def _cmd_enroll(args) -> int:
     if seed is None:
         seed = jsonio.require_int("seed", config.get("seed", 0))
 
+    def real(name):
+        return jsonio.require_real(name, config[name], REAL_INTERVALS[name])
+
     n_modes = jsonio.require_int("n_modes", config["n_modes"])
-    tau = float(config["tau"])
-    probes = ProbeSet(
-        jsonio.require_int("n_probe_states", config["n_probe_states"]), float(config["mu_p"])
-    )
-    channel = HomodyneChannel.from_delta_ratio(
-        float(config["eta"]), float(config["delta_over_sigma"])
-    )
+    tau = real("tau")
+    probes = ProbeSet(jsonio.require_int("n_probe_states", config["n_probe_states"]),
+                      real("mu_p"))
+    channel = HomodyneChannel.from_delta_ratio(real("eta"), real("delta_over_sigma"))
 
     if "key_path" in config:
         key = ScatteringKey.from_dict(jsonio.load(config["key_path"]))
@@ -66,7 +66,7 @@ def _cmd_enroll(args) -> int:
     else:
         key = generate_key(
             n_modes,
-            float(config["l_over_L"]),
+            real("l_over_L"),
             substream(seed, 0),
             target_mode=jsonio.require_int("target_mode", config.get("target_mode", 0)),
         )

@@ -19,13 +19,17 @@ Sub-stream paths:
 ``(5, i, d, t)``      clone ``t`` at mode-count index ``i``, fraction index ``d``
 ``(6, i, d, t)``      verification of that clone (not drawn by ``clone_cloud``)
 ====================  ==========================================
+
+The verification streams ``(1,)``, ``(3, t)`` and ``(6, i, d, t)`` each
+give one variate: the hit count, drawn as ``Binomial(m_sessions, p̄)``
+with ``p̄`` from :func:`cvpuk.protocol.hit_probability`.  Campaigns
+never trace, so no campaign draws individual sessions.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -76,8 +80,9 @@ REPORTED_ENHANCEMENT_BAND = (50.0, 1000.0)
 _SQRT2 = math.sqrt(2.0)
 
 # allowed interval of every real-valued config field; a tuple field's
-# interval applies to each of its entries
-_INTERVALS = {
+# interval applies to each of its entries.  The enroll config of the
+# command line checks its real fields against the same table.
+REAL_INTERVALS = {
     "l_over_L": "[0, 1)",
     "mu_p": "(0, inf)",
     "tau": "(0, 1]",
@@ -91,19 +96,6 @@ _INTERVALS = {
 }
 
 
-def _real(name: str, value, interval: str) -> float:
-    """``value`` as a float, if it is a finite real number inside ``interval``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    low, high = (float(bound) for bound in interval[1:-1].split(","))
-    above = low <= value if interval[0] == "[" else low < value
-    below = value <= high if interval[-1] == "]" else value < high
-    if not (math.isfinite(value) and above and below):
-        raise ValueError(f"{name} must be finite and lie in {interval}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     """Flat description of one campaign: physics, protocol and run sizes.
@@ -113,7 +105,7 @@ class CampaignConfig:
     eta 0.55, bin width two shot-noise units, 11 probe states of 2500
     photons, 1000 sessions, error level 0.05).  Construction is the one
     place a campaign's inputs are checked: integer fields must be ints,
-    and every real field must be finite and inside its ``_INTERVALS``
+    and every real field must be finite and inside its ``REAL_INTERVALS``
     entry, so a bad config fails before any artifact is written.
     """
 
@@ -144,12 +136,12 @@ class CampaignConfig:
             self, "mode_counts",
             tuple(jsonio.require_int("mode_counts", n) for n in self.mode_counts),
         )
-        for name, interval in _INTERVALS.items():
+        for name, interval in REAL_INTERVALS.items():
             value = getattr(self, name)
             if name in ("d_values", "photons_per_mode_values"):
-                value = tuple(_real(name, entry, interval) for entry in value)
+                value = tuple(jsonio.require_real(name, entry, interval) for entry in value)
             else:
-                value = _real(name, value, interval)
+                value = jsonio.require_real(name, value, interval)
             object.__setattr__(self, name, value)
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")

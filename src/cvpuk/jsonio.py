@@ -2,20 +2,25 @@
 
 Serialized artifacts are reloaded and replayed by acceptance checks, so
 floats are rendered with 17 significant digits, enough to reconstruct
-the exact IEEE-754 double on load.  Output is deterministic: the same
-document always produces the same bytes.  Non-finite numbers are
-refused both ways: ``dumps`` will not write them and ``load`` will not
-read them.
+the exact IEEE-754 double on load, and an integral float keeps a
+decimal point (``2500.0``), so it reloads as a float rather than an
+int.  Numpy integer, floating and bool scalars are written like their
+Python counterparts.  Output is deterministic: the same document always
+produces the same bytes.  Non-finite numbers are refused both ways:
+``dumps`` will not write them and ``load`` will not read them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from pathlib import Path
 
-__all__ = ["dumps", "dump", "load", "require_int"]
+import numpy as np
+
+__all__ = ["dumps", "dump", "load", "require_int", "require_real"]
 
 
 def _render(value, indent: int) -> str:
@@ -34,14 +39,16 @@ def _render(value, indent: int) -> str:
             return "[]"
         items = ",\n".join(f"{inner}{_render(val, indent + 1)}" for val in value)
         return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
         if not math.isfinite(value):
             raise ValueError("cannot serialize non-finite float")
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        return text if "." in text or "e" in text else text + ".0"
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -83,3 +90,22 @@ def require_int(name: str, value) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value, interval: str) -> float:
+    """``value`` as a float, if it is a finite real number inside ``interval``.
+
+    ``interval`` is written like ``"(0, 1]"``; either end may be ``inf``.
+    Bools and strings raise TypeError, where ``float()`` would read
+    ``True`` as 1.0 and ``"2500"`` as 2500.0; a non-finite or
+    out-of-range number raises ValueError.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    below = value <= high if interval[-1] == "]" else value < high
+    if not (math.isfinite(value) and above and below):
+        raise ValueError(f"{name} must be finite and lie in {interval}, got {value!r}")
+    return value

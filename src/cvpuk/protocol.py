@@ -8,10 +8,21 @@ challenges against the stored records and accepts the key when the
 fraction of outcomes that fall in the stored bins matches the public
 in-bin probability within the error level.
 
-A verification run is sequential and deterministic given its generator;
-independent runs should use independently seeded generators.  The
-database is immutable after enrollment, and the acceptance bins are
-computed from the database alone, never from the key under test.
+Both stages are simulated through their sufficient statistics.  A
+sampled enrollment stores the mean of ``M_e`` Gaussian draws, which is
+itself one Gaussian draw with standard deviation ``sigma / sqrt(M_e)``.
+The ``M`` sessions of a verification are independent and each hits with
+probability :func:`hit_probability`, the mean bin mass over the ``2N``
+probe and quadrature cells, so the hit count is one binomial draw.
+Either way the cost no longer grows with the number of samples or
+sessions.  A traced verification still draws every session, because
+its trace lists them; it is the reference the closed forms are tested
+against.
+
+A verification run is deterministic given its generator; independent
+runs should use independently seeded generators.  The database is
+immutable after enrollment, and the acceptance bins are computed from
+the database alone, never from the key under test.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ __all__ = [
     "enrollment_error",
     "total_enrollment_samples",
     "m_threshold",
+    "hit_probability",
     "verify",
     "e_threshold",
     "radii",
@@ -152,23 +164,21 @@ def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
                    rng: np.random.Generator) -> CrpDatabase:
     """Enroll a key from finite homodyne samples.
 
-    For each probe state and each of the two quadratures, draws
-    ``per_quadrature_samples`` outcomes around the true quadrature mean
-    and stores the sample means, for a total of
-    ``2 * probes.size * per_quadrature_samples`` draws.  The recorded
-    estimation error is ``5 / sqrt(per_quadrature_samples)``, which the
-    sample mean respects with overwhelming probability.
+    Models ``per_quadrature_samples`` outcomes around the true mean of
+    each probe state's two quadratures, ``2 * probes.size *
+    per_quadrature_samples`` draws in all, and stores their sample
+    means.  The mean of ``M_e`` draws from ``N(mean, sigma)`` is exactly
+    distributed as ``N(mean, sigma / sqrt(M_e))``, so each stored centre
+    is one such draw, taken one probe at a time, x before y.  The
+    recorded estimation error is ``5 / sqrt(per_quadrature_samples)``,
+    which the sample mean respects with overwhelming probability.
     """
     if per_quadrature_samples < 1:
         raise ValueError("per_quadrature_samples must be at least 1")
     mask = optimal_mask(key, tau)
     amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
-    sigma = channel.shot_noise
-    # one probe at a time, x before y: the generator's consumption order
-    centers = np.array([
-        [np.mean(rng.normal(mean, sigma, size=per_quadrature_samples)) for mean in row]
-        for row in _quadrature_means(amplitudes)
-    ])
+    standard_error = channel.shot_noise / math.sqrt(per_quadrature_samples)
+    centers = rng.normal(_quadrature_means(amplitudes), standard_error)
     xi = np.full(probes.size, enrollment_error(per_quadrature_samples))
     return CrpDatabase(key.target_mode, mask, centers, xi, probes, channel, tau)
 
@@ -288,6 +298,37 @@ class VerificationReport:
         }
 
 
+def _bins(key: ScatteringKey, database: CrpDatabase):
+    """Quadrature means of the key under test and the stored bins, each (N, 2)."""
+    if key.mode_count != database.mode_count:
+        raise ValueError("key and database mode counts do not match")
+    amplitudes = scattered_amplitude(key, database.setup_loss, database.mask,
+                                     database.probe_set.amplitudes())
+    half = 0.5 * database.channel.bin_width
+    return _quadrature_means(amplitudes), database.centers - half, database.centers + half
+
+
+def hit_probability(key: ScatteringKey, database: CrpDatabase) -> float:
+    """Probability ``p̄`` that one verification session of ``key`` scores a hit.
+
+    A session picks one of the ``2N`` probe and quadrature cells
+    uniformly; its outcome is Gaussian around the key's quadrature mean
+    ``m`` with shot noise ``sigma`` and hits when it falls in the stored
+    bin ``[lo, hi]``.  So ``p̄`` is the mean over the cells of
+    ``Phi((hi - m) / sigma) - Phi((lo - m) / sigma)``, clipped to
+    ``[0, 1]``.  For a genuine, exactly enrolled key every bin is
+    centred on its mean and ``p̄`` equals ``p_in_theoretical``; no bin
+    holds more mass than a centred one, so ``p̄`` never exceeds it.
+    """
+    means, lows, highs = _bins(key, database)
+    scale = _SQRT2 * database.channel.shot_noise
+    masses = [
+        0.5 * (math.erf((high - mean) / scale) - math.erf((low - mean) / scale))
+        for mean, low, high in zip(means.flat, lows.flat, highs.flat)
+    ]
+    return min(1.0, max(0.0, math.fsum(masses) / len(masses)))
+
+
 def verify(key_under_test: ScatteringKey, database: CrpDatabase,
            config: VerificationConfig, rng: np.random.Generator,
            trace: bool = False) -> VerificationReport:
@@ -302,13 +343,15 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     accepted when the hit frequency lies within ``error_level`` of the
     public in-bin probability.
 
-    The generator is consumed in a fixed bulk order (all probe indices,
-    then all quadrature choices, then all outcomes), so a run is fully
-    reproducible from its seed.
+    Sessions are independent and identically distributed, so the hit
+    count is exactly ``Binomial(sessions, hit_probability(key,
+    database))``; an untraced run draws that one variate and costs the
+    same at any session count.  With ``trace=True`` every session is
+    drawn, in a fixed bulk order (all probe indices, then all quadrature
+    choices, then all outcomes), and listed in ``session_trace``.  The
+    two paths consume the generator differently, so at the same seed
+    their hit counts differ; each is fully reproducible from its seed.
     """
-    if key_under_test.mode_count != database.mode_count:
-        raise ValueError("key and database mode counts do not match")
-
     channel = database.channel
     expected = p_in_theoretical(channel)
     if config.error_level >= expected / 2.0:
@@ -318,27 +361,23 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
             stacklevel=2,
         )
 
-    amplitudes = scattered_amplitude(key_under_test, database.setup_loss, database.mask,
-                                     database.probe_set.amplitudes())
-    means = _quadrature_means(amplitudes)
-    half = 0.5 * channel.bin_width
-    lows = database.centers - half
-    highs = database.centers + half
-
     sessions = config.sessions
-    ks = rng.integers(0, database.probe_set.size, size=sessions)
-    quads = rng.integers(0, 2, size=sessions)
-    outcomes = rng.normal(means[ks, quads], channel.shot_noise)
-    hits = (outcomes >= lows[ks, quads]) & (outcomes <= highs[ks, quads])
-
-    total_hits = int(hits.sum())
-    p_in = total_hits / sessions
     session_trace = None
     if trace:
+        means, lows, highs = _bins(key_under_test, database)
+        ks = rng.integers(0, database.probe_set.size, size=sessions)
+        quads = rng.integers(0, 2, size=sessions)
+        outcomes = rng.normal(means[ks, quads], channel.shot_noise)
+        hits = (outcomes >= lows[ks, quads]) & (outcomes <= highs[ks, quads])
+        total_hits = int(hits.sum())
         session_trace = tuple(
             (int(k), _THETAS[q], float(outcome), bool(hit))
             for k, q, outcome, hit in zip(ks, quads, outcomes, hits)
         )
+    else:
+        total_hits = int(rng.binomial(sessions, hit_probability(key_under_test, database)))
+
+    p_in = total_hits / sessions
     return VerificationReport(
         sessions=sessions,
         hits=total_hits,

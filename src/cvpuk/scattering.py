@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import require_int
+from .jsonio import require_int, require_real
 
 __all__ = [
     "DegenerateKeyError",
@@ -114,7 +114,8 @@ class ScatteringKey:
         mode_count = require_int("mode_count", data["mode_count"])
         l_over_L = float(data["l_over_L"])
         coefficients = np.array(
-            [complex(re, im) for re, im in data["coefficients"]], dtype=complex
+            [_coefficient(index, pair) for index, pair in enumerate(data["coefficients"])],
+            dtype=complex,
         )
         return cls(
             coefficients=coefficients,
@@ -123,6 +124,15 @@ class ScatteringKey:
             target_mode=require_int("target_mode", data["target_mode"]),
             l_over_L=l_over_L,
         )
+
+
+def _coefficient(index: int, pair) -> complex:
+    """One ``[re, im]`` pair of a key document as a complex number."""
+    name = f"coefficients[{index}]"
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"{name} must be a [re, im] pair, got {pair!r}")
+    return complex(require_real(f"{name}[0]", pair[0], "(-inf, inf)"),
+                   require_real(f"{name}[1]", pair[1], "(-inf, inf)"))
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,7 @@ def test_verify_truncating_integer_database_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("n_probe_states", 11.5), ("n_modes", 32.0), ("seed", True), ("tau", 1.5),
+    ("tau", True), ("mu_p", "2500"),
 ])
 def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value):
     config_path = tmp_path / "config.json"
@@ -195,6 +196,25 @@ def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value
     assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_verify_malformed_key_exits_2_naming_the_pair(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path)
+    out_dir = tmp_path / "out"
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    key_path = out_dir / "key.json"
+    for bad in ([True, 0], [0.5]):
+        document = json.loads(key_path.read_text())
+        document["coefficients"][4] = bad
+        broken = tmp_path / "broken_key.json"
+        broken.write_text(json.dumps(document))
+        assert main([
+            "verify", "--database", str(out_dir / "database.json"),
+            "--key", str(broken), "--out", str(tmp_path / "report"),
+        ]) == 2
+        assert "error: coefficients[4]" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
 
 def test_cli_round_trip_matches_in_memory(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cvpuk import jsonio
@@ -40,6 +41,50 @@ def test_require_int():
     for value in (True, 2.7, 3.0, "3", None):
         with pytest.raises(TypeError):
             jsonio.require_int("n", value)
+
+
+def test_require_real():
+    assert jsonio.require_real("x", 0.5, "(0, 1]") == 0.5
+    assert jsonio.require_real("x", 1, "(0, 1]") == 1.0
+    assert type(jsonio.require_real("x", np.float32(0.5), "(0, 1]")) is float
+    assert jsonio.require_real("x", -1e300, "(-inf, inf)") == -1e300
+    for value in (True, np.bool_(True), "0.5", None, [0.5]):
+        with pytest.raises(TypeError):
+            jsonio.require_real("x", value, "(0, 1]")
+    for value in (0.0, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            jsonio.require_real("x", value, "(0, 1]")
+    with pytest.raises(ValueError):
+        jsonio.require_real("x", math.inf, "(0, inf)")
+
+
+def test_round_trip_keeps_number_types():
+    document = {
+        "floats": [2500.0, 0.0, -0.0, 1e16, 1e17, 1.0, -3.0],
+        "ints": [2500, 0, -3, 10**20],
+    }
+    text = jsonio.dumps(document)
+    assert '"floats": [\n    2500.0,' in text
+    restored = json.loads(text)
+    assert restored == document
+    assert all(type(value) is float for value in restored["floats"])
+    assert all(type(value) is int for value in restored["ints"])
+    assert math.copysign(1.0, restored["floats"][2]) == -1.0
+
+
+def test_numpy_scalars_render_like_python_scalars():
+    document = {
+        "int": np.int64(7), "uint": np.uint8(3), "float": np.float64(2500.0),
+        "single": np.float32(0.5), "true": np.bool_(True), "false": np.bool_(False),
+    }
+    restored = json.loads(jsonio.dumps(document))
+    assert restored == {"int": 7, "uint": 3, "float": 2500.0, "single": 0.5,
+                        "true": True, "false": False}
+    assert type(restored["int"]) is int and type(restored["float"]) is float
+    assert jsonio.dumps(np.int64(7)) == jsonio.dumps(7)
+    assert jsonio.dumps(np.float64(0.1)) == jsonio.dumps(0.1)
+    with pytest.raises(ValueError):
+        jsonio.dumps({"value": np.float64(math.nan)})
 
 
 def test_rejects_unknown_types():

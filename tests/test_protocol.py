@@ -1,8 +1,11 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvpuk import (
     CrpDatabase,
@@ -25,10 +28,12 @@ from cvpuk import (
     m_threshold,
     p_in_theoretical,
     radii,
+    scattered_amplitude,
     substream,
     total_enrollment_samples,
     verify,
 )
+from cvpuk.protocol import hit_probability
 
 
 def _setup(n_modes=121, seed=100, mu_p=2500.0, n_probes=11):
@@ -158,6 +163,35 @@ def test_enroll_sampled_converges_to_exact():
     for (e_x, e_y), (s_x, s_y) in zip(exact.centers, sampled.centers):
         assert abs(s_x - e_x) <= 1e-2
         assert abs(s_y - e_y) <= 1e-2
+
+
+def test_enroll_sampled_draws_one_normal_per_cell_in_probe_order():
+    # the mean of M_e draws from N(m, sigma) is one draw from
+    # N(m, sigma / sqrt(M_e)), taken probe by probe, x before y
+    key, tau, probes, channel = _setup(n_modes=16, n_probes=5)
+    exact = enroll_exact(key, tau, probes, channel)
+    sampled = enroll_sampled(key, tau, probes, channel, 400, substream(114, 0))
+    standard_error = channel.shot_noise / 20.0
+    normals = substream(114, 0).standard_normal((probes.size, 2))
+    assert np.allclose(sampled.centers, exact.centers + standard_error * normals,
+                       rtol=0.0, atol=1e-12)
+    assert np.all(sampled.xi == enrollment_error(400))
+
+
+def test_enroll_sampled_z_scores_are_standard_normal():
+    per_quadrature = 25
+    z_scores = []
+    for seed in range(4):
+        key, tau, probes, channel = _setup(n_modes=16, seed=115 + seed, n_probes=501)
+        truth = enroll_exact(key, tau, probes, channel).centers
+        sampled = enroll_sampled(key, tau, probes, channel, per_quadrature,
+                                 substream(115, seed)).centers
+        z_scores.append((sampled - truth) * math.sqrt(per_quadrature) / channel.shot_noise)
+    z_scores = np.concatenate(z_scores).ravel()
+    n = z_scores.size
+    assert n == 4 * 2 * 501
+    assert abs(float(z_scores.mean())) <= 4.0 / math.sqrt(n)
+    assert abs(float(z_scores.var(ddof=1)) - 1.0) <= 4.0 * math.sqrt(2.0 / (n - 1))
 
 
 # ----------------------------------------------------------------- database
@@ -369,3 +403,115 @@ def test_report_serialization():
     assert document["accepted"] == (abs(document["p_in"] - document["p_in_expected"]) < 0.05)
     assert document["sessions"] == 100
     assert document["hits"] == report.hits
+
+
+# ----------------------------------------------------------------- hit probability
+
+
+def test_hit_probability_of_exactly_enrolled_genuine_key_is_p_in():
+    for n_modes, seed in ((16, 120), (121, 121), (256, 122)):
+        key, tau, probes, channel = _setup(n_modes=n_modes, seed=seed)
+        database = enroll_exact(key, tau, probes, channel)
+        assert abs(hit_probability(key, database) - p_in_theoretical(channel)) <= 1e-12
+
+
+def _hit_probability_oracle(key, database):
+    """Mean bin mass over the cells, in 40-digit arithmetic from the same doubles."""
+    amplitudes = scattered_amplitude(key, database.setup_loss, database.mask,
+                                     database.probe_set.amplitudes())
+    means = np.column_stack((math.sqrt(2.0) * amplitudes.real,
+                             math.sqrt(2.0) * amplitudes.imag))
+    half = 0.5 * database.channel.bin_width
+    lows = database.centers - half
+    highs = database.centers + half
+    with mpmath.workdps(40):
+        sigma = mpmath.mpf(database.channel.shot_noise)
+        total = mpmath.fsum(
+            mpmath.ncdf((mpmath.mpf(high) - mpmath.mpf(mean)) / sigma)
+            - mpmath.ncdf((mpmath.mpf(low) - mpmath.mpf(mean)) / sigma)
+            for mean, low, high in zip(means.flat, lows.flat, highs.flat)
+        )
+        return float(total / means.size)
+
+
+def test_hit_probability_matches_mpmath_oracle():
+    key, tau, probes, channel = _setup(seed=123)
+    database = enroll_exact(key, tau, probes, channel)
+    clone, _ = clone_key(key, 0.03, substream(123, 1))
+    impostor = generate_key(key.mode_count, 0.2, substream(123, 2))
+    for probe_key in (clone, impostor):
+        expected = _hit_probability_oracle(probe_key, database)
+        assert abs(hit_probability(probe_key, database) - expected) <= 1e-12
+    # the clone sits between the false key and the genuine key
+    assert hit_probability(impostor, database) < hit_probability(clone, database)
+    assert hit_probability(clone, database) < p_in_theoretical(channel)
+
+
+def test_traced_and_binomial_hit_counts_share_their_distribution():
+    # the per-session path is the reference: its hit count and the single
+    # binomial draw of the untraced path are both Binomial(M, p_bar)
+    key, tau, probes, channel = _setup(seed=124)
+    database = enroll_exact(key, tau, probes, channel)
+    clone, _ = clone_key(key, 0.03, substream(124, 1))
+    p_bar = hit_probability(clone, database)
+    sessions, runs = 1000, 2000
+    config = VerificationConfig(sessions, 0.05, 0.05)
+    mean = sessions * p_bar
+    variance = sessions * p_bar * (1.0 - p_bar)
+    for trace, stream in ((True, 2), (False, 3)):
+        hits = np.array([
+            verify(clone, database, config, substream(124, stream, run), trace=trace).hits
+            for run in range(runs)
+        ], dtype=float)
+        assert abs(float(hits.mean()) - mean) <= 4.0 * math.sqrt(variance / runs), trace
+        ratio = float(hits.var(ddof=1)) / variance
+        assert abs(ratio - 1.0) <= 4.0 * math.sqrt(2.0 / (runs - 1)), trace
+
+
+def test_verify_at_paper_session_count():
+    sessions = m_threshold(1e-3, 1e-3)
+    key, tau, probes, channel = _setup(seed=125)
+    database = enroll_exact(key, tau, probes, channel)
+    config = VerificationConfig(sessions, 1e-3, 1e-3)
+    genuine = verify(key, database, config, substream(125, 1))
+    assert genuine.sessions == 22_802_708
+    assert genuine.accepted
+    impostor = generate_key(key.mode_count, 0.2, substream(125, 2))
+    false = verify(impostor, database, config, substream(125, 3))
+    assert not false.accepted
+    assert false.p_in < genuine.p_in_expected / 2.0
+
+
+@st.composite
+def _keys_and_databases(draw):
+    n_modes = draw(st.integers(1, 24))
+    n_probes = draw(st.integers(3, 6))
+    l_over_L = draw(st.floats(0.0, 0.9))
+    enrolled = generate_key(n_modes, l_over_L, substream(draw(st.integers(0, 2**32)), 0))
+    probes = ProbeSet(n_probes, draw(st.floats(1.0, 1e4)))
+    channel = HomodyneChannel.from_delta_ratio(draw(st.floats(0.1, 1.0)),
+                                               draw(st.floats(2.0, 3.9)))
+    tau = draw(st.floats(0.05, 1.0))
+    exact = enroll_exact(enrolled, tau, probes, channel)
+    # centres anywhere, or near the enrolled responses, where bins hold the most mass
+    offsets = draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * n_probes,
+                            max_size=2 * n_probes))
+    scale = draw(st.sampled_from((0.0, 1e-9, 1e-3, 1.0)))
+    centers = exact.centers + scale * np.reshape(offsets, (n_probes, 2))
+    database = CrpDatabase(exact.target_mode, exact.mask, centers, exact.xi,
+                           probes, channel, tau)
+    if draw(st.booleans()):
+        key = enrolled
+    else:
+        key = generate_key(n_modes, l_over_L, substream(draw(st.integers(0, 2**32)), 1))
+    return key, database
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_keys_and_databases())
+def test_hit_probability_never_exceeds_p_in(key_and_database):
+    # a bin centred on the outcome mean holds the most Gaussian mass, so
+    # 0 <= p_bar <= P_in; the 1e-12 allows for rounding in the bin edges
+    key, database = key_and_database
+    p_bar = hit_probability(key, database)
+    assert 0.0 <= p_bar <= p_in_theoretical(database.channel) + 1e-12

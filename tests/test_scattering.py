@@ -334,6 +334,23 @@ def test_key_json_roundtrip():
             ScatteringKey.from_dict(dict(document, **{field: value}))
 
 
+def test_key_from_dict_rejects_malformed_pairs():
+    document = generate_key(4, 0.2, substream(21, 0)).to_dict()
+    pairs = document["coefficients"]
+    for bad, error in (
+        ([1.0], ValueError),
+        ([1.0, 2.0, 3.0], ValueError),
+        (0.5, ValueError),
+        ([True, 0.0], TypeError),
+        ([0.0, "1"], TypeError),
+        ([math.nan, 0.0], ValueError),
+        ([0.0, math.inf], ValueError),
+    ):
+        broken = dict(document, coefficients=pairs[:2] + [bad] + pairs[3:])
+        with pytest.raises(error, match=r"coefficients\[2\]"):
+            ScatteringKey.from_dict(broken)
+
+
 def test_mask_json_roundtrip():
     from cvpuk import jsonio
 

@@ -13,12 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import ScatteringKey, generate_key
+from .scattering import (
+    ScatteringKey,
+    draw_coefficients,
+    ensemble_variance,
+    generate_key,
+    require_finite,
+)
 
 __all__ = [
     "CloneSpec",
     "false_key",
+    "false_key_rows",
     "clone_key",
+    "clone_rows",
 ]
 
 
@@ -44,6 +52,21 @@ def replaced_count(fraction: float, mode_count: int) -> int:
     return int(math.floor(fraction * mode_count + 0.5))
 
 
+def _replace_coefficients(coefficients: np.ndarray, count: int, variance: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """Overwrite ``count`` positions of ``coefficients``, in place, with fresh draws.
+
+    Picks the positions uniformly without replacement, then draws their
+    new values; returns the positions.  No draw is made when ``count``
+    is 0.
+    """
+    if not count:
+        return np.empty(0, dtype=int)
+    indices = rng.choice(coefficients.size, size=count, replace=False)
+    coefficients[indices] = draw_coefficients(count, variance, rng)
+    return indices
+
+
 def clone_key(true_key: ScatteringKey, fraction: float,
               rng: np.random.Generator) -> tuple[ScatteringKey, CloneSpec]:
     """Imperfect copy of a key differing in a fraction of its coefficients.
@@ -54,13 +77,7 @@ def clone_key(true_key: ScatteringKey, fraction: float,
     """
     count = replaced_count(fraction, true_key.mode_count)
     coefficients = true_key.coefficients.copy()
-    if count:
-        indices = rng.choice(true_key.mode_count, size=count, replace=False)
-        scale = math.sqrt(true_key.variance / 2.0)
-        parts = rng.standard_normal((2, count))
-        coefficients[indices] = scale * (parts[0] + 1j * parts[1])
-    else:
-        indices = np.empty(0, dtype=int)
+    indices = _replace_coefficients(coefficients, count, true_key.variance, rng)
     clone = ScatteringKey(
         coefficients=coefficients,
         variance=true_key.variance,
@@ -69,3 +86,32 @@ def clone_key(true_key: ScatteringKey, fraction: float,
         l_over_L=true_key.l_over_L,
     )
     return clone, CloneSpec(float(fraction), frozenset(int(i) for i in indices))
+
+
+def false_key_rows(mode_count: int, l_over_L: float, rngs) -> np.ndarray:
+    """Coefficients of one false key per generator, as a ``(len(rngs), n)`` block.
+
+    Row ``t`` holds exactly the coefficients ``false_key(mode_count,
+    l_over_L, rngs[t])`` would draw.
+    """
+    variance = ensemble_variance(mode_count, l_over_L)
+    rows = np.empty((len(rngs), mode_count), dtype=complex)
+    for row, rng in zip(rows, rngs):
+        row[:] = draw_coefficients(mode_count, variance, rng)
+    require_finite(rows)
+    return rows
+
+
+def clone_rows(true_key: ScatteringKey, fraction: float, rngs) -> np.ndarray:
+    """Coefficients of one clone per generator, as a ``(len(rngs), n)`` block.
+
+    Row ``t`` holds exactly the coefficients of ``clone_key(true_key,
+    fraction, rngs[t])``.
+    """
+    count = replaced_count(fraction, true_key.mode_count)
+    rows = np.empty((len(rngs), true_key.mode_count), dtype=complex)
+    rows[:] = true_key.coefficients
+    for row, rng in zip(rows, rngs):
+        _replace_coefficients(row, count, true_key.variance, rng)
+    require_finite(rows)
+    return rows

@@ -24,6 +24,15 @@ The verification streams ``(1,)``, ``(3, t)`` and ``(6, i, d, t)`` each
 give one variate: the hit count, drawn as ``Binomial(m_sessions, p̄)``
 with ``p̄`` from :func:`cvpuk.protocol.hit_probability`.  Campaigns
 never trace, so no campaign draws individual sessions.
+
+Trials run in blocks of ``max(1, BLOCK_CELLS // n_modes)`` rows.  Each
+row is filled from its own trial's streams, by the same draws in the
+same order as a lone ``false_key`` or ``clone_key`` call; one reduction
+then forms the masked sums of the whole block
+(:func:`cvpuk.scattering.masked_sums`), and one pass gives every row's
+``p̄`` and verdict (:func:`cvpuk.protocol.verify_block`).  Every row
+carries the bits it would have on its own, so results, and artifacts
+down to the byte, do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -36,16 +45,29 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .adversary import clone_key, false_key
-from .homodyne import HomodyneChannel, ProbeSet, Response, p_in_theoretical
+from .adversary import clone_rows, false_key_rows
+from .homodyne import (
+    HomodyneChannel,
+    ProbeSet,
+    Response,
+    p_in_theoretical,
+    quadrature_means,
+)
 from .protocol import (
     VerificationConfig,
     e_threshold,
     enroll_exact,
     radii,
     verify,
+    verify_block,
 )
-from .scattering import enhancement, generate_key, optimal_mask, scattered_amplitude
+from .scattering import (
+    enhancement,
+    generate_key,
+    masked_sums,
+    optimal_mask,
+    scattered_amplitude,
+)
 from .streams import substream
 
 __all__ = [
@@ -77,7 +99,9 @@ EXPERIMENT_IDS = (
 # set-ups, used as an overlay band in the enhancement-condition table
 REPORTED_ENHANCEMENT_BAND = (50.0, 1000.0)
 
-_SQRT2 = math.sqrt(2.0)
+# coefficients per block of trials: 4096 complex entries, 64 KiB for each
+# temporary of the masked-sum reduction, small enough to stay in cache
+BLOCK_CELLS = 4096
 
 # allowed interval of every real-valued config field; a tuple field's
 # interval applies to each of its entries.  The enroll config of the
@@ -279,6 +303,12 @@ def _require(config: CampaignConfig, *experiment_ids: str) -> None:
         )
 
 
+def _blocks(trials: int, n_modes: int):
+    """Consecutive ``range``s of trial indices, one per block."""
+    rows = max(1, BLOCK_CELLS // n_modes)
+    return [range(start, min(start + rows, trials)) for start in range(0, trials, rows)]
+
+
 def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     """Verify one true key and a population of false keys.
 
@@ -297,11 +327,15 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
 
     false_p_ins = []
     accepted = 0
-    for trial in range(config.trials):
-        impostor = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, trial))
-        report = verify(impostor, database, verification, substream(config.seed, 3, trial))
-        false_p_ins.append(report.p_in)
-        accepted += report.accepted
+    for block in _blocks(config.trials, config.n_modes):
+        impostors = false_key_rows(config.n_modes, config.l_over_L,
+                                   [substream(config.seed, 2, t) for t in block])
+        p_ins, verdicts = verify_block(
+            masked_sums(impostors, database.setup_loss, database.mask), database,
+            verification, [substream(config.seed, 3, t) for t in block],
+        )
+        false_p_ins.extend(p_ins.tolist())
+        accepted += int(np.count_nonzero(verdicts))
 
     histogram = Histogram.from_samples(false_p_ins, config.histogram_bin)
     return CollisionResult(
@@ -325,12 +359,12 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     rho_false, rho_true = radii(config.mu_c, true_key.variance, gain)
 
     points = []
-    for trial in range(config.trials):
-        impostor = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, trial))
-        response = Response.from_amplitude(
-            scattered_amplitude(impostor, config.tau, mask, probe_amplitude)
-        )
-        points.append((trial, response.x, response.y))
+    for block in _blocks(config.trials, config.n_modes):
+        impostors = false_key_rows(config.n_modes, config.l_over_L,
+                                   [substream(config.seed, 2, t) for t in block])
+        sums = masked_sums(impostors, config.tau, mask)
+        xs, ys = quadrature_means(sums * probe_amplitude).T.tolist()
+        points.extend(zip(block, xs, ys))
 
     return ResponseCloudResult(
         true_response=Response.from_amplitude(
@@ -406,26 +440,26 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
         for d_index, fraction in enumerate(config.d_values):
             p_ins = []
             accepted = 0
-            xs = np.empty(config.trials)
-            ys = np.empty(config.trials)
-            for trial in range(config.trials):
-                clone, _ = clone_key(
-                    true_key, fraction, substream(config.seed, 5, n_index, d_index, trial)
-                )
-                response = Response.from_amplitude(
-                    scattered_amplitude(clone, config.tau, mask, probe_phase_zero)
-                )
-                xs[trial] = response.x
-                ys[trial] = response.y
-                point_rows.append((float(fraction), trial, response.x, response.y))
+            xs = []
+            ys = []
+            for block in _blocks(config.trials, n_modes):
+                clones = clone_rows(true_key, fraction, [
+                    substream(config.seed, 5, n_index, d_index, t) for t in block
+                ])
+                sums = masked_sums(clones, config.tau, mask)
+                block_xs, block_ys = quadrature_means(sums * probe_phase_zero).T.tolist()
+                xs.extend(block_xs)
+                ys.extend(block_ys)
                 if verifies:
-                    report = verify(
-                        clone, database, verification,
-                        substream(config.seed, 6, n_index, d_index, trial),
-                    )
-                    p_ins.append(report.p_in)
-                    accepted += report.accepted
-            summary_rows.append((float(fraction), *_cloud_summary(xs, ys)))
+                    block_p_ins, verdicts = verify_block(sums, database, verification, [
+                        substream(config.seed, 6, n_index, d_index, t) for t in block
+                    ])
+                    p_ins.extend(block_p_ins.tolist())
+                    accepted += int(np.count_nonzero(verdicts))
+            point_rows.extend(
+                (float(fraction), trial, x, y) for trial, (x, y) in enumerate(zip(xs, ys))
+            )
+            summary_rows.append((float(fraction), *_cloud_summary(np.array(xs), np.array(ys))))
             if verifies:
                 histograms[(n_modes, float(fraction))] = Histogram.from_samples(
                     p_ins, config.histogram_bin
@@ -453,6 +487,99 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _collision_campaign(config: CampaignConfig):
+    result = run_collision_histogram(config)
+    files = {"histogram": ("histogram.csv", ("bin_left", "bin_right", "count"),
+                           result.histogram.rows())}
+    return files, {
+        "p_in_expected": result.p_in_expected,
+        "true_key_p_in": result.true_key_p_in,
+        "true_key_accepted": result.true_key_accepted,
+        "false_acceptance_rate": result.false_acceptance_rate,
+        "trials": config.trials,
+    }
+
+
+def _response_campaign(config: CampaignConfig):
+    result = run_response_cloud(config)
+    files = {"cloud": ("cloud.csv", ("trial", "x", "y"), result.points)}
+    return files, {
+        "true_x": result.true_response.x,
+        "true_y": result.true_response.y,
+        "rho_f": result.rho_false,
+        "rho_t": result.rho_true,
+        "enhancement": result.enhancement,
+        "trials": config.trials,
+    }
+
+
+def _enhancement_campaign(config: CampaignConfig):
+    result = run_enhancement_condition(config)
+    files = {"thresholds": ("thresholds.csv", ("photons_per_mode", "n_modes", "e_th"),
+                            result.rows)}
+    return files, {"band_low": result.band[0], "band_high": result.band[1]}
+
+
+def _clone_cloud_campaign(config: CampaignConfig):
+    result = run_clone_experiments(config)
+    files = {}
+    summary = {"p_in_expected": result.p_in_expected, "trials": config.trials}
+    for n_modes, (true_response, point_rows, summary_rows) in result.clouds.items():
+        files[f"cloud_n{n_modes}"] = (f"clone_cloud_n{n_modes}.csv",
+                                      ("D", "trial", "x", "y"), point_rows)
+        summary[f"n{n_modes}"] = {
+            "true_x": true_response.x,
+            "true_y": true_response.y,
+            "clusters": [
+                {"D": d, "mean_x": mx, "mean_y": my, "std_radius": sr}
+                for d, mx, my, sr in summary_rows
+            ],
+        }
+    return files, summary
+
+
+def _clone_histograms_campaign(config: CampaignConfig):
+    result = run_clone_experiments(config)
+    files = {}
+    for n_modes in config.mode_counts:
+        rows = []
+        for fraction in config.d_values:
+            histogram = result.histograms[(n_modes, float(fraction))]
+            rows.extend(
+                (float(fraction), left, right, count)
+                for left, right, count in histogram.rows()
+            )
+        files[f"histograms_n{n_modes}"] = (f"clone_histograms_n{n_modes}.csv",
+                                           ("D", "bin_left", "bin_right", "count"), rows)
+    return files, {"p_in_expected": result.p_in_expected, "trials": config.trials}
+
+
+def _cheating_campaign(config: CampaignConfig):
+    result = run_clone_experiments(config)
+    files = {"cheating": ("cheating.csv", ("D", "n_modes", "accept_rate", "trials"),
+                          result.cheating_rows)}
+    return files, {
+        "p_in_expected": result.p_in_expected,
+        "trials": config.trials,
+        "acceptance": [
+            {"D": d, "n_modes": n, "accept_rate": rate, "trials": trials}
+            for d, n, rate, trials in result.cheating_rows
+        ],
+    }
+
+
+# experiment id -> campaign; a campaign returns its CSV files, keyed by
+# artifact name as (file name, header, rows), and its summary document
+_CAMPAIGNS = {
+    "response_cloud": _response_campaign,
+    "enhancement_condition": _enhancement_campaign,
+    "collision_histogram": _collision_campaign,
+    "clone_cloud": _clone_cloud_campaign,
+    "clone_histograms": _clone_histograms_campaign,
+    "cheating_curve": _cheating_campaign,
+}
+
+
 def run_campaign(config: CampaignConfig, out_dir) -> dict[str, Path]:
     """Run one campaign and write its artifact directory.
 
@@ -460,81 +587,17 @@ def run_campaign(config: CampaignConfig, out_dir) -> dict[str, Path]:
     sufficient to reproduce the run) and ``summary.json`` with headline
     statistics, plus one or more CSV data files depending on the
     experiment.  Identical configurations produce byte-identical files.
+    The campaign runs before the directory is created, so a run that
+    fails writes nothing.
     """
+    files, summary = _CAMPAIGNS[config.experiment_id](config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"config": out_dir / "config.json"}
     jsonio.dump(config.to_dict(), paths["config"])
-
-    if config.experiment_id == "collision_histogram":
-        result = run_collision_histogram(config)
-        paths["histogram"] = out_dir / "histogram.csv"
-        _write_csv(paths["histogram"], ("bin_left", "bin_right", "count"),
-                   result.histogram.rows())
-        summary = {
-            "p_in_expected": result.p_in_expected,
-            "true_key_p_in": result.true_key_p_in,
-            "true_key_accepted": result.true_key_accepted,
-            "false_acceptance_rate": result.false_acceptance_rate,
-            "trials": config.trials,
-        }
-    elif config.experiment_id == "response_cloud":
-        result = run_response_cloud(config)
-        paths["cloud"] = out_dir / "cloud.csv"
-        _write_csv(paths["cloud"], ("trial", "x", "y"), result.points)
-        summary = {
-            "true_x": result.true_response.x,
-            "true_y": result.true_response.y,
-            "rho_f": result.rho_false,
-            "rho_t": result.rho_true,
-            "enhancement": result.enhancement,
-            "trials": config.trials,
-        }
-    elif config.experiment_id == "enhancement_condition":
-        result = run_enhancement_condition(config)
-        paths["thresholds"] = out_dir / "thresholds.csv"
-        _write_csv(paths["thresholds"], ("photons_per_mode", "n_modes", "e_th"),
-                   result.rows)
-        summary = {"band_low": result.band[0], "band_high": result.band[1]}
-    elif config.experiment_id in ("clone_cloud", "clone_histograms", "cheating_curve"):
-        result = run_clone_experiments(config)
-        summary = {"p_in_expected": result.p_in_expected, "trials": config.trials}
-        if config.experiment_id == "clone_cloud":
-            for n_modes, (true_response, point_rows, summary_rows) in result.clouds.items():
-                key = f"cloud_n{n_modes}"
-                paths[key] = out_dir / f"clone_cloud_n{n_modes}.csv"
-                _write_csv(paths[key], ("D", "trial", "x", "y"), point_rows)
-                summary[f"n{n_modes}"] = {
-                    "true_x": true_response.x,
-                    "true_y": true_response.y,
-                    "clusters": [
-                        {"D": d, "mean_x": mx, "mean_y": my, "std_radius": sr}
-                        for d, mx, my, sr in summary_rows
-                    ],
-                }
-        elif config.experiment_id == "clone_histograms":
-            for n_modes in config.mode_counts:
-                rows = []
-                for fraction in config.d_values:
-                    histogram = result.histograms[(n_modes, float(fraction))]
-                    rows.extend(
-                        (float(fraction), left, right, count)
-                        for left, right, count in histogram.rows()
-                    )
-                key = f"histograms_n{n_modes}"
-                paths[key] = out_dir / f"clone_histograms_n{n_modes}.csv"
-                _write_csv(paths[key], ("D", "bin_left", "bin_right", "count"), rows)
-        else:
-            paths["cheating"] = out_dir / "cheating.csv"
-            _write_csv(paths["cheating"], ("D", "n_modes", "accept_rate", "trials"),
-                       result.cheating_rows)
-            summary["acceptance"] = [
-                {"D": d, "n_modes": n, "accept_rate": rate, "trials": trials}
-                for d, n, rate, trials in result.cheating_rows
-            ]
-    else:  # pragma: no cover - guarded by CampaignConfig validation
-        raise ValueError(f"unknown experiment_id {config.experiment_id!r}")
-
+    for key, (name, header, rows) in files.items():
+        paths[key] = out_dir / name
+        _write_csv(paths[key], header, rows)
     paths["summary"] = out_dir / "summary.json"
     jsonio.dump(summary, paths["summary"])
     return paths

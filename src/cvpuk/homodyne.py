@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonio import require_real
+
 __all__ = [
     "HALF_PI",
     "ProbeState",
@@ -22,6 +24,7 @@ __all__ = [
     "Response",
     "HomodyneChannel",
     "quadrature_mean",
+    "quadrature_means",
     "sample_quadrature",
     "bin_interval",
     "in_bin",
@@ -153,7 +156,8 @@ class HomodyneChannel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HomodyneChannel":
-        return cls(float(data["efficiency"]), float(data["bin_width"]))
+        return cls(require_real("channel.efficiency", data["efficiency"], "(0, 1]"),
+                   require_real("channel.bin_width", data["bin_width"], "(0, inf)"))
 
 
 def quadrature_mean(amplitude: complex, lo_phase: float) -> float:
@@ -169,6 +173,12 @@ def quadrature_mean(amplitude: complex, lo_phase: float) -> float:
     if lo_phase == HALF_PI:
         return _SQRT2 * amplitude.imag
     return _SQRT2 * (amplitude * cmath.exp(-1j * lo_phase)).real
+
+
+def quadrature_means(amplitudes: np.ndarray) -> np.ndarray:
+    """Quadrature means ``(x, y) = sqrt(2) * (re, im)`` of an array of mean
+    field amplitudes, stacked on a new last axis."""
+    return np.stack((_SQRT2 * amplitudes.real, _SQRT2 * amplitudes.imag), axis=-1)
 
 
 def sample_quadrature(mean: float, channel: HomodyneChannel,

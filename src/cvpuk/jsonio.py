@@ -12,6 +12,7 @@ produces the same bytes.  Non-finite numbers are refused both ways:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -100,12 +101,26 @@ def require_real(name: str, value, interval: str) -> float:
     ``True`` as 1.0 and ``"2500"`` as 2500.0; a non-finite or
     out-of-range number raises ValueError.
     """
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+    # float and int, the JSON reader's numbers, skip the slower ABC check
+    if type(value) not in (float, int) and (
+        isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+    ):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     value = float(value)
-    low, high = (float(bound) for bound in interval[1:-1].split(","))
-    above = low <= value if interval[0] == "[" else low < value
-    below = value <= high if interval[-1] == "]" else value < high
+    low, high, closed_low, closed_high = _bounds(interval)
+    above = low <= value if closed_low else low < value
+    below = value <= high if closed_high else value < high
     if not (math.isfinite(value) and above and below):
         raise ValueError(f"{name} must be finite and lie in {interval}, got {value!r}")
     return value
+
+
+@functools.lru_cache(maxsize=None)
+def _bounds(interval: str) -> tuple[float, float, bool, bool]:
+    """Ends of an interval written like ``"(0, 1]"`` and whether each is closed.
+
+    Cached: the package uses a handful of interval strings, and a
+    database load checks hundreds of values against the same few.
+    """
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    return low, high, interval[0] == "[", interval[-1] == "]"

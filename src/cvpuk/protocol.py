@@ -33,9 +33,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homodyne import HALF_PI, HomodyneChannel, ProbeSet, p_in_theoretical
-from .jsonio import require_int
-from .scattering import PhaseMask, ScatteringKey, optimal_mask, scattered_amplitude
+from .homodyne import (
+    HALF_PI,
+    HomodyneChannel,
+    ProbeSet,
+    p_in_theoretical,
+    quadrature_means,
+)
+from .jsonio import require_int, require_real
+from .scattering import (
+    PhaseMask,
+    ScatteringKey,
+    masked_sums,
+    optimal_mask,
+    scattered_amplitude,
+)
 
 __all__ = [
     "CrpDatabase",
@@ -47,7 +59,9 @@ __all__ = [
     "total_enrollment_samples",
     "m_threshold",
     "hit_probability",
+    "hit_probabilities",
     "verify",
+    "verify_block",
     "e_threshold",
     "radii",
 ]
@@ -123,25 +137,28 @@ class CrpDatabase:
     def from_dict(cls, data: dict) -> "CrpDatabase":
         probe_set = ProbeSet(
             require_int("probe_set.size", data["probe_set"]["size"]),
-            float(data["probe_set"]["mean_photons"]),
+            require_real("probe_set.mean_photons", data["probe_set"]["mean_photons"],
+                         "(0, inf)"),
         )
         records = sorted(data["records"], key=lambda r: require_int("k", r["k"]))
         if [r["k"] for r in records] != list(range(probe_set.size)):
             raise ValueError("records must hold each probe index 0..N-1 exactly once")
+
+        def record(r, name, interval="(-inf, inf)"):
+            return require_real(f"records[{r['k']}].{name}", r[name], interval)
+
         return cls(
             target_mode=require_int("target_mode", data["target_mode"]),
-            mask=PhaseMask(np.array(data["mask"], dtype=float)),
-            centers=[[float(r["x"]), float(r["y"])] for r in records],
-            xi=[float(r["xi"]) for r in records],
+            mask=PhaseMask(np.array([
+                require_real(f"mask[{index}]", phase, "(-inf, inf)")
+                for index, phase in enumerate(data["mask"])
+            ])),
+            centers=[[record(r, "x"), record(r, "y")] for r in records],
+            xi=[record(r, "xi", "[0, inf)") for r in records],
             probe_set=probe_set,
             channel=HomodyneChannel.from_dict(data["channel"]),
-            setup_loss=float(data["setup_loss"]),
+            setup_loss=require_real("setup_loss", data["setup_loss"], "(0, 1]"),
         )
-
-
-def _quadrature_means(amplitudes: np.ndarray) -> np.ndarray:
-    """Quadrature means (x, y) = sqrt(2) * (re, im), shape (N, 2)."""
-    return np.column_stack((_SQRT2 * amplitudes.real, _SQRT2 * amplitudes.imag))
 
 
 def enroll_exact(key: ScatteringKey, tau: float, probes: ProbeSet,
@@ -155,7 +172,7 @@ def enroll_exact(key: ScatteringKey, tau: float, probes: ProbeSet,
     """
     mask = optimal_mask(key, tau)
     amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
-    return CrpDatabase(key.target_mode, mask, _quadrature_means(amplitudes),
+    return CrpDatabase(key.target_mode, mask, quadrature_means(amplitudes),
                        np.zeros(probes.size), probes, channel, tau)
 
 
@@ -178,7 +195,7 @@ def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
     mask = optimal_mask(key, tau)
     amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
     standard_error = channel.shot_noise / math.sqrt(per_quadrature_samples)
-    centers = rng.normal(_quadrature_means(amplitudes), standard_error)
+    centers = rng.normal(quadrature_means(amplitudes), standard_error)
     xi = np.full(probes.size, enrollment_error(per_quadrature_samples))
     return CrpDatabase(key.target_mode, mask, centers, xi, probes, channel, tau)
 
@@ -298,14 +315,41 @@ class VerificationReport:
         }
 
 
-def _bins(key: ScatteringKey, database: CrpDatabase):
-    """Quadrature means of the key under test and the stored bins, each (N, 2)."""
+def _check_mode_count(key: ScatteringKey, database: CrpDatabase) -> None:
     if key.mode_count != database.mode_count:
         raise ValueError("key and database mode counts do not match")
+
+
+def _bins(key: ScatteringKey, database: CrpDatabase):
+    """Quadrature means of the key under test and the stored bins, each (N, 2)."""
+    _check_mode_count(key, database)
     amplitudes = scattered_amplitude(key, database.setup_loss, database.mask,
                                      database.probe_set.amplitudes())
     half = 0.5 * database.channel.bin_width
-    return _quadrature_means(amplitudes), database.centers - half, database.centers + half
+    return quadrature_means(amplitudes), database.centers - half, database.centers + half
+
+
+def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
+    """``p̄`` of a block of keys, given their masked sums, shape ``(B,)``.
+
+    ``sums`` holds each key's :func:`cvpuk.scattering.masked_sums` under
+    the database's mask and throughput.  Every row gets the same value
+    :func:`hit_probability` gives its key: the erf arguments are formed
+    by elementwise array arithmetic, each cell's mass by ``math.erf``,
+    and each row's mean by the correctly rounded ``math.fsum``, so the
+    block size cannot change a bit.
+    """
+    amplitudes = sums[:, np.newaxis] * database.probe_set.amplitudes()
+    means = quadrature_means(amplitudes).reshape(len(sums), 2 * database.probe_set.size)
+    half = 0.5 * database.channel.bin_width
+    scale = _SQRT2 * database.channel.shot_noise
+    highs = ((database.centers + half).ravel() - means) / scale
+    lows = ((database.centers - half).ravel() - means) / scale
+    cells = means.shape[1]
+    return np.clip([
+        math.fsum([0.5 * (math.erf(high) - math.erf(low)) for high, low in zip(*row)]) / cells
+        for row in zip(highs.tolist(), lows.tolist())
+    ], 0.0, 1.0)
 
 
 def hit_probability(key: ScatteringKey, database: CrpDatabase) -> float:
@@ -319,14 +363,30 @@ def hit_probability(key: ScatteringKey, database: CrpDatabase) -> float:
     ``[0, 1]``.  For a genuine, exactly enrolled key every bin is
     centred on its mean and ``p̄`` equals ``p_in_theoretical``; no bin
     holds more mass than a centred one, so ``p̄`` never exceeds it.
+    This is the one-row case of :func:`hit_probabilities`.
     """
-    means, lows, highs = _bins(key, database)
-    scale = _SQRT2 * database.channel.shot_noise
-    masses = [
-        0.5 * (math.erf((high - mean) / scale) - math.erf((low - mean) / scale))
-        for mean, low, high in zip(means.flat, lows.flat, highs.flat)
-    ]
-    return min(1.0, max(0.0, math.fsum(masses) / len(masses)))
+    _check_mode_count(key, database)
+    sums = masked_sums(key.coefficients[np.newaxis], database.setup_loss, database.mask)
+    return float(hit_probabilities(sums, database)[0])
+
+
+def _public_p_in(channel: HomodyneChannel, config: VerificationConfig) -> float:
+    """The public in-bin probability, with a warning when the error level is
+    not small against it."""
+    expected = p_in_theoretical(channel)
+    if config.error_level >= expected / 2.0:
+        warnings.warn(
+            f"error_level {config.error_level} is not small against the "
+            f"in-bin probability {expected}",
+            stacklevel=3,
+        )
+    return expected
+
+
+def _accepted(p_in, expected: float, config: VerificationConfig):
+    """The acceptance rule: the hit frequency lies within the error level of
+    the public in-bin probability (element by element for an array)."""
+    return abs(p_in - expected) < config.error_level
 
 
 def verify(key_under_test: ScatteringKey, database: CrpDatabase,
@@ -353,13 +413,7 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     their hit counts differ; each is fully reproducible from its seed.
     """
     channel = database.channel
-    expected = p_in_theoretical(channel)
-    if config.error_level >= expected / 2.0:
-        warnings.warn(
-            f"error_level {config.error_level} is not small against the "
-            f"in-bin probability {expected}",
-            stacklevel=2,
-        )
+    expected = _public_p_in(channel, config)
 
     sessions = config.sessions
     session_trace = None
@@ -383,7 +437,25 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
         hits=total_hits,
         p_in=p_in,
         p_in_expected=expected,
-        accepted=bool(abs(p_in - expected) < config.error_level),
+        accepted=bool(_accepted(p_in, expected, config)),
         enrollment_error=database.enrollment_error,
         session_trace=session_trace,
     )
+
+
+def verify_block(sums: np.ndarray, database: CrpDatabase, config: VerificationConfig,
+                 rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Untraced verification of a block of keys, one generator per key.
+
+    ``sums`` holds the keys' masked sums, as for
+    :func:`hit_probabilities`.  Row ``t`` draws its hit count from
+    ``rngs[t]`` exactly as ``verify(key_t, database, config, rngs[t])``
+    does, so it gets the same in-bin frequency and verdict.  Returns the
+    in-bin frequencies and the acceptance flags, each of shape ``(B,)``.
+    """
+    expected = _public_p_in(database.channel, config)
+    p_bars = hit_probabilities(sums, database).tolist()
+    hits = np.array([rng.binomial(config.sessions, p) for rng, p in zip(rngs, p_bars)],
+                    dtype=np.int64)
+    p_ins = hits / config.sessions
+    return p_ins, _accepted(p_ins, expected, config)

@@ -33,7 +33,11 @@ __all__ = [
     "ScatteringKey",
     "PhaseMask",
     "wrap_phase",
+    "ensemble_variance",
+    "draw_coefficients",
+    "require_finite",
     "generate_key",
+    "masked_sums",
     "scattered_amplitude",
     "optimal_mask",
     "iterative_mask",
@@ -91,8 +95,7 @@ class ScatteringKey:
             )
         if not 0.0 <= self.l_over_L <= 1.0:
             raise ValueError("l_over_L must lie in [0, 1]")
-        if not np.all(np.isfinite(coefficients)):
-            raise ValueError("coefficients must be finite")
+        require_finite(coefficients)
         expected = (1.0 - self.l_over_L) / self.mode_count
         if not math.isfinite(self.variance) or self.variance < 0.0:
             raise ValueError("variance must be finite and non-negative")
@@ -112,7 +115,7 @@ class ScatteringKey:
     @classmethod
     def from_dict(cls, data: dict) -> "ScatteringKey":
         mode_count = require_int("mode_count", data["mode_count"])
-        l_over_L = float(data["l_over_L"])
+        l_over_L = require_real("l_over_L", data["l_over_L"], "[0, 1]")
         coefficients = np.array(
             [_coefficient(index, pair) for index, pair in enumerate(data["coefficients"])],
             dtype=complex,
@@ -162,6 +165,33 @@ class PhaseMask:
         return cls(np.array(data["phases"], dtype=float))
 
 
+def ensemble_variance(mode_count: int, l_over_L: float) -> float:
+    """Per-coefficient variance ``(1 - l_over_L) / mode_count`` of a fresh key."""
+    if mode_count < 1:
+        raise ValueError("mode_count must be at least 1")
+    if not 0.0 <= l_over_L < 1.0:
+        raise ValueError("l_over_L must lie in [0, 1)")
+    return (1.0 - l_over_L) / mode_count
+
+
+def draw_coefficients(count: int, variance: float, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent circular complex Gaussians of total variance ``variance``.
+
+    Draws one ``(2, count)`` block of standard normals, real parts first.
+    Every key and clone coefficient in the package comes from here, so a
+    trial's coefficients depend only on its generator, never on whether
+    it is built as a key or as a row of a campaign block.
+    """
+    parts = rng.standard_normal((2, count))
+    return math.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
+
+
+def require_finite(coefficients: np.ndarray) -> None:
+    """Reject coefficient rows that hold NaN or an infinity."""
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError("coefficients must be finite")
+
+
 def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
                  target_mode: int = 0) -> ScatteringKey:
     """Draw a fresh random key.
@@ -170,16 +200,9 @@ def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
     zero mean and total variance ``(1 - l_over_L) / mode_count``, split
     evenly between the real and imaginary parts so the phase is uniform.
     """
-    if mode_count < 1:
-        raise ValueError("mode_count must be at least 1")
-    if not 0.0 <= l_over_L < 1.0:
-        raise ValueError("l_over_L must lie in [0, 1)")
-    variance = (1.0 - l_over_L) / mode_count
-    scale = math.sqrt(variance / 2.0)
-    parts = rng.standard_normal((2, mode_count))
-    coefficients = scale * (parts[0] + 1j * parts[1])
+    variance = ensemble_variance(mode_count, l_over_L)
     return ScatteringKey(
-        coefficients=coefficients,
+        coefficients=draw_coefficients(mode_count, variance, rng),
         variance=variance,
         mode_count=int(mode_count),
         target_mode=int(target_mode),
@@ -187,29 +210,51 @@ def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
     )
 
 
-def _phased_products(key: ScatteringKey, tau: float) -> np.ndarray:
-    """Per-mode reflection-coupling products under uniform illumination."""
+def _coupling(tau: float, mode_count: int) -> float:
+    """Real coupling amplitude ``sqrt(tau / n)`` of every input mode."""
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be finite and lie in (0, 1], got {tau!r}")
-    return key.coefficients * math.sqrt(tau / key.mode_count)
+    return math.sqrt(tau / mode_count)
+
+
+def _phased_products(key: ScatteringKey, tau: float) -> np.ndarray:
+    """Per-mode reflection-coupling products under uniform illumination."""
+    return key.coefficients * _coupling(tau, key.mode_count)
+
+
+def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask):
+    """Phase-controlled sums of reflection-coupling products, one per key.
+
+    ``coefficients`` is one key's ``(n,)`` row or a ``(B, n)`` block of
+    rows; the sum runs over the last axis, so the result is a complex
+    scalar or a ``(B,)`` vector.  This is the one place the masked sum is
+    formed.  It uses elementwise products and ``np.sum`` in a fixed
+    operand order, with no matrix product, so every row of a block
+    carries the same bits as the same key summed on its own.
+
+    The mask's phase factors take the block's number of dimensions.
+    Numpy's complex multiply fuses multiply-adds in its vector loops but
+    not when it multiplies a ``(1, 1)`` block by a ``(1,)`` vector, and
+    the two round a cancelling product differently; with equal
+    dimensions a one-row block of a one-mode key rounds like the key.
+    """
+    mode_count = coefficients.shape[-1]
+    coupling = _coupling(tau, mode_count)
+    if len(mask) != mode_count:
+        raise ValueError("mask length does not match the key's mode count")
+    phase_factors = np.exp(1j * mask.phases).reshape((1,) * (coefficients.ndim - 1) + (-1,))
+    return np.sum(coefficients * coupling * phase_factors, axis=-1)
 
 
 def scattered_amplitude(key: ScatteringKey, tau: float, mask: PhaseMask,
                         probe_amplitude):
     """Mean scattered field in the target mode for one probe or many.
 
-    Returns the phase-controlled sum of the per-mode reflection and
-    coupling products times ``probe_amplitude``, a scalar or an array of
-    probe amplitudes (one field per probe).  The result is linear in the
-    probe amplitude by construction.  This is the one place the masked
-    sum is formed, so every response in the package carries the same
-    bits.
+    Returns the key's :func:`masked_sums` times ``probe_amplitude``, a
+    scalar or an array of probe amplitudes (one field per probe).  The
+    result is linear in the probe amplitude by construction.
     """
-    products = _phased_products(key, tau)
-    if len(mask) != key.mode_count:
-        raise ValueError("mask length does not match the key's mode count")
-    total = np.sum(products * np.exp(1j * mask.phases))
-    return total * probe_amplitude
+    return masked_sums(key.coefficients, tau, mask) * probe_amplitude
 
 
 def optimal_mask(key: ScatteringKey, tau: float) -> PhaseMask:

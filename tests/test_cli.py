@@ -185,6 +185,45 @@ def test_verify_truncating_integer_database_exits_2(tmp_path, capsys):
     assert not (out_dir / "report.json").exists()
 
 
+# float() would read each of these as a valid number.  A path starts at
+# the database or key document.
+ILL_TYPED_REALS = [
+    (("database", "setup_loss"), True),
+    (("database", "probe_set", "mean_photons"), "2500"),
+    (("database", "records", 2, "x"), "1.5"),
+    (("database", "records", 2, "y"), False),
+    (("database", "records", 2, "xi"), "0"),
+    (("database", "channel", "efficiency"), "0.55"),
+    (("database", "channel", "bin_width"), True),
+    (("database", "mask", 5), "0.1"),
+    (("key", "l_over_L"), "0.2"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,value", ILL_TYPED_REALS,
+    ids=[".".join(map(str, path)) + f"={value!r}" for path, value in ILL_TYPED_REALS],
+)
+def test_verify_ill_typed_real_field_exits_2(tmp_path, capsys, path, value):
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path)
+    out_dir = tmp_path / "out"
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    files = {"database": out_dir / "database.json", "key": out_dir / "key.json"}
+    document = json.loads(files[path[0]].read_text())
+    parent = document
+    for step in path[1:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    files[path[0]].write_text(json.dumps(document))
+    assert main([
+        "verify", "--database", str(files["database"]), "--key", str(files["key"]),
+        "--out", str(out_dir),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("n_probe_states", 11.5), ("n_modes", 32.0), ("seed", True), ("tau", 1.5),
     ("tau", True), ("mu_p", "2500"),

@@ -116,8 +116,12 @@ def test_histogram_rows():
 
 
 def _small_collision_config(seed=3):
+    # at M_th(epsilon, zeta) sessions the Chernoff bound makes the true
+    # key's acceptance the protocol's guarantee; at 300 sessions it is
+    # accepted with probability 0.937 only, and about one seed in 16 fails
     return CampaignConfig(
-        experiment_id="collision_histogram", trials=40, m_sessions=300, seed=seed
+        experiment_id="collision_histogram", trials=40,
+        m_sessions=m_threshold(0.05, 0.05), seed=seed,
     )
 
 
@@ -271,6 +275,7 @@ def test_clone_cloud_runs_no_verification(monkeypatch, tmp_path):
 
     with monkeypatch.context() as patch:
         patch.setattr("cvpuk.experiments.verify", forbidden)
+        patch.setattr("cvpuk.experiments.verify_block", forbidden)
         cloud = run_clone_experiments(config)
         paths = run_campaign(config, tmp_path / "cloud")
     assert set(paths) == {"config", "summary", "cloud_n16", "cloud_n32"}
@@ -375,3 +380,23 @@ def test_campaign_outputs_are_byte_identical(tmp_path):
     second = run_campaign(cheat, tmp_path / "d")
     for key in first:
         assert filecmp.cmp(first[key], second[key], shallow=False), key
+
+
+@pytest.mark.parametrize("experiment_id,campaign", [
+    ("response_cloud", "run_response_cloud"),
+    ("enhancement_condition", "run_enhancement_condition"),
+    ("collision_histogram", "run_collision_histogram"),
+    ("clone_cloud", "run_clone_experiments"),
+    ("clone_histograms", "run_clone_experiments"),
+    ("cheating_curve", "run_clone_experiments"),
+])
+def test_failing_campaign_writes_no_directory(tmp_path, monkeypatch, experiment_id, campaign):
+    def broken(config):
+        raise RuntimeError("campaign failed")
+
+    monkeypatch.setattr(f"cvpuk.experiments.{campaign}", broken)
+    out_dir = tmp_path / "nested" / "out"
+    with pytest.raises(RuntimeError, match="campaign failed"):
+        run_campaign(CampaignConfig(experiment_id=experiment_id, trials=3), out_dir)
+    assert not out_dir.exists()
+    assert not (tmp_path / "nested").exists()

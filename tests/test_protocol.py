@@ -271,6 +271,8 @@ def test_database_json_roundtrip():
     assert np.array_equal(restored.mask.phases, database.mask.phases)
     assert np.array_equal(restored.centers, database.centers)
     assert np.array_equal(restored.xi, database.xi)
+    # reading checks every real field; a valid file keeps its bytes
+    assert jsonio.dumps(restored.to_dict()) == jsonio.dumps(document)
 
 
 # ----------------------------------------------------------------- verify

@@ -328,8 +328,10 @@ def test_key_json_roundtrip():
     assert restored.variance == key.variance
     assert restored.target_mode == 5
     assert restored.l_over_L == key.l_over_L
+    assert jsonio.dumps(restored.to_dict()) == document
     document = key.to_dict()
-    for field, value in (("mode_count", 32.0), ("mode_count", True), ("target_mode", 5.5)):
+    for field, value in (("mode_count", 32.0), ("mode_count", True), ("target_mode", 5.5),
+                         ("l_over_L", "0.2"), ("l_over_L", True)):
         with pytest.raises(TypeError):
             ScatteringKey.from_dict(dict(document, **{field: value}))
 

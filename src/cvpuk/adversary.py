@@ -52,19 +52,23 @@ def replaced_count(fraction: float, mode_count: int) -> int:
     return int(math.floor(fraction * mode_count + 0.5))
 
 
-def _replace_coefficients(coefficients: np.ndarray, count: int, variance: float,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Overwrite ``count`` positions of ``coefficients``, in place, with fresh draws.
-
-    Picks the positions uniformly without replacement, then draws their
-    new values; returns the positions.  No draw is made when ``count``
-    is 0.
+def _clone_draw(true_key: ScatteringKey, fraction: float, rows: int,
+                rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """Replaced positions ``(rows, count)`` and coefficients ``(rows, n)`` of
+    ``rows`` clones.  One ``random((rows, n))`` call picks each row's
+    positions, the first ``count`` of its ascending order (a uniform
+    choice without replacement); one :func:`draw_coefficients` call gives
+    their values, so the first ``r`` rows are not an ``r``-row draw.
     """
+    count = replaced_count(fraction, true_key.mode_count)
     if not count:
-        return np.empty(0, dtype=int)
-    indices = rng.choice(coefficients.size, size=count, replace=False)
-    coefficients[indices] = draw_coefficients(count, variance, rng)
-    return indices
+        return np.empty((rows, 0), dtype=np.intp), np.tile(true_key.coefficients, (rows, 1))
+    # copied out, so the (rows, n) uniforms and their order are freed first
+    positions = rng.random((rows, true_key.mode_count)).argsort(axis=1)[:, :count].copy()
+    coefficients = np.tile(true_key.coefficients, (rows, 1))
+    np.put_along_axis(coefficients, positions,
+                      draw_coefficients(rows, count, true_key.variance, rng), axis=1)
+    return positions, coefficients
 
 
 def clone_key(true_key: ScatteringKey, fraction: float,
@@ -75,43 +79,31 @@ def clone_key(true_key: ScatteringKey, fraction: float,
     the replacements from the same complex Gaussian ensemble as the
     original; all other coefficients are copied exactly.
     """
-    count = replaced_count(fraction, true_key.mode_count)
-    coefficients = true_key.coefficients.copy()
-    indices = _replace_coefficients(coefficients, count, true_key.variance, rng)
+    positions, coefficients = _clone_draw(true_key, fraction, 1, rng)
     clone = ScatteringKey(
-        coefficients=coefficients,
+        coefficients=coefficients[0],
         variance=true_key.variance,
         mode_count=true_key.mode_count,
         target_mode=true_key.target_mode,
         l_over_L=true_key.l_over_L,
     )
-    return clone, CloneSpec(float(fraction), frozenset(int(i) for i in indices))
+    return clone, CloneSpec(float(fraction), frozenset(positions[0].tolist()))
 
 
-def false_key_rows(mode_count: int, l_over_L: float, rngs) -> np.ndarray:
-    """Coefficients of one false key per generator, as a ``(len(rngs), n)`` block.
-
-    Row ``t`` holds exactly the coefficients ``false_key(mode_count,
-    l_over_L, rngs[t])`` would draw.
-    """
-    variance = ensemble_variance(mode_count, l_over_L)
-    rows = np.empty((len(rngs), mode_count), dtype=complex)
-    for row, rng in zip(rows, rngs):
-        row[:] = draw_coefficients(mode_count, variance, rng)
-    require_finite(rows)
-    return rows
+def false_key_rows(mode_count: int, l_over_L: float, rows: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Coefficients of ``rows`` false keys, a ``(rows, n)`` block from one
+    draw; :func:`false_key` is the one-row case."""
+    block = draw_coefficients(rows, mode_count, ensemble_variance(mode_count, l_over_L), rng)
+    require_finite(block)
+    return block
 
 
-def clone_rows(true_key: ScatteringKey, fraction: float, rngs) -> np.ndarray:
-    """Coefficients of one clone per generator, as a ``(len(rngs), n)`` block.
-
-    Row ``t`` holds exactly the coefficients of ``clone_key(true_key,
-    fraction, rngs[t])``.
-    """
-    count = replaced_count(fraction, true_key.mode_count)
-    rows = np.empty((len(rngs), true_key.mode_count), dtype=complex)
-    rows[:] = true_key.coefficients
-    for row, rng in zip(rows, rngs):
-        _replace_coefficients(row, count, true_key.variance, rng)
-    require_finite(rows)
-    return rows
+def clone_rows(true_key: ScatteringKey, fraction: float, rows: int,
+               rng: np.random.Generator | None) -> np.ndarray:
+    """Coefficients of ``rows`` clones, a ``(rows, n)`` block; :func:`clone_key`
+    is the one-row case.  A fraction that replaces nothing copies the key
+    into every row and never uses ``rng``, which may then be None."""
+    block = _clone_draw(true_key, fraction, rows, rng)[1]
+    require_finite(block)
+    return block

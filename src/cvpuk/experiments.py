@@ -1,38 +1,32 @@
 """Seeded Monte Carlo campaigns and their file artifacts.
 
 Every campaign is described by one flat :class:`CampaignConfig` and a
-64-bit seed.  Random decisions are addressed by purpose- and trial-
-indexed sub-stream paths under that seed (see :mod:`cvpuk.streams`), so
-per-trial results depend only on the seed and the trial index, never on
-execution order, and repeated runs are reproducible down to the output
-bytes.  Execution is single threaded; the stream layout would let
-trials run in parallel without changing any result.
+64-bit seed.  Random decisions are addressed by sub-stream paths under
+that seed (see :mod:`cvpuk.streams`).  A purpose's trials are cut into
+chunks of ``STREAM_CHUNK`` = 256: trial ``t`` is row ``t % 256`` of
+chunk ``c = t // 256``, which has a stream of its own.  A trial's
+results depend only on the seed and ``t``, never on the order of the
+chunks or the trial count; runs are reproducible down to the byte.
 
 Sub-stream paths:
 
 ====================  ==========================================
 ``(0,)``              true-key generation
 ``(1,)``              true-key verification
-``(2, t)``            false key for trial ``t``
-``(3, t)``            verification of false key ``t``
+``(2, c)``            false keys of chunk ``c``
+``(3, c)``            verification of those false keys
 ``(4, i)``            true key for the ``i``-th mode count
-``(5, i, d, t)``      clone ``t`` at mode-count index ``i``, fraction index ``d``
-``(6, i, d, t)``      verification of that clone (not drawn by ``clone_cloud``)
+``(5, i, d, c)``      clones of chunk ``c`` at mode-count index ``i``, fraction index ``d``
+``(6, i, d, c)``      verification of those clones (not drawn by ``clone_cloud``)
 ====================  ==========================================
 
-The verification streams ``(1,)``, ``(3, t)`` and ``(6, i, d, t)`` each
-give one variate: the hit count, drawn as ``Binomial(m_sessions, p̄)``
-with ``p̄`` from :func:`cvpuk.protocol.hit_probability`.  Campaigns
-never trace, so no campaign draws individual sessions.
-
-Trials run in blocks of ``max(1, BLOCK_CELLS // n_modes)`` rows.  Each
-row is filled from its own trial's streams, by the same draws in the
-same order as a lone ``false_key`` or ``clone_key`` call; one reduction
-then forms the masked sums of the whole block
-(:func:`cvpuk.scattering.masked_sums`), and one pass gives every row's
-``p̄`` and verdict (:func:`cvpuk.protocol.verify_block`).  Every row
-carries the bits it would have on its own, so results, and artifacts
-down to the byte, do not depend on the block size.
+A chunk makes one call per array: ``standard_normal((rows, 2, n))`` for
+false keys; ``random((256, n))`` for the replaced positions of clones,
+then one normal block for their values (no ``(5, i, d, c)`` stream is
+built when a fraction replaces nothing); one ``binomial(m_sessions,
+p̄)`` for the hit counts.  A partial chunk draws only its rows, but a
+clone chunk draws all 256, as its normals follow its uniforms.  The
+chunk is also the unit of masked sums and ``p̄``.  Campaigns never trace.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .adversary import clone_rows, false_key_rows
+from .adversary import clone_rows, false_key_rows, replaced_count
 from .homodyne import (
     HomodyneChannel,
     ProbeSet,
@@ -99,13 +93,14 @@ EXPERIMENT_IDS = (
 # set-ups, used as an overlay band in the enhancement-condition table
 REPORTED_ENHANCEMENT_BAND = (50.0, 1000.0)
 
-# coefficients per block of trials: 4096 complex entries, 64 KiB for each
-# temporary of the masked-sum reduction, small enough to stay in cache
-BLOCK_CELLS = 4096
+# trials per chunk of a campaign's random streams; part of the stream
+# layout (see the table above), so changing it changes every artifact
+STREAM_CHUNK = 256
 
 # allowed interval of every real-valued config field; a tuple field's
 # interval applies to each of its entries.  The enroll config of the
-# command line checks its real fields against the same table.
+# command line checks its real fields against the same table.  The
+# floor of histogram_bin caps a histogram at 10,000 bins.
 REAL_INTERVALS = {
     "l_over_L": "[0, 1)",
     "mu_p": "(0, inf)",
@@ -114,7 +109,7 @@ REAL_INTERVALS = {
     "delta_over_sigma": "(0, inf)",
     "epsilon": "(0, 1)",
     "zeta": "(0, 1)",
-    "histogram_bin": "(0, 1]",
+    "histogram_bin": "[0.0001, 1]",
     "d_values": "[0, 1]",
     "photons_per_mode_values": "(0, inf)",
 }
@@ -171,8 +166,7 @@ class CampaignConfig:
             raise ValueError("n_modes must be at least 1")
         if self.n_probe_states <= 2:
             raise ValueError("a probe set must contain more than 2 states")
-        if self.m_sessions < 1:
-            raise ValueError("m_sessions must be at least 1")
+        self.verification()  # checks m_sessions against the protocol's bounds
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if any(n < 1 for n in self.mode_counts):
@@ -303,10 +297,11 @@ def _require(config: CampaignConfig, *experiment_ids: str) -> None:
         )
 
 
-def _blocks(trials: int, n_modes: int):
-    """Consecutive ``range``s of trial indices, one per block."""
-    rows = max(1, BLOCK_CELLS // n_modes)
-    return [range(start, min(start + rows, trials)) for start in range(0, trials, rows)]
+def _chunks(trials: int):
+    """``(chunk index, first trial, rows)`` of every chunk; each chunk writes
+    at its own trial indices, so the order of this list changes no result."""
+    return [(chunk, start, min(STREAM_CHUNK, trials - start))
+            for chunk, start in enumerate(range(0, trials, STREAM_CHUNK))]
 
 
 def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
@@ -325,17 +320,17 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     database = enroll_exact(true_key, config.tau, probes, channel)
     true_report = verify(true_key, database, verification, substream(config.seed, 1))
 
-    false_p_ins = []
+    false_p_ins = np.empty(config.trials)
     accepted = 0
-    for block in _blocks(config.trials, config.n_modes):
-        impostors = false_key_rows(config.n_modes, config.l_over_L,
-                                   [substream(config.seed, 2, t) for t in block])
-        p_ins, verdicts = verify_block(
-            masked_sums(impostors, database.setup_loss, database.mask), database,
-            verification, [substream(config.seed, 3, t) for t in block],
+    for chunk, start, rows in _chunks(config.trials):
+        impostors = false_key_rows(config.n_modes, config.l_over_L, rows,
+                                   substream(config.seed, 2, chunk))
+        false_p_ins[start:start + rows], verdicts = verify_block(
+            masked_sums(impostors, database.setup_loss, database.mask, overwrite_input=True),
+            database, verification, substream(config.seed, 3, chunk),
         )
-        false_p_ins.extend(p_ins.tolist())
         accepted += int(np.count_nonzero(verdicts))
+    false_p_ins = false_p_ins.tolist()
 
     histogram = Histogram.from_samples(false_p_ins, config.histogram_bin)
     return CollisionResult(
@@ -358,19 +353,18 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     gain = enhancement(true_key, config.tau, mask, config.mu_c)
     rho_false, rho_true = radii(config.mu_c, true_key.variance, gain)
 
-    points = []
-    for block in _blocks(config.trials, config.n_modes):
-        impostors = false_key_rows(config.n_modes, config.l_over_L,
-                                   [substream(config.seed, 2, t) for t in block])
-        sums = masked_sums(impostors, config.tau, mask)
-        xs, ys = quadrature_means(sums * probe_amplitude).T.tolist()
-        points.extend(zip(block, xs, ys))
+    means = np.empty((config.trials, 2))
+    for chunk, start, rows in _chunks(config.trials):
+        impostors = false_key_rows(config.n_modes, config.l_over_L, rows,
+                                   substream(config.seed, 2, chunk))
+        sums = masked_sums(impostors, config.tau, mask, overwrite_input=True)
+        means[start:start + rows] = quadrature_means(sums * probe_amplitude)
 
     return ResponseCloudResult(
         true_response=Response.from_amplitude(
             scattered_amplitude(true_key, config.tau, mask, probe_amplitude)
         ),
-        points=tuple(points),
+        points=tuple(zip(range(config.trials), *means.T.tolist())),
         rho_false=rho_false,
         rho_true=rho_true,
         enhancement=gain,
@@ -438,24 +432,24 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
         point_rows = []
         summary_rows = []
         for d_index, fraction in enumerate(config.d_values):
-            p_ins = []
+            replaces = replaced_count(fraction, n_modes) > 0
+            means = np.empty((config.trials, 2))
+            p_ins = np.empty(config.trials)
             accepted = 0
-            xs = []
-            ys = []
-            for block in _blocks(config.trials, n_modes):
-                clones = clone_rows(true_key, fraction, [
-                    substream(config.seed, 5, n_index, d_index, t) for t in block
-                ])
-                sums = masked_sums(clones, config.tau, mask)
-                block_xs, block_ys = quadrature_means(sums * probe_phase_zero).T.tolist()
-                xs.extend(block_xs)
-                ys.extend(block_ys)
+            for chunk, start, rows in _chunks(config.trials):
+                stream = substream(config.seed, 5, n_index, d_index, chunk) if replaces else None
+                # a partial chunk draws all rows: its normals follow its uniforms
+                clones = clone_rows(true_key, fraction, STREAM_CHUNK, stream)[:rows]
+                sums = masked_sums(clones, config.tau, mask, overwrite_input=True)
+                del clones  # freed before the next chunk draws its block
+                means[start:start + rows] = quadrature_means(sums * probe_phase_zero)
                 if verifies:
-                    block_p_ins, verdicts = verify_block(sums, database, verification, [
-                        substream(config.seed, 6, n_index, d_index, t) for t in block
-                    ])
-                    p_ins.extend(block_p_ins.tolist())
+                    p_ins[start:start + rows], verdicts = verify_block(
+                        sums, database, verification,
+                        substream(config.seed, 6, n_index, d_index, chunk),
+                    )
                     accepted += int(np.count_nonzero(verdicts))
+            xs, ys = means.T.tolist()
             point_rows.extend(
                 (float(fraction), trial, x, y) for trial, (x, y) in enumerate(zip(xs, ys))
             )

@@ -106,7 +106,10 @@ def require_real(name: str, value, interval: str) -> float:
         isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
     ):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the double range
+        value = math.inf
     low, high, closed_low, closed_high = _bounds(interval)
     above = low <= value if closed_low else low < value
     below = value <= high if closed_high else value < high

@@ -278,8 +278,9 @@ class VerificationConfig:
     confidence_param: float
 
     def __post_init__(self):
-        if self.sessions < 1:
-            raise ValueError("sessions must be at least 1")
+        # numpy draws a binomial count as a 64-bit integer
+        if not 1 <= self.sessions < 2**63:
+            raise ValueError(f"sessions must lie in [1, 2**63), got {self.sessions}")
         if not 0.0 < self.error_level < 1.0:
             raise ValueError("error_level must lie in (0, 1)")
         if not 0.0 < self.confidence_param < 1.0:
@@ -444,18 +445,16 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
 
 
 def verify_block(sums: np.ndarray, database: CrpDatabase, config: VerificationConfig,
-                 rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Untraced verification of a block of keys, one generator per key.
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Untraced verification of a block of keys from one generator.
 
-    ``sums`` holds the keys' masked sums, as for
-    :func:`hit_probabilities`.  Row ``t`` draws its hit count from
-    ``rngs[t]`` exactly as ``verify(key_t, database, config, rngs[t])``
-    does, so it gets the same in-bin frequency and verdict.  Returns the
-    in-bin frequencies and the acceptance flags, each of shape ``(B,)``.
+    ``sums`` holds the keys' masked sums, as for :func:`hit_probabilities`.
+    One ``rng.binomial(sessions, p_bars)`` call draws every hit count, so
+    row 0 is what ``verify(key_0, database, config, rng)`` draws and no
+    row depends on the rows after it.  Returns the in-bin frequencies
+    and the acceptance flags, each of shape ``(B,)``.
     """
     expected = _public_p_in(database.channel, config)
-    p_bars = hit_probabilities(sums, database).tolist()
-    hits = np.array([rng.binomial(config.sessions, p) for rng, p in zip(rngs, p_bars)],
-                    dtype=np.int64)
+    hits = rng.binomial(config.sessions, hit_probabilities(sums, database))
     p_ins = hits / config.sessions
     return p_ins, _accepted(p_ins, expected, config)

@@ -52,8 +52,12 @@ class DegenerateKeyError(ValueError):
 
 
 def wrap_phase(phases):
-    """Map angles (scalar or array) to canonical representatives in [-pi, pi)."""
-    return np.mod(np.asarray(phases, dtype=float) + math.pi, _TWO_PI) - math.pi
+    """Map angles (scalar or array) to canonical representatives in [-pi, pi).
+
+    Just below ``-pi`` the modulo rounds up to ``pi``, which folds to ``-pi``.
+    """
+    wrapped = np.mod(np.asarray(phases, dtype=float) + math.pi, _TWO_PI) - math.pi
+    return np.where(wrapped >= math.pi, -math.pi, wrapped)[()]
 
 
 @dataclass(frozen=True)
@@ -174,16 +178,15 @@ def ensemble_variance(mode_count: int, l_over_L: float) -> float:
     return (1.0 - l_over_L) / mode_count
 
 
-def draw_coefficients(count: int, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """``count`` independent circular complex Gaussians of total variance ``variance``.
-
-    Draws one ``(2, count)`` block of standard normals, real parts first.
-    Every key and clone coefficient in the package comes from here, so a
-    trial's coefficients depend only on its generator, never on whether
-    it is built as a key or as a row of a campaign block.
+def draw_coefficients(rows: int, count: int, variance: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """``(rows, count)`` independent circular complex Gaussians of total
+    variance ``variance``, from one ``(rows, 2, count)`` block of standard
+    normals.  Every key and clone coefficient comes from here; a key is
+    the one-row case, and the first ``r`` rows equal an ``r``-row draw.
     """
-    parts = rng.standard_normal((2, count))
-    return math.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
+    parts = rng.standard_normal((rows, 2, count))
+    return math.sqrt(variance / 2.0) * (parts[:, 0] + 1j * parts[:, 1])
 
 
 def require_finite(coefficients: np.ndarray) -> None:
@@ -202,7 +205,7 @@ def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
     """
     variance = ensemble_variance(mode_count, l_over_L)
     return ScatteringKey(
-        coefficients=draw_coefficients(mode_count, variance, rng),
+        coefficients=draw_coefficients(1, mode_count, variance, rng)[0],
         variance=variance,
         mode_count=int(mode_count),
         target_mode=int(target_mode),
@@ -222,27 +225,33 @@ def _phased_products(key: ScatteringKey, tau: float) -> np.ndarray:
     return key.coefficients * _coupling(tau, key.mode_count)
 
 
-def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask):
+def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask,
+                overwrite_input: bool = False):
     """Phase-controlled sums of reflection-coupling products, one per key.
 
     ``coefficients`` is one key's ``(n,)`` row or a ``(B, n)`` block of
     rows; the sum runs over the last axis, so the result is a complex
     scalar or a ``(B,)`` vector.  This is the one place the masked sum is
-    formed.  It uses elementwise products and ``np.sum`` in a fixed
-    operand order, with no matrix product, so every row of a block
-    carries the same bits as the same key summed on its own.
+    formed, by elementwise products and ``np.sum`` in a fixed operand
+    order, with no matrix product, so every row of a block carries the
+    bits of the same key summed alone.  ``overwrite_input`` forms the
+    products in ``coefficients``, so a campaign's fresh block needs no
+    second array of its size.
 
-    The mask's phase factors take the block's number of dimensions.
-    Numpy's complex multiply fuses multiply-adds in its vector loops but
-    not when it multiplies a ``(1, 1)`` block by a ``(1,)`` vector, and
-    the two round a cancelling product differently; with equal
-    dimensions a one-row block of a one-mode key rounds like the key.
+    Numpy's complex multiply fuses multiply-adds in some loops only, which
+    round a cancelling product differently.  A one-mode multiply runs
+    along the rows in a loop of its own, so the phase factors take the
+    block's number of dimensions and a one-mode block is not overwritten.
     """
     mode_count = coefficients.shape[-1]
     coupling = _coupling(tau, mode_count)
     if len(mask) != mode_count:
         raise ValueError("mask length does not match the key's mode count")
     phase_factors = np.exp(1j * mask.phases).reshape((1,) * (coefficients.ndim - 1) + (-1,))
+    if overwrite_input and mode_count > 1:
+        coefficients *= coupling
+        coefficients *= phase_factors
+        return np.sum(coefficients, axis=-1)
     return np.sum(coefficients * coupling * phase_factors, axis=-1)
 
 

@@ -2,8 +2,11 @@
 
 Campaigns address every random decision by a path of small integers
 under one root seed.  Streams for distinct paths are statistically
-independent and do not depend on creation order, so trials can execute
-in any order, or in parallel, without changing any aggregate result.
+independent and do not depend on creation order.  A campaign addresses
+a chunk of trials, not a single trial, by one path (see
+:mod:`cvpuk.experiments`), and draws the whole chunk from it; chunks are
+the unit that is reproducible on its own, so they can execute in any
+order, or in parallel, without changing any result.
 """
 
 from __future__ import annotations

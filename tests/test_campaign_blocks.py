@@ -1,9 +1,12 @@
-"""Campaigns run in blocks of trials; every row must equal its trial built alone.
+"""Campaigns draw their trials in chunks; every row must equal its chunk reference.
 
-The references below rebuild single trials from their own sub-streams
-with the one-key functions (``false_key``/``clone_key``,
-``scattered_amplitude``, ``hit_probability``, ``verify``) and compare
-with ``==``: a blocked campaign promises the same bits, not close ones.
+Trial ``t`` of a purpose is row ``t % STREAM_CHUNK`` of chunk
+``t // STREAM_CHUNK``, drawn from the chunk's own stream.  The references
+below draw every chunk in full straight from its stream, build each row
+as a ``ScatteringKey`` and evaluate it with the one-key functions
+(``scattered_amplitude``, ``hit_probability``, and ``verify`` for the
+verdict), then compare with ``==``: a chunked campaign promises the same
+bits, not close ones.
 """
 
 import csv
@@ -17,6 +20,7 @@ from cvpuk import (
     CampaignConfig,
     Histogram,
     Response,
+    ScatteringKey,
     clone_key,
     enroll_exact,
     false_key,
@@ -31,14 +35,10 @@ from cvpuk import (
     verify,
 )
 from cvpuk import experiments
-from cvpuk.adversary import clone_rows, false_key_rows
-from cvpuk.experiments import EXPERIMENT_IDS
+from cvpuk.adversary import clone_rows, false_key_rows, replaced_count
+from cvpuk.experiments import STREAM_CHUNK
 from cvpuk.protocol import hit_probabilities, hit_probability, verify_block
 from cvpuk.scattering import masked_sums
-
-
-def _rows(n_modes):
-    return max(1, experiments.BLOCK_CELLS // n_modes)
 
 
 def _read_csv(path):
@@ -53,86 +53,122 @@ def _point(key, config, mask):
     return response.x, response.y
 
 
-def _isolated_response_cloud(config):
-    """(x, y) of every false key of a response_cloud config, one key at a time."""
-    true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
-    mask = optimal_mask(true_key, config.tau)
-    return [
-        _point(false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, t)),
-               config, mask)
-        for t in range(config.trials)
-    ]
+def _key(coefficients, mode_count, l_over_L):
+    return ScatteringKey(coefficients, (1.0 - l_over_L) / mode_count, mode_count, 0,
+                         l_over_L)
 
 
-def _isolated_collision(config):
-    """(p_in, accepted) of every false key of a collision config, one key at a time.
+def _coefficients(parts, variance):
+    """Circular Gaussians from one row's ``(2, count)`` normals, real parts first."""
+    return math.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
 
-    Each p_in is checked twice: from ``verify`` and from one binomial draw
-    at ``hit_probability`` on the same stream.
-    """
-    true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
-    database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
+
+def _reference_false_keys(config):
+    """Every false key of a config, each chunk drawn in full from ``(2, c)``."""
+    n, variance = config.n_modes, (1.0 - config.l_over_L) / config.n_modes
+    keys = []
+    for chunk in range(-(-config.trials // STREAM_CHUNK)):
+        parts = substream(config.seed, 2, chunk).standard_normal((STREAM_CHUNK, 2, n))
+        keys.extend(_key(_coefficients(row, variance), n, config.l_over_L) for row in parts)
+    return keys[:config.trials]
+
+
+def _reference_clones(config, n_index, d_index):
+    """Every clone of one cluster, each chunk drawn in full from ``(5, i, d, c)``:
+    each row's positions are the first indices of its uniforms' ascending
+    order, and the normals of all rows follow all the uniforms."""
+    n_modes = config.mode_counts[n_index]
+    true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
+    count = replaced_count(config.d_values[d_index], n_modes)
+    clones = []
+    for chunk in range(-(-config.trials // STREAM_CHUNK)):
+        if count:
+            rng = substream(config.seed, 5, n_index, d_index, chunk)
+            uniforms = rng.random((STREAM_CHUNK, n_modes))
+            normals = rng.standard_normal((STREAM_CHUNK, 2, count))
+        for row in range(STREAM_CHUNK):
+            coefficients = true_key.coefficients.copy()
+            if count:
+                positions = np.argsort(uniforms[row])[:count]
+                coefficients[positions] = _coefficients(normals[row], true_key.variance)
+            clones.append(_key(coefficients, n_modes, config.l_over_L))
+    return true_key, clones[:config.trials]
+
+
+class _Drawn:
+    """Generator stand-in whose one binomial draw is already known."""
+
+    def __init__(self, hits):
+        self.hits = hits
+
+    def binomial(self, n, p):
+        return self.hits
+
+
+def _reference_verdicts(keys, database, config, *path):
+    """``(p_in, accepted)`` of every key, one binomial draw per full chunk of
+    ``path + (c,)``; the verdict comes from ``verify`` given that count.
+    Row 0 of each chunk must also be what ``verify`` draws on its own."""
+    verification = config.verification()
     outcomes = []
-    for t in range(config.trials):
-        impostor = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, t))
-        report = verify(impostor, database, config.verification(),
-                        substream(config.seed, 3, t))
-        hits = substream(config.seed, 3, t).binomial(
-            config.m_sessions, hit_probability(impostor, database))
-        assert report.p_in == hits / config.m_sessions
-        outcomes.append((report.p_in, report.accepted))
+    for start in range(0, len(keys), STREAM_CHUNK):
+        chunk_keys = keys[start:start + STREAM_CHUNK]
+        p_bars = [hit_probability(key, database) for key in chunk_keys]
+        p_bars += [0.5] * (STREAM_CHUNK - len(p_bars))
+        stream = (config.seed, *path, start // STREAM_CHUNK)
+        hits = substream(*stream).binomial(config.m_sessions, p_bars)
+        alone = verify(chunk_keys[0], database, verification, substream(*stream))
+        assert alone.hits == hits[0]
+        for key, count in zip(chunk_keys, hits):
+            report = verify(key, database, verification, _Drawn(count))
+            outcomes.append((report.p_in, report.accepted))
     return outcomes
 
 
-def _isolated_clones(config, n_index, d_index):
-    """Points, p_ins and verdicts of one clone cluster, one clone at a time."""
-    n_modes = config.mode_counts[n_index]
-    fraction = config.d_values[d_index]
-    true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
+def _reference_response_cloud(config):
+    true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
+    mask = optimal_mask(true_key, config.tau)
+    return [_point(key, config, mask) for key in _reference_false_keys(config)]
+
+
+def _reference_collision(config):
+    true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
     database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
-    points, p_ins, verdicts = [], [], []
-    for t in range(config.trials):
-        clone, _ = clone_key(true_key, fraction,
-                             substream(config.seed, 5, n_index, d_index, t))
-        points.append(_point(clone, config, database.mask))
-        report = verify(clone, database, config.verification(),
-                        substream(config.seed, 6, n_index, d_index, t))
-        p_ins.append(report.p_in)
-        verdicts.append(report.accepted)
-    return points, p_ins, verdicts
+    return _reference_verdicts(_reference_false_keys(config), database, config, 3)
 
 
-# 70 trials of 121 modes make two full blocks of 33 rows and one of 4, so
-# the checks below cover a first, a middle and a last row of a block
+def _reference_clone_cluster(config, n_index, d_index):
+    """Points, p_ins and verdicts of one clone cluster."""
+    true_key, clones = _reference_clones(config, n_index, d_index)
+    database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
+    points = [_point(clone, config, database.mask) for clone in clones]
+    outcomes = _reference_verdicts(clones, database, config, 6, n_index, d_index)
+    return points, [p for p, _ in outcomes], [v for _, v in outcomes]
+
+
 TRIALS = 70
-CHECKED_TRIALS = (0, 16, 32, 33, 49, 65, 66, 69)
 
 
 def test_block_geometry_of_the_reference_config():
-    assert _rows(121) == 33
-    blocks = experiments._blocks(TRIALS, 121)
-    assert [(b.start, b.stop) for b in blocks] == [(0, 33), (33, 66), (66, 70)]
-    assert _rows(1) == 4096 and _rows(1000) == 4 and _rows(5000) == 1
+    assert STREAM_CHUNK == 256
+    assert experiments._chunks(0) == []
+    assert experiments._chunks(70) == [(0, 0, 70)]
+    assert experiments._chunks(600) == [(0, 0, 256), (1, 256, 256), (2, 512, 88)]
 
 
 def test_response_cloud_rows_equal_isolated_trials(tmp_path):
     config = CampaignConfig(experiment_id="response_cloud", trials=TRIALS, seed=31)
-    expected = _isolated_response_cloud(config)
+    expected = _reference_response_cloud(config)
     rows = _read_csv(run_campaign(config, tmp_path / "cloud")["cloud"])
-    assert len(rows) == TRIALS
-    for t in CHECKED_TRIALS:
-        assert int(rows[t]["trial"]) == t
-        assert (float(rows[t]["x"]), float(rows[t]["y"])) == expected[t]
+    assert [int(row["trial"]) for row in rows] == list(range(TRIALS))
     assert [(float(r["x"]), float(r["y"])) for r in rows] == expected
 
 
 def test_collision_rows_equal_isolated_verifications(tmp_path):
     config = CampaignConfig(experiment_id="collision_histogram", trials=TRIALS,
                             m_sessions=1000, n_modes=121, mu_p=0.5, seed=32)
-    expected = _isolated_collision(config)
+    expected = _reference_collision(config)
     result = run_collision_histogram(config)
-    for t in CHECKED_TRIALS:
-        assert result.false_p_ins[t] == expected[t][0]
     assert list(result.false_p_ins) == [p_in for p_in, _ in expected]
     accepted = sum(verdict for _, verdict in expected)
     assert result.false_acceptance_rate == accepted / TRIALS
@@ -162,11 +198,9 @@ def test_clone_rows_equal_isolated_clones(tmp_path):
     histogram_rows = _read_csv(histogram_paths["histograms_n121"])
     seen_accepts = 0
     for d_index, fraction in enumerate(base["d_values"]):
-        points, p_ins, verdicts = _isolated_clones(cheating, 0, d_index)
+        points, p_ins, verdicts = _reference_clone_cluster(cheating, 0, d_index)
         cluster = [row for row in cloud_rows if float(row["D"]) == fraction]
-        for t in CHECKED_TRIALS:
-            assert int(cluster[t]["trial"]) == t
-            assert (float(cluster[t]["x"]), float(cluster[t]["y"])) == points[t]
+        assert [int(row["trial"]) for row in cluster] == list(range(TRIALS))
         assert [(float(r["x"]), float(r["y"])) for r in cluster] == points
         assert rates[fraction] == sum(verdicts) / TRIALS
         counts = [int(row["count"]) for row in histogram_rows
@@ -176,38 +210,121 @@ def test_clone_rows_equal_isolated_clones(tmp_path):
     assert 0 < seen_accepts < 2 * TRIALS
 
 
-def _small_configs():
-    clone = dict(trials=9, m_sessions=200, d_values=(0.0, 0.05), mode_counts=(16, 300),
-                 seed=41)
+def _multi_chunk_configs():
+    """Configs of the three campaign kinds with two full chunks and a partial one."""
     return [
-        CampaignConfig(experiment_id="response_cloud", trials=45, seed=41),
-        CampaignConfig(experiment_id="enhancement_condition", seed=41),
-        CampaignConfig(experiment_id="collision_histogram", trials=45, m_sessions=200,
-                       seed=41),
-        *(CampaignConfig(experiment_id=e, **clone)
-          for e in ("clone_cloud", "clone_histograms", "cheating_curve")),
+        CampaignConfig(experiment_id="response_cloud", trials=600, seed=42),
+        CampaignConfig(experiment_id="collision_histogram", trials=600, m_sessions=200,
+                       seed=42),
+        CampaignConfig(experiment_id="cheating_curve", trials=600, m_sessions=200,
+                       d_values=(0.0, 0.05), mode_counts=(16, 40), seed=42),
     ]
 
 
-@pytest.mark.parametrize("block_cells", [1, 10**9], ids=["one_row", "beyond_trials"])
-def test_block_size_changes_no_artifact_byte(tmp_path, monkeypatch, block_cells):
-    configs = _small_configs()
-    assert sorted(c.experiment_id for c in configs) == sorted(EXPERIMENT_IDS)
+def test_chunk_order_changes_no_artifact_byte(tmp_path, monkeypatch):
+    configs = _multi_chunk_configs()
     reference = {c.experiment_id: run_campaign(c, tmp_path / "ref" / c.experiment_id)
                  for c in configs}
-    monkeypatch.setattr(experiments, "BLOCK_CELLS", block_cells)
-    # one row per block, or one block holding every trial
-    assert _rows(16) == (1 if block_cells == 1 else 10**9 // 16)
+    in_order = experiments._chunks
+    monkeypatch.setattr(experiments, "_chunks", lambda trials: in_order(trials)[::-1])
+    assert [c for c, _, _ in experiments._chunks(600)] == [2, 1, 0]
     for config in configs:
-        paths = run_campaign(config, tmp_path / "patched" / config.experiment_id)
+        paths = run_campaign(config, tmp_path / "reversed" / config.experiment_id)
         assert set(paths) == set(reference[config.experiment_id])
         for key, path in paths.items():
             assert filecmp.cmp(path, reference[config.experiment_id][key], shallow=False), (
                 config.experiment_id, key)
 
 
-EDGE_SIZES = [(n, trials) for n in (1, 1000)
-              for trials in (0, 1, _rows(n), _rows(n) + 1)]
+def _recorded_p_ins(monkeypatch):
+    """Every in-bin frequency the campaigns draw, in drawing order."""
+    recorded = []
+    original = experiments.verify_block
+
+    def recording(*args, **kwargs):
+        p_ins, verdicts = original(*args, **kwargs)
+        recorded.extend(p_ins.tolist())
+        return p_ins, verdicts
+
+    monkeypatch.setattr(experiments, "verify_block", recording)
+    return recorded
+
+
+@pytest.mark.parametrize("config", _multi_chunk_configs(), ids=lambda c: c.experiment_id)
+def test_first_trials_do_not_depend_on_trial_count(config, monkeypatch):
+    short = CampaignConfig.from_dict({**config.to_dict(), "trials": 300})
+    runner = {"response_cloud": run_response_cloud,
+              "collision_histogram": run_collision_histogram,
+              "cheating_curve": run_clone_experiments}[config.experiment_id]
+    recorded = _recorded_p_ins(monkeypatch)
+    long_result = runner(config)
+    long_p_ins = list(recorded)
+    recorded.clear()
+    short_result = runner(short)
+    short_p_ins = list(recorded)
+
+    if config.experiment_id == "response_cloud":
+        assert short_result.points == long_result.points[:300]
+        assert short_p_ins == long_p_ins == []
+    elif config.experiment_id == "collision_histogram":
+        assert short_result.false_p_ins == long_result.false_p_ins[:300]
+        assert short_p_ins == list(short_result.false_p_ins)
+    else:
+        clusters = len(config.mode_counts) * len(config.d_values)
+        assert len(long_p_ins) == 600 * clusters and len(short_p_ins) == 300 * clusters
+        for cluster in range(clusters):
+            assert (short_p_ins[300 * cluster:300 * (cluster + 1)]
+                    == long_p_ins[600 * cluster:600 * cluster + 300])
+        for n_modes in config.mode_counts:
+            short_points = short_result.clouds[n_modes][1]
+            long_points = long_result.clouds[n_modes][1]
+            for fraction in config.d_values:
+                assert ([p for p in short_points if p[0] == fraction]
+                        == [p for p in long_points if p[0] == fraction][:300])
+
+
+def test_zero_fraction_builds_no_clone_stream(monkeypatch):
+    config = CampaignConfig(experiment_id="cheating_curve", trials=300, m_sessions=200,
+                            d_values=(0.0, 0.05), mode_counts=(16, 40), seed=43)
+    paths = []
+    rows = []
+
+    def recording_substream(seed, *path):
+        paths.append(path)
+        return substream(seed, *path)
+
+    def recording_clone_rows(true_key, fraction, count, rng):
+        block = clone_rows(true_key, fraction, count, rng)
+        # a copy: the campaign forms its masked sums in the block itself
+        rows.append((fraction, block.copy()))
+        return block
+
+    monkeypatch.setattr(experiments, "substream", recording_substream)
+    monkeypatch.setattr(experiments, "clone_rows", recording_clone_rows)
+    result = run_clone_experiments(config)
+
+    clone_paths = sorted(p for p in paths if p[0] == 5)
+    assert clone_paths == [(5, i, 1, c) for i in range(2) for c in range(2)]
+    assert sorted(p for p in paths if p[0] == 6) == [
+        (6, i, d, c) for i in range(2) for d in range(2) for c in range(2)]
+    zero_blocks = [block for fraction, block in rows if fraction == 0.0]
+    assert len(zero_blocks) == 4
+    for n_index, n_modes in enumerate(config.mode_counts):
+        true_key = generate_key(n_modes, config.l_over_L, substream(43, 4, n_index))
+        for block in zero_blocks[2 * n_index:2 * n_index + 2]:
+            assert block.shape == (STREAM_CHUNK, n_modes)
+            assert block.tobytes() == np.tile(true_key.coefficients, (STREAM_CHUNK, 1)).tobytes()
+        true_response, points, summaries = result.clouds[n_modes]
+        assert all((x, y) == (true_response.x, true_response.y)
+                   for fraction, _, x, y in points if fraction == 0.0)
+        assert summaries[0][3] == 0.0
+
+
+# no trials, one trial, a whole number of chunks (16 at one mode, one at
+# 1000 modes) and one row past it, and small partial chunks at 1000 modes
+EDGE_SIZES = [(1, 0), (1, 1), (1, 16 * STREAM_CHUNK), (1, 16 * STREAM_CHUNK + 1),
+              (1000, 0), (1000, 1), (1000, 4), (1000, 5),
+              (1000, STREAM_CHUNK), (1000, STREAM_CHUNK + 1)]
 
 
 @pytest.mark.parametrize("n_modes,trials", EDGE_SIZES)
@@ -215,13 +332,13 @@ def test_edge_block_sizes_match_isolated_trials(n_modes, trials):
     cloud_config = CampaignConfig(experiment_id="response_cloud", n_modes=n_modes,
                                   trials=trials, seed=51)
     points = run_response_cloud(cloud_config).points
-    assert [(x, y) for _, x, y in points] == _isolated_response_cloud(cloud_config)
+    assert [(x, y) for _, x, y in points] == _reference_response_cloud(cloud_config)
     assert [t for t, _, _ in points] == list(range(trials))
 
     collision = CampaignConfig(experiment_id="collision_histogram", n_modes=n_modes,
                                trials=trials, m_sessions=500, seed=52)
     result = run_collision_histogram(collision)
-    expected = _isolated_collision(collision)
+    expected = _reference_collision(collision)
     assert list(result.false_p_ins) == [p_in for p_in, _ in expected]
     accepted = sum(verdict for _, verdict in expected)
     assert result.false_acceptance_rate == (accepted / trials if trials else 0.0)
@@ -235,7 +352,7 @@ def test_edge_block_sizes_match_isolated_clones(n_modes, trials):
     _, point_rows, _ = result.clouds[n_modes]
     rates = {d: rate for d, _, rate, _ in result.cheating_rows}
     for d_index, fraction in enumerate(config.d_values):
-        points, p_ins, verdicts = _isolated_clones(config, 0, d_index)
+        points, p_ins, verdicts = _reference_clone_cluster(config, 0, d_index)
         assert [(x, y) for d, _, x, y in point_rows if d == fraction] == points
         assert rates[fraction] == (sum(verdicts) / trials if trials else 0.0)
         histogram = result.histograms[(n_modes, fraction)]
@@ -246,17 +363,33 @@ def test_edge_block_sizes_match_isolated_clones(n_modes, trials):
 def test_block_builders_match_single_keys():
     true_key = generate_key(64, 0.2, substream(61, 0))
 
-    def generators(tag):
-        return [substream(61, tag, t) for t in range(5)]
+    impostors = false_key_rows(64, 0.2, 5, substream(61, 1))
+    assert np.array_equal(impostors[0], false_key(64, 0.2, substream(61, 1)).coefficients)
+    parts = substream(61, 1).standard_normal((8, 2, 64))
+    for row, row_parts in zip(impostors, parts):
+        assert np.array_equal(row, _coefficients(row_parts, true_key.variance))
 
-    impostors = false_key_rows(64, 0.2, generators(1))
-    for row, rng in zip(impostors, generators(1)):
-        assert np.array_equal(row, false_key(64, 0.2, rng).coefficients)
-    clones = clone_rows(true_key, 0.25, generators(2))
-    for row, rng in zip(clones, generators(2)):
-        assert np.array_equal(row, clone_key(true_key, 0.25, rng)[0].coefficients)
-    assert false_key_rows(64, 0.2, []).shape == (0, 64)
-    assert clone_rows(true_key, 0.25, []).shape == (0, 64)
+    clone, spec = clone_key(true_key, 0.25, substream(61, 2))
+    assert np.array_equal(clone_rows(true_key, 0.25, 1, substream(61, 2))[0],
+                          clone.coefficients)
+    assert spec.replaced_indices == frozenset(
+        substream(61, 2).random((1, 64)).argsort(axis=1)[0, :16].tolist())
+    # the normals follow all the uniforms, so row 0 of a 5-row draw
+    # replaces the same positions as the one-row draw, with other values
+    clones = clone_rows(true_key, 0.25, 5, substream(61, 2))
+    rng = substream(61, 2)
+    orders = rng.random((5, 64)).argsort(axis=1)
+    normals = rng.standard_normal((5, 2, 16))
+    for row, order, row_normals in zip(clones, orders, normals):
+        expected = true_key.coefficients.copy()
+        expected[order[:16]] = _coefficients(row_normals, true_key.variance)
+        assert np.array_equal(row, expected)
+
+    assert false_key_rows(64, 0.2, 0, substream(61, 1)).shape == (0, 64)
+    assert clone_rows(true_key, 0.25, 0, substream(61, 2)).shape == (0, 64)
+    # a fraction that replaces nothing copies the key and never touches the stream
+    assert clone_rows(true_key, 0.0, 3, None).tobytes() == np.tile(
+        true_key.coefficients, (3, 1)).tobytes()
 
 
 def test_block_builders_refuse_non_finite_rows():
@@ -266,32 +399,38 @@ def test_block_builders_refuse_non_finite_rows():
         def standard_normal(self, shape):
             return np.full(shape, np.nan)
 
-        def choice(self, n, size, replace):
-            return np.arange(size)
+        def random(self, shape):
+            return np.zeros(shape)
 
     with pytest.raises(ValueError, match="finite"):
-        false_key_rows(4, 0.2, [substream(62, 1), Poisoned()])
+        false_key_rows(4, 0.2, 2, Poisoned())
     with pytest.raises(ValueError, match="finite"):
-        clone_rows(true_key, 0.5, [Poisoned()])
+        clone_rows(true_key, 0.5, 1, Poisoned())
 
 
 def test_masked_sums_rows_carry_the_one_key_bits():
     for n_modes in (1, 2, 7, 8, 9, 121, 256, 625, 1000, 2049):
         keys = [generate_key(n_modes, 0.2, substream(63, n_modes, t)) for t in range(6)]
         mask = optimal_mask(keys[0], 0.8)
-        block = masked_sums(np.array([k.coefficients for k in keys]), 0.8, mask)
+        rows = np.array([k.coefficients for k in keys])
+        block = masked_sums(rows, 0.8, mask)
         assert block.shape == (6,)
         for key, total in zip(keys, block):
             single = scattered_amplitude(key, 0.8, mask, 1.0)
             assert total.tobytes() == np.complex128(single).tobytes()
+        # forming the products in the block itself changes no bit
+        assert masked_sums(rows, 0.8, mask, overwrite_input=True).tobytes() == block.tobytes()
         # under its own optimal mask every product of a key cancels its
         # imaginary part, which exposes any change in how products round;
         # numpy rounds a (1, 1) block against a (1,) mask vector unlike the
         # (1,) key itself, so the one-row, one-mode case needs checking
         single = np.complex128(scattered_amplitude(keys[0], 0.8, mask, 1.0))
-        for rows in (1, 2, 5):
-            block = masked_sums(np.tile(keys[0].coefficients, (rows, 1)), 0.8, mask)
-            assert [total.tobytes() for total in block] == [single.tobytes()] * rows
+        for count in (1, 2, 5, STREAM_CHUNK):
+            tiled = np.tile(keys[0].coefficients, (count, 1))
+            block = masked_sums(tiled, 0.8, mask)
+            assert [total.tobytes() for total in block] == [single.tobytes()] * count
+            in_place = masked_sums(tiled, 0.8, mask, overwrite_input=True)
+            assert in_place.tobytes() == block.tobytes()
     with pytest.raises(ValueError, match="mask length"):
         masked_sums(np.ones((3, 5), dtype=complex), 0.8, mask)
     for tau in (0.0, 1.5, math.nan):
@@ -308,12 +447,16 @@ def test_block_verification_equals_single_verifications():
     sums = masked_sums(np.array([k.coefficients for k in keys]), 0.8, database.mask)
     p_bars = hit_probabilities(sums, database)
     assert p_bars.tolist() == [hit_probability(key, database) for key in keys]
-    p_ins, verdicts = verify_block(sums, database, config.verification(),
-                                   [substream(64, 2, i) for i in range(len(keys))])
-    for i, key in enumerate(keys):
-        report = verify(key, database, config.verification(), substream(64, 2, i))
-        assert (p_ins[i], bool(verdicts[i])) == (report.p_in, report.accepted)
-    empty_p_ins, empty_verdicts = verify_block(sums[:0], database, config.verification(), [])
+    p_ins, verdicts = verify_block(sums, database, config.verification(), substream(64, 2))
+    hits = substream(64, 2).binomial(1000, p_bars.tolist())
+    assert p_ins.tolist() == (hits / 1000).tolist()
+    for key, count, p_in, verdict in zip(keys, hits, p_ins, verdicts):
+        report = verify(key, database, config.verification(), _Drawn(count))
+        assert (p_in, bool(verdict)) == (report.p_in, report.accepted)
+    report = verify(keys[0], database, config.verification(), substream(64, 2))
+    assert (p_ins[0], bool(verdicts[0])) == (report.p_in, report.accepted)
+    assert 0 < int(np.count_nonzero(verdicts)) < len(keys)
+    empty_p_ins, empty_verdicts = verify_block(sums[:0], database, config.verification(),
+                                               substream(64, 3))
     assert empty_p_ins.shape == empty_verdicts.shape == (0,)
     assert hit_probabilities(sums[:0], database).shape == (0,)
-

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvpuk import (
     CrpDatabase,
@@ -14,6 +20,7 @@ from cvpuk import (
     verify,
 )
 from cvpuk.cli import main
+from cvpuk.experiments import EXPERIMENT_IDS
 from cvpuk.homodyne import HomodyneChannel, ProbeSet
 
 
@@ -323,3 +330,83 @@ def test_campaign_unknown_experiment_exits_2(tmp_path, capsys):
         "campaign", "--config", str(config_path), "--out", str(tmp_path / "x"),
     ]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# tiny valid values of every campaign field, so that a valid config runs in
+# milliseconds; any session count costs the same, so m_sessions is no size
+_SIZES = ("n_modes", "n_probe_states", "trials")
+_VALID_FIELDS = {
+    "n_modes": st.integers(1, 6),
+    "l_over_L": st.floats(0.0, 0.9),
+    "mu_p": st.floats(0.5, 1e4),
+    "tau": st.floats(0.05, 1.0),
+    "eta": st.floats(0.05, 1.0),
+    "delta_over_sigma": st.floats(0.5, 4.0),
+    "n_probe_states": st.integers(3, 5),
+    "m_sessions": st.integers(1, 50),
+    "epsilon": st.floats(0.01, 0.99),
+    "zeta": st.floats(0.01, 0.99),
+    "trials": st.integers(0, 3),
+    "histogram_bin": st.floats(0.01, 1.0),
+    "seed": st.integers(0, 2**64),
+    "d_values": st.lists(st.floats(0.0, 1.0), max_size=3),
+    "mode_counts": st.lists(st.integers(1, 6), max_size=2),
+    "photons_per_mode_values": st.lists(st.floats(0.1, 100.0), max_size=3),
+}
+# what a hand-written config can hold in place of a valid value: wrong types,
+# bools, NaN and infinities, numeric strings, out-of-range numbers
+_WRONG = st.one_of(
+    st.booleans(), st.none(), st.floats(), st.text(max_size=4),
+    st.floats(allow_nan=False).map(repr), st.integers().map(str),
+    st.integers(-10**400, 10**400), st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+# sizes stay small when valid: a huge valid size is a long run, not a fault
+_WRONG_SIZE = st.one_of(_WRONG.filter(lambda v: not isinstance(v, int) or v <= 0),
+                        st.integers(-3, 0))
+
+
+@st.composite
+def _campaign_documents(draw):
+    document = {"experiment_id": draw(st.sampled_from(EXPERIMENT_IDS + ("nope",)))}
+    # none, one or two fields go wrong, so that valid configs run as well
+    wrong_fields = draw(st.lists(st.sampled_from(sorted(_VALID_FIELDS)), max_size=2,
+                                 unique=True))
+    for name, valid in _VALID_FIELDS.items():
+        if name not in wrong_fields:
+            if draw(st.booleans()):
+                document[name] = draw(valid)
+        else:
+            wrong = _WRONG_SIZE if name in _SIZES else _WRONG
+            if name == "mode_counts":
+                wrong = st.one_of(wrong, st.lists(_WRONG_SIZE, min_size=1, max_size=2))
+            elif name in ("d_values", "photons_per_mode_values"):
+                wrong = st.one_of(wrong, st.lists(_WRONG, min_size=1, max_size=2))
+            document[name] = draw(wrong)
+    if draw(st.booleans()) and draw(st.booleans()):
+        document[draw(st.text(max_size=6))] = draw(_WRONG)
+    if draw(st.integers(0, 9)) == 0:
+        del document["experiment_id"]
+    return draw(st.one_of(st.just(document), _WRONG)) if draw(
+        st.integers(0, 9)) == 0 else document
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_campaign_documents())
+def test_campaign_config_fuzz_exits_cleanly(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "campaign.json"
+        # json.dumps writes NaN and Infinity, which the reader must refuse
+        config_path.write_text(json.dumps(document))
+        out_dir = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["campaign", "--config", str(config_path), "--out", str(out_dir)])
+        # an exception escaping main is the traceback the command would print
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            assert (out_dir / "config.json").is_file() and (out_dir / "summary.json").is_file()
+        else:
+            assert stderr.getvalue().startswith("error: ")
+            assert not out_dir.exists()

@@ -19,8 +19,10 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.experiments import REPORTED_ENHANCEMENT_BAND
+from cvpuk.experiments import REPORTED_ENHANCEMENT_BAND, STREAM_CHUNK
 from cvpuk import HomodyneChannel, VerificationConfig, enroll_exact, generate_key, ProbeSet
+from cvpuk.protocol import hit_probability
+from cvpuk.scattering import ScatteringKey
 
 
 def test_config_validation():
@@ -54,6 +56,10 @@ def test_config_validation():
         ("zeta", math.nan),
         ("histogram_bin", 1.5),
         ("histogram_bin", math.nan),
+        ("histogram_bin", 9.99e-5),
+        ("histogram_bin", 5e-324),
+        ("mu_p", 10**400),
+        ("m_sessions", 2**63),
         ("d_values", (0.0, 1.5)),
         ("d_values", (-0.01,)),
         ("d_values", (math.nan,)),
@@ -143,9 +149,23 @@ def test_collision_histogram_trials_are_order_independent():
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
     database = enroll_exact(true_key, config.tau, probes, channel)
     verification = VerificationConfig(config.m_sessions, config.epsilon, config.zeta)
-    impostor = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, 7))
-    report = verify(impostor, database, verification, substream(config.seed, 3, 7))
-    assert report.p_in == result.false_p_ins[7]
+    # trial 7 is row 7 of chunk 0: its key is row 7 of the chunk's normal
+    # block, and its hit count the 8th of one binomial draw over the chunk
+    parts = substream(config.seed, 2, 0).standard_normal((STREAM_CHUNK, 2, config.n_modes))
+    variance = (1.0 - config.l_over_L) / config.n_modes
+    impostors = [
+        ScatteringKey(math.sqrt(variance / 2.0) * (row[0] + 1j * row[1]), variance,
+                      config.n_modes, 0, config.l_over_L)
+        for row in parts[:8]
+    ]
+    hits = substream(config.seed, 3, 0).binomial(
+        config.m_sessions, [hit_probability(key, database) for key in impostors])
+    assert hits[7] / config.m_sessions == result.false_p_ins[7]
+    # row 0 of a chunk is what the one-key functions give on the chunk's streams
+    first = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, 0))
+    assert np.array_equal(first.coefficients, impostors[0].coefficients)
+    report = verify(first, database, verification, substream(config.seed, 3, 0))
+    assert report.p_in == result.false_p_ins[0]
 
 
 def test_collision_histogram_reproducible():

@@ -56,6 +56,10 @@ def test_require_real():
             jsonio.require_real("x", value, "(0, 1]")
     with pytest.raises(ValueError):
         jsonio.require_real("x", math.inf, "(0, inf)")
+    # a JSON integer beyond the double range is out of range, not a crash
+    for value in (10**400, -10**400):
+        with pytest.raises(ValueError, match="finite"):
+            jsonio.require_real("x", value, "(-inf, inf)")
 
 
 def test_round_trip_keeps_number_types():

@@ -390,6 +390,10 @@ def test_rejection_rate_monotone_in_error_level():
 def test_verification_config_validation():
     with pytest.raises(ValueError):
         VerificationConfig(0, 0.05, 0.05)
+    # numpy's binomial takes a 64-bit count; one more must be refused, not overflow
+    assert VerificationConfig(2**63 - 1, 0.05, 0.05).sessions == 2**63 - 1
+    with pytest.raises(ValueError, match="sessions"):
+        VerificationConfig(2**63, 0.05, 0.05)
     with pytest.raises(ValueError):
         VerificationConfig(10, 0.0, 0.05)
     with pytest.raises(ValueError):
@@ -517,3 +521,19 @@ def test_hit_probability_never_exceeds_p_in(key_and_database):
     key, database = key_and_database
     p_bar = hit_probability(key, database)
     assert 0.0 <= p_bar <= p_in_theoretical(database.channel) + 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_keys_and_databases(), st.lists(st.floats(0.0, 1e300), min_size=6, max_size=6))
+def test_database_json_round_trip_gives_the_exact_doubles(key_and_database, xi):
+    _, exact = key_and_database
+    size = exact.probe_set.size
+    database = CrpDatabase(exact.target_mode, exact.mask, exact.centers, xi[:size],
+                           exact.probe_set, exact.channel, exact.setup_loss)
+    restored = CrpDatabase.from_dict(json.loads(jsonio.dumps(database.to_dict())))
+    for name in ("centers", "xi"):
+        assert getattr(restored, name).tobytes() == getattr(database, name).tobytes()
+    assert restored.mask.phases.tobytes() == database.mask.phases.tobytes()
+    assert (restored.target_mode, restored.probe_set, restored.channel,
+            restored.setup_loss) == (database.target_mode, database.probe_set,
+                                     database.channel, database.setup_loss)

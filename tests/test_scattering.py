@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvpuk import (
     DegenerateKeyError,
@@ -15,6 +18,8 @@ from cvpuk import (
     substream,
     wrap_phase,
 )
+from cvpuk import jsonio
+from cvpuk.scattering import masked_sums
 
 
 def test_generated_variance_matches_parameters():
@@ -316,6 +321,72 @@ def test_wrap_phase_range():
     values = wrap_phase(np.linspace(-10 * math.pi, 10 * math.pi, 1001))
     assert np.all(values >= -math.pi)
     assert np.all(values < math.pi)
+    # just below -pi the modulo rounds up to 2 pi; the result folds to -pi
+    below = np.nextafter(-math.pi, -math.inf)
+    assert wrap_phase(below) == -math.pi
+    assert wrap_phase(np.array([below, below])).tolist() == [-math.pi, -math.pi]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(float(np.nextafter(-math.pi, -math.inf)))
+@example(float(np.nextafter(math.pi, math.inf)))
+@example(-3 * math.pi)
+@example(5e-324)
+def test_wrap_phase_lands_in_range_and_is_idempotent(angle):
+    wrapped = wrap_phase(angle)
+    assert -math.pi <= wrapped < math.pi
+    assert wrap_phase(wrapped) == wrapped
+    assert wrap_phase(np.array([angle, wrapped])).tolist() == [wrapped, wrapped]
+    if abs(angle) <= 1e6:
+        # the same direction, up to the rounding of angle + pi
+        assert abs(math.cos(wrapped) - math.cos(angle)) <= 1e-9
+        assert abs(math.sin(wrapped) - math.sin(angle)) <= 1e-9
+
+
+_FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 64), st.integers(0, 2**32), st.floats(0.01, 1.0), _FINITE, _FINITE)
+def test_scattered_amplitude_is_linear_in_the_probe_amplitude(n_modes, seed, tau, a, b):
+    key = generate_key(n_modes, 0.2, substream(seed, 0))
+    mask = PhaseMask(substream(seed, 1).uniform(-math.pi, math.pi, n_modes))
+    unit = scattered_amplitude(key, tau, mask, 1.0)
+    fields = scattered_amplitude(key, tau, mask, np.array([a, b, a + b]))
+    # homogeneous exactly: the field is the masked sum times the amplitude
+    assert fields[0] == unit * a and fields[1] == unit * b
+    assert scattered_amplitude(key, tau, mask, a) == fields[0]
+    # additive up to the rounding of a + b and of the three products, which
+    # is absolute, not relative, among subnormal fields
+    slack = 1e-12 * abs(unit) * (abs(a) + abs(b)) + np.finfo(float).tiny
+    assert abs(fields[2] - (fields[0] + fields[1])) <= slack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 64), st.integers(0, 2**32), st.floats(0.01, 1.0))
+def test_no_random_mask_beats_the_optimal_mask(n_modes, seed, tau):
+    key = generate_key(n_modes, 0.2, substream(seed, 0))
+    best = abs(masked_sums(key.coefficients, tau, optimal_mask(key, tau)))
+    for phases in substream(seed, 1).uniform(-math.pi, math.pi, (16, n_modes)):
+        assert abs(masked_sums(key.coefficients, tau, PhaseMask(phases))) <= best * (1 + 1e-12)
+
+
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_DOUBLES, _DOUBLES), min_size=1, max_size=16),
+       st.floats(0.0, 1.0), st.integers(-2**63, 2**63))
+def test_key_json_round_trip_gives_the_exact_doubles(pairs, l_over_L, target_mode):
+    key = ScatteringKey(np.array([complex(re, im) for re, im in pairs]),
+                        (1.0 - l_over_L) / len(pairs), len(pairs), target_mode, l_over_L)
+    restored = ScatteringKey.from_dict(json.loads(jsonio.dumps(key.to_dict())))
+    # tobytes tells -0.0 from 0.0, which == would not
+    assert restored.coefficients.tobytes() == key.coefficients.tobytes()
+    assert (restored.variance, restored.mode_count, restored.target_mode,
+            restored.l_over_L) == (key.variance, key.mode_count, key.target_mode,
+                                   key.l_over_L)
 
 
 def test_key_json_roundtrip():

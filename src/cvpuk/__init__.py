@@ -21,13 +21,8 @@ from .homodyne import (
     HALF_PI,
     HomodyneChannel,
     ProbeSet,
-    ProbeState,
     Response,
-    bin_interval,
-    in_bin,
     p_in_theoretical,
-    quadrature_mean,
-    sample_quadrature,
 )
 from .protocol import (
     CrpDatabase,
@@ -38,7 +33,6 @@ from .protocol import (
     enrollment_error,
     m_threshold,
     radii,
-    total_enrollment_samples,
     verify,
 )
 from .scattering import (
@@ -47,7 +41,6 @@ from .scattering import (
     ScatteringKey,
     enhancement,
     generate_key,
-    iterative_mask,
     optimal_mask,
     scattered_amplitude,
     wrap_phase,
@@ -69,13 +62,8 @@ __all__ = [
     "HALF_PI",
     "HomodyneChannel",
     "ProbeSet",
-    "ProbeState",
     "Response",
-    "bin_interval",
-    "in_bin",
     "p_in_theoretical",
-    "quadrature_mean",
-    "sample_quadrature",
     "CrpDatabase",
     "VerificationConfig",
     "e_threshold",
@@ -84,14 +72,12 @@ __all__ = [
     "enrollment_error",
     "m_threshold",
     "radii",
-    "total_enrollment_samples",
     "verify",
     "DegenerateKeyError",
     "PhaseMask",
     "ScatteringKey",
     "enhancement",
     "generate_key",
-    "iterative_mask",
     "optimal_mask",
     "scattered_amplitude",
     "wrap_phase",

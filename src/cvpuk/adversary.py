@@ -9,7 +9,6 @@ the material statistics but cannot reproduce every scatterer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,20 +21,11 @@ from .scattering import (
 )
 
 __all__ = [
-    "CloneSpec",
     "false_key",
     "false_key_rows",
     "clone_key",
     "clone_rows",
 ]
-
-
-@dataclass(frozen=True)
-class CloneSpec:
-    """Which coefficients a clone replaced, and the requested fraction."""
-
-    fraction: float
-    replaced_indices: frozenset[int]
 
 
 def false_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
@@ -72,8 +62,9 @@ def _clone_draw(true_key: ScatteringKey, fraction: float, rows: int,
 
 
 def clone_key(true_key: ScatteringKey, fraction: float,
-              rng: np.random.Generator) -> tuple[ScatteringKey, CloneSpec]:
-    """Imperfect copy of a key differing in a fraction of its coefficients.
+              rng: np.random.Generator) -> tuple[ScatteringKey, np.ndarray]:
+    """Imperfect copy of a key differing in a fraction of its coefficients,
+    and the positions it replaced, an int array.
 
     Picks the replaced positions uniformly without replacement and draws
     the replacements from the same complex Gaussian ensemble as the
@@ -82,12 +73,11 @@ def clone_key(true_key: ScatteringKey, fraction: float,
     positions, coefficients = _clone_draw(true_key, fraction, 1, rng)
     clone = ScatteringKey(
         coefficients=coefficients[0],
-        variance=true_key.variance,
         mode_count=true_key.mode_count,
         target_mode=true_key.target_mode,
         l_over_L=true_key.l_over_L,
     )
-    return clone, CloneSpec(float(fraction), frozenset(positions[0].tolist()))
+    return clone, positions[0]
 
 
 def false_key_rows(mode_count: int, l_over_L: float, rows: int,

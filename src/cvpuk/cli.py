@@ -21,31 +21,40 @@ from .protocol import (
     radii,
     verify,
 )
-from .scattering import ScatteringKey, generate_key
+from .scattering import ScatteringKey, ensemble_variance, generate_key
 from .streams import substream
 
 __all__ = ["main"]
 
 
 def _cmd_thresholds(args) -> int:
-    sigma = 1.0 / math.sqrt(2.0 * args.eta)
+    # every flag is checked, and every constant computed, before one is printed
+    for name in ("epsilon", "zeta", "l_over_L", "delta_over_sigma", "eta"):
+        jsonio.require_real(f"--{name.replace('_', '-')}", getattr(args, name),
+                            REAL_INTERVALS[name])
+    jsonio.require_real("--mu-c", args.mu_c, "(0, inf)")
     channel = HomodyneChannel.from_delta_ratio(args.eta, args.delta_over_sigma)
-    variance = (1.0 - args.l_over_L) / args.n_modes
     expected_enhancement = math.pi * args.n_modes / 4.0
-    rho_false, rho_true = radii(args.mu_c, variance, expected_enhancement)
-    print(f"sigma      = {sigma!r}")
-    print(f"delta      = {channel.bin_width!r}")
-    print(f"P_in       = {p_in_theoretical(channel)!r}")
-    print(f"M_th       = {m_threshold(args.epsilon, args.zeta)}")
-    print(f"E_th       = {e_threshold(args.mu_c, args.n_modes, args.l_over_L)!r}")
-    print(f"E_expected = {expected_enhancement!r}  (mean optimal-mask enhancement)")
-    print(f"rho_f      = {rho_false!r}")
-    print(f"rho_t      = {rho_true!r}  (at E_expected)")
+    rho_false, rho_true = radii(args.mu_c, ensemble_variance(args.n_modes, args.l_over_L),
+                                expected_enhancement)
+    lines = (
+        f"sigma      = {channel.shot_noise!r}",
+        f"delta      = {channel.bin_width!r}",
+        f"P_in       = {p_in_theoretical(channel)!r}",
+        f"M_th       = {m_threshold(args.epsilon, args.zeta)}",
+        f"E_th       = {e_threshold(args.mu_c, args.n_modes, args.l_over_L)!r}",
+        f"E_expected = {expected_enhancement!r}  (mean optimal-mask enhancement)",
+        f"rho_f      = {rho_false!r}",
+        f"rho_t      = {rho_true!r}  (at E_expected)",
+    )
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_enroll(args) -> int:
     config = jsonio.load(args.config)
+    if not isinstance(config, dict):
+        raise TypeError(f"an enroll config must be a JSON object, got {config!r}")
     seed = args.seed
     if seed is None:
         seed = jsonio.require_int("seed", config.get("seed", 0))
@@ -60,6 +69,8 @@ def _cmd_enroll(args) -> int:
     channel = HomodyneChannel.from_delta_ratio(real("eta"), real("delta_over_sigma"))
 
     if "key_path" in config:
+        if not isinstance(config["key_path"], str):
+            raise TypeError(f"key_path must be a string, got {config['key_path']!r}")
         key = ScatteringKey.from_dict(jsonio.load(config["key_path"]))
         if key.mode_count != n_modes:
             raise ValueError(f"key has {key.mode_count} modes, config says {n_modes}")
@@ -190,7 +201,8 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; OverflowError is a number beyond the double range
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,9 +98,9 @@ REPORTED_ENHANCEMENT_BAND = (50.0, 1000.0)
 STREAM_CHUNK = 256
 
 # allowed interval of every real-valued config field; a tuple field's
-# interval applies to each of its entries.  The enroll config of the
-# command line checks its real fields against the same table.  The
-# floor of histogram_bin caps a histogram at 10,000 bins.
+# interval applies to each of its entries.  The enroll config and the
+# thresholds flags of the command line check their real fields against
+# the same table.  The floor of histogram_bin caps a histogram at 10,000 bins.
 REAL_INTERVALS = {
     "l_over_L": "[0, 1)",
     "mu_p": "(0, inf)",

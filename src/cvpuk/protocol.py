@@ -56,7 +56,6 @@ __all__ = [
     "enroll_exact",
     "enroll_sampled",
     "enrollment_error",
-    "total_enrollment_samples",
     "m_threshold",
     "hit_probability",
     "hit_probabilities",
@@ -108,10 +107,6 @@ class CrpDatabase:
         xi.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "xi", xi)
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.mask)
 
     @property
     def enrollment_error(self) -> float:
@@ -190,13 +185,11 @@ def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
     recorded estimation error is ``5 / sqrt(per_quadrature_samples)``,
     which the sample mean respects with overwhelming probability.
     """
-    if per_quadrature_samples < 1:
-        raise ValueError("per_quadrature_samples must be at least 1")
+    xi = np.full(probes.size, enrollment_error(per_quadrature_samples))
     mask = optimal_mask(key, tau)
     amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
     standard_error = channel.shot_noise / math.sqrt(per_quadrature_samples)
     centers = rng.normal(quadrature_means(amplitudes), standard_error)
-    xi = np.full(probes.size, enrollment_error(per_quadrature_samples))
     return CrpDatabase(key.target_mode, mask, centers, xi, probes, channel, tau)
 
 
@@ -205,15 +198,6 @@ def enrollment_error(per_quadrature_samples: int) -> float:
     if per_quadrature_samples < 1:
         raise ValueError("per_quadrature_samples must be at least 1")
     return 5.0 / math.sqrt(per_quadrature_samples)
-
-
-def total_enrollment_samples(n_probe_states: int, per_quadrature_samples: int) -> int:
-    """Total draws of an enrollment: two quadratures for every probe state."""
-    if n_probe_states <= 2:
-        raise ValueError("a probe set must contain more than 2 states")
-    if per_quadrature_samples < 1:
-        raise ValueError("per_quadrature_samples must be at least 1")
-    return 2 * n_probe_states * per_quadrature_samples
 
 
 def m_threshold(epsilon: float, zeta: float) -> int:
@@ -230,7 +214,10 @@ def m_threshold(epsilon: float, zeta: float) -> int:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0.0 < zeta < 1.0:
         raise ValueError("zeta must lie in (0, 1)")
-    exact = 3.0 * math.log(2.0 / zeta) / (epsilon * epsilon)
+    squared = epsilon * epsilon  # zero for epsilon below about 1.5e-162
+    exact = 3.0 * math.log(2.0 / zeta) / squared if squared else math.inf
+    if not math.isfinite(exact):
+        raise ValueError(f"no finite session count bounds epsilon {epsilon!r}, zeta {zeta!r}")
     threshold = math.ceil(exact)
     if threshold == exact:
         threshold += 1
@@ -244,13 +231,16 @@ def e_threshold(mean_challenge_photons: float, mode_count: int, l_over_L: float)
     false-key radius by several shot-noise units in the worst case;
     approaches 16 as the photon number per mode grows.
     """
-    if mean_challenge_photons <= 0.0:
+    if not mean_challenge_photons > 0.0:
         raise ValueError("mean_challenge_photons must be positive")
     if mode_count < 1:
         raise ValueError("mode_count must be at least 1")
     if not 0.0 <= l_over_L < 1.0:
         raise ValueError("l_over_L must lie in [0, 1)")
     photons_per_mode = (mean_challenge_photons / mode_count) * (1.0 - l_over_L)
+    if not photons_per_mode > 0.0:
+        raise ValueError(f"photons per mode underflow to 0 at mean_challenge_photons "
+                         f"{mean_challenge_photons!r}")
     return 16.0 * (1.0 + 0.75 / math.sqrt(photons_per_mode)) ** 2
 
 
@@ -262,7 +252,7 @@ def radii(mean_challenge_photons: float, variance: float,
     of the origin; the optimized true-key response sits at radius
     ``sqrt(enhancement)`` quarters of that.
     """
-    if mean_challenge_photons <= 0.0 or variance <= 0.0 or enhancement <= 0.0:
+    if not (mean_challenge_photons > 0.0 and variance > 0.0 and enhancement > 0.0):
         raise ValueError("all arguments must be positive")
     rho_false = 4.0 * math.sqrt(mean_challenge_photons * variance)
     rho_true = math.sqrt(enhancement) * rho_false / 4.0
@@ -316,14 +306,8 @@ class VerificationReport:
         }
 
 
-def _check_mode_count(key: ScatteringKey, database: CrpDatabase) -> None:
-    if key.mode_count != database.mode_count:
-        raise ValueError("key and database mode counts do not match")
-
-
 def _bins(key: ScatteringKey, database: CrpDatabase):
     """Quadrature means of the key under test and the stored bins, each (N, 2)."""
-    _check_mode_count(key, database)
     amplitudes = scattered_amplitude(key, database.setup_loss, database.mask,
                                      database.probe_set.amplitudes())
     half = 0.5 * database.channel.bin_width
@@ -366,7 +350,6 @@ def hit_probability(key: ScatteringKey, database: CrpDatabase) -> float:
     holds more mass than a centred one, so ``p̄`` never exceeds it.
     This is the one-row case of :func:`hit_probabilities`.
     """
-    _check_mode_count(key, database)
     sums = masked_sums(key.coefficients[np.newaxis], database.setup_loss, database.mask)
     return float(hit_probabilities(sums, database)[0])
 

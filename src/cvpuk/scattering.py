@@ -40,7 +40,6 @@ __all__ = [
     "masked_sums",
     "scattered_amplitude",
     "optimal_mask",
-    "iterative_mask",
     "enhancement",
 ]
 
@@ -69,11 +68,6 @@ class ScatteringKey:
     coefficients : ndarray of complex
         Field reflection coefficients from each input mode to the target
         mode.
-    variance : float
-        Per-coefficient ensemble variance, equal to
-        ``(1 - l_over_L) / mode_count`` for the generating parameters.
-        Stored explicitly so that ensemble formulas use the generating
-        parameter rather than a noisy sample estimate.
     mode_count : int
         Number of controllable input modes.
     target_mode : int
@@ -83,7 +77,6 @@ class ScatteringKey:
     """
 
     coefficients: np.ndarray
-    variance: float
     mode_count: int
     target_mode: int
     l_over_L: float
@@ -100,12 +93,13 @@ class ScatteringKey:
         if not 0.0 <= self.l_over_L <= 1.0:
             raise ValueError("l_over_L must lie in [0, 1]")
         require_finite(coefficients)
-        expected = (1.0 - self.l_over_L) / self.mode_count
-        if not math.isfinite(self.variance) or self.variance < 0.0:
-            raise ValueError("variance must be finite and non-negative")
-        if abs(self.variance - expected) > 1e-12 * max(expected, 1.0):
-            raise ValueError("variance does not equal (1 - l_over_L) / mode_count")
         coefficients.flags.writeable = False
+
+    @property
+    def variance(self) -> float:
+        """Per-coefficient ensemble variance of the generating parameters, not
+        a sample estimate from the coefficients."""
+        return (1.0 - self.l_over_L) / self.mode_count
 
     def to_dict(self) -> dict:
         """JSON-ready document with coefficients as [re, im] pairs."""
@@ -126,7 +120,6 @@ class ScatteringKey:
         )
         return cls(
             coefficients=coefficients,
-            variance=(1.0 - l_over_L) / mode_count,
             mode_count=mode_count,
             target_mode=require_int("target_mode", data["target_mode"]),
             l_over_L=l_over_L,
@@ -160,13 +153,6 @@ class PhaseMask:
 
     def __len__(self) -> int:
         return self.phases.size
-
-    def to_dict(self) -> dict:
-        return {"phases": [float(p) for p in self.phases]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseMask":
-        return cls(np.array(data["phases"], dtype=float))
 
 
 def ensemble_variance(mode_count: int, l_over_L: float) -> float:
@@ -206,7 +192,6 @@ def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
     variance = ensemble_variance(mode_count, l_over_L)
     return ScatteringKey(
         coefficients=draw_coefficients(1, mode_count, variance, rng)[0],
-        variance=variance,
         mode_count=int(mode_count),
         target_mode=int(target_mode),
         l_over_L=float(l_over_L),
@@ -218,11 +203,6 @@ def _coupling(tau: float, mode_count: int) -> float:
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be finite and lie in (0, 1], got {tau!r}")
     return math.sqrt(tau / mode_count)
-
-
-def _phased_products(key: ScatteringKey, tau: float) -> np.ndarray:
-    """Per-mode reflection-coupling products under uniform illumination."""
-    return key.coefficients * _coupling(tau, key.mode_count)
 
 
 def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask,
@@ -273,49 +253,10 @@ def optimal_mask(key: ScatteringKey, tau: float) -> PhaseMask:
     term of the scattered sum becomes real and non-negative.  No phase
     mask can produce a larger amplitude magnitude.
     """
-    products = _phased_products(key, tau)
+    products = key.coefficients * _coupling(tau, key.mode_count)
     if not np.any(products != 0):
         raise DegenerateKeyError("all reflection-coupling products vanish")
     return PhaseMask(-np.angle(products))
-
-
-def iterative_mask(key: ScatteringKey, tau: float, phase_levels: int,
-                   sweeps: int) -> PhaseMask:
-    """Stepwise feedback optimization of the mask, one mode at a time.
-
-    Visits every mode in index order, keeping for each the candidate
-    phase (out of ``phase_levels`` equally spaced values) that maximizes
-    the scattered intensity with all other phases held fixed, and
-    repeats for ``sweeps`` passes.  Mirrors the feedback procedure used
-    on real modulators.  The result never beats :func:`optimal_mask` and
-    approaches it as the number of levels and sweeps grows; a single
-    sweep is exact only when at most two modes interfere.
-    """
-    if phase_levels < 2:
-        raise ValueError("phase_levels must be at least 2")
-    if sweeps < 1:
-        raise ValueError("sweeps must be at least 1")
-    products = _phased_products(key, tau)
-    if not np.any(products != 0):
-        raise DegenerateKeyError("all reflection-coupling products vanish")
-
-    candidates = wrap_phase(_TWO_PI * np.arange(phase_levels) / phase_levels)
-    rotations = np.exp(1j * candidates)
-    phases = np.zeros(key.mode_count)
-    rotated = products.astype(complex)
-    total = rotated.sum()
-    for _ in range(sweeps):
-        for j in range(key.mode_count):
-            rest = total - rotated[j]
-            trials = rest + products[j] * rotations
-            best = int(np.argmax(trials.real**2 + trials.imag**2))
-            phases[j] = candidates[best]
-            rotated[j] = products[j] * rotations[best]
-            total = rest + rotated[j]
-        # resynchronize the running sum; the incremental updates accumulate
-        # rounding over many modes
-        total = (products * np.exp(1j * phases)).sum()
-    return PhaseMask(phases)
 
 
 def enhancement(key: ScatteringKey, tau: float, mask: PhaseMask,
@@ -328,9 +269,9 @@ def enhancement(key: ScatteringKey, tau: float, mask: PhaseMask,
     optimization, ``variance * mean_challenge_photons``.  The probe
     strength cancels, so the ratio does not depend on it.
     """
-    if mean_challenge_photons <= 0.0:
+    if not mean_challenge_photons > 0.0:
         raise ValueError("mean_challenge_photons must be positive")
-    if key.variance <= 0.0:
+    if not key.variance > 0.0:
         raise ValueError("a zero-variance key has no enhancement reference")
     # scale by the probe amplitude only after scattered_amplitude has
     # checked tau; the product carries the same bits either way

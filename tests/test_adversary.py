@@ -58,7 +58,7 @@ def test_false_key_responses_concentrate_near_origin():
         response = Response.from_amplitude(
             scattered_amplitude(impostor, tau, mask, amplitude)
         )
-        outside += response.magnitude > 1.5 * rho_false
+        outside += math.hypot(response.x, response.y) > 1.5 * rho_false
     assert outside / trials <= 0.02
 
 
@@ -75,25 +75,24 @@ def test_replaced_count_rounding():
 
 def test_clone_identity_at_zero_fraction():
     true_key = generate_key(64, 0.2, substream(203, 0))
-    clone, spec = clone_key(true_key, 0.0, substream(203, 1))
+    clone, replaced = clone_key(true_key, 0.0, substream(203, 1))
     assert np.array_equal(clone.coefficients, true_key.coefficients)
-    assert spec.replaced_indices == frozenset()
+    assert replaced.size == 0
 
 
 def test_clone_total_randomization():
     true_key = generate_key(64, 0.2, substream(204, 0))
-    clone, spec = clone_key(true_key, 1.0, substream(204, 1))
-    assert len(spec.replaced_indices) == 64
+    clone, replaced = clone_key(true_key, 1.0, substream(204, 1))
+    assert sorted(replaced.tolist()) == list(range(64))
     assert not np.any(clone.coefficients == true_key.coefficients)
 
 
 def test_clone_preserves_unreplaced_coefficients():
     true_key = generate_key(625, 0.2, substream(205, 0))
-    clone, spec = clone_key(true_key, 0.03, substream(205, 1))
-    assert len(spec.replaced_indices) == 19
-    kept = np.setdiff1d(np.arange(625), np.array(sorted(spec.replaced_indices)))
+    clone, replaced = clone_key(true_key, 0.03, substream(205, 1))
+    assert len(set(replaced.tolist())) == replaced.size == 19
+    kept = np.setdiff1d(np.arange(625), replaced)
     assert np.array_equal(clone.coefficients[kept], true_key.coefficients[kept])
-    replaced = np.array(sorted(spec.replaced_indices))
     assert not np.any(clone.coefficients[replaced] == true_key.coefficients[replaced])
 
 
@@ -103,9 +102,8 @@ def test_clone_replaced_index_uniformity():
     trials = 2000
     counts = np.zeros(16)
     for _ in range(trials):
-        _, spec = clone_key(true_key, 0.25, rng)
-        for index in spec.replaced_indices:
-            counts[index] += 1
+        _, replaced = clone_key(true_key, 0.25, rng)
+        counts[replaced] += 1
     frequency = counts / trials
     tolerance = 3.0 * math.sqrt(0.25 * 0.75 / trials)
     assert np.all(np.abs(frequency - 0.25) <= tolerance)

@@ -1,0 +1,59 @@
+"""The public surface: what the package exports, and what the benchmark calls."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cvpuk
+from cvpuk import ScatteringKey, clone_key, generate_key, substream
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ("adversary", "cli", "experiments", "homodyne", "jsonio", "protocol",
+           "scattering", "streams")
+
+
+@pytest.mark.parametrize("module", (None,) + MODULES)
+def test_every_exported_name_resolves(module):
+    namespace = cvpuk if module is None else importlib.import_module(f"cvpuk.{module}")
+    assert len(set(namespace.__all__)) == len(namespace.__all__)
+    for name in namespace.__all__:
+        assert hasattr(namespace, name), f"{namespace.__name__}.{name}"
+
+
+def test_package_exports_only_what_it_imports():
+    tree = ast.parse(Path(cvpuk.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assigned = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert set(cvpuk.__all__) == imported | (assigned - {"__all__"})
+
+
+def _tracing():
+    """The benchmark's tracing module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists():
+    for module, name, _ in _tracing().TRACED:
+        assert callable(getattr(importlib.import_module(f"cvpuk.{module}"), name, None)), (
+            f"cvpuk.{module}.{name}")
+
+
+def test_clone_key_returns_the_clone_and_its_replaced_positions():
+    true_key = generate_key(40, 0.2, substream(90, 0))
+    result = clone_key(true_key, 0.1, substream(90, 1))
+    assert isinstance(result, tuple) and len(result) == 2
+    clone, replaced = result
+    assert isinstance(clone, ScatteringKey)
+    assert replaced.dtype.kind == "i" and replaced.shape == (4,)
+    changed = np.flatnonzero(clone.coefficients != true_key.coefficients)
+    assert changed.tolist() == sorted(replaced.tolist())

@@ -61,6 +61,19 @@ def test_thresholds_unit_efficiency(capsys):
     assert "0.68268949213708" in out
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--eta", "0"), ("--n-modes", "0"), ("--mu-c", "nan"), ("--epsilon", "0"),
+    ("--zeta", "inf"), ("--l-over-L", "1"), ("--delta-over-sigma", "-2"),
+    ("--epsilon", "1e-200"),
+    pytest.param("--n-modes", str(10**400), id="--n-modes-1e400"),
+])
+def test_thresholds_bad_flag_exits_2_without_output(capsys, flag, value):
+    assert main(["thresholds", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_enroll_writes_key_and_database(tmp_path):
     config_path = tmp_path / "config.json"
     _write_enroll_config(config_path)
@@ -233,11 +246,16 @@ def test_verify_ill_typed_real_field_exits_2(tmp_path, capsys, path, value):
 
 @pytest.mark.parametrize("field,value", [
     ("n_probe_states", 11.5), ("n_modes", 32.0), ("seed", True), ("tau", 1.5),
-    ("tau", True), ("mu_p", "2500"),
+    ("tau", True), ("mu_p", "2500"), ("key_path", 7), ("key_path", None),
+    # no field: the whole document
+    (None, [1, 2]), (None, "x"), (None, None),
 ])
 def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value):
     config_path = tmp_path / "config.json"
-    _write_enroll_config(config_path, **{field: value})
+    if field is None:
+        config_path.write_text(json.dumps(value))
+    else:
+        _write_enroll_config(config_path, **{field: value})
     out_dir = tmp_path / "out"
     assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -391,6 +409,19 @@ def _campaign_documents(draw):
         st.integers(0, 9)) == 0 else document
 
 
+def _run(argv):
+    """Exit code, stdout and stderr of one in-process run of the command line;
+    an exception escaping ``main`` is the traceback the command would print."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the command line
+            code = exc.code
+    assert "Traceback" not in stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_campaign_documents())
 def test_campaign_config_fuzz_exits_cleanly(document):
@@ -399,14 +430,102 @@ def test_campaign_config_fuzz_exits_cleanly(document):
         # json.dumps writes NaN and Infinity, which the reader must refuse
         config_path.write_text(json.dumps(document))
         out_dir = Path(tmp) / "out"
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(["campaign", "--config", str(config_path), "--out", str(out_dir)])
-        # an exception escaping main is the traceback the command would print
-        assert code in (0, 1, 2)
-        assert "Traceback" not in stderr.getvalue()
+        code, _, stderr = _run(["campaign", "--config", str(config_path), "--out", str(out_dir)])
+        assert code in (0, 2)
         if code == 0:
             assert (out_dir / "config.json").is_file() and (out_dir / "summary.json").is_file()
         else:
-            assert stderr.getvalue().startswith("error: ")
+            assert stderr.startswith("error: ")
             assert not out_dir.exists()
+
+
+class _KeyFile(int):
+    """A valid ``key_path``: the mode count of a key file the test writes."""
+
+
+_ENROLL_REQUIRED = ("n_modes", "mu_p", "tau", "eta", "delta_over_sigma", "n_probe_states",
+                    "l_over_L")
+_ENROLL_FIELDS = {
+    **{name: _VALID_FIELDS[name] for name in _ENROLL_REQUIRED + ("seed",)},
+    "target_mode": st.integers(-2**63, 2**63),
+    "enrollment": st.sampled_from(("exact", "sampled")),
+    # any sample count costs the same, so only the double range bounds it
+    "per_quadrature_samples": st.integers(1, 10**300),
+    "key_path": st.integers(1, 6).map(_KeyFile),
+}
+
+
+@st.composite
+def _enroll_documents(draw):
+    wrong_fields = draw(st.lists(st.sampled_from(sorted(_ENROLL_FIELDS)), max_size=2,
+                                 unique=True))
+    document = {}
+    for name, valid in _ENROLL_FIELDS.items():
+        if name in wrong_fields:
+            if draw(st.booleans()):  # or left out
+                document[name] = draw(_WRONG_SIZE if name in _SIZES else _WRONG)
+        elif name in _ENROLL_REQUIRED or draw(st.booleans()):
+            document[name] = draw(valid)
+    if draw(st.booleans()) and draw(st.booleans()):
+        document[draw(st.text(max_size=6))] = draw(_WRONG)
+    return draw(_WRONG) if draw(st.integers(0, 9)) == 0 else document
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_enroll_documents())
+def test_enroll_config_fuzz_exits_cleanly(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(document, dict) and isinstance(document.get("key_path"), _KeyFile):
+            key_path = Path(tmp) / "key_in.json"
+            jsonio.dump(generate_key(document["key_path"], 0.2, substream(8, 0)).to_dict(),
+                        key_path)
+            document["key_path"] = str(key_path)
+        config_path = Path(tmp) / "enroll.json"
+        config_path.write_text(json.dumps(document))
+        out_dir = Path(tmp) / "out"
+        code, _, stderr = _run(["enroll", "--config", str(config_path), "--out", str(out_dir)])
+        assert code in (0, 2)
+        if code == 0:
+            assert (out_dir / "key.json").is_file() and (out_dir / "database.json").is_file()
+        else:
+            assert stderr.startswith("error: ")
+            assert not out_dir.exists()
+
+
+_THRESHOLD_FLAGS = {
+    "--epsilon": st.floats(0.001, 0.5),
+    "--zeta": st.floats(0.001, 0.5),
+    "--mu-c": st.floats(1.0, 1e6),
+    "--n-modes": st.integers(1, 10**4),
+    "--l-over-L": st.floats(0.0, 0.9),
+    "--delta-over-sigma": st.floats(0.5, 6.0),
+    "--eta": st.floats(0.05, 1.0),
+}
+# floats of every kind, integers past the double range, and words; a word
+# that starts with "-" would be read as the next flag
+_WRONG_FLAG = st.one_of(st.floats(), st.integers(-10**400, 10**400),
+                        st.text(max_size=4).filter(lambda t: not t.startswith("-")))
+
+
+@st.composite
+def _threshold_argvs(draw):
+    argv = ["thresholds"]
+    wrong_flags = draw(st.lists(st.sampled_from(sorted(_THRESHOLD_FLAGS)), max_size=2,
+                                unique=True))
+    for flag, valid in _THRESHOLD_FLAGS.items():
+        if flag in wrong_flags or draw(st.booleans()):
+            value = draw(_WRONG_FLAG if flag in wrong_flags else valid)
+            argv += [flag, value if isinstance(value, str) else repr(value)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_threshold_argvs())
+def test_thresholds_flag_fuzz_exits_cleanly(argv):
+    code, stdout, stderr = _run(argv)
+    assert code in (0, 2)
+    if code == 0:
+        assert len(stdout.splitlines()) == 8
+    else:
+        assert stdout == ""
+        assert "error: " in stderr

@@ -154,8 +154,8 @@ def test_collision_histogram_trials_are_order_independent():
     parts = substream(config.seed, 2, 0).standard_normal((STREAM_CHUNK, 2, config.n_modes))
     variance = (1.0 - config.l_over_L) / config.n_modes
     impostors = [
-        ScatteringKey(math.sqrt(variance / 2.0) * (row[0] + 1j * row[1]), variance,
-                      config.n_modes, 0, config.l_over_L)
+        ScatteringKey(math.sqrt(variance / 2.0) * (row[0] + 1j * row[1]), config.n_modes, 0,
+                      config.l_over_L)
         for row in parts[:8]
     ]
     hits = substream(config.seed, 3, 0).binomial(

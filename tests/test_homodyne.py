@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import warnings
@@ -8,17 +9,21 @@ import pytest
 
 from cvpuk import (
     HALF_PI,
+    CrpDatabase,
     HomodyneChannel,
     ProbeSet,
-    ProbeState,
     Response,
-    bin_interval,
-    in_bin,
+    VerificationConfig,
+    enroll_exact,
+    enroll_sampled,
+    generate_key,
     p_in_theoretical,
-    quadrature_mean,
-    sample_quadrature,
     substream,
+    verify,
 )
+from cvpuk.homodyne import quadrature_means
+from cvpuk.protocol import _bins
+from cvpuk.scattering import masked_sums
 
 # frozen with mpmath at 40 digits: erf(1/sqrt(2)) and erf(sqrt(2))
 ERF_ONE_OVER_SQRT2 = 0.6826894921370859
@@ -32,25 +37,18 @@ def _channel(efficiency=0.55, ratio=2.0):
 
 
 def test_probe_state_amplitude():
-    state = ProbeState(2500.0, 0.7, index=3)
-    assert abs(state.amplitude) ** 2 == pytest.approx(2500.0, rel=1e-12)
-    assert math.atan2(state.amplitude.imag, state.amplitude.real) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        ProbeState(0.0, 0.0)
+    # probe k of a set is sqrt(mean_photons) * exp(i * 2 pi k / size)
+    amplitude = ProbeSet(11, 2500.0).amplitudes()[3]
+    assert abs(amplitude) ** 2 == pytest.approx(2500.0, rel=1e-12)
+    assert math.atan2(amplitude.imag, amplitude.real) == pytest.approx(2 * math.pi * 3 / 11)
 
 
 def test_probe_set_enumeration():
     probes = ProbeSet(11, 2500.0)
-    states = probes.states()
-    assert len(states) == 11
-    for k, state in enumerate(states):
-        assert state.index == k
-        assert state.phase == pytest.approx(2 * math.pi * k / 11)
-        assert state.mean_photons == 2500.0
     amplitudes = probes.amplitudes()
-    assert np.allclose(
-        amplitudes, [s.amplitude for s in states], rtol=1e-15, atol=1e-12
-    )
+    assert amplitudes.shape == (11,)
+    expected = [50.0 * cmath.exp(2j * math.pi * k / 11) for k in range(11)]
+    assert np.allclose(amplitudes, expected, rtol=1e-15, atol=1e-12)
 
 
 def test_probe_set_requires_more_than_two_states():
@@ -61,83 +59,123 @@ def test_probe_set_requires_more_than_two_states():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             ProbeSet(5, bad)
-        with pytest.raises(ValueError):
-            ProbeState(bad, 0.0)
-
-
-def test_probe_set_index_bounds():
-    probes = ProbeSet(5, 10.0)
-    with pytest.raises(ValueError):
-        probes.state(5)
-    with pytest.raises(ValueError):
-        probes.state(-1)
 
 
 def test_quadrature_mean_protocol_angles():
-    assert quadrature_mean(1 + 1j, 0.0) == math.sqrt(2.0)
-    assert quadrature_mean(1 + 1j, HALF_PI) == math.sqrt(2.0)
-    assert quadrature_mean(0.0, 0.3) == 0.0
+    means = quadrature_means(np.array([1 + 1j, 0.0]))
+    assert means.tolist() == [[math.sqrt(2.0), math.sqrt(2.0)], [0.0, 0.0]]
+    assert Response.from_amplitude(1 + 1j) == Response(math.sqrt(2.0), math.sqrt(2.0))
+
+
+def _quadrature_mean(amplitude, theta):
+    """The quadrature at local-oscillator phase theta: sqrt(2) Re(a exp(-i theta))."""
+    return math.sqrt(2.0) * (amplitude * cmath.exp(-1j * theta)).real
 
 
 def test_quadrature_mean_general_angle():
+    # the general-angle formula at the two protocol angles gives (x, y)
     rng = substream(30, 0)
     for _ in range(50):
         amplitude = complex(rng.normal(), rng.normal())
-        theta = rng.uniform(-math.pi, math.pi)
-        expected = math.sqrt(2.0) * (amplitude * np.exp(-1j * theta)).real
-        assert quadrature_mean(amplitude, theta) == pytest.approx(expected, abs=1e-12)
+        x, y = quadrature_means(np.array(amplitude)).tolist()
+        assert x == pytest.approx(_quadrature_mean(amplitude, 0.0), abs=1e-12)
+        assert y == pytest.approx(_quadrature_mean(amplitude, HALF_PI), abs=1e-12)
 
 
-def _draw(mean, channel, rng, count):
-    return np.array([sample_quadrature(mean, channel, rng) for _ in range(count)])
+def _outcome_errors(stream, count):
+    """``count`` single homodyne outcomes minus their means: a sampled
+    enrollment at one sample per quadrature stores one outcome per cell."""
+    channel = _channel(0.55, 2.0)
+    key = generate_key(4, 0.2, substream(31, 2))
+    probes = ProbeSet(count // 2, 2500.0)
+    exact = enroll_exact(key, 0.8, probes, channel).centers
+    sampled = enroll_sampled(key, 0.8, probes, channel, 1, substream(31, stream)).centers
+    return channel, (sampled - exact).ravel()
 
 
 def test_sample_quadrature_variance():
-    channel = _channel(0.55, 2.0)
-    draws = _draw(0.0, channel, substream(31, 0), 1_000_000)
-    assert float(np.var(draws)) == pytest.approx(1.0 / (2.0 * 0.55), rel=0.01)
+    _, errors = _outcome_errors(0, 1_000_000)
+    assert float(np.var(errors)) == pytest.approx(1.0 / (2.0 * 0.55), rel=0.01)
 
 
 def test_sample_quadrature_mean_recovery():
-    channel = _channel(0.55, 2.0)
-    draws = _draw(35.5, channel, substream(31, 1), 1_000_000)
+    channel, errors = _outcome_errors(1, 1_000_000)
     tolerance = 4.0 * channel.shot_noise / math.sqrt(1_000_000)
-    assert abs(float(draws.mean()) - 35.5) <= tolerance
+    assert abs(float(errors.mean())) <= tolerance
+
+
+def _bins_of(centers, bin_width):
+    """Stored bins of a database with the given centres and bin width."""
+    probes = ProbeSet(len(centers), 1.0)
+    key = generate_key(2, 0.2, substream(34, 0))
+    exact = enroll_exact(key, 0.8, probes, _channel())
+    database = CrpDatabase(0, exact.mask, centers, np.zeros(len(centers)), probes,
+                           HomodyneChannel(0.55, bin_width), 0.8)
+    _, lows, highs = _bins(key, database)
+    return lows, highs
 
 
 def test_bin_interval_examples():
-    assert bin_interval(Response(3.0, 4.0), 0.0, 2.0) == (2.0, 4.0)
-    assert bin_interval(Response(3.0, 4.0), HALF_PI, 2.0) == (3.0, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a width of 2 is outside the bracket
+        lows, highs = _bins_of([[3.0, 4.0]] * 3, 2.0)
+    assert lows.tolist() == [[2.0, 3.0]] * 3 and highs.tolist() == [[4.0, 5.0]] * 3
     sigma = _channel().shot_noise
-    low, high = bin_interval(Response(0.0, 0.0), 0.7, 2.0 * sigma)
-    assert low == -sigma and high == sigma
+    lows, highs = _bins_of([[0.0, 0.0]] * 3, 2.0 * sigma)
+    assert (lows == -sigma).all() and (highs == sigma).all()
 
 
 def test_bin_interval_requires_positive_width():
-    with pytest.raises(ValueError):
-        bin_interval(Response(1.0, 0.0), 0.0, 0.0)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            HomodyneChannel.from_delta_ratio(0.55, bad)
+        with pytest.raises(ValueError):
+            HomodyneChannel.from_dict({"efficiency": 0.55, "bin_width": bad})
 
 
 def test_bin_center_equals_quadrature_mean():
-    rng = substream(32, 0)
-    for _ in range(50):
-        amplitude = complex(rng.normal(), rng.normal())
-        response = Response.from_amplitude(amplitude)
-        for theta in (0.0, HALF_PI):
-            low, high = bin_interval(response, theta, 2.0)
-            center = 0.5 * (low + high)
-            assert center == pytest.approx(quadrature_mean(amplitude, theta), abs=1e-12)
-            # the stored projection is bitwise the quadrature mean
-            assert response.quadrature_projection(theta) == quadrature_mean(amplitude, theta)
+    key = generate_key(16, 0.2, substream(32, 0))
+    for probes in (ProbeSet(11, 2500.0), ProbeSet(7, 3.0)):
+        database = enroll_exact(key, 0.8, probes, _channel())
+        means, lows, highs = _bins(key, database)
+        # an exactly enrolled key's bins are centred bitwise on its own means
+        assert database.centers.tobytes() == means.tobytes()
+        amplitudes = masked_sums(key.coefficients, 0.8, database.mask) * probes.amplitudes()
+        for (x, y), low, high, amplitude in zip(means, lows, highs, amplitudes):
+            assert Response(x, y) == Response.from_amplitude(amplitude)
+            expected = [_quadrature_mean(amplitude, theta) for theta in (0.0, HALF_PI)]
+            assert 0.5 * (low + high) == pytest.approx(expected, abs=1e-12)
+
+
+class _Outcomes:
+    """A generator stub for a traced verify: probe 0, quadrature x, and the
+    given outcomes."""
+
+    def __init__(self, outcomes):
+        self.outcomes = np.array(outcomes)
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=int)
+
+    def normal(self, means, sigma):
+        return self.outcomes
 
 
 def test_in_bin_closed_boundaries():
-    response = Response(3.0, 4.0)
-    assert in_bin(3.0, response, 0.0, 2.0)
-    assert in_bin(4.0, response, 0.0, 2.0)
-    assert in_bin(2.0, response, 0.0, 2.0)
-    assert not in_bin(5.0, response, 0.0, 2.0)
-    assert not in_bin(1.999999, response, 0.0, 2.0)
+    # a traced session hits when its outcome lies in the closed bin
+    key = generate_key(8, 0.2, substream(35, 0))
+    channel = _channel()
+    database = enroll_exact(key, 0.8, ProbeSet(3, 2500.0), channel)
+    center = database.centers[0, 0]
+    half = 0.5 * channel.bin_width
+    low, high = center - half, center + half
+    outcomes = [center, high, low, np.nextafter(high, np.inf), np.nextafter(low, -np.inf),
+                center + 2.0 * half]
+    report = verify(key, database, VerificationConfig(len(outcomes), 0.05, 0.05),
+                    _Outcomes(outcomes), trace=True)
+    hits = [hit for _, _, _, hit in report.session_trace]
+    assert hits == [low <= outcome <= high for outcome in outcomes]
+    assert hits == [True, True, True, False, False, False]
 
 
 def test_p_in_frozen_values():
@@ -210,14 +248,12 @@ def test_empirical_in_bin_frequency_matches_p_in():
     # both quadratures converge to the same in-bin probability
     channel = _channel(0.55, 2.0)
     expected = p_in_theoretical(channel)
-    amplitude = 3.0 + 4.0j
-    response = Response.from_amplitude(amplitude)
+    response = Response.from_amplitude(3.0 + 4.0j)
     draws = 200_000
-    for stream, theta in ((0, 0.0), (1, HALF_PI)):
+    for stream, mean in ((0, response.x), (1, response.y)):
         rng = substream(33, stream)
-        mean = quadrature_mean(amplitude, theta)
         outcomes = rng.normal(mean, channel.shot_noise, size=draws)
-        low, high = bin_interval(response, theta, channel.bin_width)
+        low, high = mean - 0.5 * channel.bin_width, mean + 0.5 * channel.bin_width
         frequency = float(((outcomes >= low) & (outcomes <= high)).mean())
         tolerance = 3.0 * math.sqrt(expected * (1.0 - expected) / draws)
         assert abs(frequency - expected) <= tolerance

@@ -13,7 +13,6 @@ from cvpuk import (
     HomodyneChannel,
     PhaseMask,
     ProbeSet,
-    Response,
     ScatteringKey,
     VerificationConfig,
     clone_key,
@@ -23,14 +22,12 @@ from cvpuk import (
     enroll_sampled,
     enrollment_error,
     generate_key,
-    in_bin,
     jsonio,
     m_threshold,
     p_in_theoretical,
     radii,
     scattered_amplitude,
     substream,
-    total_enrollment_samples,
     verify,
 )
 from cvpuk.protocol import hit_probability
@@ -74,6 +71,12 @@ def test_e_threshold_values():
         e_threshold(0.0, 121, 0.2)
     with pytest.raises(ValueError):
         e_threshold(2000.0, 121, 1.0)
+    for args in ((math.nan, 121, 0.2), (2000.0, 121, math.nan)):
+        with pytest.raises(ValueError):
+            e_threshold(*args)
+    # a photon number per mode that rounds to 0 is refused, not divided by
+    with pytest.raises(ValueError, match="underflow"):
+        e_threshold(5e-324, 121, 0.2)
 
 
 def test_radii_values():
@@ -86,8 +89,10 @@ def test_radii_values():
     assert rho_true == rho_false
 
     assert radii(1.0, 1.0, 4.0)[0] == 4.0
-    with pytest.raises(ValueError):
-        radii(0.0, 1.0, 1.0)
+    for args in ((0.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0),
+                 (1.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            radii(*args)
 
 
 def test_enrollment_sample_size_helpers():
@@ -96,11 +101,10 @@ def test_enrollment_sample_size_helpers():
     xi_target = 0.1 * 1e-3
     per_quadrature = round((5.0 / xi_target) ** 2)
     assert per_quadrature == 2_500_000_000
-    assert total_enrollment_samples(10, per_quadrature) == 50_000_000_000
+    # two quadratures for each of 10 probe states
+    assert 2 * 10 * per_quadrature == 50_000_000_000
     with pytest.raises(ValueError):
         enrollment_error(0)
-    with pytest.raises(ValueError):
-        total_enrollment_samples(2, 10)
 
 
 # ----------------------------------------------------------------- enrollment
@@ -142,7 +146,7 @@ def test_enroll_exact_response_power_identity():
 
 def test_enroll_exact_degenerate_key():
     _, tau, probes, channel = _setup(n_modes=4)
-    dead = ScatteringKey(np.zeros(4, dtype=complex), 0.0, 4, 0, 1.0)
+    dead = ScatteringKey(np.zeros(4, dtype=complex), 4, 0, 1.0)
     with pytest.raises(DegenerateKeyError):
         enroll_exact(dead, tau, probes, channel)
 
@@ -316,8 +320,10 @@ def test_verify_mode_count_mismatch():
     database = enroll_exact(key, tau, probes, channel)
     wrong_key = generate_key(8, 0.2, substream(107, 1))
     config = VerificationConfig(10, 0.05, 0.05)
-    with pytest.raises(ValueError):
-        verify(wrong_key, database, config, substream(107, 2))
+    # the one check is masked_sums', on the traced and the binomial path alike
+    for trace in (False, True):
+        with pytest.raises(ValueError, match="mask length"):
+            verify(wrong_key, database, config, substream(107, 2), trace=trace)
 
 
 def test_verify_uses_enrolled_throughput():
@@ -354,8 +360,9 @@ def test_verify_trace_hits_recomputable_from_database():
         )
         assert len(report.session_trace) == 500
         for k, theta, outcome, hit in report.session_trace:
-            stored = Response(*database.centers[k])
-            assert hit == in_bin(outcome, stored, theta, channel.bin_width)
+            center = database.centers[k, 0 if theta == 0.0 else 1]
+            half = 0.5 * channel.bin_width
+            assert hit == (center - half <= outcome <= center + half)
 
 
 def test_verify_session_hits_uncorrelated():

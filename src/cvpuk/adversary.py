@@ -4,6 +4,13 @@ A false key is simply a fresh random key; a clone copies the true key
 but replaces a chosen fraction of its reflection coefficients with
 fresh draws from the same ensemble, modelling a counterfeiter who knows
 the material statistics but cannot reproduce every scatterer.
+
+Campaigns draw false keys through their sufficient statistic.  A false
+key's circular Gaussian coefficients are independent of the mask it is
+seen through, so its masked sum ``sum_j c_j sqrt(tau / n) e^{i phi_j}``
+is exactly a circular Gaussian of variance ``tau (1 - l/L) / n``
+whatever the mask; :func:`false_key_sums` draws that one number per key
+instead of the key's ``n`` coefficients.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from .scattering import (
 
 __all__ = [
     "false_key",
-    "false_key_rows",
+    "false_key_sums",
     "clone_key",
     "clone_rows",
 ]
@@ -80,13 +87,19 @@ def clone_key(true_key: ScatteringKey, fraction: float,
     return clone, positions[0]
 
 
-def false_key_rows(mode_count: int, l_over_L: float, rows: int,
+def false_key_sums(mode_count: int, l_over_L: float, tau: float, rows: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Coefficients of ``rows`` false keys, a ``(rows, n)`` block from one
-    draw; :func:`false_key` is the one-row case."""
-    block = draw_coefficients(rows, mode_count, ensemble_variance(mode_count, l_over_L), rng)
-    require_finite(block)
-    return block
+    """Masked sums of ``rows`` false keys under any mask, shape ``(rows,)``.
+
+    The one-mode case of :func:`draw_coefficients` at the sum's variance
+    ``tau * (1 - l_over_L) / mode_count``: one ``(rows, 2, 1)`` block of
+    standard normals, so the first ``r`` rows equal an ``r``-row draw.
+    """
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must be finite and lie in (0, 1], got {tau!r}")
+    sums = draw_coefficients(rows, 1, tau * ensemble_variance(mode_count, l_over_L), rng)[:, 0]
+    require_finite(sums)
+    return sums
 
 
 def clone_rows(true_key: ScatteringKey, fraction: float, rows: int,

@@ -13,25 +13,27 @@ Sub-stream paths:
 ====================  ==========================================
 ``(0,)``              true-key generation
 ``(1,)``              true-key verification
-``(2, c)``            false keys of chunk ``c``
+``(2, c)``            masked sums of the false keys of chunk ``c``
 ``(3, c)``            verification of those false keys
 ``(4, i)``            true key for the ``i``-th mode count
 ``(5, i, d, c)``      clones of chunk ``c`` at mode-count index ``i``, fraction index ``d``
 ``(6, i, d, c)``      verification of those clones (not drawn by ``clone_cloud``)
 ====================  ==========================================
 
-A chunk makes one call per array: ``standard_normal((rows, 2, n))`` for
-false keys; ``random((256, n))`` for the replaced positions of clones,
-then one normal block for their values (no ``(5, i, d, c)`` stream is
-built when a fraction replaces nothing); one ``binomial(m_sessions,
-p̄)`` for the hit counts.  A partial chunk draws only its rows, but a
-clone chunk draws all 256, as its normals follow its uniforms.  The
-chunk is also the unit of masked sums and ``p̄``.  Campaigns never trace.
+A chunk makes one call per array: ``standard_normal((rows, 2, 1))`` for
+the masked sums of false keys (see :func:`cvpuk.adversary.false_key_sums`;
+no false key's coefficients are drawn); ``random((256, n))`` for the
+replaced positions of clones, then one normal block for their values
+(no ``(5, i, d, c)`` stream is built when a fraction replaces nothing,
+and such clones share the true key's one masked sum); one
+``binomial(m_sessions, p̄)`` for the hit counts.  A partial chunk draws
+only its rows, but a clone chunk draws all 256, as its normals follow
+its uniforms.  The chunk is also the unit of masked sums and ``p̄``.
+Campaigns never trace.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .adversary import clone_rows, false_key_rows, replaced_count
+from .adversary import clone_rows, false_key_sums, replaced_count
 from .homodyne import (
     HomodyneChannel,
     ProbeSet,
@@ -323,11 +325,10 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     false_p_ins = np.empty(config.trials)
     accepted = 0
     for chunk, start, rows in _chunks(config.trials):
-        impostors = false_key_rows(config.n_modes, config.l_over_L, rows,
-                                   substream(config.seed, 2, chunk))
+        sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, rows,
+                              substream(config.seed, 2, chunk))
         false_p_ins[start:start + rows], verdicts = verify_block(
-            masked_sums(impostors, database.setup_loss, database.mask, overwrite_input=True),
-            database, verification, substream(config.seed, 3, chunk),
+            sums, database, verification, substream(config.seed, 3, chunk),
         )
         accepted += int(np.count_nonzero(verdicts))
     false_p_ins = false_p_ins.tolist()
@@ -355,9 +356,8 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
 
     means = np.empty((config.trials, 2))
     for chunk, start, rows in _chunks(config.trials):
-        impostors = false_key_rows(config.n_modes, config.l_over_L, rows,
-                                   substream(config.seed, 2, chunk))
-        sums = masked_sums(impostors, config.tau, mask, overwrite_input=True)
+        sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, rows,
+                              substream(config.seed, 2, chunk))
         means[start:start + rows] = quadrature_means(sums * probe_amplitude)
 
     return ResponseCloudResult(
@@ -428,6 +428,7 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
         true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
         database = enroll_exact(true_key, config.tau, probes, channel)
         mask = database.mask
+        true_sum = masked_sums(true_key.coefficients, config.tau, mask)
 
         point_rows = []
         summary_rows = []
@@ -437,11 +438,14 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
             p_ins = np.empty(config.trials)
             accepted = 0
             for chunk, start, rows in _chunks(config.trials):
-                stream = substream(config.seed, 5, n_index, d_index, chunk) if replaces else None
-                # a partial chunk draws all rows: its normals follow its uniforms
-                clones = clone_rows(true_key, fraction, STREAM_CHUNK, stream)[:rows]
-                sums = masked_sums(clones, config.tau, mask, overwrite_input=True)
-                del clones  # freed before the next chunk draws its block
+                if replaces:
+                    # a partial chunk draws all rows: its normals follow its uniforms
+                    clones = clone_rows(true_key, fraction, STREAM_CHUNK,
+                                        substream(config.seed, 5, n_index, d_index, chunk))
+                    sums = masked_sums(clones[:rows], config.tau, mask, overwrite_input=True)
+                    del clones  # freed before the next chunk draws its block
+                else:
+                    sums = np.full(rows, true_sum)  # each clone is the true key
                 means[start:start + rows] = quadrature_means(sums * probe_phase_zero)
                 if verifies:
                     p_ins[start:start + rows], verdicts = verify_block(
@@ -460,9 +464,7 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
                 )
                 rate = accepted / config.trials if config.trials else 0.0
                 cheating_rows.append((float(fraction), int(n_modes), rate, config.trials))
-        true_response = Response.from_amplitude(
-            scattered_amplitude(true_key, config.tau, mask, probe_phase_zero)
-        )
+        true_response = Response.from_amplitude(true_sum * probe_phase_zero)
         clouds[n_modes] = (true_response, tuple(point_rows), tuple(summary_rows))
 
     return CloneExperimentsResult(
@@ -474,11 +476,15 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    """Comma-separated header and rows, each value by ``repr``.
+
+    Rows are tuples of Python ints and floats, which no CSV quoting
+    touches, so one format string gives the bytes ``csv.writer`` would.
+    """
+    row_format = ",".join(["%r"] * len(header)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        handle.write(",".join(header) + "\n")
+        handle.writelines(map(row_format.__mod__, rows))
 
 
 def _collision_campaign(config: CampaignConfig):

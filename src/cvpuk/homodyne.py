@@ -9,6 +9,7 @@ with shot-noise standard deviation ``1 / sqrt(2 * efficiency)``.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -61,6 +62,18 @@ class Response:
         return cls(*quadrature_means(np.complex128(amplitude)).tolist())
 
 
+def _caller_level() -> int:
+    """``stacklevel`` at which a warning raised by the caller of this function
+    names the first frame outside this module and the dataclass-generated
+    ``__init__``, that is, the code that built the object."""
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and (
+            frame.f_code.co_filename == __file__
+            or (frame.f_code.co_filename, frame.f_code.co_name) == ("<string>", "__init__")):
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def _shot_noise(efficiency: float) -> float:
     """Shot-noise standard deviation ``1 / sqrt(2 * efficiency)`` of the readout."""
     if not 0.0 < efficiency <= 1.0:
@@ -91,7 +104,7 @@ class HomodyneChannel:
             warnings.warn(
                 f"bin_width {self.bin_width} outside the recommended bracket "
                 f"[{2.0 * sigma}, {4.0 * sigma})",
-                stacklevel=2,
+                stacklevel=_caller_level(),
             )
 
     @classmethod

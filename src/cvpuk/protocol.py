@@ -17,7 +17,9 @@ probe and quadrature cells, so the hit count is one binomial draw.
 Either way the cost no longer grows with the number of samples or
 sessions.  A traced verification still draws every session, because
 its trace lists them; it is the reference the closed forms are tested
-against.
+against.  Verification sees a key only through its masked sum, so the
+campaigns draw a false key as that one circular Gaussian
+(:func:`cvpuk.adversary.false_key_sums`) and never its coefficients.
 
 A verification run is deterministic given its generator; independent
 runs should use independently seeded generators.  The database is
@@ -241,7 +243,14 @@ def e_threshold(mean_challenge_photons: float, mode_count: int, l_over_L: float)
     if not photons_per_mode > 0.0:
         raise ValueError(f"photons per mode underflow to 0 at mean_challenge_photons "
                          f"{mean_challenge_photons!r}")
-    return 16.0 * (1.0 + 0.75 / math.sqrt(photons_per_mode)) ** 2
+    try:
+        threshold = 16.0 * (1.0 + 0.75 / math.sqrt(photons_per_mode)) ** 2
+    except OverflowError:
+        threshold = math.inf
+    if not math.isfinite(threshold):
+        raise ValueError(f"photons per mode {photons_per_mode!r} too small: the "
+                         f"enhancement threshold leaves the double range")
+    return threshold
 
 
 def radii(mean_challenge_photons: float, variance: float,
@@ -322,10 +331,12 @@ def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
     :func:`hit_probability` gives its key: the erf arguments are formed
     by elementwise array arithmetic, each cell's mass by ``math.erf``,
     and each row's mean by the correctly rounded ``math.fsum``, so the
-    block size cannot change a bit.
+    block size cannot change a bit.  Equal sums, such as a block of
+    perfect clones, are evaluated once.
     """
-    amplitudes = sums[:, np.newaxis] * database.probe_set.amplitudes()
-    means = quadrature_means(amplitudes).reshape(len(sums), 2 * database.probe_set.size)
+    distinct, rows = np.unique(sums, return_inverse=True)
+    amplitudes = distinct[:, np.newaxis] * database.probe_set.amplitudes()
+    means = quadrature_means(amplitudes).reshape(len(distinct), 2 * database.probe_set.size)
     half = 0.5 * database.channel.bin_width
     scale = _SQRT2 * database.channel.shot_noise
     highs = ((database.centers + half).ravel() - means) / scale
@@ -334,7 +345,7 @@ def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
     return np.clip([
         math.fsum([0.5 * (math.erf(high) - math.erf(low)) for high, low in zip(*row)]) / cells
         for row in zip(highs.tolist(), lows.tolist())
-    ], 0.0, 1.0)
+    ], 0.0, 1.0)[rows]
 
 
 def hit_probability(key: ScatteringKey, database: CrpDatabase) -> float:

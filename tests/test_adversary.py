@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cvpuk import (
     CampaignConfig,
     HomodyneChannel,
+    PhaseMask,
     ProbeSet,
     Response,
     VerificationConfig,
@@ -20,7 +22,8 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.adversary import replaced_count
+from cvpuk.adversary import false_key_sums, replaced_count
+from cvpuk.scattering import masked_sums
 
 
 def _channel():
@@ -60,6 +63,39 @@ def test_false_key_responses_concentrate_near_origin():
         )
         outside += math.hypot(response.x, response.y) > 1.5 * rho_false
     assert outside / trials <= 0.02
+
+
+SUM_SAMPLES = 4000
+
+
+@pytest.mark.parametrize("mask_kind", ["optimal", "random"])
+@pytest.mark.parametrize("n_modes", [1, 121, 625])
+def test_false_key_sums_match_explicit_false_keys(n_modes, mask_kind):
+    # the masked sum of a false key seen through a mask that does not depend
+    # on it is CN(0, tau (1 - l/L) / n); draw it both ways and compare
+    tau, l_over_L = 0.8, 0.2
+    true_key = generate_key(n_modes, l_over_L, substream(210, n_modes))
+    if mask_kind == "optimal":
+        mask = optimal_mask(true_key, tau)
+    else:
+        mask = PhaseMask(substream(211, n_modes).uniform(-math.pi, math.pi, n_modes))
+    rng = substream(212, n_modes)
+    explicit = masked_sums(
+        np.array([generate_key(n_modes, l_over_L, rng).coefficients
+                  for _ in range(SUM_SAMPLES)]), tau, mask)
+    drawn = false_key_sums(n_modes, l_over_L, tau, SUM_SAMPLES, substream(213, n_modes))
+    variance = tau * (1.0 - l_over_L) / n_modes
+    # five standard errors: E|S|^2 = v with sd v, E[S] = 0 with sd sqrt(v),
+    # E[S^2] = 0 with sd sqrt(2) v (the fourth moment of a circular Gaussian)
+    bound = 5.0 / math.sqrt(SUM_SAMPLES)
+    for sums in (explicit, drawn):
+        assert np.mean(np.abs(sums) ** 2) == pytest.approx(variance, rel=bound)
+        assert abs(np.mean(sums)) < bound * math.sqrt(variance)
+        assert abs(np.mean(sums ** 2)) < bound * math.sqrt(2.0) * variance
+    for explicit_part, drawn_part in ((explicit.real, drawn.real),
+                                      (explicit.imag, drawn.imag),
+                                      (np.abs(explicit) ** 2, np.abs(drawn) ** 2)):
+        assert stats.ks_2samp(explicit_part, drawn_part).pvalue > 1e-3
 
 
 def test_replaced_count_rounding():

@@ -2,11 +2,12 @@
 
 Trial ``t`` of a purpose is row ``t % STREAM_CHUNK`` of chunk
 ``t // STREAM_CHUNK``, drawn from the chunk's own stream.  The references
-below draw every chunk in full straight from its stream, build each row
-as a ``ScatteringKey`` and evaluate it with the one-key functions
+below draw every chunk in full straight from its stream.  A clone row is
+built as a ``ScatteringKey`` and evaluated with the one-key functions
 (``scattered_amplitude``, ``hit_probability``, and ``verify`` for the
-verdict), then compare with ``==``: a chunked campaign promises the same
-bits, not close ones.
+verdict); a false key is drawn as its masked sum alone, one circular
+Gaussian per row, and evaluated one row at a time.  Both compare with
+``==``: a chunked campaign promises the same bits, not close ones.
 """
 
 import csv
@@ -23,7 +24,6 @@ from cvpuk import (
     ScatteringKey,
     clone_key,
     enroll_exact,
-    false_key,
     generate_key,
     optimal_mask,
     run_campaign,
@@ -35,8 +35,9 @@ from cvpuk import (
     verify,
 )
 from cvpuk import experiments
-from cvpuk.adversary import clone_rows, false_key_rows, replaced_count
+from cvpuk.adversary import clone_rows, false_key_sums, replaced_count
 from cvpuk.experiments import STREAM_CHUNK
+from cvpuk.homodyne import p_in_theoretical
 from cvpuk.protocol import hit_probabilities, hit_probability, verify_block
 from cvpuk.scattering import masked_sums
 
@@ -62,14 +63,15 @@ def _coefficients(parts, variance):
     return math.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
 
 
-def _reference_false_keys(config):
-    """Every false key of a config, each chunk drawn in full from ``(2, c)``."""
-    n, variance = config.n_modes, (1.0 - config.l_over_L) / config.n_modes
-    keys = []
+def _reference_false_key_sums(config):
+    """The masked sum of every false key of a config, each chunk's
+    ``(256, 2, 1)`` normals drawn in full from ``(2, c)``."""
+    variance = config.tau * (1.0 - config.l_over_L) / config.n_modes
+    sums = []
     for chunk in range(-(-config.trials // STREAM_CHUNK)):
-        parts = substream(config.seed, 2, chunk).standard_normal((STREAM_CHUNK, 2, n))
-        keys.extend(_key(_coefficients(row, variance), n, config.l_over_L) for row in parts)
-    return keys[:config.trials]
+        parts = substream(config.seed, 2, chunk).standard_normal((STREAM_CHUNK, 2, 1))
+        sums.extend(_coefficients(row, variance)[0] for row in parts)
+    return sums[:config.trials]
 
 
 def _reference_clones(config, n_index, d_index):
@@ -104,44 +106,55 @@ class _Drawn:
         return self.hits
 
 
-def _reference_verdicts(keys, database, config, *path):
-    """``(p_in, accepted)`` of every key, one binomial draw per full chunk of
-    ``path + (c,)``; the verdict comes from ``verify`` given that count.
-    Row 0 of each chunk must also be what ``verify`` draws on its own."""
-    verification = config.verification()
+def _reference_verdicts(p_bars, database, config, *path):
+    """``(p_in, accepted)`` of every trial given its ``p̄``, one binomial draw
+    per full chunk of ``path + (c,)``; the verdict is the protocol's rule
+    ``|p_in - P_in| < epsilon``."""
+    expected = p_in_theoretical(database.channel)
     outcomes = []
-    for start in range(0, len(keys), STREAM_CHUNK):
-        chunk_keys = keys[start:start + STREAM_CHUNK]
-        p_bars = [hit_probability(key, database) for key in chunk_keys]
-        p_bars += [0.5] * (STREAM_CHUNK - len(p_bars))
-        stream = (config.seed, *path, start // STREAM_CHUNK)
-        hits = substream(*stream).binomial(config.m_sessions, p_bars)
-        alone = verify(chunk_keys[0], database, verification, substream(*stream))
-        assert alone.hits == hits[0]
-        for key, count in zip(chunk_keys, hits):
-            report = verify(key, database, verification, _Drawn(count))
-            outcomes.append((report.p_in, report.accepted))
+    for start in range(0, len(p_bars), STREAM_CHUNK):
+        chunk = list(p_bars[start:start + STREAM_CHUNK])
+        padded = chunk + [0.5] * (STREAM_CHUNK - len(chunk))
+        hits = substream(config.seed, *path, start // STREAM_CHUNK).binomial(
+            config.m_sessions, padded)
+        for count in hits[:len(chunk)]:
+            p_in = count / config.m_sessions
+            outcomes.append((p_in, abs(p_in - expected) < config.epsilon))
     return outcomes
 
 
 def _reference_response_cloud(config):
-    true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
-    mask = optimal_mask(true_key, config.tau)
-    return [_point(key, config, mask) for key in _reference_false_keys(config)]
+    amplitude = math.sqrt(config.mu_p)
+    points = [Response.from_amplitude(total * amplitude)
+              for total in _reference_false_key_sums(config)]
+    return [(point.x, point.y) for point in points]
 
 
 def _reference_collision(config):
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
     database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
-    return _reference_verdicts(_reference_false_keys(config), database, config, 3)
+    p_bars = [hit_probabilities(np.array([total]), database)[0]
+              for total in _reference_false_key_sums(config)]
+    return _reference_verdicts(p_bars, database, config, 3)
 
 
 def _reference_clone_cluster(config, n_index, d_index):
-    """Points, p_ins and verdicts of one clone cluster."""
+    """Points, p_ins and verdicts of one clone cluster.  Each verdict must be
+    what ``verify`` gives the clone's count, and row 0 of each chunk what
+    ``verify`` draws on its own from the chunk's stream."""
     true_key, clones = _reference_clones(config, n_index, d_index)
     database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
+    verification = config.verification()
     points = [_point(clone, config, database.mask) for clone in clones]
-    outcomes = _reference_verdicts(clones, database, config, 6, n_index, d_index)
+    p_bars = [hit_probability(clone, database) for clone in clones]
+    outcomes = _reference_verdicts(p_bars, database, config, 6, n_index, d_index)
+    for trial, (clone, (p_in, accepted)) in enumerate(zip(clones, outcomes)):
+        count = round(p_in * config.m_sessions)
+        report = verify(clone, database, verification, _Drawn(count))
+        assert (report.p_in, report.accepted) == (p_in, accepted)
+        if trial % STREAM_CHUNK == 0:
+            stream = substream(config.seed, 6, n_index, d_index, trial // STREAM_CHUNK)
+            assert verify(clone, database, verification, stream).hits == count
     return points, [p for p, _ in outcomes], [v for _, v in outcomes]
 
 
@@ -306,17 +319,19 @@ def test_zero_fraction_builds_no_clone_stream(monkeypatch):
     assert clone_paths == [(5, i, 1, c) for i in range(2) for c in range(2)]
     assert sorted(p for p in paths if p[0] == 6) == [
         (6, i, d, c) for i in range(2) for d in range(2) for c in range(2)]
-    zero_blocks = [block for fraction, block in rows if fraction == 0.0]
-    assert len(zero_blocks) == 4
+    # a D = 0 clone is the true key: no block is built, its one masked sum is reused
+    assert [fraction for fraction, _ in rows] == [0.05] * 4
     for n_index, n_modes in enumerate(config.mode_counts):
         true_key = generate_key(n_modes, config.l_over_L, substream(43, 4, n_index))
-        for block in zero_blocks[2 * n_index:2 * n_index + 2]:
-            assert block.shape == (STREAM_CHUNK, n_modes)
-            assert block.tobytes() == np.tile(true_key.coefficients, (STREAM_CHUNK, 1)).tobytes()
+        database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
+        expected = _point(true_key, config, database.mask)
         true_response, points, summaries = result.clouds[n_modes]
-        assert all((x, y) == (true_response.x, true_response.y)
-                   for fraction, _, x, y in points if fraction == 0.0)
+        assert (true_response.x, true_response.y) == expected
+        zero_points = [(x, y) for fraction, _, x, y in points if fraction == 0.0]
+        assert zero_points == [expected] * config.trials
         assert summaries[0][3] == 0.0
+        histogram = result.histograms[(n_modes, 0.0)]
+        assert histogram.counts.sum() == config.trials
 
 
 # no trials, one trial, a whole number of chunks (16 at one mode, one at
@@ -362,11 +377,12 @@ def test_edge_block_sizes_match_isolated_clones(n_modes, trials):
 def test_block_builders_match_single_keys():
     true_key = generate_key(64, 0.2, substream(61, 0))
 
-    impostors = false_key_rows(64, 0.2, 5, substream(61, 1))
-    assert np.array_equal(impostors[0], false_key(64, 0.2, substream(61, 1)).coefficients)
-    parts = substream(61, 1).standard_normal((8, 2, 64))
-    for row, row_parts in zip(impostors, parts):
-        assert np.array_equal(row, _coefficients(row_parts, true_key.variance))
+    sums = false_key_sums(64, 0.2, 0.8, 5, substream(61, 1))
+    assert sums.shape == (5,)
+    assert sums[:1].tobytes() == false_key_sums(64, 0.2, 0.8, 1, substream(61, 1)).tobytes()
+    parts = substream(61, 1).standard_normal((8, 2, 1))
+    for total, row_parts in zip(sums, parts):
+        assert total == _coefficients(row_parts, 0.8 * true_key.variance)[0]
 
     clone, replaced = clone_key(true_key, 0.25, substream(61, 2))
     assert np.array_equal(clone_rows(true_key, 0.25, 1, substream(61, 2))[0],
@@ -383,7 +399,10 @@ def test_block_builders_match_single_keys():
         expected[order[:16]] = _coefficients(row_normals, true_key.variance)
         assert np.array_equal(row, expected)
 
-    assert false_key_rows(64, 0.2, 0, substream(61, 1)).shape == (0, 64)
+    assert false_key_sums(64, 0.2, 0.8, 0, substream(61, 1)).shape == (0,)
+    for tau in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match="tau"):
+            false_key_sums(64, 0.2, tau, 1, substream(61, 1))
     assert clone_rows(true_key, 0.25, 0, substream(61, 2)).shape == (0, 64)
     # a fraction that replaces nothing copies the key and never touches the stream
     assert clone_rows(true_key, 0.0, 3, None).tobytes() == np.tile(
@@ -401,7 +420,7 @@ def test_block_builders_refuse_non_finite_rows():
             return np.zeros(shape)
 
     with pytest.raises(ValueError, match="finite"):
-        false_key_rows(4, 0.2, 2, Poisoned())
+        false_key_sums(4, 0.2, 0.8, 2, Poisoned())
     with pytest.raises(ValueError, match="finite"):
         clone_rows(true_key, 0.5, 1, Poisoned())
 
@@ -445,6 +464,9 @@ def test_block_verification_equals_single_verifications():
     sums = masked_sums(np.array([k.coefficients for k in keys]), 0.8, database.mask)
     p_bars = hit_probabilities(sums, database)
     assert p_bars.tolist() == [hit_probability(key, database) for key in keys]
+    # equal sums, evaluated once, still give every row its own p̄
+    repeats = [0, 3, 0, 0, 3, 1]
+    assert hit_probabilities(sums[repeats], database).tolist() == p_bars[repeats].tolist()
     p_ins, verdicts = verify_block(sums, database, config.verification(), substream(64, 2))
     hits = substream(64, 2).binomial(1000, p_bars.tolist())
     assert p_ins.tolist() == (hits / 1000).tolist()

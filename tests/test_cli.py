@@ -74,6 +74,13 @@ def test_thresholds_bad_flag_exits_2_without_output(capsys, flag, value):
     assert captured.err.startswith("error: ")
 
 
+def test_thresholds_out_of_range_threshold_exits_2_naming_the_photons_per_mode(capsys):
+    assert main(["thresholds", "--mu-c", "1e-310"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: photons per mode ")
+
+
 def test_enroll_writes_key_and_database(tmp_path):
     config_path = tmp_path / "config.json"
     _write_enroll_config(config_path)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import filecmp
 import math
@@ -9,7 +10,6 @@ from cvpuk import (
     CampaignConfig,
     Histogram,
     e_threshold,
-    false_key,
     m_threshold,
     run_campaign,
     run_clone_experiments,
@@ -17,12 +17,12 @@ from cvpuk import (
     run_enhancement_condition,
     run_response_cloud,
     substream,
-    verify,
 )
-from cvpuk.experiments import REPORTED_ENHANCEMENT_BAND, STREAM_CHUNK
+from cvpuk import experiments
+from cvpuk.experiments import EXPERIMENT_IDS, REPORTED_ENHANCEMENT_BAND, STREAM_CHUNK
 from cvpuk import HomodyneChannel, VerificationConfig, enroll_exact, generate_key, ProbeSet
-from cvpuk.protocol import hit_probability
-from cvpuk.scattering import ScatteringKey
+from cvpuk.adversary import false_key_sums
+from cvpuk.protocol import hit_probabilities, verify_block
 
 
 def test_config_validation():
@@ -149,23 +149,20 @@ def test_collision_histogram_trials_are_order_independent():
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
     database = enroll_exact(true_key, config.tau, probes, channel)
     verification = VerificationConfig(config.m_sessions, config.epsilon, config.zeta)
-    # trial 7 is row 7 of chunk 0: its key is row 7 of the chunk's normal
-    # block, and its hit count the 8th of one binomial draw over the chunk
-    parts = substream(config.seed, 2, 0).standard_normal((STREAM_CHUNK, 2, config.n_modes))
-    variance = (1.0 - config.l_over_L) / config.n_modes
-    impostors = [
-        ScatteringKey(math.sqrt(variance / 2.0) * (row[0] + 1j * row[1]), config.n_modes, 0,
-                      config.l_over_L)
-        for row in parts[:8]
-    ]
+    # trial 7 is row 7 of chunk 0: its masked sum is row 7 of the chunk's
+    # (256, 2, 1) normal block, and its hit count the 8th of one binomial draw
+    parts = substream(config.seed, 2, 0).standard_normal((STREAM_CHUNK, 2, 1))
+    variance = config.tau * (1.0 - config.l_over_L) / config.n_modes
+    sums = math.sqrt(variance / 2.0) * (parts[:8, 0, 0] + 1j * parts[:8, 1, 0])
     hits = substream(config.seed, 3, 0).binomial(
-        config.m_sessions, [hit_probability(key, database) for key in impostors])
+        config.m_sessions, [hit_probabilities(sums[i:i + 1], database)[0] for i in range(8)])
     assert hits[7] / config.m_sessions == result.false_p_ins[7]
-    # row 0 of a chunk is what the one-key functions give on the chunk's streams
-    first = false_key(config.n_modes, config.l_over_L, substream(config.seed, 2, 0))
-    assert np.array_equal(first.coefficients, impostors[0].coefficients)
-    report = verify(first, database, verification, substream(config.seed, 3, 0))
-    assert report.p_in == result.false_p_ins[0]
+    # row 0 of a chunk is what a one-row draw gives on the chunk's streams
+    first = false_key_sums(config.n_modes, config.l_over_L, config.tau, 1,
+                           substream(config.seed, 2, 0))
+    assert first.tobytes() == sums[:1].tobytes()
+    p_ins, _ = verify_block(first, database, verification, substream(config.seed, 3, 0))
+    assert p_ins[0] == result.false_p_ins[0]
 
 
 def test_collision_histogram_reproducible():
@@ -400,6 +397,36 @@ def test_campaign_outputs_are_byte_identical(tmp_path):
     second = run_campaign(cheat, tmp_path / "d")
     for key in first:
         assert filecmp.cmp(first[key], second[key], shallow=False), key
+
+
+def _csv_writer_oracle(path, header, rows):
+    """The artifact writer as ``csv.writer`` does it: floats by ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def test_write_csv_bytes_equal_csv_writer(tmp_path, monkeypatch):
+    header = ("a", "b", "c")
+    rows = [(0, -0.0, 1e-300), (5e-324, 0.1 + 0.2, -(2**70)), (1 / 3, -7, 1.7976931348623157e308),
+            (2.0, math.pi * 1e-17, 123456789.12345679)]
+    experiments._write_csv(tmp_path / "fast.csv", header, rows)
+    _csv_writer_oracle(tmp_path / "oracle.csv", header, rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    # every artifact of every campaign
+    configs = [CampaignConfig(experiment_id=eid, trials=20, m_sessions=100, n_modes=16,
+                              mode_counts=(4, 16), seed=14) for eid in EXPERIMENT_IDS]
+    fast = {c.experiment_id: run_campaign(c, tmp_path / "fast" / c.experiment_id)
+            for c in configs}
+    monkeypatch.setattr(experiments, "_write_csv", _csv_writer_oracle)
+    for config in configs:
+        paths = run_campaign(config, tmp_path / "oracle" / config.experiment_id)
+        assert set(paths) == set(fast[config.experiment_id])
+        for key, path in paths.items():
+            assert path.read_bytes() == fast[config.experiment_id][key].read_bytes(), key
 
 
 @pytest.mark.parametrize("experiment_id,campaign", [

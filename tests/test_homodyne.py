@@ -9,6 +9,7 @@ import pytest
 
 from cvpuk import (
     HALF_PI,
+    CampaignConfig,
     CrpDatabase,
     HomodyneChannel,
     ProbeSet,
@@ -21,6 +22,7 @@ from cvpuk import (
     substream,
     verify,
 )
+from cvpuk import experiments
 from cvpuk.homodyne import quadrature_means
 from cvpuk.protocol import _bins
 from cvpuk.scattering import masked_sums
@@ -234,6 +236,18 @@ def test_channel_bracket_warnings():
         warnings.simplefilter("error")
         HomodyneChannel(0.55, 2.0 * sigma)
         HomodyneChannel(0.55, 3.99 * sigma)
+
+
+def test_channel_bracket_warning_names_the_caller():
+    with pytest.warns(UserWarning) as record:
+        HomodyneChannel(0.55, 5.0)
+        HomodyneChannel.from_delta_ratio(0.55, 5.0)
+    assert [w.filename for w in record] == [__file__, __file__]
+    assert record[1].lineno == record[0].lineno + 1
+    # built inside the package, the warning names the package line that built it
+    with pytest.warns(UserWarning) as record:
+        CampaignConfig(experiment_id="response_cloud", delta_over_sigma=5.0).channel()
+    assert [w.filename for w in record] == [experiments.__file__]
 
 
 def test_channel_json_roundtrip():

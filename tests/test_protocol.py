@@ -79,6 +79,14 @@ def test_e_threshold_values():
         e_threshold(5e-324, 121, 0.2)
 
 
+def test_e_threshold_out_of_range_names_the_photons_per_mode():
+    # 1e-310 overflows the square, 1e-308 only the factor 16; 1e-305 still fits
+    for mean_challenge_photons in (1e-310, 3e-309, 1e-308):
+        with pytest.raises(ValueError, match="photons per mode"):
+            e_threshold(mean_challenge_photons, 1, 0.0)
+    assert e_threshold(1e-305, 1, 0.0) == 16.0 * (1.0 + 0.75 / math.sqrt(1e-305)) ** 2
+
+
 def test_radii_values():
     rho_false, rho_true = radii(2000.0, 0.8 / 256, 201.0)
     assert rho_false == 10.0

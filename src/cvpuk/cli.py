@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
 from . import jsonio
-from .experiments import REAL_INTERVALS, CampaignConfig, run_campaign
+from .experiments import CampaignConfig, run_campaign
 from .homodyne import HomodyneChannel, ProbeSet, p_in_theoretical
 from .protocol import (
     CrpDatabase,
@@ -31,7 +30,7 @@ def _cmd_thresholds(args) -> int:
     # every flag is checked, and every constant computed, before one is printed
     for name in ("epsilon", "zeta", "l_over_L", "delta_over_sigma", "eta"):
         jsonio.require_real(f"--{name.replace('_', '-')}", getattr(args, name),
-                            REAL_INTERVALS[name])
+                            jsonio.REAL_INTERVALS[name])
     jsonio.require_real("--mu-c", args.mu_c, "(0, inf)")
     channel = HomodyneChannel.from_delta_ratio(args.eta, args.delta_over_sigma)
     expected_enhancement = math.pi * args.n_modes / 4.0
@@ -60,7 +59,7 @@ def _cmd_enroll(args) -> int:
         seed = jsonio.require_int("seed", config.get("seed", 0))
 
     def real(name):
-        return jsonio.require_real(name, config[name], REAL_INTERVALS[name])
+        return jsonio.require_real(name, config[name], jsonio.REAL_INTERVALS[name])
 
     n_modes = jsonio.require_int("n_modes", config["n_modes"])
     tau = real("tau")
@@ -118,11 +117,9 @@ def _cmd_verify(args) -> int:
     print(report_path)
     if args.trace:
         trace_path = out_dir / "trace.csv"
-        with open(trace_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("k", "theta", "outcome", "hit"))
-            for k, theta, outcome, hit in report.session_trace:
-                writer.writerow((k, repr(theta), repr(outcome), int(hit)))
+        jsonio.write_csv(trace_path, ("k", "theta", "outcome", "hit"),
+                         ((k, theta, outcome, int(hit))
+                          for k, theta, outcome, hit in report.session_trace))
         print(trace_path)
     print(f"p_in = {report.p_in!r}  P_in = {report.p_in_expected!r}  "
           f"{'ACCEPT' if report.accepted else 'REJECT'}")

@@ -82,15 +82,6 @@ __all__ = [
     "run_campaign",
 ]
 
-EXPERIMENT_IDS = (
-    "response_cloud",
-    "enhancement_condition",
-    "collision_histogram",
-    "clone_cloud",
-    "clone_histograms",
-    "cheating_curve",
-)
-
 # span of intensity enhancements reported for existing wavefront-shaping
 # set-ups, used as an overlay band in the enhancement-condition table
 REPORTED_ENHANCEMENT_BAND = (50.0, 1000.0)
@@ -98,23 +89,6 @@ REPORTED_ENHANCEMENT_BAND = (50.0, 1000.0)
 # trials per chunk of a campaign's random streams; part of the stream
 # layout (see the table above), so changing it changes every artifact
 STREAM_CHUNK = 256
-
-# allowed interval of every real-valued config field; a tuple field's
-# interval applies to each of its entries.  The enroll config and the
-# thresholds flags of the command line check their real fields against
-# the same table.  The floor of histogram_bin caps a histogram at 10,000 bins.
-REAL_INTERVALS = {
-    "l_over_L": "[0, 1)",
-    "mu_p": "(0, inf)",
-    "tau": "(0, 1]",
-    "eta": "(0, 1]",
-    "delta_over_sigma": "(0, inf)",
-    "epsilon": "(0, 1)",
-    "zeta": "(0, 1)",
-    "histogram_bin": "[0.0001, 1]",
-    "d_values": "[0, 1]",
-    "photons_per_mode_values": "(0, inf)",
-}
 
 
 @dataclass(frozen=True)
@@ -157,7 +131,7 @@ class CampaignConfig:
             self, "mode_counts",
             tuple(jsonio.require_int("mode_counts", n) for n in self.mode_counts),
         )
-        for name, interval in REAL_INTERVALS.items():
+        for name, interval in jsonio.REAL_INTERVALS.items():
             value = getattr(self, name)
             if name in ("d_values", "photons_per_mode_values"):
                 value = tuple(jsonio.require_real(name, entry, interval) for entry in value)
@@ -166,8 +140,7 @@ class CampaignConfig:
             object.__setattr__(self, name, value)
         if self.n_modes < 1:
             raise ValueError("n_modes must be at least 1")
-        if self.n_probe_states <= 2:
-            raise ValueError("a probe set must contain more than 2 states")
+        self.probe_set()  # checks n_probe_states against the probe set's bounds
         self.verification()  # checks m_sessions against the protocol's bounds
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
@@ -475,18 +448,6 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     )
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Comma-separated header and rows, each value by ``repr``.
-
-    Rows are tuples of Python ints and floats, which no CSV quoting
-    touches, so one format string gives the bytes ``csv.writer`` would.
-    """
-    row_format = ",".join(["%r"] * len(header)) + "\n"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(map(row_format.__mod__, rows))
-
-
 def _collision_campaign(config: CampaignConfig):
     result = run_collision_histogram(config)
     files = {"histogram": ("histogram.csv", ("bin_left", "bin_right", "count"),
@@ -578,6 +539,7 @@ _CAMPAIGNS = {
     "clone_histograms": _clone_histograms_campaign,
     "cheating_curve": _cheating_campaign,
 }
+EXPERIMENT_IDS = tuple(_CAMPAIGNS)
 
 
 def run_campaign(config: CampaignConfig, out_dir) -> dict[str, Path]:
@@ -597,7 +559,7 @@ def run_campaign(config: CampaignConfig, out_dir) -> dict[str, Path]:
     jsonio.dump(config.to_dict(), paths["config"])
     for key, (name, header, rows) in files.items():
         paths[key] = out_dir / name
-        _write_csv(paths[key], header, rows)
+        jsonio.write_csv(paths[key], header, rows)
     paths["summary"] = out_dir / "summary.json"
     jsonio.dump(summary, paths["summary"])
     return paths

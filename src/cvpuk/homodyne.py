@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import require_real
+from .jsonio import REAL_INTERVALS, require_real
 
 __all__ = [
     "HALF_PI",
@@ -117,7 +117,7 @@ class HomodyneChannel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HomodyneChannel":
-        return cls(require_real("channel.efficiency", data["efficiency"], "(0, 1]"),
+        return cls(require_real("channel.efficiency", data["efficiency"], REAL_INTERVALS["eta"]),
                    require_real("channel.bin_width", data["bin_width"], "(0, inf)"))
 
 

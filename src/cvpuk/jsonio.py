@@ -1,69 +1,87 @@
-"""JSON serialization with full-precision floats.
+"""Artifact files: every file the package writes, and the checks of its readers.
 
-Serialized artifacts are reloaded and replayed by acceptance checks, so
-floats are rendered with 17 significant digits, enough to reconstruct
-the exact IEEE-754 double on load, and an integral float keeps a
-decimal point (``2500.0``), so it reloads as a float rather than an
-int.  Numpy integer, floating and bool scalars are written like their
-Python counterparts.  Output is deterministic: the same document always
-produces the same bytes.  Non-finite numbers are refused both ways:
-``dumps`` will not write them and ``load`` will not read them.
+:func:`dump` writes JSON through the standard encoder and
+:func:`write_csv` writes CSV rows with ``%r``, so a float is written by
+its shortest round-trip repr (``0.1``, ``2500.0``): it reloads as the
+exact IEEE-754 double, and an integral float as a float, not an int.
+Numpy scalars are written like their Python counterparts.  The same
+document always gives the same bytes.  Non-finite numbers are refused
+both ways: ``dumps`` will not write them and ``load`` will not read them.
+A file is written to ``<name>.tmp`` and renamed over its target, so a
+reader never sees a torn file.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
 import operator
+import os
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["dumps", "dump", "load", "require_int", "require_real"]
+__all__ = ["REAL_INTERVALS", "dumps", "dump", "write_csv", "load", "require_int", "require_real"]
+
+# allowed interval of every real-valued config field; a tuple field's
+# interval applies to each of its entries.  Campaign and enroll configs,
+# the thresholds flags and the key and database readers all check their
+# real fields here.  The floor of histogram_bin caps a histogram at 10,000 bins.
+REAL_INTERVALS = {
+    "l_over_L": "[0, 1)",
+    "mu_p": "(0, inf)",
+    "tau": "(0, 1]",
+    "eta": "(0, 1]",
+    "delta_over_sigma": "(0, inf)",
+    "epsilon": "(0, 1)",
+    "zeta": "(0, 1)",
+    "histogram_bin": "[0.0001, 1]",
+    "d_values": "[0, 1]",
+    "photons_per_mode_values": "(0, inf)",
+}
 
 
-def _render(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(key))}: {_render(val, indent + 1)}"
-            for key, val in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_render(val, indent + 1)}" for val in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError("cannot serialize non-finite float")
-        text = format(value, ".17g")
-        return text if "." in text or "e" in text else text + ".0"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
+def _scalar(value):
+    """A numpy scalar as the Python scalar the JSON encoder writes."""
+    if isinstance(value, (np.bool_, np.integer, np.floating)):
+        return value.item()
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps(document) -> str:
-    """Render a document as pretty-printed JSON with full-precision floats."""
-    return _render(document, 0) + "\n"
+    """Render a document as JSON indented by two spaces, floats by ``repr``."""
+    return json.dumps(document, indent=2, allow_nan=False, default=_scalar) + "\n"
+
+
+def _write(path, chunks) -> None:
+    """Write text chunks to ``<path>.tmp``, then rename it over ``path``; on
+    any exception the temporary file is removed and ``path`` is left as it was."""
+    path = Path(path)
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        with open(temporary, "w", newline="", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def dump(document, path) -> None:
-    Path(path).write_text(dumps(document), encoding="utf-8")
+    _write(path, [dumps(document)])
+
+
+def write_csv(path, header, rows) -> None:
+    """Comma-separated header and rows, each value by ``repr``.
+
+    Rows are tuples of Python ints and floats, which no CSV quoting
+    touches, so one format string gives the bytes ``csv.writer`` would.
+    """
+    row_format = ",".join(["%r"] * len(header)) + "\n"
+    _write(path, itertools.chain([",".join(header) + "\n"], map(row_format.__mod__, rows)))
 
 
 def _finite_float(text: str) -> float:

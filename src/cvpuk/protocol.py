@@ -42,7 +42,7 @@ from .homodyne import (
     p_in_theoretical,
     quadrature_means,
 )
-from .jsonio import require_int, require_real
+from .jsonio import REAL_INTERVALS, require_int, require_real
 from .scattering import (
     PhaseMask,
     ScatteringKey,
@@ -135,7 +135,7 @@ class CrpDatabase:
         probe_set = ProbeSet(
             require_int("probe_set.size", data["probe_set"]["size"]),
             require_real("probe_set.mean_photons", data["probe_set"]["mean_photons"],
-                         "(0, inf)"),
+                         REAL_INTERVALS["mu_p"]),
         )
         records = sorted(data["records"], key=lambda r: require_int("k", r["k"]))
         if [r["k"] for r in records] != list(range(probe_set.size)):
@@ -154,7 +154,7 @@ class CrpDatabase:
             xi=[record(r, "xi", "[0, inf)") for r in records],
             probe_set=probe_set,
             channel=HomodyneChannel.from_dict(data["channel"]),
-            setup_loss=require_real("setup_loss", data["setup_loss"], "(0, 1]"),
+            setup_loss=require_real("setup_loss", data["setup_loss"], REAL_INTERVALS["tau"]),
         )
 
 

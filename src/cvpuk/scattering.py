@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import require_int, require_real
+from .jsonio import REAL_INTERVALS, require_int, require_real
 
 __all__ = [
     "DegenerateKeyError",
@@ -90,8 +90,8 @@ class ScatteringKey:
             raise ValueError(
                 f"expected {self.mode_count} coefficients, got shape {coefficients.shape}"
             )
-        if not 0.0 <= self.l_over_L <= 1.0:
-            raise ValueError("l_over_L must lie in [0, 1]")
+        if not 0.0 <= self.l_over_L < 1.0:
+            raise ValueError("l_over_L must lie in [0, 1)")
         require_finite(coefficients)
         coefficients.flags.writeable = False
 
@@ -113,7 +113,7 @@ class ScatteringKey:
     @classmethod
     def from_dict(cls, data: dict) -> "ScatteringKey":
         mode_count = require_int("mode_count", data["mode_count"])
-        l_over_L = require_real("l_over_L", data["l_over_L"], "[0, 1]")
+        l_over_L = require_real("l_over_L", data["l_over_L"], REAL_INTERVALS["l_over_L"])
         coefficients = np.array(
             [_coefficient(index, pair) for index, pair in enumerate(data["coefficients"])],
             dtype=complex,
@@ -271,8 +271,6 @@ def enhancement(key: ScatteringKey, tau: float, mask: PhaseMask,
     """
     if not mean_challenge_photons > 0.0:
         raise ValueError("mean_challenge_photons must be positive")
-    if not key.variance > 0.0:
-        raise ValueError("a zero-variance key has no enhancement reference")
     # scale by the probe amplitude only after scattered_amplitude has
     # checked tau; the product carries the same bits either way
     amplitude = scattered_amplitude(key, tau, mask, 1.0)

@@ -57,3 +57,33 @@ def test_clone_key_returns_the_clone_and_its_replaced_positions():
     assert replaced.dtype.kind == "i" and replaced.shape == (4,)
     changed = np.flatnonzero(clone.coefficients != true_key.coefficients)
     assert changed.tolist() == sorted(replaced.tolist())
+
+
+def _file_writes(tree):
+    """Line numbers of ``csv`` imports and of calls that open a file for writing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names) \
+                or isinstance(node, ast.ImportFrom) and node.module == "csv":
+            yield node.lineno
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("write_text", "write_bytes"):
+                yield node.lineno
+            elif name == "open":
+                # builtin open(path, mode) or Path.open(mode); a mode that is
+                # not a literal string counts as writing
+                modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                modes += [keyword.value for keyword in node.keywords if keyword.arg == "mode"]
+                if any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+                       or set("wax+") & set(mode.value) for mode in modes):
+                    yield node.lineno
+
+
+def test_only_jsonio_writes_files():
+    writers = {}
+    for path in sorted((ROOT / "src" / "cvpuk").glob("*.py")):
+        lines = list(_file_writes(ast.parse(path.read_text(encoding="utf-8"))))
+        if lines:
+            writers[path.stem] = lines
+    assert list(writers) == ["jsonio"], writers

@@ -116,6 +116,26 @@ def test_enroll_accepts_existing_key(tmp_path):
     assert written.target_mode == 2
 
 
+def test_zero_variance_key_file_exits_2_without_output(tmp_path, capsys):
+    # l_over_L = 1 would give the key variance 0; enroll and verify both refuse it
+    key_path = tmp_path / "key.json"
+    jsonio.dump(dict(generate_key(16, 0.2, substream(77, 0)).to_dict(), l_over_L=1.0), key_path)
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, n_modes=16)
+    assert main(["enroll", "--config", str(config_path), "--out", str(tmp_path / "db")]) == 0
+    capsys.readouterr()
+
+    _write_enroll_config(config_path, n_modes=16, key_path=str(key_path))
+    assert main(["enroll", "--config", str(config_path), "--out", str(tmp_path / "enrolled")]) == 2
+    verify_args = ["verify", "--database", str(tmp_path / "db" / "database.json"),
+                   "--key", str(key_path), "--out", str(tmp_path / "verified"), "--trace"]
+    assert main(verify_args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: l_over_L must be finite and lie in [0, 1)") == 2
+    assert not (tmp_path / "enrolled").exists() and not (tmp_path / "verified").exists()
+
+
 def test_enroll_missing_config_exits_2(tmp_path, capsys):
     assert main([
         "enroll", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path),

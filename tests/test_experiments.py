@@ -18,7 +18,8 @@ from cvpuk import (
     run_response_cloud,
     substream,
 )
-from cvpuk import experiments
+from cvpuk import jsonio
+from cvpuk.cli import main
 from cvpuk.experiments import EXPERIMENT_IDS, REPORTED_ENHANCEMENT_BAND, STREAM_CHUNK
 from cvpuk import HomodyneChannel, VerificationConfig, enroll_exact, generate_key, ProbeSet
 from cvpuk.adversary import false_key_sums
@@ -412,21 +413,35 @@ def test_write_csv_bytes_equal_csv_writer(tmp_path, monkeypatch):
     header = ("a", "b", "c")
     rows = [(0, -0.0, 1e-300), (5e-324, 0.1 + 0.2, -(2**70)), (1 / 3, -7, 1.7976931348623157e308),
             (2.0, math.pi * 1e-17, 123456789.12345679)]
-    experiments._write_csv(tmp_path / "fast.csv", header, rows)
+    jsonio.write_csv(tmp_path / "fast.csv", header, rows)
     _csv_writer_oracle(tmp_path / "oracle.csv", header, rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    # every artifact of every campaign
+    # every artifact of every campaign, and the trace of a traced verification
     configs = [CampaignConfig(experiment_id=eid, trials=20, m_sessions=100, n_modes=16,
                               mode_counts=(4, 16), seed=14) for eid in EXPERIMENT_IDS]
-    fast = {c.experiment_id: run_campaign(c, tmp_path / "fast" / c.experiment_id)
-            for c in configs}
-    monkeypatch.setattr(experiments, "_write_csv", _csv_writer_oracle)
-    for config in configs:
-        paths = run_campaign(config, tmp_path / "oracle" / config.experiment_id)
-        assert set(paths) == set(fast[config.experiment_id])
-        for key, path in paths.items():
-            assert path.read_bytes() == fast[config.experiment_id][key].read_bytes(), key
+    key = generate_key(16, 0.2, substream(14, 0))
+    database = enroll_exact(key, 0.8, ProbeSet(11, 2500.0),
+                            HomodyneChannel.from_delta_ratio(0.55, 2.0))
+    jsonio.dump(key.to_dict(), tmp_path / "key.json")
+    jsonio.dump(database.to_dict(), tmp_path / "database.json")
+
+    def artifacts(root):
+        paths = {(config.experiment_id, name): path for config in configs
+                 for name, path in run_campaign(config, root / config.experiment_id).items()}
+        main(["verify", "--database", str(tmp_path / "database.json"),
+              "--key", str(tmp_path / "key.json"), "--sessions", "200", "--trace",
+              "--out", str(root / "verify")])
+        for name in ("report.json", "trace.csv"):
+            paths[("verify", name)] = root / "verify" / name
+        return paths
+
+    fast = artifacts(tmp_path / "fast")
+    monkeypatch.setattr(jsonio, "write_csv", _csv_writer_oracle)
+    oracle = artifacts(tmp_path / "oracle")
+    assert set(oracle) == set(fast)
+    for name, path in oracle.items():
+        assert path.read_bytes() == fast[name].read_bytes(), name
 
 
 @pytest.mark.parametrize("experiment_id,campaign", [

@@ -7,9 +7,21 @@ import pytest
 from cvpuk import jsonio
 
 
-def test_floats_carry_seventeen_significant_digits():
-    text = jsonio.dumps({"value": 0.1})
-    assert "0.10000000000000001" in text
+def test_floats_are_written_by_their_shortest_repr():
+    values = [0.1, 1.0 / 3.0, math.pi, 2.0**-40, 1e300, 5e-324, -0.0, 2500.0, 1e16, 1e17,
+              123456789.123456789, 0.1 + 0.2, np.float64(0.1), np.float32(0.1)]
+    tokens = jsonio.dumps(values)[1:-2].split(",")
+    assert [token.strip() for token in tokens] == [repr(float(value)) for value in values]
+
+
+def test_layout_of_a_nested_document():
+    document = {"a": [1, 2.5, {"b": [], "c": {}}], "d": {}, "e": [[]], "f": None,
+                "g": True, "h": "x\u00e9"}
+    assert jsonio.dumps(document) == (
+        '{\n  "a": [\n    1,\n    2.5,\n    {\n      "b": [],\n      "c": {}\n    }\n  ],\n'
+        '  "d": {},\n  "e": [\n    []\n  ],\n  "f": null,\n  "g": true,\n'
+        '  "h": "x\\u00e9"\n}\n'
+    )
 
 
 def test_round_trip_reconstructs_exact_doubles():
@@ -20,10 +32,9 @@ def test_round_trip_reconstructs_exact_doubles():
 
 
 def test_rejects_non_finite_floats():
-    with pytest.raises(ValueError):
-        jsonio.dumps({"value": math.nan})
-    with pytest.raises(ValueError):
-        jsonio.dumps({"value": math.inf})
+    for value in (math.nan, math.inf, -math.inf, np.float32(math.nan), np.float32(math.inf)):
+        with pytest.raises(ValueError):
+            jsonio.dumps({"value": value})
 
 
 def test_load_rejects_non_finite_numbers(tmp_path):
@@ -110,3 +121,17 @@ def test_output_is_deterministic(tmp_path):
 def test_empty_containers():
     assert json.loads(jsonio.dumps({})) == {}
     assert json.loads(jsonio.dumps([])) == []
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    target = tmp_path / "table.csv"
+    jsonio.write_csv(target, ("a",), [(1,)])
+
+    def rows():
+        yield (2,)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        jsonio.write_csv(target, ("a",), rows())
+    assert target.read_bytes() == b"a\n1\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["table.csv"]

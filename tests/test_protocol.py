@@ -154,7 +154,7 @@ def test_enroll_exact_response_power_identity():
 
 def test_enroll_exact_degenerate_key():
     _, tau, probes, channel = _setup(n_modes=4)
-    dead = ScatteringKey(np.zeros(4, dtype=complex), 4, 0, 1.0)
+    dead = ScatteringKey(np.zeros(4, dtype=complex), 4, 0, 0.0)
     with pytest.raises(DegenerateKeyError):
         enroll_exact(dead, tau, probes, channel)
 

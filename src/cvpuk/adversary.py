@@ -35,10 +35,9 @@ __all__ = [
 ]
 
 
-def false_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
-              target_mode: int = 0) -> ScatteringKey:
+def false_key(mode_count: int, l_over_L: float, rng: np.random.Generator) -> ScatteringKey:
     """A counterfeit key with no knowledge of the original: a fresh random key."""
-    return generate_key(mode_count, l_over_L, rng, target_mode=target_mode)
+    return generate_key(mode_count, l_over_L, rng)
 
 
 def replaced_count(fraction: float, mode_count: int) -> int:
@@ -78,13 +77,7 @@ def clone_key(true_key: ScatteringKey, fraction: float,
     original; all other coefficients are copied exactly.
     """
     positions, coefficients = _clone_draw(true_key, fraction, 1, rng)
-    clone = ScatteringKey(
-        coefficients=coefficients[0],
-        mode_count=true_key.mode_count,
-        target_mode=true_key.target_mode,
-        l_over_L=true_key.l_over_L,
-    )
-    return clone, positions[0]
+    return ScatteringKey(coefficients[0], true_key.l_over_L), positions[0]
 
 
 def false_key_sums(mode_count: int, l_over_L: float, tau: float, rows: int,

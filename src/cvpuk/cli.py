@@ -50,13 +50,17 @@ def _cmd_thresholds(args) -> int:
     return 0
 
 
+# the fields an enroll config may hold; any other field is refused
+_ENROLL_FIELDS = ("n_modes", "l_over_L", "mu_p", "tau", "eta", "delta_over_sigma",
+                  "n_probe_states", "seed", "key_path", "enrollment", "per_quadrature_samples")
+
+
 def _cmd_enroll(args) -> int:
-    config = jsonio.load(args.config)
-    if not isinstance(config, dict):
-        raise TypeError(f"an enroll config must be a JSON object, got {config!r}")
-    seed = args.seed
-    if seed is None:
-        seed = jsonio.require_int("seed", config.get("seed", 0))
+    config = jsonio.require_object("enroll config", jsonio.load(args.config), _ENROLL_FIELDS)
+    if args.seed is None:
+        seed = jsonio.require_int("seed", config.get("seed", 0), 0)
+    else:
+        seed = jsonio.require_int("--seed", args.seed, 0)
 
     def real(name):
         return jsonio.require_real(name, config[name], jsonio.REAL_INTERVALS[name])
@@ -74,12 +78,7 @@ def _cmd_enroll(args) -> int:
         if key.mode_count != n_modes:
             raise ValueError(f"key has {key.mode_count} modes, config says {n_modes}")
     else:
-        key = generate_key(
-            n_modes,
-            real("l_over_L"),
-            substream(seed, 0),
-            target_mode=jsonio.require_int("target_mode", config.get("target_mode", 0)),
-        )
+        key = generate_key(n_modes, real("l_over_L"), substream(seed, 0))
 
     mode = config.get("enrollment", "exact")
     if mode == "exact":
@@ -105,10 +104,11 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    seed = jsonio.require_int("--seed", args.seed, 0)
     database = CrpDatabase.from_dict(jsonio.load(args.database))
     key = ScatteringKey.from_dict(jsonio.load(args.key))
     config = VerificationConfig(args.sessions, args.epsilon, args.zeta)
-    report = verify(key, database, config, substream(args.seed, 0), trace=args.trace)
+    report = verify(key, database, config, substream(seed, 0), trace=args.trace)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -127,10 +127,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    raw = jsonio.load(args.config)
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    config = CampaignConfig.from_dict(raw)
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    config = CampaignConfig.from_dict(jsonio.load(args.config), **overrides)
     paths = run_campaign(config, args.out)
     for path in paths.values():
         print(path)

@@ -125,11 +125,12 @@ class CampaignConfig:
     def __post_init__(self):
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment_id {self.experiment_id!r}")
-        for name in ("n_modes", "n_probe_states", "m_sessions", "trials", "seed"):
-            object.__setattr__(self, name, jsonio.require_int(name, getattr(self, name)))
+        for name, minimum in (("n_modes", 1), ("n_probe_states", None), ("m_sessions", None),
+                              ("trials", 0), ("seed", 0)):
+            object.__setattr__(self, name, jsonio.require_int(name, getattr(self, name), minimum))
         object.__setattr__(
             self, "mode_counts",
-            tuple(jsonio.require_int("mode_counts", n) for n in self.mode_counts),
+            tuple(jsonio.require_int("mode_counts", n, 1) for n in self.mode_counts),
         )
         for name, interval in jsonio.REAL_INTERVALS.items():
             value = getattr(self, name)
@@ -138,14 +139,8 @@ class CampaignConfig:
             else:
                 value = jsonio.require_real(name, value, interval)
             object.__setattr__(self, name, value)
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be at least 1")
         self.probe_set()  # checks n_probe_states against the probe set's bounds
         self.verification()  # checks m_sessions against the protocol's bounds
-        if self.trials < 0:
-            raise ValueError("trials must be non-negative")
-        if any(n < 1 for n in self.mode_counts):
-            raise ValueError("mode_counts must be at least 1")
 
     @property
     def mu_c(self) -> float:
@@ -169,12 +164,11 @@ class CampaignConfig:
         return resolved
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CampaignConfig":
+    def from_dict(cls, data: dict, **overrides) -> "CampaignConfig":
+        """The config of a JSON object with ``overrides``, such as a command-line
+        seed, in place of its fields; an unknown field raises ValueError."""
         known = {spec.name for spec in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**{**jsonio.require_object("config", data, known), **overrides})
 
 
 @dataclass(frozen=True)
@@ -199,8 +193,8 @@ class Histogram:
 
     @classmethod
     def from_samples(cls, samples, bin_width: float) -> "Histogram":
-        if bin_width <= 0.0 or bin_width > 1.0:
-            raise ValueError("bin_width must lie in (0, 1]")
+        bin_width = jsonio.require_real("bin_width", bin_width,
+                                        jsonio.REAL_INTERVALS["histogram_bin"])
         n_bins = max(1, math.ceil(round(1.0 / bin_width, 9)))
         edges = np.linspace(0.0, 1.0, n_bins + 1)
         samples = np.asarray(list(samples), dtype=float)

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["REAL_INTERVALS", "dumps", "dump", "write_csv", "load", "require_int", "require_real"]
+__all__ = ["REAL_INTERVALS", "dumps", "dump", "write_csv", "load", "require_object",
+           "require_int", "require_real"]
 
 # allowed interval of every real-valued config field; a tuple field's
 # interval applies to each of its entries.  Campaign and enroll configs,
@@ -97,17 +98,33 @@ def load(path):
         return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
 
 
-def require_int(name: str, value) -> int:
-    """``value`` as an ``int``; bools and non-integer numbers raise TypeError.
+def require_object(name: str, document, known) -> dict:
+    """``document`` if it is a JSON object with no field outside ``known``;
+    a misspelt optional field would otherwise be ignored for its default."""
+    if not isinstance(document, dict):
+        raise TypeError(f"{name} must be a JSON object, got {document!r}")
+    unknown = set(document) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
+    return document
+
+
+def require_int(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an ``int``; bools and non-integer numbers raise TypeError,
+    and an integer below ``minimum``, when one is given, ValueError.
 
     ``int()`` would truncate 2.7 to 2 and accept ``True`` as 1, so an
     ill-typed document could load as a different, valid one.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if minimum is not None and value < minimum:
+                raise ValueError(f"{name} must be at least {minimum}, got {value}")
+            return value
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 

@@ -76,17 +76,16 @@ class CrpDatabase:
     """The enrolled challenge-response pairs of one key, one per probe state.
 
     ``centers[k]`` holds the enrolled response ``(x, y)`` to probe ``k``,
-    the bin centres for local-oscillator phases 0 and pi/2; ``xi[k]`` is
-    the estimation error bound of that response (0 for exact
-    enrollment).  Every probe shares the one ``mask`` and ``target_mode``.
-    ``setup_loss`` is the set-up's power throughput ``tau``, the one
-    set-up quantity that verification needs.
+    the bin centres for local-oscillator phases 0 and pi/2.  Every probe
+    shares the one ``mask`` and the one estimation error bound
+    ``enrollment_error`` (0 for exact enrollment).  ``setup_loss`` is the
+    set-up's power throughput ``tau``, the one set-up quantity that
+    verification needs.
     """
 
-    target_mode: int
     mask: PhaseMask
     centers: np.ndarray
-    xi: np.ndarray
+    enrollment_error: float
     probe_set: ProbeSet
     channel: HomodyneChannel
     setup_loss: float
@@ -94,39 +93,30 @@ class CrpDatabase:
     def __post_init__(self):
         size = self.probe_set.size
         centers = np.array(self.centers, dtype=float)
-        xi = np.array(self.xi, dtype=float)
         if centers.shape != (size, 2):
             raise ValueError(f"centers must have shape ({size}, 2), got {centers.shape}")
-        if xi.shape != (size,):
-            raise ValueError(f"xi must have shape ({size},), got {xi.shape}")
-        if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(xi))):
-            raise ValueError("centers and xi must be finite")
-        if np.any(xi < 0.0):
-            raise ValueError("xi must be non-negative")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers must be finite")
         if not 0.0 < self.setup_loss <= 1.0:
             raise ValueError("setup_loss must lie in (0, 1]")
         centers.flags.writeable = False
-        xi.flags.writeable = False
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def enrollment_error(self) -> float:
-        return float(self.xi.max())
+        object.__setattr__(self, "enrollment_error",
+                           require_real("enrollment_error", self.enrollment_error, "[0, inf)"))
 
     def to_dict(self) -> dict:
         return {
-            "target_mode": int(self.target_mode),
             "probe_set": {
                 "size": int(self.probe_set.size),
                 "mean_photons": float(self.probe_set.mean_photons),
             },
             "channel": self.channel.to_dict(),
             "setup_loss": float(self.setup_loss),
+            "enrollment_error": self.enrollment_error,
             "mask": [float(p) for p in self.mask.phases],
             "records": [
-                {"k": k, "x": float(x), "y": float(y), "xi": float(xi)}
-                for k, ((x, y), xi) in enumerate(zip(self.centers, self.xi))
+                {"k": k, "x": float(x), "y": float(y)}
+                for k, (x, y) in enumerate(self.centers)
             ],
         }
 
@@ -141,17 +131,16 @@ class CrpDatabase:
         if [r["k"] for r in records] != list(range(probe_set.size)):
             raise ValueError("records must hold each probe index 0..N-1 exactly once")
 
-        def record(r, name, interval="(-inf, inf)"):
-            return require_real(f"records[{r['k']}].{name}", r[name], interval)
+        def record(r, name):
+            return require_real(f"records[{r['k']}].{name}", r[name], "(-inf, inf)")
 
         return cls(
-            target_mode=require_int("target_mode", data["target_mode"]),
             mask=PhaseMask(np.array([
                 require_real(f"mask[{index}]", phase, "(-inf, inf)")
                 for index, phase in enumerate(data["mask"])
             ])),
             centers=[[record(r, "x"), record(r, "y")] for r in records],
-            xi=[record(r, "xi", "[0, inf)") for r in records],
+            enrollment_error=data["enrollment_error"],
             probe_set=probe_set,
             channel=HomodyneChannel.from_dict(data["channel"]),
             setup_loss=require_real("setup_loss", data["setup_loss"], REAL_INTERVALS["tau"]),
@@ -169,8 +158,7 @@ def enroll_exact(key: ScatteringKey, tau: float, probes: ProbeSet,
     """
     mask = optimal_mask(key, tau)
     amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
-    return CrpDatabase(key.target_mode, mask, quadrature_means(amplitudes),
-                       np.zeros(probes.size), probes, channel, tau)
+    return CrpDatabase(mask, quadrature_means(amplitudes), 0.0, probes, channel, tau)
 
 
 def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
@@ -187,12 +175,12 @@ def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
     recorded estimation error is ``5 / sqrt(per_quadrature_samples)``,
     which the sample mean respects with overwhelming probability.
     """
-    xi = np.full(probes.size, enrollment_error(per_quadrature_samples))
+    error = enrollment_error(per_quadrature_samples)
     mask = optimal_mask(key, tau)
     amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
     standard_error = channel.shot_noise / math.sqrt(per_quadrature_samples)
     centers = rng.normal(quadrature_means(amplitudes), standard_error)
-    return CrpDatabase(key.target_mode, mask, centers, xi, probes, channel, tau)
+    return CrpDatabase(mask, centers, error, probes, channel, tau)
 
 
 def enrollment_error(per_quadrature_samples: int) -> float:
@@ -292,7 +280,7 @@ class VerificationReport:
 
     ``session_trace`` rows are ``(k, theta, outcome, hit)`` tuples when
     tracing was requested.  ``enrollment_error`` echoes the database's
-    worst record error so downstream analysis can quantify how noisy
+    estimation error bound so downstream analysis can quantify how noisy
     enrollment propagates.
     """
 

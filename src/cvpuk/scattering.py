@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import REAL_INTERVALS, require_int, require_real
+from .jsonio import REAL_INTERVALS, require_real
 
 __all__ = [
     "DegenerateKeyError",
@@ -61,69 +61,57 @@ def wrap_phase(phases):
 
 @dataclass(frozen=True)
 class ScatteringKey:
-    """One row of a key's reflection matrix plus its generating parameters.
+    """One row of a key's reflection matrix plus its generating parameter.
 
     Attributes
     ----------
     coefficients : ndarray of complex
         Field reflection coefficients from each input mode to the target
-        mode.
-    mode_count : int
-        Number of controllable input modes.
-    target_mode : int
-        Opaque label of the collected output mode.
+        mode, one per controllable input mode.
     l_over_L : float
         Mean-free-path to thickness ratio of the medium.
     """
 
     coefficients: np.ndarray
-    mode_count: int
-    target_mode: int
     l_over_L: float
 
     def __post_init__(self):
         coefficients = np.asarray(self.coefficients, dtype=complex)
         object.__setattr__(self, "coefficients", coefficients)
-        if self.mode_count < 1:
-            raise ValueError("mode_count must be at least 1")
-        if coefficients.shape != (self.mode_count,):
-            raise ValueError(
-                f"expected {self.mode_count} coefficients, got shape {coefficients.shape}"
-            )
-        if not 0.0 <= self.l_over_L < 1.0:
-            raise ValueError("l_over_L must lie in [0, 1)")
+        if coefficients.ndim != 1:
+            raise ValueError(f"coefficients must be a vector, got shape {coefficients.shape}")
+        ensemble_variance(coefficients.size, self.l_over_L)  # checks both parameters
         require_finite(coefficients)
         coefficients.flags.writeable = False
+
+    @property
+    def mode_count(self) -> int:
+        """Number of controllable input modes, one per coefficient."""
+        return self.coefficients.size
 
     @property
     def variance(self) -> float:
         """Per-coefficient ensemble variance of the generating parameters, not
         a sample estimate from the coefficients."""
-        return (1.0 - self.l_over_L) / self.mode_count
+        return ensemble_variance(self.mode_count, self.l_over_L)
 
     def to_dict(self) -> dict:
         """JSON-ready document with coefficients as [re, im] pairs."""
         return {
-            "mode_count": int(self.mode_count),
             "l_over_L": float(self.l_over_L),
-            "target_mode": int(self.target_mode),
             "coefficients": [[float(c.real), float(c.imag)] for c in self.coefficients],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScatteringKey":
-        mode_count = require_int("mode_count", data["mode_count"])
+        """The key of a document; fields other than ``l_over_L`` and
+        ``coefficients`` are ignored."""
         l_over_L = require_real("l_over_L", data["l_over_L"], REAL_INTERVALS["l_over_L"])
         coefficients = np.array(
             [_coefficient(index, pair) for index, pair in enumerate(data["coefficients"])],
             dtype=complex,
         )
-        return cls(
-            coefficients=coefficients,
-            mode_count=mode_count,
-            target_mode=require_int("target_mode", data["target_mode"]),
-            l_over_L=l_over_L,
-        )
+        return cls(coefficients, l_over_L)
 
 
 def _coefficient(index: int, pair) -> complex:
@@ -181,8 +169,7 @@ def require_finite(coefficients: np.ndarray) -> None:
         raise ValueError("coefficients must be finite")
 
 
-def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
-                 target_mode: int = 0) -> ScatteringKey:
+def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator) -> ScatteringKey:
     """Draw a fresh random key.
 
     Each coefficient is an independent circular complex Gaussian with
@@ -190,12 +177,7 @@ def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator,
     evenly between the real and imaginary parts so the phase is uniform.
     """
     variance = ensemble_variance(mode_count, l_over_L)
-    return ScatteringKey(
-        coefficients=draw_coefficients(1, mode_count, variance, rng)[0],
-        mode_count=int(mode_count),
-        target_mode=int(target_mode),
-        l_over_L=float(l_over_L),
-    )
+    return ScatteringKey(draw_coefficients(1, mode_count, variance, rng)[0], float(l_over_L))
 
 
 def _coupling(tau: float, mode_count: int) -> float:

@@ -54,10 +54,6 @@ def _point(key, config, mask):
     return response.x, response.y
 
 
-def _key(coefficients, mode_count, l_over_L):
-    return ScatteringKey(coefficients, mode_count, 0, l_over_L)
-
-
 def _coefficients(parts, variance):
     """Circular Gaussians from one row's ``(2, count)`` normals, real parts first."""
     return math.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
@@ -92,7 +88,7 @@ def _reference_clones(config, n_index, d_index):
             if count:
                 positions = np.argsort(uniforms[row])[:count]
                 coefficients[positions] = _coefficients(normals[row], true_key.variance)
-            clones.append(_key(coefficients, n_modes, config.l_over_L))
+            clones.append(ScatteringKey(coefficients, config.l_over_L))
     return true_key, clones[:config.trials]
 
 

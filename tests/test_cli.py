@@ -86,11 +86,16 @@ def test_enroll_writes_key_and_database(tmp_path):
     _write_enroll_config(config_path)
     out_dir = tmp_path / "out"
     assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 0
-    key = ScatteringKey.from_dict(json.loads((out_dir / "key.json").read_text()))
-    database = CrpDatabase.from_dict(json.loads((out_dir / "database.json").read_text()))
+    key_document = json.loads((out_dir / "key.json").read_text())
+    database_document = json.loads((out_dir / "database.json").read_text())
+    assert list(key_document) == ["l_over_L", "coefficients"]
+    assert list(database_document) == [
+        "probe_set", "channel", "setup_loss", "enrollment_error", "mask", "records"]
+    assert [list(record) for record in database_document["records"]] == [["k", "x", "y"]] * 11
+    key = ScatteringKey.from_dict(key_document)
+    database = CrpDatabase.from_dict(database_document)
     assert key.mode_count == 32
     assert database.centers.shape == (11, 2)
-    assert database.xi.shape == (11,)
     assert database.enrollment_error == 0.0
 
 
@@ -104,7 +109,7 @@ def test_enroll_sampled_mode(tmp_path):
 
 
 def test_enroll_accepts_existing_key(tmp_path):
-    key = generate_key(16, 0.2, substream(77, 0), target_mode=2)
+    key = generate_key(16, 0.2, substream(77, 0))
     key_path = tmp_path / "existing_key.json"
     jsonio.dump(key.to_dict(), key_path)
     config_path = tmp_path / "config.json"
@@ -113,7 +118,7 @@ def test_enroll_accepts_existing_key(tmp_path):
     assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 0
     written = ScatteringKey.from_dict(json.loads((out_dir / "key.json").read_text()))
     assert np.array_equal(written.coefficients, key.coefficients)
-    assert written.target_mode == 2
+    assert (out_dir / "key.json").read_bytes() == key_path.read_bytes()
 
 
 def test_zero_variance_key_file_exits_2_without_output(tmp_path, capsys):
@@ -201,7 +206,7 @@ def test_verify_non_finite_database_exits_2(tmp_path, capsys):
     database_path = out_dir / "database.json"
     document = json.loads(database_path.read_text())
     document["records"][3]["x"] = float("nan")
-    document["records"][3]["xi"] = float("nan")
+    document["enrollment_error"] = float("nan")
     database_path.write_text(json.dumps(document))
     assert "NaN" in database_path.read_text()
     assert main([
@@ -239,7 +244,7 @@ ILL_TYPED_REALS = [
     (("database", "probe_set", "mean_photons"), "2500"),
     (("database", "records", 2, "x"), "1.5"),
     (("database", "records", 2, "y"), False),
-    (("database", "records", 2, "xi"), "0"),
+    (("database", "enrollment_error"), "0"),
     (("database", "channel", "efficiency"), "0.55"),
     (("database", "channel", "bin_width"), True),
     (("database", "mask", 5), "0.1"),
@@ -287,6 +292,84 @@ def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value
     assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("field", ["enrolment", "target_mode"])
+def test_enroll_unknown_field_exits_2_without_output(tmp_path, capsys, field):
+    # a misspelt "enrollment" was ignored and the key enrolled exactly;
+    # target_mode is no longer a field
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, per_quadrature_samples=25,
+                         **{field: "sampled" if field == "enrolment" else 0})
+    out_dir = tmp_path / "out"
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: unknown enroll config fields: [{field!r}]\n"
+    assert not out_dir.exists()
+
+
+def test_negative_seeds_exit_2_naming_the_field(tmp_path, capsys):
+    # refused up front, also where no random stream would be drawn: an
+    # existing key enrolled exactly, or the enhancement-condition table
+    key_path = tmp_path / "key.json"
+    jsonio.dump(generate_key(32, 0.2, substream(77, 0)).to_dict(), key_path)
+    config_path = tmp_path / "config.json"
+    out_dir = tmp_path / "out"
+    _write_enroll_config(config_path, key_path=str(key_path), seed=-3)
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -3\n"
+    _write_enroll_config(config_path, key_path=str(key_path))
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir),
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+
+    assert main(["enroll", "--config", str(config_path), "--out", str(tmp_path / "db")]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--database", str(tmp_path / "db" / "database.json"),
+                 "--key", str(key_path), "--out", str(out_dir), "--seed", "-2"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -2\n"
+
+    campaign_path = tmp_path / "campaign.json"
+    campaign_path.write_text(json.dumps({"experiment_id": "enhancement_condition", "seed": -5}))
+    assert main(["campaign", "--config", str(campaign_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -5\n"
+    campaign_path.write_text(json.dumps({"experiment_id": "enhancement_condition"}))
+    assert main(["campaign", "--config", str(campaign_path), "--out", str(out_dir),
+                 "--seed", "-4"]) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -4\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "4"]], ids=["config-seed", "flag-seed"])
+def test_campaign_non_object_config_exits_2(tmp_path, capsys, seed):
+    config_path = tmp_path / "campaign.json"
+    config_path.write_text(json.dumps([{"experiment_id": "enhancement_condition"}]))
+    out_dir = tmp_path / "out"
+    assert main(["campaign", "--config", str(config_path), "--out", str(out_dir)] + seed) == 2
+    assert capsys.readouterr().err.startswith("error: config must be a JSON object, got [")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("legacy", [False, True], ids=["current", "legacy"])
+def test_database_without_enrollment_error_exits_2_without_report(tmp_path, capsys, legacy):
+    # a legacy file holds target_mode and an xi in every record instead
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, enrollment="sampled", per_quadrature_samples=25)
+    out_dir = tmp_path / "out"
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    database_path = out_dir / "database.json"
+    document = json.loads(database_path.read_text())
+    assert document.pop("enrollment_error") == 1.0
+    if legacy:
+        document["target_mode"] = 0
+        for record in document["records"]:
+            record["xi"] = 1.0
+    database_path.write_text(json.dumps(document))
+    report_dir = tmp_path / "report"
+    assert main(["verify", "--database", str(database_path),
+                 "--key", str(out_dir / "key.json"), "--out", str(report_dir)]) == 2
+    assert capsys.readouterr() == ("", "error: missing field 'enrollment_error'\n")
+    assert not report_dir.exists()
 
 
 def test_verify_malformed_key_exits_2_naming_the_pair(tmp_path, capsys):
@@ -474,7 +557,6 @@ _ENROLL_REQUIRED = ("n_modes", "mu_p", "tau", "eta", "delta_over_sigma", "n_prob
                     "l_over_L")
 _ENROLL_FIELDS = {
     **{name: _VALID_FIELDS[name] for name in _ENROLL_REQUIRED + ("seed",)},
-    "target_mode": st.integers(-2**63, 2**63),
     "enrollment": st.sampled_from(("exact", "sampled")),
     # any sample count costs the same, so only the double range bounds it
     "per_quadrature_samples": st.integers(1, 10**300),
@@ -494,8 +576,13 @@ def _enroll_documents(draw):
         elif name in _ENROLL_REQUIRED or draw(st.booleans()):
             document[name] = draw(valid)
     if draw(st.booleans()) and draw(st.booleans()):
-        document[draw(st.text(max_size=6))] = draw(_WRONG)
+        # a misspelt or retired field as well as an arbitrary one
+        name = draw(st.one_of(st.text(max_size=6), st.sampled_from(_RETIRED_FIELDS)))
+        document[name] = draw(st.one_of(_WRONG, st.sampled_from(("exact", "sampled"))))
     return draw(_WRONG) if draw(st.integers(0, 9)) == 0 else document
+
+
+_RETIRED_FIELDS = ("target_mode", "enrolment", "per_quadrature_sample", "Seed")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -512,6 +599,8 @@ def test_enroll_config_fuzz_exits_cleanly(document):
         out_dir = Path(tmp) / "out"
         code, _, stderr = _run(["enroll", "--config", str(config_path), "--out", str(out_dir)])
         assert code in (0, 2)
+        if isinstance(document, dict) and set(document) - set(_ENROLL_FIELDS):
+            assert code == 2
         if code == 0:
             assert (out_dir / "key.json").is_file() and (out_dir / "database.json").is_file()
         else:

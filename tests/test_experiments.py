@@ -37,6 +37,7 @@ def test_config_validation():
         CampaignConfig.from_dict({"experiment_id": "collision_histogram", "bogus": 1})
     for field, value in (
         ("n_modes", 0),
+        ("seed", -1),
         ("n_probe_states", 2),
         ("m_sessions", 0),
         ("mode_counts", (121, 0)),
@@ -113,6 +114,17 @@ def test_histogram_construction():
     assert (left, right) == (0.0, 0.01)
     with pytest.raises(ValueError):
         Histogram.from_samples([0.1], 0.0)
+
+
+def test_histogram_bin_width_follows_the_config_interval():
+    # the one rule is REAL_INTERVALS["histogram_bin"], [1e-4, 1]: a width
+    # of 1e-9 would ask for a billion edges, about 8 GB
+    for bad in (1e-9, 9.99e-5, 0.0, -0.1, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bin_width"):
+            Histogram.from_samples([0.1], bad)
+    with pytest.raises(TypeError, match="bin_width"):
+        Histogram.from_samples([0.1], True)
+    assert Histogram.from_samples([0.1], 1e-4).counts.size == 10_000
 
 
 def test_histogram_rows():

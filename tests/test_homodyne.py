@@ -111,7 +111,7 @@ def _bins_of(centers, bin_width):
     probes = ProbeSet(len(centers), 1.0)
     key = generate_key(2, 0.2, substream(34, 0))
     exact = enroll_exact(key, 0.8, probes, _channel())
-    database = CrpDatabase(0, exact.mask, centers, np.zeros(len(centers)), probes,
+    database = CrpDatabase(exact.mask, centers, 0.0, probes,
                            HomodyneChannel(0.55, bin_width), 0.8)
     _, lows, highs = _bins(key, database)
     return lows, highs

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -122,11 +123,9 @@ def test_enroll_exact_structure():
     key, tau, probes, channel = _setup()
     database = enroll_exact(key, tau, probes, channel)
     assert database.centers.shape == (probes.size, 2)
-    assert database.xi.shape == (probes.size,)
-    assert np.all(database.xi == 0.0)
     assert database.enrollment_error == 0.0
+    assert type(database.enrollment_error) is float
     assert database.setup_loss == tau
-    assert database.target_mode == key.target_mode
 
     magnitudes = np.hypot(database.centers[:, 0], database.centers[:, 1])
     assert np.allclose(magnitudes, magnitudes[0], rtol=1e-12)
@@ -154,7 +153,7 @@ def test_enroll_exact_response_power_identity():
 
 def test_enroll_exact_degenerate_key():
     _, tau, probes, channel = _setup(n_modes=4)
-    dead = ScatteringKey(np.zeros(4, dtype=complex), 4, 0, 0.0)
+    dead = ScatteringKey(np.zeros(4, dtype=complex), 0.0)
     with pytest.raises(DegenerateKeyError):
         enroll_exact(dead, tau, probes, channel)
 
@@ -162,7 +161,6 @@ def test_enroll_exact_degenerate_key():
 def test_enroll_sampled_error_tag():
     key, tau, probes, channel = _setup(n_modes=16)
     database = enroll_sampled(key, tau, probes, channel, 25, substream(102, 0))
-    assert np.all(database.xi == 1.0)
     assert database.enrollment_error == 1.0
     with pytest.raises(ValueError):
         enroll_sampled(key, tau, probes, channel, 0, substream(102, 1))
@@ -187,7 +185,7 @@ def test_enroll_sampled_draws_one_normal_per_cell_in_probe_order():
     normals = substream(114, 0).standard_normal((probes.size, 2))
     assert np.allclose(sampled.centers, exact.centers + standard_error * normals,
                        rtol=0.0, atol=1e-12)
-    assert np.all(sampled.xi == enrollment_error(400))
+    assert sampled.enrollment_error == enrollment_error(400)
 
 
 def test_enroll_sampled_z_scores_are_standard_normal():
@@ -213,26 +211,30 @@ def test_database_validation():
     key, tau, probes, channel = _setup(n_modes=8, n_probes=3)
     database = enroll_exact(key, tau, probes, channel)
 
-    def rebuild(centers=database.centers, xi=database.xi, setup_loss=0.8):
-        return CrpDatabase(database.target_mode, database.mask, centers, xi,
-                           probes, channel, setup_loss)
+    def rebuild(centers=database.centers, error=0.0, setup_loss=0.8):
+        return CrpDatabase(database.mask, centers, error, probes, channel, setup_loss)
 
     assert rebuild().centers.tolist() == database.centers.tolist()
+    assert [spec.name for spec in dataclasses.fields(database)] == [
+        "mask", "centers", "enrollment_error", "probe_set", "channel", "setup_loss"]
     with pytest.raises(ValueError):
         rebuild(centers=database.centers[:2])
     with pytest.raises(ValueError):
         rebuild(centers=database.centers[:, 0])
-    with pytest.raises(ValueError):
-        rebuild(xi=database.xi[:2])
+    with pytest.raises(TypeError):
+        rebuild(error=[0.0, 0.0, 0.0])
     for bad in (math.nan, math.inf):
         centers = database.centers.copy()
         centers[1, 0] = bad
         with pytest.raises(ValueError):
             rebuild(centers=centers)
         with pytest.raises(ValueError):
-            rebuild(xi=[0.0, bad, 0.0])
+            rebuild(error=bad)
     with pytest.raises(ValueError):
-        rebuild(xi=[0.0, -1e-3, 0.0])
+        rebuild(error=-1e-3)
+    for bad in (True, "0.25"):
+        with pytest.raises(TypeError):
+            rebuild(error=bad)
     with pytest.raises(ValueError):
         rebuild(setup_loss=0.0)
     # stored arrays are immutable
@@ -249,17 +251,21 @@ def test_database_from_dict_validation():
         records[:2] + [dict(records[1])],  # k = 1 twice
         records[:2] + [dict(records[2], k=3)],  # k out of range
         records[:2] + [dict(records[2], x=math.nan)],
-        records[:2] + [dict(records[2], xi=math.inf)],
-        records[:2] + [dict(records[2], xi=-1.0)],
     ):
         with pytest.raises(ValueError):
             CrpDatabase.from_dict(dict(document, records=broken))
+    for bad in (math.inf, -1.0):
+        with pytest.raises(ValueError, match="enrollment_error"):
+            CrpDatabase.from_dict(dict(document, enrollment_error=bad))
+    with pytest.raises(KeyError, match="enrollment_error"):
+        CrpDatabase.from_dict({name: value for name, value in document.items()
+                               if name != "enrollment_error"})
     # integer fields refuse bools and non-integers rather than truncating them
     for broken in (
         dict(document, records=records[:2] + [dict(records[2], k=2.7)]),
         dict(document, records=[dict(records[0], k=False)] + records[1:]),
         dict(document, probe_set=dict(document["probe_set"], size=3.6)),
-        dict(document, target_mode=0.5),
+        dict(document, enrollment_error=True),
     ):
         with pytest.raises(TypeError):
             CrpDatabase.from_dict(broken)
@@ -273,16 +279,16 @@ def test_database_json_roundtrip():
     database = enroll_exact(key, tau, probes, channel)
     document = database.to_dict()
     assert set(document) == {
-        "target_mode", "probe_set", "channel", "setup_loss", "mask", "records",
+        "probe_set", "channel", "setup_loss", "enrollment_error", "mask", "records",
     }
-    assert set(document["records"][0]) == {"k", "x", "y", "xi"}
+    assert all(set(record) == {"k", "x", "y"} for record in document["records"])
     restored = CrpDatabase.from_dict(json.loads(jsonio.dumps(document)))
     assert restored.probe_set == database.probe_set
     assert restored.channel == database.channel
     assert restored.setup_loss == database.setup_loss
     assert np.array_equal(restored.mask.phases, database.mask.phases)
     assert np.array_equal(restored.centers, database.centers)
-    assert np.array_equal(restored.xi, database.xi)
+    assert restored.enrollment_error == database.enrollment_error
     # reading checks every real field; a valid file keeps its bytes
     assert jsonio.dumps(restored.to_dict()) == jsonio.dumps(document)
 
@@ -343,8 +349,8 @@ def test_verify_uses_enrolled_throughput():
     config = VerificationConfig(1000, 0.05, 0.05)
     assert verify(key, database, config, substream(113, 1)).accepted
     # the same records stored under another throughput no longer match
-    relabelled = CrpDatabase(database.target_mode, database.mask, database.centers,
-                             database.xi, probes, channel, 0.8)
+    relabelled = CrpDatabase(database.mask, database.centers,
+                             database.enrollment_error, probes, channel, 0.8)
     assert not verify(key, relabelled, config, substream(113, 1)).accepted
 
 
@@ -519,7 +525,7 @@ def _keys_and_databases(draw):
                             max_size=2 * n_probes))
     scale = draw(st.sampled_from((0.0, 1e-9, 1e-3, 1.0)))
     centers = exact.centers + scale * np.reshape(offsets, (n_probes, 2))
-    database = CrpDatabase(exact.target_mode, exact.mask, centers, exact.xi,
+    database = CrpDatabase(exact.mask, centers, exact.enrollment_error,
                            probes, channel, tau)
     if draw(st.booleans()):
         key = enrolled
@@ -539,16 +545,14 @@ def test_hit_probability_never_exceeds_p_in(key_and_database):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(_keys_and_databases(), st.lists(st.floats(0.0, 1e300), min_size=6, max_size=6))
-def test_database_json_round_trip_gives_the_exact_doubles(key_and_database, xi):
+@given(_keys_and_databases(), st.floats(0.0, 1e300))
+def test_database_json_round_trip_gives_the_exact_doubles(key_and_database, error):
     _, exact = key_and_database
-    size = exact.probe_set.size
-    database = CrpDatabase(exact.target_mode, exact.mask, exact.centers, xi[:size],
+    database = CrpDatabase(exact.mask, exact.centers, error,
                            exact.probe_set, exact.channel, exact.setup_loss)
     restored = CrpDatabase.from_dict(json.loads(jsonio.dumps(database.to_dict())))
-    for name in ("centers", "xi"):
-        assert getattr(restored, name).tobytes() == getattr(database, name).tobytes()
+    assert restored.centers.tobytes() == database.centers.tobytes()
     assert restored.mask.phases.tobytes() == database.mask.phases.tobytes()
-    assert (restored.target_mode, restored.probe_set, restored.channel,
-            restored.setup_loss) == (database.target_mode, database.probe_set,
+    assert (restored.enrollment_error, restored.probe_set, restored.channel,
+            restored.setup_loss) == (database.enrollment_error, database.probe_set,
                                      database.channel, database.setup_loss)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -55,8 +56,8 @@ def test_generate_key_rejects_bad_parameters(mode_count, l_over_L):
 def test_zero_variance_key_is_refused():
     # l_over_L = 1 leaves a key no variance, hence no enhancement reference
     with pytest.raises(ValueError, match="l_over_L"):
-        ScatteringKey(np.zeros(1, dtype=complex), 1, 0, 1.0)
-    document = ScatteringKey(np.zeros(1, dtype=complex), 1, 0, 0.0).to_dict()
+        ScatteringKey(np.zeros(1, dtype=complex), 1.0)
+    document = ScatteringKey(np.zeros(1, dtype=complex), 0.0).to_dict()
     with pytest.raises(ValueError, match="l_over_L"):
         ScatteringKey.from_dict(dict(document, l_over_L=1.0))
 
@@ -69,8 +70,7 @@ def test_key_coefficients_are_immutable():
 
 def _unit_key(coefficients):
     """A key with exactly the given reflection coefficients."""
-    n = len(coefficients)
-    return ScatteringKey(np.asarray(coefficients, dtype=complex), n, 0, 0.0)
+    return ScatteringKey(np.asarray(coefficients, dtype=complex), 0.0)
 
 
 def test_uniform_illumination_values():
@@ -112,14 +112,14 @@ def test_every_tau_entry_point_rejects_bad_tau(tau):
 
 
 def test_scattered_amplitude_zero_key():
-    key = ScatteringKey(np.zeros(5, dtype=complex), 5, 0, 0.0)
+    key = ScatteringKey(np.zeros(5, dtype=complex), 0.0)
     tau = 0.8
     mask = PhaseMask(np.linspace(-3, 3, 5))
     assert scattered_amplitude(key, tau, mask, 2.0 + 1.0j) == 0
 
 
 def test_scattered_amplitude_phase_cancellation():
-    key = ScatteringKey(np.array([0.1 * np.exp(1j * math.pi / 3)]), 1, 0, 0.2)
+    key = ScatteringKey(np.array([0.1 * np.exp(1j * math.pi / 3)]), 0.2)
     tau = 0.25
     mask = PhaseMask(np.array([-math.pi / 3]))
     amplitude = scattered_amplitude(key, tau, mask, 2.0)
@@ -156,7 +156,7 @@ def test_linearity_close_for_general_scalings():
 
 
 def test_optimal_mask_single_mode():
-    key = ScatteringKey(np.array([0.3 * np.exp(1.1j)]), 1, 0, 0.2)
+    key = ScatteringKey(np.array([0.3 * np.exp(1.1j)]), 0.2)
     tau = 0.25
     mask = optimal_mask(key, tau)
     assert mask.phases[0] == pytest.approx(-1.1, rel=1e-12)
@@ -173,7 +173,7 @@ def test_optimal_mask_is_global_optimum():
 
 
 def test_optimal_mask_degenerate_key():
-    key = ScatteringKey(np.zeros(3, dtype=complex), 3, 0, 0.0)
+    key = ScatteringKey(np.zeros(3, dtype=complex), 0.0)
     with pytest.raises(DegenerateKeyError):
         optimal_mask(key, 0.8)
 
@@ -201,7 +201,7 @@ def test_enhancement_unoptimized_ensemble_mean_is_one():
 
 
 def test_enhancement_single_mode():
-    key = ScatteringKey(np.array([0.25 * np.exp(0.4j)]), 1, 0, 0.2)
+    key = ScatteringKey(np.array([0.25 * np.exp(0.4j)]), 0.2)
     tau = 0.5
     gain = enhancement(key, tau, optimal_mask(key, tau), 100.0)
     assert gain == pytest.approx(abs(key.coefficients[0]) ** 2 / key.variance, rel=1e-12)
@@ -325,34 +325,52 @@ _DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(_DOUBLES, _DOUBLES), min_size=1, max_size=16),
-       st.floats(0.0, 1.0, exclude_max=True), st.integers(-2**63, 2**63))
-def test_key_json_round_trip_gives_the_exact_doubles(pairs, l_over_L, target_mode):
-    key = ScatteringKey(np.array([complex(re, im) for re, im in pairs]), len(pairs),
-                        target_mode, l_over_L)
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_key_json_round_trip_gives_the_exact_doubles(pairs, l_over_L):
+    key = ScatteringKey(np.array([complex(re, im) for re, im in pairs]), l_over_L)
     restored = ScatteringKey.from_dict(json.loads(jsonio.dumps(key.to_dict())))
     # tobytes tells -0.0 from 0.0, which == would not
     assert restored.coefficients.tobytes() == key.coefficients.tobytes()
-    assert (restored.variance, restored.mode_count, restored.target_mode,
-            restored.l_over_L) == (key.variance, key.mode_count, key.target_mode,
-                                   key.l_over_L)
+    assert (restored.variance, restored.mode_count, restored.l_over_L) == (
+        key.variance, len(pairs), key.l_over_L)
 
 
 def test_key_json_roundtrip():
     from cvpuk import jsonio
 
-    key = generate_key(32, 0.2, substream(19, 0), target_mode=5)
+    key = generate_key(32, 0.2, substream(19, 0))
     document = jsonio.dumps(key.to_dict())
-    restored = ScatteringKey.from_dict(__import__("json").loads(document))
+    assert list(json.loads(document)) == ["l_over_L", "coefficients"]
+    restored = ScatteringKey.from_dict(json.loads(document))
     assert np.array_equal(restored.coefficients, key.coefficients)
     assert restored.variance == key.variance
-    assert restored.target_mode == 5
+    assert restored.mode_count == 32
     assert restored.l_over_L == key.l_over_L
     assert jsonio.dumps(restored.to_dict()) == document
     document = key.to_dict()
-    for field, value in (("mode_count", 32.0), ("mode_count", True), ("target_mode", 5.5),
-                         ("l_over_L", "0.2"), ("l_over_L", True)):
+    for field, value in (("l_over_L", "0.2"), ("l_over_L", True)):
         with pytest.raises(TypeError):
             ScatteringKey.from_dict(dict(document, **{field: value}))
+
+
+def test_legacy_key_document_loads_to_an_equal_key():
+    # key files written before the mode count was derived also hold
+    # mode_count and target_mode; both are ignored, whatever they hold
+    key = generate_key(32, 0.2, substream(19, 0))
+    for legacy in ({"mode_count": 32, "target_mode": 5}, {"mode_count": 7, "target_mode": 0.5}):
+        restored = ScatteringKey.from_dict({**legacy, **key.to_dict()})
+        assert restored.coefficients.tobytes() == key.coefficients.tobytes()
+        assert (restored.mode_count, restored.l_over_L) == (32, key.l_over_L)
+        assert jsonio.dumps(restored.to_dict()) == jsonio.dumps(key.to_dict())
+
+
+def test_key_fields_are_the_coefficients_and_l_over_L():
+    key = generate_key(8, 0.2, substream(20, 0))
+    assert [spec.name for spec in dataclasses.fields(key)] == ["coefficients", "l_over_L"]
+    assert key.mode_count == key.coefficients.size == 8
+    for coefficients in (np.zeros((2, 2)), np.zeros(0), np.zeros(()), [math.nan]):
+        with pytest.raises(ValueError):
+            ScatteringKey(coefficients, 0.2)
 
 
 def test_key_from_dict_rejects_malformed_pairs():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -77,6 +78,9 @@ def _cmd_enroll(args) -> int:
         key = ScatteringKey.from_dict(jsonio.load(config["key_path"]))
         if key.mode_count != n_modes:
             raise ValueError(f"key has {key.mode_count} modes, config says {n_modes}")
+        if "l_over_L" in config and real("l_over_L") != key.l_over_L:
+            raise ValueError(f"key has l_over_L {key.l_over_L!r}, "
+                             f"config says {config['l_over_L']!r}")
     else:
         key = generate_key(n_modes, real("l_over_L"), substream(seed, 0))
 
@@ -135,7 +139,10 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about a millisecond, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cvpuk",
         description="Simulation of continuous-variable authentication of "

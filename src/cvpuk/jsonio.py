@@ -1,6 +1,6 @@
 """Artifact files: every file the package writes, and the checks of its readers.
 
-:func:`dump` writes JSON through the standard encoder and
+:func:`dump` writes JSON in the standard encoder's two-space layout and
 :func:`write_csv` writes CSV rows with ``%r``, so a float is written by
 its shortest round-trip repr (``0.1``, ``2500.0``): it reloads as the
 exact IEEE-754 double, and an integral float as a float, not an int.
@@ -45,6 +45,9 @@ REAL_INTERVALS = {
 }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _scalar(value):
     """A numpy scalar as the Python scalar the JSON encoder writes."""
     if isinstance(value, (np.bool_, np.integer, np.floating)):
@@ -53,8 +56,47 @@ def _scalar(value):
 
 
 def dumps(document) -> str:
-    """Render a document as JSON indented by two spaces, floats by ``repr``."""
-    return json.dumps(document, indent=2, allow_nan=False, default=_scalar) + "\n"
+    """Render a document as JSON indented by two spaces, floats by ``repr``.
+
+    The text is that of ``json.dumps(document, indent=2, allow_nan=False,
+    default=_scalar)`` plus a newline, for documents whose object keys are
+    strings; any other key raises TypeError.  ``json`` uses its C encoder
+    only without ``indent``, so this writer renders the layout directly.
+    """
+    return _render(document, "\n") + "\n"
+
+
+def _render(value, newline: str) -> str:
+    """``value`` as JSON whose nested lines start with ``newline`` plus two spaces."""
+    # the type tests run in the order of json's encoder: a bool is an int,
+    # and a numpy float64 is a float
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _quote raises TypeError on a key that is not a string
+        items = [_quote(key) + ": " + _render(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _render(_scalar(value), newline)
 
 
 def _write(path, chunks) -> None:

@@ -317,10 +317,11 @@ def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
     ``sums`` holds each key's :func:`cvpuk.scattering.masked_sums` under
     the database's mask and throughput.  Every row gets the same value
     :func:`hit_probability` gives its key: the erf arguments are formed
-    by elementwise array arithmetic, each cell's mass by ``math.erf``,
-    and each row's mean by the correctly rounded ``math.fsum``, so the
-    block size cannot change a bit.  Equal sums, such as a block of
-    perfect clones, are evaluated once.
+    by elementwise array arithmetic, each cell's mass
+    ``0.5 * (erf(high) - erf(low))`` from ``math.erf`` values, and each
+    row's mean by the correctly rounded ``math.fsum``, so the block size
+    cannot change a bit.  Equal sums, such as a block of perfect clones,
+    are evaluated once.
     """
     distinct, rows = np.unique(sums, return_inverse=True)
     amplitudes = distinct[:, np.newaxis] * database.probe_set.amplitudes()
@@ -329,11 +330,15 @@ def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
     scale = _SQRT2 * database.channel.shot_noise
     highs = ((database.centers + half).ravel() - means) / scale
     lows = ((database.centers - half).ravel() - means) / scale
-    cells = means.shape[1]
-    return np.clip([
-        math.fsum([0.5 * (math.erf(high) - math.erf(low)) for high, low in zip(*row)]) / cells
-        for row in zip(highs.tolist(), lows.tolist())
-    ], 0.0, 1.0)[rows]
+    masses = 0.5 * (_erf(highs) - _erf(lows))
+    row_sums = np.fromiter(map(math.fsum, masses.tolist()), float, len(masses))
+    return np.clip(row_sums / means.shape[1], 0.0, 1.0)[rows]
+
+
+def _erf(values: np.ndarray) -> np.ndarray:
+    """``math.erf`` of every entry: numpy has no ``erf`` of its own."""
+    flat = np.fromiter(map(math.erf, values.ravel().tolist()), float, values.size)
+    return flat.reshape(values.shape)
 
 
 def hit_probability(key: ScatteringKey, database: CrpDatabase) -> float:

@@ -37,7 +37,7 @@ from cvpuk import (
 from cvpuk import experiments
 from cvpuk.adversary import clone_rows, false_key_sums, replaced_count
 from cvpuk.experiments import STREAM_CHUNK
-from cvpuk.homodyne import p_in_theoretical
+from cvpuk.homodyne import p_in_theoretical, quadrature_means
 from cvpuk.protocol import hit_probabilities, hit_probability, verify_block
 from cvpuk.scattering import masked_sums
 
@@ -476,3 +476,37 @@ def test_block_verification_equals_single_verifications():
                                                substream(64, 3))
     assert empty_p_ins.shape == empty_verdicts.shape == (0,)
     assert hit_probabilities(sums[:0], database).shape == (0,)
+
+
+def _reference_hit_probabilities(sums, database):
+    """``p̄`` of every row on its own: each cell's mass from two scalar
+    ``math.erf`` calls in a list comprehension, each row's mean by ``math.fsum``."""
+    amplitudes = sums[:, np.newaxis] * database.probe_set.amplitudes()
+    means = quadrature_means(amplitudes).reshape(len(sums), 2 * database.probe_set.size)
+    half = 0.5 * database.channel.bin_width
+    scale = math.sqrt(2.0) * database.channel.shot_noise
+    highs = ((database.centers + half).ravel() - means) / scale
+    lows = ((database.centers - half).ravel() - means) / scale
+    cells = means.shape[1]
+    return np.clip([
+        math.fsum([0.5 * (math.erf(high) - math.erf(low)) for high, low in zip(*row)]) / cells
+        for row in zip(highs.tolist(), lows.tolist())
+    ], 0.0, 1.0)
+
+
+def test_hit_probabilities_carry_the_scalar_kernel_bits():
+    config = CampaignConfig(experiment_id="collision_histogram")
+    true_key = generate_key(121, 0.2, substream(71, 0))
+    database = enroll_exact(true_key, 0.8, config.probe_set(), config.channel())
+    true_sum = masked_sums(true_key.coefficients[np.newaxis], 0.8, database.mask)
+    false_sums = false_key_sums(121, 0.2, 0.8, 4097, substream(71, 1))
+    blocks = {
+        # far from every bin, where the two erf values of each cell nearly cancel
+        "far false keys": np.concatenate((false_sums[:64], 30.0 * false_sums[:64])),
+        "D = 0 duplicates": np.concatenate((np.repeat(true_sum, 5), false_sums[:3], true_sum)),
+        "one row": true_sum,
+        "4,097 rows": false_sums,
+    }
+    for name, sums in blocks.items():
+        expected = _reference_hit_probabilities(sums, database)
+        assert hit_probabilities(sums, database).tobytes() == expected.tobytes(), name

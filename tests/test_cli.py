@@ -19,7 +19,7 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.cli import main
+from cvpuk.cli import build_parser, main
 from cvpuk.experiments import EXPERIMENT_IDS
 from cvpuk.homodyne import HomodyneChannel, ProbeSet
 
@@ -121,6 +121,28 @@ def test_enroll_accepts_existing_key(tmp_path):
     assert (out_dir / "key.json").read_bytes() == key_path.read_bytes()
 
 
+def test_enroll_refuses_a_config_l_over_L_the_key_file_disagrees_with(tmp_path, capsys):
+    key_path = tmp_path / "key.json"
+    jsonio.dump(generate_key(16, 0.2, substream(77, 0)).to_dict(), key_path)
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, n_modes=16, key_path=str(key_path), l_over_L=0.9)
+    out_dir = tmp_path / "out"
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: key has l_over_L 0.2, config says 0.9\n"
+    assert not out_dir.exists()
+    # the config's value is checked like any real field, and may be left out
+    _write_enroll_config(config_path, n_modes=16, key_path=str(key_path), l_over_L="0.2")
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: l_over_L must be a real number")
+    config = _write_enroll_config(config_path, n_modes=16, key_path=str(key_path))
+    del config["l_over_L"]
+    config_path.write_text(json.dumps(config))
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    assert (out_dir / "key.json").read_bytes() == key_path.read_bytes()
+
+
 def test_zero_variance_key_file_exits_2_without_output(tmp_path, capsys):
     # l_over_L = 1 would give the key variance 0; enroll and verify both refuse it
     key_path = tmp_path / "key.json"
@@ -165,6 +187,35 @@ def test_verify_accepts_enrolled_key(tmp_path):
     trace = (out_dir / "trace.csv").read_text().splitlines()
     assert trace[0] == "k,theta,outcome,hit"
     assert len(trace) == 1001
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    build_parser.cache_clear()
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path)
+    out_dir = tmp_path / "out"
+    # after --seed 5, a plain enroll generates its key from the config's seed 9
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir / "s5"),
+                 "--seed", "5"]) == 0
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir / "s9")]) == 0
+    written = ScatteringKey.from_dict(jsonio.load(out_dir / "s9" / "key.json"))
+    assert np.array_equal(written.coefficients,
+                          generate_key(32, 0.2, substream(9, 0)).coefficients)
+    # after --trace, a plain verify writes no trace
+    verify_args = ["verify", "--database", str(out_dir / "s9" / "database.json"),
+                   "--key", str(out_dir / "s9" / "key.json")]
+    assert main(verify_args + ["--out", str(out_dir / "traced"), "--trace"]) == 0
+    assert main(verify_args + ["--out", str(out_dir / "plain")]) == 0
+    assert (out_dir / "traced" / "trace.csv").exists()
+    assert sorted(path.name for path in (out_dir / "plain").iterdir()) == ["report.json"]
+    # a usage error still exits 2, and the next call parses afresh
+    with pytest.raises(SystemExit) as usage_error:
+        main(["verify", "--key", str(out_dir / "s9" / "key.json")])
+    assert usage_error.value.code == 2
+    assert "required: --database" in capsys.readouterr().err
+    assert main(["thresholds"]) == 0
+    # functools.cache counts each run of the parser's body as a miss
+    assert build_parser.cache_info().misses == 1
 
 
 def test_verify_rejects_false_key(tmp_path):

@@ -3,8 +3,60 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvpuk import jsonio
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# text covers non-ASCII, quotes, backslashes and control characters
+leaves = st.one_of(
+    st.text(), st.integers(), st.integers(min_value=2**63, max_value=2**200),
+    finite_floats, st.booleans(), st.none(),
+    finite_floats.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+)
+
+
+def _nested(children):
+    return st.one_of(st.lists(children), st.lists(children).map(tuple),
+                     st.dictionaries(st.text(), children))
+
+
+documents = st.recursive(leaves, _nested, max_leaves=40)
+
+
+@given(documents)
+def test_dumps_writes_what_json_writes(document):
+    expected = json.dumps(document, indent=2, allow_nan=False, default=jsonio._scalar) + "\n"
+    assert jsonio.dumps(document) == expected
+
+
+def _bury(value):
+    """Documents that hold ``value`` at some depth beside other entries."""
+    return st.recursive(
+        st.just(value),
+        lambda inner: st.one_of(
+            st.tuples(leaves, inner).map(list),
+            st.builds(lambda sibling, buried: {"sibling": sibling, "buried": buried},
+                      leaves, inner),
+        ),
+        max_leaves=8,
+    )
+
+
+@given(st.one_of(*(_bury(value) for value in (math.nan, math.inf, np.float64(-math.inf)))))
+def test_non_finite_floats_are_refused_at_any_depth(document):
+    with pytest.raises(ValueError):
+        jsonio.dumps(document)
+
+
+@given(st.one_of(*(_bury(value) for value in (object(), {1, 2}, b"x", 1j, np.zeros(2)))))
+def test_unknown_types_are_refused_at_any_depth(document):
+    with pytest.raises(TypeError):
+        jsonio.dumps(document)
 
 
 def test_floats_are_written_by_their_shortest_repr():
@@ -105,6 +157,10 @@ def test_numpy_scalars_render_like_python_scalars():
 def test_rejects_unknown_types():
     with pytest.raises(TypeError):
         jsonio.dumps({"value": object()})
+    # json would write these keys as strings; no artifact has them
+    for key in (1, 2.5, None, True):
+        with pytest.raises(TypeError):
+            jsonio.dumps({key: 0})
 
 
 def test_output_is_deterministic(tmp_path):

@@ -12,12 +12,13 @@ Both stages are simulated through their sufficient statistics.  A
 sampled enrollment stores the mean of ``M_e`` Gaussian draws, which is
 itself one Gaussian draw with standard deviation ``sigma / sqrt(M_e)``.
 The ``M`` sessions of a verification are independent and each hits with
-probability :func:`hit_probability`, the mean bin mass over the ``2N``
-probe and quadrature cells, so the hit count is one binomial draw.
-Either way the cost no longer grows with the number of samples or
-sessions.  A traced verification still draws every session, because
+probability ``p̄`` (:func:`hit_probabilities`), the mean bin mass over
+the ``2N`` probe and quadrature cells, so the hit count is one binomial
+draw.  Either way the cost no longer grows with the number of samples
+or sessions.  A traced verification still draws every session, because
 its trace lists them; it is the reference the closed forms are tested
-against.  Verification sees a key only through its masked sum, so the
+against.  Verification sees a key only through its masked sum: both
+paths form the quadrature means from that sum in one place, and the
 campaigns draw a false key as that one circular Gaussian
 (:func:`cvpuk.adversary.false_key_sums`) and never its coefficients.
 
@@ -46,6 +47,7 @@ from .jsonio import REAL_INTERVALS, require_int, require_real
 from .scattering import (
     PhaseMask,
     ScatteringKey,
+    ensemble_variance,
     masked_sums,
     optimal_mask,
     scattered_amplitude,
@@ -59,7 +61,6 @@ __all__ = [
     "enroll_sampled",
     "enrollment_error",
     "m_threshold",
-    "hit_probability",
     "hit_probabilities",
     "verify",
     "verify_block",
@@ -97,10 +98,10 @@ class CrpDatabase:
             raise ValueError(f"centers must have shape ({size}, 2), got {centers.shape}")
         if not np.all(np.isfinite(centers)):
             raise ValueError("centers must be finite")
-        if not 0.0 < self.setup_loss <= 1.0:
-            raise ValueError("setup_loss must lie in (0, 1]")
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "setup_loss",
+                           require_real("setup_loss", self.setup_loss, REAL_INTERVALS["tau"]))
         object.__setattr__(self, "enrollment_error",
                            require_real("enrollment_error", self.enrollment_error, "[0, inf)"))
 
@@ -143,7 +144,7 @@ class CrpDatabase:
             enrollment_error=data["enrollment_error"],
             probe_set=probe_set,
             channel=HomodyneChannel.from_dict(data["channel"]),
-            setup_loss=require_real("setup_loss", data["setup_loss"], REAL_INTERVALS["tau"]),
+            setup_loss=data["setup_loss"],
         )
 
 
@@ -223,10 +224,7 @@ def e_threshold(mean_challenge_photons: float, mode_count: int, l_over_L: float)
     """
     if not mean_challenge_photons > 0.0:
         raise ValueError("mean_challenge_photons must be positive")
-    if mode_count < 1:
-        raise ValueError("mode_count must be at least 1")
-    if not 0.0 <= l_over_L < 1.0:
-        raise ValueError("l_over_L must lie in [0, 1)")
+    ensemble_variance(mode_count, l_over_L)  # checks both parameters
     photons_per_mode = (mean_challenge_photons / mode_count) * (1.0 - l_over_L)
     if not photons_per_mode > 0.0:
         raise ValueError(f"photons per mode underflow to 0 at mean_challenge_photons "
@@ -303,59 +301,49 @@ class VerificationReport:
         }
 
 
-def _bins(key: ScatteringKey, database: CrpDatabase):
-    """Quadrature means of the key under test and the stored bins, each (N, 2)."""
-    amplitudes = scattered_amplitude(key, database.setup_loss, database.mask,
-                                     database.probe_set.amplitudes())
+def _cells(sums: np.ndarray, database: CrpDatabase):
+    """Quadrature means of a block of keys given their masked sums, shape
+    ``(B, N, 2)``, and the stored bins' lower and upper edges, each ``(N, 2)``."""
+    amplitudes = sums[:, np.newaxis] * database.probe_set.amplitudes()
     half = 0.5 * database.channel.bin_width
     return quadrature_means(amplitudes), database.centers - half, database.centers + half
 
 
 def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
-    """``p̄`` of a block of keys, given their masked sums, shape ``(B,)``.
+    """Probability ``p̄`` that one verification session scores a hit, for a
+    block of keys given their masked sums, shape ``(B,)``.
 
     ``sums`` holds each key's :func:`cvpuk.scattering.masked_sums` under
-    the database's mask and throughput.  Every row gets the same value
-    :func:`hit_probability` gives its key: the erf arguments are formed
-    by elementwise array arithmetic, each cell's mass
-    ``0.5 * (erf(high) - erf(low))`` from ``math.erf`` values, and each
-    row's mean by the correctly rounded ``math.fsum``, so the block size
-    cannot change a bit.  Equal sums, such as a block of perfect clones,
-    are evaluated once.
+    the database's mask and throughput.  A session picks one of the
+    ``2N`` probe and quadrature cells uniformly; its outcome is Gaussian
+    around the key's quadrature mean ``m`` with shot noise ``sigma`` and
+    hits when it falls in the stored bin ``[lo, hi]``.  So ``p̄`` is the
+    mean over the cells of ``Phi((hi - m) / sigma) - Phi((lo - m) /
+    sigma)``, clipped to ``[0, 1]``.  For a genuine, exactly enrolled key
+    every bin is centred on its mean and ``p̄`` equals
+    ``p_in_theoretical``; no bin holds more mass than a centred one, so
+    ``p̄`` never exceeds it.
+
+    The erf arguments are formed by elementwise array arithmetic, each
+    cell's mass ``0.5 * (erf(high) - erf(low))`` from ``math.erf``
+    values, and each row's mean by the correctly rounded ``math.fsum``,
+    so the block size cannot change a bit.  Equal sums, such as a block
+    of perfect clones, are evaluated once.
     """
     distinct, rows = np.unique(sums, return_inverse=True)
-    amplitudes = distinct[:, np.newaxis] * database.probe_set.amplitudes()
-    means = quadrature_means(amplitudes).reshape(len(distinct), 2 * database.probe_set.size)
-    half = 0.5 * database.channel.bin_width
+    means, lows, highs = _cells(distinct, database)
     scale = _SQRT2 * database.channel.shot_noise
-    highs = ((database.centers + half).ravel() - means) / scale
-    lows = ((database.centers - half).ravel() - means) / scale
-    masses = 0.5 * (_erf(highs) - _erf(lows))
-    row_sums = np.fromiter(map(math.fsum, masses.tolist()), float, len(masses))
-    return np.clip(row_sums / means.shape[1], 0.0, 1.0)[rows]
+    masses = 0.5 * (_erf((highs - means) / scale) - _erf((lows - means) / scale))
+    cells = 2 * database.probe_set.size
+    row_sums = np.fromiter(map(math.fsum, masses.reshape(len(distinct), cells).tolist()),
+                           float, len(distinct))
+    return np.clip(row_sums / cells, 0.0, 1.0)[rows]
 
 
 def _erf(values: np.ndarray) -> np.ndarray:
     """``math.erf`` of every entry: numpy has no ``erf`` of its own."""
     flat = np.fromiter(map(math.erf, values.ravel().tolist()), float, values.size)
     return flat.reshape(values.shape)
-
-
-def hit_probability(key: ScatteringKey, database: CrpDatabase) -> float:
-    """Probability ``p̄`` that one verification session of ``key`` scores a hit.
-
-    A session picks one of the ``2N`` probe and quadrature cells
-    uniformly; its outcome is Gaussian around the key's quadrature mean
-    ``m`` with shot noise ``sigma`` and hits when it falls in the stored
-    bin ``[lo, hi]``.  So ``p̄`` is the mean over the cells of
-    ``Phi((hi - m) / sigma) - Phi((lo - m) / sigma)``, clipped to
-    ``[0, 1]``.  For a genuine, exactly enrolled key every bin is
-    centred on its mean and ``p̄`` equals ``p_in_theoretical``; no bin
-    holds more mass than a centred one, so ``p̄`` never exceeds it.
-    This is the one-row case of :func:`hit_probabilities`.
-    """
-    sums = masked_sums(key.coefficients[np.newaxis], database.setup_loss, database.mask)
-    return float(hit_probabilities(sums, database)[0])
 
 
 def _public_p_in(channel: HomodyneChannel, config: VerificationConfig) -> float:
@@ -391,25 +379,30 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     accepted when the hit frequency lies within ``error_level`` of the
     public in-bin probability.
 
-    Sessions are independent and identically distributed, so the hit
-    count is exactly ``Binomial(sessions, hit_probability(key,
-    database))``; an untraced run draws that one variate and costs the
+    The response depends on the key only through its masked sum, which
+    is formed once.  Sessions are independent and identically
+    distributed, so the hit count is exactly ``Binomial(sessions, p̄)``
+    with ``p̄`` from :func:`hit_probabilities`; an untraced run draws that
+    one variate, row 0 of what :func:`verify_block` draws, and costs the
     same at any session count.  With ``trace=True`` every session is
-    drawn, in a fixed bulk order (all probe indices, then all quadrature
-    choices, then all outcomes), and listed in ``session_trace``.  The
-    two paths consume the generator differently, so at the same seed
-    their hit counts differ; each is fully reproducible from its seed.
+    drawn around the same quadrature means, in a fixed bulk order (all
+    probe indices, then all quadrature choices, then all outcomes), and
+    listed in ``session_trace``.  The two paths consume the generator
+    differently, so at the same seed their hit counts differ; each is
+    fully reproducible from its seed.
     """
     channel = database.channel
     expected = _public_p_in(channel, config)
+    sums = masked_sums(key_under_test.coefficients[np.newaxis], database.setup_loss,
+                       database.mask)
 
     sessions = config.sessions
     session_trace = None
     if trace:
-        means, lows, highs = _bins(key_under_test, database)
+        means, lows, highs = _cells(sums, database)
         ks = rng.integers(0, database.probe_set.size, size=sessions)
         quads = rng.integers(0, 2, size=sessions)
-        outcomes = rng.normal(means[ks, quads], channel.shot_noise)
+        outcomes = rng.normal(means[0, ks, quads], channel.shot_noise)
         hits = (outcomes >= lows[ks, quads]) & (outcomes <= highs[ks, quads])
         total_hits = int(hits.sum())
         session_trace = tuple(
@@ -417,7 +410,7 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
             for k, q, outcome, hit in zip(ks, quads, outcomes, hits)
         )
     else:
-        total_hits = int(rng.binomial(sessions, hit_probability(key_under_test, database)))
+        total_hits = int(rng.binomial(sessions, hit_probabilities(sums, database))[0])
 
     p_in = total_hits / sessions
     return VerificationReport(

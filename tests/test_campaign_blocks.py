@@ -3,11 +3,13 @@
 Trial ``t`` of a purpose is row ``t % STREAM_CHUNK`` of chunk
 ``t // STREAM_CHUNK``, drawn from the chunk's own stream.  The references
 below draw every chunk in full straight from its stream.  A clone row is
-built as a ``ScatteringKey`` and evaluated with the one-key functions
-(``scattered_amplitude``, ``hit_probability``, and ``verify`` for the
-verdict); a false key is drawn as its masked sum alone, one circular
-Gaussian per row, and evaluated one row at a time.  Both compare with
-``==``: a chunked campaign promises the same bits, not close ones.
+built as a ``ScatteringKey`` and evaluated on its own: its response by
+``scattered_amplitude``, its ``p̄`` by the scalar reference kernel
+``_reference_hit_probabilities`` from the key's own masked sum, and its
+verdict by ``verify``; a false key is drawn as its masked sum alone,
+one circular Gaussian per row, and evaluated one row at a time.  Both
+compare with ``==``: a chunked campaign promises the same bits, not
+close ones.
 """
 
 import csv
@@ -22,9 +24,11 @@ from cvpuk import (
     Histogram,
     Response,
     ScatteringKey,
+    VerificationConfig,
     clone_key,
     enroll_exact,
     generate_key,
+    m_threshold,
     optimal_mask,
     run_campaign,
     run_clone_experiments,
@@ -38,7 +42,7 @@ from cvpuk import experiments
 from cvpuk.adversary import clone_rows, false_key_sums, replaced_count
 from cvpuk.experiments import STREAM_CHUNK
 from cvpuk.homodyne import p_in_theoretical, quadrature_means
-from cvpuk.protocol import hit_probabilities, hit_probability, verify_block
+from cvpuk.protocol import hit_probabilities, verify_block
 from cvpuk.scattering import masked_sums
 
 
@@ -99,7 +103,7 @@ class _Drawn:
         self.hits = hits
 
     def binomial(self, n, p):
-        return self.hits
+        return np.full(np.shape(p), self.hits)
 
 
 def _reference_verdicts(p_bars, database, config, *path):
@@ -142,7 +146,7 @@ def _reference_clone_cluster(config, n_index, d_index):
     database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
     verification = config.verification()
     points = [_point(clone, config, database.mask) for clone in clones]
-    p_bars = [hit_probability(clone, database) for clone in clones]
+    p_bars = [_reference_p_bar(clone, database) for clone in clones]
     outcomes = _reference_verdicts(p_bars, database, config, 6, n_index, d_index)
     for trial, (clone, (p_in, accepted)) in enumerate(zip(clones, outcomes)):
         count = round(p_in * config.m_sessions)
@@ -459,7 +463,7 @@ def test_block_verification_equals_single_verifications():
                          for i, d in enumerate((0.01, 0.03, 0.05, 1.0))]
     sums = masked_sums(np.array([k.coefficients for k in keys]), 0.8, database.mask)
     p_bars = hit_probabilities(sums, database)
-    assert p_bars.tolist() == [hit_probability(key, database) for key in keys]
+    assert p_bars.tolist() == [_reference_p_bar(key, database) for key in keys]
     # equal sums, evaluated once, still give every row its own p̄
     repeats = [0, 3, 0, 0, 3, 1]
     assert hit_probabilities(sums[repeats], database).tolist() == p_bars[repeats].tolist()
@@ -492,6 +496,31 @@ def _reference_hit_probabilities(sums, database):
         math.fsum([0.5 * (math.erf(high) - math.erf(low)) for high, low in zip(*row)]) / cells
         for row in zip(highs.tolist(), lows.tolist())
     ], 0.0, 1.0)
+
+
+def _reference_p_bar(key, database):
+    """Reference ``p̄`` of one key, from the masked sum of its ``(n,)`` row."""
+    total = masked_sums(key.coefficients, database.setup_loss, database.mask)
+    return float(_reference_hit_probabilities(np.array([total]), database)[0])
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 121])
+def test_untraced_verify_draws_one_binomial_of_the_reference_p_bar(n_modes):
+    # at the paper's session count, where one hit is 1 / M, about 4.4e-8, of p_in
+    config = CampaignConfig(experiment_id="cheating_curve")
+    true_key = generate_key(n_modes, 0.2, substream(73, n_modes, 0))
+    database = enroll_exact(true_key, 0.8, config.probe_set(), config.channel())
+    verification = VerificationConfig(m_threshold(1e-3, 1e-3), 1e-3, 1e-3)
+    keys = {
+        "genuine": true_key,
+        "false": generate_key(n_modes, 0.2, substream(73, n_modes, 1)),
+        "3% clone": clone_key(true_key, 0.03, substream(73, n_modes, 2))[0],
+    }
+    for stream, (name, key) in enumerate(keys.items(), start=3):
+        p_bar = _reference_p_bar(key, database)
+        expected = substream(73, n_modes, stream).binomial(verification.sessions, p_bar)
+        report = verify(key, database, verification, substream(73, n_modes, stream))
+        assert report.hits == expected, name
 
 
 def test_hit_probabilities_carry_the_scalar_kernel_bits():

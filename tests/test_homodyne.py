@@ -24,7 +24,7 @@ from cvpuk import (
 )
 from cvpuk import experiments
 from cvpuk.homodyne import quadrature_means
-from cvpuk.protocol import _bins
+from cvpuk.protocol import _cells
 from cvpuk.scattering import masked_sums
 
 # frozen with mpmath at 40 digits: erf(1/sqrt(2)) and erf(sqrt(2))
@@ -106,6 +106,14 @@ def test_sample_quadrature_mean_recovery():
     assert abs(float(errors.mean())) <= tolerance
 
 
+def _cells_of(key, database):
+    """One key's quadrature means ``(N, 2)``, from its masked sum, and the
+    stored bins' edges."""
+    sums = masked_sums(key.coefficients[np.newaxis], database.setup_loss, database.mask)
+    means, lows, highs = _cells(sums, database)
+    return means[0], lows, highs
+
+
 def _bins_of(centers, bin_width):
     """Stored bins of a database with the given centres and bin width."""
     probes = ProbeSet(len(centers), 1.0)
@@ -113,7 +121,7 @@ def _bins_of(centers, bin_width):
     exact = enroll_exact(key, 0.8, probes, _channel())
     database = CrpDatabase(exact.mask, centers, 0.0, probes,
                            HomodyneChannel(0.55, bin_width), 0.8)
-    _, lows, highs = _bins(key, database)
+    _, lows, highs = _cells_of(key, database)
     return lows, highs
 
 
@@ -139,7 +147,7 @@ def test_bin_center_equals_quadrature_mean():
     key = generate_key(16, 0.2, substream(32, 0))
     for probes in (ProbeSet(11, 2500.0), ProbeSet(7, 3.0)):
         database = enroll_exact(key, 0.8, probes, _channel())
-        means, lows, highs = _bins(key, database)
+        means, lows, highs = _cells_of(key, database)
         # an exactly enrolled key's bins are centred bitwise on its own means
         assert database.centers.tobytes() == means.tobytes()
         amplitudes = masked_sums(key.coefficients, 0.8, database.mask) * probes.amplitudes()

@@ -31,7 +31,8 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.protocol import hit_probability
+from cvpuk.protocol import hit_probabilities, verify_block
+from cvpuk.scattering import masked_sums
 
 
 def _setup(n_modes=121, seed=100, mu_p=2500.0, n_probes=11):
@@ -70,8 +71,10 @@ def test_e_threshold_values():
     assert e_threshold(1e14, 1, 0.0) == pytest.approx(16.0, abs=1e-4)
     with pytest.raises(ValueError):
         e_threshold(0.0, 121, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="l_over_L"):
         e_threshold(2000.0, 121, 1.0)
+    with pytest.raises(ValueError, match="mode_count"):
+        e_threshold(2000.0, 0, 0.2)
     for args in ((math.nan, 121, 0.2), (2000.0, 121, math.nan)):
         with pytest.raises(ValueError):
             e_threshold(*args)
@@ -232,11 +235,16 @@ def test_database_validation():
             rebuild(error=bad)
     with pytest.raises(ValueError):
         rebuild(error=-1e-3)
-    for bad in (True, "0.25"):
+    # a bare comparison would read True as the valid throughput 1.0
+    for bad in (True, np.bool_(True), "0.25"):
         with pytest.raises(TypeError):
             rebuild(error=bad)
-    with pytest.raises(ValueError):
-        rebuild(setup_loss=0.0)
+        with pytest.raises(TypeError, match="setup_loss"):
+            rebuild(setup_loss=bad)
+    for bad in (0.0, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="setup_loss"):
+            rebuild(setup_loss=bad)
+    assert rebuild(setup_loss=1).setup_loss == 1.0
     # stored arrays are immutable
     with pytest.raises(ValueError):
         database.centers[0, 0] = 1.0
@@ -358,8 +366,17 @@ def test_verify_warns_on_large_error_level():
     key, tau, probes, channel = _setup(n_modes=16, seed=108)
     database = enroll_exact(key, tau, probes, channel)
     config = VerificationConfig(10, 0.4, 0.05)
-    with pytest.warns(UserWarning):
-        verify(key, database, config, substream(108, 1))
+    sums = masked_sums(key.coefficients[np.newaxis], tau, database.mask)
+    calls = {
+        "traced verify": lambda: verify(key, database, config, substream(108, 1), trace=True),
+        "untraced verify": lambda: verify(key, database, config, substream(108, 1)),
+        "verify_block": lambda: verify_block(sums, database, config, substream(108, 1)),
+    }
+    for name, call in calls.items():
+        with pytest.warns(UserWarning, match="error_level") as record:
+            call()
+        # the warning points at the caller, not into the package
+        assert [warning.filename for warning in record] == [__file__], name
 
 
 def test_verify_trace_hits_recomputable_from_database():
@@ -435,11 +452,17 @@ def test_report_serialization():
 # ----------------------------------------------------------------- hit probability
 
 
+def _p_bar(key, database):
+    """``p̄`` of one key, from its masked sum under the database's mask."""
+    sums = masked_sums(key.coefficients[np.newaxis], database.setup_loss, database.mask)
+    return float(hit_probabilities(sums, database)[0])
+
+
 def test_hit_probability_of_exactly_enrolled_genuine_key_is_p_in():
     for n_modes, seed in ((16, 120), (121, 121), (256, 122)):
         key, tau, probes, channel = _setup(n_modes=n_modes, seed=seed)
         database = enroll_exact(key, tau, probes, channel)
-        assert abs(hit_probability(key, database) - p_in_theoretical(channel)) <= 1e-12
+        assert abs(_p_bar(key, database) - p_in_theoretical(channel)) <= 1e-12
 
 
 def _hit_probability_oracle(key, database):
@@ -468,10 +491,10 @@ def test_hit_probability_matches_mpmath_oracle():
     impostor = generate_key(key.mode_count, 0.2, substream(123, 2))
     for probe_key in (clone, impostor):
         expected = _hit_probability_oracle(probe_key, database)
-        assert abs(hit_probability(probe_key, database) - expected) <= 1e-12
+        assert abs(_p_bar(probe_key, database) - expected) <= 1e-12
     # the clone sits between the false key and the genuine key
-    assert hit_probability(impostor, database) < hit_probability(clone, database)
-    assert hit_probability(clone, database) < p_in_theoretical(channel)
+    assert _p_bar(impostor, database) < _p_bar(clone, database)
+    assert _p_bar(clone, database) < p_in_theoretical(channel)
 
 
 def test_traced_and_binomial_hit_counts_share_their_distribution():
@@ -480,7 +503,7 @@ def test_traced_and_binomial_hit_counts_share_their_distribution():
     key, tau, probes, channel = _setup(seed=124)
     database = enroll_exact(key, tau, probes, channel)
     clone, _ = clone_key(key, 0.03, substream(124, 1))
-    p_bar = hit_probability(clone, database)
+    p_bar = _p_bar(clone, database)
     sessions, runs = 1000, 2000
     config = VerificationConfig(sessions, 0.05, 0.05)
     mean = sessions * p_bar
@@ -540,7 +563,7 @@ def test_hit_probability_never_exceeds_p_in(key_and_database):
     # a bin centred on the outcome mean holds the most Gaussian mass, so
     # 0 <= p_bar <= P_in; the 1e-12 allows for rounding in the bin edges
     key, database = key_and_database
-    p_bar = hit_probability(key, database)
+    p_bar = _p_bar(key, database)
     assert 0.0 <= p_bar <= p_in_theoretical(database.channel) + 1e-12
 
 

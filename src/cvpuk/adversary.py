@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from .jsonio import REAL_INTERVALS, require_real
 from .scattering import (
     ScatteringKey,
     draw_coefficients,
@@ -43,8 +44,7 @@ def false_key(mode_count: int, l_over_L: float, rng: np.random.Generator) -> Sca
 def replaced_count(fraction: float, mode_count: int) -> int:
     """Number of coefficients a clone replaces: fraction * mode_count,
     rounded to the nearest integer with ties away from zero."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
+    fraction = require_real("fraction", fraction, REAL_INTERVALS["d_values"])
     return int(math.floor(fraction * mode_count + 0.5))
 
 
@@ -88,8 +88,7 @@ def false_key_sums(mode_count: int, l_over_L: float, tau: float, rows: int,
     ``tau * (1 - l_over_L) / mode_count``: one ``(rows, 2, 1)`` block of
     standard normals, so the first ``r`` rows equal an ``r``-row draw.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be finite and lie in (0, 1], got {tau!r}")
+    tau = require_real("tau", tau, REAL_INTERVALS["tau"])
     sums = draw_coefficients(rows, 1, tau * ensemble_variance(mode_count, l_over_L), rng)[:, 0]
     require_finite(sums)
     return sums

@@ -17,32 +17,32 @@ from .protocol import (
     e_threshold,
     enroll_exact,
     enroll_sampled,
+    enrollment_error,
     m_threshold,
     radii,
     verify,
 )
-from .scattering import ScatteringKey, ensemble_variance, generate_key
+from .scattering import ScatteringKey, ensemble_variance, generate_key, optimal_mask
 from .streams import substream
 
 __all__ = ["main"]
 
 
 def _cmd_thresholds(args) -> int:
-    # every flag is checked, and every constant computed, before one is printed
-    for name in ("epsilon", "zeta", "l_over_L", "delta_over_sigma", "eta"):
-        jsonio.require_real(f"--{name.replace('_', '-')}", getattr(args, name),
-                            jsonio.REAL_INTERVALS[name])
-    jsonio.require_real("--mu-c", args.mu_c, "(0, inf)")
-    channel = HomodyneChannel.from_delta_ratio(args.eta, args.delta_over_sigma)
+    # every constant is computed before one is printed, and the channel,
+    # which may warn about its bin width, after every other check
+    sessions = m_threshold(args.epsilon, args.zeta)
+    threshold = e_threshold(args.mu_c, args.n_modes, args.l_over_L)
     expected_enhancement = math.pi * args.n_modes / 4.0
     rho_false, rho_true = radii(args.mu_c, ensemble_variance(args.n_modes, args.l_over_L),
                                 expected_enhancement)
+    channel = HomodyneChannel.from_delta_ratio(args.eta, args.delta_over_sigma)
     lines = (
         f"sigma      = {channel.shot_noise!r}",
         f"delta      = {channel.bin_width!r}",
         f"P_in       = {p_in_theoretical(channel)!r}",
-        f"M_th       = {m_threshold(args.epsilon, args.zeta)}",
-        f"E_th       = {e_threshold(args.mu_c, args.n_modes, args.l_over_L)!r}",
+        f"M_th       = {sessions}",
+        f"E_th       = {threshold!r}",
         f"E_expected = {expected_enhancement!r}  (mean optimal-mask enhancement)",
         f"rho_f      = {rho_false!r}",
         f"rho_t      = {rho_true!r}  (at E_expected)",
@@ -62,39 +62,40 @@ def _cmd_enroll(args) -> int:
         seed = jsonio.require_int("seed", config.get("seed", 0), 0)
     else:
         seed = jsonio.require_int("--seed", args.seed, 0)
-
-    def real(name):
-        return jsonio.require_real(name, config[name], jsonio.REAL_INTERVALS[name])
-
     n_modes = jsonio.require_int("n_modes", config["n_modes"])
-    tau = real("tau")
-    probes = ProbeSet(jsonio.require_int("n_probe_states", config["n_probe_states"]),
-                      real("mu_p"))
-    channel = HomodyneChannel.from_delta_ratio(real("eta"), real("delta_over_sigma"))
-
+    probes = ProbeSet(config["n_probe_states"], config["mu_p"])
     if "key_path" in config:
         if not isinstance(config["key_path"], str):
             raise TypeError(f"key_path must be a string, got {config['key_path']!r}")
         key = ScatteringKey.from_dict(jsonio.load(config["key_path"]))
         if key.mode_count != n_modes:
             raise ValueError(f"key has {key.mode_count} modes, config says {n_modes}")
-        if "l_over_L" in config and real("l_over_L") != key.l_over_L:
+        # like n_modes, a given l_over_L is compared, not consumed, so it is checked here
+        if "l_over_L" in config and key.l_over_L != jsonio.require_real(
+                "l_over_L", config["l_over_L"], jsonio.REAL_INTERVALS["l_over_L"]):
             raise ValueError(f"key has l_over_L {key.l_over_L!r}, "
                              f"config says {config['l_over_L']!r}")
     else:
-        key = generate_key(n_modes, real("l_over_L"), substream(seed, 0))
+        key = generate_key(n_modes, config["l_over_L"], substream(seed, 0))
 
+    # the channel may warn about its bin width, so whatever enrollment would
+    # refuse is refused first: the sample count, and through the mask a bad
+    # tau or a key that couples no light
     mode = config.get("enrollment", "exact")
+    if mode == "sampled":
+        samples = config["per_quadrature_samples"]
+        enrollment_error(samples)
+    elif mode != "exact":
+        raise ValueError(f"unknown enrollment mode {mode!r}")
+    elif "per_quadrature_samples" in config:
+        raise ValueError(f"per_quadrature_samples is for sampled enrollment, not {mode!r}")
+    tau = config["tau"]
+    optimal_mask(key, tau)
+    channel = HomodyneChannel.from_delta_ratio(config["eta"], config["delta_over_sigma"])
     if mode == "exact":
         database = enroll_exact(key, tau, probes, channel)
-    elif mode == "sampled":
-        database = enroll_sampled(
-            key, tau, probes, channel,
-            jsonio.require_int("per_quadrature_samples", config["per_quadrature_samples"]),
-            substream(seed, 1),
-        )
     else:
-        raise ValueError(f"unknown enrollment mode {mode!r}")
+        database = enroll_sampled(key, tau, probes, channel, samples, substream(seed, 1))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -98,10 +98,11 @@ class CampaignConfig:
     Defaults reproduce the reference parameter set used throughout the
     bundled experiments (121 modes, uniform illumination, tau 0.8,
     eta 0.55, bin width two shot-noise units, 11 probe states of 2500
-    photons, 1000 sessions, error level 0.05).  Construction is the one
-    place a campaign's inputs are checked: integer fields must be ints,
-    and every real field must be finite and inside its ``REAL_INTERVALS``
-    entry, so a bad config fails before any artifact is written.
+    photons, 1000 sessions, error level 0.05).  Construction checks every
+    field, so a bad config fails before any work: integer fields must be
+    ints, every real field must be finite and inside its ``REAL_INTERVALS``
+    entry, and the probe set and verification config it builds check the
+    probe and session counts.
     """
 
     experiment_id: str
@@ -125,8 +126,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment_id {self.experiment_id!r}")
-        for name, minimum in (("n_modes", 1), ("n_probe_states", None), ("m_sessions", None),
-                              ("trials", 0), ("seed", 0)):
+        for name, minimum in (("n_modes", 1), ("trials", 0), ("seed", 0)):
             object.__setattr__(self, name, jsonio.require_int(name, getattr(self, name), minimum))
         object.__setattr__(
             self, "mode_counts",
@@ -139,8 +139,8 @@ class CampaignConfig:
             else:
                 value = jsonio.require_real(name, value, interval)
             object.__setattr__(self, name, value)
-        self.probe_set()  # checks n_probe_states against the probe set's bounds
-        self.verification()  # checks m_sessions against the protocol's bounds
+        self.probe_set()  # checks n_probe_states
+        self.verification()  # checks m_sessions
 
     @property
     def mu_c(self) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import REAL_INTERVALS, require_real
+from .jsonio import REAL_INTERVALS, require_int, require_real
 
 __all__ = [
     "HALF_PI",
@@ -38,10 +38,8 @@ class ProbeSet:
     mean_photons: float
 
     def __post_init__(self):
-        if self.size <= 2:
-            raise ValueError("a probe set must contain more than 2 states")
-        if not (math.isfinite(self.mean_photons) and self.mean_photons > 0.0):
-            raise ValueError("mean_photons must be positive and finite")
+        require_int("size", self.size, 3)
+        require_real("mean_photons", self.mean_photons, REAL_INTERVALS["mu_p"])
 
     def amplitudes(self) -> np.ndarray:
         """All probe amplitudes as a complex vector, indexed by k."""
@@ -76,8 +74,7 @@ def _caller_level() -> int:
 
 def _shot_noise(efficiency: float) -> float:
     """Shot-noise standard deviation ``1 / sqrt(2 * efficiency)`` of the readout."""
-    if not 0.0 < efficiency <= 1.0:
-        raise ValueError("efficiency must lie in (0, 1]")
+    efficiency = require_real("efficiency", efficiency, REAL_INTERVALS["eta"])
     return 1.0 / math.sqrt(2.0 * efficiency)
 
 
@@ -97,8 +94,7 @@ class HomodyneChannel:
 
     def __post_init__(self):
         sigma = _shot_noise(self.efficiency)
-        if not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
-            raise ValueError("bin_width must be positive and finite")
+        require_real("bin_width", self.bin_width, "(0, inf)")
         object.__setattr__(self, "shot_noise", sigma)
         if not 2.0 * sigma <= self.bin_width < 4.0 * sigma:
             warnings.warn(
@@ -110,6 +106,7 @@ class HomodyneChannel:
     @classmethod
     def from_delta_ratio(cls, efficiency: float, delta_over_sigma: float) -> "HomodyneChannel":
         """Build a channel from the bin width expressed in shot-noise units."""
+        require_real("delta_over_sigma", delta_over_sigma, REAL_INTERVALS["delta_over_sigma"])
         return cls(efficiency, delta_over_sigma * _shot_noise(efficiency))
 
     def to_dict(self) -> dict:
@@ -117,8 +114,7 @@ class HomodyneChannel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HomodyneChannel":
-        return cls(require_real("channel.efficiency", data["efficiency"], REAL_INTERVALS["eta"]),
-                   require_real("channel.bin_width", data["bin_width"], "(0, inf)"))
+        return cls(data["efficiency"], data["bin_width"])
 
 
 def quadrature_means(amplitudes: np.ndarray) -> np.ndarray:

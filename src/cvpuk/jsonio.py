@@ -1,4 +1,4 @@
-"""Artifact files: every file the package writes, and the checks of its readers.
+"""Artifact files, the checks of their readers, and the one table of parameter intervals.
 
 :func:`dump` writes JSON in the standard encoder's two-space layout and
 :func:`write_csv` writes CSV rows with ``%r``, so a float is written by
@@ -27,10 +27,10 @@ import numpy as np
 __all__ = ["REAL_INTERVALS", "dumps", "dump", "write_csv", "load", "require_object",
            "require_int", "require_real"]
 
-# allowed interval of every real-valued config field; a tuple field's
-# interval applies to each of its entries.  Campaign and enroll configs,
-# the thresholds flags and the key and database readers all check their
-# real fields here.  The floor of histogram_bin caps a histogram at 10,000 bins.
+# allowed interval of every real-valued parameter; a tuple field's
+# interval applies to each of its entries.  The code that consumes a value
+# checks it here, so configs, flags, files and Python calls share one rule.
+# The floor of histogram_bin caps a histogram at 10,000 bins.
 REAL_INTERVALS = {
     "l_over_L": "[0, 1)",
     "mu_p": "(0, inf)",

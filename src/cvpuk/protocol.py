@@ -123,11 +123,7 @@ class CrpDatabase:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrpDatabase":
-        probe_set = ProbeSet(
-            require_int("probe_set.size", data["probe_set"]["size"]),
-            require_real("probe_set.mean_photons", data["probe_set"]["mean_photons"],
-                         REAL_INTERVALS["mu_p"]),
-        )
+        probe_set = ProbeSet(data["probe_set"]["size"], data["probe_set"]["mean_photons"])
         records = sorted(data["records"], key=lambda r: require_int("k", r["k"]))
         if [r["k"] for r in records] != list(range(probe_set.size)):
             raise ValueError("records must hold each probe index 0..N-1 exactly once")
@@ -186,8 +182,7 @@ def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
 
 def enrollment_error(per_quadrature_samples: int) -> float:
     """Estimation error bound 5 / sqrt(M_e) for a given per-quadrature sample size."""
-    if per_quadrature_samples < 1:
-        raise ValueError("per_quadrature_samples must be at least 1")
+    per_quadrature_samples = require_int("per_quadrature_samples", per_quadrature_samples, 1)
     return 5.0 / math.sqrt(per_quadrature_samples)
 
 
@@ -201,10 +196,8 @@ def m_threshold(epsilon: float, zeta: float) -> int:
     strictly larger session count, so when the ceiling equals the exact
     value, one more session is returned.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if not 0.0 < zeta < 1.0:
-        raise ValueError("zeta must lie in (0, 1)")
+    epsilon = require_real("epsilon", epsilon, REAL_INTERVALS["epsilon"])
+    zeta = require_real("zeta", zeta, REAL_INTERVALS["zeta"])
     squared = epsilon * epsilon  # zero for epsilon below about 1.5e-162
     exact = 3.0 * math.log(2.0 / zeta) / squared if squared else math.inf
     if not math.isfinite(exact):
@@ -222,8 +215,7 @@ def e_threshold(mean_challenge_photons: float, mode_count: int, l_over_L: float)
     false-key radius by several shot-noise units in the worst case;
     approaches 16 as the photon number per mode grows.
     """
-    if not mean_challenge_photons > 0.0:
-        raise ValueError("mean_challenge_photons must be positive")
+    require_real("mean_challenge_photons", mean_challenge_photons, "(0, inf)")
     ensemble_variance(mode_count, l_over_L)  # checks both parameters
     photons_per_mode = (mean_challenge_photons / mode_count) * (1.0 - l_over_L)
     if not photons_per_mode > 0.0:
@@ -247,8 +239,9 @@ def radii(mean_challenge_photons: float, variance: float,
     of the origin; the optimized true-key response sits at radius
     ``sqrt(enhancement)`` quarters of that.
     """
-    if not (mean_challenge_photons > 0.0 and variance > 0.0 and enhancement > 0.0):
-        raise ValueError("all arguments must be positive")
+    require_real("mean_challenge_photons", mean_challenge_photons, "(0, inf)")
+    require_real("variance", variance, "(0, inf)")
+    require_real("enhancement", enhancement, "(0, inf)")
     rho_false = 4.0 * math.sqrt(mean_challenge_photons * variance)
     rho_true = math.sqrt(enhancement) * rho_false / 4.0
     return rho_false, rho_true
@@ -264,12 +257,10 @@ class VerificationConfig:
 
     def __post_init__(self):
         # numpy draws a binomial count as a 64-bit integer
-        if not 1 <= self.sessions < 2**63:
+        if require_int("sessions", self.sessions, 1) >= 2**63:
             raise ValueError(f"sessions must lie in [1, 2**63), got {self.sessions}")
-        if not 0.0 < self.error_level < 1.0:
-            raise ValueError("error_level must lie in (0, 1)")
-        if not 0.0 < self.confidence_param < 1.0:
-            raise ValueError("confidence_param must lie in (0, 1)")
+        require_real("error_level", self.error_level, REAL_INTERVALS["epsilon"])
+        require_real("confidence_param", self.confidence_param, REAL_INTERVALS["zeta"])
 
 
 @dataclass(frozen=True)

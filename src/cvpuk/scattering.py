@@ -12,7 +12,7 @@ control.
 
 The set-up illuminates the modulator uniformly: the probe fibre couples
 into every input mode with the same real amplitude ``sqrt(tau / n)``, so
-its only parameter is the power throughput ``tau`` in (0, 1].
+its only parameter is the power throughput ``tau``.
 
 All operations are pure functions of their arguments plus an explicit
 random generator, and all value types are immutable after construction,
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import REAL_INTERVALS, require_real
+from .jsonio import REAL_INTERVALS, require_int, require_real
 
 __all__ = [
     "DegenerateKeyError",
@@ -106,12 +106,11 @@ class ScatteringKey:
     def from_dict(cls, data: dict) -> "ScatteringKey":
         """The key of a document; fields other than ``l_over_L`` and
         ``coefficients`` are ignored."""
-        l_over_L = require_real("l_over_L", data["l_over_L"], REAL_INTERVALS["l_over_L"])
         coefficients = np.array(
             [_coefficient(index, pair) for index, pair in enumerate(data["coefficients"])],
             dtype=complex,
         )
-        return cls(coefficients, l_over_L)
+        return cls(coefficients, data["l_over_L"])
 
 
 def _coefficient(index: int, pair) -> complex:
@@ -145,10 +144,8 @@ class PhaseMask:
 
 def ensemble_variance(mode_count: int, l_over_L: float) -> float:
     """Per-coefficient variance ``(1 - l_over_L) / mode_count`` of a fresh key."""
-    if mode_count < 1:
-        raise ValueError("mode_count must be at least 1")
-    if not 0.0 <= l_over_L < 1.0:
-        raise ValueError("l_over_L must lie in [0, 1)")
+    mode_count = require_int("mode_count", mode_count, 1)
+    l_over_L = require_real("l_over_L", l_over_L, REAL_INTERVALS["l_over_L"])
     return (1.0 - l_over_L) / mode_count
 
 
@@ -182,8 +179,7 @@ def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator) -> 
 
 def _coupling(tau: float, mode_count: int) -> float:
     """Real coupling amplitude ``sqrt(tau / n)`` of every input mode."""
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must be finite and lie in (0, 1], got {tau!r}")
+    tau = require_real("tau", tau, REAL_INTERVALS["tau"])
     return math.sqrt(tau / mode_count)
 
 
@@ -251,8 +247,7 @@ def enhancement(key: ScatteringKey, tau: float, mask: PhaseMask,
     optimization, ``variance * mean_challenge_photons``.  The probe
     strength cancels, so the ratio does not depend on it.
     """
-    if not mean_challenge_photons > 0.0:
-        raise ValueError("mean_challenge_photons must be positive")
+    require_real("mean_challenge_photons", mean_challenge_photons, "(0, inf)")
     # scale by the probe amplitude only after scattered_amplitude has
     # checked tau; the product carries the same bits either way
     amplitude = scattered_amplitude(key, tau, mask, 1.0)

@@ -87,3 +87,35 @@ def test_only_jsonio_writes_files():
         if lines:
             writers[path.stem] = lines
     assert list(writers) == ["jsonio"], writers
+
+
+# parameters whose domain is an interval of jsonio.REAL_INTERVALS, under the
+# names the code that consumes them gives them
+CONSUMED_PARAMETERS = {"tau", "l_over_L", "efficiency", "mean_photons", "bin_width",
+                       "delta_over_sigma", "epsilon", "zeta", "error_level",
+                       "confidence_param", "fraction"}
+
+
+def _hand_written_intervals(tree):
+    """Line numbers of comparisons between a number literal and a consumed parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            names = {getattr(operand, "id", getattr(operand, "attr", None))
+                     for operand in operands}
+            if names & CONSUMED_PARAMETERS and any(
+                    isinstance(operand, ast.Constant) and isinstance(operand.value, (int, float))
+                    for operand in operands):
+                yield node.lineno
+
+
+def test_only_jsonio_writes_parameter_intervals():
+    # the one interval of each parameter is in jsonio.REAL_INTERVALS; a
+    # comparison such as ``0.0 < tau <= 1.0`` elsewhere would be a second copy
+    copies = {}
+    for path in sorted((ROOT / "src" / "cvpuk").glob("*.py")):
+        if path.stem != "jsonio":
+            lines = list(_hand_written_intervals(ast.parse(path.read_text(encoding="utf-8"))))
+            if lines:
+                copies[path.stem] = lines
+    assert copies == {}

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,14 +62,22 @@ def test_thresholds_unit_efficiency(capsys):
     assert "0.68268949213708" in out
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--eta", "0"), ("--n-modes", "0"), ("--mu-c", "nan"), ("--epsilon", "0"),
-    ("--zeta", "inf"), ("--l-over-L", "1"), ("--delta-over-sigma", "-2"),
-    ("--epsilon", "1e-200"),
-    pytest.param("--n-modes", str(10**400), id="--n-modes-1e400"),
+@pytest.mark.parametrize("flags", [
+    *(pytest.param(flags, id="-".join(flags)) for flags in (
+        ("--eta", "0"), ("--n-modes", "0"), ("--mu-c", "nan"), ("--epsilon", "0"),
+        ("--zeta", "inf"), ("--l-over-L", "1"), ("--delta-over-sigma", "-2"),
+        ("--epsilon", "1e-200"),
+        # a bin width outside the recommended bracket would warn, but only
+        # once every check that can refuse has passed
+        ("--delta-over-sigma", "10", "--epsilon", "0"),
+    )),
+    pytest.param(("--n-modes", str(10**400)), id="--n-modes-1e400"),
 ])
-def test_thresholds_bad_flag_exits_2_without_output(capsys, flag, value):
-    assert main(["thresholds", flag, value]) == 2
+def test_thresholds_bad_flag_exits_2_without_output(capsys, flags):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["thresholds", *flags]) == 2
+    assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -332,6 +341,8 @@ def test_verify_ill_typed_real_field_exits_2(tmp_path, capsys, path, value):
     ("tau", True), ("mu_p", "2500"), ("key_path", 7), ("key_path", None),
     # no field: the whole document
     (None, [1, 2]), (None, "x"), (None, None),
+    # exact enrollment, the default, draws no samples
+    ("per_quadrature_samples", 25),
 ])
 def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value):
     config_path = tmp_path / "config.json"
@@ -343,6 +354,26 @@ def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value
     assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tau": 1.5}, {"enrollment": "sampled", "per_quadrature_samples": 0},
+    {"enrollment": "sampled", "per_quadrature_samples": 2.5}, {"per_quadrature_samples": 25},
+    {"n_modes": 2, "key_path": "zero_key.json"},
+], ids=["tau", "samples-0", "samples-2.5", "exact-samples", "zero-key"])
+def test_enroll_refuses_before_the_bin_width_warning(tmp_path, capsys, overrides):
+    if "key_path" in overrides:  # a key that couples no light has no optimal mask
+        key_path = tmp_path / overrides["key_path"]
+        jsonio.dump({"l_over_L": 0.2, "coefficients": [[0.0, 0.0]] * 2}, key_path)
+        overrides = dict(overrides, key_path=str(key_path))
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, delta_over_sigma=10.0, **overrides)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["enroll", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert caught == []
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field", ["enrolment", "target_mode"])

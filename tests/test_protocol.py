@@ -25,6 +25,7 @@ from cvpuk import (
     generate_key,
     jsonio,
     m_threshold,
+    optimal_mask,
     p_in_theoretical,
     radii,
     scattered_amplitude,
@@ -58,10 +59,59 @@ def test_m_threshold_strictly_exceeds_bound():
             assert m_threshold(epsilon, zeta) > 3.0 * math.log(2.0 / zeta) / epsilon**2
 
 
-@pytest.mark.parametrize("epsilon,zeta", [(0.0, 0.05), (1.0, 0.05), (0.05, 0.0), (0.05, 2.0)])
+@pytest.mark.parametrize("epsilon,zeta", [
+    (0.0, 0.05), (1.0, 0.05), (0.05, 0.0), (0.05, 2.0),
+    (True, 0.05), pytest.param("0.05", 0.05, id="'0.05'-0.05"), (0.05, True),
+    pytest.param(0.05, "0.05", id="0.05-'0.05'"),
+])
 def test_m_threshold_rejects_bad_parameters(epsilon, zeta):
-    with pytest.raises(ValueError):
+    with pytest.raises((TypeError, ValueError), match="zeta" if epsilon == 0.05 else "epsilon"):
         m_threshold(epsilon, zeta)
+
+
+_KEY = generate_key(4, 0.2, substream(6, 0))
+
+# (entry point, its call with one parameter open, that parameter's name, and
+# values the parameter refuses: True and a numeric string, which float() and
+# int() would read as valid values, a non-integral count where it is an int,
+# and the interval's excluded edge)
+REFUSED_PARAMETERS = [
+    ("ProbeSet", lambda v: ProbeSet(v, 2500.0), "size", (True, "11", 11.5, 2)),
+    ("ProbeSet", lambda v: ProbeSet(11, v), "mean_photons", (True, "2500", 0.0)),
+    ("HomodyneChannel", lambda v: HomodyneChannel(v, 1.9), "efficiency", (True, "0.55", 0.0)),
+    ("HomodyneChannel", lambda v: HomodyneChannel(0.55, v), "bin_width", (True, "1.9", 0.0)),
+    ("from_delta_ratio", lambda v: HomodyneChannel.from_delta_ratio(v, 2.0), "efficiency",
+     (True, "0.55", 0.0)),
+    ("from_delta_ratio", lambda v: HomodyneChannel.from_delta_ratio(0.55, v),
+     "delta_over_sigma", (True, "2", 0.0)),
+    ("VerificationConfig", lambda v: VerificationConfig(v, 0.05, 0.05), "sessions",
+     (True, "1000", 1000.5, 0)),
+    ("VerificationConfig", lambda v: VerificationConfig(1000, v, 0.05), "error_level",
+     (True, "0.05", 0.0)),
+    ("VerificationConfig", lambda v: VerificationConfig(1000, 0.05, v), "confidence_param",
+     (True, "0.05", 1.0)),
+    ("enrollment_error", enrollment_error, "per_quadrature_samples", (True, "25", 2.5, 0)),
+    ("ScatteringKey", lambda v: ScatteringKey(np.ones(4), v), "l_over_L", (True, "0.2", 1.0)),
+    ("clone_key", lambda v: clone_key(_KEY, v, substream(6, 1)), "fraction",
+     (True, "0.1", -0.01)),
+    ("e_threshold", lambda v: e_threshold(v, 121, 0.2), "mean_challenge_photons",
+     (True, "2000", 0.0, math.inf)),
+    ("enhancement", lambda v: enhancement(_KEY, 0.8, optimal_mask(_KEY, 0.8), v),
+     "mean_challenge_photons", (True, "2000", 0.0, math.inf)),
+    ("radii", lambda v: radii(v, 1.0, 4.0), "mean_challenge_photons",
+     (True, "2000", 0.0, math.inf)),
+    ("radii", lambda v: radii(2000.0, v, 4.0), "variance", (True, "1", 0.0, math.inf)),
+    ("radii", lambda v: radii(2000.0, 1.0, v), "enhancement", (True, "4", 0.0, math.inf)),
+]
+
+
+@pytest.mark.parametrize("call,name,value", [
+    pytest.param(call, name, value, id=f"{entry}.{name}={value!r}")
+    for entry, call, name, values in REFUSED_PARAMETERS for value in values
+])
+def test_entry_points_refuse_ill_typed_and_out_of_range_parameters(call, name, value):
+    with pytest.raises((TypeError, ValueError), match=name):
+        call(value)
 
 
 def test_e_threshold_values():

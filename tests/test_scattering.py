@@ -19,6 +19,7 @@ from cvpuk import (
     wrap_phase,
 )
 from cvpuk import jsonio
+from cvpuk.adversary import false_key_sums
 from cvpuk.scattering import masked_sums
 
 
@@ -47,9 +48,16 @@ def test_generated_ensemble_statistics():
     assert abs(mean_sum / n_keys) <= 5.0 * math.sqrt(target / total)
 
 
-@pytest.mark.parametrize("mode_count,l_over_L", [(0, 0.2), (4, -0.1), (4, 1.0)])
+@pytest.mark.parametrize("mode_count,l_over_L", [
+    (0, 0.2), (4, -0.1), (4, 1.0),
+    # float() and int() would read each of these as a valid value
+    (True, 0.2), pytest.param("4", 0.2, id="'4'-0.2"), (4.5, 0.2), (4, True),
+    pytest.param(4, "0.2", id="4-'0.2'"),
+])
 def test_generate_key_rejects_bad_parameters(mode_count, l_over_L):
-    with pytest.raises(ValueError):
+    # the message names the parameter at fault
+    with pytest.raises((TypeError, ValueError),
+                       match="l_over_L" if mode_count == 4 else "mode_count"):
         generate_key(mode_count, l_over_L, substream(3, 0))
 
 
@@ -101,14 +109,17 @@ def test_uniform_illumination_rejects_bad_parameters(mode_count, tau):
         scattered_amplitude(key, tau, PhaseMask(np.zeros(mode_count)), 1.0)
 
 
-@pytest.mark.parametrize("tau", [0.0, 1.2, math.nan, math.inf])
+@pytest.mark.parametrize("tau", [0.0, 1.2, math.nan, math.inf, True,
+                                 pytest.param("0.8", id="'0.8'")])
 def test_every_tau_entry_point_rejects_bad_tau(tau):
     key = generate_key(4, 0.2, substream(22, 0))
     mask = PhaseMask(np.zeros(4))
-    with pytest.raises(ValueError):
+    with pytest.raises((TypeError, ValueError), match="tau"):
         optimal_mask(key, tau)
-    with pytest.raises(ValueError):
+    with pytest.raises((TypeError, ValueError), match="tau"):
         enhancement(key, tau, mask, 10.0)
+    with pytest.raises((TypeError, ValueError), match="tau"):
+        false_key_sums(4, 0.2, tau, 2, substream(22, 1))
 
 
 def test_scattered_amplitude_zero_key():

@@ -10,27 +10,25 @@ from pathlib import Path
 
 from . import jsonio
 from .experiments import CampaignConfig, run_campaign
-from .homodyne import HomodyneChannel, ProbeSet, p_in_theoretical
+from .homodyne import HomodyneChannel, ProbeSet
 from .protocol import (
     CrpDatabase,
     VerificationConfig,
     e_threshold,
     enroll_exact,
     enroll_sampled,
-    enrollment_error,
     m_threshold,
+    public_p_in,
     radii,
     verify,
 )
-from .scattering import ScatteringKey, ensemble_variance, generate_key, optimal_mask
+from .scattering import ScatteringKey, ensemble_variance, generate_key
 from .streams import substream
 
 __all__ = ["main"]
 
 
 def _cmd_thresholds(args) -> int:
-    # every constant is computed before one is printed, and the channel,
-    # which may warn about its bin width, after every other check
     sessions = m_threshold(args.epsilon, args.zeta)
     threshold = e_threshold(args.mu_c, args.n_modes, args.l_over_L)
     expected_enhancement = math.pi * args.n_modes / 4.0
@@ -40,7 +38,7 @@ def _cmd_thresholds(args) -> int:
     lines = (
         f"sigma      = {channel.shot_noise!r}",
         f"delta      = {channel.bin_width!r}",
-        f"P_in       = {p_in_theoretical(channel)!r}",
+        f"P_in       = {public_p_in(channel, args.epsilon)!r}",
         f"M_th       = {sessions}",
         f"E_th       = {threshold!r}",
         f"E_expected = {expected_enhancement!r}  (mean optimal-mask enhancement)",
@@ -78,24 +76,17 @@ def _cmd_enroll(args) -> int:
     else:
         key = generate_key(n_modes, config["l_over_L"], substream(seed, 0))
 
-    # the channel may warn about its bin width, so whatever enrollment would
-    # refuse is refused first: the sample count, and through the mask a bad
-    # tau or a key that couples no light
+    channel = HomodyneChannel.from_delta_ratio(config["eta"], config["delta_over_sigma"])
     mode = config.get("enrollment", "exact")
     if mode == "sampled":
-        samples = config["per_quadrature_samples"]
-        enrollment_error(samples)
+        database = enroll_sampled(key, config["tau"], probes, channel,
+                                  config["per_quadrature_samples"], substream(seed, 1))
     elif mode != "exact":
         raise ValueError(f"unknown enrollment mode {mode!r}")
     elif "per_quadrature_samples" in config:
         raise ValueError(f"per_quadrature_samples is for sampled enrollment, not {mode!r}")
-    tau = config["tau"]
-    optimal_mask(key, tau)
-    channel = HomodyneChannel.from_delta_ratio(config["eta"], config["delta_over_sigma"])
-    if mode == "exact":
-        database = enroll_exact(key, tau, probes, channel)
     else:
-        database = enroll_sampled(key, tau, probes, channel, samples, substream(seed, 1))
+        database = enroll_exact(key, config["tau"], probes, channel)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,8 +9,6 @@ with shot-noise standard deviation ``1 / sqrt(2 * efficiency)``.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,18 +58,6 @@ class Response:
         return cls(*quadrature_means(np.complex128(amplitude)).tolist())
 
 
-def _caller_level() -> int:
-    """``stacklevel`` at which a warning raised by the caller of this function
-    names the first frame outside this module and the dataclass-generated
-    ``__init__``, that is, the code that built the object."""
-    level, frame = 1, sys._getframe(1)
-    while frame.f_back is not None and (
-            frame.f_code.co_filename == __file__
-            or (frame.f_code.co_filename, frame.f_code.co_name) == ("<string>", "__init__")):
-        level, frame = level + 1, frame.f_back
-    return level
-
-
 def _shot_noise(efficiency: float) -> float:
     """Shot-noise standard deviation ``1 / sqrt(2 * efficiency)`` of the readout."""
     efficiency = require_real("efficiency", efficiency, REAL_INTERVALS["eta"])
@@ -83,9 +69,8 @@ class HomodyneChannel:
     """Public constants of the homodyne readout.
 
     ``shot_noise`` is derived from the efficiency as
-    ``1 / sqrt(2 * efficiency)``.  Bin widths outside the recommended
-    bracket ``[2*sigma, 4*sigma)`` trigger a warning rather than an
-    error, since the in-bin probability stays well defined.
+    ``1 / sqrt(2 * efficiency)``.  Any positive bin width is accepted;
+    verification warns on one outside ``[2*sigma, 4*sigma)``.
     """
 
     efficiency: float
@@ -96,12 +81,6 @@ class HomodyneChannel:
         sigma = _shot_noise(self.efficiency)
         require_real("bin_width", self.bin_width, "(0, inf)")
         object.__setattr__(self, "shot_noise", sigma)
-        if not 2.0 * sigma <= self.bin_width < 4.0 * sigma:
-            warnings.warn(
-                f"bin_width {self.bin_width} outside the recommended bracket "
-                f"[{2.0 * sigma}, {4.0 * sigma})",
-                stacklevel=_caller_level(),
-            )
 
     @classmethod
     def from_delta_ratio(cls, efficiency: float, delta_over_sigma: float) -> "HomodyneChannel":

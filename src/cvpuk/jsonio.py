@@ -135,9 +135,13 @@ def _finite_float(text: str) -> float:
 
 
 def load(path):
-    """Parse a JSON file, rejecting NaN, Infinity and out-of-range floats."""
+    """Parse a JSON file, rejecting NaN, Infinity, out-of-range floats and
+    nesting deeper than the parser's recursion limit."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
+        try:
+            return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def require_object(name: str, document, known) -> dict:

@@ -25,7 +25,9 @@ campaigns draw a false key as that one circular Gaussian
 A verification run is deterministic given its generator; independent
 runs should use independently seeded generators.  The database is
 immutable after enrollment, and the acceptance bins are computed from
-the database alone, never from the key under test.
+the database alone, never from the key under test.  Only verification
+uses the bin width and the error level, so only it advises on them
+(:func:`public_p_in`), once every check that can refuse it has passed.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ __all__ = [
     "enrollment_error",
     "m_threshold",
     "hit_probabilities",
+    "public_p_in",
     "verify",
     "verify_block",
     "e_threshold",
@@ -337,16 +340,17 @@ def _erf(values: np.ndarray) -> np.ndarray:
     return flat.reshape(values.shape)
 
 
-def _public_p_in(channel: HomodyneChannel, config: VerificationConfig) -> float:
-    """The public in-bin probability, with a warning when the error level is
-    not small against it."""
-    expected = p_in_theoretical(channel)
-    if config.error_level >= expected / 2.0:
-        warnings.warn(
-            f"error_level {config.error_level} is not small against the "
-            f"in-bin probability {expected}",
-            stacklevel=3,
-        )
+def public_p_in(channel: HomodyneChannel, error_level: float) -> float:
+    """The public in-bin probability of ``channel``, with a warning naming the
+    caller's caller on a bin width outside the recommended bracket ``[2 sigma,
+    4 sigma)`` and on an error level not small against the probability."""
+    sigma, expected = channel.shot_noise, p_in_theoretical(channel)
+    if not 2.0 * sigma <= channel.bin_width < 4.0 * sigma:
+        warnings.warn(f"bin_width {channel.bin_width} outside the recommended bracket "
+                      f"[{2.0 * sigma}, {4.0 * sigma})", stacklevel=3)
+    if error_level >= expected / 2.0:
+        warnings.warn(f"error_level {error_level} is not small against the "
+                      f"in-bin probability {expected}", stacklevel=3)
     return expected
 
 
@@ -383,9 +387,9 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     fully reproducible from its seed.
     """
     channel = database.channel
-    expected = _public_p_in(channel, config)
     sums = masked_sums(key_under_test.coefficients[np.newaxis], database.setup_loss,
                        database.mask)
+    expected = public_p_in(channel, config.error_level)
 
     sessions = config.sessions
     session_trace = None
@@ -425,7 +429,7 @@ def verify_block(sums: np.ndarray, database: CrpDatabase, config: VerificationCo
     row depends on the rows after it.  Returns the in-bin frequencies
     and the acceptance flags, each of shape ``(B,)``.
     """
-    expected = _public_p_in(database.channel, config)
     hits = rng.binomial(config.sessions, hit_probabilities(sums, database))
+    expected = public_p_in(database.channel, config.error_level)
     p_ins = hits / config.sessions
     return p_ins, _accepted(p_ins, expected, config)

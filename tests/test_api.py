@@ -59,6 +59,12 @@ def test_clone_key_returns_the_clone_and_its_replaced_positions():
     assert changed.tolist() == sorted(replaced.tolist())
 
 
+def _called_name(call):
+    """The name a call is made through: ``open`` for both ``open()`` and ``path.open()``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _file_writes(tree):
     """Line numbers of ``csv`` imports and of calls that open a file for writing."""
     for node in ast.walk(tree):
@@ -67,7 +73,7 @@ def _file_writes(tree):
             yield node.lineno
         elif isinstance(node, ast.Call):
             func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            name = _called_name(node)
             if name in ("write_text", "write_bytes"):
                 yield node.lineno
             elif name == "open":
@@ -119,3 +125,24 @@ def test_only_jsonio_writes_parameter_intervals():
             if lines:
                 copies[path.stem] = lines
     assert copies == {}
+
+
+def _warn_calls(node, scope=""):
+    """``(qualified name of the enclosing function, line)`` of each ``warn`` call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _warn_calls(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Call) and _called_name(child) == "warn":
+            yield scope, child.lineno
+        yield from _warn_calls(child, scope)
+
+
+def test_only_public_p_in_gives_advice():
+    # the bin width and the error level are advised on where verification
+    # consumes them, after every check that can refuse the call
+    callers = {}
+    for path in sorted((ROOT / "src" / "cvpuk").glob("*.py")):
+        for scope, line in _warn_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            callers.setdefault(path.stem + scope, []).append(line)
+    assert list(callers) == ["protocol.public_p_in"], callers

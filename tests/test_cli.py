@@ -83,6 +83,19 @@ def test_thresholds_bad_flag_exits_2_without_output(capsys, flags):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags,advice", [
+    (("--delta-over-sigma", "10"), "bin_width"),
+    (("--epsilon", "0.4"), "error_level"),
+], ids=["bin_width", "error_level"])
+def test_thresholds_advises_once_and_prints_every_line(capsys, flags, advice):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["thresholds", *flags]) == 0
+    assert [str(warning.message).split()[0] for warning in caught] == [advice]
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == ["sigma", "delta", "P_in", "M_th", "E_th", "E_expected", "rho_f", "rho_t"]
+
+
 def test_thresholds_out_of_range_threshold_exits_2_naming_the_photons_per_mode(capsys):
     assert main(["thresholds", "--mu-c", "1e-310"]) == 2
     captured = capsys.readouterr()
@@ -356,12 +369,15 @@ def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("overrides", [
-    {"tau": 1.5}, {"enrollment": "sampled", "per_quadrature_samples": 0},
-    {"enrollment": "sampled", "per_quadrature_samples": 2.5}, {"per_quadrature_samples": 25},
-    {"n_modes": 2, "key_path": "zero_key.json"},
-], ids=["tau", "samples-0", "samples-2.5", "exact-samples", "zero-key"])
-def test_enroll_refuses_before_the_bin_width_warning(tmp_path, capsys, overrides):
+@pytest.mark.parametrize("code,overrides", [
+    (0, {}), (0, {"enrollment": "sampled", "per_quadrature_samples": 25}),
+    (2, {"tau": 1.5}), (2, {"enrollment": "sampled", "per_quadrature_samples": 0}),
+    (2, {"enrollment": "sampled", "per_quadrature_samples": 2.5}),
+    (2, {"per_quadrature_samples": 25}), (2, {"n_modes": 2, "key_path": "zero_key.json"}),
+], ids=["exact", "sampled", "tau", "samples-0", "samples-2.5", "exact-samples", "zero-key"])
+def test_enroll_gives_no_bin_width_advice(tmp_path, capsys, code, overrides):
+    # enrollment does not use the bin width, so even at 10 sigma it gives no
+    # advice, whether it succeeds or refuses
     if "key_path" in overrides:  # a key that couples no light has no optimal mask
         key_path = tmp_path / overrides["key_path"]
         jsonio.dump({"l_over_L": 0.2, "coefficients": [[0.0, 0.0]] * 2}, key_path)
@@ -370,10 +386,45 @@ def test_enroll_refuses_before_the_bin_width_warning(tmp_path, capsys, overrides
     _write_enroll_config(config_path, delta_over_sigma=10.0, **overrides)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["enroll", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+        assert main(["enroll", "--config", str(config_path), "--out", str(tmp_path / "out")]) \
+            == code
     assert caught == []
-    assert capsys.readouterr().err.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.count("\n") == (1 if code else 0)
+    assert (tmp_path / "out").exists() == (code == 0)
+
+
+def test_refused_verify_gives_no_advice(tmp_path, capsys):
+    # a database enrolled at 10 sigma draws the bin-width advice, but only
+    # from a verification that has passed every check that can refuse it
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, n_modes=16, delta_over_sigma=10.0)
+    enrolled = tmp_path / "enrolled"
+    assert main(["enroll", "--config", str(config_path), "--out", str(enrolled)]) == 0
+    key = enrolled / "key.json"
+    short_key = tmp_path / "short_key.json"
+    jsonio.dump(generate_key(8, 0.2, substream(77, 0)).to_dict(), short_key)
+    string_key = tmp_path / "string_key.json"
+    string_key.write_text(json.dumps(dict(json.loads(key.read_text()), l_over_L="0.2")))
+    runs = {
+        "epsilon-0": (2, ["--key", str(key), "--epsilon", "0"]),
+        "8-mode-key": (2, ["--key", str(short_key)]),
+        "string-l_over_L": (2, ["--key", str(string_key)]),
+        "accepted": (0, ["--key", str(key)]),
+    }
+    for name, (code, flags) in runs.items():
+        out_dir = tmp_path / name
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--database", str(enrolled / "database.json"),
+                         "--out", str(out_dir), *flags]) == code, name
+        captured = capsys.readouterr()
+        if code:
+            assert caught == [], name
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), name
+            assert not out_dir.exists(), name
+        else:
+            assert [str(warning.message).split()[0] for warning in caught] == ["bin_width"]
+            assert captured.err == ""
 
 
 @pytest.mark.parametrize("field", ["enrolment", "target_mode"])
@@ -530,6 +581,20 @@ def test_campaign_invalid_config_exits_2_without_output(tmp_path, capsys, text):
     out_dir = tmp_path / "campaign_out"
     assert main(["campaign", "--config", str(config_path), "--out", str(out_dir)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "enroll", "campaign"])
+def test_deeply_nested_json_exits_2_without_output(tmp_path, capsys, command):
+    # the parser's recursion limit is a malformed file, not a traceback
+    # with exit code 1, verify's reject code
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    inputs = ["--database", str(deep), "--key", str(deep)] if command == "verify" \
+        else ["--config", str(deep)]
+    out_dir = tmp_path / "out"
+    assert main([command, *inputs, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply to read\n"
     assert not out_dir.exists()
 
 

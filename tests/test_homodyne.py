@@ -22,7 +22,6 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk import experiments
 from cvpuk.homodyne import quadrature_means
 from cvpuk.protocol import _cells
 from cvpuk.scattering import masked_sums
@@ -234,28 +233,17 @@ def test_channel_validation():
         HomodyneChannel(0.5, -1.0)
 
 
-def test_channel_bracket_warnings():
+def test_building_a_channel_gives_no_advice():
+    # the bin-width advice comes from verification (protocol.public_p_in),
+    # so no way of building a channel warns, inside the bracket or out
     sigma = 1.0 / math.sqrt(2.0 * 0.55)
-    with pytest.warns(UserWarning):
-        HomodyneChannel(0.55, 1.9 * sigma)
-    with pytest.warns(UserWarning):
-        HomodyneChannel(0.55, 4.0 * sigma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        HomodyneChannel(0.55, 2.0 * sigma)
-        HomodyneChannel(0.55, 3.99 * sigma)
-
-
-def test_channel_bracket_warning_names_the_caller():
-    with pytest.warns(UserWarning) as record:
-        HomodyneChannel(0.55, 5.0)
-        HomodyneChannel.from_delta_ratio(0.55, 5.0)
-    assert [w.filename for w in record] == [__file__, __file__]
-    assert record[1].lineno == record[0].lineno + 1
-    # built inside the package, the warning names the package line that built it
-    with pytest.warns(UserWarning) as record:
-        CampaignConfig(experiment_id="response_cloud", delta_over_sigma=5.0).channel()
-    assert [w.filename for w in record] == [experiments.__file__]
+        for ratio in (1.9, 4.0, 10.0):
+            HomodyneChannel(0.55, ratio * sigma)
+            HomodyneChannel.from_delta_ratio(0.55, ratio)
+            HomodyneChannel.from_dict({"efficiency": 0.55, "bin_width": ratio * sigma})
+            CampaignConfig(experiment_id="response_cloud", delta_over_sigma=ratio).channel()
 
 
 def test_channel_json_roundtrip():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -412,21 +413,39 @@ def test_verify_uses_enrolled_throughput():
     assert not verify(key, relabelled, config, substream(113, 1)).accepted
 
 
+def _advice(call):
+    """The first word of each warning ``call`` gives, after checking that
+    each one points at this file, the caller, not into the package."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        call()
+    assert [(warning.category, warning.filename) for warning in record] == [
+        (UserWarning, __file__)] * len(record)
+    return [str(warning.message).split()[0] for warning in record]
+
+
 def test_verify_warns_on_large_error_level():
-    key, tau, probes, channel = _setup(n_modes=16, seed=108)
-    database = enroll_exact(key, tau, probes, channel)
-    config = VerificationConfig(10, 0.4, 0.05)
-    sums = masked_sums(key.coefficients[np.newaxis], tau, database.mask)
-    calls = {
-        "traced verify": lambda: verify(key, database, config, substream(108, 1), trace=True),
-        "untraced verify": lambda: verify(key, database, config, substream(108, 1)),
-        "verify_block": lambda: verify_block(sums, database, config, substream(108, 1)),
-    }
-    for name, call in calls.items():
-        with pytest.warns(UserWarning, match="error_level") as record:
-            call()
-        # the warning points at the caller, not into the package
-        assert [warning.filename for warning in record] == [__file__], name
+    key, tau, probes, _ = _setup(n_modes=16, seed=108)
+
+    def calls(channel, config):
+        database = enroll_exact(key, tau, probes, channel)
+        sums = masked_sums(key.coefficients[np.newaxis], tau, database.mask)
+        return {
+            "traced verify": lambda: verify(key, database, config, substream(108, 1),
+                                            trace=True),
+            "untraced verify": lambda: verify(key, database, config, substream(108, 1)),
+            "verify_block": lambda: verify_block(sums, database, config, substream(108, 1)),
+        }
+
+    for name, call in calls(HomodyneChannel.from_delta_ratio(0.55, 2.0),
+                            VerificationConfig(10, 0.4, 0.05)).items():
+        assert _advice(call) == ["error_level"], name
+    # the bin-width advice, at the edges of the bracket [2 sigma, 4 sigma)
+    config = VerificationConfig(10, 0.05, 0.05)
+    for ratio, advice in ((1.9, ["bin_width"]), (2.0, []), (3.99, []), (4.0, ["bin_width"])):
+        channel = HomodyneChannel.from_delta_ratio(0.55, ratio)
+        for name, call in calls(channel, config).items():
+            assert _advice(call) == advice, (ratio, name)
 
 
 def test_verify_trace_hits_recomputable_from_database():

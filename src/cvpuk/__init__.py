@@ -21,7 +21,6 @@ from .homodyne import (
     HALF_PI,
     HomodyneChannel,
     ProbeSet,
-    Response,
     p_in_theoretical,
 )
 from .protocol import (
@@ -62,7 +61,6 @@ __all__ = [
     "HALF_PI",
     "HomodyneChannel",
     "ProbeSet",
-    "Response",
     "p_in_theoretical",
     "CrpDatabase",
     "VerificationConfig",

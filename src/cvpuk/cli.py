@@ -195,8 +195,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
-    # JSONDecodeError is a ValueError; OverflowError is a number beyond the double range
-    except (OSError, ValueError, TypeError, OverflowError) as exc:
+    # JSONDecodeError is a ValueError; OverflowError is a number beyond the double
+    # range; MemoryError is an array, such as a session trace, too large to allocate
+    except (OSError, ValueError, TypeError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,13 +42,7 @@ import numpy as np
 
 from . import jsonio
 from .adversary import clone_rows, false_key_sums, replaced_count
-from .homodyne import (
-    HomodyneChannel,
-    ProbeSet,
-    Response,
-    p_in_theoretical,
-    quadrature_means,
-)
+from .homodyne import HomodyneChannel, ProbeSet, p_in_theoretical
 from .protocol import (
     VerificationConfig,
     e_threshold,
@@ -57,13 +51,7 @@ from .protocol import (
     verify,
     verify_block,
 )
-from .scattering import (
-    enhancement,
-    generate_key,
-    masked_sums,
-    optimal_mask,
-    scattered_amplitude,
-)
+from .scattering import enhancement, generate_key, masked_sums, optimal_mask
 from .streams import substream
 
 __all__ = [
@@ -101,8 +89,9 @@ class CampaignConfig:
     photons, 1000 sessions, error level 0.05).  Construction checks every
     field, so a bad config fails before any work: integer fields must be
     ints, every real field must be finite and inside its ``REAL_INTERVALS``
-    entry, and the probe set and verification config it builds check the
-    probe and session counts.
+    entry, ``mode_counts`` and ``d_values`` must not repeat an entry, and
+    the probe set and verification config it builds check the probe and
+    session counts.
     """
 
     experiment_id: str
@@ -139,6 +128,10 @@ class CampaignConfig:
             else:
                 value = jsonio.require_real(name, value, interval)
             object.__setattr__(self, name, value)
+        for name in ("mode_counts", "d_values"):  # each entry keys its own artifacts
+            entries = getattr(self, name)
+            if len(set(entries)) != len(entries):
+                raise ValueError(f"{name} must not repeat an entry, got {list(entries)}")
         self.probe_set()  # checks n_probe_states
         self.verification()  # checks m_sessions
 
@@ -226,8 +219,11 @@ class CollisionResult:
 
 @dataclass(frozen=True)
 class ResponseCloudResult:
-    true_response: Response
-    points: tuple[tuple[int, float, float], ...]
+    """``true_response`` is the true key's ``(x, y)`` under probe 0 and row
+    ``t`` of ``means`` that of false key ``t``, shape ``(trials, 2)``."""
+
+    true_response: np.ndarray
+    means: np.ndarray
     rho_false: float
     rho_true: float
     enhancement: float
@@ -243,9 +239,11 @@ class EnhancementConditionResult:
 class CloneExperimentsResult:
     """Aggregates of the clone campaigns.
 
-    ``clouds`` maps a mode count to ``(true_response, point rows,
-    summary rows)``: point rows are ``(fraction, trial, x, y)`` and
-    summary rows ``(fraction, mean_x, mean_y, std_radius)``, where
+    ``clouds`` maps a mode count to ``(true_response, means, summary
+    rows)``: ``true_response`` is the enrolled ``(x, y)`` of probe 0, row 0
+    of the database's centres; ``means`` maps each fraction to its clones'
+    ``(trials, 2)`` responses under probe 0; summary rows are ``(fraction,
+    mean_x, mean_y, std_radius)``, where
     ``std_radius`` is the root-mean-square distance of a fraction's cloud
     from its own mean.  ``histograms`` maps ``(mode_count, fraction)`` to
     the in-bin frequency histogram of the clone ensemble;
@@ -314,7 +312,7 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
 def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     """Phase-space responses of false keys against one enrolled key's mask."""
     _require(config, "response_cloud")
-    probe_amplitude = math.sqrt(config.mu_p)
+    probes = config.probe_set()
 
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
     mask = optimal_mask(true_key, config.tau)
@@ -325,13 +323,12 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     for chunk, start, rows in _chunks(config.trials):
         sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, rows,
                               substream(config.seed, 2, chunk))
-        means[start:start + rows] = quadrature_means(sums * probe_amplitude)
+        means[start:start + rows] = probes.responses(sums)[:, 0]
 
+    true_sum = masked_sums(true_key.coefficients, config.tau, mask)
     return ResponseCloudResult(
-        true_response=Response.from_amplitude(
-            scattered_amplitude(true_key, config.tau, mask, probe_amplitude)
-        ),
-        points=tuple(zip(range(config.trials), *means.T.tolist())),
+        true_response=probes.responses(true_sum)[0],
+        means=means,
         rho_false=rho_false,
         rho_true=rho_true,
         enhancement=gain,
@@ -355,18 +352,20 @@ def run_enhancement_condition(config: CampaignConfig) -> EnhancementConditionRes
     return EnhancementConditionResult(tuple(rows), REPORTED_ENHANCEMENT_BAND)
 
 
-def _cloud_summary(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """Mean point of a phase-space cloud and its rms distance from that point.
+def _cloud_summary(means: np.ndarray) -> tuple[float, float, float]:
+    """Mean point of a ``(trials, 2)`` phase-space cloud and its rms distance
+    from that point.
 
     A cloud of identical points, such as perfect clones, returns that
     point and a spread of exactly 0: the floating-point mean of equal
     values can miss them by an ulp, which would read as a spread of
     about 1e-14.
     """
-    if xs.size == 0:
+    if not len(means):
         return 0.0, 0.0, 0.0
-    if np.all(xs == xs[0]) and np.all(ys == ys[0]):
-        return float(xs[0]), float(ys[0]), 0.0
+    if np.all(means == means[0]):
+        return (*means[0].tolist(), 0.0)
+    xs, ys = means.T
     mean_x = float(xs.mean())
     mean_y = float(ys.mean())
     return mean_x, mean_y, float(np.sqrt(np.mean((xs - mean_x) ** 2 + (ys - mean_y) ** 2)))
@@ -386,7 +385,6 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     probes = config.probe_set()
     verification = config.verification()
     verifies = config.experiment_id != "clone_cloud"
-    probe_phase_zero = math.sqrt(config.mu_p)
 
     clouds = {}
     histograms = {}
@@ -397,7 +395,7 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
         mask = database.mask
         true_sum = masked_sums(true_key.coefficients, config.tau, mask)
 
-        point_rows = []
+        fraction_means = {}
         summary_rows = []
         for d_index, fraction in enumerate(config.d_values):
             replaces = replaced_count(fraction, n_modes) > 0
@@ -413,26 +411,22 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
                     del clones  # freed before the next chunk draws its block
                 else:
                     sums = np.full(rows, true_sum)  # each clone is the true key
-                means[start:start + rows] = quadrature_means(sums * probe_phase_zero)
+                means[start:start + rows] = probes.responses(sums)[:, 0]
                 if verifies:
                     p_ins[start:start + rows], verdicts = verify_block(
                         sums, database, verification,
                         substream(config.seed, 6, n_index, d_index, chunk),
                     )
                     accepted += int(np.count_nonzero(verdicts))
-            xs, ys = means.T.tolist()
-            point_rows.extend(
-                (float(fraction), trial, x, y) for trial, (x, y) in enumerate(zip(xs, ys))
-            )
-            summary_rows.append((float(fraction), *_cloud_summary(np.array(xs), np.array(ys))))
+            fraction_means[float(fraction)] = means
+            summary_rows.append((float(fraction), *_cloud_summary(means)))
             if verifies:
                 histograms[(n_modes, float(fraction))] = Histogram.from_samples(
                     p_ins, config.histogram_bin
                 )
                 rate = accepted / config.trials if config.trials else 0.0
                 cheating_rows.append((float(fraction), int(n_modes), rate, config.trials))
-        true_response = Response.from_amplitude(true_sum * probe_phase_zero)
-        clouds[n_modes] = (true_response, tuple(point_rows), tuple(summary_rows))
+        clouds[n_modes] = (database.centers[0], fraction_means, tuple(summary_rows))
 
     return CloneExperimentsResult(
         clouds=clouds,
@@ -457,10 +451,12 @@ def _collision_campaign(config: CampaignConfig):
 
 def _response_campaign(config: CampaignConfig):
     result = run_response_cloud(config)
-    files = {"cloud": ("cloud.csv", ("trial", "x", "y"), result.points)}
+    files = {"cloud": ("cloud.csv", ("trial", "x", "y"),
+                       zip(range(config.trials), *result.means.T.tolist()))}
+    true_x, true_y = result.true_response.tolist()
     return files, {
-        "true_x": result.true_response.x,
-        "true_y": result.true_response.y,
+        "true_x": true_x,
+        "true_y": true_y,
         "rho_f": result.rho_false,
         "rho_t": result.rho_true,
         "enhancement": result.enhancement,
@@ -479,12 +475,15 @@ def _clone_cloud_campaign(config: CampaignConfig):
     result = run_clone_experiments(config)
     files = {}
     summary = {"p_in_expected": result.p_in_expected, "trials": config.trials}
-    for n_modes, (true_response, point_rows, summary_rows) in result.clouds.items():
+    for n_modes, (true_response, fraction_means, summary_rows) in result.clouds.items():
+        rows = ((d, trial, x, y) for d, means in fraction_means.items()
+                for trial, (x, y) in enumerate(means.tolist()))
         files[f"cloud_n{n_modes}"] = (f"clone_cloud_n{n_modes}.csv",
-                                      ("D", "trial", "x", "y"), point_rows)
+                                      ("D", "trial", "x", "y"), rows)
+        true_x, true_y = true_response.tolist()
         summary[f"n{n_modes}"] = {
-            "true_x": true_response.x,
-            "true_y": true_response.y,
+            "true_x": true_x,
+            "true_y": true_y,
             "clusters": [
                 {"D": d, "mean_x": mx, "mean_y": my, "std_radius": sr}
                 for d, mx, my, sr in summary_rows

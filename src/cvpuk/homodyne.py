@@ -18,7 +18,6 @@ from .jsonio import REAL_INTERVALS, require_int, require_real
 __all__ = [
     "HALF_PI",
     "ProbeSet",
-    "Response",
     "HomodyneChannel",
     "quadrature_means",
     "p_in_theoretical",
@@ -44,18 +43,15 @@ class ProbeSet:
         k = np.arange(self.size)
         return math.sqrt(self.mean_photons) * np.exp(2j * math.pi * k / self.size)
 
+    def responses(self, sums) -> np.ndarray:
+        """Quadrature means of masked sums under every probe, shape ``(..., N, 2)``.
 
-@dataclass(frozen=True)
-class Response:
-    """A key's response: the pair of quadrature means (x, y)."""
-
-    x: float
-    y: float
-
-    @classmethod
-    def from_amplitude(cls, amplitude: complex) -> "Response":
-        """Response of a field with the given mean amplitude, by :func:`quadrature_means`."""
-        return cls(*quadrature_means(np.complex128(amplitude)).tolist())
+        ``sums`` is one key's :func:`cvpuk.scattering.masked_sums` or a block
+        of them; under probe ``k`` the scattered field is ``sum * alpha_k``.
+        This is the one place a key's response is formed: enrollment stores
+        it, verification bins around it and the campaign clouds plot it.
+        """
+        return quadrature_means(np.multiply.outer(sums, self.amplitudes()))
 
 
 def _shot_noise(efficiency: float) -> float:

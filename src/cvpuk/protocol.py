@@ -17,9 +17,10 @@ the ``2N`` probe and quadrature cells, so the hit count is one binomial
 draw.  Either way the cost no longer grows with the number of samples
 or sessions.  A traced verification still draws every session, because
 its trace lists them; it is the reference the closed forms are tested
-against.  Verification sees a key only through its masked sum: both
-paths form the quadrature means from that sum in one place, and the
-campaigns draw a false key as that one circular Gaussian
+against.  A key enters only through its masked sum, and its response to
+every probe, which enrollment stores and verification bins around, is
+formed from that sum in one place, :meth:`cvpuk.homodyne.ProbeSet.responses`.
+The campaigns draw a false key as that one circular Gaussian
 (:func:`cvpuk.adversary.false_key_sums`) and never its coefficients.
 
 A verification run is deterministic given its generator; independent
@@ -38,22 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .homodyne import (
-    HALF_PI,
-    HomodyneChannel,
-    ProbeSet,
-    p_in_theoretical,
-    quadrature_means,
-)
+from .homodyne import HALF_PI, HomodyneChannel, ProbeSet, p_in_theoretical
 from .jsonio import REAL_INTERVALS, require_int, require_real
-from .scattering import (
-    PhaseMask,
-    ScatteringKey,
-    ensemble_variance,
-    masked_sums,
-    optimal_mask,
-    scattered_amplitude,
-)
+from .scattering import PhaseMask, ScatteringKey, ensemble_variance, masked_sums, optimal_mask
 
 __all__ = [
     "CrpDatabase",
@@ -157,8 +145,8 @@ def enroll_exact(key: ScatteringKey, tau: float, probes: ProbeSet,
     stored as the database's ``setup_loss``.
     """
     mask = optimal_mask(key, tau)
-    amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
-    return CrpDatabase(mask, quadrature_means(amplitudes), 0.0, probes, channel, tau)
+    centers = probes.responses(masked_sums(key.coefficients, tau, mask))
+    return CrpDatabase(mask, centers, 0.0, probes, channel, tau)
 
 
 def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
@@ -177,9 +165,9 @@ def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
     """
     error = enrollment_error(per_quadrature_samples)
     mask = optimal_mask(key, tau)
-    amplitudes = scattered_amplitude(key, tau, mask, probes.amplitudes())
+    responses = probes.responses(masked_sums(key.coefficients, tau, mask))
     standard_error = channel.shot_noise / math.sqrt(per_quadrature_samples)
-    centers = rng.normal(quadrature_means(amplitudes), standard_error)
+    centers = rng.normal(responses, standard_error)
     return CrpDatabase(mask, centers, error, probes, channel, tau)
 
 
@@ -298,9 +286,9 @@ class VerificationReport:
 def _cells(sums: np.ndarray, database: CrpDatabase):
     """Quadrature means of a block of keys given their masked sums, shape
     ``(B, N, 2)``, and the stored bins' lower and upper edges, each ``(N, 2)``."""
-    amplitudes = sums[:, np.newaxis] * database.probe_set.amplitudes()
     half = 0.5 * database.channel.bin_width
-    return quadrature_means(amplitudes), database.centers - half, database.centers + half
+    centers = database.centers
+    return database.probe_set.responses(sums), centers - half, centers + half
 
 
 def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
@@ -344,6 +332,7 @@ def public_p_in(channel: HomodyneChannel, error_level: float) -> float:
     """The public in-bin probability of ``channel``, with a warning naming the
     caller's caller on a bin width outside the recommended bracket ``[2 sigma,
     4 sigma)`` and on an error level not small against the probability."""
+    error_level = require_real("error_level", error_level, REAL_INTERVALS["epsilon"])
     sigma, expected = channel.shot_noise, p_in_theoretical(channel)
     if not 2.0 * sigma <= channel.bin_width < 4.0 * sigma:
         warnings.warn(f"bin_width {channel.bin_width} outside the recommended bracket "

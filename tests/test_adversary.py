@@ -9,7 +9,6 @@ from cvpuk import (
     HomodyneChannel,
     PhaseMask,
     ProbeSet,
-    Response,
     VerificationConfig,
     clone_key,
     enroll_exact,
@@ -23,6 +22,7 @@ from cvpuk import (
     verify,
 )
 from cvpuk.adversary import false_key_sums, replaced_count
+from cvpuk.homodyne import quadrature_means
 from cvpuk.scattering import masked_sums
 
 
@@ -58,10 +58,9 @@ def test_false_key_responses_concentrate_near_origin():
     trials = 10_000
     for _ in range(trials):
         impostor = false_key(n_modes, 0.2, rng)
-        response = Response.from_amplitude(
-            scattered_amplitude(impostor, tau, mask, amplitude)
-        )
-        outside += math.hypot(response.x, response.y) > 1.5 * rho_false
+        field = scattered_amplitude(impostor, tau, mask, amplitude)
+        x, y = quadrature_means(np.complex128(field))
+        outside += math.hypot(x, y) > 1.5 * rho_false
     assert outside / trials <= 0.02
 
 
@@ -151,8 +150,8 @@ def test_clone_distance_grows_with_fraction():
     tau = 0.8
     mask = optimal_mask(true_key, tau)
     amplitude = math.sqrt(mu_p)
-    true_response = Response.from_amplitude(
-        scattered_amplitude(true_key, tau, mask, amplitude)
+    true_x, true_y = quadrature_means(
+        np.complex128(scattered_amplitude(true_key, tau, mask, amplitude))
     )
     rng = substream(207, 1)
     fractions = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1]
@@ -161,12 +160,9 @@ def test_clone_distance_grows_with_fraction():
         distances = []
         for _ in range(500):
             clone, _ = clone_key(true_key, fraction, rng)
-            response = Response.from_amplitude(
-                scattered_amplitude(clone, tau, mask, amplitude)
-            )
-            distances.append(
-                math.hypot(response.x - true_response.x, response.y - true_response.y)
-            )
+            field = scattered_amplitude(clone, tau, mask, amplitude)
+            x, y = quadrature_means(np.complex128(field))
+            distances.append(math.hypot(x - true_x, y - true_y))
         means.append(float(np.mean(distances)))
     assert all(a < b for a, b in zip(means, means[1:]))
 
@@ -186,11 +182,11 @@ def _accept_rates(result):
 
 def test_clone_cloud_zero_fraction_collapses_to_true_response():
     result = _clone_campaign("clone_cloud", (32,), (0.0,), 50, seed=208)
-    true_response, points, summaries = result.clouds[32]
-    assert len(points) == 50
-    for _, _, x, y in points:
-        assert x == true_response.x
-        assert y == true_response.y
+    true_response, means, summaries = result.clouds[32]
+    assert means[0.0].shape == (50, 2)
+    for x, y in means[0.0].tolist():
+        assert x == true_response[0]
+        assert y == true_response[1]
     fraction, mean_x, mean_y, spread = summaries[0]
     assert fraction == 0.0
     assert spread == 0.0
@@ -200,8 +196,7 @@ def test_clone_cloud_separation_grows_with_fraction():
     result = _clone_campaign(
         "clone_cloud", (121,), (0.01, 0.02, 0.03, 0.04, 0.05), 500, seed=209
     )
-    true_response, _, summaries = result.clouds[121]
-    true_point = np.array([true_response.x, true_response.y])
+    true_point, _, summaries = result.clouds[121]
     separations = [
         math.hypot(mean_x - true_point[0], mean_y - true_point[1])
         for _, mean_x, mean_y, _ in summaries
@@ -215,9 +210,9 @@ def test_clone_cloud_relative_separation_grows_with_modes():
     result = _clone_campaign("clone_cloud", (121, 625), (0.03,), 500, seed=210)
     ratios = {}
     for n_modes in (121, 625):
-        true_response, _, summaries = result.clouds[n_modes]
+        (true_x, true_y), _, summaries = result.clouds[n_modes]
         _, mean_x, mean_y, spread = summaries[0]
-        separation = math.hypot(mean_x - true_response.x, mean_y - true_response.y)
+        separation = math.hypot(mean_x - true_x, mean_y - true_y)
         ratios[n_modes] = separation / spread
     assert ratios[625] > ratios[121]
 

@@ -127,22 +127,37 @@ def test_only_jsonio_writes_parameter_intervals():
     assert copies == {}
 
 
-def _warn_calls(node, scope=""):
-    """``(qualified name of the enclosing function, line)`` of each ``warn`` call."""
+def _calls_to(names, node, scope=""):
+    """``(qualified name of the enclosing function, line)`` of each call made
+    through one of ``names``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _warn_calls(child, f"{scope}.{child.name}")
+            yield from _calls_to(names, child, f"{scope}.{child.name}")
             continue
-        if isinstance(child, ast.Call) and _called_name(child) == "warn":
+        if isinstance(child, ast.Call) and _called_name(child) in names:
             yield scope, child.lineno
-        yield from _warn_calls(child, scope)
+        yield from _calls_to(names, child, scope)
+
+
+def _callers(names, outside=None):
+    """``{module.function: lines}`` of the calls through ``names`` in every
+    module but ``outside``."""
+    callers = {}
+    for path in sorted((ROOT / "src" / "cvpuk").glob("*.py")):
+        if path.stem != outside:
+            for scope, line in _calls_to(names, ast.parse(path.read_text(encoding="utf-8"))):
+                callers.setdefault(path.stem + scope, []).append(line)
+    return callers
 
 
 def test_only_public_p_in_gives_advice():
     # the bin width and the error level are advised on where verification
     # consumes them, after every check that can refuse the call
-    callers = {}
-    for path in sorted((ROOT / "src" / "cvpuk").glob("*.py")):
-        for scope, line in _warn_calls(ast.parse(path.read_text(encoding="utf-8"))):
-            callers.setdefault(path.stem + scope, []).append(line)
+    callers = _callers({"warn"})
     assert list(callers) == ["protocol.public_p_in"], callers
+
+
+def test_only_probe_set_responses_forms_a_response():
+    # a key's response to probe k is quadrature_means(sum * alpha_k); enrollment,
+    # verification and the campaign clouds all take it from ProbeSet.responses
+    assert _callers({"quadrature_means", "amplitudes"}, outside="homodyne") == {}

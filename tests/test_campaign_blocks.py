@@ -4,12 +4,12 @@ Trial ``t`` of a purpose is row ``t % STREAM_CHUNK`` of chunk
 ``t // STREAM_CHUNK``, drawn from the chunk's own stream.  The references
 below draw every chunk in full straight from its stream.  A clone row is
 built as a ``ScatteringKey`` and evaluated on its own: its response by
-``scattered_amplitude``, its ``p̄`` by the scalar reference kernel
-``_reference_hit_probabilities`` from the key's own masked sum, and its
-verdict by ``verify``; a false key is drawn as its masked sum alone,
-one circular Gaussian per row, and evaluated one row at a time.  Both
-compare with ``==``: a chunked campaign promises the same bits, not
-close ones.
+``scattered_amplitude`` and ``quadrature_means``, its ``p̄`` by the
+scalar reference kernel ``_reference_hit_probabilities`` from the key's
+own masked sum, and its verdict by ``verify``; a false key is drawn as
+its masked sum alone, one circular Gaussian per row, and evaluated one
+row at a time.  Both compare with ``==``: a chunked campaign promises
+the same bits, not close ones.
 """
 
 import csv
@@ -22,7 +22,7 @@ import pytest
 from cvpuk import (
     CampaignConfig,
     Histogram,
-    Response,
+    ProbeSet,
     ScatteringKey,
     VerificationConfig,
     clone_key,
@@ -52,10 +52,9 @@ def _read_csv(path):
 
 
 def _point(key, config, mask):
-    response = Response.from_amplitude(
-        scattered_amplitude(key, config.tau, mask, math.sqrt(config.mu_p))
-    )
-    return response.x, response.y
+    """A key's ``(x, y)`` under probe 0, whose amplitude is ``sqrt(mu_p)``."""
+    amplitude = scattered_amplitude(key, config.tau, mask, math.sqrt(config.mu_p))
+    return tuple(quadrature_means(np.complex128(amplitude)).tolist())
 
 
 def _coefficients(parts, variance):
@@ -125,9 +124,8 @@ def _reference_verdicts(p_bars, database, config, *path):
 
 def _reference_response_cloud(config):
     amplitude = math.sqrt(config.mu_p)
-    points = [Response.from_amplitude(total * amplitude)
-              for total in _reference_false_key_sums(config)]
-    return [(point.x, point.y) for point in points]
+    return [tuple(quadrature_means(total * amplitude).tolist())
+            for total in _reference_false_key_sums(config)]
 
 
 def _reference_collision(config):
@@ -276,7 +274,7 @@ def test_first_trials_do_not_depend_on_trial_count(config, monkeypatch):
     short_p_ins = list(recorded)
 
     if config.experiment_id == "response_cloud":
-        assert short_result.points == long_result.points[:300]
+        assert short_result.means.tolist() == long_result.means[:300].tolist()
         assert short_p_ins == long_p_ins == []
     elif config.experiment_id == "collision_histogram":
         assert short_result.false_p_ins == long_result.false_p_ins[:300]
@@ -288,11 +286,12 @@ def test_first_trials_do_not_depend_on_trial_count(config, monkeypatch):
             assert (short_p_ins[300 * cluster:300 * (cluster + 1)]
                     == long_p_ins[600 * cluster:600 * cluster + 300])
         for n_modes in config.mode_counts:
-            short_points = short_result.clouds[n_modes][1]
-            long_points = long_result.clouds[n_modes][1]
+            short_means = short_result.clouds[n_modes][1]
+            long_means = long_result.clouds[n_modes][1]
+            assert list(short_means) == list(long_means) == list(config.d_values)
             for fraction in config.d_values:
-                assert ([p for p in short_points if p[0] == fraction]
-                        == [p for p in long_points if p[0] == fraction][:300])
+                assert (short_means[fraction].tolist()
+                        == long_means[fraction][:300].tolist())
 
 
 def test_zero_fraction_builds_no_clone_stream(monkeypatch):
@@ -325,10 +324,9 @@ def test_zero_fraction_builds_no_clone_stream(monkeypatch):
         true_key = generate_key(n_modes, config.l_over_L, substream(43, 4, n_index))
         database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
         expected = _point(true_key, config, database.mask)
-        true_response, points, summaries = result.clouds[n_modes]
-        assert (true_response.x, true_response.y) == expected
-        zero_points = [(x, y) for fraction, _, x, y in points if fraction == 0.0]
-        assert zero_points == [expected] * config.trials
+        true_response, means, summaries = result.clouds[n_modes]
+        assert tuple(true_response.tolist()) == expected
+        assert [tuple(point) for point in means[0.0].tolist()] == [expected] * config.trials
         assert summaries[0][3] == 0.0
         histogram = result.histograms[(n_modes, 0.0)]
         assert histogram.counts.sum() == config.trials
@@ -345,9 +343,10 @@ EDGE_SIZES = [(1, 0), (1, 1), (1, 16 * STREAM_CHUNK), (1, 16 * STREAM_CHUNK + 1)
 def test_edge_block_sizes_match_isolated_trials(n_modes, trials):
     cloud_config = CampaignConfig(experiment_id="response_cloud", n_modes=n_modes,
                                   trials=trials, seed=51)
-    points = run_response_cloud(cloud_config).points
-    assert [(x, y) for _, x, y in points] == _reference_response_cloud(cloud_config)
-    assert [t for t, _, _ in points] == list(range(trials))
+    means = run_response_cloud(cloud_config).means
+    assert means.shape == (trials, 2)
+    expected = _reference_response_cloud(cloud_config)
+    assert [tuple(point) for point in means.tolist()] == expected
 
     collision = CampaignConfig(experiment_id="collision_histogram", n_modes=n_modes,
                                trials=trials, m_sessions=500, seed=52)
@@ -363,11 +362,11 @@ def test_edge_block_sizes_match_isolated_clones(n_modes, trials):
     config = CampaignConfig(experiment_id="cheating_curve", mode_counts=(n_modes,),
                             d_values=(0.0, 0.5), trials=trials, m_sessions=500, seed=53)
     result = run_clone_experiments(config)
-    _, point_rows, _ = result.clouds[n_modes]
+    _, means, _ = result.clouds[n_modes]
     rates = {d: rate for d, _, rate, _ in result.cheating_rows}
     for d_index, fraction in enumerate(config.d_values):
         points, p_ins, verdicts = _reference_clone_cluster(config, 0, d_index)
-        assert [(x, y) for d, _, x, y in point_rows if d == fraction] == points
+        assert [tuple(point) for point in means[fraction].tolist()] == points
         assert rates[fraction] == (sum(verdicts) / trials if trials else 0.0)
         histogram = result.histograms[(n_modes, fraction)]
         assert histogram.counts.tolist() == Histogram.from_samples(
@@ -453,6 +452,27 @@ def test_masked_sums_rows_carry_the_one_key_bits():
     for tau in (0.0, 1.5, math.nan):
         with pytest.raises(ValueError, match="tau"):
             masked_sums(np.ones((3, 1000), dtype=complex), tau, mask)
+
+
+def test_probe_responses_rows_carry_the_one_key_bits():
+    for n_modes in (1, 2, 121, 625):
+        keys = [generate_key(n_modes, 0.2, substream(65, n_modes, t)) for t in range(6)]
+        mask = optimal_mask(keys[0], 0.8)
+        sums = masked_sums(np.array([k.coefficients for k in keys]), 0.8, mask)
+        for mu_p in (2500.0, 3.0):
+            probes = ProbeSet(11, mu_p)
+            block = probes.responses(sums)
+            assert block.shape == (6, 11, 2)
+            for key, rows in zip(keys, block):
+                single = probes.responses(masked_sums(key.coefficients, 0.8, mask))
+                assert rows.tobytes() == single.tobytes()
+            # column 0 is what the campaign clouds formed by hand from probe
+            # 0's amplitude, also for D = 0 clones, which repeat the true sum
+            campaign = quadrature_means(sums * math.sqrt(mu_p))
+            assert block[:, 0].tobytes() == campaign.tobytes()
+            repeated = np.full(STREAM_CHUNK, sums[0])
+            assert probes.responses(repeated)[:, 0].tobytes() == quadrature_means(
+                repeated * math.sqrt(mu_p)).tobytes()
 
 
 def test_block_verification_equals_single_verifications():

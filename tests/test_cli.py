@@ -598,6 +598,29 @@ def test_deeply_nested_json_exits_2_without_output(tmp_path, capsys, command):
     assert not out_dir.exists()
 
 
+def test_verify_out_of_memory_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    # a session trace too large to allocate is a refused input, not exit code
+    # 1, verify's reject code; verify is stubbed, because whether a huge
+    # allocation fails at once depends on the host's overcommit setting
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, n_modes=4)
+    enrolled = tmp_path / "enrolled"
+    assert main(["enroll", "--config", str(config_path), "--out", str(enrolled)]) == 0
+    capsys.readouterr()
+    message = "Unable to allocate 8.00 TiB for an array with shape (1099511627776,)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("cvpuk.cli.verify", out_of_memory)
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--database", str(enrolled / "database.json"),
+                 "--key", str(enrolled / "key.json"), "--sessions", "1099511627776",
+                 "--trace", "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_campaign_unknown_experiment_exits_2(tmp_path, capsys):
     config_path = tmp_path / "campaign.json"
     config_path.write_text(json.dumps({"experiment_id": "mystery"}))

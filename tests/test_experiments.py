@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import filecmp
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,26 @@ from cvpuk.experiments import EXPERIMENT_IDS, REPORTED_ENHANCEMENT_BAND, STREAM_
 from cvpuk import HomodyneChannel, VerificationConfig, enroll_exact, generate_key, ProbeSet
 from cvpuk.adversary import false_key_sums
 from cvpuk.protocol import hit_probabilities, verify_block
+
+
+@pytest.mark.parametrize("field,entries", [
+    ("mode_counts", [16, 16]),
+    ("d_values", [0.0, 0.05, 0.05]),
+    ("d_values", [0, 0.0]),
+])
+def test_config_refuses_a_repeated_entry(tmp_path, capsys, field, entries):
+    # each mode count and each fraction keys its own clone artifacts, so a
+    # repeated entry would overwrite one cluster's rows with another's
+    with pytest.raises(ValueError, match=field):
+        CampaignConfig(experiment_id="clone_cloud", **{field: tuple(entries)})
+    config_path = tmp_path / "campaign.json"
+    config_path.write_text(json.dumps({"experiment_id": "clone_cloud", "trials": 5,
+                                       field: entries}))
+    out_dir = tmp_path / "out"
+    assert main(["campaign", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 def test_config_validation():
@@ -210,9 +231,10 @@ def test_response_cloud_radii_and_tails():
     # true response magnitude realizes the enrolled power identity
     mu_c = config.mu_c
     variance = 0.8 / 256
-    power = result.true_response.x**2 + result.true_response.y**2
+    true_x, true_y = result.true_response
+    power = true_x**2 + true_y**2
     assert power == pytest.approx(2.0 * result.enhancement * variance * mu_c, rel=1e-12)
-    distances = [math.hypot(x, y) for _, x, y in result.points]
+    distances = [math.hypot(x, y) for x, y in result.means.tolist()]
     inside = sum(d <= 1.5 * result.rho_false for d in distances)
     assert inside / len(distances) >= 0.95
 
@@ -228,10 +250,8 @@ def test_response_cloud_scales_with_probe_photons():
     )
     assert boosted.rho_false == 2.0 * base.rho_false
     assert boosted.rho_true == pytest.approx(2.0 * base.rho_true, rel=1e-12)
-    assert boosted.true_response.x == 2.0 * base.true_response.x
-    assert boosted.true_response.y == 2.0 * base.true_response.y
-    for (_, x0, y0), (_, x1, y1) in zip(base.points, boosted.points):
-        assert x1 == 2.0 * x0 and y1 == 2.0 * y0
+    assert boosted.true_response.tolist() == (2.0 * base.true_response).tolist()
+    assert boosted.means.tolist() == (2.0 * base.means).tolist()
 
 
 def test_enhancement_condition_table():
@@ -286,11 +306,9 @@ def test_clone_experiments_small():
     assert rates[(0.05, 121)] <= rates[(0.0, 121)]
     assert set(result.histograms) == {(121, 0.0), (121, 0.05)}
     assert result.histograms[(121, 0.0)].normalization == 60
-    true_response, points, summaries = result.clouds[121]
-    zero_fraction_points = [p for p in points if p[0] == 0.0]
-    assert len(zero_fraction_points) == 60
-    for _, _, x, y in zero_fraction_points:
-        assert x == true_response.x and y == true_response.y
+    true_response, means, summaries = result.clouds[121]
+    assert list(means) == [0.0, 0.05]
+    assert means[0.0].tolist() == [true_response.tolist()] * 60
     assert result.p_in_expected == pytest.approx(0.6826894921370859, rel=1e-12)
 
 
@@ -313,7 +331,12 @@ def test_clone_cloud_runs_no_verification(monkeypatch, tmp_path):
     assert cloud.cheating_rows == ()
     # clones come from their own streams, so the verifying run sees the same clouds
     cheating = run_clone_experiments(dataclasses.replace(config, experiment_id="cheating_curve"))
-    assert cloud.clouds == cheating.clouds
+
+    def plain(clouds):  # arrays as lists, so that == compares every value
+        return {n: (true.tolist(), {d: m.tolist() for d, m in means.items()}, summary)
+                for n, (true, means, summary) in clouds.items()}
+
+    assert plain(cloud.clouds) == plain(cheating.clouds)
     assert len(cheating.cheating_rows) == 4
 
 

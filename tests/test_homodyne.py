@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import math
 import warnings
@@ -13,7 +14,6 @@ from cvpuk import (
     CrpDatabase,
     HomodyneChannel,
     ProbeSet,
-    Response,
     VerificationConfig,
     enroll_exact,
     enroll_sampled,
@@ -32,9 +32,7 @@ ERF_SQRT2 = 0.9544997361036416
 
 
 def _channel(efficiency=0.55, ratio=2.0):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return HomodyneChannel.from_delta_ratio(efficiency, ratio)
+    return HomodyneChannel.from_delta_ratio(efficiency, ratio)
 
 
 def test_probe_state_amplitude():
@@ -65,7 +63,14 @@ def test_probe_set_requires_more_than_two_states():
 def test_quadrature_mean_protocol_angles():
     means = quadrature_means(np.array([1 + 1j, 0.0]))
     assert means.tolist() == [[math.sqrt(2.0), math.sqrt(2.0)], [0.0, 0.0]]
-    assert Response.from_amplitude(1 + 1j) == Response(math.sqrt(2.0), math.sqrt(2.0))
+
+
+def test_probe_responses_shapes():
+    # a key's responses to all N probes, from one masked sum or a block of them
+    probes = ProbeSet(7, 3.0)
+    assert probes.responses(np.complex128(0.5 - 1j)).shape == (7, 2)
+    assert probes.responses(np.full(3, 0.5 - 1j)).shape == (3, 7, 2)
+    assert probes.responses(np.zeros(0, dtype=complex)).shape == (0, 7, 2)
 
 
 def _quadrature_mean(amplitude, theta):
@@ -125,9 +130,7 @@ def _bins_of(centers, bin_width):
 
 
 def test_bin_interval_examples():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a width of 2 is outside the bracket
-        lows, highs = _bins_of([[3.0, 4.0]] * 3, 2.0)
+    lows, highs = _bins_of([[3.0, 4.0]] * 3, 2.0)
     assert lows.tolist() == [[2.0, 3.0]] * 3 and highs.tolist() == [[4.0, 5.0]] * 3
     sigma = _channel().shot_noise
     lows, highs = _bins_of([[0.0, 0.0]] * 3, 2.0 * sigma)
@@ -143,15 +146,16 @@ def test_bin_interval_requires_positive_width():
 
 
 def test_bin_center_equals_quadrature_mean():
-    key = generate_key(16, 0.2, substream(32, 0))
-    for probes in (ProbeSet(11, 2500.0), ProbeSet(7, 3.0)):
+    for n_modes, probes in itertools.product((1, 2, 16, 121),
+                                             (ProbeSet(11, 2500.0), ProbeSet(7, 3.0))):
+        key = generate_key(n_modes, 0.2, substream(32, 0))
         database = enroll_exact(key, 0.8, probes, _channel())
         means, lows, highs = _cells_of(key, database)
         # an exactly enrolled key's bins are centred bitwise on its own means
         assert database.centers.tobytes() == means.tobytes()
         amplitudes = masked_sums(key.coefficients, 0.8, database.mask) * probes.amplitudes()
         for (x, y), low, high, amplitude in zip(means, lows, highs, amplitudes):
-            assert Response(x, y) == Response.from_amplitude(amplitude)
+            assert [x, y] == quadrature_means(np.complex128(amplitude)).tolist()
             expected = [_quadrature_mean(amplitude, theta) for theta in (0.0, HALF_PI)]
             assert 0.5 * (low + high) == pytest.approx(expected, abs=1e-12)
 
@@ -258,9 +262,9 @@ def test_empirical_in_bin_frequency_matches_p_in():
     # both quadratures converge to the same in-bin probability
     channel = _channel(0.55, 2.0)
     expected = p_in_theoretical(channel)
-    response = Response.from_amplitude(3.0 + 4.0j)
+    response = quadrature_means(np.complex128(3.0 + 4.0j)).tolist()
     draws = 200_000
-    for stream, mean in ((0, response.x), (1, response.y)):
+    for stream, mean in enumerate(response):
         rng = substream(33, stream)
         outcomes = rng.normal(mean, channel.shot_noise, size=draws)
         low, high = mean - 0.5 * channel.bin_width, mean + 0.5 * channel.bin_width

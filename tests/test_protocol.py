@@ -33,7 +33,7 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.protocol import hit_probabilities, verify_block
+from cvpuk.protocol import hit_probabilities, public_p_in, verify_block
 from cvpuk.scattering import masked_sums
 
 
@@ -91,6 +91,8 @@ REFUSED_PARAMETERS = [
      (True, "0.05", 0.0)),
     ("VerificationConfig", lambda v: VerificationConfig(1000, 0.05, v), "confidence_param",
      (True, "0.05", 1.0)),
+    ("public_p_in", lambda v: public_p_in(HomodyneChannel.from_delta_ratio(0.55, 2.0), v),
+     "error_level", (math.nan, "0.05", True, -1.0)),
     ("enrollment_error", enrollment_error, "per_quadrature_samples", (True, "25", 2.5, 0)),
     ("ScatteringKey", lambda v: ScatteringKey(np.ones(4), v), "l_over_L", (True, "0.2", 1.0)),
     ("clone_key", lambda v: clone_key(_KEY, v, substream(6, 1)), "fraction",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -112,10 +113,10 @@ def _cmd_verify(args) -> int:
     jsonio.dump(report.to_dict(), report_path)
     print(report_path)
     if args.trace:
-        trace_path = out_dir / "trace.csv"
-        jsonio.write_csv(trace_path, ("k", "theta", "outcome", "hit"),
-                         ((k, theta, outcome, int(hit))
-                          for k, theta, outcome, hit in report.session_trace))
+        trace, trace_path = report.session_trace, out_dir / "trace.csv"
+        # Python rows exist one block of 4,096 sessions at a time
+        jsonio.write_csv(trace_path, trace.dtype.names, itertools.chain.from_iterable(
+            trace[start:start + 4096].tolist() for start in range(0, len(trace), 4096)))
         print(trace_path)
     print(f"p_in = {report.p_in!r}  P_in = {report.p_in_expected!r}  "
           f"{'ACCEPT' if report.accepted else 'REJECT'}")
@@ -195,10 +196,11 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
-    # JSONDecodeError is a ValueError; OverflowError is a number beyond the double
-    # range; MemoryError is an array, such as a session trace, too large to allocate
+    # JSONDecodeError is a ValueError; OverflowError is a number beyond the double range;
+    # MemoryError is an array, such as a session trace, too large to allocate
     except (OSError, ValueError, TypeError, OverflowError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print(f"error: {text}", file=sys.stderr)
         return 2
 
 

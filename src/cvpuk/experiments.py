@@ -190,7 +190,7 @@ class Histogram:
                                         jsonio.REAL_INTERVALS["histogram_bin"])
         n_bins = max(1, math.ceil(round(1.0 / bin_width, 9)))
         edges = np.linspace(0.0, 1.0, n_bins + 1)
-        samples = np.asarray(list(samples), dtype=float)
+        samples = np.asarray(samples, dtype=float)
         counts, _ = np.histogram(samples, edges)
         return cls(edges, counts, samples.size)
 
@@ -200,20 +200,21 @@ class Histogram:
         return float(self.edges[index]), float(self.edges[index + 1])
 
     def rows(self):
-        """(bin_left, bin_right, count) rows for CSV emission."""
-        return [
-            (float(self.edges[i]), float(self.edges[i + 1]), int(self.counts[i]))
-            for i in range(self.counts.size)
-        ]
+        """A lazy iterator of ``(bin_left, bin_right, count)`` rows of Python
+        floats and ints, for CSV emission."""
+        return zip(self.edges[:-1].tolist(), self.edges[1:].tolist(), self.counts.tolist())
 
 
 @dataclass(frozen=True)
 class CollisionResult:
+    """``false_p_ins`` is the read-only ``(trials,)`` array of the false
+    keys' in-bin frequencies, row ``t`` that of false key ``t``."""
+
     histogram: Histogram
     true_key_p_in: float
     p_in_expected: float
     true_key_accepted: bool
-    false_p_ins: tuple[float, ...]
+    false_p_ins: np.ndarray
     false_acceptance_rate: float
 
 
@@ -245,8 +246,8 @@ class CloneExperimentsResult:
     ``(trials, 2)`` responses under probe 0; summary rows are ``(fraction,
     mean_x, mean_y, std_radius)``, where
     ``std_radius`` is the root-mean-square distance of a fraction's cloud
-    from its own mean.  ``histograms`` maps ``(mode_count, fraction)`` to
-    the in-bin frequency histogram of the clone ensemble;
+    from its own mean.  ``histograms`` maps a mode count to a dict that
+    maps each fraction to the in-bin frequency histogram of its clones;
     ``cheating_rows`` are ``(fraction, mode_count, accept_rate, trials)``.
     A ``clone_cloud`` run verifies no clone, so it leaves both empty.
     """
@@ -296,7 +297,7 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
             sums, database, verification, substream(config.seed, 3, chunk),
         )
         accepted += int(np.count_nonzero(verdicts))
-    false_p_ins = false_p_ins.tolist()
+    false_p_ins.flags.writeable = False
 
     histogram = Histogram.from_samples(false_p_ins, config.histogram_bin)
     return CollisionResult(
@@ -304,7 +305,7 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
         true_key_p_in=true_report.p_in,
         p_in_expected=true_report.p_in_expected,
         true_key_accepted=true_report.accepted,
-        false_p_ins=tuple(false_p_ins),
+        false_p_ins=false_p_ins,
         false_acceptance_rate=accepted / config.trials if config.trials else 0.0,
     )
 
@@ -421,9 +422,8 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
             fraction_means[float(fraction)] = means
             summary_rows.append((float(fraction), *_cloud_summary(means)))
             if verifies:
-                histograms[(n_modes, float(fraction))] = Histogram.from_samples(
-                    p_ins, config.histogram_bin
-                )
+                histograms.setdefault(n_modes, {})[float(fraction)] = Histogram.from_samples(
+                    p_ins, config.histogram_bin)
                 rate = accepted / config.trials if config.trials else 0.0
                 cheating_rows.append((float(fraction), int(n_modes), rate, config.trials))
         clouds[n_modes] = (database.centers[0], fraction_means, tuple(summary_rows))
@@ -496,13 +496,9 @@ def _clone_histograms_campaign(config: CampaignConfig):
     result = run_clone_experiments(config)
     files = {}
     for n_modes in config.mode_counts:
-        rows = []
-        for fraction in config.d_values:
-            histogram = result.histograms[(n_modes, float(fraction))]
-            rows.extend(
-                (float(fraction), left, right, count)
-                for left, right, count in histogram.rows()
-            )
+        # the per-mode dict is the first iterable, bound now, not when the rows are read
+        rows = ((fraction, *row) for fraction, histogram in result.histograms[n_modes].items()
+                for row in histogram.rows())
         files[f"histograms_n{n_modes}"] = (f"clone_histograms_n{n_modes}.csv",
                                            ("D", "bin_left", "bin_right", "count"), rows)
     return files, {"p_in_expected": result.p_in_expected, "trials": config.trials}

@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_THETAS = (0.0, HALF_PI)
 
 
 @dataclass(frozen=True)
@@ -258,10 +257,12 @@ class VerificationConfig:
 class VerificationReport:
     """Outcome of one verification run.
 
-    ``session_trace`` rows are ``(k, theta, outcome, hit)`` tuples when
-    tracing was requested.  ``enrollment_error`` echoes the database's
-    estimation error bound so downstream analysis can quantify how noisy
-    enrollment propagates.
+    When tracing was requested, ``session_trace`` is a read-only record
+    array with one row per session and the fields ``k`` (probe index),
+    ``theta`` (local-oscillator phase, 0 or pi/2), ``outcome`` and ``hit``
+    (``uint8``, 0 or 1), 25 bytes a session.  ``enrollment_error`` echoes
+    the database's estimation error bound so downstream analysis can
+    quantify how noisy enrollment propagates.
     """
 
     sessions: int
@@ -270,7 +271,7 @@ class VerificationReport:
     p_in_expected: float
     accepted: bool
     enrollment_error: float = 0.0
-    session_trace: tuple[tuple[int, float, float, bool], ...] | None = None
+    session_trace: np.recarray | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -371,7 +372,7 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     same at any session count.  With ``trace=True`` every session is
     drawn around the same quadrature means, in a fixed bulk order (all
     probe indices, then all quadrature choices, then all outcomes), and
-    listed in ``session_trace``.  The two paths consume the generator
+    kept as arrays in ``session_trace``.  The two paths consume the generator
     differently, so at the same seed their hit counts differ; each is
     fully reproducible from its seed.
     """
@@ -389,10 +390,9 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
         outcomes = rng.normal(means[0, ks, quads], channel.shot_noise)
         hits = (outcomes >= lows[ks, quads]) & (outcomes <= highs[ks, quads])
         total_hits = int(hits.sum())
-        session_trace = tuple(
-            (int(k), _THETAS[q], float(outcome), bool(hit))
-            for k, q, outcome, hit in zip(ks, quads, outcomes, hits)
-        )
+        session_trace = np.rec.fromarrays([ks, quads * HALF_PI, outcomes, hits.view(np.uint8)],
+                                          names=("k", "theta", "outcome", "hit"))
+        session_trace.flags.writeable = False
     else:
         total_hits = int(rng.binomial(sessions, hit_probabilities(sums, database))[0])
 

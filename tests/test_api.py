@@ -161,3 +161,18 @@ def test_only_probe_set_responses_forms_a_response():
     # a key's response to probe k is quadrature_means(sum * alpha_k); enrollment,
     # verification and the campaign clouds all take it from ProbeSet.responses
     assert _callers({"quadrature_means", "amplitudes"}, outside="homodyne") == {}
+
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_verification_has_no_per_session_loop():
+    # a session's outcome stays in numpy arrays from the draw to the report;
+    # a Python loop here would build objects per session or per cell
+    tree = ast.parse((ROOT / "src" / "cvpuk" / "protocol.py").read_text(encoding="utf-8"))
+    scanned = {"verify", "verify_block", "hit_probabilities", "_cells"}
+    loops = [(node.name, inner.lineno) for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in scanned
+             for inner in ast.walk(node) if isinstance(inner, _LOOPS)]
+    assert loops == []
+    assert scanned <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}

@@ -277,7 +277,7 @@ def test_first_trials_do_not_depend_on_trial_count(config, monkeypatch):
         assert short_result.means.tolist() == long_result.means[:300].tolist()
         assert short_p_ins == long_p_ins == []
     elif config.experiment_id == "collision_histogram":
-        assert short_result.false_p_ins == long_result.false_p_ins[:300]
+        assert short_result.false_p_ins.tolist() == long_result.false_p_ins[:300].tolist()
         assert short_p_ins == list(short_result.false_p_ins)
     else:
         clusters = len(config.mode_counts) * len(config.d_values)
@@ -328,7 +328,7 @@ def test_zero_fraction_builds_no_clone_stream(monkeypatch):
         assert tuple(true_response.tolist()) == expected
         assert [tuple(point) for point in means[0.0].tolist()] == [expected] * config.trials
         assert summaries[0][3] == 0.0
-        histogram = result.histograms[(n_modes, 0.0)]
+        histogram = result.histograms[n_modes][0.0]
         assert histogram.counts.sum() == config.trials
 
 
@@ -368,7 +368,7 @@ def test_edge_block_sizes_match_isolated_clones(n_modes, trials):
         points, p_ins, verdicts = _reference_clone_cluster(config, 0, d_index)
         assert [tuple(point) for point in means[fraction].tolist()] == points
         assert rates[fraction] == (sum(verdicts) / trials if trials else 0.0)
-        histogram = result.histograms[(n_modes, fraction)]
+        histogram = result.histograms[n_modes][fraction]
         assert histogram.counts.tolist() == Histogram.from_samples(
             p_ins, config.histogram_bin).counts.tolist()
 

@@ -547,7 +547,7 @@ def test_cli_round_trip_matches_in_memory(tmp_path):
         substream(5, 0), trace=True,
     )
     assert replayed.to_dict() == in_memory.to_dict()
-    assert replayed.session_trace == in_memory.session_trace
+    assert replayed.session_trace.tobytes() == in_memory.session_trace.tobytes()
 
 
 def test_campaign_command(tmp_path, capsys):
@@ -614,11 +614,39 @@ def test_verify_out_of_memory_exits_2_without_output(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr("cvpuk.cli.verify", out_of_memory)
     out_dir = tmp_path / "out"
-    assert main(["verify", "--database", str(enrolled / "database.json"),
-                 "--key", str(enrolled / "key.json"), "--sessions", "1099511627776",
-                 "--trace", "--out", str(out_dir)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out_dir.exists()
+    # numpy's text is kept; a MemoryError raised with none still says what happened
+    for message, printed in ((message, message), ("", "out of memory")):
+        assert main(["verify", "--database", str(enrolled / "database.json"),
+                     "--key", str(enrolled / "key.json"), "--sessions", "1099511627776",
+                     "--trace", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {printed}\n"
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sessions", [4095, 4096, 4097, 8193])
+def test_verify_trace_csv_rows_at_block_edges(tmp_path, capsys, sessions):
+    # the writer converts the trace 4,096 rows at a time; every row is written,
+    # once, from Python ints and floats, exactly as a row-by-row writer would
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, n_modes=4)
+    enrolled = tmp_path / "enrolled"
+    assert main(["enroll", "--config", str(config_path), "--out", str(enrolled)]) == 0
+    main(["verify", "--database", str(enrolled / "database.json"), "--key",
+          str(enrolled / "key.json"), "--sessions", str(sessions), "--seed", "3",
+          "--trace", "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+
+    database = CrpDatabase.from_dict(jsonio.load(enrolled / "database.json"))
+    key = ScatteringKey.from_dict(jsonio.load(enrolled / "key.json"))
+    report = verify(key, database, VerificationConfig(sessions, 0.05, 0.05),
+                    substream(3, 0), trace=True)
+    reference = ["k,theta,outcome,hit\n"] + [
+        f"{int(k)!r},{float(theta)!r},{float(outcome)!r},{int(hit)!r}\n"
+        for k, theta, outcome, hit in report.session_trace
+    ]
+    assert (tmp_path / "out" / "trace.csv").read_text() == "".join(reference)
+    block = report.session_trace[:4096].tolist()
+    assert {type(value) for row in block for value in row} == {int, float}
 
 
 def test_campaign_unknown_experiment_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -476,6 +477,32 @@ def test_verify_session_hits_uncorrelated():
     hits = np.array([row[3] for row in report.session_trace], dtype=float)
     lag_one = float(np.corrcoef(hits[:-1], hits[1:])[0, 1])
     assert abs(lag_one) < 4.0 / math.sqrt(sessions)
+
+
+def test_verify_trace_holds_25_bytes_per_session():
+    # the trace is one record array, not a Python object per session; about
+    # 25 bytes are held and 58 at peak, against 104 and 130 for tuples
+    key, tau, probes, channel = _setup(seed=112)
+    database = enroll_exact(key, tau, probes, channel)
+    sessions = 200_000
+    config = VerificationConfig(sessions, 0.05, 0.05)
+    verify(key, database, config, substream(112, 1), trace=True)  # warm-up
+    tracemalloc.start()
+    try:
+        report = verify(key, database, config, substream(112, 1), trace=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 32 * sessions
+    assert peak <= 80 * sessions
+    trace = report.session_trace
+    assert trace.dtype.names == ("k", "theta", "outcome", "hit")
+    assert trace.itemsize == 25 and len(trace) == sessions
+    assert int(trace.hit.sum()) == report.hits
+    with pytest.raises(ValueError):
+        trace.hit[0] = 1 - trace.hit[0]
+    with pytest.raises(ValueError):
+        trace[0] = trace[1]
 
 
 def test_rejection_rate_monotone_in_error_level():

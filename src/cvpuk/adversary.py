@@ -20,13 +20,7 @@ import math
 import numpy as np
 
 from .jsonio import REAL_INTERVALS, require_real
-from .scattering import (
-    ScatteringKey,
-    draw_coefficients,
-    ensemble_variance,
-    generate_key,
-    require_finite,
-)
+from .scattering import ScatteringKey, draw_coefficients, ensemble_variance, generate_key
 
 __all__ = [
     "false_key",
@@ -89,9 +83,7 @@ def false_key_sums(mode_count: int, l_over_L: float, tau: float, rows: int,
     standard normals, so the first ``r`` rows equal an ``r``-row draw.
     """
     tau = require_real("tau", tau, REAL_INTERVALS["tau"])
-    sums = draw_coefficients(rows, 1, tau * ensemble_variance(mode_count, l_over_L), rng)[:, 0]
-    require_finite(sums)
-    return sums
+    return draw_coefficients(rows, 1, tau * ensemble_variance(mode_count, l_over_L), rng)[:, 0]
 
 
 def clone_rows(true_key: ScatteringKey, fraction: float, rows: int,
@@ -99,6 +91,4 @@ def clone_rows(true_key: ScatteringKey, fraction: float, rows: int,
     """Coefficients of ``rows`` clones, a ``(rows, n)`` block; :func:`clone_key`
     is the one-row case.  A fraction that replaces nothing copies the key
     into every row and never uses ``rng``, which may then be None."""
-    block = _clone_draw(true_key, fraction, rows, rng)[1]
-    require_finite(block)
-    return block
+    return _clone_draw(true_key, fraction, rows, rng)[1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import REAL_INTERVALS, require_int, require_real
+from .jsonio import REAL_INTERVALS, require_int, require_object, require_real
 
 __all__ = [
     "HALF_PI",
@@ -43,15 +43,20 @@ class ProbeSet:
         k = np.arange(self.size)
         return math.sqrt(self.mean_photons) * np.exp(2j * math.pi * k / self.size)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def responses(self, sums) -> np.ndarray:
         """Quadrature means of masked sums under every probe, shape ``(..., N, 2)``.
 
         ``sums`` is one key's :func:`cvpuk.scattering.masked_sums` or a block
         of them; under probe ``k`` the scattered field is ``sum * alpha_k``.
         This is the one place a key's response is formed: enrollment stores
-        it, verification bins around it and the campaign clouds plot it.
+        it, verification bins around it and the campaign clouds plot it, and
+        where a key whose sum or response overflows is refused, without a warning.
         """
-        return quadrature_means(np.multiply.outer(sums, self.amplitudes()))
+        responses = quadrature_means(np.multiply.outer(sums, self.amplitudes()))
+        if not np.isfinite(responses).all():
+            raise ValueError("responses must be finite: a key overflows the double range")
+        return responses
 
 
 def _shot_noise(efficiency: float) -> float:
@@ -89,6 +94,7 @@ class HomodyneChannel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HomodyneChannel":
+        data = require_object("channel", data, ("efficiency", "bin_width"))
         return cls(data["efficiency"], data["bin_width"])
 
 

@@ -7,13 +7,14 @@ exact IEEE-754 double, and an integral float as a float, not an int.
 Numpy scalars are written like their Python counterparts.  The same
 document always gives the same bytes.  Non-finite numbers are refused
 both ways: ``dumps`` will not write them and ``load`` will not read them.
+The readers check each field with :func:`require_int`, :func:`require_real`
+or, for an array such as a key's coefficients, :func:`require_array`.
 A file is written to ``<name>.tmp`` and renamed over its target, so a
 reader never sees a torn file.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["REAL_INTERVALS", "dumps", "dump", "write_csv", "load", "require_object",
-           "require_int", "require_real"]
+           "require_int", "require_real", "require_array"]
 
 # allowed interval of every real-valued parameter; a tuple field's
 # interval applies to each of its entries.  The code that consumes a value
@@ -182,29 +183,55 @@ def require_real(name: str, value, interval: str) -> float:
     ``True`` as 1.0 and ``"2500"`` as 2500.0; a non-finite or
     out-of-range number raises ValueError.
     """
-    # float and int, the JSON reader's numbers, skip the slower ABC check
-    if type(value) not in (float, int) and (
-        isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
-    ):
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the double range
         value = math.inf
-    low, high, closed_low, closed_high = _bounds(interval)
-    above = low <= value if closed_low else low < value
-    below = value <= high if closed_high else value < high
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    below = value <= high if interval[-1] == "]" else value < high
     if not (math.isfinite(value) and above and below):
         raise ValueError(f"{name} must be finite and lie in {interval}, got {value!r}")
     return value
 
 
-@functools.lru_cache(maxsize=None)
-def _bounds(interval: str) -> tuple[float, float, bool, bool]:
-    """Ends of an interval written like ``"(0, 1]"`` and whether each is closed.
+def require_array(name: str, values, shape: tuple, dtype=float) -> np.ndarray:
+    """``values`` as a new ``dtype`` array of ``shape``, if every entry is a finite number.
 
-    Cached: the package uses a handful of interval strings, and a
-    database load checks hundreds of values against the same few.
+    ``dtype`` is ``float`` or ``complex``; ``shape`` gives each axis a length,
+    or ``None`` (``n``) for any.  An array of numeric dtype is checked by
+    vectorised tests.  Anything else, such as a JSON document's lists, is
+    first checked entry by entry, each length, and each entry as by
+    :func:`require_real` unless it is a complex number for ``complex``.
+    Each error names the first bad entry, like ``coefficients[4][1]``.
     """
-    low, high = (float(bound) for bound in interval[1:-1].split(","))
-    return low, high, interval[0] == "[", interval[-1] == "]"
+    # a numeric array's kinds, and the entry types that need no require_real
+    kinds, exact = ("iufc", (float, complex, np.complexfloating)) if dtype is complex \
+        else ("iuf", float)
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds):
+        _require_entries(name, values, shape, exact)
+    array = np.array(values, dtype=dtype)
+    if array.ndim != len(shape) or any(n not in (None, size) for n, size in zip(shape, array.shape)):
+        raise ValueError(f"{name} must have shape {str(shape).replace('None', 'n')}, "
+                         f"got shape {array.shape}")
+    bad = np.argwhere(~np.isfinite(array))
+    if bad.size:
+        index = tuple(bad[0].tolist())
+        raise ValueError(f"{name}{''.join(f'[{i}]' for i in index)} must be finite, "
+                         f"got {array[index].item()!r}")
+    return array
+
+
+def _require_entries(label: str, values, shape: tuple, exact) -> None:
+    """Raise on the first entry that breaks ``shape`` or is neither ``exact`` nor real."""
+    if not (isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim) \
+            or shape[0] not in (None, len(values)):
+        raise ValueError(f"{label} must have shape {str(shape).replace('None', 'n')}, "
+                         f"got {values!r}")
+    for index, entry in enumerate(values):
+        if len(shape) > 1:
+            _require_entries(f"{label}[{index}]", entry, shape[1:], exact)
+        elif not isinstance(entry, exact):  # a JSON float needs no further test
+            require_real(f"{label}[{index}]", entry, "(-inf, inf)")

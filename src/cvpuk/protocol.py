@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .homodyne import HALF_PI, HomodyneChannel, ProbeSet, p_in_theoretical
-from .jsonio import REAL_INTERVALS, require_int, require_real
+from .jsonio import REAL_INTERVALS, require_array, require_int, require_object, require_real
 from .scattering import PhaseMask, ScatteringKey, ensemble_variance, masked_sums, optimal_mask
 
 __all__ = [
@@ -82,12 +82,7 @@ class CrpDatabase:
     setup_loss: float
 
     def __post_init__(self):
-        size = self.probe_set.size
-        centers = np.array(self.centers, dtype=float)
-        if centers.shape != (size, 2):
-            raise ValueError(f"centers must have shape ({size}, 2), got {centers.shape}")
-        if not np.all(np.isfinite(centers)):
-            raise ValueError("centers must be finite")
+        centers = require_array("centers", self.centers, (self.probe_set.size, 2))
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "setup_loss",
@@ -104,30 +99,32 @@ class CrpDatabase:
             "channel": self.channel.to_dict(),
             "setup_loss": float(self.setup_loss),
             "enrollment_error": self.enrollment_error,
-            "mask": [float(p) for p in self.mask.phases],
-            "records": [
-                {"k": k, "x": float(x), "y": float(y)}
-                for k, (x, y) in enumerate(self.centers)
-            ],
+            "mask": self.mask.phases.tolist(),
+            "records": [{"k": k, "x": x, "y": y}
+                        for k, (x, y) in enumerate(self.centers.tolist())],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrpDatabase":
-        probe_set = ProbeSet(data["probe_set"]["size"], data["probe_set"]["mean_photons"])
-        records = sorted(data["records"], key=lambda r: require_int("k", r["k"]))
+        """The database of a document; top-level fields it does not read are ignored."""
+        # read first: a legacy file lacks it, and holds an unknown xi in every record
+        enrollment_error = data["enrollment_error"]
+        probes = require_object("probe_set", data["probe_set"], ("size", "mean_photons"))
+        probe_set = ProbeSet(probes["size"], probes["mean_photons"])
+        records = data["records"]
+        if not isinstance(records, list):
+            raise TypeError(f"records must be a JSON array, got {records!r}")
+        records = sorted((require_object(f"records[{index}]", record, ("k", "x", "y"))
+                          for index, record in enumerate(records)),
+                         key=lambda r: require_int("k", r["k"]))
         if [r["k"] for r in records] != list(range(probe_set.size)):
             raise ValueError("records must hold each probe index 0..N-1 exactly once")
-
-        def record(r, name):
-            return require_real(f"records[{r['k']}].{name}", r[name], "(-inf, inf)")
-
+        x, y = (require_array(f"records.{name}", [r[name] for r in records], (probe_set.size,))
+                for name in "xy")
         return cls(
-            mask=PhaseMask(np.array([
-                require_real(f"mask[{index}]", phase, "(-inf, inf)")
-                for index, phase in enumerate(data["mask"])
-            ])),
-            centers=[[record(r, "x"), record(r, "y")] for r in records],
-            enrollment_error=data["enrollment_error"],
+            mask=PhaseMask(require_array("mask", data["mask"], (None,))),
+            centers=np.stack((x, y), axis=1),
+            enrollment_error=enrollment_error,
             probe_set=probe_set,
             channel=HomodyneChannel.from_dict(data["channel"]),
             setup_loss=data["setup_loss"],

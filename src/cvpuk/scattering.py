@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import REAL_INTERVALS, require_int, require_real
+from .jsonio import REAL_INTERVALS, require_array, require_int, require_real
 
 __all__ = [
     "DegenerateKeyError",
@@ -35,7 +35,6 @@ __all__ = [
     "wrap_phase",
     "ensemble_variance",
     "draw_coefficients",
-    "require_finite",
     "generate_key",
     "masked_sums",
     "scattered_amplitude",
@@ -76,13 +75,10 @@ class ScatteringKey:
     l_over_L: float
 
     def __post_init__(self):
-        coefficients = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", coefficients)
-        if coefficients.ndim != 1:
-            raise ValueError(f"coefficients must be a vector, got shape {coefficients.shape}")
+        coefficients = require_array("coefficients", self.coefficients, (None,), complex)
         ensemble_variance(coefficients.size, self.l_over_L)  # checks both parameters
-        require_finite(coefficients)
         coefficients.flags.writeable = False
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def mode_count(self) -> int:
@@ -99,27 +95,15 @@ class ScatteringKey:
         """JSON-ready document with coefficients as [re, im] pairs."""
         return {
             "l_over_L": float(self.l_over_L),
-            "coefficients": [[float(c.real), float(c.imag)] for c in self.coefficients],
+            "coefficients": self.coefficients.view(float).reshape(-1, 2).tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScatteringKey":
         """The key of a document; fields other than ``l_over_L`` and
-        ``coefficients`` are ignored."""
-        coefficients = np.array(
-            [_coefficient(index, pair) for index, pair in enumerate(data["coefficients"])],
-            dtype=complex,
-        )
-        return cls(coefficients, data["l_over_L"])
-
-
-def _coefficient(index: int, pair) -> complex:
-    """One ``[re, im]`` pair of a key document as a complex number."""
-    name = f"coefficients[{index}]"
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"{name} must be a [re, im] pair, got {pair!r}")
-    return complex(require_real(f"{name}[0]", pair[0], "(-inf, inf)"),
-                   require_real(f"{name}[1]", pair[1], "(-inf, inf)"))
+        ``coefficients`` are ignored.  Viewing the pairs as complex keeps every bit."""
+        pairs = require_array("coefficients", data["coefficients"], (None, 2))
+        return cls(pairs.view(complex)[:, 0], data["l_over_L"])
 
 
 @dataclass(frozen=True)
@@ -129,11 +113,9 @@ class PhaseMask:
     phases: np.ndarray
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float)
-        if phases.ndim != 1 or phases.size < 1:
+        phases = require_array("phases", self.phases, (None,))
+        if not phases.size:
             raise ValueError("phases must be a non-empty vector")
-        if not np.all(np.isfinite(phases)):
-            raise ValueError("phases must be finite")
         phases = wrap_phase(phases)
         phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
@@ -160,12 +142,6 @@ def draw_coefficients(rows: int, count: int, variance: float,
     return math.sqrt(variance / 2.0) * (parts[:, 0] + 1j * parts[:, 1])
 
 
-def require_finite(coefficients: np.ndarray) -> None:
-    """Reject coefficient rows that hold NaN or an infinity."""
-    if not np.all(np.isfinite(coefficients)):
-        raise ValueError("coefficients must be finite")
-
-
 def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator) -> ScatteringKey:
     """Draw a fresh random key.
 
@@ -183,6 +159,7 @@ def _coupling(tau: float, mode_count: int) -> float:
     return math.sqrt(tau / mode_count)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask,
                 overwrite_input: bool = False):
     """Phase-controlled sums of reflection-coupling products, one per key.
@@ -200,6 +177,8 @@ def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask,
     round a cancelling product differently.  A one-mode multiply runs
     along the rows in a loop of its own, so the phase factors take the
     block's number of dimensions and a one-mode block is not overwritten.
+    An overflowing sum is left non-finite, without a warning, for
+    :meth:`cvpuk.homodyne.ProbeSet.responses` to refuse.
     """
     mode_count = coefficients.shape[-1]
     coupling = _coupling(tau, mode_count)

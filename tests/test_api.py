@@ -3,13 +3,23 @@
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvpuk
-from cvpuk import ScatteringKey, clone_key, generate_key, substream
+from cvpuk import (
+    CrpDatabase,
+    HomodyneChannel,
+    PhaseMask,
+    ProbeSet,
+    ScatteringKey,
+    clone_key,
+    generate_key,
+    substream,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("adversary", "cli", "experiments", "homodyne", "jsonio", "protocol",
@@ -176,3 +186,44 @@ def test_verification_has_no_per_session_loop():
              for inner in ast.walk(node) if isinstance(inner, _LOOPS)]
     assert loops == []
     assert scanned <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_readers_leave_entry_checks_to_the_constructors():
+    # ScatteringKey, PhaseMask and CrpDatabase check every entry of their
+    # arrays, so a reader's own require_real on an entry would check it twice
+    readers = ("scattering.ScatteringKey.from_dict", "protocol.CrpDatabase.from_dict")
+    assert [scope for scope in _callers({"require_real"}) if scope.startswith(readers)] == []
+
+
+def _centers(entries):
+    """Six entries as three (x, y) centres: rows of an array, or pairs of a list."""
+    if isinstance(entries, np.ndarray):
+        return entries.reshape(3, 2)
+    return [entries[0:2], entries[2:4], entries[4:6]]
+
+
+# each type that holds an array, built from six entries, by the array's field name
+ARRAY_HOLDERS = {
+    "coefficients": lambda entries: ScatteringKey(entries, 0.2),
+    "phases": PhaseMask,
+    "centers": lambda entries: CrpDatabase(PhaseMask([0.0] * 4), _centers(entries), 0.0,
+                                           ProbeSet(3, 2500.0), HomodyneChannel(0.55, 2.7),
+                                           0.8),
+}
+
+
+@pytest.mark.parametrize("field", ARRAY_HOLDERS)
+@pytest.mark.parametrize("bad,error", [
+    ("0.5", TypeError), ("2j", TypeError), (True, TypeError), (np.bool_(False), TypeError),
+    (math.nan, ValueError), (-math.inf, ValueError),
+])
+def test_array_holders_check_every_entry(field, bad, error):
+    # the Python API refuses what the JSON readers refuse, naming the entry
+    build = ARRAY_HOLDERS[field]
+    for entries in ([1, 2, 3, 4, 5, 6], np.arange(6), np.arange(6.0)):
+        build(entries)
+    entries = [1, 2, 3, bad, 5, 6]
+    with pytest.raises(error, match=field + (r"\[1\]\[1\]" if field == "centers" else r"\[3\]")):
+        build(entries)
+    with pytest.raises(error, match=field):
+        build(np.full(6, bad))

@@ -408,7 +408,9 @@ def test_block_builders_match_single_keys():
         true_key.coefficients, (3, 1)).tobytes()
 
 
-def test_block_builders_refuse_non_finite_rows():
+def test_non_finite_rows_are_refused_where_their_response_is_formed():
+    # a generator's draws are finite, so the block builders check nothing;
+    # every path to a verdict forms the rows' responses, which are checked
     true_key = generate_key(4, 0.2, substream(62, 0))
 
     class Poisoned:
@@ -418,10 +420,11 @@ def test_block_builders_refuse_non_finite_rows():
         def random(self, shape):
             return np.zeros(shape)
 
-    with pytest.raises(ValueError, match="finite"):
-        false_key_sums(4, 0.2, 0.8, 2, Poisoned())
-    with pytest.raises(ValueError, match="finite"):
-        clone_rows(true_key, 0.5, 1, Poisoned())
+    mask = optimal_mask(true_key, 0.8)
+    for sums in (false_key_sums(4, 0.2, 0.8, 2, Poisoned()),
+                 masked_sums(clone_rows(true_key, 0.5, 1, Poisoned()), 0.8, mask)):
+        with pytest.raises(ValueError, match="finite"):
+            ProbeSet(3, 2500.0).responses(sums)
 
 
 def test_masked_sums_rows_carry_the_one_key_bits():

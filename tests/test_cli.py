@@ -524,6 +524,56 @@ def test_verify_malformed_key_exits_2_naming_the_pair(tmp_path, capsys):
         assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("records", {"a": 1}, "records must be a JSON array"),
+    ("records", [1, 2, 3], "records[0] must be a JSON object"),
+    ("probe_set", [1], "probe_set must be a JSON object"),
+    ("channel", None, "channel must be a JSON object"),
+])
+def test_verify_database_section_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, field,
+                                                                     value, message):
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path)
+    out_dir = tmp_path / "out"
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    database_path = out_dir / "database.json"
+    document = json.loads(database_path.read_text())
+    document[field] = value
+    database_path.write_text(json.dumps(document))
+    report_dir = tmp_path / "report"
+    assert main(["verify", "--database", str(database_path), "--key", str(out_dir / "key.json"),
+                 "--out", str(report_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}, got ")
+    assert not report_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "verify --trace", "enroll"])
+def test_key_whose_response_overflows_exits_2_without_output(tmp_path, capsys, command):
+    # every coefficient is finite, but the key's response to a probe leaves the
+    # double range; a key enrolled under its own optimal mask overflows already
+    # in its masked sum.  Numpy warns on either overflow, and no warning may escape
+    key_path = tmp_path / "key.json"
+    jsonio.dump({"l_over_L": 0.2, "coefficients": [[1e308, 1e308]] * 16}, key_path)
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, n_modes=16)
+    enrolled = tmp_path / "enrolled"
+    assert main(["enroll", "--config", str(config_path), "--out", str(enrolled)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    if command == "enroll":
+        _write_enroll_config(config_path, n_modes=16, key_path=str(key_path))
+        argv = ["enroll", "--config", str(config_path), "--out", str(out_dir)]
+    else:
+        argv = ["verify", "--database", str(enrolled / "database.json"), "--key", str(key_path),
+                "--out", str(out_dir)] + command.split()[1:]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1)
+    assert err.startswith("error: responses must be finite")
+    assert not out_dir.exists()
+
+
 def test_cli_round_trip_matches_in_memory(tmp_path):
     # enroll -> serialize -> load -> verify must replay bit-for-bit
     config_path = tmp_path / "config.json"

@@ -125,6 +125,32 @@ def test_require_real():
             jsonio.require_real("x", value, "(-inf, inf)")
 
 
+def test_require_array_names_the_first_bad_entry():
+    assert jsonio.require_array("a", [[1, 2.5], (np.float32(3), -0.0)], (None, 2)).tobytes() == \
+        np.array([[1.0, 2.5], [3.0, -0.0]]).tobytes()
+    array = np.arange(4.0).reshape(2, 2)
+    checked = jsonio.require_array("a", array, (2, 2))
+    assert checked is not array and checked.tobytes() == array.tobytes()
+    assert jsonio.require_array("c", [1, 2j, np.complex64(3)], (None,), complex).tolist() == [
+        1, 2j, 3]
+    for values, error, entry in (
+        ([[0.0, 1.0], [2.0]], ValueError, r"a\[1\] must have shape \(2,\)"),
+        ([[0.0, 1.0], 0.5], ValueError, r"a\[1\] must have shape"),
+        ([[0.0, 1.0], [True, 0.0]], TypeError, r"a\[1\]\[0\] "),
+        ([[0.0, 1.0], [0.0, "1"]], TypeError, r"a\[1\]\[1\] "),
+        ([[0.0, 1.0], [0.0, 1j]], TypeError, r"a\[1\]\[1\] "),
+        ([[0.0, 1.0], [0.0, 10**400]], ValueError, r"a\[1\]\[1\] "),
+        ([[0.0, math.inf], [math.nan, 0.0]], ValueError, r"a\[0\]\[1\] must be finite"),
+        (np.array([[0.0, 1.0], [math.nan, 0.0]]), ValueError, r"a\[1\]\[0\] must be finite"),
+        (np.zeros((2, 2), dtype=bool), TypeError, r"a\[0\]\[0\] "),
+        (np.zeros((2, 3)), ValueError, r"a must have shape \(n, 2\), got shape \(2, 3\)"),
+        ({"re": 0.0}, ValueError, r"a must have shape \(n, 2\)"),
+        ("01", ValueError, r"a must have shape \(n, 2\)"),
+    ):
+        with pytest.raises(error, match=entry):
+            jsonio.require_array("a", values, (None, 2))
+
+
 def test_round_trip_keeps_number_types():
     document = {
         "floats": [2500.0, 0.0, -0.0, 1e16, 1e17, 1.0, -3.0],

@@ -355,6 +355,23 @@ def test_database_json_roundtrip():
     assert jsonio.dumps(restored.to_dict()) == jsonio.dumps(document)
 
 
+def test_key_and_database_round_trips_keep_negative_zeros():
+    # the key reader views its [re, im] pairs as complex numbers; re + 1j * im
+    # would turn a -0.0 real part into 0.0
+    key = ScatteringKey(np.array([complex(-0.0, 0.0), complex(0.0, -0.0),
+                                  complex(-0.0, -0.0), 1 - 1j]), 0.2)
+    restored = ScatteringKey.from_dict(json.loads(jsonio.dumps(key.to_dict())))
+    assert restored.coefficients.tobytes() == key.coefficients.tobytes()
+    _, tau, probes, channel = _setup(n_modes=4, n_probes=3)
+    exact = enroll_exact(key, tau, probes, channel)
+    centers = exact.centers.copy()
+    centers[0] = centers[2, 1] = -0.0
+    database = CrpDatabase(exact.mask, centers, 0.0, probes, channel, tau)
+    restored = CrpDatabase.from_dict(json.loads(jsonio.dumps(database.to_dict())))
+    assert restored.centers.tobytes() == database.centers.tobytes()
+    assert restored.mask.phases.tobytes() == database.mask.phases.tobytes()
+
+
 # ----------------------------------------------------------------- verify
 
 

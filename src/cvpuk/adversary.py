@@ -5,12 +5,12 @@ but replaces a chosen fraction of its reflection coefficients with
 fresh draws from the same ensemble, modelling a counterfeiter who knows
 the material statistics but cannot reproduce every scatterer.
 
-Campaigns draw false keys through their sufficient statistic.  A false
-key's circular Gaussian coefficients are independent of the mask it is
-seen through, so its masked sum ``sum_j c_j sqrt(tau / n) e^{i phi_j}``
-is exactly a circular Gaussian of variance ``tau (1 - l/L) / n``
-whatever the mask; :func:`false_key_sums` draws that one number per key
-instead of the key's ``n`` coefficients.
+Campaigns draw false keys and clones through their sufficient statistic.
+A false key's circular Gaussian coefficients are independent of the mask
+it is seen through, so its masked sum ``sum_j c_j sqrt(tau / n) e^{i
+phi_j}`` is exactly a circular Gaussian of variance ``tau (1 - l/L) / n``
+whatever the mask; :func:`false_key_sums` draws that one number per key,
+and :func:`clone_sums` one per clone for its fresh coefficients.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import math
 import numpy as np
 
 from .jsonio import REAL_INTERVALS, require_real
-from .scattering import ScatteringKey, draw_coefficients, ensemble_variance, generate_key
+from .scattering import (PhaseMask, ScatteringKey, draw_coefficients, ensemble_variance,
+                         generate_key, masked_terms)
 
 __all__ = [
     "false_key",
     "false_key_sums",
     "clone_key",
-    "clone_rows",
+    "clone_sums",
 ]
 
 
@@ -42,23 +43,15 @@ def replaced_count(fraction: float, mode_count: int) -> int:
     return int(math.floor(fraction * mode_count + 0.5))
 
 
-def _clone_draw(true_key: ScatteringKey, fraction: float, rows: int,
-                rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    """Replaced positions ``(rows, count)`` and coefficients ``(rows, n)`` of
-    ``rows`` clones.  One ``random((rows, n))`` call picks each row's
-    positions, the first ``count`` of its ascending order (a uniform
-    choice without replacement); one :func:`draw_coefficients` call gives
-    their values, so the first ``r`` rows are not an ``r``-row draw.
-    """
+def _replaced_positions(true_key: ScatteringKey, fraction: float, rows: int,
+                        rng: np.random.Generator | None) -> np.ndarray:
+    """Replaced positions ``(rows, count)`` of ``rows`` clones, the first ``count`` of each
+    row's argsort of one ``random((rows, n))`` call; ``count == 0`` uses no ``rng``."""
     count = replaced_count(fraction, true_key.mode_count)
     if not count:
-        return np.empty((rows, 0), dtype=np.intp), np.tile(true_key.coefficients, (rows, 1))
+        return np.empty((rows, 0), dtype=np.intp)
     # copied out, so the (rows, n) uniforms and their order are freed first
-    positions = rng.random((rows, true_key.mode_count)).argsort(axis=1)[:, :count].copy()
-    coefficients = np.tile(true_key.coefficients, (rows, 1))
-    np.put_along_axis(coefficients, positions,
-                      draw_coefficients(rows, count, true_key.variance, rng), axis=1)
-    return positions, coefficients
+    return rng.random((rows, true_key.mode_count)).argsort(axis=1)[:, :count].copy()
 
 
 def clone_key(true_key: ScatteringKey, fraction: float,
@@ -70,8 +63,10 @@ def clone_key(true_key: ScatteringKey, fraction: float,
     the replacements from the same complex Gaussian ensemble as the
     original; all other coefficients are copied exactly.
     """
-    positions, coefficients = _clone_draw(true_key, fraction, 1, rng)
-    return ScatteringKey(coefficients[0], true_key.l_over_L), positions[0]
+    positions = _replaced_positions(true_key, fraction, 1, rng)[0]
+    coefficients = true_key.coefficients.copy()
+    coefficients[positions] = draw_coefficients(1, positions.size, true_key.variance, rng)[0]
+    return ScatteringKey(coefficients, true_key.l_over_L), positions
 
 
 def false_key_sums(mode_count: int, l_over_L: float, tau: float, rows: int,
@@ -86,9 +81,18 @@ def false_key_sums(mode_count: int, l_over_L: float, tau: float, rows: int,
     return draw_coefficients(rows, 1, tau * ensemble_variance(mode_count, l_over_L), rng)[:, 0]
 
 
-def clone_rows(true_key: ScatteringKey, fraction: float, rows: int,
-               rng: np.random.Generator | None) -> np.ndarray:
-    """Coefficients of ``rows`` clones, a ``(rows, n)`` block; :func:`clone_key`
-    is the one-row case.  A fraction that replaces nothing copies the key
-    into every row and never uses ``rng``, which may then be None."""
-    return _clone_draw(true_key, fraction, rows, rng)[1]
+def clone_sums(true_key: ScatteringKey, fraction: float, tau: float, mask: PhaseMask,
+               rows: int, rng: np.random.Generator | None) -> np.ndarray:
+    """Masked sums of ``rows`` clones under ``mask``, shape ``(rows,)``: row ``r``
+    is ``true_sum - sum(t[R_r]) + fresh_r``, with ``t`` the true key's
+    :func:`masked_terms`, ``R_r`` the positions :func:`clone_key` would pick
+    and ``fresh_r`` the replacements' terms, one circular Gaussian of variance
+    ``count * tau * variance / n`` from a ``(rows, 2, 1)`` block drawn after
+    all positions.  A fraction that replaces nothing never uses ``rng``."""
+    terms = masked_terms(true_key.coefficients, tau, mask)
+    positions = _replaced_positions(true_key, fraction, rows, rng)
+    count = positions.shape[1]
+    if not count:
+        return np.full(rows, np.sum(terms))
+    fresh = draw_coefficients(rows, 1, count * tau * true_key.variance / true_key.mode_count, rng)
+    return np.sum(terms) - np.sum(terms[positions], axis=1) + fresh[:, 0]

@@ -23,9 +23,10 @@ Sub-stream paths:
 A chunk makes one call per array: ``standard_normal((rows, 2, 1))`` for
 the masked sums of false keys (see :func:`cvpuk.adversary.false_key_sums`;
 no false key's coefficients are drawn); ``random((256, n))`` for the
-replaced positions of clones, then one normal block for their values
-(no ``(5, i, d, c)`` stream is built when a fraction replaces nothing,
-and such clones share the true key's one masked sum); one
+replaced positions of clones, then ``standard_normal((256, 2, 1))`` for
+their fresh terms' sums (see :func:`cvpuk.adversary.clone_sums`; no
+``(5, i, d, c)`` stream is built when a fraction replaces nothing, and
+such clones share the true key's one masked sum); one
 ``binomial(m_sessions, p̄)`` for the hit counts.  A partial chunk draws
 only its rows, but a clone chunk draws all 256, as its normals follow
 its uniforms.  The chunk is also the unit of masked sums and ``p̄``.
@@ -41,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .adversary import clone_rows, false_key_sums, replaced_count
+from .adversary import clone_sums, false_key_sums, replaced_count
 from .homodyne import HomodyneChannel, ProbeSet, p_in_theoretical
 from .protocol import (
     VerificationConfig,
@@ -393,8 +394,6 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     for n_index, n_modes in enumerate(config.mode_counts):
         true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
         database = enroll_exact(true_key, config.tau, probes, channel)
-        mask = database.mask
-        true_sum = masked_sums(true_key.coefficients, config.tau, mask)
 
         fraction_means = {}
         summary_rows = []
@@ -404,14 +403,10 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
             p_ins = np.empty(config.trials)
             accepted = 0
             for chunk, start, rows in _chunks(config.trials):
-                if replaces:
-                    # a partial chunk draws all rows: its normals follow its uniforms
-                    clones = clone_rows(true_key, fraction, STREAM_CHUNK,
-                                        substream(config.seed, 5, n_index, d_index, chunk))
-                    sums = masked_sums(clones[:rows], config.tau, mask, overwrite_input=True)
-                    del clones  # freed before the next chunk draws its block
-                else:
-                    sums = np.full(rows, true_sum)  # each clone is the true key
+                # a partial chunk draws all rows: its normals follow its uniforms
+                stream = substream(config.seed, 5, n_index, d_index, chunk) if replaces else None
+                sums = clone_sums(true_key, fraction, config.tau, database.mask, STREAM_CHUNK,
+                                  stream)[:rows]
                 means[start:start + rows] = probes.responses(sums)[:, 0]
                 if verifies:
                     p_ins[start:start + rows], verdicts = verify_block(

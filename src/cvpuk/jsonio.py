@@ -207,11 +207,11 @@ def require_array(name: str, values, shape: tuple, dtype=float) -> np.ndarray:
     :func:`require_real` unless it is a complex number for ``complex``.
     Each error names the first bad entry, like ``coefficients[4][1]``.
     """
-    # a numeric array's kinds, and the entry types that need no require_real
-    kinds, exact = ("iufc", (float, complex, np.complexfloating)) if dtype is complex \
-        else ("iuf", float)
+    # a numeric array's kinds, the entry types that need no require_real, and their name
+    kinds, exact, noun = ("iufc", (float, complex, np.complexfloating), "a complex number") \
+        if dtype is complex else ("iuf", float, "a real number")
     if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds):
-        _require_entries(name, values, shape, exact)
+        _require_entries(name, values, shape, exact, noun)
     array = np.array(values, dtype=dtype)
     if array.ndim != len(shape) or any(n not in (None, size) for n, size in zip(shape, array.shape)):
         raise ValueError(f"{name} must have shape {str(shape).replace('None', 'n')}, "
@@ -224,14 +224,17 @@ def require_array(name: str, values, shape: tuple, dtype=float) -> np.ndarray:
     return array
 
 
-def _require_entries(label: str, values, shape: tuple, exact) -> None:
-    """Raise on the first entry that breaks ``shape`` or is neither ``exact`` nor real."""
+def _require_entries(label: str, values, shape: tuple, exact, noun: str) -> None:
+    """Raise on the first entry that breaks ``shape`` or is neither ``exact`` nor ``noun``."""
     if not (isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim) \
             or shape[0] not in (None, len(values)):
         raise ValueError(f"{label} must have shape {str(shape).replace('None', 'n')}, "
                          f"got {values!r}")
     for index, entry in enumerate(values):
         if len(shape) > 1:
-            _require_entries(f"{label}[{index}]", entry, shape[1:], exact)
+            _require_entries(f"{label}[{index}]", entry, shape[1:], exact, noun)
         elif not isinstance(entry, exact):  # a JSON float needs no further test
-            require_real(f"{label}[{index}]", entry, "(-inf, inf)")
+            try:
+                require_real(f"{label}[{index}]", entry, "(-inf, inf)")
+            except TypeError:
+                raise TypeError(f"{label}[{index}] must be {noun}, got {entry!r}") from None

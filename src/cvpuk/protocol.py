@@ -107,6 +107,8 @@ class CrpDatabase:
     @classmethod
     def from_dict(cls, data: dict) -> "CrpDatabase":
         """The database of a document; top-level fields it does not read are ignored."""
+        if not isinstance(data, dict):
+            raise TypeError(f"database must be a JSON object, got {data!r}")
         # read first: a legacy file lacks it, and holds an unknown xi in every record
         enrollment_error = data["enrollment_error"]
         probes = require_object("probe_set", data["probe_set"], ("size", "mean_photons"))
@@ -376,8 +378,6 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     channel = database.channel
     sums = masked_sums(key_under_test.coefficients[np.newaxis], database.setup_loss,
                        database.mask)
-    expected = public_p_in(channel, config.error_level)
-
     sessions = config.sessions
     session_trace = None
     if trace:
@@ -393,6 +393,8 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     else:
         total_hits = int(rng.binomial(sessions, hit_probabilities(sums, database))[0])
 
+    # advice only once the responses are formed: they refuse a non-finite sum
+    expected = public_p_in(channel, config.error_level)
     p_in = total_hits / sessions
     return VerificationReport(
         sessions=sessions,

@@ -36,6 +36,7 @@ __all__ = [
     "ensemble_variance",
     "draw_coefficients",
     "generate_key",
+    "masked_terms",
     "masked_sums",
     "scattered_amplitude",
     "optimal_mask",
@@ -102,6 +103,8 @@ class ScatteringKey:
     def from_dict(cls, data: dict) -> "ScatteringKey":
         """The key of a document; fields other than ``l_over_L`` and
         ``coefficients`` are ignored.  Viewing the pairs as complex keeps every bit."""
+        if not isinstance(data, dict):
+            raise TypeError(f"key must be a JSON object, got {data!r}")
         pairs = require_array("coefficients", data["coefficients"], (None, 2))
         return cls(pairs.view(complex)[:, 0], data["l_over_L"])
 
@@ -159,37 +162,29 @@ def _coupling(tau: float, mode_count: int) -> float:
     return math.sqrt(tau / mode_count)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask,
-                overwrite_input: bool = False):
-    """Phase-controlled sums of reflection-coupling products, one per key.
-
-    ``coefficients`` is one key's ``(n,)`` row or a ``(B, n)`` block of
-    rows; the sum runs over the last axis, so the result is a complex
-    scalar or a ``(B,)`` vector.  This is the one place the masked sum is
-    formed, by elementwise products and ``np.sum`` in a fixed operand
-    order, with no matrix product, so every row of a block carries the
-    bits of the same key summed alone.  ``overwrite_input`` forms the
-    products in ``coefficients``, so a campaign's fresh block needs no
-    second array of its size.
-
-    Numpy's complex multiply fuses multiply-adds in some loops only, which
-    round a cancelling product differently.  A one-mode multiply runs
-    along the rows in a loop of its own, so the phase factors take the
-    block's number of dimensions and a one-mode block is not overwritten.
-    An overflowing sum is left non-finite, without a warning, for
-    :meth:`cvpuk.homodyne.ProbeSet.responses` to refuse.
-    """
+def masked_terms(coefficients: np.ndarray, tau: float, mask: PhaseMask) -> np.ndarray:
+    """Masked terms ``c_j sqrt(tau / n) e^{i phi_j}`` of one key's ``(n,)`` row
+    or a ``(B, n)`` block, in its shape: the one place they are formed, by
+    elementwise products in a fixed operand order, so each row carries the
+    bits of its key alone.  Numpy's complex multiply fuses multiply-adds in
+    some loops only, which round a cancelling product differently; a
+    one-mode multiply runs along the rows in a loop of its own, so the
+    phase factors take the block's number of dimensions."""
     mode_count = coefficients.shape[-1]
     coupling = _coupling(tau, mode_count)
     if len(mask) != mode_count:
         raise ValueError("mask length does not match the key's mode count")
     phase_factors = np.exp(1j * mask.phases).reshape((1,) * (coefficients.ndim - 1) + (-1,))
-    if overwrite_input and mode_count > 1:
-        coefficients *= coupling
-        coefficients *= phase_factors
-        return np.sum(coefficients, axis=-1)
-    return np.sum(coefficients * coupling * phase_factors, axis=-1)
+    return coefficients * coupling * phase_factors
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask):
+    """Sums of :func:`masked_terms` over the last axis: a complex scalar for one
+    key, a ``(B,)`` vector for a block, each row with the bits of its key alone.
+    An overflowing sum is left non-finite, without a warning, for
+    :meth:`cvpuk.homodyne.ProbeSet.responses` to refuse."""
+    return np.sum(masked_terms(coefficients, tau, mask), axis=-1)
 
 
 def scattered_amplitude(key: ScatteringKey, tau: float, mask: PhaseMask,

@@ -21,7 +21,7 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.adversary import false_key_sums, replaced_count
+from cvpuk.adversary import clone_sums, false_key_sums, replaced_count
 from cvpuk.homodyne import quadrature_means
 from cvpuk.scattering import masked_sums
 
@@ -165,6 +165,20 @@ def test_clone_distance_grows_with_fraction():
             distances.append(math.hypot(x - true_x, y - true_y))
         means.append(float(np.mean(distances)))
     assert all(a < b for a, b in zip(means, means[1:]))
+
+
+def test_clone_sums_follow_the_masked_sums_of_built_clones():
+    # the campaigns draw a clone as its sufficient statistic; its law must
+    # be that of a clone_key clone seen through the same mask, in every part
+    n_modes, fraction, rows = 121, 0.05, 4000
+    true_key = generate_key(n_modes, 0.2, substream(217, 0))
+    mask = optimal_mask(true_key, 0.8)
+    drawn = clone_sums(true_key, fraction, 0.8, mask, rows, substream(217, 1))
+    rng = substream(217, 2)
+    built = masked_sums(np.array([clone_key(true_key, fraction, rng)[0].coefficients
+                                  for _ in range(rows)]), 0.8, mask)
+    for part in (np.real, np.imag, np.abs):
+        assert stats.ks_2samp(part(drawn), part(built)).pvalue > 1e-3, part.__name__
 
 
 def _clone_campaign(experiment_id, mode_counts, d_values, trials, seed, sessions=1000):

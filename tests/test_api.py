@@ -173,6 +173,22 @@ def test_only_probe_set_responses_forms_a_response():
     assert _callers({"quadrature_means", "amplitudes"}, outside="homodyne") == {}
 
 
+def test_only_masked_terms_forms_a_masked_term():
+    # every masked sum, a clone's included, adds up the terms
+    # c_j sqrt(tau / n) e^{i phi_j} of scattering.masked_terms; a second
+    # np.exp(1j * mask.phases) would form them in a second place
+    sites = []
+    for path in sorted((ROOT / "src" / "cvpuk").glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and _called_name(call) == "exp"
+                    and any(getattr(node, "attr", None) == "phases"
+                            for arg in call.args for node in ast.walk(arg))
+                    for call in ast.walk(function)):
+                sites.append(f"{path.stem}.{function.name}")
+    assert sites == ["scattering.masked_terms"]
+
+
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
@@ -225,5 +241,9 @@ def test_array_holders_check_every_entry(field, bad, error):
     entries = [1, 2, 3, bad, 5, 6]
     with pytest.raises(error, match=field + (r"\[1\]\[1\]" if field == "centers" else r"\[3\]")):
         build(entries)
+    if error is TypeError:  # a complex field asks for a complex number
+        noun = "complex" if field == "coefficients" else "real"
+        with pytest.raises(error, match=f"must be a {noun} number"):
+            build(entries)
     with pytest.raises(error, match=field):
         build(np.full(6, bad))

@@ -3,13 +3,13 @@
 Trial ``t`` of a purpose is row ``t % STREAM_CHUNK`` of chunk
 ``t // STREAM_CHUNK``, drawn from the chunk's own stream.  The references
 below draw every chunk in full straight from its stream.  A clone row is
-built as a ``ScatteringKey`` and evaluated on its own: its response by
-``scattered_amplitude`` and ``quadrature_means``, its ``p̄`` by the
-scalar reference kernel ``_reference_hit_probabilities`` from the key's
-own masked sum, and its verdict by ``verify``; a false key is drawn as
-its masked sum alone, one circular Gaussian per row, and evaluated one
-row at a time.  Both compare with ``==``: a chunked campaign promises
-the same bits, not close ones.
+its sufficient statistic, evaluated on its own: the true key's masked
+sum, less the true key's masked terms at the row's replaced positions,
+plus one circular Gaussian; its response by ``quadrature_means`` and its
+``p̄`` by the scalar reference kernel ``_reference_hit_probabilities``.
+A false key is drawn as its masked sum alone, one circular Gaussian per
+row, and evaluated one row at a time.  Both compare with ``==``: a
+chunked campaign promises the same bits, not close ones.
 """
 
 import csv
@@ -23,7 +23,6 @@ from cvpuk import (
     CampaignConfig,
     Histogram,
     ProbeSet,
-    ScatteringKey,
     VerificationConfig,
     clone_key,
     enroll_exact,
@@ -39,11 +38,11 @@ from cvpuk import (
     verify,
 )
 from cvpuk import experiments
-from cvpuk.adversary import clone_rows, false_key_sums, replaced_count
+from cvpuk.adversary import clone_sums, false_key_sums, replaced_count
 from cvpuk.experiments import STREAM_CHUNK
 from cvpuk.homodyne import p_in_theoretical, quadrature_means
 from cvpuk.protocol import hit_probabilities, verify_block
-from cvpuk.scattering import masked_sums
+from cvpuk.scattering import masked_sums, masked_terms
 
 
 def _read_csv(path):
@@ -73,26 +72,30 @@ def _reference_false_key_sums(config):
     return sums[:config.trials]
 
 
-def _reference_clones(config, n_index, d_index):
-    """Every clone of one cluster, each chunk drawn in full from ``(5, i, d, c)``:
-    each row's positions are the first indices of its uniforms' ascending
-    order, and the normals of all rows follow all the uniforms."""
-    n_modes = config.mode_counts[n_index]
-    true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
+def _reference_clone_sums(config, true_key, mask, n_index, d_index):
+    """The masked sum of every clone of one cluster, each chunk drawn in full
+    from ``(5, i, d, c)`` and each row summed alone: the true sum less the
+    true terms at the first indices of the row's uniforms' ascending order,
+    plus the row's circular Gaussian of variance ``count * tau * variance /
+    n``.  The normals of all rows follow all the uniforms."""
+    n_modes = true_key.mode_count
     count = replaced_count(config.d_values[d_index], n_modes)
-    clones = []
+    true_sum = masked_sums(true_key.coefficients, config.tau, mask)
+    terms = masked_terms(true_key.coefficients, config.tau, mask)
+    variance = count * config.tau * true_key.variance / n_modes
+    sums = []
     for chunk in range(-(-config.trials // STREAM_CHUNK)):
-        if count:
-            rng = substream(config.seed, 5, n_index, d_index, chunk)
-            uniforms = rng.random((STREAM_CHUNK, n_modes))
-            normals = rng.standard_normal((STREAM_CHUNK, 2, count))
-        for row in range(STREAM_CHUNK):
-            coefficients = true_key.coefficients.copy()
-            if count:
-                positions = np.argsort(uniforms[row])[:count]
-                coefficients[positions] = _coefficients(normals[row], true_key.variance)
-            clones.append(ScatteringKey(coefficients, config.l_over_L))
-    return true_key, clones[:config.trials]
+        if not count:
+            sums.extend([true_sum] * STREAM_CHUNK)
+            continue
+        rng = substream(config.seed, 5, n_index, d_index, chunk)
+        uniforms = rng.random((STREAM_CHUNK, n_modes))
+        normals = rng.standard_normal((STREAM_CHUNK, 2, 1))
+        for row_uniforms, row_normals in zip(uniforms, normals):
+            positions = np.argsort(row_uniforms)[:count]
+            sums.append(true_sum - np.sum(terms[positions])
+                        + _coefficients(row_normals, variance)[0])
+    return sums[:config.trials]
 
 
 class _Drawn:
@@ -137,22 +140,21 @@ def _reference_collision(config):
 
 
 def _reference_clone_cluster(config, n_index, d_index):
-    """Points, p_ins and verdicts of one clone cluster.  Each verdict must be
-    what ``verify`` gives the clone's count, and row 0 of each chunk what
-    ``verify`` draws on its own from the chunk's stream."""
-    true_key, clones = _reference_clones(config, n_index, d_index)
+    """Points, p_ins and verdicts of one clone cluster.  Row 0 of each chunk
+    must be what one binomial draw of its ``p̄`` gives on its own."""
+    n_modes = config.mode_counts[n_index]
+    true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
     database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
-    verification = config.verification()
-    points = [_point(clone, config, database.mask) for clone in clones]
-    p_bars = [_reference_p_bar(clone, database) for clone in clones]
+    sums = _reference_clone_sums(config, true_key, database.mask, n_index, d_index)
+    amplitude = math.sqrt(config.mu_p)
+    points = [tuple(quadrature_means(total * amplitude).tolist()) for total in sums]
+    p_bars = [float(_reference_hit_probabilities(np.array([total]), database)[0])
+              for total in sums]
     outcomes = _reference_verdicts(p_bars, database, config, 6, n_index, d_index)
-    for trial, (clone, (p_in, accepted)) in enumerate(zip(clones, outcomes)):
-        count = round(p_in * config.m_sessions)
-        report = verify(clone, database, verification, _Drawn(count))
-        assert (report.p_in, report.accepted) == (p_in, accepted)
-        if trial % STREAM_CHUNK == 0:
-            stream = substream(config.seed, 6, n_index, d_index, trial // STREAM_CHUNK)
-            assert verify(clone, database, verification, stream).hits == count
+    for trial in range(0, len(sums), STREAM_CHUNK):
+        stream = substream(config.seed, 6, n_index, d_index, trial // STREAM_CHUNK)
+        hits = stream.binomial(config.m_sessions, p_bars[trial])
+        assert hits / config.m_sessions == outcomes[trial][0]
     return points, [p for p, _ in outcomes], [v for _, v in outcomes]
 
 
@@ -304,22 +306,21 @@ def test_zero_fraction_builds_no_clone_stream(monkeypatch):
         paths.append(path)
         return substream(seed, *path)
 
-    def recording_clone_rows(true_key, fraction, count, rng):
-        block = clone_rows(true_key, fraction, count, rng)
-        # a copy: the campaign forms its masked sums in the block itself
-        rows.append((fraction, block.copy()))
-        return block
+    def recording_clone_sums(true_key, fraction, tau, mask, rows_drawn, rng):
+        rows.append((fraction, rng))
+        return clone_sums(true_key, fraction, tau, mask, rows_drawn, rng)
 
     monkeypatch.setattr(experiments, "substream", recording_substream)
-    monkeypatch.setattr(experiments, "clone_rows", recording_clone_rows)
+    monkeypatch.setattr(experiments, "clone_sums", recording_clone_sums)
     result = run_clone_experiments(config)
 
     clone_paths = sorted(p for p in paths if p[0] == 5)
     assert clone_paths == [(5, i, 1, c) for i in range(2) for c in range(2)]
     assert sorted(p for p in paths if p[0] == 6) == [
         (6, i, d, c) for i in range(2) for d in range(2) for c in range(2)]
-    # a D = 0 clone is the true key: no block is built, its one masked sum is reused
-    assert [fraction for fraction, _ in rows] == [0.05] * 4
+    # a D = 0 clone is the true key: no stream is built, its one masked sum is reused
+    assert [fraction for fraction, _ in rows] == [0.0, 0.0, 0.05, 0.05] * 2
+    assert [rng is None for _, rng in rows] == [True, True, False, False] * 2
     for n_index, n_modes in enumerate(config.mode_counts):
         true_key = generate_key(n_modes, config.l_over_L, substream(43, 4, n_index))
         database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
@@ -384,28 +385,36 @@ def test_block_builders_match_single_keys():
         assert total == _coefficients(row_parts, 0.8 * true_key.variance)[0]
 
     clone, replaced = clone_key(true_key, 0.25, substream(61, 2))
-    assert np.array_equal(clone_rows(true_key, 0.25, 1, substream(61, 2))[0],
-                          clone.coefficients)
     assert replaced.tolist() == substream(61, 2).random((1, 64)).argsort(axis=1)[0, :16].tolist()
-    # the normals follow all the uniforms, so row 0 of a 5-row draw
-    # replaces the same positions as the one-row draw, with other values
-    clones = clone_rows(true_key, 0.25, 5, substream(61, 2))
+    rng = substream(61, 2)
+    rng.random((1, 64))
+    expected = true_key.coefficients.copy()
+    expected[replaced] = _coefficients(rng.standard_normal((2, 16)), true_key.variance)
+    assert clone.coefficients.tobytes() == expected.tobytes()
+    # clone sums pick positions as clone_key does; their one normal per row
+    # follows all the uniforms
+    mask = optimal_mask(true_key, 0.8)
+    true_sum = masked_sums(true_key.coefficients, 0.8, mask)
+    terms = masked_terms(true_key.coefficients, 0.8, mask)
+    sums = clone_sums(true_key, 0.25, 0.8, mask, 5, substream(61, 2))
     rng = substream(61, 2)
     orders = rng.random((5, 64)).argsort(axis=1)
-    normals = rng.standard_normal((5, 2, 16))
-    for row, order, row_normals in zip(clones, orders, normals):
-        expected = true_key.coefficients.copy()
-        expected[order[:16]] = _coefficients(row_normals, true_key.variance)
-        assert np.array_equal(row, expected)
+    normals = rng.standard_normal((5, 2, 1))
+    assert orders[0, :16].tolist() == replaced.tolist()
+    for total, order, row_normals in zip(sums, orders, normals):
+        fresh = _coefficients(row_normals, 16 * 0.8 * true_key.variance / 64)[0]
+        assert total == true_sum - np.sum(terms[order[:16]]) + fresh
 
     assert false_key_sums(64, 0.2, 0.8, 0, substream(61, 1)).shape == (0,)
+    assert clone_sums(true_key, 0.25, 0.8, mask, 0, substream(61, 2)).shape == (0,)
     for tau in (0.0, 1.5, math.nan):
         with pytest.raises(ValueError, match="tau"):
             false_key_sums(64, 0.2, tau, 1, substream(61, 1))
-    assert clone_rows(true_key, 0.25, 0, substream(61, 2)).shape == (0, 64)
-    # a fraction that replaces nothing copies the key and never touches the stream
-    assert clone_rows(true_key, 0.0, 3, None).tobytes() == np.tile(
-        true_key.coefficients, (3, 1)).tobytes()
+        with pytest.raises(ValueError, match="tau"):
+            clone_sums(true_key, 0.25, tau, mask, 1, substream(61, 2))
+    # a fraction that replaces nothing gives the true sum and never touches the stream
+    assert clone_sums(true_key, 0.0, 0.8, mask, 3, None).tobytes() == np.full(
+        3, true_sum).tobytes()
 
 
 def test_non_finite_rows_are_refused_where_their_response_is_formed():
@@ -422,7 +431,7 @@ def test_non_finite_rows_are_refused_where_their_response_is_formed():
 
     mask = optimal_mask(true_key, 0.8)
     for sums in (false_key_sums(4, 0.2, 0.8, 2, Poisoned()),
-                 masked_sums(clone_rows(true_key, 0.5, 1, Poisoned()), 0.8, mask)):
+                 clone_sums(true_key, 0.5, 0.8, mask, 1, Poisoned())):
         with pytest.raises(ValueError, match="finite"):
             ProbeSet(3, 2500.0).responses(sums)
 
@@ -437,8 +446,6 @@ def test_masked_sums_rows_carry_the_one_key_bits():
         for key, total in zip(keys, block):
             single = scattered_amplitude(key, 0.8, mask, 1.0)
             assert total.tobytes() == np.complex128(single).tobytes()
-        # forming the products in the block itself changes no bit
-        assert masked_sums(rows, 0.8, mask, overwrite_input=True).tobytes() == block.tobytes()
         # under its own optimal mask every product of a key cancels its
         # imaginary part, which exposes any change in how products round;
         # numpy rounds a (1, 1) block against a (1,) mask vector unlike the
@@ -448,8 +455,6 @@ def test_masked_sums_rows_carry_the_one_key_bits():
             tiled = np.tile(keys[0].coefficients, (count, 1))
             block = masked_sums(tiled, 0.8, mask)
             assert [total.tobytes() for total in block] == [single.tobytes()] * count
-            in_place = masked_sums(tiled, 0.8, mask, overwrite_input=True)
-            assert in_place.tobytes() == block.tobytes()
     with pytest.raises(ValueError, match="mask length"):
         masked_sums(np.ones((3, 5), dtype=complex), 0.8, mask)
     for tau in (0.0, 1.5, math.nan):

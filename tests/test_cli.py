@@ -548,26 +548,48 @@ def test_verify_database_section_of_the_wrong_type_exits_2_naming_it(tmp_path, c
     assert not report_dir.exists()
 
 
+@pytest.mark.parametrize("name", ["key", "database"])
+def test_verify_file_that_is_not_an_object_exits_2_naming_it(tmp_path, capsys, name):
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path)
+    out_dir = tmp_path / "out"
+    assert main(["enroll", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    (out_dir / f"{name}.json").write_text("[1]")
+    report_dir = tmp_path / "report"
+    assert main(["verify", "--database", str(out_dir / "database.json"),
+                 "--key", str(out_dir / "key.json"), "--out", str(report_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be a JSON object, got [1]\n"
+    assert not report_dir.exists()
+
+
+@pytest.mark.parametrize("delta_over_sigma", [2.0, 5.0])
 @pytest.mark.parametrize("command", ["verify", "verify --trace", "enroll"])
-def test_key_whose_response_overflows_exits_2_without_output(tmp_path, capsys, command):
+def test_key_whose_response_overflows_exits_2_without_output(tmp_path, capsys, command,
+                                                             delta_over_sigma):
     # every coefficient is finite, but the key's response to a probe leaves the
     # double range; a key enrolled under its own optimal mask overflows already
-    # in its masked sum.  Numpy warns on either overflow, and no warning may escape
+    # in its masked sum.  Numpy warns on either overflow, and no warning may
+    # escape, nor advice on a bin width (at 5) given before the refusal
     key_path = tmp_path / "key.json"
     jsonio.dump({"l_over_L": 0.2, "coefficients": [[1e308, 1e308]] * 16}, key_path)
     config_path = tmp_path / "config.json"
-    _write_enroll_config(config_path, n_modes=16)
+    _write_enroll_config(config_path, n_modes=16, delta_over_sigma=delta_over_sigma)
     enrolled = tmp_path / "enrolled"
     assert main(["enroll", "--config", str(config_path), "--out", str(enrolled)]) == 0
     capsys.readouterr()
     out_dir = tmp_path / "out"
     if command == "enroll":
-        _write_enroll_config(config_path, n_modes=16, key_path=str(key_path))
+        _write_enroll_config(config_path, n_modes=16, delta_over_sigma=delta_over_sigma,
+                             key_path=str(key_path))
         argv = ["enroll", "--config", str(config_path), "--out", str(out_dir)]
     else:
         argv = ["verify", "--database", str(enrolled / "database.json"), "--key", str(key_path),
                 "--out", str(out_dir)] + command.split()[1:]
-    assert main(argv) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
     out, err = capsys.readouterr()
     assert (out, err.count("\n")) == ("", 1)
     assert err.startswith("error: responses must be finite")

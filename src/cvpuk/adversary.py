@@ -45,13 +45,32 @@ def replaced_count(fraction: float, mode_count: int) -> int:
 
 def _replaced_positions(true_key: ScatteringKey, fraction: float, rows: int,
                         rng: np.random.Generator | None) -> np.ndarray:
-    """Replaced positions ``(rows, count)`` of ``rows`` clones, the first ``count`` of each
-    row's argsort of one ``random((rows, n))`` call; ``count == 0`` uses no ``rng``."""
-    count = replaced_count(fraction, true_key.mode_count)
+    """Replaced positions ``(rows, count)`` of ``rows`` clones by a partial
+    Fisher–Yates shuffle (Durstenfeld, CACM 7, 420, 1964) of each row's slots
+    ``0 .. n-1``: one ``integers(0, n - arange(s), size=(rows, s))`` call,
+    ``s = min(count, n - count)``, then step ``i`` swaps slot ``i`` with slot
+    ``i + offset``.  The replaced positions are slots ``:count``, or past
+    half the complement of the ``s`` kept ones, slots ``s:``.  Row ``r``
+    depends only on row ``r`` of the offsets, so the first rows equal a
+    draw of fewer rows.  ``count == 0`` uses no ``rng``; ``count == n``
+    draws nothing."""
+    n = true_key.mode_count
+    count = replaced_count(fraction, n)
     if not count:
         return np.empty((rows, 0), dtype=np.intp)
-    # copied out, so the (rows, n) uniforms and their order are freed first
-    return rng.random((rows, true_key.mode_count)).argsort(axis=1)[:, :count].copy()
+    steps = min(count, n - count)
+    offsets = rng.integers(0, n - np.arange(steps), size=(rows, steps))
+    # slot k of row r sits at k * rows + r, so each step's slot i is one contiguous run
+    targets = (offsets.T + np.arange(steps)[:, np.newaxis]) * rows + np.arange(rows)
+    slots = np.repeat(np.arange(n), rows)
+    for i, target in enumerate(targets):
+        current = slots[i * rows:(i + 1) * rows]
+        picked = slots[target]
+        slots[target] = current
+        current[...] = picked
+    slots = slots.reshape(n, rows)
+    # row-major again, so that each clone's terms are summed as one row on its own
+    return np.ascontiguousarray((slots[:count] if count == steps else slots[steps:]).T)
 
 
 def clone_key(true_key: ScatteringKey, fraction: float,
@@ -59,9 +78,11 @@ def clone_key(true_key: ScatteringKey, fraction: float,
     """Imperfect copy of a key differing in a fraction of its coefficients,
     and the positions it replaced, an int array.
 
-    Picks the replaced positions uniformly without replacement and draws
-    the replacements from the same complex Gaussian ensemble as the
-    original; all other coefficients are copied exactly.
+    Picks the replaced positions uniformly without replacement, as row 0
+    of a :func:`clone_sums` draw of any row count from the same stream,
+    and then draws the replacements, one ``(1, 2, count)`` block of
+    normals, from the same complex Gaussian ensemble as the original; all
+    other coefficients are copied exactly.
     """
     positions = _replaced_positions(true_key, fraction, 1, rng)[0]
     coefficients = true_key.coefficients.copy()
@@ -85,7 +106,8 @@ def clone_sums(true_key: ScatteringKey, fraction: float, tau: float, mask: Phase
                rows: int, rng: np.random.Generator | None) -> np.ndarray:
     """Masked sums of ``rows`` clones under ``mask``, shape ``(rows,)``: row ``r``
     is ``true_sum - sum(t[R_r]) + fresh_r``, with ``t`` the true key's
-    :func:`masked_terms`, ``R_r`` the positions :func:`clone_key` would pick
+    :func:`masked_terms`, ``R_r`` row ``r`` of one partial Fisher–Yates draw
+    of positions (row 0 is what :func:`clone_key` picks from the same stream)
     and ``fresh_r`` the replacements' terms, one circular Gaussian of variance
     ``count * tau * variance / n`` from a ``(rows, 2, 1)`` block drawn after
     all positions.  A fraction that replaces nothing never uses ``rng``."""

@@ -7,6 +7,7 @@ import functools
 import itertools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import jsonio
@@ -189,8 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _advice_line(message, category, filename, lineno, line=None) -> str:
+    """How the command line shows a warning: one ``warning:`` line, no source location."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # advice is still a UserWarning that filters and callers can record; only its text changes
+    shown, warnings.formatwarning = warnings.formatwarning, _advice_line
     try:
         return args.func(args)
     except KeyError as exc:
@@ -202,6 +210,8 @@ def main(argv=None) -> int:
         text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
         print(f"error: {text}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

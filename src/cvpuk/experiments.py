@@ -22,14 +22,16 @@ Sub-stream paths:
 
 A chunk makes one call per array: ``standard_normal((rows, 2, 1))`` for
 the masked sums of false keys (see :func:`cvpuk.adversary.false_key_sums`;
-no false key's coefficients are drawn); ``random((256, n))`` for the
-replaced positions of clones, then ``standard_normal((256, 2, 1))`` for
-their fresh terms' sums (see :func:`cvpuk.adversary.clone_sums`; no
+no false key's coefficients are drawn); ``integers(0, n - arange(s),
+size=(256, s))`` with ``s = min(count, n - count)``, the offsets of a
+partial Fisher–Yates shuffle, for the replaced positions of clones (none
+when ``count == n``), then ``standard_normal((256, 2, 1))`` for their
+fresh terms' sums (see :func:`cvpuk.adversary.clone_sums`; no
 ``(5, i, d, c)`` stream is built when a fraction replaces nothing, and
 such clones share the true key's one masked sum); one
 ``binomial(m_sessions, p̄)`` for the hit counts.  A partial chunk draws
 only its rows, but a clone chunk draws all 256, as its normals follow
-its uniforms.  The chunk is also the unit of masked sums and ``p̄``.
+its offsets.  The chunk is also the unit of masked sums and ``p̄``.
 Campaigns never trace.
 """
 
@@ -403,7 +405,7 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
             p_ins = np.empty(config.trials)
             accepted = 0
             for chunk, start, rows in _chunks(config.trials):
-                # a partial chunk draws all rows: its normals follow its uniforms
+                # a partial chunk draws all rows: its normals follow its offsets
                 stream = substream(config.seed, 5, n_index, d_index, chunk) if replaces else None
                 sums = clone_sums(true_key, fraction, config.tau, database.mask, STREAM_CHUNK,
                                   stream)[:rows]

@@ -21,7 +21,7 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.adversary import clone_sums, false_key_sums, replaced_count
+from cvpuk.adversary import _replaced_positions, clone_sums, false_key_sums, replaced_count
 from cvpuk.homodyne import quadrature_means
 from cvpuk.scattering import masked_sums
 
@@ -142,6 +142,38 @@ def test_clone_replaced_index_uniformity():
     frequency = counts / trials
     tolerance = 3.0 * math.sqrt(0.25 * 0.75 / trials)
     assert np.all(np.abs(frequency - 0.25) <= tolerance)
+
+
+@pytest.mark.parametrize("count", [3, 7, 10])
+def test_replaced_positions_are_uniform_subsets(count):
+    n_modes, rows = 10, 20_000
+    true_key = generate_key(n_modes, 0.2, substream(218, 0))
+    fraction = count / n_modes
+    rng = substream(218, count)
+    positions = _replaced_positions(true_key, fraction, rows, rng)
+    assert positions.shape == (rows, count)
+    assert positions.min() >= 0 and positions.max() < n_modes
+    assert all(len(set(row)) == count for row in positions.tolist())
+    if count == n_modes:  # every position is replaced, so nothing is drawn
+        assert rng.bit_generator.state == substream(218, count).bit_generator.state
+    # row 0 of a block is what a one-row draw picks: clone_key against clone_sums
+    _, replaced = clone_key(true_key, fraction, substream(218, count))
+    assert replaced.tolist() == positions[0].tolist()
+    assert (_replaced_positions(true_key, fraction, 7, substream(218, count)).tolist()
+            == positions[:7].tolist())
+    # a uniform count-subset holds any one position with probability count / n
+    # and any two with count (count - 1) / (n (n - 1)); a swap that favours
+    # some slots shifts the pairs even where it keeps the marginals
+    included = np.zeros((rows, n_modes))
+    np.put_along_axis(included, positions, 1.0, axis=1)
+    together = included.T @ included / rows
+    single = count / n_modes
+    pair = count * (count - 1) / (n_modes * (n_modes - 1))
+    off_diagonal = ~np.eye(n_modes, dtype=bool)
+    assert np.all(np.abs(np.diag(together) - single)
+                  <= 4.0 * math.sqrt(single * (1.0 - single) / rows))
+    assert np.all(np.abs(together[off_diagonal] - pair)
+                  <= 4.0 * math.sqrt(pair * (1.0 - pair) / rows))
 
 
 def test_clone_distance_grows_with_fraction():

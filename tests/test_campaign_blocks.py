@@ -4,8 +4,9 @@ Trial ``t`` of a purpose is row ``t % STREAM_CHUNK`` of chunk
 ``t // STREAM_CHUNK``, drawn from the chunk's own stream.  The references
 below draw every chunk in full straight from its stream.  A clone row is
 its sufficient statistic, evaluated on its own: the true key's masked
-sum, less the true key's masked terms at the row's replaced positions,
-plus one circular Gaussian; its response by ``quadrature_means`` and its
+sum, less the true key's masked terms at the row's replaced positions
+(a plain Fisher–Yates loop over the row's offsets), plus one circular
+Gaussian; its response by ``quadrature_means`` and its
 ``p̄`` by the scalar reference kernel ``_reference_hit_probabilities``.
 A false key is drawn as its masked sum alone, one circular Gaussian per
 row, and evaluated one row at a time.  Both compare with ``==``: a
@@ -72,12 +73,29 @@ def _reference_false_key_sums(config):
     return sums[:config.trials]
 
 
+def _offsets(rng, rows, n_modes, count):
+    """A chunk's Fisher–Yates offsets, ``(rows, s)`` with ``s = min(count, n - count)``:
+    the offset of step ``i`` lies in ``[0, n - i)``."""
+    steps = min(count, n_modes - count)
+    return rng.integers(0, n_modes - np.arange(steps), size=(rows, steps))
+
+
+def _reference_positions(offsets, n_modes, count):
+    """One row's replaced positions by a plain Fisher–Yates loop: step ``i``
+    swaps slot ``i`` with slot ``i + offset``; the first ``count`` slots, or,
+    when more than half are replaced, every slot after the kept ones."""
+    slots = list(range(n_modes))
+    for i, offset in enumerate(offsets.tolist()):
+        slots[i], slots[i + offset] = slots[i + offset], slots[i]
+    return slots[:count] if count <= n_modes - count else slots[len(offsets):]
+
+
 def _reference_clone_sums(config, true_key, mask, n_index, d_index):
     """The masked sum of every clone of one cluster, each chunk drawn in full
     from ``(5, i, d, c)`` and each row summed alone: the true sum less the
-    true terms at the first indices of the row's uniforms' ascending order,
-    plus the row's circular Gaussian of variance ``count * tau * variance /
-    n``.  The normals of all rows follow all the uniforms."""
+    true terms at the row's Fisher–Yates positions, plus the row's circular
+    Gaussian of variance ``count * tau * variance / n``.  The normals of all
+    rows follow all the offsets."""
     n_modes = true_key.mode_count
     count = replaced_count(config.d_values[d_index], n_modes)
     true_sum = masked_sums(true_key.coefficients, config.tau, mask)
@@ -89,10 +107,10 @@ def _reference_clone_sums(config, true_key, mask, n_index, d_index):
             sums.extend([true_sum] * STREAM_CHUNK)
             continue
         rng = substream(config.seed, 5, n_index, d_index, chunk)
-        uniforms = rng.random((STREAM_CHUNK, n_modes))
+        offsets = _offsets(rng, STREAM_CHUNK, n_modes, count)
         normals = rng.standard_normal((STREAM_CHUNK, 2, 1))
-        for row_uniforms, row_normals in zip(uniforms, normals):
-            positions = np.argsort(row_uniforms)[:count]
+        for row_offsets, row_normals in zip(offsets, normals):
+            positions = _reference_positions(row_offsets, n_modes, count)
             sums.append(true_sum - np.sum(terms[positions])
                         + _coefficients(row_normals, variance)[0])
     return sums[:config.trials]
@@ -385,25 +403,24 @@ def test_block_builders_match_single_keys():
         assert total == _coefficients(row_parts, 0.8 * true_key.variance)[0]
 
     clone, replaced = clone_key(true_key, 0.25, substream(61, 2))
-    assert replaced.tolist() == substream(61, 2).random((1, 64)).argsort(axis=1)[0, :16].tolist()
     rng = substream(61, 2)
-    rng.random((1, 64))
+    assert replaced.tolist() == _reference_positions(_offsets(rng, 1, 64, 16)[0], 64, 16)
     expected = true_key.coefficients.copy()
     expected[replaced] = _coefficients(rng.standard_normal((2, 16)), true_key.variance)
     assert clone.coefficients.tobytes() == expected.tobytes()
     # clone sums pick positions as clone_key does; their one normal per row
-    # follows all the uniforms
+    # follows all the offsets
     mask = optimal_mask(true_key, 0.8)
     true_sum = masked_sums(true_key.coefficients, 0.8, mask)
     terms = masked_terms(true_key.coefficients, 0.8, mask)
     sums = clone_sums(true_key, 0.25, 0.8, mask, 5, substream(61, 2))
     rng = substream(61, 2)
-    orders = rng.random((5, 64)).argsort(axis=1)
+    orders = [_reference_positions(row, 64, 16) for row in _offsets(rng, 5, 64, 16)]
     normals = rng.standard_normal((5, 2, 1))
-    assert orders[0, :16].tolist() == replaced.tolist()
-    for total, order, row_normals in zip(sums, orders, normals):
+    assert orders[0] == replaced.tolist()
+    for total, positions, row_normals in zip(sums, orders, normals):
         fresh = _coefficients(row_normals, 16 * 0.8 * true_key.variance / 64)[0]
-        assert total == true_sum - np.sum(terms[order[:16]]) + fresh
+        assert total == true_sum - np.sum(terms[positions]) + fresh
 
     assert false_key_sums(64, 0.2, 0.8, 0, substream(61, 1)).shape == (0,)
     assert clone_sums(true_key, 0.25, 0.8, mask, 0, substream(61, 2)).shape == (0,)
@@ -426,8 +443,8 @@ def test_non_finite_rows_are_refused_where_their_response_is_formed():
         def standard_normal(self, shape):
             return np.full(shape, np.nan)
 
-        def random(self, shape):
-            return np.zeros(shape)
+        def integers(self, low, high, size):
+            return np.zeros(size, dtype=np.intp)
 
     mask = optimal_mask(true_key, 0.8)
     for sums in (false_key_sums(4, 0.2, 0.8, 2, Poisoned()),

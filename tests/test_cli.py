@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvpuk
 from cvpuk import (
     CrpDatabase,
     ScatteringKey,
@@ -94,6 +98,36 @@ def test_thresholds_advises_once_and_prints_every_line(capsys, flags, advice):
     assert [str(warning.message).split()[0] for warning in caught] == [advice]
     names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert names == ["sigma", "delta", "P_in", "M_th", "E_th", "E_expected", "rho_f", "rho_t"]
+
+
+BIN_WIDTH_ADVICE = ("warning: bin_width 9.534625892455923 outside the recommended bracket "
+                    "[1.9069251784911845, 3.813850356982369)\n")
+
+
+def _default_display(message, category, filename, lineno, file=None, line=None):
+    """What ``warnings.showwarning`` does by default: ``formatwarning`` text on stderr.
+    pytest records warnings rather than showing them, so a test puts it back."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def test_advice_is_shown_as_one_warning_line(capsys, monkeypatch):
+    shown = warnings.formatwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        monkeypatch.setattr(warnings, "showwarning", _default_display)
+        assert main(["thresholds", "--delta-over-sigma", "10"]) == 0
+    assert capsys.readouterr().err == BIN_WIDTH_ADVICE
+    assert warnings.formatwarning is shown
+
+
+def test_command_line_advice_names_no_source_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(cvpuk.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "cvpuk.cli", "thresholds", "--delta-over-sigma", "10"],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert result.returncode == 0
+    assert result.stderr == BIN_WIDTH_ADVICE
 
 
 def test_thresholds_out_of_range_threshold_exits_2_naming_the_photons_per_mode(capsys):

@@ -205,8 +205,9 @@ def main(argv=None) -> int:
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
     # JSONDecodeError is a ValueError; OverflowError is a number beyond the double range;
-    # MemoryError is an array, such as a session trace, too large to allocate
-    except (OSError, ValueError, TypeError, OverflowError, MemoryError) as exc:
+    # MemoryError is an array, such as a session trace, too large to allocate; a Warning
+    # is advice that a filter such as ``-W error`` raises
+    except (OSError, ValueError, TypeError, OverflowError, MemoryError, Warning) as exc:
         text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
         print(f"error: {text}", file=sys.stderr)
         return 2

@@ -54,7 +54,7 @@ from .protocol import (
     verify,
     verify_block,
 )
-from .scattering import enhancement, generate_key, masked_sums, optimal_mask
+from .scattering import enhancement, generate_key
 from .streams import substream
 
 __all__ = [
@@ -213,7 +213,6 @@ class CollisionResult:
     """``false_p_ins`` is the read-only ``(trials,)`` array of the false
     keys' in-bin frequencies, row ``t`` that of false key ``t``."""
 
-    histogram: Histogram
     true_key_p_in: float
     p_in_expected: float
     true_key_accepted: bool
@@ -223,8 +222,8 @@ class CollisionResult:
 
 @dataclass(frozen=True)
 class ResponseCloudResult:
-    """``true_response`` is the true key's ``(x, y)`` under probe 0 and row
-    ``t`` of ``means`` that of false key ``t``, shape ``(trials, 2)``."""
+    """``true_response`` is the true key's enrolled ``(x, y)`` under probe 0
+    and row ``t`` of ``means`` that of false key ``t``, shape ``(trials, 2)``."""
 
     true_response: np.ndarray
     means: np.ndarray
@@ -235,29 +234,28 @@ class ResponseCloudResult:
 
 @dataclass(frozen=True)
 class EnhancementConditionResult:
-    rows: tuple[tuple[float, int, float], ...]
-    band: tuple[float, float]
+    """``thresholds[p, i]`` is the detection-threshold enhancement at the
+    config's ``photons_per_mode_values[p]`` and ``mode_counts[i]``."""
+
+    thresholds: np.ndarray
 
 
 @dataclass(frozen=True)
 class CloneExperimentsResult:
-    """Aggregates of the clone campaigns.
+    """The clone sweep, indexed by ``i`` in the order of ``config.mode_counts``,
+    ``d`` in that of ``config.d_values`` and trial ``t``.
 
-    ``clouds`` maps a mode count to ``(true_response, means, summary
-    rows)``: ``true_response`` is the enrolled ``(x, y)`` of probe 0, row 0
-    of the database's centres; ``means`` maps each fraction to its clones'
-    ``(trials, 2)`` responses under probe 0; summary rows are ``(fraction,
-    mean_x, mean_y, std_radius)``, where
-    ``std_radius`` is the root-mean-square distance of a fraction's cloud
-    from its own mean.  ``histograms`` maps a mode count to a dict that
-    maps each fraction to the in-bin frequency histogram of its clones;
-    ``cheating_rows`` are ``(fraction, mode_count, accept_rate, trials)``.
-    A ``clone_cloud`` run verifies no clone, so it leaves both empty.
+    ``true_responses[i]`` is the enrolled ``(x, y)`` of probe 0, row 0 of
+    the database's centres; ``means[i, d, t]`` is clone ``t``'s ``(x, y)``
+    under probe 0 and ``p_ins[i, d, t]`` its in-bin frequency;
+    ``accepted[i, d]`` counts the accepted clones.  A ``clone_cloud`` run
+    verifies no clone, so its ``p_ins`` and ``accepted`` have size 0.
     """
 
-    clouds: dict
-    histograms: dict
-    cheating_rows: tuple[tuple[float, int, float, int], ...]
+    true_responses: np.ndarray
+    means: np.ndarray
+    p_ins: np.ndarray
+    accepted: np.ndarray
     p_in_expected: float
 
 
@@ -266,6 +264,11 @@ def _require(config: CampaignConfig, *experiment_ids: str) -> None:
         raise ValueError(
             f"config is for {config.experiment_id!r}, expected one of {experiment_ids}"
         )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _chunks(trials: int):
@@ -279,8 +282,7 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     """Verify one true key and a population of false keys.
 
     Enrolls a single random key exactly, verifies it, then verifies
-    ``trials`` fresh random keys against the same database and bins
-    their in-bin frequencies.
+    ``trials`` fresh random keys against the same database.
     """
     _require(config, "collision_histogram")
     probes = config.probe_set()
@@ -300,15 +302,12 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
             sums, database, verification, substream(config.seed, 3, chunk),
         )
         accepted += int(np.count_nonzero(verdicts))
-    false_p_ins.flags.writeable = False
 
-    histogram = Histogram.from_samples(false_p_ins, config.histogram_bin)
     return CollisionResult(
-        histogram=histogram,
         true_key_p_in=true_report.p_in,
         p_in_expected=true_report.p_in_expected,
         true_key_accepted=true_report.accepted,
-        false_p_ins=false_p_ins,
+        false_p_ins=_read_only(false_p_ins),
         false_acceptance_rate=accepted / config.trials if config.trials else 0.0,
     )
 
@@ -319,8 +318,8 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     probes = config.probe_set()
 
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
-    mask = optimal_mask(true_key, config.tau)
-    gain = enhancement(true_key, config.tau, mask, config.mu_c)
+    database = enroll_exact(true_key, config.tau, probes, config.channel())
+    gain = enhancement(true_key, config.tau, database.mask, config.mu_c)
     rho_false, rho_true = radii(config.mu_c, true_key.variance, gain)
 
     means = np.empty((config.trials, 2))
@@ -329,10 +328,9 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
                               substream(config.seed, 2, chunk))
         means[start:start + rows] = probes.responses(sums)[:, 0]
 
-    true_sum = masked_sums(true_key.coefficients, config.tau, mask)
     return ResponseCloudResult(
-        true_response=probes.responses(true_sum)[0],
-        means=means,
+        true_response=database.centers[0],
+        means=_read_only(means),
         rho_false=rho_false,
         rho_true=rho_true,
         enhancement=gain,
@@ -344,39 +342,18 @@ def run_enhancement_condition(config: CampaignConfig) -> EnhancementConditionRes
 
     For each mean photon number per incoming mode, tabulates the
     enhancement needed for guaranteed false-key detection at every mode
-    count, together with the band of enhancements reported for existing
-    set-ups for overlay.
+    count.
     """
     _require(config, "enhancement_condition")
-    rows = []
-    for photons_per_mode in config.photons_per_mode_values:
-        for n_modes in config.mode_counts:
-            threshold = e_threshold(photons_per_mode * n_modes, n_modes, config.l_over_L)
-            rows.append((float(photons_per_mode), int(n_modes), threshold))
-    return EnhancementConditionResult(tuple(rows), REPORTED_ENHANCEMENT_BAND)
-
-
-def _cloud_summary(means: np.ndarray) -> tuple[float, float, float]:
-    """Mean point of a ``(trials, 2)`` phase-space cloud and its rms distance
-    from that point.
-
-    A cloud of identical points, such as perfect clones, returns that
-    point and a spread of exactly 0: the floating-point mean of equal
-    values can miss them by an ulp, which would read as a spread of
-    about 1e-14.
-    """
-    if not len(means):
-        return 0.0, 0.0, 0.0
-    if np.all(means == means[0]):
-        return (*means[0].tolist(), 0.0)
-    xs, ys = means.T
-    mean_x = float(xs.mean())
-    mean_y = float(ys.mean())
-    return mean_x, mean_y, float(np.sqrt(np.mean((xs - mean_x) ** 2 + (ys - mean_y) ** 2)))
+    thresholds = np.empty((len(config.photons_per_mode_values), len(config.mode_counts)))
+    for p, photons_per_mode in enumerate(config.photons_per_mode_values):
+        for i, n_modes in enumerate(config.mode_counts):
+            thresholds[p, i] = e_threshold(photons_per_mode * n_modes, n_modes, config.l_over_L)
+    return EnhancementConditionResult(_read_only(thresholds))
 
 
 def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
-    """Clone clouds, in-bin histograms and cheating rates across mode counts.
+    """Clone clouds, in-bin frequencies and acceptances across mode counts.
 
     For every mode count, enrolls one true key and, for every clone
     fraction, builds ``trials`` independent clones; each clone
@@ -390,53 +367,43 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     verification = config.verification()
     verifies = config.experiment_id != "clone_cloud"
 
-    clouds = {}
-    histograms = {}
-    cheating_rows = []
-    for n_index, n_modes in enumerate(config.mode_counts):
-        true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
+    clusters = (len(config.mode_counts), len(config.d_values))
+    true_responses = np.empty((clusters[0], 2))
+    means = np.empty((*clusters, config.trials, 2))
+    p_ins = np.empty((*clusters, config.trials) if verifies else 0)
+    accepted = np.zeros(clusters if verifies else 0, dtype=int)
+    for i, n_modes in enumerate(config.mode_counts):
+        true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, i))
         database = enroll_exact(true_key, config.tau, probes, channel)
-
-        fraction_means = {}
-        summary_rows = []
-        for d_index, fraction in enumerate(config.d_values):
+        true_responses[i] = database.centers[0]
+        for d, fraction in enumerate(config.d_values):
             replaces = replaced_count(fraction, n_modes) > 0
-            means = np.empty((config.trials, 2))
-            p_ins = np.empty(config.trials)
-            accepted = 0
             for chunk, start, rows in _chunks(config.trials):
                 # a partial chunk draws all rows: its normals follow its offsets
-                stream = substream(config.seed, 5, n_index, d_index, chunk) if replaces else None
+                stream = substream(config.seed, 5, i, d, chunk) if replaces else None
                 sums = clone_sums(true_key, fraction, config.tau, database.mask, STREAM_CHUNK,
                                   stream)[:rows]
-                means[start:start + rows] = probes.responses(sums)[:, 0]
+                means[i, d, start:start + rows] = probes.responses(sums)[:, 0]
                 if verifies:
-                    p_ins[start:start + rows], verdicts = verify_block(
-                        sums, database, verification,
-                        substream(config.seed, 6, n_index, d_index, chunk),
+                    p_ins[i, d, start:start + rows], verdicts = verify_block(
+                        sums, database, verification, substream(config.seed, 6, i, d, chunk),
                     )
-                    accepted += int(np.count_nonzero(verdicts))
-            fraction_means[float(fraction)] = means
-            summary_rows.append((float(fraction), *_cloud_summary(means)))
-            if verifies:
-                histograms.setdefault(n_modes, {})[float(fraction)] = Histogram.from_samples(
-                    p_ins, config.histogram_bin)
-                rate = accepted / config.trials if config.trials else 0.0
-                cheating_rows.append((float(fraction), int(n_modes), rate, config.trials))
-        clouds[n_modes] = (database.centers[0], fraction_means, tuple(summary_rows))
+                    accepted[i, d] += np.count_nonzero(verdicts)
 
     return CloneExperimentsResult(
-        clouds=clouds,
-        histograms=histograms,
-        cheating_rows=tuple(cheating_rows),
+        true_responses=_read_only(true_responses),
+        means=_read_only(means),
+        p_ins=_read_only(p_ins),
+        accepted=_read_only(accepted),
         p_in_expected=p_in_theoretical(channel),
     )
 
 
 def _collision_campaign(config: CampaignConfig):
     result = run_collision_histogram(config)
+    histogram = Histogram.from_samples(result.false_p_ins, config.histogram_bin)
     files = {"histogram": ("histogram.csv", ("bin_left", "bin_right", "count"),
-                           result.histogram.rows())}
+                           histogram.rows())}
     return files, {
         "p_in_expected": result.p_in_expected,
         "true_key_p_in": result.true_key_p_in,
@@ -463,18 +430,42 @@ def _response_campaign(config: CampaignConfig):
 
 def _enhancement_campaign(config: CampaignConfig):
     result = run_enhancement_condition(config)
-    files = {"thresholds": ("thresholds.csv", ("photons_per_mode", "n_modes", "e_th"),
-                            result.rows)}
-    return files, {"band_low": result.band[0], "band_high": result.band[1]}
+    rows = [(photons_per_mode, n_modes, threshold) for photons_per_mode, thresholds
+            in zip(config.photons_per_mode_values, result.thresholds.tolist())
+            for n_modes, threshold in zip(config.mode_counts, thresholds)]
+    files = {"thresholds": ("thresholds.csv", ("photons_per_mode", "n_modes", "e_th"), rows)}
+    band_low, band_high = REPORTED_ENHANCEMENT_BAND
+    return files, {"band_low": band_low, "band_high": band_high}
+
+
+def _cloud_summary(means: np.ndarray) -> tuple[float, float, float]:
+    """Mean point of a ``(trials, 2)`` phase-space cloud and its rms distance
+    from that point.
+
+    A cloud of identical points, such as perfect clones, returns that
+    point and a spread of exactly 0: the floating-point mean of equal
+    values can miss them by an ulp, which would read as a spread of
+    about 1e-14.
+    """
+    if not len(means):
+        return 0.0, 0.0, 0.0
+    if np.all(means == means[0]):
+        return (*means[0].tolist(), 0.0)
+    xs, ys = means.T
+    mean_x = float(xs.mean())
+    mean_y = float(ys.mean())
+    return mean_x, mean_y, float(np.sqrt(np.mean((xs - mean_x) ** 2 + (ys - mean_y) ** 2)))
 
 
 def _clone_cloud_campaign(config: CampaignConfig):
     result = run_clone_experiments(config)
     files = {}
     summary = {"p_in_expected": result.p_in_expected, "trials": config.trials}
-    for n_modes, (true_response, fraction_means, summary_rows) in result.clouds.items():
-        rows = ((d, trial, x, y) for d, means in fraction_means.items()
-                for trial, (x, y) in enumerate(means.tolist()))
+    for n_modes, true_response, means in zip(config.mode_counts, result.true_responses,
+                                             result.means):
+        # zip is the first iterable, bound now, not when the CSV writer reads the rows
+        rows = ((d, trial, x, y) for d, points in zip(config.d_values, means)
+                for trial, (x, y) in enumerate(points.tolist()))
         files[f"cloud_n{n_modes}"] = (f"clone_cloud_n{n_modes}.csv",
                                       ("D", "trial", "x", "y"), rows)
         true_x, true_y = true_response.tolist()
@@ -483,7 +474,7 @@ def _clone_cloud_campaign(config: CampaignConfig):
             "true_y": true_y,
             "clusters": [
                 {"D": d, "mean_x": mx, "mean_y": my, "std_radius": sr}
-                for d, mx, my, sr in summary_rows
+                for d, (mx, my, sr) in zip(config.d_values, map(_cloud_summary, means))
             ],
         }
     return files, summary
@@ -492,10 +483,10 @@ def _clone_cloud_campaign(config: CampaignConfig):
 def _clone_histograms_campaign(config: CampaignConfig):
     result = run_clone_experiments(config)
     files = {}
-    for n_modes in config.mode_counts:
-        # the per-mode dict is the first iterable, bound now, not when the rows are read
-        rows = ((fraction, *row) for fraction, histogram in result.histograms[n_modes].items()
-                for row in histogram.rows())
+    for n_modes, p_ins in zip(config.mode_counts, result.p_ins):
+        # zip is the first iterable, bound now, not when the CSV writer reads the rows
+        rows = ((d, *row) for d, samples in zip(config.d_values, p_ins)
+                for row in Histogram.from_samples(samples, config.histogram_bin).rows())
         files[f"histograms_n{n_modes}"] = (f"clone_histograms_n{n_modes}.csv",
                                            ("D", "bin_left", "bin_right", "count"), rows)
     return files, {"p_in_expected": result.p_in_expected, "trials": config.trials}
@@ -503,14 +494,18 @@ def _clone_histograms_campaign(config: CampaignConfig):
 
 def _cheating_campaign(config: CampaignConfig):
     result = run_clone_experiments(config)
-    files = {"cheating": ("cheating.csv", ("D", "n_modes", "accept_rate", "trials"),
-                          result.cheating_rows)}
+    # with no trials nothing is accepted, and the rate is 0 / 1
+    rates = (result.accepted / max(config.trials, 1)).tolist()
+    rows = [(d, n_modes, rate, config.trials)
+            for n_modes, n_rates in zip(config.mode_counts, rates)
+            for d, rate in zip(config.d_values, n_rates)]
+    files = {"cheating": ("cheating.csv", ("D", "n_modes", "accept_rate", "trials"), rows)}
     return files, {
         "p_in_expected": result.p_in_expected,
         "trials": config.trials,
         "acceptance": [
             {"D": d, "n_modes": n, "accept_rate": rate, "trials": trials}
-            for d, n, rate, trials in result.cheating_rows
+            for d, n, rate, trials in rows
         ],
     }
 

@@ -226,4 +226,4 @@ def enhancement(key: ScatteringKey, tau: float, mask: PhaseMask,
     # checked tau; the product carries the same bits either way
     amplitude = scattered_amplitude(key, tau, mask, 1.0)
     photons = abs(amplitude * math.sqrt(mean_challenge_photons / tau)) ** 2
-    return photons / (key.variance * mean_challenge_photons)
+    return float(photons / (key.variance * mean_challenge_photons))

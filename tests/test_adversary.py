@@ -21,6 +21,7 @@ from cvpuk import (
     substream,
     verify,
 )
+from cvpuk import experiments
 from cvpuk.adversary import _replaced_positions, clone_sums, false_key_sums, replaced_count
 from cvpuk.homodyne import quadrature_means
 from cvpuk.scattering import masked_sums
@@ -223,18 +224,25 @@ def _clone_campaign(experiment_id, mode_counts, d_values, trials, seed, sessions
 
 
 def _accept_rates(result):
-    return {(n_modes, fraction): rate for fraction, n_modes, rate, _ in result.cheating_rows}
+    """Acceptance rate of each clone cluster, indexed like ``result.accepted``."""
+    return result.accepted / result.p_ins.shape[2]
+
+
+def _summaries(means):
+    """The ``(mean_x, mean_y, std_radius)`` that the clone_cloud summary writes
+    for each fraction's cloud of ``means``."""
+    return [experiments._cloud_summary(points) for points in means]
 
 
 def test_clone_cloud_zero_fraction_collapses_to_true_response():
     result = _clone_campaign("clone_cloud", (32,), (0.0,), 50, seed=208)
-    true_response, means, summaries = result.clouds[32]
-    assert means[0.0].shape == (50, 2)
-    for x, y in means[0.0].tolist():
+    true_response, means = result.true_responses[0], result.means[0]
+    assert means.shape == (1, 50, 2)
+    for x, y in means[0].tolist():
         assert x == true_response[0]
         assert y == true_response[1]
-    fraction, mean_x, mean_y, spread = summaries[0]
-    assert fraction == 0.0
+    mean_x, mean_y, spread = _summaries(means)[0]
+    assert (mean_x, mean_y) == tuple(true_response.tolist())
     assert spread == 0.0
 
 
@@ -242,10 +250,10 @@ def test_clone_cloud_separation_grows_with_fraction():
     result = _clone_campaign(
         "clone_cloud", (121,), (0.01, 0.02, 0.03, 0.04, 0.05), 500, seed=209
     )
-    true_point, _, summaries = result.clouds[121]
+    true_point = result.true_responses[0]
     separations = [
         math.hypot(mean_x - true_point[0], mean_y - true_point[1])
-        for _, mean_x, mean_y, _ in summaries
+        for mean_x, mean_y, _ in _summaries(result.means[0])
     ]
     assert all(a < b for a, b in zip(separations, separations[1:]))
 
@@ -255,9 +263,9 @@ def test_clone_cloud_relative_separation_grows_with_modes():
     # so the separation measured in cloud-spread units increases
     result = _clone_campaign("clone_cloud", (121, 625), (0.03,), 500, seed=210)
     ratios = {}
-    for n_modes in (121, 625):
-        (true_x, true_y), _, summaries = result.clouds[n_modes]
-        _, mean_x, mean_y, spread = summaries[0]
+    for i, n_modes in enumerate((121, 625)):
+        true_x, true_y = result.true_responses[i]
+        mean_x, mean_y, spread = _summaries(result.means[i])[0]
         separation = math.hypot(mean_x - true_x, mean_y - true_y)
         ratios[n_modes] = separation / spread
     assert ratios[625] > ratios[121]
@@ -265,13 +273,13 @@ def test_clone_cloud_relative_separation_grows_with_modes():
 
 def test_cheating_probability_perfect_clone():
     result = _clone_campaign("cheating_curve", (64,), (0.0,), 200, seed=212, sessions=500)
-    assert _accept_rates(result)[(64, 0.0)] >= 1.0 - 0.05  # 1 - zeta
+    assert _accept_rates(result)[0, 0] >= 1.0 - 0.05  # 1 - zeta
 
 
 def test_cheating_probability_total_randomization_matches_false_keys():
     n_modes, seed = 121, 213
     result = _clone_campaign("cheating_curve", (n_modes,), (1.0,), 200, seed=seed)
-    clone_rate = _accept_rates(result)[(n_modes, 1.0)]
+    clone_rate = _accept_rates(result)[0, 0]
     # the campaign's true key for its first mode count, on stream (4, 0)
     true_key = generate_key(n_modes, 0.2, substream(seed, 4, 0))
     database = enroll_exact(true_key, 0.8, ProbeSet(11, 2500.0), _channel())
@@ -290,7 +298,7 @@ def test_cheating_probability_total_randomization_matches_false_keys():
 def test_cheating_probability_decreases_with_fraction():
     result = _clone_campaign("cheating_curve", (256,), (0.01, 0.05), 200, seed=214)
     rates = _accept_rates(result)
-    assert rates[(256, 0.05)] <= rates[(256, 0.01)]
+    assert rates[0, 1] <= rates[0, 0]
 
 
 def test_clone_fraction_bounds():

@@ -1,6 +1,7 @@
 """The public surface: what the package exports, and what the benchmark calls."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -11,6 +12,7 @@ import pytest
 
 import cvpuk
 from cvpuk import (
+    CampaignConfig,
     CrpDatabase,
     HomodyneChannel,
     PhaseMask,
@@ -18,6 +20,10 @@ from cvpuk import (
     ScatteringKey,
     clone_key,
     generate_key,
+    run_clone_experiments,
+    run_collision_histogram,
+    run_enhancement_condition,
+    run_response_cloud,
     substream,
 )
 
@@ -67,6 +73,33 @@ def test_clone_key_returns_the_clone_and_its_replaced_positions():
     assert replaced.dtype.kind == "i" and replaced.shape == (4,)
     changed = np.flatnonzero(clone.coefficients != true_key.coefficients)
     assert changed.tolist() == sorted(replaced.tolist())
+
+
+def _tiny_config(experiment_id):
+    return CampaignConfig(experiment_id=experiment_id, n_modes=16, mode_counts=(16, 24),
+                          d_values=(0.0, 0.5), photons_per_mode_values=(1.0, 5.0, 20.0),
+                          trials=3, m_sessions=20, seed=5)
+
+
+@pytest.mark.parametrize("run,experiment_id", [
+    (run_collision_histogram, "collision_histogram"),
+    (run_response_cloud, "response_cloud"),
+    (run_enhancement_condition, "enhancement_condition"),
+    (run_clone_experiments, "clone_cloud"),
+    (run_clone_experiments, "cheating_curve"),
+])
+def test_campaign_results_hold_only_read_only_arrays_and_scalars(run, experiment_id):
+    # a result is the sweep's arrays; histograms, cluster summaries and rows
+    # are built by the campaign writer that writes them
+    result = run(_tiny_config(experiment_id))
+    for spec in dataclasses.fields(result):
+        value = getattr(result, spec.name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, spec.name
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+        else:
+            assert type(value) in (bool, int, float), (spec.name, type(value))
 
 
 def _called_name(call):

@@ -305,13 +305,9 @@ def test_first_trials_do_not_depend_on_trial_count(config, monkeypatch):
         for cluster in range(clusters):
             assert (short_p_ins[300 * cluster:300 * (cluster + 1)]
                     == long_p_ins[600 * cluster:600 * cluster + 300])
-        for n_modes in config.mode_counts:
-            short_means = short_result.clouds[n_modes][1]
-            long_means = long_result.clouds[n_modes][1]
-            assert list(short_means) == list(long_means) == list(config.d_values)
-            for fraction in config.d_values:
-                assert (short_means[fraction].tolist()
-                        == long_means[fraction][:300].tolist())
+        shape = (len(config.mode_counts), len(config.d_values))
+        assert short_result.means.shape[:2] == long_result.means.shape[:2] == shape
+        assert short_result.means.tolist() == long_result.means[:, :, :300].tolist()
 
 
 def test_zero_fraction_builds_no_clone_stream(monkeypatch):
@@ -343,11 +339,11 @@ def test_zero_fraction_builds_no_clone_stream(monkeypatch):
         true_key = generate_key(n_modes, config.l_over_L, substream(43, 4, n_index))
         database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
         expected = _point(true_key, config, database.mask)
-        true_response, means, summaries = result.clouds[n_modes]
-        assert tuple(true_response.tolist()) == expected
-        assert [tuple(point) for point in means[0.0].tolist()] == [expected] * config.trials
-        assert summaries[0][3] == 0.0
-        histogram = result.histograms[n_modes][0.0]
+        assert tuple(result.true_responses[n_index].tolist()) == expected
+        means = result.means[n_index, 0]
+        assert [tuple(point) for point in means.tolist()] == [expected] * config.trials
+        assert experiments._cloud_summary(means)[2] == 0.0
+        histogram = Histogram.from_samples(result.p_ins[n_index, 0], config.histogram_bin)
         assert histogram.counts.sum() == config.trials
 
 
@@ -381,15 +377,11 @@ def test_edge_block_sizes_match_isolated_clones(n_modes, trials):
     config = CampaignConfig(experiment_id="cheating_curve", mode_counts=(n_modes,),
                             d_values=(0.0, 0.5), trials=trials, m_sessions=500, seed=53)
     result = run_clone_experiments(config)
-    _, means, _ = result.clouds[n_modes]
-    rates = {d: rate for d, _, rate, _ in result.cheating_rows}
-    for d_index, fraction in enumerate(config.d_values):
+    for d_index in range(len(config.d_values)):
         points, p_ins, verdicts = _reference_clone_cluster(config, 0, d_index)
-        assert [tuple(point) for point in means[fraction].tolist()] == points
-        assert rates[fraction] == (sum(verdicts) / trials if trials else 0.0)
-        histogram = result.histograms[n_modes][fraction]
-        assert histogram.counts.tolist() == Histogram.from_samples(
-            p_ins, config.histogram_bin).counts.tolist()
+        assert [tuple(point) for point in result.means[0, d_index].tolist()] == points
+        assert result.accepted[0, d_index] == sum(verdicts)
+        assert result.p_ins[0, d_index].tolist() == p_ins
 
 
 def test_block_builders_match_single_keys():

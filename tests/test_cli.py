@@ -130,6 +130,38 @@ def test_command_line_advice_names_no_source_line():
     assert result.stderr == BIN_WIDTH_ADVICE
 
 
+def _run_with_warnings_as_errors(*argv):
+    """The command line in a child process under ``python -W error``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cvpuk.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-W", "error", "-m", "cvpuk.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120, check=False)
+
+
+def test_advice_raised_as_an_error_exits_2_with_one_error_line():
+    result = _run_with_warnings_as_errors("thresholds", "--epsilon", "0.4")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: error_level 0.4 is not small against the in-bin "
+                             "probability 0.682689492137086\n")
+
+
+def test_verify_advice_raised_as_an_error_exits_2_without_a_report(tmp_path):
+    # 1 is verify's reject code, so advice turned into an error must not exit with it
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, n_modes=16, delta_over_sigma=5.0)
+    enrolled = tmp_path / "enrolled"
+    assert main(["enroll", "--config", str(config_path), "--out", str(enrolled)]) == 0
+    out_dir = tmp_path / "verified"
+    result = _run_with_warnings_as_errors(
+        "verify", "--database", str(enrolled / "database.json"),
+        "--key", str(enrolled / "key.json"), "--out", str(out_dir))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: bin_width ") and result.stderr.count("\n") == 1
+    assert not (out_dir / "report.json").exists()
+
+
 def test_thresholds_out_of_range_threshold_exits_2_naming_the_photons_per_mode(capsys):
     assert main(["thresholds", "--mu-c", "1e-310"]) == 2
     captured = capsys.readouterr()

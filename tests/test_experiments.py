@@ -19,7 +19,7 @@ from cvpuk import (
     run_response_cloud,
     substream,
 )
-from cvpuk import jsonio
+from cvpuk import experiments, jsonio
 from cvpuk.cli import main
 from cvpuk.experiments import EXPERIMENT_IDS, REPORTED_ENHANCEMENT_BAND, STREAM_CHUNK
 from cvpuk import HomodyneChannel, VerificationConfig, enroll_exact, generate_key, ProbeSet
@@ -175,7 +175,7 @@ def test_collision_histogram_behaviour():
     assert len(result.false_p_ins) == 40
     with pytest.raises(ValueError):
         result.false_p_ins[0] = 1.0
-    assert result.histogram.normalization == 40
+    assert Histogram.from_samples(result.false_p_ins, 0.01).normalization == 40
 
 
 def test_collision_histogram_trials_are_order_independent():
@@ -217,8 +217,9 @@ def test_collision_histogram_zero_trials():
         experiment_id="collision_histogram", trials=0, m_sessions=200, seed=1
     )
     result = run_collision_histogram(config)
-    assert result.histogram.normalization == 0
-    assert result.histogram.counts.sum() == 0
+    histogram = Histogram.from_samples(result.false_p_ins, config.histogram_bin)
+    assert histogram.normalization == 0
+    assert histogram.counts.sum() == 0
     assert result.false_acceptance_rate == 0.0
     assert 0.0 <= result.true_key_p_in <= 1.0
 
@@ -258,18 +259,22 @@ def test_response_cloud_scales_with_probe_photons():
     assert boosted.means.tolist() == (2.0 * base.means).tolist()
 
 
-def test_enhancement_condition_table():
+def test_enhancement_condition_table(tmp_path):
     config = CampaignConfig(
         experiment_id="enhancement_condition", mode_counts=(121, 256), seed=1,
         photons_per_mode_values=(2000.0 / 121.0, 7.8125),
     )
     result = run_enhancement_condition(config)
-    assert result.band == REPORTED_ENHANCEMENT_BAND
+    summary = json.loads(run_campaign(config, tmp_path)["summary"].read_text())
+    assert (summary["band_low"], summary["band_high"]) == REPORTED_ENHANCEMENT_BAND
+    assert result.thresholds.shape == (2, 2)
     by_value = {}
-    for photons_per_mode, n_modes, threshold in result.rows:
-        expected = e_threshold(photons_per_mode * n_modes, n_modes, config.l_over_L)
-        assert threshold == expected
-        by_value.setdefault(photons_per_mode, set()).add(round(threshold, 9))
+    for photons_per_mode, thresholds in zip(config.photons_per_mode_values,
+                                            result.thresholds.tolist()):
+        for n_modes, threshold in zip(config.mode_counts, thresholds):
+            expected = e_threshold(photons_per_mode * n_modes, n_modes, config.l_over_L)
+            assert threshold == expected
+            by_value.setdefault(photons_per_mode, set()).add(round(threshold, 9))
     # the threshold depends on the photon number per mode only
     for thresholds in by_value.values():
         assert len(thresholds) == 1
@@ -285,7 +290,7 @@ def test_enhancement_condition_asymptote():
         photons_per_mode_values=(1e12,),
     )
     result = run_enhancement_condition(config)
-    assert result.rows[0][2] == pytest.approx(16.0, abs=1e-4)
+    assert result.thresholds[0, 0] == pytest.approx(16.0, abs=1e-4)
     with pytest.raises(ValueError):
         dataclasses.replace(config, photons_per_mode_values=(0.0,))
 
@@ -305,14 +310,14 @@ def test_clone_experiments_small():
         seed=8,
     )
     result = run_clone_experiments(config)
-    rates = {(d, n): rate for d, n, rate, _ in result.cheating_rows}
-    assert rates[(0.0, 121)] >= 1.0 - config.zeta
-    assert rates[(0.05, 121)] <= rates[(0.0, 121)]
-    assert {n: set(h) for n, h in result.histograms.items()} == {121: {0.0, 0.05}}
-    assert result.histograms[121][0.0].normalization == 60
-    true_response, means, summaries = result.clouds[121]
-    assert list(means) == [0.0, 0.05]
-    assert means[0.0].tolist() == [true_response.tolist()] * 60
+    # index i follows mode_counts (121,), d follows d_values (0.0, 0.05)
+    rates = result.accepted / config.trials
+    assert rates[0, 0] >= 1.0 - config.zeta
+    assert rates[0, 1] <= rates[0, 0]
+    assert result.accepted.shape == (1, 2)
+    assert result.p_ins.shape == (1, 2, 60)
+    assert result.means.shape == (1, 2, 60, 2)
+    assert result.means[0, 0].tolist() == [result.true_responses[0].tolist()] * 60
     assert result.p_in_expected == pytest.approx(0.6826894921370859, rel=1e-12)
 
 
@@ -331,17 +336,14 @@ def test_clone_cloud_runs_no_verification(monkeypatch, tmp_path):
         cloud = run_clone_experiments(config)
         paths = run_campaign(config, tmp_path / "cloud")
     assert set(paths) == {"config", "summary", "cloud_n16", "cloud_n32"}
-    assert cloud.histograms == {}
-    assert cloud.cheating_rows == ()
-    # clones come from their own streams, so the verifying run sees the same clouds
+    assert cloud.p_ins.size == 0
+    assert cloud.accepted.size == 0
+    # clones come from their own streams, so the verifying run sees the same
+    # clouds, and so the same cluster summaries; lists make == compare every value
     cheating = run_clone_experiments(dataclasses.replace(config, experiment_id="cheating_curve"))
-
-    def plain(clouds):  # arrays as lists, so that == compares every value
-        return {n: (true.tolist(), {d: m.tolist() for d, m in means.items()}, summary)
-                for n, (true, means, summary) in clouds.items()}
-
-    assert plain(cloud.clouds) == plain(cheating.clouds)
-    assert len(cheating.cheating_rows) == 4
+    assert cloud.true_responses.tolist() == cheating.true_responses.tolist()
+    assert cloud.means.tolist() == cheating.means.tolist()
+    assert cheating.accepted.shape == (2, 2)
 
 
 def test_clone_histograms_concentrate_near_p_in_only_for_tiny_fractions():
@@ -361,12 +363,32 @@ def test_clone_histograms_concentrate_near_p_in_only_for_tiny_fractions():
         near = np.abs(centers - expected) < config.epsilon
         return float(histogram.counts[near].sum()) / histogram.normalization
 
-    assert mass_near_expected(result.histograms[625][0.01]) >= 0.2
-    assert mass_near_expected(result.histograms[625][0.05]) <= 0.05
+    # index i follows mode_counts (256, 625), d follows d_values (0.01, 0.03, 0.05)
+    histograms = [[Histogram.from_samples(p_ins, config.histogram_bin) for p_ins in cluster]
+                  for cluster in result.p_ins]
+    assert mass_near_expected(histograms[1][0]) >= 0.2
+    assert mass_near_expected(histograms[1][2]) <= 0.05
     # imperfect clones beyond a few percent barely ever pass at 256+ modes
-    rates = {(n, d): rate for d, n, rate, _ in result.cheating_rows}
-    assert rates[(256, 0.03)] < 0.1
-    assert rates[(625, 0.03)] < 0.1
+    rates = result.accepted / config.trials
+    assert rates[0, 1] < 0.1
+    assert rates[1, 1] < 0.1
+
+
+def test_each_clone_writer_derives_only_what_it_writes(monkeypatch, tmp_path):
+    # cluster summaries are written by clone_cloud alone, histograms by
+    # clone_histograms and collision_histogram alone
+    def forbidden(*args, **kwargs):
+        raise AssertionError("this writer does not write it")
+
+    sweep = {"trials": 10, "m_sessions": 50, "d_values": [0.0, 0.02], "mode_counts": [16],
+             "seed": 2}
+    monkeypatch.setattr(experiments, "_cloud_summary", forbidden)
+    for experiment_id in ("clone_histograms", "cheating_curve"):
+        config = CampaignConfig.from_dict({**sweep, "experiment_id": experiment_id})
+        run_campaign(config, tmp_path / experiment_id)
+    monkeypatch.setattr(Histogram, "from_samples", forbidden)
+    config = CampaignConfig.from_dict({**sweep, "experiment_id": "cheating_curve"})
+    run_campaign(config, tmp_path / "cheating_only")
 
 
 def _check_headers(path, expected):

@@ -50,11 +50,11 @@ from .protocol import (
     VerificationConfig,
     e_threshold,
     enroll_exact,
+    public_p_in,
     radii,
-    verify,
     verify_block,
 )
-from .scattering import enhancement, generate_key
+from .scattering import enhancement, generate_key, masked_sums
 from .streams import substream
 
 __all__ = [
@@ -282,16 +282,22 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     """Verify one true key and a population of false keys.
 
     Enrolls a single random key exactly, verifies it, then verifies
-    ``trials`` fresh random keys against the same database.
+    ``trials`` fresh random keys against the same database.  Advice on the
+    bin width and error level is given once, before any key is drawn, and
+    names the caller.
     """
     _require(config, "collision_histogram")
     probes = config.probe_set()
     channel = config.channel()
     verification = config.verification()
+    expected = public_p_in(channel, verification.error_level)
 
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
     database = enroll_exact(true_key, config.tau, probes, channel)
-    true_report = verify(true_key, database, verification, substream(config.seed, 1))
+    # what an untraced verify of the true key draws: row 0 of a block of one
+    true_sum = masked_sums(true_key.coefficients[np.newaxis], config.tau, database.mask)
+    true_p_ins, true_verdicts = verify_block(true_sum, database, verification,
+                                             substream(config.seed, 1))
 
     false_p_ins = np.empty(config.trials)
     accepted = 0
@@ -304,9 +310,9 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
         accepted += int(np.count_nonzero(verdicts))
 
     return CollisionResult(
-        true_key_p_in=true_report.p_in,
-        p_in_expected=true_report.p_in_expected,
-        true_key_accepted=true_report.accepted,
+        true_key_p_in=float(true_p_ins[0]),
+        p_in_expected=expected,
+        true_key_accepted=bool(true_verdicts[0]),
         false_p_ins=_read_only(false_p_ins),
         false_acceptance_rate=accepted / config.trials if config.trials else 0.0,
     )
@@ -359,13 +365,17 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     fraction, builds ``trials`` independent clones; each clone
     contributes one phase-space response (under the first probe) and,
     unless the campaign is ``clone_cloud``, which writes phase-space
-    points only, one full verification run.
+    points only, one full verification run.  A verifying campaign gives
+    its advice on the bin width and error level once, before any key is
+    drawn, and names the caller.
     """
     _require(config, "clone_cloud", "clone_histograms", "cheating_curve")
     channel = config.channel()
     probes = config.probe_set()
     verification = config.verification()
     verifies = config.experiment_id != "clone_cloud"
+    expected = public_p_in(channel, verification.error_level) if verifies \
+        else p_in_theoretical(channel)
 
     clusters = (len(config.mode_counts), len(config.d_values))
     true_responses = np.empty((clusters[0], 2))
@@ -395,7 +405,7 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
         means=_read_only(means),
         p_ins=_read_only(p_ins),
         accepted=_read_only(accepted),
-        p_in_expected=p_in_theoretical(channel),
+        p_in_expected=expected,
     )
 
 

@@ -210,7 +210,8 @@ def require_array(name: str, values, shape: tuple, dtype=float) -> np.ndarray:
     # a numeric array's kinds, the entry types that need no require_real, and their name
     kinds, exact, noun = ("iufc", (float, complex, np.complexfloating), "a complex number") \
         if dtype is complex else ("iuf", float, "a real number")
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds):
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in kinds
+            or _plain(values, shape)):
         _require_entries(name, values, shape, exact, noun)
     array = np.array(values, dtype=dtype)
     if array.ndim != len(shape) or any(n not in (None, size) for n, size in zip(shape, array.shape)):
@@ -222,6 +223,21 @@ def require_array(name: str, values, shape: tuple, dtype=float) -> np.ndarray:
         raise ValueError(f"{name}{''.join(f'[{i}]' for i in index)} must be finite, "
                          f"got {array[index].item()!r}")
     return array
+
+
+def _plain(values, shape: tuple) -> bool:
+    """Whether ``values`` is a list of ``shape``, of one or two axes, with a
+    ``float`` at every leaf, as a JSON reader gives it.  The test maps over
+    the entries in C, so the walk of :func:`_require_entries`, which names
+    the first bad entry, runs only on a document that fails it."""
+    if type(values) is not list or len(shape) > 2 or shape[0] not in (None, len(values)):
+        return False
+    if len(shape) == 2:
+        if set(map(type, values)) - {list} or shape[1] is not None \
+                and set(map(len, values)) - {shape[1]}:
+            return False
+        values = itertools.chain.from_iterable(values)
+    return not set(map(type, values)) - {float}
 
 
 def _require_entries(label: str, values, shape: tuple, exact, noun: str) -> None:

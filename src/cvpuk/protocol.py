@@ -23,12 +23,24 @@ formed from that sum in one place, :meth:`cvpuk.homodyne.ProbeSet.responses`.
 The campaigns draw a false key as that one circular Gaussian
 (:func:`cvpuk.adversary.false_key_sums`) and never its coefficients.
 
+``p̄`` is computed in numpy, from a port of fdlibm's ``erf`` (the one
+glibc's derives from, by W. J. Cody's rational approximations), in
+glibc's order of operations.  It gives glibc's bits, which are
+``math.erf``'s on glibc, wherever ``|x| < 1.25`` or ``|x| >= 6``;
+between, it calls numpy's ``exp``, which may differ from the C
+library's in the last bit, so it may differ from glibc's by one ulp and
+stays within one ulp of the true value.
+Each row's cell masses are summed over that row alone, in an order that
+depends only on ``N``, so a key's ``p̄`` has the same bits alone or in a
+block of any size.
+
 A verification run is deterministic given its generator; independent
 runs should use independently seeded generators.  The database is
 immutable after enrollment, and the acceptance bins are computed from
 the database alone, never from the key under test.  Only verification
 uses the bin width and the error level, so only it advises on them
-(:func:`public_p_in`), once every check that can refuse it has passed.
+(:func:`public_p_in`), once every check that can refuse it has passed;
+:func:`verify_block` does not, so that a campaign advises once.
 """
 
 from __future__ import annotations
@@ -306,26 +318,114 @@ def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
     ``p_in_theoretical``; no bin holds more mass than a centred one, so
     ``p̄`` never exceeds it.
 
-    The erf arguments are formed by elementwise array arithmetic, each
-    cell's mass ``0.5 * (erf(high) - erf(low))`` from ``math.erf``
-    values, and each row's mean by the correctly rounded ``math.fsum``,
-    so the block size cannot change a bit.  Equal sums, such as a block
-    of perfect clones, are evaluated once.
+    The erf arguments of both edges of every cell are formed by
+    elementwise array arithmetic and evaluated in one :func:`_erf` call,
+    which equals glibc's ``erf`` bit for bit where ``|x| < 1.25`` or ``|x|
+    >= 6`` and lies within one ulp of the true value between.  A cell's mass
+    is ``0.5 * (erf(high) - erf(low))``, and a row's ``2N`` masses are
+    summed by ``sum(axis=1)`` over that row alone, in an order fixed by
+    ``N``, so a row carries the same bits alone or in a block of any size.
+    Each erf value is off by at most ``2**-53``, so ``p̄`` lies within
+    ``2**-52 + (2N + 1) 2**-53 p̄`` of the exact mean of the cells at the
+    same arguments; the absolute term covers the cancellation of two erf
+    values near ``±1``.  Equal sums, such as a block of perfect clones, are
+    evaluated once.
     """
     distinct, rows = np.unique(sums, return_inverse=True)
     means, lows, highs = _cells(distinct, database)
     scale = _SQRT2 * database.channel.shot_noise
-    masses = 0.5 * (_erf((highs - means) / scale) - _erf((lows - means) / scale))
+    erfs = _erf((np.stack((highs, lows))[:, np.newaxis] - means) / scale)
     cells = 2 * database.probe_set.size
-    row_sums = np.fromiter(map(math.fsum, masses.reshape(len(distinct), cells).tolist()),
-                           float, len(distinct))
-    return np.clip(row_sums / cells, 0.0, 1.0)[rows]
+    masses = 0.5 * (erfs[0] - erfs[1])
+    return np.clip(masses.reshape(len(distinct), cells).sum(axis=1) / cells, 0.0, 1.0)[rows]
 
 
-def _erf(values: np.ndarray) -> np.ndarray:
-    """``math.erf`` of every entry: numpy has no ``erf`` of its own."""
-    flat = np.fromiter(map(math.erf, values.ravel().tolist()), float, values.size)
-    return flat.reshape(values.shape)
+# fdlibm's s_erf.c, from which glibc's erf derives: the numerator and the
+# denominator of each bucket's rational approximation, lowest power first
+_EFX = 1.28379167095512586316e-01
+_ERX = 8.45062911510467529297e-01
+_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01, -2.84817495755985104766e-02,
+       -5.77027029648944159157e-03, -2.37630166566501626084e-05)
+_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02, 5.08130628187576562776e-03,
+       1.32494738004321644526e-04, -3.96022827877536812320e-06)
+_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01, -3.72207876035701323847e-01,
+       3.18346619901161753674e-01, -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+       -2.16637559486879084300e-03)
+_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01, 7.18286544141962662868e-02,
+       1.26171219808761642112e-01, 1.36370839120290507362e-02, 1.19844998467991074170e-02)
+_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01, -1.05586262253232909814e+01,
+       -6.23753324503260060396e+01, -1.62396669462573470355e+02, -1.84605092906711035994e+02,
+       -8.12874355063065934246e+01, -9.81432934416914548592e+00)
+_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02, 4.34565877475229228821e+02,
+       6.45387271733267880336e+02, 4.29008140027567833386e+02, 1.08635005541779435134e+02,
+       6.57024977031928170135e+00, -6.04244152148580987438e-02)
+_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01, -1.77579549177547519889e+01,
+       -1.60636384855821916062e+02, -6.37566443368389627722e+02, -1.02509513161107724954e+03,
+       -4.83519191608651397019e+02)
+_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02, 1.53672958608443695994e+03,
+       3.19985821950859553908e+03, 2.55305040643316442583e+03, 4.74528541206955367215e+02,
+       -2.24409524465858183362e+01)
+# the bucket edges of |x|; fdlibm compares high words, so its 1/0.35 edge
+# is the double whose high word is 0x4006DB6E and low word 0
+_ERF_EDGES = (2.0**-28, 0.84375, 1.25, float.fromhex("0x1.6db6ep+1"), 6.0)
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """fdlibm's ``erf`` of every entry, in glibc's order of operations.
+
+    ``|x|`` falls in one of six buckets at ``_ERF_EDGES``, and each
+    bucket's formula runs on its own entries only, and not at all on an
+    empty bucket.  Below 1.25 and from 6 on the result is glibc's, and so
+    ``math.erf``'s on glibc, bit for bit; from 6 on it is ``±1.0``.
+    Between, fdlibm multiplies two ``exp`` values, and numpy's ``exp`` may
+    differ from the C library's in the last bit, so a result may differ
+    from glibc's by one ulp; it stays within one ulp of the true ``erf``.
+    fdlibm is odd in ``x``, so every bucket works on ``|x|`` and the sign
+    is copied back.
+    """
+    a = np.abs(x).ravel()
+    # NaN compares below every edge, and the first bucket's formula keeps it NaN
+    bucket = sum((a >= edge).view(np.int8) for edge in _ERF_EDGES)
+    y = np.ones_like(a)  # |x| >= 6, where fdlibm's 1 - tiny rounds to 1
+    for b, formula in enumerate(_ERF_FORMULAS):
+        index = np.flatnonzero(bucket == b)
+        if index.size:
+            y[index] = formula(a[index])
+    return np.copysign(y, x.ravel()).reshape(x.shape)
+
+
+def _erf_tail(t: np.ndarray, numerator: tuple, denominator: tuple) -> np.ndarray:
+    """fdlibm's ``1 - erfc(t)`` for ``t`` in ``[1.25, 6)``, with ``t`` split at
+    its high word so that ``exp(-t*t)`` keeps its precision."""
+    z = (t.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(float)
+    ratio = _ratio(1.0 / (t * t), numerator, denominator)
+    return 1.0 - np.exp(-z * z - 0.5625) * np.exp((z - t) * (z + t) + ratio) / t
+
+
+def _ratio(s: np.ndarray, numerator: tuple, denominator: tuple) -> np.ndarray:
+    """``numerator(s) / denominator(s)`` with each polynomial grouped as glibc
+    groups it: the pairs ``c[2k] + s c[2k+1]`` weighted by ``s**2k`` and added
+    from the lowest, with ``s**6 = s**4 s**2`` and ``s**8 = s**4 s**4``."""
+    s2 = s * s
+    s4 = s2 * s2
+    powers = (s2, s4, s4 * s2, s4 * s4)
+    values = []
+    for c in (numerator, denominator):
+        total = c[0] + s * c[1]
+        for power, k in zip(powers, range(2, len(c), 2)):
+            total = total + power * (c[k] + s * c[k + 1] if k + 1 < len(c) else c[k])
+        values.append(total)
+    return values[0] / values[1]
+
+
+# the formula of each bucket below 6, from |x| < 2**-28 up
+_ERF_FORMULAS = (
+    lambda t: 0.0625 * (16.0 * t + (16.0 * _EFX) * t),  # t + efx t, safe from underflow
+    lambda t: t + t * _ratio(t * t, _PP, _QQ),
+    lambda t: _ERX + _ratio(t - 1.0, _PA, _QA),
+    lambda t: _erf_tail(t, _RA, _SA),
+    lambda t: _erf_tail(t, _RB, _SB),
+)
 
 
 def public_p_in(channel: HomodyneChannel, error_level: float) -> float:
@@ -387,21 +487,22 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
         outcomes = rng.normal(means[0, ks, quads], channel.shot_noise)
         hits = (outcomes >= lows[ks, quads]) & (outcomes <= highs[ks, quads])
         total_hits = int(hits.sum())
+        p_in = total_hits / sessions
+        accepted = bool(_accepted(p_in, p_in_theoretical(channel), config))
         session_trace = np.rec.fromarrays([ks, quads * HALF_PI, outcomes, hits.view(np.uint8)],
                                           names=("k", "theta", "outcome", "hit"))
         session_trace.flags.writeable = False
     else:
-        total_hits = int(rng.binomial(sessions, hit_probabilities(sums, database))[0])
+        hits, p_ins, verdicts = _verify_rows(sums, database, config, rng)
+        total_hits, p_in, accepted = int(hits[0]), float(p_ins[0]), bool(verdicts[0])
 
-    # advice only once the responses are formed: they refuse a non-finite sum
-    expected = public_p_in(channel, config.error_level)
-    p_in = total_hits / sessions
     return VerificationReport(
         sessions=sessions,
         hits=total_hits,
         p_in=p_in,
-        p_in_expected=expected,
-        accepted=bool(_accepted(p_in, expected, config)),
+        # advice only once the responses are formed: they refuse a non-finite sum
+        p_in_expected=public_p_in(channel, config.error_level),
+        accepted=accepted,
         enrollment_error=database.enrollment_error,
         session_trace=session_trace,
     )
@@ -415,9 +516,15 @@ def verify_block(sums: np.ndarray, database: CrpDatabase, config: VerificationCo
     One ``rng.binomial(sessions, p_bars)`` call draws every hit count, so
     row 0 is what ``verify(key_0, database, config, rng)`` draws and no
     row depends on the rows after it.  Returns the in-bin frequencies
-    and the acceptance flags, each of shape ``(B,)``.
+    and the acceptance flags, each of shape ``(B,)``.  It gives no advice:
+    a campaign calls :func:`public_p_in` once, before its sweep.
     """
+    return _verify_rows(sums, database, config, rng)[1:]
+
+
+def _verify_rows(sums: np.ndarray, database: CrpDatabase, config: VerificationConfig,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hit counts, in-bin frequencies and acceptance flags of a block of keys."""
     hits = rng.binomial(config.sessions, hit_probabilities(sums, database))
-    expected = public_p_in(database.channel, config.error_level)
     p_ins = hits / config.sessions
-    return p_ins, _accepted(p_ins, expected, config)
+    return hits, p_ins, _accepted(p_ins, p_in_theoretical(database.channel), config)

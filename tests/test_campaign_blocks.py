@@ -7,16 +7,18 @@ its sufficient statistic, evaluated on its own: the true key's masked
 sum, less the true key's masked terms at the row's replaced positions
 (a plain Fisher–Yates loop over the row's offsets), plus one circular
 Gaussian; its response by ``quadrature_means`` and its
-``p̄`` by the scalar reference kernel ``_reference_hit_probabilities``.
-A false key is drawn as its masked sum alone, one circular Gaussian per
-row, and evaluated one row at a time.  Both compare with ``==``: a
-chunked campaign promises the same bits, not close ones.
+``p̄`` by ``hit_probabilities`` of that row alone.  A false key is drawn
+as its masked sum alone, one circular Gaussian per row, and evaluated
+one row at a time.  Both compare with ``==``: a chunked campaign
+promises the same bits, not close ones.  ``p̄`` itself is checked
+against an mpmath oracle, within a stated bound.
 """
 
 import csv
 import filecmp
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -166,8 +168,7 @@ def _reference_clone_cluster(config, n_index, d_index):
     sums = _reference_clone_sums(config, true_key, database.mask, n_index, d_index)
     amplitude = math.sqrt(config.mu_p)
     points = [tuple(quadrature_means(total * amplitude).tolist()) for total in sums]
-    p_bars = [float(_reference_hit_probabilities(np.array([total]), database)[0])
-              for total in sums]
+    p_bars = [float(hit_probabilities(np.array([total]), database)[0]) for total in sums]
     outcomes = _reference_verdicts(p_bars, database, config, 6, n_index, d_index)
     for trial in range(0, len(sums), STREAM_CHUNK):
         stream = substream(config.seed, 6, n_index, d_index, trial // STREAM_CHUNK)
@@ -298,7 +299,8 @@ def test_first_trials_do_not_depend_on_trial_count(config, monkeypatch):
         assert short_p_ins == long_p_ins == []
     elif config.experiment_id == "collision_histogram":
         assert short_result.false_p_ins.tolist() == long_result.false_p_ins[:300].tolist()
-        assert short_p_ins == list(short_result.false_p_ins)
+        # the true key is verified first, as row 0 of a block of its own
+        assert short_p_ins == [short_result.true_key_p_in, *short_result.false_p_ins]
     else:
         clusters = len(config.mode_counts) * len(config.d_values)
         assert len(long_p_ins) == 600 * clusters and len(short_p_ins) == 300 * clusters
@@ -500,7 +502,8 @@ def test_block_verification_equals_single_verifications():
                          for i, d in enumerate((0.01, 0.03, 0.05, 1.0))]
     sums = masked_sums(np.array([k.coefficients for k in keys]), 0.8, database.mask)
     p_bars = hit_probabilities(sums, database)
-    assert p_bars.tolist() == [_reference_p_bar(key, database) for key in keys]
+    _assert_near_oracle(p_bars, sums, database)
+    assert p_bars.tolist() == [_p_bar_alone(key, database) for key in keys]
     # equal sums, evaluated once, still give every row its own p̄
     repeats = [0, 3, 0, 0, 3, 1]
     assert hit_probabilities(sums[repeats], database).tolist() == p_bars[repeats].tolist()
@@ -560,7 +563,40 @@ def test_untraced_verify_draws_one_binomial_of_the_reference_p_bar(n_modes):
         assert report.hits == expected, name
 
 
-def test_hit_probabilities_carry_the_scalar_kernel_bits():
+def _oracle_p_bars(sums, database):
+    """``p̄`` of every row at 50 digits: the mean over the cells of
+    ``(erf(high) - erf(low)) / 2``, at the erf arguments ``hit_probabilities``
+    forms in double precision, ``(edge - mean) / (sqrt(2) sigma)``."""
+    means = database.probe_set.responses(sums).reshape(len(sums), -1)
+    half = 0.5 * database.channel.bin_width
+    scale = math.sqrt(2.0) * database.channel.shot_noise
+    highs = ((database.centers + half).ravel() - means) / scale
+    lows = ((database.centers - half).ravel() - means) / scale
+    with mpmath.workdps(50):
+        return [mpmath.fsum(mpmath.erf(high) - mpmath.erf(low) for high, low in zip(*row))
+                / (2 * means.shape[1]) for row in zip(highs.tolist(), lows.tolist())]
+
+
+def _assert_near_oracle(p_bars, sums, database):
+    """Each erf value lies within one ulp, at most 2**-53, of the true one, so
+    each cell's mass lies within 2**-53 plus its roundings; the ``2N``-term sum
+    and the mean add at most ``(2N + 1) 2**-53`` relative to first order.  So
+    ``|p̄ - oracle| <= 2**-52 + (2N + 1) 2**-53 oracle``, with a factor 2 on the
+    absolute term for the second-order terms."""
+    relative = (2 * database.probe_set.size + 1) * 2.0**-53
+    with mpmath.workdps(50):
+        for row, (p_bar, oracle) in enumerate(zip(p_bars.tolist(),
+                                                  _oracle_p_bars(sums, database))):
+            assert abs(p_bar - oracle) <= 2.0**-52 + relative * oracle, (row, p_bar, oracle)
+
+
+def _p_bar_alone(key, database):
+    """``p̄`` of one key, evaluated in a block of its own."""
+    total = masked_sums(key.coefficients, database.setup_loss, database.mask)
+    return float(hit_probabilities(np.array([total]), database)[0])
+
+
+def test_hit_probabilities_meet_the_oracle_and_carry_the_bits_of_their_row_alone():
     config = CampaignConfig(experiment_id="collision_histogram")
     true_key = generate_key(121, 0.2, substream(71, 0))
     database = enroll_exact(true_key, 0.8, config.probe_set(), config.channel())
@@ -573,6 +609,14 @@ def test_hit_probabilities_carry_the_scalar_kernel_bits():
         "one row": true_sum,
         "4,097 rows": false_sums,
     }
+    # the bits of each row, which the blocks share: the true sum appears six
+    # times, and the first 64 false sums in two blocks
+    bits = {}
     for name, sums in blocks.items():
-        expected = _reference_hit_probabilities(sums, database)
-        assert hit_probabilities(sums, database).tobytes() == expected.tobytes(), name
+        p_bars = hit_probabilities(sums, database)
+        # the oracle takes about 1 ms a row, so it checks every 32nd of the 4,097
+        step = 32 if len(sums) > 1000 else 1
+        _assert_near_oracle(p_bars[::step], sums[::step], database)
+        for row, (total, p_bar) in enumerate(zip(sums, p_bars)):
+            alone = hit_probabilities(total[np.newaxis], database).tobytes()
+            assert p_bar.tobytes() == alone == bits.setdefault(total, alone), (name, row)

@@ -130,16 +130,27 @@ def test_command_line_advice_names_no_source_line():
     assert result.stderr == BIN_WIDTH_ADVICE
 
 
-def _run_with_warnings_as_errors(*argv):
-    """The command line in a child process under ``python -W error``."""
+def _run_with_warnings(action, *argv):
+    """The command line in a child process under ``python -W action``."""
     env = dict(os.environ, PYTHONPATH=str(Path(cvpuk.__file__).parents[1]))
     env.pop("PYTHONWARNINGS", None)
-    return subprocess.run([sys.executable, "-W", "error", "-m", "cvpuk.cli", *argv],
+    return subprocess.run([sys.executable, "-W", action, "-m", "cvpuk.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120, check=False)
 
 
+def test_campaign_advises_once_under_always(tmp_path):
+    # 3 mode counts x 5 fractions x 2 chunks of clones, all verified at one bin width
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"experiment_id": "cheating_curve", "trials": 300,
+                                       "delta_over_sigma": 10.0}))
+    result = _run_with_warnings("always", "campaign", "--config", str(config_path),
+                                "--out", str(tmp_path / "out"))
+    assert result.returncode == 0
+    assert result.stderr == BIN_WIDTH_ADVICE
+
+
 def test_advice_raised_as_an_error_exits_2_with_one_error_line():
-    result = _run_with_warnings_as_errors("thresholds", "--epsilon", "0.4")
+    result = _run_with_warnings("error", "thresholds", "--epsilon", "0.4")
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == ("error: error_level 0.4 is not small against the in-bin "
@@ -153,8 +164,8 @@ def test_verify_advice_raised_as_an_error_exits_2_without_a_report(tmp_path):
     enrolled = tmp_path / "enrolled"
     assert main(["enroll", "--config", str(config_path), "--out", str(enrolled)]) == 0
     out_dir = tmp_path / "verified"
-    result = _run_with_warnings_as_errors(
-        "verify", "--database", str(enrolled / "database.json"),
+    result = _run_with_warnings(
+        "error", "verify", "--database", str(enrolled / "database.json"),
         "--key", str(enrolled / "key.json"), "--out", str(out_dir))
     assert result.returncode == 2
     assert result.stdout == ""

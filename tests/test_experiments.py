@@ -331,7 +331,6 @@ def test_clone_cloud_runs_no_verification(monkeypatch, tmp_path):
         raise AssertionError("clone_cloud must not verify")
 
     with monkeypatch.context() as patch:
-        patch.setattr("cvpuk.experiments.verify", forbidden)
         patch.setattr("cvpuk.experiments.verify_block", forbidden)
         cloud = run_clone_experiments(config)
         paths = run_campaign(config, tmp_path / "cloud")

@@ -151,6 +151,38 @@ def test_require_array_names_the_first_bad_entry():
             jsonio.require_array("a", values, (None, 2))
 
 
+def test_require_array_walks_only_a_list_that_is_not_all_floats(monkeypatch):
+    walked = []
+    walk = jsonio._require_entries
+    monkeypatch.setattr(jsonio, "_require_entries",
+                        lambda label, *args: walked.append(label) or walk(label, *args))
+    # a 121-mode key as a JSON reader gives it: rows of two floats
+    pairs = [[0.25 * i, -0.5 * i] for i in range(121)]
+    assert jsonio.require_array("coefficients", pairs, (None, 2)).tolist() == pairs
+    assert jsonio.require_array("mask", pairs[3], (2,)).tolist() == pairs[3]
+    assert jsonio.require_array("mask", [], (None,)).shape == (0,)
+    assert walked == []
+    # any other list is walked, which names the first bad entry as before
+    for row, bad, error, message in (
+        (4, [0.5, "x"], TypeError, "coefficients[4][1] must be a real number, got 'x'"),
+        (4, [0.5, True], TypeError, "coefficients[4][1] must be a real number, got True"),
+        (4, [0.5], ValueError, "coefficients[4] must have shape (2,), got [0.5]"),
+        (7, (0.5, 1.0), None, None),
+        (7, [1, 1.0], None, None),
+    ):
+        walked.clear()
+        document = [list(pair) for pair in pairs]
+        document[row] = bad
+        if error is None:
+            assert jsonio.require_array("coefficients", document, (None, 2))[row].tolist() \
+                == [float(value) for value in bad]
+        else:
+            with pytest.raises(error) as raised:
+                jsonio.require_array("coefficients", document, (None, 2))
+            assert str(raised.value) == message
+        assert walked[0] == "coefficients"
+
+
 def test_round_trip_keeps_number_types():
     document = {
         "floats": [2500.0, 0.0, -0.0, 1e16, 1e17, 1.0, -3.0],

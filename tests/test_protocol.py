@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import platform
 import tracemalloc
 import warnings
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvpuk import (
+    CampaignConfig,
     CrpDatabase,
     DegenerateKeyError,
     HomodyneChannel,
@@ -30,11 +32,13 @@ from cvpuk import (
     optimal_mask,
     p_in_theoretical,
     radii,
+    run_clone_experiments,
+    run_collision_histogram,
     scattered_amplitude,
     substream,
     verify,
 )
-from cvpuk.protocol import hit_probabilities, public_p_in, verify_block
+from cvpuk.protocol import _ERF_EDGES, _erf, hit_probabilities, public_p_in, verify_block
 from cvpuk.scattering import masked_sums
 
 
@@ -447,25 +451,38 @@ def _advice(call):
 def test_verify_warns_on_large_error_level():
     key, tau, probes, _ = _setup(n_modes=16, seed=108)
 
-    def calls(channel, config):
-        database = enroll_exact(key, tau, probes, channel)
-        sums = masked_sums(key.coefficients[np.newaxis], tau, database.mask)
+    def calls(ratio, config):
+        database = enroll_exact(key, tau, probes, HomodyneChannel.from_delta_ratio(0.55, ratio))
+        campaign = {"delta_over_sigma": ratio, "epsilon": config.error_level, "trials": 3,
+                    "m_sessions": 10, "n_modes": 16, "mode_counts": (16,),
+                    "d_values": (0.0, 0.5)}
         return {
             "traced verify": lambda: verify(key, database, config, substream(108, 1),
                                             trace=True),
             "untraced verify": lambda: verify(key, database, config, substream(108, 1)),
-            "verify_block": lambda: verify_block(sums, database, config, substream(108, 1)),
+            # a campaign advises once, before its sweep, at its own caller
+            "collision campaign": lambda: run_collision_histogram(
+                CampaignConfig(experiment_id="collision_histogram", **campaign)),
+            "clone campaign": lambda: run_clone_experiments(
+                CampaignConfig(experiment_id="cheating_curve", **campaign)),
         }
 
-    for name, call in calls(HomodyneChannel.from_delta_ratio(0.55, 2.0),
-                            VerificationConfig(10, 0.4, 0.05)).items():
+    for name, call in calls(2.0, VerificationConfig(10, 0.4, 0.05)).items():
         assert _advice(call) == ["error_level"], name
     # the bin-width advice, at the edges of the bracket [2 sigma, 4 sigma)
     config = VerificationConfig(10, 0.05, 0.05)
     for ratio, advice in ((1.9, ["bin_width"]), (2.0, []), (3.99, []), (4.0, ["bin_width"])):
-        channel = HomodyneChannel.from_delta_ratio(0.55, ratio)
-        for name, call in calls(channel, config).items():
+        for name, call in calls(ratio, config).items():
             assert _advice(call) == advice, (ratio, name)
+
+
+def test_verify_block_gives_no_advice():
+    key, tau, probes, _ = _setup(n_modes=16, seed=108)
+    channel = HomodyneChannel.from_delta_ratio(0.55, 4.0)
+    database = enroll_exact(key, tau, probes, channel)
+    sums = masked_sums(key.coefficients[np.newaxis], tau, database.mask)
+    assert _advice(lambda: verify_block(sums, database, VerificationConfig(10, 0.4, 0.05),
+                                        substream(108, 1))) == []
 
 
 def test_verify_trace_hits_recomputable_from_database():
@@ -610,6 +627,81 @@ def test_hit_probability_matches_mpmath_oracle():
     # the clone sits between the false key and the genuine key
     assert _p_bar(impostor, database) < _p_bar(clone, database)
     assert _p_bar(clone, database) < p_in_theoretical(channel)
+
+
+# ------------------------------------------------------------------------ erf
+
+# math.erf is the C library's erf, which _erf follows only where that is glibc's
+_GLIBC = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                            reason="math.erf is glibc's only on glibc")
+# |x| < 1.25 and |x| >= 6, where _erf gives glibc's bits
+_BIT_EXACT = (st.floats(-1.25, 1.25, exclude_min=True, exclude_max=True)
+              | st.floats(min_value=6.0) | st.floats(max_value=-6.0))
+
+
+def _erf_edges():
+    """Each bucket edge of |x| with its two neighbours, both signs."""
+    edges = np.array(_ERF_EDGES)
+    near = np.concatenate((np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)))
+    return np.concatenate((near, -near))
+
+
+def _erf_bits_match(x):
+    expected = np.array([math.erf(value) for value in x.tolist()])
+    return _erf(x).tobytes() == expected.tobytes()
+
+
+@_GLIBC
+def test_erf_carries_math_erf_bits_below_1_25_and_from_6():
+    # fdlibm's 1/0.35 edge is a high word, 0x4006DB6E, with a zero low word
+    assert _ERF_EDGES[3] == np.array([0x4006DB6E << 32], np.uint64).view(float)[0]
+    grid = np.concatenate((np.linspace(-1.25, 1.25, 200_001)[1:-1],
+                           np.linspace(6.0, 40.0, 20_001), np.linspace(-40.0, -6.0, 20_001),
+                           [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1e-300, math.inf, -math.inf]))
+    assert _erf_bits_match(grid)
+    edges = _erf_edges()
+    exact = edges[(np.abs(edges) < 1.25) | (np.abs(edges) >= 6.0)]
+    assert exact.size == 2 * (3 * 2 + 1 + 2)  # edges at 2**-28 and 0.84375, below 1.25, 6 and up
+    assert _erf_bits_match(exact)
+    # a block of any shape, also an empty one, keeps its shape
+    assert _erf(grid[:24].reshape(2, 3, 4)).tobytes() == _erf(grid[:24]).tobytes()
+    assert _erf(grid[:0].reshape(0, 3)).shape == (0, 3)
+
+
+@_GLIBC
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BIT_EXACT, min_size=1, max_size=64))
+def test_erf_carries_math_erf_bits_on_any_block(values):
+    assert _erf_bits_match(np.array(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+def test_erf_is_odd(values):
+    x = np.array(values)
+    assert _erf(-x).tobytes() == (-_erf(x)).tobytes()
+
+
+def _erf_ulps(x):
+    """|_erf(x) - erf(x)| in units of 2**-53, the spacing of doubles in [0.5, 1),
+    where erf lies for |x| >= 1.25, against erf at 50 digits."""
+    with mpmath.workdps(50):
+        return [abs(float((mpmath.mpf(got) - mpmath.erf(value)) * 2**53))
+                for value, got in zip(x.tolist(), _erf(x).tolist())]
+
+
+def test_erf_is_within_one_ulp_between_1_25_and_6():
+    edges = _erf_edges()
+    x = np.concatenate((np.linspace(1.25, 6.0, 4_001)[:-1], -np.linspace(1.25, 6.0, 401)[:-1],
+                        edges[(np.abs(edges) >= 1.25) & (np.abs(edges) < 6.0)]))
+    assert max(_erf_ulps(x)) < 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1.25, 6.0, exclude_max=True) | st.floats(-6.0, -1.25, exclude_min=True),
+                min_size=1, max_size=16))
+def test_erf_is_within_one_ulp_on_any_block(values):
+    assert max(_erf_ulps(np.array(values))) < 1.0
 
 
 def test_traced_and_binomial_hit_counts_share_their_distribution():

@@ -10,7 +10,6 @@ Monte Carlo campaigns.
 from .adversary import clone_key, false_key
 from .experiments import (
     CampaignConfig,
-    Histogram,
     run_campaign,
     run_clone_experiments,
     run_collision_histogram,
@@ -52,7 +51,6 @@ __all__ = [
     "clone_key",
     "false_key",
     "CampaignConfig",
-    "Histogram",
     "run_campaign",
     "run_clone_experiments",
     "run_collision_histogram",

@@ -61,7 +61,6 @@ __all__ = [
     "EXPERIMENT_IDS",
     "REPORTED_ENHANCEMENT_BAND",
     "CampaignConfig",
-    "Histogram",
     "CollisionResult",
     "ResponseCloudResult",
     "EnhancementConditionResult",
@@ -165,47 +164,6 @@ class CampaignConfig:
         seed, in place of its fields; an unknown field raises ValueError."""
         known = {spec.name for spec in fields(cls)}
         return cls(**{**jsonio.require_object("config", data, known), **overrides})
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Fixed-width counting histogram over [0, 1]."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    normalization: int
-
-    def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=int)
-        if counts.size != edges.size - 1:
-            raise ValueError("counts length must be edges length - 1")
-        if np.any(counts < 0) or counts.sum() > self.normalization:
-            raise ValueError("counts must be non-negative and sum to at most the trials")
-        edges.flags.writeable = False
-        counts.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_samples(cls, samples, bin_width: float) -> "Histogram":
-        bin_width = jsonio.require_real("bin_width", bin_width,
-                                        jsonio.REAL_INTERVALS["histogram_bin"])
-        n_bins = max(1, math.ceil(round(1.0 / bin_width, 9)))
-        edges = np.linspace(0.0, 1.0, n_bins + 1)
-        samples = np.asarray(samples, dtype=float)
-        counts, _ = np.histogram(samples, edges)
-        return cls(edges, counts, samples.size)
-
-    def mode_bin(self) -> tuple[float, float]:
-        """Edges of the fullest bin (first one on ties)."""
-        index = int(np.argmax(self.counts))
-        return float(self.edges[index]), float(self.edges[index + 1])
-
-    def rows(self):
-        """A lazy iterator of ``(bin_left, bin_right, count)`` rows of Python
-        floats and ints, for CSV emission."""
-        return zip(self.edges[:-1].tolist(), self.edges[1:].tolist(), self.counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -409,11 +367,21 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     )
 
 
+def _histogram_rows(samples: np.ndarray, bin_width: float):
+    """Lazy ``(bin_left, bin_right, count)`` rows of Python floats and ints that
+    count ``samples`` in ``ceil(1 / bin_width)`` bins splitting [0, 1] evenly,
+    1.0 in the last: a ``bin_width`` of 0.3 gives four bins of 0.25.  Its
+    interval, ``REAL_INTERVALS["histogram_bin"]``, caps the bins at 10,000."""
+    bin_width = jsonio.require_real("bin_width", bin_width, jsonio.REAL_INTERVALS["histogram_bin"])
+    edges = np.linspace(0.0, 1.0, max(1, math.ceil(round(1.0 / bin_width, 9))) + 1)
+    counts, _ = np.histogram(samples, edges)
+    return zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+
+
 def _collision_campaign(config: CampaignConfig):
     result = run_collision_histogram(config)
-    histogram = Histogram.from_samples(result.false_p_ins, config.histogram_bin)
     files = {"histogram": ("histogram.csv", ("bin_left", "bin_right", "count"),
-                           histogram.rows())}
+                           _histogram_rows(result.false_p_ins, config.histogram_bin))}
     return files, {
         "p_in_expected": result.p_in_expected,
         "true_key_p_in": result.true_key_p_in,
@@ -496,7 +464,7 @@ def _clone_histograms_campaign(config: CampaignConfig):
     for n_modes, p_ins in zip(config.mode_counts, result.p_ins):
         # zip is the first iterable, bound now, not when the CSV writer reads the rows
         rows = ((d, *row) for d, samples in zip(config.d_values, p_ins)
-                for row in Histogram.from_samples(samples, config.histogram_bin).rows())
+                for row in _histogram_rows(samples, config.histogram_bin))
         files[f"histograms_n{n_modes}"] = (f"clone_histograms_n{n_modes}.csv",
                                            ("D", "bin_left", "bin_right", "count"), rows)
     return files, {"p_in_expected": result.p_in_expected, "trials": config.trials}

@@ -24,7 +24,6 @@ import pytest
 
 from cvpuk import (
     CampaignConfig,
-    Histogram,
     ProbeSet,
     VerificationConfig,
     clone_key,
@@ -209,8 +208,9 @@ def test_collision_rows_equal_isolated_verifications(tmp_path):
 
     paths = run_campaign(config, tmp_path / "collision")
     counts = [int(row["count"]) for row in _read_csv(paths["histogram"])]
-    reference = Histogram.from_samples([p for p, _ in expected], config.histogram_bin)
-    assert counts == reference.counts.tolist()
+    # the default histogram_bin of 0.01 makes 100 bins
+    reference, _ = np.histogram([p for p, _ in expected], np.linspace(0.0, 1.0, 101))
+    assert counts == reference.tolist()
 
 
 def test_clone_rows_equal_isolated_clones(tmp_path):
@@ -236,7 +236,8 @@ def test_clone_rows_equal_isolated_clones(tmp_path):
         assert rates[fraction] == sum(verdicts) / TRIALS
         counts = [int(row["count"]) for row in histogram_rows
                   if float(row["D"]) == fraction]
-        assert counts == Histogram.from_samples(p_ins, cheating.histogram_bin).counts.tolist()
+        # the default histogram_bin of 0.01 makes 100 bins
+        assert counts == np.histogram(p_ins, np.linspace(0.0, 1.0, 101))[0].tolist()
         seen_accepts += sum(verdicts)
     assert 0 < seen_accepts < 2 * TRIALS
 
@@ -345,8 +346,8 @@ def test_zero_fraction_builds_no_clone_stream(monkeypatch):
         means = result.means[n_index, 0]
         assert [tuple(point) for point in means.tolist()] == [expected] * config.trials
         assert experiments._cloud_summary(means)[2] == 0.0
-        histogram = Histogram.from_samples(result.p_ins[n_index, 0], config.histogram_bin)
-        assert histogram.counts.sum() == config.trials
+        counts, _ = np.histogram(result.p_ins[n_index, 0], np.linspace(0.0, 1.0, 101))
+        assert counts.sum() == config.trials
 
 
 # no trials, one trial, a whole number of chunks (16 at one mode, one at

@@ -9,7 +9,6 @@ import pytest
 
 from cvpuk import (
     CampaignConfig,
-    Histogram,
     e_threshold,
     m_threshold,
     run_campaign,
@@ -123,18 +122,19 @@ def test_config_requires_matching_experiment():
 
 
 def test_histogram_construction():
-    histogram = Histogram.from_samples([0.0, 0.005, 0.5, 1.0], 0.01)
-    assert histogram.edges[0] == 0.0
-    assert histogram.edges[-1] == 1.0
-    assert histogram.counts.size == 100
-    assert histogram.counts.sum() == 4
-    assert histogram.normalization == 4
-    assert histogram.counts[0] == 2  # 0.0 and 0.005
-    assert histogram.counts[-1] == 1  # 1.0 lands in the closing bin
-    left, right = histogram.mode_bin()
-    assert (left, right) == (0.0, 0.01)
+    samples = [0.0, 0.005, 0.5, 1.0]
+    rows = list(experiments._histogram_rows(samples, 0.01))
+    lefts, rights, counts = zip(*rows)
+    assert lefts[0] == 0.0
+    assert rights[-1] == 1.0
+    assert len(counts) == 100
+    assert sum(counts) == len(samples) == 4
+    assert counts[0] == 2  # 0.0 and 0.005
+    assert counts[-1] == 1  # 1.0 lands in the closing bin
+    # the mode bin is the first fullest row: max keeps the first of equal keys
+    assert max(rows, key=lambda row: row[2])[:2] == (0.0, 0.01)
     with pytest.raises(ValueError):
-        Histogram.from_samples([0.1], 0.0)
+        experiments._histogram_rows([0.1], 0.0)
 
 
 def test_histogram_bin_width_follows_the_config_interval():
@@ -142,15 +142,14 @@ def test_histogram_bin_width_follows_the_config_interval():
     # of 1e-9 would ask for a billion edges, about 8 GB
     for bad in (1e-9, 9.99e-5, 0.0, -0.1, 1.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="bin_width"):
-            Histogram.from_samples([0.1], bad)
+            experiments._histogram_rows([0.1], bad)
     with pytest.raises(TypeError, match="bin_width"):
-        Histogram.from_samples([0.1], True)
-    assert Histogram.from_samples([0.1], 1e-4).counts.size == 10_000
+        experiments._histogram_rows([0.1], True)
+    assert len(list(experiments._histogram_rows([0.1], 1e-4))) == 10_000
 
 
 def test_histogram_rows():
-    histogram = Histogram.from_samples([0.25], 0.25)
-    rows = list(histogram.rows())
+    rows = list(experiments._histogram_rows([0.25], 0.25))
     assert len(rows) == 4
     assert rows[1] == (0.25, 0.5, 1)
     # the CSV writer formats by repr, which spells a numpy scalar np.float64(...)
@@ -175,7 +174,8 @@ def test_collision_histogram_behaviour():
     assert len(result.false_p_ins) == 40
     with pytest.raises(ValueError):
         result.false_p_ins[0] = 1.0
-    assert Histogram.from_samples(result.false_p_ins, 0.01).normalization == 40
+    counts, _ = np.histogram(result.false_p_ins, np.linspace(0.0, 1.0, 101))
+    assert counts.sum() == 40
 
 
 def test_collision_histogram_trials_are_order_independent():
@@ -217,9 +217,9 @@ def test_collision_histogram_zero_trials():
         experiment_id="collision_histogram", trials=0, m_sessions=200, seed=1
     )
     result = run_collision_histogram(config)
-    histogram = Histogram.from_samples(result.false_p_ins, config.histogram_bin)
-    assert histogram.normalization == 0
-    assert histogram.counts.sum() == 0
+    counts, _ = np.histogram(result.false_p_ins, np.linspace(0.0, 1.0, 101))
+    assert result.false_p_ins.size == 0
+    assert counts.sum() == 0
     assert result.false_acceptance_rate == 0.0
     assert 0.0 <= result.true_key_p_in <= 1.0
 
@@ -357,16 +357,16 @@ def test_clone_histograms_concentrate_near_p_in_only_for_tiny_fractions():
     result = run_clone_experiments(config)
     expected = result.p_in_expected
 
-    def mass_near_expected(histogram):
-        centers = 0.5 * (histogram.edges[:-1] + histogram.edges[1:])
+    def mass_near_expected(p_ins):
+        # the default histogram_bin of 0.01 makes 100 bins
+        counts, edges = np.histogram(p_ins, np.linspace(0.0, 1.0, 101))
+        centers = 0.5 * (edges[:-1] + edges[1:])
         near = np.abs(centers - expected) < config.epsilon
-        return float(histogram.counts[near].sum()) / histogram.normalization
+        return float(counts[near].sum()) / p_ins.size
 
     # index i follows mode_counts (256, 625), d follows d_values (0.01, 0.03, 0.05)
-    histograms = [[Histogram.from_samples(p_ins, config.histogram_bin) for p_ins in cluster]
-                  for cluster in result.p_ins]
-    assert mass_near_expected(histograms[1][0]) >= 0.2
-    assert mass_near_expected(histograms[1][2]) <= 0.05
+    assert mass_near_expected(result.p_ins[1, 0]) >= 0.2
+    assert mass_near_expected(result.p_ins[1, 2]) <= 0.05
     # imperfect clones beyond a few percent barely ever pass at 256+ modes
     rates = result.accepted / config.trials
     assert rates[0, 1] < 0.1
@@ -385,7 +385,7 @@ def test_each_clone_writer_derives_only_what_it_writes(monkeypatch, tmp_path):
     for experiment_id in ("clone_histograms", "cheating_curve"):
         config = CampaignConfig.from_dict({**sweep, "experiment_id": experiment_id})
         run_campaign(config, tmp_path / experiment_id)
-    monkeypatch.setattr(Histogram, "from_samples", forbidden)
+    monkeypatch.setattr(experiments, "_histogram_rows", forbidden)
     config = CampaignConfig.from_dict({**sweep, "experiment_id": "cheating_curve"})
     run_campaign(config, tmp_path / "cheating_only")
 
@@ -410,6 +410,22 @@ def test_campaign_writes_collision_artifacts(tmp_path):
     summary = json.loads(paths["summary"].read_text())
     assert summary["true_key_accepted"] is True
     assert "p_in_expected" in summary
+
+
+# histogram_bin sets the bin count, ceil(1 / histogram_bin), and the bins
+# split [0, 1] evenly, so 0.3 makes four bins of 0.25
+@pytest.mark.parametrize("histogram_bin,edges", [
+    (0.3, [0.0, 0.25, 0.5, 0.75, 1.0]),
+    (1.0, [0.0, 1.0]),
+])
+def test_histogram_bin_sets_the_bin_count(tmp_path, histogram_bin, edges):
+    config = CampaignConfig.from_dict(
+        {"experiment_id": "collision_histogram", "trials": 3, "histogram_bin": histogram_bin})
+    paths = run_campaign(config, tmp_path / "out")
+    rows = [line.split(",") for line in paths["histogram"].read_text().splitlines()[1:]]
+    assert [(float(left), float(right)) for left, right, _ in rows] == list(
+        zip(edges[:-1], edges[1:]))
+    assert sum(int(count) for _, _, count in rows) == 3
 
 
 def test_campaign_writes_cloud_and_cheating_artifacts(tmp_path):

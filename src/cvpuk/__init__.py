@@ -40,7 +40,6 @@ from .scattering import (
     enhancement,
     generate_key,
     optimal_mask,
-    scattered_amplitude,
     wrap_phase,
 )
 from .streams import substream
@@ -75,7 +74,6 @@ __all__ = [
     "enhancement",
     "generate_key",
     "optimal_mask",
-    "scattered_amplitude",
     "wrap_phase",
     "substream",
     "__version__",

@@ -91,7 +91,8 @@ class CampaignConfig:
     photons, 1000 sessions, error level 0.05).  Construction checks every
     field, so a bad config fails before any work: integer fields must be
     ints, every real field must be finite and inside its ``REAL_INTERVALS``
-    entry, ``mode_counts`` and ``d_values`` must not repeat an entry, and
+    entry, the three sweep fields must be lists or tuples, ``mode_counts``
+    and ``d_values`` must not repeat an entry, and
     the probe set and verification config it builds check the probe and
     session counts.
     """
@@ -119,6 +120,9 @@ class CampaignConfig:
             raise ValueError(f"unknown experiment_id {self.experiment_id!r}")
         for name, minimum in (("n_modes", 1), ("trials", 0), ("seed", 0)):
             object.__setattr__(self, name, jsonio.require_int(name, getattr(self, name), minimum))
+        for name in ("mode_counts", "d_values", "photons_per_mode_values"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise TypeError(f"{name} must be a list or tuple, got {getattr(self, name)!r}")
         object.__setattr__(
             self, "mode_counts",
             tuple(jsonio.require_int("mode_counts", n, 1) for n in self.mode_counts),
@@ -254,15 +258,15 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     database = enroll_exact(true_key, config.tau, probes, channel)
     # what an untraced verify of the true key draws: row 0 of a block of one
     true_sum = masked_sums(true_key.coefficients[np.newaxis], config.tau, database.mask)
-    true_p_ins, true_verdicts = verify_block(true_sum, database, verification,
-                                             substream(config.seed, 1))
+    _, true_p_ins, true_verdicts = verify_block(true_sum, database, verification,
+                                                substream(config.seed, 1))
 
     false_p_ins = np.empty(config.trials)
     accepted = 0
     for chunk, start, rows in _chunks(config.trials):
         sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, rows,
                               substream(config.seed, 2, chunk))
-        false_p_ins[start:start + rows], verdicts = verify_block(
+        _, false_p_ins[start:start + rows], verdicts = verify_block(
             sums, database, verification, substream(config.seed, 3, chunk),
         )
         accepted += int(np.count_nonzero(verdicts))
@@ -353,7 +357,7 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
                                   stream)[:rows]
                 means[i, d, start:start + rows] = probes.responses(sums)[:, 0]
                 if verifies:
-                    p_ins[i, d, start:start + rows], verdicts = verify_block(
+                    _, p_ins[i, d, start:start + rows], verdicts = verify_block(
                         sums, database, verification, substream(config.seed, 6, i, d, chunk),
                     )
                     accepted[i, d] += np.count_nonzero(verdicts)
@@ -370,9 +374,9 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
 def _histogram_rows(samples: np.ndarray, bin_width: float):
     """Lazy ``(bin_left, bin_right, count)`` rows of Python floats and ints that
     count ``samples`` in ``ceil(1 / bin_width)`` bins splitting [0, 1] evenly,
-    1.0 in the last: a ``bin_width`` of 0.3 gives four bins of 0.25.  Its
-    interval, ``REAL_INTERVALS["histogram_bin"]``, caps the bins at 10,000."""
-    bin_width = jsonio.require_real("bin_width", bin_width, jsonio.REAL_INTERVALS["histogram_bin"])
+    1.0 in the last: a ``bin_width`` of 0.3 gives four bins of 0.25.  The
+    width is a ``CampaignConfig.histogram_bin``, which its interval,
+    ``REAL_INTERVALS["histogram_bin"]``, caps at 10,000 bins."""
     edges = np.linspace(0.0, 1.0, max(1, math.ceil(round(1.0 / bin_width, 9))) + 1)
     counts, _ = np.histogram(samples, edges)
     return zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())

@@ -19,7 +19,6 @@ __all__ = [
     "HALF_PI",
     "ProbeSet",
     "HomodyneChannel",
-    "quadrature_means",
     "p_in_theoretical",
 ]
 
@@ -48,12 +47,14 @@ class ProbeSet:
         """Quadrature means of masked sums under every probe, shape ``(..., N, 2)``.
 
         ``sums`` is one key's :func:`cvpuk.scattering.masked_sums` or a block
-        of them; under probe ``k`` the scattered field is ``sum * alpha_k``.
+        of them; under probe ``k`` the scattered field is ``sum * alpha_k``,
+        and its quadrature means are ``(x, y) = sqrt(2) * (re, im)``.
         This is the one place a key's response is formed: enrollment stores
         it, verification bins around it and the campaign clouds plot it, and
         where a key whose sum or response overflows is refused, without a warning.
         """
-        responses = quadrature_means(np.multiply.outer(sums, self.amplitudes()))
+        fields = np.multiply.outer(sums, self.amplitudes())
+        responses = np.stack((_SQRT2 * fields.real, _SQRT2 * fields.imag), axis=-1)
         if not np.isfinite(responses).all():
             raise ValueError("responses must be finite: a key overflows the double range")
         return responses
@@ -96,12 +97,6 @@ class HomodyneChannel:
     def from_dict(cls, data: dict) -> "HomodyneChannel":
         data = require_object("channel", data, ("efficiency", "bin_width"))
         return cls(data["efficiency"], data["bin_width"])
-
-
-def quadrature_means(amplitudes: np.ndarray) -> np.ndarray:
-    """Quadrature means ``(x, y) = sqrt(2) * (re, im)`` of an array of mean
-    field amplitudes, stacked on a new last axis."""
-    return np.stack((_SQRT2 * amplitudes.real, _SQRT2 * amplitudes.imag), axis=-1)
 
 
 def p_in_theoretical(channel: HomodyneChannel) -> float:

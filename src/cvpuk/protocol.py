@@ -9,8 +9,10 @@ fraction of outcomes that fall in the stored bins matches the public
 in-bin probability within the error level.
 
 Both stages are simulated through their sufficient statistics.  A
-sampled enrollment stores the mean of ``M_e`` Gaussian draws, which is
-itself one Gaussian draw with standard deviation ``sigma / sqrt(M_e)``.
+sampled enrollment perturbs the centres of :func:`enroll_exact`: it
+stores the mean of ``M_e`` Gaussian draws around each exact centre,
+which is itself one Gaussian draw with standard deviation ``sigma /
+sqrt(M_e)``, so the optimal mask is found in one place.
 The ``M`` sessions of a verification are independent and each hits with
 probability ``p̄`` (:func:`hit_probabilities`), the mean bin mass over
 the ``2N`` probe and quadrature cells, so the hit count is one binomial
@@ -164,8 +166,9 @@ def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
                    rng: np.random.Generator) -> CrpDatabase:
     """Enroll a key from finite homodyne samples.
 
-    Models ``per_quadrature_samples`` outcomes around the true mean of
-    each probe state's two quadratures, ``2 * probes.size *
+    Perturbs the exact centres of :func:`enroll_exact`, under the same
+    mask: models ``per_quadrature_samples`` outcomes around the true mean
+    of each probe state's two quadratures, ``2 * probes.size *
     per_quadrature_samples`` draws in all, and stores their sample
     means.  The mean of ``M_e`` draws from ``N(mean, sigma)`` is exactly
     distributed as ``N(mean, sigma / sqrt(M_e))``, so each stored centre
@@ -174,11 +177,10 @@ def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
     which the sample mean respects with overwhelming probability.
     """
     error = enrollment_error(per_quadrature_samples)
-    mask = optimal_mask(key, tau)
-    responses = probes.responses(masked_sums(key.coefficients, tau, mask))
+    exact = enroll_exact(key, tau, probes, channel)
     standard_error = channel.shot_noise / math.sqrt(per_quadrature_samples)
-    centers = rng.normal(responses, standard_error)
-    return CrpDatabase(mask, centers, error, probes, channel, tau)
+    centers = rng.normal(exact.centers, standard_error)
+    return CrpDatabase(exact.mask, centers, error, probes, channel, tau)
 
 
 def enrollment_error(per_quadrature_samples: int) -> float:
@@ -493,7 +495,7 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
                                           names=("k", "theta", "outcome", "hit"))
         session_trace.flags.writeable = False
     else:
-        hits, p_ins, verdicts = _verify_rows(sums, database, config, rng)
+        hits, p_ins, verdicts = verify_block(sums, database, config, rng)
         total_hits, p_in, accepted = int(hits[0]), float(p_ins[0]), bool(verdicts[0])
 
     return VerificationReport(
@@ -509,22 +511,17 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
 
 
 def verify_block(sums: np.ndarray, database: CrpDatabase, config: VerificationConfig,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Untraced verification of a block of keys from one generator.
 
     ``sums`` holds the keys' masked sums, as for :func:`hit_probabilities`.
     One ``rng.binomial(sessions, p_bars)`` call draws every hit count, so
     row 0 is what ``verify(key_0, database, config, rng)`` draws and no
-    row depends on the rows after it.  Returns the in-bin frequencies
-    and the acceptance flags, each of shape ``(B,)``.  It gives no advice:
-    a campaign calls :func:`public_p_in` once, before its sweep.
+    row depends on the rows after it.  Returns the hit counts, the in-bin
+    frequencies and the acceptance flags, each of shape ``(B,)``.  It
+    gives no advice: a campaign calls :func:`public_p_in` once, before its
+    sweep.
     """
-    return _verify_rows(sums, database, config, rng)[1:]
-
-
-def _verify_rows(sums: np.ndarray, database: CrpDatabase, config: VerificationConfig,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The hit counts, in-bin frequencies and acceptance flags of a block of keys."""
     hits = rng.binomial(config.sessions, hit_probabilities(sums, database))
     p_ins = hits / config.sessions
     return hits, p_ins, _accepted(p_ins, p_in_theoretical(database.channel), config)

@@ -38,7 +38,6 @@ __all__ = [
     "generate_key",
     "masked_terms",
     "masked_sums",
-    "scattered_amplitude",
     "optimal_mask",
     "enhancement",
 ]
@@ -187,17 +186,6 @@ def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask):
     return np.sum(masked_terms(coefficients, tau, mask), axis=-1)
 
 
-def scattered_amplitude(key: ScatteringKey, tau: float, mask: PhaseMask,
-                        probe_amplitude):
-    """Mean scattered field in the target mode for one probe or many.
-
-    Returns the key's :func:`masked_sums` times ``probe_amplitude``, a
-    scalar or an array of probe amplitudes (one field per probe).  The
-    result is linear in the probe amplitude by construction.
-    """
-    return masked_sums(key.coefficients, tau, mask) * probe_amplitude
-
-
 def optimal_mask(key: ScatteringKey, tau: float) -> PhaseMask:
     """Globally optimal phase mask for the given key.
 
@@ -222,8 +210,7 @@ def enhancement(key: ScatteringKey, tau: float, mask: PhaseMask,
     strength cancels, so the ratio does not depend on it.
     """
     require_real("mean_challenge_photons", mean_challenge_photons, "(0, inf)")
-    # scale by the probe amplitude only after scattered_amplitude has
-    # checked tau; the product carries the same bits either way
-    amplitude = scattered_amplitude(key, tau, mask, 1.0)
-    photons = abs(amplitude * math.sqrt(mean_challenge_photons / tau)) ** 2
+    # masked_sums checks tau before the probe amplitude divides by it
+    amplitude = masked_sums(key.coefficients, tau, mask) * math.sqrt(mean_challenge_photons / tau)
+    photons = abs(amplitude) ** 2
     return float(photons / (key.variance * mean_challenge_photons))

@@ -24,7 +24,6 @@ from cvpuk import (
     run_campaign,
     run_clone_experiments,
     run_collision_histogram,
-    scattered_amplitude,
     substream,
     verify,
 )
@@ -106,10 +105,12 @@ def test_criterion_4_ensemble_statistics():
     from cvpuk import PhaseMask
 
     mask = PhaseMask(substream(1001, 1).uniform(-math.pi, math.pi, n_modes))
+    # the paper's field sum_j c_j sqrt(tau / n) e^{i phi_j} alpha under probe 0
+    weights = math.sqrt(tau / n_modes) * np.exp(1j * mask.phases)
     powers = np.empty(n_keys)
     for i in range(n_keys):
         key = generate_key(n_modes, 0.2, rng)
-        amplitude = scattered_amplitude(key, tau, mask, probe_amplitude)
+        amplitude = np.sum(key.coefficients * weights) * probe_amplitude
         x = math.sqrt(2.0) * amplitude.real
         y = math.sqrt(2.0) * amplitude.imag
         powers[i] = x * x + y * y

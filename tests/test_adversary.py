@@ -17,13 +17,11 @@ from cvpuk import (
     optimal_mask,
     radii,
     run_clone_experiments,
-    scattered_amplitude,
     substream,
     verify,
 )
 from cvpuk import experiments
 from cvpuk.adversary import _replaced_positions, clone_sums, false_key_sums, replaced_count
-from cvpuk.homodyne import quadrature_means
 from cvpuk.scattering import masked_sums
 
 
@@ -54,13 +52,12 @@ def test_false_key_responses_concentrate_near_origin():
     mu_c = tau * mu_p
     rho_false, _ = radii(mu_c, true_key.variance, 201.0)
     rng = substream(202, 1)
-    amplitude = math.sqrt(mu_p)
+    probes = ProbeSet(11, mu_p)
     outside = 0
     trials = 10_000
     for _ in range(trials):
         impostor = false_key(n_modes, 0.2, rng)
-        field = scattered_amplitude(impostor, tau, mask, amplitude)
-        x, y = quadrature_means(np.complex128(field))
+        x, y = probes.responses(masked_sums(impostor.coefficients, tau, mask))[0]
         outside += math.hypot(x, y) > 1.5 * rho_false
     assert outside / trials <= 0.02
 
@@ -182,10 +179,8 @@ def test_clone_distance_grows_with_fraction():
     true_key = generate_key(n_modes, 0.2, substream(207, 0))
     tau = 0.8
     mask = optimal_mask(true_key, tau)
-    amplitude = math.sqrt(mu_p)
-    true_x, true_y = quadrature_means(
-        np.complex128(scattered_amplitude(true_key, tau, mask, amplitude))
-    )
+    probes = ProbeSet(11, mu_p)
+    true_x, true_y = probes.responses(masked_sums(true_key.coefficients, tau, mask))[0]
     rng = substream(207, 1)
     fractions = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1]
     means = []
@@ -193,8 +188,7 @@ def test_clone_distance_grows_with_fraction():
         distances = []
         for _ in range(500):
             clone, _ = clone_key(true_key, fraction, rng)
-            field = scattered_amplitude(clone, tau, mask, amplitude)
-            x, y = quadrature_means(np.complex128(field))
+            x, y = probes.responses(masked_sums(clone.coefficients, tau, mask))[0]
             distances.append(math.hypot(x - true_x, y - true_y))
         means.append(float(np.mean(distances)))
     assert all(a < b for a, b in zip(means, means[1:]))

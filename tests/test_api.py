@@ -170,27 +170,34 @@ def test_only_jsonio_writes_parameter_intervals():
     assert copies == {}
 
 
-def _calls_to(names, node, scope=""):
-    """``(qualified name of the enclosing function, line)`` of each call made
-    through one of ``names``."""
+def _sites(matches, node, scope=""):
+    """``(qualified name of the enclosing function, line)`` of each node under
+    ``node`` that ``matches``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _calls_to(names, child, f"{scope}.{child.name}")
+            yield from _sites(matches, child, f"{scope}.{child.name}")
             continue
-        if isinstance(child, ast.Call) and _called_name(child) in names:
+        if matches(child):
             yield scope, child.lineno
-        yield from _calls_to(names, child, scope)
+        yield from _sites(matches, child, scope)
+
+
+def _where(matches, outside=None):
+    """``{module.function: lines}`` of the nodes that ``matches`` in every
+    module but ``outside``."""
+    found = {}
+    for path in sorted((ROOT / "src" / "cvpuk").glob("*.py")):
+        if path.stem != outside:
+            for scope, line in _sites(matches, ast.parse(path.read_text(encoding="utf-8"))):
+                found.setdefault(path.stem + scope, []).append(line)
+    return found
 
 
 def _callers(names, outside=None):
     """``{module.function: lines}`` of the calls through ``names`` in every
     module but ``outside``."""
-    callers = {}
-    for path in sorted((ROOT / "src" / "cvpuk").glob("*.py")):
-        if path.stem != outside:
-            for scope, line in _calls_to(names, ast.parse(path.read_text(encoding="utf-8"))):
-                callers.setdefault(path.stem + scope, []).append(line)
-    return callers
+    return _where(lambda node: isinstance(node, ast.Call) and _called_name(node) in names,
+                  outside)
 
 
 def test_only_public_p_in_gives_advice():
@@ -201,9 +208,19 @@ def test_only_public_p_in_gives_advice():
 
 
 def test_only_probe_set_responses_forms_a_response():
-    # a key's response to probe k is quadrature_means(sum * alpha_k); enrollment,
+    # a key's response to probe k is sqrt(2) (Re, Im) of sum * alpha_k; enrollment,
     # verification and the campaign clouds all take it from ProbeSet.responses
-    assert _callers({"quadrature_means", "amplitudes"}, outside="homodyne") == {}
+    parts = _where(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in ("real", "imag") and isinstance(node.ctx, ast.Load))
+    assert list(parts) == ["homodyne.ProbeSet.responses"], parts
+    assert list(_callers({"amplitudes"})) == ["homodyne.ProbeSet.responses"]
+
+
+def test_only_exact_enrollment_finds_the_optimal_mask():
+    # sampled enrollment perturbs the centres of enroll_exact under its mask,
+    # and every campaign takes its mask from an exact enrollment
+    callers = _callers({"optimal_mask"})
+    assert list(callers) == ["protocol.enroll_exact"], callers
 
 
 def test_only_masked_terms_forms_a_masked_term():

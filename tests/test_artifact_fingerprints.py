@@ -1,4 +1,5 @@
-"""Every artifact of every campaign id, pinned by its SHA-256 at one small config.
+"""Every artifact of every campaign id, and every file that ``cvpuk enroll`` and
+``cvpuk verify`` write, pinned by its SHA-256 at one small config.
 
 A pure refactor must leave each of these files byte-identical.  A declared
 change of the random-number stream layout or of a file format changes the
@@ -8,11 +9,15 @@ to the next (NEP 19), so the table holds only under the numpy version it was
 made with, and the test is skipped under any other.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 
 import numpy as np
 import pytest
 
+from cvpuk.cli import main
 from cvpuk.experiments import EXPERIMENT_IDS, CampaignConfig, run_campaign
 
 NUMPY_VERSION = "2.4.6"
@@ -69,3 +74,55 @@ def test_artifacts_match_their_digests(tmp_path, experiment_id):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in paths.values()}
     assert digests == SHA256[experiment_id]
+
+
+ENROLL_CONFIG = {"n_modes": 16, "l_over_L": 0.2, "mu_p": 2500.0, "tau": 0.8, "eta": 0.55,
+                 "delta_over_sigma": 2.0, "n_probe_states": 11, "seed": 7}
+ENROLLMENTS = {"exact": {}, "sampled": {"enrollment": "sampled", "per_quadrature_samples": 1000}}
+
+# both enrollments draw the key from the same stream, so key.json is the same file
+CLI_SHA256 = {
+    "enroll_exact": {
+        "database.json": "9a55d0255af1e4d9333f2b3feaa454e9098f984db3426123f86430bc5b6fb203",
+        "key.json": "e65eb4ab7a5ce2125ce5588efaf839105e570964f261391dfef3c3c29e7f3405",
+    },
+    "enroll_sampled": {
+        "database.json": "9e3de2ff5b1114eb93f847e9e952b788c179d69ceab21e57e96872846f659893",
+        "key.json": "e65eb4ab7a5ce2125ce5588efaf839105e570964f261391dfef3c3c29e7f3405",
+    },
+    "verify": {
+        "report.json": "08763a9b392821de2104a16ea57d09ac718e0096a6defe6b6c510ac9dddab257",
+    },
+    "verify_trace": {
+        "report.json": "0909d356daa15cc85417a2a3030eadb56e54c46ff1feead7d5056b08ecc7e1f5",
+        "trace.csv": "c1cb55e8819d7655d83e38fe9976df0a0e9bcf15c3301a3f4c95e2196c2def1f",
+    },
+}
+
+
+def _run(argv, expected_code=0):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == expected_code
+
+
+def _digests(directory):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in directory.iterdir()}
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"artifact digests were made with numpy {NUMPY_VERSION}")
+def test_enroll_and_verify_files_match_their_digests(tmp_path):
+    digests = {}
+    for mode, fields in ENROLLMENTS.items():
+        config_path = tmp_path / f"{mode}.json"
+        config_path.write_text(json.dumps({**ENROLL_CONFIG, **fields}))
+        _run(["enroll", "--config", str(config_path), "--out", str(tmp_path / mode)])
+        digests[f"enroll_{mode}"] = _digests(tmp_path / mode)
+    # 5,000 sessions against the sampled database, untraced and traced
+    for name, flags in (("verify", []), ("verify_trace", ["--trace"])):
+        _run(["verify", "--database", str(tmp_path / "sampled" / "database.json"),
+              "--key", str(tmp_path / "sampled" / "key.json"), "--sessions", "5000",
+              "--seed", "3", "--out", str(tmp_path / name), *flags])
+        digests[name] = _digests(tmp_path / name)
+    assert digests == CLI_SHA256

@@ -6,8 +6,9 @@ below draw every chunk in full straight from its stream.  A clone row is
 its sufficient statistic, evaluated on its own: the true key's masked
 sum, less the true key's masked terms at the row's replaced positions
 (a plain Fisher–Yates loop over the row's offsets), plus one circular
-Gaussian; its response by ``quadrature_means`` and its
-``p̄`` by ``hit_probabilities`` of that row alone.  A false key is drawn
+Gaussian; its response by the paper's ``sqrt(2) (Re, Im)`` of its sum
+times the probe amplitude, and its ``p̄`` by ``hit_probabilities`` of
+that row alone.  A false key is drawn
 as its masked sum alone, one circular Gaussian per row, and evaluated
 one row at a time.  Both compare with ``==``: a chunked campaign
 promises the same bits, not close ones.  ``p̄`` itself is checked
@@ -35,14 +36,13 @@ from cvpuk import (
     run_clone_experiments,
     run_collision_histogram,
     run_response_cloud,
-    scattered_amplitude,
     substream,
     verify,
 )
 from cvpuk import experiments
 from cvpuk.adversary import clone_sums, false_key_sums, replaced_count
 from cvpuk.experiments import STREAM_CHUNK
-from cvpuk.homodyne import p_in_theoretical, quadrature_means
+from cvpuk.homodyne import p_in_theoretical
 from cvpuk.protocol import hit_probabilities, verify_block
 from cvpuk.scattering import masked_sums, masked_terms
 
@@ -52,10 +52,16 @@ def _read_csv(path):
         return list(csv.DictReader(handle))
 
 
+def _quadrature_means(fields):
+    """The quadrature means ``(x, y) = sqrt(2) (Re, Im)`` of an array of fields,
+    on a new last axis."""
+    return np.stack((math.sqrt(2.0) * fields.real, math.sqrt(2.0) * fields.imag), axis=-1)
+
+
 def _point(key, config, mask):
     """A key's ``(x, y)`` under probe 0, whose amplitude is ``sqrt(mu_p)``."""
-    amplitude = scattered_amplitude(key, config.tau, mask, math.sqrt(config.mu_p))
-    return tuple(quadrature_means(np.complex128(amplitude)).tolist())
+    field = masked_sums(key.coefficients, config.tau, mask) * math.sqrt(config.mu_p)
+    return tuple(_quadrature_means(field).tolist())
 
 
 def _coefficients(parts, variance):
@@ -146,7 +152,7 @@ def _reference_verdicts(p_bars, database, config, *path):
 
 def _reference_response_cloud(config):
     amplitude = math.sqrt(config.mu_p)
-    return [tuple(quadrature_means(total * amplitude).tolist())
+    return [tuple(_quadrature_means(total * amplitude).tolist())
             for total in _reference_false_key_sums(config)]
 
 
@@ -166,7 +172,7 @@ def _reference_clone_cluster(config, n_index, d_index):
     database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
     sums = _reference_clone_sums(config, true_key, database.mask, n_index, d_index)
     amplitude = math.sqrt(config.mu_p)
-    points = [tuple(quadrature_means(total * amplitude).tolist()) for total in sums]
+    points = [tuple(_quadrature_means(total * amplitude).tolist()) for total in sums]
     p_bars = [float(hit_probabilities(np.array([total]), database)[0]) for total in sums]
     outcomes = _reference_verdicts(p_bars, database, config, 6, n_index, d_index)
     for trial in range(0, len(sums), STREAM_CHUNK):
@@ -274,9 +280,9 @@ def _recorded_p_ins(monkeypatch):
     original = experiments.verify_block
 
     def recording(*args, **kwargs):
-        p_ins, verdicts = original(*args, **kwargs)
+        hits, p_ins, verdicts = original(*args, **kwargs)
         recorded.extend(p_ins.tolist())
-        return p_ins, verdicts
+        return hits, p_ins, verdicts
 
     monkeypatch.setattr(experiments, "verify_block", recording)
     return recorded
@@ -456,13 +462,13 @@ def test_masked_sums_rows_carry_the_one_key_bits():
         block = masked_sums(rows, 0.8, mask)
         assert block.shape == (6,)
         for key, total in zip(keys, block):
-            single = scattered_amplitude(key, 0.8, mask, 1.0)
-            assert total.tobytes() == np.complex128(single).tobytes()
+            single = masked_sums(key.coefficients, 0.8, mask)
+            assert total.tobytes() == single.tobytes()
         # under its own optimal mask every product of a key cancels its
         # imaginary part, which exposes any change in how products round;
         # numpy rounds a (1, 1) block against a (1,) mask vector unlike the
         # (1,) key itself, so the one-row, one-mode case needs checking
-        single = np.complex128(scattered_amplitude(keys[0], 0.8, mask, 1.0))
+        single = masked_sums(keys[0].coefficients, 0.8, mask)
         for count in (1, 2, 5, STREAM_CHUNK):
             tiled = np.tile(keys[0].coefficients, (count, 1))
             block = masked_sums(tiled, 0.8, mask)
@@ -488,10 +494,10 @@ def test_probe_responses_rows_carry_the_one_key_bits():
                 assert rows.tobytes() == single.tobytes()
             # column 0 is what the campaign clouds formed by hand from probe
             # 0's amplitude, also for D = 0 clones, which repeat the true sum
-            campaign = quadrature_means(sums * math.sqrt(mu_p))
+            campaign = _quadrature_means(sums * math.sqrt(mu_p))
             assert block[:, 0].tobytes() == campaign.tobytes()
             repeated = np.full(STREAM_CHUNK, sums[0])
-            assert probes.responses(repeated)[:, 0].tobytes() == quadrature_means(
+            assert probes.responses(repeated)[:, 0].tobytes() == _quadrature_means(
                 repeated * math.sqrt(mu_p)).tobytes()
 
 
@@ -508,18 +514,20 @@ def test_block_verification_equals_single_verifications():
     # equal sums, evaluated once, still give every row its own p̄
     repeats = [0, 3, 0, 0, 3, 1]
     assert hit_probabilities(sums[repeats], database).tolist() == p_bars[repeats].tolist()
-    p_ins, verdicts = verify_block(sums, database, config.verification(), substream(64, 2))
+    block_hits, p_ins, verdicts = verify_block(sums, database, config.verification(),
+                                               substream(64, 2))
     hits = substream(64, 2).binomial(1000, p_bars.tolist())
+    assert block_hits.tolist() == hits.tolist()
     assert p_ins.tolist() == (hits / 1000).tolist()
     for key, count, p_in, verdict in zip(keys, hits, p_ins, verdicts):
         report = verify(key, database, config.verification(), _Drawn(count))
         assert (p_in, bool(verdict)) == (report.p_in, report.accepted)
     report = verify(keys[0], database, config.verification(), substream(64, 2))
-    assert (p_ins[0], bool(verdicts[0])) == (report.p_in, report.accepted)
+    assert (block_hits[0], p_ins[0], bool(verdicts[0])) == (
+        report.hits, report.p_in, report.accepted)
     assert 0 < int(np.count_nonzero(verdicts)) < len(keys)
-    empty_p_ins, empty_verdicts = verify_block(sums[:0], database, config.verification(),
-                                               substream(64, 3))
-    assert empty_p_ins.shape == empty_verdicts.shape == (0,)
+    empty = verify_block(sums[:0], database, config.verification(), substream(64, 3))
+    assert [part.shape for part in empty] == [(0,)] * 3
     assert hit_probabilities(sums[:0], database).shape == (0,)
 
 
@@ -527,7 +535,7 @@ def _reference_hit_probabilities(sums, database):
     """``p̄`` of every row on its own: each cell's mass from two scalar
     ``math.erf`` calls in a list comprehension, each row's mean by ``math.fsum``."""
     amplitudes = sums[:, np.newaxis] * database.probe_set.amplitudes()
-    means = quadrature_means(amplitudes).reshape(len(sums), 2 * database.probe_set.size)
+    means = _quadrature_means(amplitudes).reshape(len(sums), 2 * database.probe_set.size)
     half = 0.5 * database.channel.bin_width
     scale = math.sqrt(2.0) * database.channel.shot_noise
     highs = ((database.centers + half).ravel() - means) / scale

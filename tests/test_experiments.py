@@ -80,6 +80,10 @@ def test_config_validation():
         ("histogram_bin", math.nan),
         ("histogram_bin", 9.99e-5),
         ("histogram_bin", 5e-324),
+        # a width of 1e-9 would ask for a billion edges, about 8 GB
+        ("histogram_bin", 1e-9),
+        ("histogram_bin", -0.1),
+        ("histogram_bin", math.inf),
         ("mu_p", 10**400),
         ("m_sessions", 2**63),
         ("d_values", (0.0, 1.5)),
@@ -97,9 +101,15 @@ def test_config_validation():
         CampaignConfig.from_dict({"experiment_id": "collision_histogram", "m_sessions": 1.5})
     with pytest.raises(TypeError):
         CampaignConfig(experiment_id="clone_cloud", mode_counts=(121, 2.5))
-    for field, value in (("tau", True), ("mu_p", "2500"), ("d_values", (0.0, False))):
-        with pytest.raises(TypeError):
+    for field, value in (("tau", True), ("mu_p", "2500"), ("d_values", (0.0, False)),
+                         ("histogram_bin", True)):
+        with pytest.raises(TypeError, match=field):
             CampaignConfig(experiment_id="clone_cloud", **{field: value})
+    # a string is not iterated character by character, and a scalar is named
+    for field in ("mode_counts", "d_values", "photons_per_mode_values"):
+        for value in ("0.5", 0.5, 16, None):
+            with pytest.raises(TypeError, match=f"^{field} must be a list or tuple"):
+                CampaignConfig.from_dict({"experiment_id": "clone_cloud", field: value})
     # the interval ends that are allowed
     CampaignConfig(experiment_id="cheating_curve", tau=1.0, eta=1.0, l_over_L=0.0,
                    histogram_bin=1.0, d_values=(0.0, 1.0))
@@ -133,18 +143,11 @@ def test_histogram_construction():
     assert counts[-1] == 1  # 1.0 lands in the closing bin
     # the mode bin is the first fullest row: max keeps the first of equal keys
     assert max(rows, key=lambda row: row[2])[:2] == (0.0, 0.01)
-    with pytest.raises(ValueError):
-        experiments._histogram_rows([0.1], 0.0)
 
 
 def test_histogram_bin_width_follows_the_config_interval():
-    # the one rule is REAL_INTERVALS["histogram_bin"], [1e-4, 1]: a width
-    # of 1e-9 would ask for a billion edges, about 8 GB
-    for bad in (1e-9, 9.99e-5, 0.0, -0.1, 1.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="bin_width"):
-            experiments._histogram_rows([0.1], bad)
-    with pytest.raises(TypeError, match="bin_width"):
-        experiments._histogram_rows([0.1], True)
+    # CampaignConfig checks the width against REAL_INTERVALS["histogram_bin"],
+    # [1e-4, 1] (see test_config_validation); its narrowest width gives 10,000 bins
     assert len(list(experiments._histogram_rows([0.1], 1e-4))) == 10_000
 
 
@@ -199,7 +202,7 @@ def test_collision_histogram_trials_are_order_independent():
     first = false_key_sums(config.n_modes, config.l_over_L, config.tau, 1,
                            substream(config.seed, 2, 0))
     assert first.tobytes() == sums[:1].tobytes()
-    p_ins, _ = verify_block(first, database, verification, substream(config.seed, 3, 0))
+    _, p_ins, _ = verify_block(first, database, verification, substream(config.seed, 3, 0))
     assert p_ins[0] == result.false_p_ins[0]
 
 

@@ -22,7 +22,6 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.homodyne import quadrature_means
 from cvpuk.protocol import _cells
 from cvpuk.scattering import masked_sums
 
@@ -61,7 +60,8 @@ def test_probe_set_requires_more_than_two_states():
 
 
 def test_quadrature_mean_protocol_angles():
-    means = quadrature_means(np.array([1 + 1j, 0.0]))
+    # under probe 0 of a one-photon set, whose amplitude is exactly 1
+    means = ProbeSet(3, 1.0).responses(np.array([1 + 1j, 0.0]))[:, 0]
     assert means.tolist() == [[math.sqrt(2.0), math.sqrt(2.0)], [0.0, 0.0]]
 
 
@@ -83,7 +83,7 @@ def test_quadrature_mean_general_angle():
     rng = substream(30, 0)
     for _ in range(50):
         amplitude = complex(rng.normal(), rng.normal())
-        x, y = quadrature_means(np.array(amplitude)).tolist()
+        x, y = ProbeSet(3, 1.0).responses(np.complex128(amplitude))[0].tolist()
         assert x == pytest.approx(_quadrature_mean(amplitude, 0.0), abs=1e-12)
         assert y == pytest.approx(_quadrature_mean(amplitude, HALF_PI), abs=1e-12)
 
@@ -153,11 +153,15 @@ def test_bin_center_equals_quadrature_mean():
         means, lows, highs = _cells_of(key, database)
         # an exactly enrolled key's bins are centred bitwise on its own means
         assert database.centers.tobytes() == means.tobytes()
-        amplitudes = masked_sums(key.coefficients, 0.8, database.mask) * probes.amplitudes()
-        for (x, y), low, high, amplitude in zip(means, lows, highs, amplitudes):
-            assert [x, y] == quadrature_means(np.complex128(amplitude)).tolist()
-            expected = [_quadrature_mean(amplitude, theta) for theta in (0.0, HALF_PI)]
-            assert 0.5 * (low + high) == pytest.approx(expected, abs=1e-12)
+        # the paper's field sum_j c_j sqrt(tau / n) e^{i phi_j} alpha_k, term by term
+        total = sum(c * math.sqrt(0.8 / n_modes) * cmath.exp(1j * phi)
+                    for c, phi in zip(key.coefficients.tolist(), database.mask.phases.tolist()))
+        alphas = (math.sqrt(probes.mean_photons) * cmath.exp(2j * math.pi * k / probes.size)
+                  for k in range(probes.size))
+        for (x, y), low, high, alpha in zip(means, lows, highs, alphas):
+            expected = [_quadrature_mean(total * alpha, theta) for theta in (0.0, HALF_PI)]
+            assert [x, y] == pytest.approx(expected, rel=1e-12, abs=1e-9)
+            assert 0.5 * (low + high) == pytest.approx([x, y], abs=1e-12)
 
 
 class _Outcomes:
@@ -262,7 +266,7 @@ def test_empirical_in_bin_frequency_matches_p_in():
     # both quadratures converge to the same in-bin probability
     channel = _channel(0.55, 2.0)
     expected = p_in_theoretical(channel)
-    response = quadrature_means(np.complex128(3.0 + 4.0j)).tolist()
+    response = [math.sqrt(2.0) * 3.0, math.sqrt(2.0) * 4.0]  # of the field 3 + 4i
     draws = 200_000
     for stream, mean in enumerate(response):
         rng = substream(33, stream)

@@ -34,7 +34,6 @@ from cvpuk import (
     radii,
     run_clone_experiments,
     run_collision_histogram,
-    scattered_amplitude,
     substream,
     verify,
 )
@@ -598,22 +597,27 @@ def test_hit_probability_of_exactly_enrolled_genuine_key_is_p_in():
 
 
 def _hit_probability_oracle(key, database):
-    """Mean bin mass over the cells, in 40-digit arithmetic from the same doubles."""
-    amplitudes = scattered_amplitude(key, database.setup_loss, database.mask,
-                                     database.probe_set.amplitudes())
-    means = np.column_stack((math.sqrt(2.0) * amplitudes.real,
-                             math.sqrt(2.0) * amplitudes.imag))
+    """Mean bin mass over the cells, in 40-digit arithmetic from the doubles of the
+    key, the database and its probes: the key's quadrature means are ``sqrt(2)
+    (Re, Im)`` of the paper's field ``sum_j c_j sqrt(tau / n) e^{i phi_j} alpha_k``."""
     half = 0.5 * database.channel.bin_width
     lows = database.centers - half
     highs = database.centers + half
+    probes = database.probe_set
     with mpmath.workdps(40):
+        coupling = mpmath.sqrt(mpmath.mpf(database.setup_loss) / key.mode_count)
+        masked = mpmath.fsum(mpmath.mpc(c) * coupling * mpmath.expj(phi) for c, phi
+                             in zip(key.coefficients.tolist(), database.mask.phases.tolist()))
+        fields = [masked * mpmath.sqrt(probes.mean_photons)
+                  * mpmath.expj(2 * mpmath.pi * k / probes.size) for k in range(probes.size)]
+        means = [part * mpmath.sqrt(2) for field in fields for part in (field.real, field.imag)]
         sigma = mpmath.mpf(database.channel.shot_noise)
         total = mpmath.fsum(
-            mpmath.ncdf((mpmath.mpf(high) - mpmath.mpf(mean)) / sigma)
-            - mpmath.ncdf((mpmath.mpf(low) - mpmath.mpf(mean)) / sigma)
-            for mean, low, high in zip(means.flat, lows.flat, highs.flat)
+            mpmath.ncdf((mpmath.mpf(high) - mean) / sigma)
+            - mpmath.ncdf((mpmath.mpf(low) - mean) / sigma)
+            for mean, low, high in zip(means, lows.flat, highs.flat)
         )
-        return float(total / means.size)
+        return float(total / len(means))
 
 
 def test_hit_probability_matches_mpmath_oracle():

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 import math
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from cvpuk import (
     DegenerateKeyError,
     PhaseMask,
+    ProbeSet,
     ScatteringKey,
     enhancement,
     generate_key,
     optimal_mask,
-    scattered_amplitude,
     substream,
     wrap_phase,
 )
@@ -81,20 +82,27 @@ def _unit_key(coefficients):
     return ScatteringKey(np.asarray(coefficients, dtype=complex), 0.0)
 
 
+def _masked_sum(key, tau, mask):
+    """The paper's masked sum ``sum_j c_j sqrt(tau / n) e^{i phi_j}``, term by term."""
+    coupling = math.sqrt(tau / key.mode_count)
+    return sum(c * coupling * cmath.exp(1j * phi)
+               for c, phi in zip(key.coefficients.tolist(), mask.phases.tolist()))
+
+
 def test_uniform_illumination_values():
     # uniform illumination couples every mode with the real amplitude
     # sqrt(tau / n): a key reflecting one mode reads off that mode's value
     flat = PhaseMask(np.zeros(4))
     for mode in range(4):
-        assert scattered_amplitude(_unit_key(np.eye(4)[mode]), 1.0, flat, 1.0) == 0.5
+        assert masked_sums(_unit_key(np.eye(4)[mode]).coefficients, 1.0, flat) == 0.5
 
     flat = PhaseMask(np.zeros(256))
-    single_mode = scattered_amplitude(_unit_key(np.eye(256)[0]), 0.8, flat, 1.0)
+    single_mode = masked_sums(_unit_key(np.eye(256)[0]).coefficients, 0.8, flat)
     assert abs(single_mode) ** 2 == pytest.approx(0.003125, rel=1e-12)
-    every_mode = scattered_amplitude(_unit_key(np.ones(256)), 0.8, flat, 1.0)
+    every_mode = masked_sums(_unit_key(np.ones(256)).coefficients, 0.8, flat)
     assert abs(abs(every_mode) ** 2 / 256 - 0.8) <= 1e-12
 
-    assert scattered_amplitude(_unit_key([1.0]), 0.49, PhaseMask(np.zeros(1)), 1.0) == 0.7
+    assert masked_sums(_unit_key([1.0]).coefficients, 0.49, PhaseMask(np.zeros(1))) == 0.7
 
 
 @pytest.mark.parametrize(
@@ -106,7 +114,7 @@ def test_uniform_illumination_rejects_bad_parameters(mode_count, tau):
     # finite throughput tau in (0, 1]
     with pytest.raises(ValueError):
         key = generate_key(mode_count, 0.2, substream(21, 0))
-        scattered_amplitude(key, tau, PhaseMask(np.zeros(mode_count)), 1.0)
+        masked_sums(key.coefficients, tau, PhaseMask(np.zeros(mode_count)))
 
 
 @pytest.mark.parametrize("tau", [0.0, 1.2, math.nan, math.inf, True,
@@ -122,47 +130,60 @@ def test_every_tau_entry_point_rejects_bad_tau(tau):
         false_key_sums(4, 0.2, tau, 2, substream(22, 1))
 
 
-def test_scattered_amplitude_zero_key():
+def _field(responses):
+    """The fields ``(x + i y) / sqrt(2)`` of an array of quadrature means."""
+    return (responses[..., 0] + 1j * responses[..., 1]) / math.sqrt(2.0)
+
+
+def test_zero_key_has_no_response():
     key = ScatteringKey(np.zeros(5, dtype=complex), 0.0)
     tau = 0.8
     mask = PhaseMask(np.linspace(-3, 3, 5))
-    assert scattered_amplitude(key, tau, mask, 2.0 + 1.0j) == 0
+    total = masked_sums(key.coefficients, tau, mask)
+    assert total == 0
+    assert not ProbeSet(5, 5.0).responses(total).any()
 
 
-def test_scattered_amplitude_phase_cancellation():
+def test_masked_sum_phase_cancellation():
     key = ScatteringKey(np.array([0.1 * np.exp(1j * math.pi / 3)]), 0.2)
     tau = 0.25
     mask = PhaseMask(np.array([-math.pi / 3]))
-    amplitude = scattered_amplitude(key, tau, mask, 2.0)
-    assert amplitude.real == pytest.approx(0.1, rel=1e-12)
-    assert abs(amplitude.imag) < 1e-15
+    # sqrt(0.25 / 1) * 0.1 under probe 0 of amplitude 2
+    x, y = ProbeSet(3, 4.0).responses(masked_sums(key.coefficients, tau, mask))[0]
+    assert x == pytest.approx(0.1 * math.sqrt(2.0), rel=1e-12)
+    assert abs(y) < 1e-15
 
 
-def test_scattered_amplitude_shape_mismatch():
+def test_masked_sum_shape_mismatch():
     key = generate_key(4, 0.2, substream(5, 0))
     for wrong_length in (3, 5):
         with pytest.raises(ValueError):
-            scattered_amplitude(key, 0.8, PhaseMask(np.zeros(wrong_length)), 1.0)
+            masked_sums(key.coefficients, 0.8, PhaseMask(np.zeros(wrong_length)))
 
 
 def test_linearity_exact_for_binary_scalings():
+    # a response is linear in the masked sum, exactly for a power-of-two scaling
     key = generate_key(16, 0.2, substream(6, 0))
     tau = 0.8
     mask = PhaseMask(substream(6, 1).uniform(-math.pi, math.pi, 16))
-    base = 1.3 - 0.4j
-    reference = scattered_amplitude(key, tau, mask, base)
-    for scaling in (2.0, 0.5, -1.0, 2.0j):
-        assert scattered_amplitude(key, tau, mask, scaling * base) == scaling * reference
+    probes = ProbeSet(11, 2500.0)
+    total = masked_sums(key.coefficients, tau, mask)
+    reference = probes.responses(total)
+    for scaling in (2.0, 0.5, -1.0):
+        assert probes.responses(scaling * total).tolist() == (scaling * reference).tolist()
+    # a probe strength four times as large doubles every amplitude exactly
+    assert ProbeSet(11, 10_000.0).responses(total).tolist() == (2.0 * reference).tolist()
 
 
 def test_linearity_close_for_general_scalings():
     key = generate_key(16, 0.2, substream(7, 0))
     tau = 0.8
     mask = PhaseMask(substream(7, 1).uniform(-math.pi, math.pi, 16))
-    base = 0.7 + 0.2j
-    reference = scattered_amplitude(key, tau, mask, base)
-    for scaling in (1.7 - 2.2j, -0.3 + 0.9j):
-        scaled = scattered_amplitude(key, tau, mask, scaling * base)
+    probes = ProbeSet(11, 2500.0)
+    total = masked_sums(key.coefficients, tau, mask)
+    reference = _field(probes.responses(total))
+    for scaling in (1.7 - 2.2j, -0.3 + 0.9j, 2.0j):
+        scaled = _field(probes.responses(scaling * total))
         assert scaled == pytest.approx(scaling * reference, rel=1e-12)
 
 
@@ -176,11 +197,11 @@ def test_optimal_mask_single_mode():
 def test_optimal_mask_is_global_optimum():
     key = generate_key(32, 0.2, substream(8, 0))
     tau = 0.8
-    best = abs(scattered_amplitude(key, tau, optimal_mask(key, tau), 1.0))
+    best = abs(masked_sums(key.coefficients, tau, optimal_mask(key, tau)))
     rng = substream(8, 1)
     for _ in range(1000):
         mask = PhaseMask(rng.uniform(-math.pi, math.pi, 32))
-        assert abs(scattered_amplitude(key, tau, mask, 1.0)) < best
+        assert abs(masked_sums(key.coefficients, tau, mask)) < best
 
 
 def test_optimal_mask_degenerate_key():
@@ -243,7 +264,7 @@ def test_amplitude_squared_matches_enhancement():
     mask = optimal_mask(key, tau)
     mu_p = 2500.0
     mu_c = 0.8 * mu_p
-    amplitude = scattered_amplitude(key, tau, mask, math.sqrt(mu_p))
+    amplitude = _masked_sum(key, tau, mask) * math.sqrt(mu_p)
     gain = enhancement(key, tau, mask, mu_c)
     assert abs(amplitude) ** 2 == pytest.approx(gain * key.variance * mu_c, rel=1e-12)
 
@@ -308,18 +329,19 @@ _FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 64), st.integers(0, 2**32), st.floats(0.01, 1.0), _FINITE, _FINITE)
-def test_scattered_amplitude_is_linear_in_the_probe_amplitude(n_modes, seed, tau, a, b):
+def test_responses_are_linear_in_the_masked_sum(n_modes, seed, tau, a, b):
     key = generate_key(n_modes, 0.2, substream(seed, 0))
     mask = PhaseMask(substream(seed, 1).uniform(-math.pi, math.pi, n_modes))
-    unit = scattered_amplitude(key, tau, mask, 1.0)
-    fields = scattered_amplitude(key, tau, mask, np.array([a, b, a + b]))
-    # homogeneous exactly: the field is the masked sum times the amplitude
-    assert fields[0] == unit * a and fields[1] == unit * b
-    assert scattered_amplitude(key, tau, mask, a) == fields[0]
-    # additive up to the rounding of a + b and of the three products, which
-    # is absolute, not relative, among subnormal fields
-    slack = 1e-12 * abs(unit) * (abs(a) + abs(b)) + np.finfo(float).tiny
-    assert abs(fields[2] - (fields[0] + fields[1])) <= slack
+    total = masked_sums(key.coefficients, tau, mask)
+    probes = ProbeSet(5, 1.0)  # unit probe amplitudes
+    unit = _field(probes.responses(total))
+    fields = _field(probes.responses(total * np.array([a, b, a + b])))
+    # homogeneous and additive up to the rounding of a + b and of the
+    # products, which is absolute, not relative, among subnormal fields
+    slack = 1e-12 * abs(total) * (abs(a) + abs(b)) + np.finfo(float).tiny
+    assert np.all(abs(fields[0] - unit * a) <= slack)
+    assert np.all(abs(fields[1] - unit * b) <= slack)
+    assert np.all(abs(fields[2] - (fields[0] + fields[1])) <= slack)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

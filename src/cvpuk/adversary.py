@@ -44,7 +44,7 @@ def replaced_count(fraction: float, mode_count: int) -> int:
 
 
 def _replaced_positions(true_key: ScatteringKey, fraction: float, rows: int,
-                        rng: np.random.Generator | None) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Replaced positions ``(rows, count)`` of ``rows`` clones by a partial
     Fisher–Yates shuffle (Durstenfeld, CACM 7, 420, 1964) of each row's slots
     ``0 .. n-1``: one ``integers(0, n - arange(s), size=(rows, s))`` call,
@@ -52,8 +52,8 @@ def _replaced_positions(true_key: ScatteringKey, fraction: float, rows: int,
     ``i + offset``.  The replaced positions are slots ``:count``, or past
     half the complement of the ``s`` kept ones, slots ``s:``.  Row ``r``
     depends only on row ``r`` of the offsets, so the first rows equal a
-    draw of fewer rows.  ``count == 0`` uses no ``rng``; ``count == n``
-    draws nothing."""
+    draw of fewer rows.  ``count == 0`` and ``count == n`` draw nothing
+    from ``rng``."""
     n = true_key.mode_count
     count = replaced_count(fraction, n)
     if not count:
@@ -103,14 +103,15 @@ def false_key_sums(mode_count: int, l_over_L: float, tau: float, rows: int,
 
 
 def clone_sums(true_key: ScatteringKey, fraction: float, tau: float, mask: PhaseMask,
-               rows: int, rng: np.random.Generator | None) -> np.ndarray:
+               rows: int, rng: np.random.Generator) -> np.ndarray:
     """Masked sums of ``rows`` clones under ``mask``, shape ``(rows,)``: row ``r``
     is ``true_sum - sum(t[R_r]) + fresh_r``, with ``t`` the true key's
     :func:`masked_terms`, ``R_r`` row ``r`` of one partial Fisher–Yates draw
     of positions (row 0 is what :func:`clone_key` picks from the same stream)
     and ``fresh_r`` the replacements' terms, one circular Gaussian of variance
     ``count * tau * variance / n`` from a ``(rows, 2, 1)`` block drawn after
-    all positions.  A fraction that replaces nothing never uses ``rng``."""
+    all positions.  ``rng`` is always a generator; a fraction that replaces
+    nothing draws nothing from it, and every row is the true sum."""
     terms = masked_terms(true_key.coefficients, tau, mask)
     positions = _replaced_positions(true_key, fraction, rows, rng)
     count = positions.shape[1]

@@ -11,28 +11,28 @@ chunks or the trial count; runs are reproducible down to the byte.
 Sub-stream paths:
 
 ====================  ==========================================
-``(0,)``              true-key generation
-``(1,)``              true-key verification
-``(2, c)``            masked sums of the false keys of chunk ``c``
-``(3, c)``            verification of those false keys
+``(0,)``              true key, then its verification
+``(2, c)``            false keys of chunk ``c``, then their verification
 ``(4, i)``            true key for the ``i``-th mode count
-``(5, i, d, c)``      clones of chunk ``c`` at mode-count index ``i``, fraction index ``d``
-``(6, i, d, c)``      verification of those clones (not drawn by ``clone_cloud``)
+``(5, i, d, c)``      clones of chunk ``c`` at mode-count index ``i``,
+                      fraction index ``d``, then their verification
 ====================  ==========================================
 
-A chunk makes one call per array: ``standard_normal((rows, 2, 1))`` for
-the masked sums of false keys (see :func:`cvpuk.adversary.false_key_sums`;
-no false key's coefficients are drawn); ``integers(0, n - arange(s),
-size=(256, s))`` with ``s = min(count, n - count)``, the offsets of a
-partial Fisher–Yates shuffle, for the replaced positions of clones (none
-when ``count == n``), then ``standard_normal((256, 2, 1))`` for their
-fresh terms' sums (see :func:`cvpuk.adversary.clone_sums`; no
-``(5, i, d, c)`` stream is built when a fraction replaces nothing, and
-such clones share the true key's one masked sum); one
-``binomial(m_sessions, p̄)`` for the hit counts.  A partial chunk draws
-only its rows, but a clone chunk draws all 256, as its normals follow
-its offsets.  The chunk is also the unit of masked sums and ``p̄``.
-Campaigns never trace.
+Every chunk draws from its one stream the keys of all 256 rows, then
+one ``binomial(m_sessions, p̄)`` for the hit counts of its ``rows``
+trials; a partial chunk keeps the first ``rows`` keys, so its rows are
+those of a full chunk, and a campaign that verifies nothing stops after
+the keys.  The keys take one call per array: ``standard_normal((256, 2,
+1))`` for the masked sums of false keys (see
+:func:`cvpuk.adversary.false_key_sums`; no false key's coefficients are
+drawn); ``integers(0, n - arange(s), size=(256, s))`` with ``s =
+min(count, n - count)``, the offsets of a partial Fisher–Yates shuffle,
+for the replaced positions of clones (none when ``count == n``), then
+``standard_normal((256, 2, 1))`` for their fresh terms' sums (see
+:func:`cvpuk.adversary.clone_sums`; a fraction that replaces nothing
+draws no key, and its clones share the true key's one masked sum).  The
+chunk is also the unit of masked sums and ``p̄``.  Campaigns never
+trace.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .adversary import clone_sums, false_key_sums, replaced_count
+from .adversary import clone_sums, false_key_sums
 from .homodyne import HomodyneChannel, ProbeSet, p_in_theoretical
 from .protocol import (
     VerificationConfig,
@@ -233,10 +233,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _chunks(trials: int):
-    """``(chunk index, first trial, rows)`` of every chunk; each chunk writes
-    at its own trial indices, so the order of this list changes no result."""
-    return [(chunk, start, min(STREAM_CHUNK, trials - start))
+def _chunks(trials: int, seed: int, *path: int):
+    """``(stream, first trial, rows)`` of every chunk, the stream that of
+    ``path + (chunk index,)``; each chunk writes at its own trial indices,
+    so the order of this list changes no result."""
+    return [(substream(seed, *path, chunk), start, min(STREAM_CHUNK, trials - start))
             for chunk, start in enumerate(range(0, trials, STREAM_CHUNK))]
 
 
@@ -254,21 +255,20 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     verification = config.verification()
     expected = public_p_in(channel, verification.error_level)
 
-    true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
+    true_stream = substream(config.seed, 0)
+    true_key = generate_key(config.n_modes, config.l_over_L, true_stream)
     database = enroll_exact(true_key, config.tau, probes, channel)
     # what an untraced verify of the true key draws: row 0 of a block of one
     true_sum = masked_sums(true_key.coefficients[np.newaxis], config.tau, database.mask)
-    _, true_p_ins, true_verdicts = verify_block(true_sum, database, verification,
-                                                substream(config.seed, 1))
+    _, true_p_ins, true_verdicts = verify_block(true_sum, database, verification, true_stream)
 
     false_p_ins = np.empty(config.trials)
     accepted = 0
-    for chunk, start, rows in _chunks(config.trials):
-        sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, rows,
-                              substream(config.seed, 2, chunk))
+    for stream, start, rows in _chunks(config.trials, config.seed, 2):
+        sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, STREAM_CHUNK,
+                              stream)[:rows]
         _, false_p_ins[start:start + rows], verdicts = verify_block(
-            sums, database, verification, substream(config.seed, 3, chunk),
-        )
+            sums, database, verification, stream)
         accepted += int(np.count_nonzero(verdicts))
 
     return CollisionResult(
@@ -291,9 +291,9 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     rho_false, rho_true = radii(config.mu_c, true_key.variance, gain)
 
     means = np.empty((config.trials, 2))
-    for chunk, start, rows in _chunks(config.trials):
-        sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, rows,
-                              substream(config.seed, 2, chunk))
+    for stream, start, rows in _chunks(config.trials, config.seed, 2):
+        sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, STREAM_CHUNK,
+                              stream)[:rows]
         means[start:start + rows] = probes.responses(sums)[:, 0]
 
     return ResponseCloudResult(
@@ -349,17 +349,13 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
         database = enroll_exact(true_key, config.tau, probes, channel)
         true_responses[i] = database.centers[0]
         for d, fraction in enumerate(config.d_values):
-            replaces = replaced_count(fraction, n_modes) > 0
-            for chunk, start, rows in _chunks(config.trials):
-                # a partial chunk draws all rows: its normals follow its offsets
-                stream = substream(config.seed, 5, i, d, chunk) if replaces else None
+            for stream, start, rows in _chunks(config.trials, config.seed, 5, i, d):
                 sums = clone_sums(true_key, fraction, config.tau, database.mask, STREAM_CHUNK,
                                   stream)[:rows]
                 means[i, d, start:start + rows] = probes.responses(sums)[:, 0]
                 if verifies:
                     _, p_ins[i, d, start:start + rows], verdicts = verify_block(
-                        sums, database, verification, substream(config.seed, 6, i, d, chunk),
-                    )
+                        sums, database, verification, stream)
                     accepted[i, d] += np.count_nonzero(verdicts)
 
     return CloneExperimentsResult(

@@ -38,8 +38,8 @@ SHA256 = {
     },
     "collision_histogram": {
         "config.json": "0c0eed9e6972927a387f046a2389f88af0f1f138bf9db69dd1b80af82024dbbf",
-        "histogram.csv": "6566deb97b62168fd8f8789f3d9bc48941418463e304fd52c887897607f2b455",
-        "summary.json": "5bd03facb18e4bf1e9591aadfdf68eb09d308145feaab2a9619e8d7da9e71deb",
+        "histogram.csv": "90f7426e5e6ad47b689af37936daeb9aa80a773e66ba49e4e7b01585cc768a26",
+        "summary.json": "7ddb90fd5a5896f2b1006d42c4f0dfc6c6d6e0bb8990a2b92d5df083887a2d79",
     },
     "clone_cloud": {
         "clone_cloud_n121.csv": "bc514a37ccac78cce23c462a46107bc1efb3a903583c43f013fcb52d0f5e5e56",
@@ -48,15 +48,15 @@ SHA256 = {
         "summary.json": "927f5c6fc38951357cf7777f3b1654370e67d292776d54196187b8f2ff438134",
     },
     "clone_histograms": {
-        "clone_histograms_n121.csv": "5d7fe5118f7b39316872861e106cc4e3beefe6c866cf7d5832f39377febc275f",
-        "clone_histograms_n16.csv": "cb2b0d6cc66cd0d919acbdb45c3c5360ff32835fffd2d0f99e7839bd15376f63",
+        "clone_histograms_n121.csv": "d60bee7c3884775156fd780e038c70896f9d2ecc46282ee203fa29c10a3151a8",
+        "clone_histograms_n16.csv": "faadbaa833d86eff296c716d589653246ce817224b4de08df9eb8a518943ef43",
         "config.json": "439290a6df9b7b8f4342c1ac285f809cd7524f3462281c3ec033567ede4ce70e",
         "summary.json": "e701ffff66fd1b8158641e9340a8b110bc78ffc4c5c4b0d0f7df9d50737bb72e",
     },
     "cheating_curve": {
-        "cheating.csv": "d6c765419e22310858e460e8d0afc131254b952d9bde4c6c41935322c908792a",
+        "cheating.csv": "9baf5e519c260a6e809738d557552ad4fcc88baf3c6276d7befb619b9c310007",
         "config.json": "ebdb4400a4d4ec60e2c9dda04e09f7da2cb47be11f67afc308687b2a50097eb0",
-        "summary.json": "c595b86f64524df21cc66bc81b08563d07958781fa49ee599c9a80b2012e5c76",
+        "summary.json": "3fde75569f072ff09893a4f02067a7e5e126858f7bc4383c68bcd923cc11bc03",
     },
 }
 

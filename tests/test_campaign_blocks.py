@@ -1,8 +1,10 @@
 """Campaigns draw their trials in chunks; every row must equal its chunk reference.
 
 Trial ``t`` of a purpose is row ``t % STREAM_CHUNK`` of chunk
-``t // STREAM_CHUNK``, drawn from the chunk's own stream.  The references
-below draw every chunk in full straight from its stream.  A clone row is
+``t // STREAM_CHUNK``, drawn from the chunk's one stream: first the keys
+of all its rows, then one binomial draw for the hit counts of its
+trials.  The references below draw every chunk in full straight from
+its stream, the keys and then the hit counts.  A clone row is
 its sufficient statistic, evaluated on its own: the true key's masked
 sum, less the true key's masked terms at the row's replaced positions
 (a plain Fisher–Yates loop over the row's offsets), plus one circular
@@ -69,15 +71,18 @@ def _coefficients(parts, variance):
     return math.sqrt(variance / 2.0) * (parts[0] + 1j * parts[1])
 
 
-def _reference_false_key_sums(config):
-    """The masked sum of every false key of a config, each chunk's
-    ``(256, 2, 1)`` normals drawn in full from ``(2, c)``."""
+def _reference_false_key_chunks(config):
+    """``(stream, sums)`` of every chunk of false keys: its ``(2, c)`` stream,
+    after the chunk's ``(256, 2, 1)`` normals are drawn from it in full, and
+    the masked sums of the chunk's trials."""
     variance = config.tau * (1.0 - config.l_over_L) / config.n_modes
-    sums = []
-    for chunk in range(-(-config.trials // STREAM_CHUNK)):
-        parts = substream(config.seed, 2, chunk).standard_normal((STREAM_CHUNK, 2, 1))
-        sums.extend(_coefficients(row, variance)[0] for row in parts)
-    return sums[:config.trials]
+    chunks = []
+    for start in range(0, config.trials, STREAM_CHUNK):
+        stream = substream(config.seed, 2, start // STREAM_CHUNK)
+        parts = stream.standard_normal((STREAM_CHUNK, 2, 1))
+        rows = min(STREAM_CHUNK, config.trials - start)
+        chunks.append((stream, [_coefficients(row, variance)[0] for row in parts[:rows]]))
+    return chunks
 
 
 def _offsets(rng, rows, n_modes, count):
@@ -97,30 +102,33 @@ def _reference_positions(offsets, n_modes, count):
     return slots[:count] if count <= n_modes - count else slots[len(offsets):]
 
 
-def _reference_clone_sums(config, true_key, mask, n_index, d_index):
-    """The masked sum of every clone of one cluster, each chunk drawn in full
-    from ``(5, i, d, c)`` and each row summed alone: the true sum less the
-    true terms at the row's Fisher–Yates positions, plus the row's circular
-    Gaussian of variance ``count * tau * variance / n``.  The normals of all
-    rows follow all the offsets."""
+def _reference_clone_chunks(config, true_key, mask, n_index, d_index):
+    """``(stream, sums)`` of every chunk of one clone cluster: its
+    ``(5, i, d, c)`` stream, after the chunk's clones are drawn from it in
+    full, and the masked sums of the chunk's trials, each row summed alone:
+    the true sum less the true terms at the row's Fisher–Yates positions,
+    plus the row's circular Gaussian of variance ``count * tau * variance / n``.
+    The normals of all rows follow all the offsets; a fraction that replaces
+    nothing draws nothing."""
     n_modes = true_key.mode_count
     count = replaced_count(config.d_values[d_index], n_modes)
     true_sum = masked_sums(true_key.coefficients, config.tau, mask)
     terms = masked_terms(true_key.coefficients, config.tau, mask)
     variance = count * config.tau * true_key.variance / n_modes
-    sums = []
-    for chunk in range(-(-config.trials // STREAM_CHUNK)):
+    chunks = []
+    for start in range(0, config.trials, STREAM_CHUNK):
+        rng = substream(config.seed, 5, n_index, d_index, start // STREAM_CHUNK)
+        rows = min(STREAM_CHUNK, config.trials - start)
         if not count:
-            sums.extend([true_sum] * STREAM_CHUNK)
+            chunks.append((rng, [true_sum] * rows))
             continue
-        rng = substream(config.seed, 5, n_index, d_index, chunk)
         offsets = _offsets(rng, STREAM_CHUNK, n_modes, count)
         normals = rng.standard_normal((STREAM_CHUNK, 2, 1))
-        for row_offsets, row_normals in zip(offsets, normals):
-            positions = _reference_positions(row_offsets, n_modes, count)
-            sums.append(true_sum - np.sum(terms[positions])
-                        + _coefficients(row_normals, variance)[0])
-    return sums[:config.trials]
+        sums = [true_sum - np.sum(terms[_reference_positions(row_offsets, n_modes, count)])
+                + _coefficients(row_normals, variance)[0]
+                for row_offsets, row_normals in zip(offsets[:rows], normals[:rows])]
+        chunks.append((rng, sums))
+    return chunks
 
 
 class _Drawn:
@@ -133,52 +141,65 @@ class _Drawn:
         return np.full(np.shape(p), self.hits)
 
 
-def _reference_verdicts(p_bars, database, config, *path):
-    """``(p_in, accepted)`` of every trial given its ``p̄``, one binomial draw
-    per full chunk of ``path + (c,)``; the verdict is the protocol's rule
-    ``|p_in - P_in| < epsilon``."""
+def _reference_verdicts(chunks, database, config):
+    """``(p_in, accepted)`` of every trial, from ``(stream, p̄ values)`` of
+    every chunk: one binomial draw of a full chunk on the chunk's stream,
+    of which the chunk's trials are the first rows; the verdict is the
+    protocol's rule ``|p_in - P_in| < epsilon``."""
     expected = p_in_theoretical(database.channel)
     outcomes = []
-    for start in range(0, len(p_bars), STREAM_CHUNK):
-        chunk = list(p_bars[start:start + STREAM_CHUNK])
-        padded = chunk + [0.5] * (STREAM_CHUNK - len(chunk))
-        hits = substream(config.seed, *path, start // STREAM_CHUNK).binomial(
-            config.m_sessions, padded)
-        for count in hits[:len(chunk)]:
+    for stream, p_bars in chunks:
+        padded = list(p_bars) + [0.5] * (STREAM_CHUNK - len(p_bars))
+        for count in stream.binomial(config.m_sessions, padded)[:len(p_bars)]:
             p_in = count / config.m_sessions
             outcomes.append((p_in, abs(p_in - expected) < config.epsilon))
     return outcomes
 
 
+def _p_bars(chunks, database):
+    """``(stream, p̄ values)`` of ``(stream, sums)`` chunks, each row's ``p̄``
+    from ``hit_probabilities`` of that row alone."""
+    return [(stream, [float(hit_probabilities(np.array([total]), database)[0])
+                      for total in sums]) for stream, sums in chunks]
+
+
 def _reference_response_cloud(config):
     amplitude = math.sqrt(config.mu_p)
     return [tuple(_quadrature_means(total * amplitude).tolist())
-            for total in _reference_false_key_sums(config)]
+            for _, sums in _reference_false_key_chunks(config) for total in sums]
 
 
 def _reference_collision(config):
-    true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
+    """``(p_in, accepted)`` of the true key, verified on its ``(0,)`` stream
+    after the key is drawn, and of every false key."""
+    stream = substream(config.seed, 0)
+    true_key = generate_key(config.n_modes, config.l_over_L, stream)
     database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
-    p_bars = [hit_probabilities(np.array([total]), database)[0]
-              for total in _reference_false_key_sums(config)]
-    return _reference_verdicts(p_bars, database, config, 3)
+    true_sum = masked_sums(true_key.coefficients, config.tau, database.mask)
+    (true_outcome,) = _reference_verdicts(_p_bars([(stream, [true_sum])], database),
+                                          database, config)
+    chunks = _p_bars(_reference_false_key_chunks(config), database)
+    return true_outcome, _reference_verdicts(chunks, database, config)
 
 
 def _reference_clone_cluster(config, n_index, d_index):
     """Points, p_ins and verdicts of one clone cluster.  Row 0 of each chunk
-    must be what one binomial draw of its ``p̄`` gives on its own."""
+    must be what one binomial draw of its ``p̄`` gives on its own, from the
+    chunk's stream after its clones."""
     n_modes = config.mode_counts[n_index]
     true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, n_index))
     database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
-    sums = _reference_clone_sums(config, true_key, database.mask, n_index, d_index)
+    drawn = _reference_clone_chunks(config, true_key, database.mask, n_index, d_index)
     amplitude = math.sqrt(config.mu_p)
-    points = [tuple(_quadrature_means(total * amplitude).tolist()) for total in sums]
-    p_bars = [float(hit_probabilities(np.array([total]), database)[0]) for total in sums]
-    outcomes = _reference_verdicts(p_bars, database, config, 6, n_index, d_index)
-    for trial in range(0, len(sums), STREAM_CHUNK):
-        stream = substream(config.seed, 6, n_index, d_index, trial // STREAM_CHUNK)
-        hits = stream.binomial(config.m_sessions, p_bars[trial])
-        assert hits / config.m_sessions == outcomes[trial][0]
+    points = [tuple(_quadrature_means(total * amplitude).tolist())
+              for _, sums in drawn for total in sums]
+    chunks = _p_bars(drawn, database)
+    outcomes = _reference_verdicts(chunks, database, config)
+    redrawn = _reference_clone_chunks(config, true_key, database.mask, n_index, d_index)
+    for (stream, _), (_, p_bars), start in zip(redrawn, chunks,
+                                              range(0, config.trials, STREAM_CHUNK)):
+        hits = stream.binomial(config.m_sessions, p_bars[0])
+        assert hits / config.m_sessions == outcomes[start][0]
     return points, [p for p, _ in outcomes], [v for _, v in outcomes]
 
 
@@ -187,9 +208,13 @@ TRIALS = 70
 
 def test_block_geometry_of_the_reference_config():
     assert STREAM_CHUNK == 256
-    assert experiments._chunks(0) == []
-    assert experiments._chunks(70) == [(0, 0, 70)]
-    assert experiments._chunks(600) == [(0, 0, 256), (1, 256, 256), (2, 512, 88)]
+    assert experiments._chunks(0, 7, 2) == []
+    assert [(start, rows) for _, start, rows in experiments._chunks(70, 7, 2)] == [(0, 70)]
+    chunks = experiments._chunks(600, 7, 5, 1, 0)
+    assert [(start, rows) for _, start, rows in chunks] == [(0, 256), (256, 256), (512, 88)]
+    # chunk c draws from the stream of its purpose's path followed by c
+    for chunk, (stream, _, _) in enumerate(chunks):
+        assert stream.bit_generator.state == substream(7, 5, 1, 0, chunk).bit_generator.state
 
 
 def test_response_cloud_rows_equal_isolated_trials(tmp_path):
@@ -203,8 +228,9 @@ def test_response_cloud_rows_equal_isolated_trials(tmp_path):
 def test_collision_rows_equal_isolated_verifications(tmp_path):
     config = CampaignConfig(experiment_id="collision_histogram", trials=TRIALS,
                             m_sessions=1000, n_modes=121, mu_p=0.5, seed=32)
-    expected = _reference_collision(config)
+    true_outcome, expected = _reference_collision(config)
     result = run_collision_histogram(config)
+    assert (result.true_key_p_in, result.true_key_accepted) == true_outcome
     assert list(result.false_p_ins) == [p_in for p_in, _ in expected]
     accepted = sum(verdict for _, verdict in expected)
     assert result.false_acceptance_rate == accepted / TRIALS
@@ -264,8 +290,9 @@ def test_chunk_order_changes_no_artifact_byte(tmp_path, monkeypatch):
     reference = {c.experiment_id: run_campaign(c, tmp_path / "ref" / c.experiment_id)
                  for c in configs}
     in_order = experiments._chunks
-    monkeypatch.setattr(experiments, "_chunks", lambda trials: in_order(trials)[::-1])
-    assert [c for c, _, _ in experiments._chunks(600)] == [2, 1, 0]
+    monkeypatch.setattr(experiments, "_chunks", lambda *args: in_order(*args)[::-1])
+    assert [(start, rows) for _, start, rows in experiments._chunks(600, 42, 2)] == [
+        (512, 88), (256, 256), (0, 256)]
     for config in configs:
         paths = run_campaign(config, tmp_path / "reversed" / config.experiment_id)
         assert set(paths) == set(reference[config.experiment_id])
@@ -319,31 +346,49 @@ def test_first_trials_do_not_depend_on_trial_count(config, monkeypatch):
         assert short_result.means.tolist() == long_result.means[:, :, :300].tolist()
 
 
-def test_zero_fraction_builds_no_clone_stream(monkeypatch):
-    config = CampaignConfig(experiment_id="cheating_curve", trials=300, m_sessions=200,
-                            d_values=(0.0, 0.05), mode_counts=(16, 40), seed=43)
+def test_every_chunk_draws_from_one_stream_of_the_table(monkeypatch):
+    # 300 trials are one full chunk and one partial chunk
+    base = dict(trials=300, m_sessions=200, d_values=(0.0, 0.05), mode_counts=(16, 40),
+                seed=43)
     paths = []
-    rows = []
+    drawn = []
 
     def recording_substream(seed, *path):
         paths.append(path)
         return substream(seed, *path)
 
-    def recording_clone_sums(true_key, fraction, tau, mask, rows_drawn, rng):
-        rows.append((fraction, rng))
-        return clone_sums(true_key, fraction, tau, mask, rows_drawn, rng)
+    def recording_clone_sums(true_key, fraction, tau, mask, rows, rng):
+        state = rng.bit_generator.state
+        sums = clone_sums(true_key, fraction, tau, mask, rows, rng)
+        drawn.append((fraction, rng.bit_generator.state != state))
+        return sums
 
     monkeypatch.setattr(experiments, "substream", recording_substream)
     monkeypatch.setattr(experiments, "clone_sums", recording_clone_sums)
-    result = run_clone_experiments(config)
+    built = {}
+    results = {}
+    for experiment_id, runner in (("collision_histogram", run_collision_histogram),
+                                  ("response_cloud", run_response_cloud),
+                                  ("clone_cloud", run_clone_experiments),
+                                  ("cheating_curve", run_clone_experiments)):
+        paths.clear()
+        drawn.clear()
+        results[experiment_id] = runner(CampaignConfig(experiment_id=experiment_id, **base))
+        built[experiment_id] = sorted(paths)
+        if runner is run_clone_experiments:
+            # only a fraction that replaces something advances its chunk's stream
+            assert drawn == [(0.0, False), (0.0, False), (0.05, True), (0.05, True)] * 2
+    assert built["collision_histogram"] == built["response_cloud"] == [(0,), (2, 0), (2, 1)]
+    # every fraction has one stream per chunk, also D = 0, whose clones draw nothing
+    clone_paths = [(4, 0), (4, 1)] + [(5, i, d, c) for i in range(2) for d in range(2)
+                                      for c in range(2)]
+    assert built["clone_cloud"] == built["cheating_curve"] == clone_paths
+    assert not [path for runs in built.values() for path in runs if path[0] in (1, 3, 6)]
 
-    clone_paths = sorted(p for p in paths if p[0] == 5)
-    assert clone_paths == [(5, i, 1, c) for i in range(2) for c in range(2)]
-    assert sorted(p for p in paths if p[0] == 6) == [
-        (6, i, d, c) for i in range(2) for d in range(2) for c in range(2)]
-    # a D = 0 clone is the true key: no stream is built, its one masked sum is reused
-    assert [fraction for fraction, _ in rows] == [0.0, 0.0, 0.05, 0.05] * 2
-    assert [rng is None for _, rng in rows] == [True, True, False, False] * 2
+    # a D = 0 clone is the true key, whose one masked sum is reused and
+    # verified on the chunk's fresh stream
+    config = CampaignConfig(experiment_id="cheating_curve", **base)
+    result = results["cheating_curve"]
     for n_index, n_modes in enumerate(config.mode_counts):
         true_key = generate_key(n_modes, config.l_over_L, substream(43, 4, n_index))
         database = enroll_exact(true_key, config.tau, config.probe_set(), config.channel())
@@ -352,8 +397,11 @@ def test_zero_fraction_builds_no_clone_stream(monkeypatch):
         means = result.means[n_index, 0]
         assert [tuple(point) for point in means.tolist()] == [expected] * config.trials
         assert experiments._cloud_summary(means)[2] == 0.0
-        counts, _ = np.histogram(result.p_ins[n_index, 0], np.linspace(0.0, 1.0, 101))
-        assert counts.sum() == config.trials
+        true_sum = masked_sums(true_key.coefficients, config.tau, database.mask)
+        for chunk, (start, rows) in enumerate([(0, STREAM_CHUNK), (STREAM_CHUNK, 44)]):
+            _, p_ins, _ = verify_block(np.full(rows, true_sum), database,
+                                       config.verification(), substream(43, 5, n_index, 0, chunk))
+            assert result.p_ins[n_index, 0, start:start + rows].tolist() == p_ins.tolist()
 
 
 # no trials, one trial, a whole number of chunks (16 at one mode, one at
@@ -375,7 +423,8 @@ def test_edge_block_sizes_match_isolated_trials(n_modes, trials):
     collision = CampaignConfig(experiment_id="collision_histogram", n_modes=n_modes,
                                trials=trials, m_sessions=500, seed=52)
     result = run_collision_histogram(collision)
-    expected = _reference_collision(collision)
+    true_outcome, expected = _reference_collision(collision)
+    assert (result.true_key_p_in, result.true_key_accepted) == true_outcome
     assert list(result.false_p_ins) == [p_in for p_in, _ in expected]
     accepted = sum(verdict for _, verdict in expected)
     assert result.false_acceptance_rate == (accepted / trials if trials else 0.0)
@@ -430,9 +479,12 @@ def test_block_builders_match_single_keys():
             false_key_sums(64, 0.2, tau, 1, substream(61, 1))
         with pytest.raises(ValueError, match="tau"):
             clone_sums(true_key, 0.25, tau, mask, 1, substream(61, 2))
-    # a fraction that replaces nothing gives the true sum and never touches the stream
-    assert clone_sums(true_key, 0.0, 0.8, mask, 3, None).tobytes() == np.full(
+    # a fraction that replaces nothing gives the true sum and leaves the stream unadvanced
+    rng = substream(61, 3)
+    state = rng.bit_generator.state
+    assert clone_sums(true_key, 0.0, 0.8, mask, 3, rng).tobytes() == np.full(
         3, true_sum).tobytes()
+    assert rng.bit_generator.state == state
 
 
 def test_non_finite_rows_are_refused_where_their_response_is_formed():

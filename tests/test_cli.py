@@ -879,6 +879,9 @@ def _run(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+# random fields and flags give advice legitimately; as an error it would
+# end the run at exit 2 before the command does its work
+@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_campaign_documents())
 def test_campaign_config_fuzz_exits_cleanly(document):
@@ -982,6 +985,9 @@ def _threshold_argvs(draw):
     return argv
 
 
+# random fields and flags give advice legitimately; as an error it would
+# end the run at exit 2 before the command does its work
+@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_threshold_argvs())
 def test_thresholds_flag_fuzz_exits_cleanly(argv):

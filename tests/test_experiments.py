@@ -190,19 +190,24 @@ def test_collision_histogram_trials_are_order_independent():
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
     database = enroll_exact(true_key, config.tau, probes, channel)
     verification = VerificationConfig(config.m_sessions, config.epsilon, config.zeta)
-    # trial 7 is row 7 of chunk 0: its masked sum is row 7 of the chunk's
-    # (256, 2, 1) normal block, and its hit count the 8th of one binomial draw
-    parts = substream(config.seed, 2, 0).standard_normal((STREAM_CHUNK, 2, 1))
+    # trial 7 is row 7 of chunk 0, whose one stream holds the chunk's
+    # (256, 2, 1) normal block and then one binomial draw: its masked sum is
+    # row 7 of the block, and its hit count the 8th of the draw
+    stream = substream(config.seed, 2, 0)
+    parts = stream.standard_normal((STREAM_CHUNK, 2, 1))
     variance = config.tau * (1.0 - config.l_over_L) / config.n_modes
     sums = math.sqrt(variance / 2.0) * (parts[:8, 0, 0] + 1j * parts[:8, 1, 0])
-    hits = substream(config.seed, 3, 0).binomial(
+    hits = stream.binomial(
         config.m_sessions, [hit_probabilities(sums[i:i + 1], database)[0] for i in range(8)])
     assert hits[7] / config.m_sessions == result.false_p_ins[7]
-    # row 0 of a chunk is what a one-row draw gives on the chunk's streams
-    first = false_key_sums(config.n_modes, config.l_over_L, config.tau, 1,
-                           substream(config.seed, 2, 0))
-    assert first.tobytes() == sums[:1].tobytes()
-    _, p_ins, _ = verify_block(first, database, verification, substream(config.seed, 3, 0))
+    # row 0 of a chunk is what a one-row draw gives, and its verification
+    # follows the chunk's 256 keys on the same stream
+    stream = substream(config.seed, 2, 0)
+    first = false_key_sums(config.n_modes, config.l_over_L, config.tau, STREAM_CHUNK,
+                           stream)[:1]
+    assert first.tobytes() == sums[:1].tobytes() == false_key_sums(
+        config.n_modes, config.l_over_L, config.tau, 1, substream(config.seed, 2, 0)).tobytes()
+    _, p_ins, _ = verify_block(first, database, verification, stream)
     assert p_ins[0] == result.false_p_ins[0]
 
 

@@ -62,15 +62,19 @@ def _replaced_positions(true_key: ScatteringKey, fraction: float, rows: int,
     offsets = rng.integers(0, n - np.arange(steps), size=(rows, steps))
     # slot k of row r sits at k * rows + r, so each step's slot i is one contiguous run
     targets = (offsets.T + np.arange(steps)[:, np.newaxis]) * rows + np.arange(rows)
-    slots = np.repeat(np.arange(n), rows)
+    # a slot holds a position below n, a mode count far below 2**31, so 32 bits
+    # hold it: half the table of 64-bit slots to fill and to move
+    slots = np.repeat(np.arange(n, dtype=np.int32), rows)
     for i, target in enumerate(targets):
         current = slots[i * rows:(i + 1) * rows]
         picked = slots[target]
         slots[target] = current
         current[...] = picked
     slots = slots.reshape(n, rows)
-    # row-major again, so that each clone's terms are summed as one row on its own
-    return np.ascontiguousarray((slots[:count] if count == steps else slots[steps:]).T)
+    # row-major again, so that each clone's terms are summed as one row on its own:
+    # np.sum(terms[positions], axis=1) adds a column-major row in another order
+    kept = slots[:count] if count == steps else slots[steps:]
+    return np.ascontiguousarray(kept.T, dtype=np.intp)
 
 
 def clone_key(true_key: ScatteringKey, fraction: float,

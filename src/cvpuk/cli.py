@@ -30,13 +30,20 @@ from .streams import substream
 __all__ = ["main"]
 
 
+# a refusal names the flag the user typed, not the parameter that checks it
+_THRESHOLDS_FLAGS = {"epsilon": "--epsilon", "zeta": "--zeta", "mean_challenge_photons": "--mu-c",
+                     "mode_count": "--n-modes", "l_over_L": "--l-over-L", "efficiency": "--eta",
+                     "delta_over_sigma": "--delta-over-sigma"}
+
+
 def _cmd_thresholds(args) -> int:
-    sessions = m_threshold(args.epsilon, args.zeta)
-    threshold = e_threshold(args.mu_c, args.n_modes, args.l_over_L)
+    with jsonio.renamed_refusals(**_THRESHOLDS_FLAGS):
+        sessions = m_threshold(args.epsilon, args.zeta)
+        threshold = e_threshold(args.mu_c, args.n_modes, args.l_over_L)
+        channel = HomodyneChannel.from_delta_ratio(args.eta, args.delta_over_sigma)
     expected_enhancement = math.pi * args.n_modes / 4.0
     rho_false, rho_true = radii(args.mu_c, ensemble_variance(args.n_modes, args.l_over_L),
                                 expected_enhancement)
-    channel = HomodyneChannel.from_delta_ratio(args.eta, args.delta_over_sigma)
     lines = (
         f"sigma      = {channel.shot_noise!r}",
         f"delta      = {channel.bin_width!r}",
@@ -63,7 +70,12 @@ def _cmd_enroll(args) -> int:
     else:
         seed = jsonio.require_int("--seed", args.seed, 0)
     n_modes = jsonio.require_int("n_modes", config["n_modes"])
-    probes = ProbeSet(config["n_probe_states"], config["mu_p"])
+    # a refusal names the config's field, not the consumer's parameter
+    typed = {"size": "n_probe_states", "mean_photons": "mu_p", "mode_count": "n_modes",
+             "efficiency": "eta"}
+    with jsonio.renamed_refusals(**typed):
+        probes = ProbeSet(config["n_probe_states"], config["mu_p"])
+        channel = HomodyneChannel.from_delta_ratio(config["eta"], config["delta_over_sigma"])
     if "key_path" in config:
         if not isinstance(config["key_path"], str):
             raise TypeError(f"key_path must be a string, got {config['key_path']!r}")
@@ -76,9 +88,9 @@ def _cmd_enroll(args) -> int:
             raise ValueError(f"key has l_over_L {key.l_over_L!r}, "
                              f"config says {config['l_over_L']!r}")
     else:
-        key = generate_key(n_modes, config["l_over_L"], substream(seed, 0))
+        with jsonio.renamed_refusals(**typed):
+            key = generate_key(n_modes, config["l_over_L"], substream(seed, 0))
 
-    channel = HomodyneChannel.from_delta_ratio(config["eta"], config["delta_over_sigma"])
     mode = config.get("enrollment", "exact")
     if mode == "sampled":
         database = enroll_sampled(key, config["tau"], probes, channel,
@@ -105,7 +117,9 @@ def _cmd_verify(args) -> int:
     seed = jsonio.require_int("--seed", args.seed, 0)
     database = CrpDatabase.from_dict(jsonio.load(args.database))
     key = ScatteringKey.from_dict(jsonio.load(args.key))
-    config = VerificationConfig(args.sessions, args.epsilon, args.zeta)
+    with jsonio.renamed_refusals(sessions="--sessions", error_level="--epsilon",
+                                 confidence_param="--zeta"):
+        config = VerificationConfig(args.sessions, args.epsilon, args.zeta)
     report = verify(key, database, config, substream(seed, 0), trace=args.trace)
 
     out_dir = Path(args.out)

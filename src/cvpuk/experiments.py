@@ -37,6 +37,7 @@ trace.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -138,8 +139,9 @@ class CampaignConfig:
             entries = getattr(self, name)
             if len(set(entries)) != len(entries):
                 raise ValueError(f"{name} must not repeat an entry, got {list(entries)}")
-        self.probe_set()  # checks n_probe_states
-        self.verification()  # checks m_sessions
+        with jsonio.renamed_refusals(size="n_probe_states", sessions="m_sessions"):
+            self.probe_set()  # checks n_probe_states
+            self.verification()  # checks m_sessions
 
     @property
     def mu_c(self) -> float:
@@ -294,7 +296,7 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     for stream, start, rows in _chunks(config.trials, config.seed, 2):
         sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, STREAM_CHUNK,
                               stream)[:rows]
-        means[start:start + rows] = probes.responses(sums)[:, 0]
+        means[start:start + rows] = probes.responses(sums, 0)
 
     return ResponseCloudResult(
         true_response=database.centers[0],
@@ -352,7 +354,7 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
             for stream, start, rows in _chunks(config.trials, config.seed, 5, i, d):
                 sums = clone_sums(true_key, fraction, config.tau, database.mask, STREAM_CHUNK,
                                   stream)[:rows]
-                means[i, d, start:start + rows] = probes.responses(sums)[:, 0]
+                means[i, d, start:start + rows] = probes.responses(sums, 0)
                 if verifies:
                     _, p_ins[i, d, start:start + rows], verdicts = verify_block(
                         sums, database, verification, stream)
@@ -435,15 +437,29 @@ def _cloud_summary(means: np.ndarray) -> tuple[float, float, float]:
     return mean_x, mean_y, float(np.sqrt(np.mean((xs - mean_x) ** 2 + (ys - mean_y) ** 2)))
 
 
+def _cluster_rows(d: float, points: np.ndarray, trial_texts: list[str]):
+    """Lazy CSV rows ``(D, trial, x, y)`` of one clone cluster, with each value
+    that its rows share given as the text it renders to once: ``D``, the
+    campaign's ``trial_texts``, and the point of a cluster whose points are
+    identical bit for bit, such as perfect clones."""
+    bits = points.view(np.uint64)
+    if len(bits) and (bits == bits[0]).all():
+        columns = map(itertools.repeat, map(repr, points[0].tolist()))
+    else:
+        columns = points.T.tolist()
+    return zip(itertools.repeat(repr(d)), trial_texts, *columns)
+
+
 def _clone_cloud_campaign(config: CampaignConfig):
     result = run_clone_experiments(config)
     files = {}
     summary = {"p_in_expected": result.p_in_expected, "trials": config.trials}
+    trial_texts = list(map(str, range(config.trials)))
     for n_modes, true_response, means in zip(config.mode_counts, result.true_responses,
                                              result.means):
         # zip is the first iterable, bound now, not when the CSV writer reads the rows
-        rows = ((d, trial, x, y) for d, points in zip(config.d_values, means)
-                for trial, (x, y) in enumerate(points.tolist()))
+        rows = itertools.chain.from_iterable(_cluster_rows(d, points, trial_texts)
+                                             for d, points in zip(config.d_values, means))
         files[f"cloud_n{n_modes}"] = (f"clone_cloud_n{n_modes}.csv",
                                       ("D", "trial", "x", "y"), rows)
         true_x, true_y = true_response.tolist()

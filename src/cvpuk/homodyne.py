@@ -43,17 +43,21 @@ class ProbeSet:
         return math.sqrt(self.mean_photons) * np.exp(2j * math.pi * k / self.size)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def responses(self, sums) -> np.ndarray:
-        """Quadrature means of masked sums under every probe, shape ``(..., N, 2)``.
+    def responses(self, sums, probe: int | None = None) -> np.ndarray:
+        """Quadrature means of masked sums under every probe, shape ``(..., N, 2)``,
+        or under probe ``probe`` alone, shape ``(..., 2)``.
 
         ``sums`` is one key's :func:`cvpuk.scattering.masked_sums` or a block
         of them; under probe ``k`` the scattered field is ``sum * alpha_k``,
-        and its quadrature means are ``(x, y) = sqrt(2) * (re, im)``.
+        and its quadrature means are ``(x, y) = sqrt(2) * (re, im)``.  The
+        response to one probe has the bits of that probe's column of the
+        full response, for about ``1 / N`` of the work.
         This is the one place a key's response is formed: enrollment stores
         it, verification bins around it and the campaign clouds plot it, and
         where a key whose sum or response overflows is refused, without a warning.
         """
-        fields = np.multiply.outer(sums, self.amplitudes())
+        amplitudes = self.amplitudes()
+        fields = np.multiply.outer(sums, amplitudes if probe is None else amplitudes[probe])
         responses = np.stack((_SQRT2 * fields.real, _SQRT2 * fields.imag), axis=-1)
         if not np.isfinite(responses).all():
             raise ValueError("responses must be finite: a key overflows the double range")

@@ -1,10 +1,11 @@
 """Artifact files, the checks of their readers, and the one table of parameter intervals.
 
 :func:`dump` writes JSON in the standard encoder's two-space layout and
-:func:`write_csv` writes CSV rows with ``%r``, so a float is written by
+:func:`write_csv` writes CSV rows with ``%s``, which gives ``repr``'s bytes
+for a Python ``int``, ``float`` or ``bool``, so a float is written by
 its shortest round-trip repr (``0.1``, ``2500.0``): it reloads as the
 exact IEEE-754 double, and an integral float as a float, not an int.
-Numpy scalars are written like their Python counterparts.  The same
+Numpy scalars are written to JSON like their Python counterparts.  The same
 document always gives the same bytes.  Non-finite numbers are refused
 both ways: ``dumps`` will not write them and ``load`` will not read them.
 The readers check each field with :func:`require_int`, :func:`require_real`
@@ -15,6 +16,7 @@ reader never sees a torn file.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["REAL_INTERVALS", "dumps", "dump", "write_csv", "load", "require_object",
-           "require_int", "require_real", "require_array"]
+           "require_int", "require_real", "require_array", "renamed_refusals"]
 
 # allowed interval of every real-valued parameter; a tuple field's
 # interval applies to each of its entries.  The code that consumes a value
@@ -119,13 +121,19 @@ def dump(document, path) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Comma-separated header and rows, each value by ``repr``.
+    """Comma-separated header and rows, each value by ``%s``.
 
-    Rows are tuples of Python ints and floats, which no CSV quoting
-    touches, so one format string gives the bytes ``csv.writer`` would.
+    Rows are tuples of Python ints, floats and bools, which ``%s`` writes
+    as ``repr`` does, and of ``str``, written verbatim: a writer may pass a
+    value that many rows share as the text it rendered once.  No CSV
+    quoting touches a number or such text, so one format string gives the
+    bytes ``csv.writer`` would.  Lines are joined 4,096 at a time, so each
+    write call takes a block, and only a block's text is held in memory.
     """
-    row_format = ",".join(["%r"] * len(header)) + "\n"
-    _write(path, itertools.chain([",".join(header) + "\n"], map(row_format.__mod__, rows)))
+    row_format = ",".join(["%s"] * len(header)) + "\n"
+    lines = map(row_format.__mod__, rows)
+    blocks = iter(lambda: "".join(itertools.islice(lines, 4096)), "")  # a line is never empty
+    _write(path, itertools.chain([",".join(header) + "\n"], blocks))
 
 
 def _finite_float(text: str) -> float:
@@ -154,6 +162,22 @@ def require_object(name: str, document, known) -> dict:
     if unknown:
         raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
     return document
+
+
+@contextlib.contextmanager
+def renamed_refusals(**typed: str):
+    """Refusals raised in the block name the field the user typed, not the
+    consumer's parameter: ``typed`` maps a parameter, such as a ProbeSet's
+    ``size``, to that field, such as ``n_probe_states``.  Each check and its
+    bound stay with the consumer; only the name its message starts with
+    changes, and the exception is re-raised with its type and traceback."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        name, space, rest = str(exc).partition(" ")
+        if name in typed and len(exc.args) == 1:
+            exc.args = (typed[name] + space + rest,)
+        raise
 
 
 def require_int(name: str, value, minimum: int | None = None) -> int:

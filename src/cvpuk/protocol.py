@@ -335,10 +335,12 @@ def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
     """
     distinct, rows = np.unique(sums, return_inverse=True)
     means, lows, highs = _cells(distinct, database)
-    scale = _SQRT2 * database.channel.shot_noise
-    erfs = _erf((np.stack((highs, lows))[:, np.newaxis] - means) / scale)
+    arguments = np.stack((highs, lows))[:, np.newaxis] - means
+    arguments /= _SQRT2 * database.channel.shot_noise
+    erfs = _erf(arguments)
     cells = 2 * database.probe_set.size
-    masses = 0.5 * (erfs[0] - erfs[1])
+    masses = np.subtract(erfs[0], erfs[1], out=erfs[0])
+    masses *= 0.5
     return np.clip(masses.reshape(len(distinct), cells).sum(axis=1) / cells, 0.0, 1.0)[rows]
 
 
@@ -389,19 +391,33 @@ def _erf(x: np.ndarray) -> np.ndarray:
     # NaN compares below every edge, and the first bucket's formula keeps it NaN
     bucket = sum((a >= edge).view(np.int8) for edge in _ERF_EDGES)
     y = np.ones_like(a)  # |x| >= 6, where fdlibm's 1 - tiny rounds to 1
+    counts = np.bincount(bucket, minlength=len(_ERF_EDGES) + 1)
     for b, formula in enumerate(_ERF_FORMULAS):
-        index = np.flatnonzero(bucket == b)
-        if index.size:
+        if counts[b]:
+            index = np.flatnonzero(bucket == b)
             y[index] = formula(a[index])
-    return np.copysign(y, x.ravel()).reshape(x.shape)
+    return np.copysign(y, x.ravel(), out=y).reshape(x.shape)
 
 
 def _erf_tail(t: np.ndarray, numerator: tuple, denominator: tuple) -> np.ndarray:
     """fdlibm's ``1 - erfc(t)`` for ``t`` in ``[1.25, 6)``, with ``t`` split at
     its high word so that ``exp(-t*t)`` keeps its precision."""
     z = (t.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(float)
-    ratio = _ratio(1.0 / (t * t), numerator, denominator)
-    return 1.0 - np.exp(-z * z - 0.5625) * np.exp((z - t) * (z + t) + ratio) / t
+    s = np.multiply(t, t)
+    ratio = _ratio(np.divide(1.0, s, out=s), numerator, denominator)
+    # 1 - exp(-z * z - 0.5625) * exp((z - t) * (z + t) + ratio) / t, term by term
+    near = np.multiply(z, z)
+    np.negative(near, out=near)
+    near -= 0.5625
+    np.exp(near, out=near)
+    np.subtract(z, t, out=s)
+    z += t
+    s *= z
+    s += ratio
+    np.exp(s, out=s)
+    near *= s
+    near /= t
+    return np.subtract(1.0, near, out=near)
 
 
 def _ratio(s: np.ndarray, numerator: tuple, denominator: tuple) -> np.ndarray:
@@ -410,14 +426,28 @@ def _ratio(s: np.ndarray, numerator: tuple, denominator: tuple) -> np.ndarray:
     from the lowest, with ``s**6 = s**4 s**2`` and ``s**8 = s**4 s**4``."""
     s2 = s * s
     s4 = s2 * s2
-    powers = (s2, s4, s4 * s2, s4 * s4)
+    powers = [s2, s4]
+    longest = max(len(numerator), len(denominator))  # s**6 and s**8 only where used
+    if longest > 6:
+        powers.append(s4 * s2)
+    if longest > 8:
+        powers.append(s4 * s4)
+    term = np.empty_like(s)
     values = []
     for c in (numerator, denominator):
-        total = c[0] + s * c[1]
+        # c[k] + s c[k + 1] is formed as s c[k + 1] + c[k]: IEEE addition commutes exactly
+        total = np.multiply(s, c[1])
+        total += c[0]
         for power, k in zip(powers, range(2, len(c), 2)):
-            total = total + power * (c[k] + s * c[k + 1] if k + 1 < len(c) else c[k])
+            if k + 1 < len(c):
+                np.multiply(s, c[k + 1], out=term)
+                term += c[k]
+                term *= power
+            else:
+                np.multiply(power, c[k], out=term)
+            total += term
         values.append(total)
-    return values[0] / values[1]
+    return np.divide(values[0], values[1], out=values[0])
 
 
 # the formula of each bucket below 6, from |x| < 2**-28 up

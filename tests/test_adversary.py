@@ -142,6 +142,32 @@ def test_clone_replaced_index_uniformity():
     assert np.all(np.abs(frequency - 0.25) <= tolerance)
 
 
+def _durstenfeld_walk(n, count, offsets):
+    """Replaced positions of one row by a plain-Python partial Fisher–Yates
+    walk: step ``i`` swaps slot ``i`` with slot ``i + offsets[i]``."""
+    slots = list(range(n))
+    for i, offset in enumerate(offsets):
+        slots[i], slots[i + offset] = slots[i + offset], slots[i]
+    return slots[:count] if count == len(offsets) else slots[len(offsets):]
+
+
+@pytest.mark.parametrize("fraction", [0.001, 0.3, 0.9995])
+def test_replaced_positions_beyond_the_int16_range_follow_the_plain_walk(fraction):
+    # 70,000 slots overflow a 16-bit table; each row is the walk over its own
+    # offsets, the same integers(0, n - arange(s), size=(rows, s)) draw
+    n_modes, rows = 70_000, 3
+    true_key = generate_key(n_modes, 0.2, substream(219, 0))
+    count = replaced_count(fraction, n_modes)
+    steps = min(count, n_modes - count)
+    positions = _replaced_positions(true_key, fraction, rows, substream(219, 1))
+    assert positions.dtype == np.intp and positions.flags.c_contiguous
+    assert positions.shape == (rows, count)
+    offsets = substream(219, 1).integers(0, n_modes - np.arange(steps), size=(rows, steps))
+    assert offsets.max() >= 2**15  # some swap reaches past the 16-bit range
+    for row, row_offsets in zip(positions.tolist(), offsets.tolist()):
+        assert row == _durstenfeld_walk(n_modes, count, row_offsets)
+
+
 @pytest.mark.parametrize("count", [3, 7, 10])
 def test_replaced_positions_are_uniform_subsets(count):
     n_modes, rows = 10, 20_000

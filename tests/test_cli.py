@@ -446,6 +446,42 @@ def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_probe_states", 2), ("n_probe_states", 3.5), ("eta", 0.0), ("eta", "0.5"),
+    ("mu_p", -1.0), ("n_modes", 0),
+])
+def test_enroll_refusal_names_the_field_typed(tmp_path, capsys, field, value):
+    # ProbeSet, HomodyneChannel and generate_key check these fields under their
+    # own parameter names (size, efficiency, mean_photons, mode_count)
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path, **{field: value})
+    assert main(["enroll", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("thresholds", ("--eta", "0")), ("thresholds", ("--n-modes", "0")),
+    ("thresholds", ("--mu-c", "nan")), ("thresholds", ("--epsilon", "0")),
+    ("thresholds", ("--zeta", "inf")), ("thresholds", ("--l-over-L", "1")),
+    ("thresholds", ("--delta-over-sigma", "-2")),
+    ("verify", ("--sessions", "0")), ("verify", ("--epsilon", "2")), ("verify", ("--zeta", "0")),
+])
+def test_flag_refusal_names_the_flag_typed(tmp_path, capsys, command, flags):
+    # the checks run under parameter names such as mean_challenge_photons and error_level
+    argv = [command, *flags]
+    if command == "verify":
+        config_path = tmp_path / "config.json"
+        _write_enroll_config(config_path, n_modes=16)
+        assert main(["enroll", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        argv += ["--database", str(tmp_path / "database.json"),
+                 "--key", str(tmp_path / "key.json"), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]} must ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("code,overrides", [
     (0, {}), (0, {"enrollment": "sampled", "per_quadrature_samples": 25}),
     (2, {"tau": 1.5}), (2, {"enrollment": "sampled", "per_quadrature_samples": 0}),

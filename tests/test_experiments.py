@@ -125,10 +125,36 @@ def test_config_round_trip():
     assert CampaignConfig.from_dict(document) == config
 
 
-def test_config_requires_matching_experiment():
-    config = CampaignConfig(experiment_id="response_cloud", trials=1)
-    with pytest.raises(ValueError):
-        run_collision_histogram(config)
+# each run_* and the experiment ids it serves
+_RUNS = {
+    run_collision_histogram: ("collision_histogram",),
+    run_response_cloud: ("response_cloud",),
+    run_enhancement_condition: ("enhancement_condition",),
+    run_clone_experiments: ("clone_cloud", "clone_histograms", "cheating_curve"),
+}
+
+
+@pytest.mark.parametrize("run", _RUNS, ids=lambda run: run.__name__)
+def test_config_requires_matching_experiment(run):
+    assert sorted(id_ for ids in _RUNS.values() for id_ in ids) == sorted(EXPERIMENT_IDS)
+    for experiment_id in EXPERIMENT_IDS:
+        if experiment_id not in _RUNS[run]:
+            config = CampaignConfig(experiment_id=experiment_id, trials=1)
+            with pytest.raises(ValueError, match=rf"config is for '{experiment_id}', "
+                                                 rf"expected one of \("):
+                run(config)
+
+
+@pytest.mark.parametrize("field,value,error", [
+    ("n_probe_states", 2, ValueError), ("n_probe_states", True, TypeError),
+    ("m_sessions", 0, ValueError), ("m_sessions", 2**63, ValueError),
+    ("m_sessions", 1.5, TypeError),
+])
+def test_config_refusal_names_the_field_typed(field, value, error):
+    # the probe set and the verification config check these fields; a refusal
+    # names the config's field, not their parameters size and sessions
+    with pytest.raises(error, match=f"^{field} must "):
+        CampaignConfig(experiment_id="cheating_curve", **{field: value})
 
 
 def test_histogram_construction():

@@ -73,6 +73,25 @@ def test_probe_responses_shapes():
     assert probes.responses(np.zeros(0, dtype=complex)).shape == (0, 7, 2)
 
 
+def test_one_probe_response_is_its_column_of_the_full_response():
+    # the campaign clouds form probe 0 alone; it must carry the full response's bits
+    rng = substream(32, 0)
+    probes = ProbeSet(11, 2500.0)
+    block = rng.normal(0.0, 1.0, 512) * 10.0 ** rng.integers(-8, 8, 512) \
+        + 1j * rng.normal(0.0, 1.0, 512)
+    for sums in (block, block.reshape(16, 32), np.complex128(block[0]),
+                 np.zeros(0, dtype=complex)):
+        full = probes.responses(sums)
+        for k in range(probes.size):
+            one = probes.responses(sums, k)
+            assert one.shape == full[..., k, :].shape
+            assert one.tobytes() == full[..., k, :].tobytes(), k
+    # an overflowing sum is refused for one probe as for all of them
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="responses must be finite"):
+            probes.responses(np.array([1.0, 1e307 + 1e307j]), k)
+
+
 def _quadrature_mean(amplitude, theta):
     """The quadrature at local-oscillator phase theta: sqrt(2) Re(a exp(-i theta))."""
     return math.sqrt(2.0) * (amplitude * cmath.exp(-1j * theta)).real

@@ -249,3 +249,34 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
         jsonio.write_csv(target, ("a",), rows())
     assert target.read_bytes() == b"a\n1\n"
     assert [path.name for path in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_write_csv_writes_numbers_as_repr_and_text_verbatim(tmp_path):
+    floats = [0.1, -0.0, 2500.0, 1e16, 1e-05, 5e-324, 0.1 + 0.2, -1.7976931348623157e308]
+    ints = [0, -7, 2**70]
+    values = [*floats, *ints, True, False]
+    target = tmp_path / "values.csv"
+    jsonio.write_csv(target, ("value",), [(value,) for value in values])
+    lines = target.read_text(encoding="utf-8").splitlines()
+    assert lines == ["value", *map(repr, values)]
+    assert lines[1:7] == ["0.1", "-0.0", "2500.0", "1e+16", "1e-05", "5e-324"]
+    # text, such as a value many rows share rendered once, is written as it is
+    jsonio.write_csv(target, ("D", "x"), [("0.05", 1.5), ("0.05", "-0.0")])
+    assert target.read_bytes() == b"D,x\n0.05,1.5\n0.05,-0.0\n"
+
+
+def test_renamed_refusals_name_the_typed_field_and_keep_the_exception():
+    with pytest.raises(ValueError, match=r"^n_probe_states must be at least 3, got 2$") as caught:
+        with jsonio.renamed_refusals(size="n_probe_states"):
+            jsonio.require_int("size", 2, 3)
+    assert type(caught.value) is ValueError
+    with pytest.raises(TypeError, match=r"^eta must be a real number"):
+        with jsonio.renamed_refusals(efficiency="eta"):
+            jsonio.require_real("efficiency", "0.5", "(0, 1]")
+    # a name it does not map, and an error of another kind, pass unchanged
+    with pytest.raises(ValueError, match=r"^tau must"):
+        with jsonio.renamed_refusals(size="n_probe_states"):
+            jsonio.require_real("tau", 2.0, "(0, 1]")
+    with pytest.raises(KeyError):
+        with jsonio.renamed_refusals(size="n_probe_states"):
+            {}["size"]

@@ -8,7 +8,6 @@ import itertools
 import math
 import sys
 import warnings
-from pathlib import Path
 
 from . import jsonio
 from .experiments import CampaignConfig, run_campaign
@@ -102,14 +101,9 @@ def _cmd_enroll(args) -> int:
     else:
         database = enroll_exact(key, config["tau"], probes, channel)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    key_path = out_dir / "key.json"
-    database_path = out_dir / "database.json"
-    jsonio.dump(key.to_dict(), key_path)
-    jsonio.dump(database.to_dict(), database_path)
-    print(key_path)
-    print(database_path)
+    paths = jsonio.write_artifacts(args.out, {"key": ("key.json", key.to_dict()),
+                                              "database": ("database.json", database.to_dict())})
+    print(*paths.values(), sep="\n")
     return 0
 
 
@@ -122,28 +116,23 @@ def _cmd_verify(args) -> int:
         config = VerificationConfig(args.sessions, args.epsilon, args.zeta)
     report = verify(key, database, config, substream(seed, 0), trace=args.trace)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    jsonio.dump(report.to_dict(), report_path)
-    print(report_path)
+    artifacts = {"report": ("report.json", report.to_dict())}
     if args.trace:
-        trace, trace_path = report.session_trace, out_dir / "trace.csv"
+        trace = report.session_trace
         # Python rows exist one block of 4,096 sessions at a time
-        jsonio.write_csv(trace_path, trace.dtype.names, itertools.chain.from_iterable(
-            trace[start:start + 4096].tolist() for start in range(0, len(trace), 4096)))
-        print(trace_path)
+        artifacts["trace"] = ("trace.csv", (trace.dtype.names, itertools.chain.from_iterable(
+            trace[start:start + 4096].tolist() for start in range(0, len(trace), 4096))))
+    print(*jsonio.write_artifacts(args.out, artifacts).values(), sep="\n")
     print(f"p_in = {report.p_in!r}  P_in = {report.p_in_expected!r}  "
           f"{'ACCEPT' if report.accepted else 'REJECT'}")
     return 0 if report.accepted else 1
 
 
 def _cmd_campaign(args) -> int:
-    overrides = {} if args.seed is None else {"seed": args.seed}
+    # the flag is checked under its own name before it overrides the config's seed
+    overrides = {} if args.seed is None else {"seed": jsonio.require_int("--seed", args.seed, 0)}
     config = CampaignConfig.from_dict(jsonio.load(args.config), **overrides)
-    paths = run_campaign(config, args.out)
-    for path in paths.values():
-        print(path)
+    print(*run_campaign(config, args.out).values(), sep="\n")
     return 0
 
 

@@ -55,7 +55,7 @@ from .protocol import (
     radii,
     verify_block,
 )
-from .scattering import enhancement, generate_key, masked_sums
+from .scattering import enhancement, ensemble_variance, generate_key, masked_sums
 from .streams import substream
 
 __all__ = [
@@ -92,8 +92,9 @@ class CampaignConfig:
     photons, 1000 sessions, error level 0.05).  Construction checks every
     field, so a bad config fails before any work: integer fields must be
     ints, every real field must be finite and inside its ``REAL_INTERVALS``
-    entry, the three sweep fields must be lists or tuples, ``mode_counts``
-    and ``d_values`` must not repeat an entry, and
+    entry, the three sweep fields must be lists or tuples, no mode count
+    may exceed the double range, ``mode_counts`` and ``d_values`` must not
+    repeat an entry, and
     the probe set and verification config it builds check the probe and
     session counts.
     """
@@ -135,6 +136,12 @@ class CampaignConfig:
             else:
                 value = jsonio.require_real(name, value, interval)
             object.__setattr__(self, name, value)
+        # ensemble_variance refuses a mode count beyond the double range
+        with jsonio.renamed_refusals(mode_count="n_modes"):
+            ensemble_variance(self.n_modes, self.l_over_L)
+        with jsonio.renamed_refusals(mode_count="mode_counts"):
+            for n_modes in self.mode_counts:
+                ensemble_variance(n_modes, self.l_over_L)
         for name in ("mode_counts", "d_values"):  # each entry keys its own artifacts
             entries = getattr(self, name)
             if len(set(entries)) != len(entries):
@@ -382,8 +389,8 @@ def _histogram_rows(samples: np.ndarray, bin_width: float):
 
 def _collision_campaign(config: CampaignConfig):
     result = run_collision_histogram(config)
-    files = {"histogram": ("histogram.csv", ("bin_left", "bin_right", "count"),
-                           _histogram_rows(result.false_p_ins, config.histogram_bin))}
+    files = {"histogram": ("histogram.csv", (("bin_left", "bin_right", "count"),
+                           _histogram_rows(result.false_p_ins, config.histogram_bin)))}
     return files, {
         "p_in_expected": result.p_in_expected,
         "true_key_p_in": result.true_key_p_in,
@@ -395,8 +402,8 @@ def _collision_campaign(config: CampaignConfig):
 
 def _response_campaign(config: CampaignConfig):
     result = run_response_cloud(config)
-    files = {"cloud": ("cloud.csv", ("trial", "x", "y"),
-                       zip(range(config.trials), *result.means.T.tolist()))}
+    files = {"cloud": ("cloud.csv", (("trial", "x", "y"),
+                       zip(range(config.trials), *result.means.T.tolist())))}
     true_x, true_y = result.true_response.tolist()
     return files, {
         "true_x": true_x,
@@ -413,7 +420,7 @@ def _enhancement_campaign(config: CampaignConfig):
     rows = [(photons_per_mode, n_modes, threshold) for photons_per_mode, thresholds
             in zip(config.photons_per_mode_values, result.thresholds.tolist())
             for n_modes, threshold in zip(config.mode_counts, thresholds)]
-    files = {"thresholds": ("thresholds.csv", ("photons_per_mode", "n_modes", "e_th"), rows)}
+    files = {"thresholds": ("thresholds.csv", (("photons_per_mode", "n_modes", "e_th"), rows))}
     band_low, band_high = REPORTED_ENHANCEMENT_BAND
     return files, {"band_low": band_low, "band_high": band_high}
 
@@ -461,7 +468,7 @@ def _clone_cloud_campaign(config: CampaignConfig):
         rows = itertools.chain.from_iterable(_cluster_rows(d, points, trial_texts)
                                              for d, points in zip(config.d_values, means))
         files[f"cloud_n{n_modes}"] = (f"clone_cloud_n{n_modes}.csv",
-                                      ("D", "trial", "x", "y"), rows)
+                                      (("D", "trial", "x", "y"), rows))
         true_x, true_y = true_response.tolist()
         summary[f"n{n_modes}"] = {
             "true_x": true_x,
@@ -482,7 +489,7 @@ def _clone_histograms_campaign(config: CampaignConfig):
         rows = ((d, *row) for d, samples in zip(config.d_values, p_ins)
                 for row in _histogram_rows(samples, config.histogram_bin))
         files[f"histograms_n{n_modes}"] = (f"clone_histograms_n{n_modes}.csv",
-                                           ("D", "bin_left", "bin_right", "count"), rows)
+                                           (("D", "bin_left", "bin_right", "count"), rows))
     return files, {"p_in_expected": result.p_in_expected, "trials": config.trials}
 
 
@@ -493,7 +500,7 @@ def _cheating_campaign(config: CampaignConfig):
     rows = [(d, n_modes, rate, config.trials)
             for n_modes, n_rates in zip(config.mode_counts, rates)
             for d, rate in zip(config.d_values, n_rates)]
-    files = {"cheating": ("cheating.csv", ("D", "n_modes", "accept_rate", "trials"), rows)}
+    files = {"cheating": ("cheating.csv", (("D", "n_modes", "accept_rate", "trials"), rows))}
     return files, {
         "p_in_expected": result.p_in_expected,
         "trials": config.trials,
@@ -505,7 +512,7 @@ def _cheating_campaign(config: CampaignConfig):
 
 
 # experiment id -> campaign; a campaign returns its CSV files, keyed by
-# artifact name as (file name, header, rows), and its summary document
+# artifact name as (file name, (header, rows)), and its summary document
 _CAMPAIGNS = {
     "response_cloud": _response_campaign,
     "enhancement_condition": _enhancement_campaign,
@@ -525,16 +532,8 @@ def run_campaign(config: CampaignConfig, out_dir) -> dict[str, Path]:
     statistics, plus one or more CSV data files depending on the
     experiment.  Identical configurations produce byte-identical files.
     The campaign runs before the directory is created, so a run that
-    fails writes nothing.
+    fails writes nothing.  The paths come back in write order.
     """
     files, summary = _CAMPAIGNS[config.experiment_id](config)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {"config": out_dir / "config.json"}
-    jsonio.dump(config.to_dict(), paths["config"])
-    for key, (name, header, rows) in files.items():
-        paths[key] = out_dir / name
-        jsonio.write_csv(paths[key], header, rows)
-    paths["summary"] = out_dir / "summary.json"
-    jsonio.dump(summary, paths["summary"])
-    return paths
+    return jsonio.write_artifacts(out_dir, {"config": ("config.json", config.to_dict()), **files,
+                                            "summary": ("summary.json", summary)})

@@ -11,7 +11,9 @@ both ways: ``dumps`` will not write them and ``load`` will not read them.
 The readers check each field with :func:`require_int`, :func:`require_real`
 or, for an array such as a key's coefficients, :func:`require_array`.
 A file is written to ``<name>.tmp`` and renamed over its target, so a
-reader never sees a torn file.
+reader never sees a torn file.  :func:`write_artifacts` is the one
+writer of an output directory: it alone creates one, and it writes each
+file by :func:`dump` or :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["REAL_INTERVALS", "dumps", "dump", "write_csv", "load", "require_object",
-           "require_int", "require_real", "require_array", "renamed_refusals"]
+__all__ = ["REAL_INTERVALS", "dumps", "dump", "write_csv", "write_artifacts", "load",
+           "require_object", "require_int", "require_real", "require_array",
+           "renamed_refusals"]
 
 # allowed interval of every real-valued parameter; a tuple field's
 # interval applies to each of its entries.  The code that consumes a value
@@ -134,6 +137,28 @@ def write_csv(path, header, rows) -> None:
     lines = map(row_format.__mod__, rows)
     blocks = iter(lambda: "".join(itertools.islice(lines, 4096)), "")  # a line is never empty
     _write(path, itertools.chain([",".join(header) + "\n"], blocks))
+
+
+def write_artifacts(out_dir, artifacts: dict) -> dict[str, Path]:
+    """Create ``out_dir`` and its missing parents, then write ``artifacts``
+    in the order given and return ``{key: path}`` in that order.
+
+    ``artifacts`` maps a key to ``(file name, content)``: the content of a
+    ``.csv`` name is ``(header, rows)`` for :func:`write_csv`, and that of
+    any other name, such as ``summary.json``, a document for :func:`dump`.
+    A caller checks its inputs and runs its work first, so a refused run
+    creates no directory.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for key, (name, content) in artifacts.items():
+        paths[key] = out_dir / name
+        if name.endswith(".csv"):
+            write_csv(paths[key], *content)
+        else:
+            dump(content, paths[key])
+    return paths
 
 
 def _finite_float(text: str) -> float:

@@ -22,6 +22,7 @@ so they are safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,14 @@ class PhaseMask:
 
 
 def ensemble_variance(mode_count: int, l_over_L: float) -> float:
-    """Per-coefficient variance ``(1 - l_over_L) / mode_count`` of a fresh key."""
+    """Per-coefficient variance ``(1 - l_over_L) / mode_count`` of a fresh key.
+
+    A mode count beyond the largest double is refused by name, where the
+    division would raise an OverflowError that names no parameter."""
     mode_count = require_int("mode_count", mode_count, 1)
+    if mode_count > sys.float_info.max:
+        raise ValueError(f"mode_count must not exceed the double range, "
+                         f"got a {len(str(mode_count))}-digit integer")
     l_over_L = require_real("l_over_L", l_over_L, REAL_INTERVALS["l_over_L"])
     return (1.0 - l_over_L) / mode_count
 

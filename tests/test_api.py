@@ -109,7 +109,8 @@ def _called_name(call):
 
 
 def _file_writes(tree):
-    """Line numbers of ``csv`` imports and of calls that open a file for writing."""
+    """Line numbers of ``csv`` imports, of calls that create a directory and
+    of calls that open a file for writing."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names) \
                 or isinstance(node, ast.ImportFrom) and node.module == "csv":
@@ -117,7 +118,7 @@ def _file_writes(tree):
         elif isinstance(node, ast.Call):
             func = node.func
             name = _called_name(node)
-            if name in ("write_text", "write_bytes"):
+            if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
                 yield node.lineno
             elif name == "open":
                 # builtin open(path, mode) or Path.open(mode); a mode that is

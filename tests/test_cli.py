@@ -449,6 +449,8 @@ def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value
 @pytest.mark.parametrize("field,value", [
     ("n_probe_states", 2), ("n_probe_states", 3.5), ("eta", 0.0), ("eta", "0.5"),
     ("mu_p", -1.0), ("n_modes", 0),
+    # beyond the double range, where the division would name no parameter
+    pytest.param("n_modes", 10**400, id="n_modes-1e400"),
 ])
 def test_enroll_refusal_names_the_field_typed(tmp_path, capsys, field, value):
     # ProbeSet, HomodyneChannel and generate_key check these fields under their
@@ -465,6 +467,7 @@ def test_enroll_refusal_names_the_field_typed(tmp_path, capsys, field, value):
     ("thresholds", ("--mu-c", "nan")), ("thresholds", ("--epsilon", "0")),
     ("thresholds", ("--zeta", "inf")), ("thresholds", ("--l-over-L", "1")),
     ("thresholds", ("--delta-over-sigma", "-2")),
+    pytest.param("thresholds", ("--n-modes", str(10**400)), id="thresholds---n-modes-1e400"),
     ("verify", ("--sessions", "0")), ("verify", ("--epsilon", "2")), ("verify", ("--zeta", "0")),
 ])
 def test_flag_refusal_names_the_flag_typed(tmp_path, capsys, command, flags):
@@ -581,7 +584,8 @@ def test_negative_seeds_exit_2_naming_the_field(tmp_path, capsys):
     campaign_path.write_text(json.dumps({"experiment_id": "enhancement_condition"}))
     assert main(["campaign", "--config", str(campaign_path), "--out", str(out_dir),
                  "--seed", "-4"]) == 2
-    assert capsys.readouterr().err == "error: seed must be at least 0, got -4\n"
+    # the flag is checked under the name typed before it overrides the config's seed
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -4\n"
     assert not out_dir.exists()
 
 
@@ -832,6 +836,20 @@ def test_verify_trace_csv_rows_at_block_edges(tmp_path, capsys, sessions):
     assert (tmp_path / "out" / "trace.csv").read_text() == "".join(reference)
     block = report.session_trace[:4096].tolist()
     assert {type(value) for row in block for value in row} == {int, float}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_modes", 10**400), ("mode_counts", [121, 10**400]),
+], ids=["n_modes", "mode_counts"])
+def test_campaign_mode_count_beyond_the_double_range_names_the_field(tmp_path, capsys,
+                                                                     field, value):
+    config_path = tmp_path / "campaign.json"
+    config_path.write_text(json.dumps({"experiment_id": "enhancement_condition", field: value}))
+    out_dir = tmp_path / "out"
+    assert main(["campaign", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (f"error: {field} must not exceed the double range, "
+                                       "got a 401-digit integer\n")
+    assert not out_dir.exists()
 
 
 def test_campaign_unknown_experiment_exits_2(tmp_path, capsys):

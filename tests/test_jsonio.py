@@ -265,6 +265,34 @@ def test_write_csv_writes_numbers_as_repr_and_text_verbatim(tmp_path):
     assert target.read_bytes() == b"D,x\n0.05,1.5\n0.05,-0.0\n"
 
 
+def test_write_artifacts_creates_the_directory_and_writes_in_the_order_given(tmp_path):
+    document = {"seed": 3, "values": [0.1, 2500.0]}
+    header, rows = ("trial", "x"), [(0, 0.1), (1, -0.0)]
+    out_dir = tmp_path / "a" / "b"
+    paths = jsonio.write_artifacts(str(out_dir), {
+        "summary": ("summary.json", document),
+        "table": ("table.csv", (header, iter(rows))),
+        "config": ("config.json", [1, 2]),
+    })
+    assert list(paths) == ["summary", "table", "config"]
+    assert paths == {"summary": out_dir / "summary.json", "table": out_dir / "table.csv",
+                     "config": out_dir / "config.json"}
+    # each file has the bytes of the writer its suffix names
+    jsonio.dump(document, tmp_path / "summary.json")
+    jsonio.write_csv(tmp_path / "table.csv", header, rows)
+    jsonio.dump([1, 2], tmp_path / "config.json")
+    for path in paths.values():
+        assert path.read_bytes() == (tmp_path / path.name).read_bytes()
+    assert sorted(path.name for path in out_dir.iterdir()) == \
+        ["config.json", "summary.json", "table.csv"]
+    # an existing directory is written into, and its other files are left
+    (out_dir / "other.txt").write_text("kept")
+    assert jsonio.write_artifacts(out_dir, {"summary": ("summary.json", {})}) == \
+        {"summary": out_dir / "summary.json"}
+    assert (out_dir / "summary.json").read_text() == "{}\n"
+    assert (out_dir / "other.txt").read_text() == "kept"
+
+
 def test_renamed_refusals_name_the_typed_field_and_keep_the_exception():
     with pytest.raises(ValueError, match=r"^n_probe_states must be at least 3, got 2$") as caught:
         with jsonio.renamed_refusals(size="n_probe_states"):

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from cvpuk import (
 )
 from cvpuk import jsonio
 from cvpuk.adversary import false_key_sums
-from cvpuk.scattering import masked_sums
+from cvpuk.scattering import ensemble_variance, masked_sums
 
 
 def test_generated_variance_matches_parameters():
@@ -60,6 +61,17 @@ def test_generate_key_rejects_bad_parameters(mode_count, l_over_L):
     with pytest.raises((TypeError, ValueError),
                        match="l_over_L" if mode_count == 4 else "mode_count"):
         generate_key(mode_count, l_over_L, substream(3, 0))
+
+
+def test_mode_count_beyond_the_double_range_is_refused_by_name():
+    # the largest double as an integer divides; one more would be refused
+    # rather than raise an OverflowError naming no parameter at 2**1024
+    largest = int(sys.float_info.max)
+    assert ensemble_variance(largest, 0.2) == 0.8 / sys.float_info.max
+    for mode_count in (largest + 1, 10**400):
+        with pytest.raises(ValueError, match=r"^mode_count must not exceed the double range, "
+                                             rf"got a {len(str(mode_count))}-digit integer$"):
+            ensemble_variance(mode_count, 0.2)
 
 
 def test_zero_variance_key_is_refused():

@@ -150,14 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
     thresholds = commands.add_parser(
         "thresholds", help="print the protocol constants for a parameter set"
     )
-    thresholds.add_argument("--epsilon", type=float, default=0.05)
-    thresholds.add_argument("--zeta", type=float, default=0.05)
-    thresholds.add_argument("--mu-c", type=float, default=2000.0,
+    # each default is the reference value, CampaignConfig's default of that field
+    thresholds.add_argument("--epsilon", type=float, default=CampaignConfig.epsilon)
+    thresholds.add_argument("--zeta", type=float, default=CampaignConfig.zeta)
+    thresholds.add_argument("--mu-c", type=float, default=CampaignConfig.tau * CampaignConfig.mu_p,
                             help="mean challenge photons after the modulator")
-    thresholds.add_argument("--n-modes", type=int, default=121)
-    thresholds.add_argument("--l-over-L", type=float, default=0.2)
-    thresholds.add_argument("--delta-over-sigma", type=float, default=2.0)
-    thresholds.add_argument("--eta", type=float, default=0.55)
+    thresholds.add_argument("--n-modes", type=int, default=CampaignConfig.n_modes)
+    thresholds.add_argument("--l-over-L", type=float, default=CampaignConfig.l_over_L)
+    thresholds.add_argument("--delta-over-sigma", type=float,
+                            default=CampaignConfig.delta_over_sigma)
+    thresholds.add_argument("--eta", type=float, default=CampaignConfig.eta)
     thresholds.set_defaults(func=_cmd_thresholds)
 
     enroll = commands.add_parser(
@@ -173,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_cmd.add_argument("--database", required=True)
     verify_cmd.add_argument("--key", required=True)
-    verify_cmd.add_argument("--sessions", type=int, default=1000)
-    verify_cmd.add_argument("--epsilon", type=float, default=0.05)
-    verify_cmd.add_argument("--zeta", type=float, default=0.05)
-    verify_cmd.add_argument("--seed", type=int, default=0)
+    verify_cmd.add_argument("--sessions", type=int, default=CampaignConfig.m_sessions)
+    verify_cmd.add_argument("--epsilon", type=float, default=CampaignConfig.epsilon)
+    verify_cmd.add_argument("--zeta", type=float, default=CampaignConfig.zeta)
+    verify_cmd.add_argument("--seed", type=int, default=CampaignConfig.seed)
     verify_cmd.add_argument("--out", default=".", help="directory for the report")
     verify_cmd.add_argument("--trace", action="store_true",
                             help="also write the per-session trace CSV")

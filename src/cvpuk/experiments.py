@@ -296,7 +296,7 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
 
     true_key = generate_key(config.n_modes, config.l_over_L, substream(config.seed, 0))
     database = enroll_exact(true_key, config.tau, probes, config.channel())
-    gain = enhancement(true_key, config.tau, database.mask, config.mu_c)
+    gain = enhancement(true_key, database.mask)
     rho_false, rho_true = radii(config.mu_c, true_key.variance, gain)
 
     means = np.empty((config.trials, 2))

@@ -168,14 +168,27 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python converts from a string
+        raise ValueError(f"{len(text.lstrip('-'))}-digit integer in JSON is too long "
+                         f"to read") from None
+
+
 def load(path):
-    """Parse a JSON file, rejecting NaN, Infinity, out-of-range floats and
-    nesting deeper than the parser's recursion limit."""
+    """Parse a JSON file, rejecting NaN, Infinity, out-of-range floats, an
+    integer too long to convert and nesting deeper than the parser's
+    recursion limit.  Every refusal, also of a malformed or non-UTF-8
+    file, is a ValueError whose message starts with the path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float)
+            return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float,
+                             parse_int=_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def require_object(name: str, document, known) -> dict:

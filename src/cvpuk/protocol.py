@@ -156,7 +156,7 @@ def enroll_exact(key: ScatteringKey, tau: float, probes: ProbeSet,
     error of every record is zero.  The set-up throughput ``tau`` is
     stored as the database's ``setup_loss``.
     """
-    mask = optimal_mask(key, tau)
+    mask = optimal_mask(key)
     centers = probes.responses(masked_sums(key.coefficients, tau, mask))
     return CrpDatabase(mask, centers, 0.0, probes, channel, tau)
 

@@ -5,14 +5,17 @@ complex field-reflection coefficient per controllable input mode, drawn
 independently from a circular complex Gaussian whose variance is fixed
 by the mode count and the thickness ratio of the diffusive medium.  A
 phase-only modulator in front of the key steers the scattered field
-into the target output mode; conjugating the phase of every
-reflection-coupling product makes all terms of the scattered sum
-interfere constructively, which is the global optimum of phase-only
-control.
+into the target output mode.
 
 The set-up illuminates the modulator uniformly: the probe fibre couples
 into every input mode with the same real amplitude ``sqrt(tau / n)``, so
-its only parameter is the power throughput ``tau``.
+its only parameter is the power throughput ``tau``.  A real coupling
+adds no phase, so conjugating the phase of each reflection coefficient
+makes all terms of the scattered sum interfere constructively, the
+global optimum of phase-only control (Vellekoop and Mosk, Opt. Lett. 32,
+2309 (2007)), and the optimal mask is a function of the key alone.  So
+is the enhancement, a ratio of photon numbers that no throughput or
+probe strength enters.
 
 All operations are pure functions of their arguments plus an explicit
 random generator, and all value types are immutable after construction,
@@ -162,12 +165,6 @@ def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator) -> 
     return ScatteringKey(draw_coefficients(1, mode_count, variance, rng)[0], float(l_over_L))
 
 
-def _coupling(tau: float, mode_count: int) -> float:
-    """Real coupling amplitude ``sqrt(tau / n)`` of every input mode."""
-    tau = require_real("tau", tau, REAL_INTERVALS["tau"])
-    return math.sqrt(tau / mode_count)
-
-
 def masked_terms(coefficients: np.ndarray, tau: float, mask: PhaseMask) -> np.ndarray:
     """Masked terms ``c_j sqrt(tau / n) e^{i phi_j}`` of one key's ``(n,)`` row
     or a ``(B, n)`` block, in its shape: the one place they are formed, by
@@ -177,11 +174,11 @@ def masked_terms(coefficients: np.ndarray, tau: float, mask: PhaseMask) -> np.nd
     one-mode multiply runs along the rows in a loop of its own, so the
     phase factors take the block's number of dimensions."""
     mode_count = coefficients.shape[-1]
-    coupling = _coupling(tau, mode_count)
+    tau = require_real("tau", tau, REAL_INTERVALS["tau"])
     if len(mask) != mode_count:
         raise ValueError("mask length does not match the key's mode count")
     phase_factors = np.exp(1j * mask.phases).reshape((1,) * (coefficients.ndim - 1) + (-1,))
-    return coefficients * coupling * phase_factors
+    return coefficients * math.sqrt(tau / mode_count) * phase_factors
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -193,31 +190,27 @@ def masked_sums(coefficients: np.ndarray, tau: float, mask: PhaseMask):
     return np.sum(masked_terms(coefficients, tau, mask), axis=-1)
 
 
-def optimal_mask(key: ScatteringKey, tau: float) -> PhaseMask:
+def optimal_mask(key: ScatteringKey) -> PhaseMask:
     """Globally optimal phase mask for the given key.
 
-    Conjugates the phase of each reflection-coupling product, so every
-    term of the scattered sum becomes real and non-negative.  No phase
-    mask can produce a larger amplitude magnitude.
+    Conjugates the phase of each reflection coefficient, so every term of
+    the scattered sum becomes real and non-negative under the real,
+    uniform coupling.  No phase mask can produce a larger amplitude
+    magnitude.
     """
-    products = key.coefficients * _coupling(tau, key.mode_count)
-    if not np.any(products != 0):
-        raise DegenerateKeyError("all reflection-coupling products vanish")
-    return PhaseMask(-np.angle(products))
+    if not np.any(key.coefficients):
+        raise DegenerateKeyError("every reflection coefficient vanishes")
+    return PhaseMask(-np.angle(key.coefficients))
 
 
-def enhancement(key: ScatteringKey, tau: float, mask: PhaseMask,
-                mean_challenge_photons: float) -> float:
+def enhancement(key: ScatteringKey, mask: PhaseMask) -> float:
     """Intensity gain of the masked key over the unoptimized ensemble mean.
 
     The photon number in the target mode is the squared magnitude of the
     scattered amplitude (coherence is preserved end to end), and the
     reference level is the ensemble-average photon number without
-    optimization, ``variance * mean_challenge_photons``.  The probe
-    strength cancels, so the ratio does not depend on it.
+    optimization, ``variance`` times the photons that reach the key.  Both
+    scale alike with the throughput and the probe strength, so the ratio
+    is formed at unit throughput and unit probe strength.
     """
-    require_real("mean_challenge_photons", mean_challenge_photons, "(0, inf)")
-    # masked_sums checks tau before the probe amplitude divides by it
-    amplitude = masked_sums(key.coefficients, tau, mask) * math.sqrt(mean_challenge_photons / tau)
-    photons = abs(amplitude) ** 2
-    return float(photons / (key.variance * mean_challenge_photons))
+    return float(abs(masked_sums(key.coefficients, 1.0, mask)) ** 2 / key.variance)

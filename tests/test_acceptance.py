@@ -59,7 +59,7 @@ def test_criterion_2_enhancement_scaling():
         gains = []
         for _ in range(200):
             key = generate_key(n_modes, 0.2, rng)
-            gains.append(enhancement(key, 0.8, optimal_mask(key, 0.8), 2000.0))
+            gains.append(enhancement(key, optimal_mask(key)))
         expected = math.pi * n_modes / 4.0
         checks[f"mean gain at {n_modes} modes"] = (
             abs(float(np.mean(gains)) - expected) <= 0.10 * expected
@@ -125,7 +125,7 @@ def test_criterion_4_ensemble_statistics():
     probes = ProbeSet(11, mu_p)
     channel = HomodyneChannel.from_delta_ratio(0.55, 2.0)
     database = enroll_exact(key, tau, probes, channel)
-    gain = enhancement(key, tau, database.mask, mu_c)
+    gain = enhancement(key, database.mask)
     enrolled_power = 2.0 * gain * key.variance * mu_c
     checks["enrolled records satisfy the power identity"] = all(
         abs(x**2 + y**2 - enrolled_power) <= 1e-9 * enrolled_power

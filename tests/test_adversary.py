@@ -48,7 +48,7 @@ def test_false_key_responses_concentrate_near_origin():
     # effectively zero against the 2% allowance
     n_modes, mu_p, tau = 256, 2500.0, 0.8
     true_key = generate_key(n_modes, 0.2, substream(202, 0))
-    mask = optimal_mask(true_key, tau)
+    mask = optimal_mask(true_key)
     mu_c = tau * mu_p
     rho_false, _ = radii(mu_c, true_key.variance, 201.0)
     rng = substream(202, 1)
@@ -73,7 +73,7 @@ def test_false_key_sums_match_explicit_false_keys(n_modes, mask_kind):
     tau, l_over_L = 0.8, 0.2
     true_key = generate_key(n_modes, l_over_L, substream(210, n_modes))
     if mask_kind == "optimal":
-        mask = optimal_mask(true_key, tau)
+        mask = optimal_mask(true_key)
     else:
         mask = PhaseMask(substream(211, n_modes).uniform(-math.pi, math.pi, n_modes))
     rng = substream(212, n_modes)
@@ -204,7 +204,7 @@ def test_clone_distance_grows_with_fraction():
     n_modes, mu_p = 121, 2500.0
     true_key = generate_key(n_modes, 0.2, substream(207, 0))
     tau = 0.8
-    mask = optimal_mask(true_key, tau)
+    mask = optimal_mask(true_key)
     probes = ProbeSet(11, mu_p)
     true_x, true_y = probes.responses(masked_sums(true_key.coefficients, tau, mask))[0]
     rng = substream(207, 1)
@@ -225,7 +225,7 @@ def test_clone_sums_follow_the_masked_sums_of_built_clones():
     # be that of a clone_key clone seen through the same mask, in every part
     n_modes, fraction, rows = 121, 0.05, 4000
     true_key = generate_key(n_modes, 0.2, substream(217, 0))
-    mask = optimal_mask(true_key, 0.8)
+    mask = optimal_mask(true_key)
     drawn = clone_sums(true_key, fraction, 0.8, mask, rows, substream(217, 1))
     rng = substream(217, 2)
     built = masked_sums(np.array([clone_key(true_key, fraction, rng)[0].coefficients

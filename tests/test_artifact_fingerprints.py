@@ -2,8 +2,9 @@
 ``cvpuk verify`` write, pinned by its SHA-256 at one small config.
 
 A pure refactor must leave each of these files byte-identical.  A declared
-change of the random-number stream layout or of a file format changes the
-table below, and says which files moved and why in ``CHANGES.md``.  Numpy
+change of the random-number stream layout, of a file format or of the float
+bits of a computed quantity changes the table below, and says which files
+moved and why in ``CHANGES.md``.  Numpy
 does not promise that a ``Generator`` stream stays the same from one version
 to the next (NEP 19), so the table holds only under the numpy version it was
 made with, and the test is skipped under any other.
@@ -29,7 +30,7 @@ SHA256 = {
     "response_cloud": {
         "cloud.csv": "e2ccdd57deec44a7f8b81f570d4267d2c1efcc27925b0085c8809920aa3998b3",
         "config.json": "51fb12e4a56c118cc1ed20c5a3214c47e07b0d33f9afaa75c09b894868fb6f27",
-        "summary.json": "17899b894d0b918880474b8560ae2d41eda2e5430d1eb049cc2bf6da61735691",
+        "summary.json": "8de8baec67c5aaf5fc4c01d5669cbba3382687a923ec20087ac3a014b24cb67a",
     },
     "enhancement_condition": {
         "config.json": "697803290f06cb9076d713ffd06578d6964fd00f66618ad5892364ba9fc63574",
@@ -42,10 +43,10 @@ SHA256 = {
         "summary.json": "7ddb90fd5a5896f2b1006d42c4f0dfc6c6d6e0bb8990a2b92d5df083887a2d79",
     },
     "clone_cloud": {
-        "clone_cloud_n121.csv": "bc514a37ccac78cce23c462a46107bc1efb3a903583c43f013fcb52d0f5e5e56",
+        "clone_cloud_n121.csv": "a01409ab6add1575c4c2f78ad7d9c64a83a2437a9b3f3dfb888a15279dead09f",
         "clone_cloud_n16.csv": "9a89ac22232261daf84512837c45f20cd8ca6275871b24e1278ebcfa5ef8b43f",
         "config.json": "3d81e797877e8d5f0fc425257e2ad70f12ef8fe0252f471730fc399c7e3b5fa7",
-        "summary.json": "927f5c6fc38951357cf7777f3b1654370e67d292776d54196187b8f2ff438134",
+        "summary.json": "8a09cbaf9e1340fee51236fc1d4833731b5a05c6a3a05756be416c0bcd189c8d",
     },
     "clone_histograms": {
         "clone_histograms_n121.csv": "d60bee7c3884775156fd780e038c70896f9d2ecc46282ee203fa29c10a3151a8",
@@ -83,11 +84,11 @@ ENROLLMENTS = {"exact": {}, "sampled": {"enrollment": "sampled", "per_quadrature
 # both enrollments draw the key from the same stream, so key.json is the same file
 CLI_SHA256 = {
     "enroll_exact": {
-        "database.json": "9a55d0255af1e4d9333f2b3feaa454e9098f984db3426123f86430bc5b6fb203",
+        "database.json": "0e9a8d465a80038b43770d3b6b360521eade6ec135cd719f7cf7b243d9be8cc9",
         "key.json": "e65eb4ab7a5ce2125ce5588efaf839105e570964f261391dfef3c3c29e7f3405",
     },
     "enroll_sampled": {
-        "database.json": "9e3de2ff5b1114eb93f847e9e952b788c179d69ceab21e57e96872846f659893",
+        "database.json": "9421f3e1ed4d7546dccb00ae93257c4c2b07615a4210aaf6e0d757f13d44bccf",
         "key.json": "e65eb4ab7a5ce2125ce5588efaf839105e570964f261391dfef3c3c29e7f3405",
     },
     "verify": {
@@ -95,7 +96,7 @@ CLI_SHA256 = {
     },
     "verify_trace": {
         "report.json": "0909d356daa15cc85417a2a3030eadb56e54c46ff1feead7d5056b08ecc7e1f5",
-        "trace.csv": "c1cb55e8819d7655d83e38fe9976df0a0e9bcf15c3301a3f4c95e2196c2def1f",
+        "trace.csv": "29fbaf8780060356401b1fb79e5edc4ef9a397d059213e62bc4307320bc68b00",
     },
 }
 

@@ -460,7 +460,7 @@ def test_block_builders_match_single_keys():
     assert clone.coefficients.tobytes() == expected.tobytes()
     # clone sums pick positions as clone_key does; their one normal per row
     # follows all the offsets
-    mask = optimal_mask(true_key, 0.8)
+    mask = optimal_mask(true_key)
     true_sum = masked_sums(true_key.coefficients, 0.8, mask)
     terms = masked_terms(true_key.coefficients, 0.8, mask)
     sums = clone_sums(true_key, 0.25, 0.8, mask, 5, substream(61, 2))
@@ -499,7 +499,7 @@ def test_non_finite_rows_are_refused_where_their_response_is_formed():
         def integers(self, low, high, size):
             return np.zeros(size, dtype=np.intp)
 
-    mask = optimal_mask(true_key, 0.8)
+    mask = optimal_mask(true_key)
     for sums in (false_key_sums(4, 0.2, 0.8, 2, Poisoned()),
                  clone_sums(true_key, 0.5, 0.8, mask, 1, Poisoned())):
         with pytest.raises(ValueError, match="finite"):
@@ -509,7 +509,7 @@ def test_non_finite_rows_are_refused_where_their_response_is_formed():
 def test_masked_sums_rows_carry_the_one_key_bits():
     for n_modes in (1, 2, 7, 8, 9, 121, 256, 625, 1000, 2049):
         keys = [generate_key(n_modes, 0.2, substream(63, n_modes, t)) for t in range(6)]
-        mask = optimal_mask(keys[0], 0.8)
+        mask = optimal_mask(keys[0])
         rows = np.array([k.coefficients for k in keys])
         block = masked_sums(rows, 0.8, mask)
         assert block.shape == (6,)
@@ -535,7 +535,7 @@ def test_masked_sums_rows_carry_the_one_key_bits():
 def test_probe_responses_rows_carry_the_one_key_bits():
     for n_modes in (1, 2, 121, 625):
         keys = [generate_key(n_modes, 0.2, substream(65, n_modes, t)) for t in range(6)]
-        mask = optimal_mask(keys[0], 0.8)
+        mask = optimal_mask(keys[0])
         sums = masked_sums(np.array([k.coefficients for k in keys]), 0.8, mask)
         for mu_p in (2500.0, 3.0):
             probes = ProbeSet(11, mu_p)

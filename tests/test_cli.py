@@ -25,7 +25,7 @@ from cvpuk import (
     verify,
 )
 from cvpuk.cli import build_parser, main
-from cvpuk.experiments import EXPERIMENT_IDS
+from cvpuk.experiments import EXPERIMENT_IDS, CampaignConfig
 from cvpuk.homodyne import HomodyneChannel, ProbeSet
 
 
@@ -55,6 +55,20 @@ def test_thresholds_reports_constants(capsys):
     assert "23.280625" in out
     assert "0.68268949213708" in out
     assert "rho_f" in out and "rho_t" in out and "sigma" in out
+
+
+def test_flag_defaults_are_the_campaign_config_defaults():
+    # one reference parameter set: the flags take CampaignConfig's defaults
+    config = CampaignConfig("response_cloud")
+    thresholds = build_parser().parse_args(["thresholds"])
+    assert (thresholds.epsilon, thresholds.zeta, thresholds.mu_c, thresholds.n_modes,
+            thresholds.l_over_L, thresholds.delta_over_sigma, thresholds.eta) == (
+        config.epsilon, config.zeta, config.mu_c, config.n_modes, config.l_over_L,
+        config.delta_over_sigma, config.eta)
+    assert thresholds.mu_c == 2000.0
+    verify_args = build_parser().parse_args(["verify", "--database", "d", "--key", "k"])
+    assert (verify_args.sessions, verify_args.epsilon, verify_args.zeta, verify_args.seed) == (
+        config.m_sessions, config.epsilon, config.zeta, config.seed)
 
 
 def test_thresholds_unit_efficiency(capsys):
@@ -784,6 +798,40 @@ def test_deeply_nested_json_exits_2_without_output(tmp_path, capsys, command):
     out_dir = tmp_path / "out"
     assert main([command, *inputs, "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply to read\n"
+    assert not out_dir.exists()
+
+
+# files the JSON reader cannot read, each with its refusal after the path
+UNREADABLE_JSON = [
+    pytest.param(b'{"coefficients": [', "Expecting value: line 1 column 19 (char 18)",
+                 id="truncated"),
+    pytest.param(b'{"l_over_L": 1e999}', "non-finite number 1e999 in JSON", id="1e999"),
+    pytest.param(b'{"n_modes": -' + b"9" * 5000 + b"}",
+                 "5000-digit integer in JSON is too long to read", id="5000-digit-integer"),
+    pytest.param(b'{"l_over_L": "\xff"}',
+                 "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte",
+                 id="not-utf-8"),
+]
+
+
+@pytest.mark.parametrize("text,refusal", UNREADABLE_JSON)
+@pytest.mark.parametrize("command", ["verify", "campaign"])
+def test_unreadable_json_exits_2_naming_its_file(tmp_path, capsys, command, text, refusal):
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_bytes(text)
+    if command == "verify":
+        # only the key is unreadable, so the database must go unnamed
+        config_path = tmp_path / "config.json"
+        _write_enroll_config(config_path)
+        enrolled = tmp_path / "enrolled"
+        assert main(["enroll", "--config", str(config_path), "--out", str(enrolled)]) == 0
+        capsys.readouterr()
+        inputs = ["--database", str(enrolled / "database.json"), "--key", str(unreadable)]
+    else:
+        inputs = ["--config", str(unreadable)]
+    out_dir = tmp_path / "out"
+    assert main([command, *inputs, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {unreadable}: {refusal}\n"
     assert not out_dir.exists()
 
 

@@ -29,7 +29,6 @@ from cvpuk import (
     generate_key,
     jsonio,
     m_threshold,
-    optimal_mask,
     p_in_theoretical,
     radii,
     run_clone_experiments,
@@ -103,8 +102,6 @@ REFUSED_PARAMETERS = [
      (True, "0.1", -0.01)),
     ("e_threshold", lambda v: e_threshold(v, 121, 0.2), "mean_challenge_photons",
      (True, "2000", 0.0, math.inf)),
-    ("enhancement", lambda v: enhancement(_KEY, 0.8, optimal_mask(_KEY, 0.8), v),
-     "mean_challenge_photons", (True, "2000", 0.0, math.inf)),
     ("radii", lambda v: radii(v, 1.0, 4.0), "mean_challenge_photons",
      (True, "2000", 0.0, math.inf)),
     ("radii", lambda v: radii(2000.0, v, 4.0), "variance", (True, "1", 0.0, math.inf)),
@@ -204,7 +201,7 @@ def test_enroll_exact_response_power_identity():
     key, tau, probes, channel = _setup(seed=101)
     database = enroll_exact(key, tau, probes, channel)
     mu_c = tau * probes.mean_photons
-    gain = enhancement(key, tau, database.mask, mu_c)
+    gain = enhancement(key, database.mask)
     expected = 2.0 * gain * key.variance * mu_c
     for x, y in database.centers:
         power = x**2 + y**2

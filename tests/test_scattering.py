@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from cvpuk import (
     DegenerateKeyError,
+    HomodyneChannel,
     PhaseMask,
     ProbeSet,
     ScatteringKey,
     enhancement,
+    enroll_exact,
     generate_key,
     optimal_mask,
     substream,
@@ -135,11 +137,11 @@ def test_every_tau_entry_point_rejects_bad_tau(tau):
     key = generate_key(4, 0.2, substream(22, 0))
     mask = PhaseMask(np.zeros(4))
     with pytest.raises((TypeError, ValueError), match="tau"):
-        optimal_mask(key, tau)
-    with pytest.raises((TypeError, ValueError), match="tau"):
-        enhancement(key, tau, mask, 10.0)
-    with pytest.raises((TypeError, ValueError), match="tau"):
         false_key_sums(4, 0.2, tau, 2, substream(22, 1))
+    with pytest.raises((TypeError, ValueError), match="tau"):
+        masked_sums(key.coefficients, tau, mask)
+    with pytest.raises((TypeError, ValueError), match="tau"):
+        enroll_exact(key, tau, ProbeSet(3, 1.0), HomodyneChannel.from_delta_ratio(0.55, 2.0))
 
 
 def _field(responses):
@@ -201,15 +203,14 @@ def test_linearity_close_for_general_scalings():
 
 def test_optimal_mask_single_mode():
     key = ScatteringKey(np.array([0.3 * np.exp(1.1j)]), 0.2)
-    tau = 0.25
-    mask = optimal_mask(key, tau)
+    mask = optimal_mask(key)
     assert mask.phases[0] == pytest.approx(-1.1, rel=1e-12)
 
 
 def test_optimal_mask_is_global_optimum():
     key = generate_key(32, 0.2, substream(8, 0))
     tau = 0.8
-    best = abs(masked_sums(key.coefficients, tau, optimal_mask(key, tau)))
+    best = abs(masked_sums(key.coefficients, tau, optimal_mask(key)))
     rng = substream(8, 1)
     for _ in range(1000):
         mask = PhaseMask(rng.uniform(-math.pi, math.pi, 32))
@@ -219,26 +220,52 @@ def test_optimal_mask_is_global_optimum():
 def test_optimal_mask_degenerate_key():
     key = ScatteringKey(np.zeros(3, dtype=complex), 0.0)
     with pytest.raises(DegenerateKeyError):
-        optimal_mask(key, 0.8)
+        optimal_mask(key)
+
+
+@pytest.mark.parametrize("n_modes", [1, 16, 121])
+def test_optimal_mask_conjugates_each_coefficient_phase(n_modes):
+    # the uniform coupling is real, so the mask is the key's phases negated
+    key = generate_key(n_modes, 0.2, substream(23, n_modes))
+    expected = wrap_phase(-np.angle(key.coefficients))
+    assert optimal_mask(key).phases.tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.8, 1.0])
+def test_enhancement_is_the_masked_power_at_any_throughput_over_its_ensemble_mean(tau):
+    key = generate_key(121, 0.2, substream(24, 0))
+    for mask in (optimal_mask(key), PhaseMask(np.zeros(121))):
+        power = abs(masked_sums(key.coefficients, tau, mask)) ** 2
+        assert enhancement(key, mask) == pytest.approx(power / (tau * key.variance), rel=1e-12)
+
+
+def test_a_key_whose_coupled_terms_underflow_has_a_mask_and_a_finite_enrollment():
+    # each coefficient times sqrt(tau / n) rounds to 0, but the key itself is
+    # not all zero, so its mask is defined; its response is 0, not NaN
+    key = ScatteringKey(np.full(121, 5e-324, dtype=complex), 0.2)
+    mask = optimal_mask(key)
+    assert not mask.phases.any()
+    database = enroll_exact(key, 0.8, ProbeSet(11, 2500.0),
+                            HomodyneChannel.from_delta_ratio(0.55, 2.0))
+    assert np.isfinite(database.centers).all()
+    assert enhancement(key, mask) == 0.0
 
 
 def test_optimal_mask_mean_enhancement():
     rng = substream(9, 0)
-    tau = 0.8
     gains = []
     for _ in range(200):
         key = generate_key(256, 0.2, rng)
-        gains.append(enhancement(key, tau, optimal_mask(key, tau), 2000.0))
+        gains.append(enhancement(key, optimal_mask(key)))
     expected = math.pi * 256 / 4.0
     assert abs(float(np.mean(gains)) - expected) <= 0.10 * expected
 
 
 def test_enhancement_unoptimized_ensemble_mean_is_one():
     rng = substream(14, 0)
-    tau = 0.8
     mask = PhaseMask(np.zeros(64))
     gains = [
-        enhancement(generate_key(64, 0.2, rng), tau, mask, 500.0)
+        enhancement(generate_key(64, 0.2, rng), mask)
         for _ in range(10_000)
     ]
     assert abs(float(np.mean(gains)) - 1.0) <= 0.05
@@ -246,38 +273,19 @@ def test_enhancement_unoptimized_ensemble_mean_is_one():
 
 def test_enhancement_single_mode():
     key = ScatteringKey(np.array([0.25 * np.exp(0.4j)]), 0.2)
-    tau = 0.5
-    gain = enhancement(key, tau, optimal_mask(key, tau), 100.0)
+    gain = enhancement(key, optimal_mask(key))
     assert gain == pytest.approx(abs(key.coefficients[0]) ** 2 / key.variance, rel=1e-12)
-
-
-def test_enhancement_independent_of_probe_strength():
-    key = generate_key(32, 0.2, substream(15, 0))
-    tau = 0.8
-    mask = optimal_mask(key, tau)
-    assert enhancement(key, tau, mask, 1.0) == pytest.approx(
-        enhancement(key, tau, mask, 12345.0), rel=1e-12
-    )
-
-
-def test_enhancement_errors():
-    key = generate_key(4, 0.2, substream(16, 0))
-    tau = 0.8
-    mask = PhaseMask(np.zeros(4))
-    for bad in (0.0, math.nan):
-        with pytest.raises(ValueError):
-            enhancement(key, tau, mask, bad)
 
 
 def test_amplitude_squared_matches_enhancement():
     # photon number in the target mode must equal the squared mean field
     key = generate_key(121, 0.2, substream(17, 0))
     tau = 0.8
-    mask = optimal_mask(key, tau)
+    mask = optimal_mask(key)
     mu_p = 2500.0
     mu_c = 0.8 * mu_p
     amplitude = _masked_sum(key, tau, mask) * math.sqrt(mu_p)
-    gain = enhancement(key, tau, mask, mu_c)
+    gain = enhancement(key, mask)
     assert abs(amplitude) ** 2 == pytest.approx(gain * key.variance * mu_c, rel=1e-12)
 
 
@@ -286,11 +294,10 @@ def test_enhancement_scaling_slope():
     rng = substream(18, 0)
     means = []
     for n_modes in mode_counts:
-        tau = 0.8
         gains = []
         for _ in range(100):
             key = generate_key(n_modes, 0.2, rng)
-            gains.append(enhancement(key, tau, optimal_mask(key, tau), 100.0))
+            gains.append(enhancement(key, optimal_mask(key)))
         means.append(float(np.mean(gains)))
     slope = float(np.polyfit(mode_counts, means, 1)[0])
     assert abs(slope - math.pi / 4.0) <= 0.10 * math.pi / 4.0
@@ -360,7 +367,7 @@ def test_responses_are_linear_in_the_masked_sum(n_modes, seed, tau, a, b):
 @given(st.integers(1, 64), st.integers(0, 2**32), st.floats(0.01, 1.0))
 def test_no_random_mask_beats_the_optimal_mask(n_modes, seed, tau):
     key = generate_key(n_modes, 0.2, substream(seed, 0))
-    best = abs(masked_sums(key.coefficients, tau, optimal_mask(key, tau)))
+    best = abs(masked_sums(key.coefficients, tau, optimal_mask(key)))
     for phases in substream(seed, 1).uniform(-math.pi, math.pi, (16, n_modes)):
         assert abs(masked_sums(key.coefficients, tau, PhaseMask(phases))) <= best * (1 + 1e-12)
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 import warnings
@@ -119,9 +118,8 @@ def _cmd_verify(args) -> int:
     artifacts = {"report": ("report.json", report.to_dict())}
     if args.trace:
         trace = report.session_trace
-        # Python rows exist one block of 4,096 sessions at a time
-        artifacts["trace"] = ("trace.csv", (trace.dtype.names, itertools.chain.from_iterable(
-            trace[start:start + 4096].tolist() for start in range(0, len(trace), 4096))))
+        artifacts["trace"] = ("trace.csv", (trace.dtype.names,
+                                            [trace[name] for name in trace.dtype.names]))
     print(*jsonio.write_artifacts(args.out, artifacts).values(), sep="\n")
     print(f"p_in = {report.p_in!r}  P_in = {report.p_in_expected!r}  "
           f"{'ACCEPT' if report.accepted else 'REJECT'}")
@@ -177,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--key", required=True)
     verify_cmd.add_argument("--sessions", type=int, default=CampaignConfig.m_sessions)
     verify_cmd.add_argument("--epsilon", type=float, default=CampaignConfig.epsilon)
-    verify_cmd.add_argument("--zeta", type=float, default=CampaignConfig.zeta)
+    verify_cmd.add_argument("--zeta", type=float, default=CampaignConfig.zeta,
+                            help="confidence parameter: range-checked, but it enters neither "
+                                 "the verdict nor report.json")
     verify_cmd.add_argument("--seed", type=int, default=CampaignConfig.seed)
     verify_cmd.add_argument("--out", default=".", help="directory for the report")
     verify_cmd.add_argument("--trace", action="store_true",

@@ -37,7 +37,6 @@ trace.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -376,21 +375,23 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     )
 
 
-def _histogram_rows(samples: np.ndarray, bin_width: float):
-    """Lazy ``(bin_left, bin_right, count)`` rows of Python floats and ints that
-    count ``samples`` in ``ceil(1 / bin_width)`` bins splitting [0, 1] evenly,
-    1.0 in the last: a ``bin_width`` of 0.3 gives four bins of 0.25.  The
-    width is a ``CampaignConfig.histogram_bin``, which its interval,
+def _histogram_columns(samples, bin_width: float):
+    """``(bin_left, bin_right, counts)`` of histograms of each row of the 2-D
+    ``samples`` in ``ceil(1 / bin_width)`` bins splitting [0, 1] evenly, 1.0
+    in the last: a ``bin_width`` of 0.3 gives four bins of 0.25.  The edges
+    are the bins' columns; ``counts[r]`` counts row ``r``.  The width is a
+    ``CampaignConfig.histogram_bin``, which its interval,
     ``REAL_INTERVALS["histogram_bin"]``, caps at 10,000 bins."""
     edges = np.linspace(0.0, 1.0, max(1, math.ceil(round(1.0 / bin_width, 9))) + 1)
-    counts, _ = np.histogram(samples, edges)
-    return zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist())
+    counts = np.array([np.histogram(row, edges)[0] for row in samples], dtype=np.int64)
+    return edges[:-1], edges[1:], counts
 
 
 def _collision_campaign(config: CampaignConfig):
     result = run_collision_histogram(config)
+    lefts, rights, counts = _histogram_columns([result.false_p_ins], config.histogram_bin)
     files = {"histogram": ("histogram.csv", (("bin_left", "bin_right", "count"),
-                           _histogram_rows(result.false_p_ins, config.histogram_bin)))}
+                                             (lefts, rights, counts[0])))}
     return files, {
         "p_in_expected": result.p_in_expected,
         "true_key_p_in": result.true_key_p_in,
@@ -403,7 +404,7 @@ def _collision_campaign(config: CampaignConfig):
 def _response_campaign(config: CampaignConfig):
     result = run_response_cloud(config)
     files = {"cloud": ("cloud.csv", (("trial", "x", "y"),
-                       zip(range(config.trials), *result.means.T.tolist())))}
+                                     (np.arange(config.trials), *result.means.T)))}
     true_x, true_y = result.true_response.tolist()
     return files, {
         "true_x": true_x,
@@ -417,10 +418,10 @@ def _response_campaign(config: CampaignConfig):
 
 def _enhancement_campaign(config: CampaignConfig):
     result = run_enhancement_condition(config)
-    rows = [(photons_per_mode, n_modes, threshold) for photons_per_mode, thresholds
-            in zip(config.photons_per_mode_values, result.thresholds.tolist())
-            for n_modes, threshold in zip(config.mode_counts, thresholds)]
-    files = {"thresholds": ("thresholds.csv", (("photons_per_mode", "n_modes", "e_th"), rows))}
+    photons, mode_counts = config.photons_per_mode_values, config.mode_counts
+    columns = (np.repeat(photons, len(mode_counts)), np.tile(mode_counts, len(photons)),
+               result.thresholds.ravel())
+    files = {"thresholds": ("thresholds.csv", (("photons_per_mode", "n_modes", "e_th"), columns))}
     band_low, band_high = REPORTED_ENHANCEMENT_BAND
     return files, {"band_low": band_low, "band_high": band_high}
 
@@ -444,31 +445,17 @@ def _cloud_summary(means: np.ndarray) -> tuple[float, float, float]:
     return mean_x, mean_y, float(np.sqrt(np.mean((xs - mean_x) ** 2 + (ys - mean_y) ** 2)))
 
 
-def _cluster_rows(d: float, points: np.ndarray, trial_texts: list[str]):
-    """Lazy CSV rows ``(D, trial, x, y)`` of one clone cluster, with each value
-    that its rows share given as the text it renders to once: ``D``, the
-    campaign's ``trial_texts``, and the point of a cluster whose points are
-    identical bit for bit, such as perfect clones."""
-    bits = points.view(np.uint64)
-    if len(bits) and (bits == bits[0]).all():
-        columns = map(itertools.repeat, map(repr, points[0].tolist()))
-    else:
-        columns = points.T.tolist()
-    return zip(itertools.repeat(repr(d)), trial_texts, *columns)
-
-
 def _clone_cloud_campaign(config: CampaignConfig):
     result = run_clone_experiments(config)
     files = {}
     summary = {"p_in_expected": result.p_in_expected, "trials": config.trials}
-    trial_texts = list(map(str, range(config.trials)))
+    # the clusters one after another, each in trial order
+    fractions = np.repeat(config.d_values, config.trials)
+    trials = np.tile(np.arange(config.trials), len(config.d_values))
     for n_modes, true_response, means in zip(config.mode_counts, result.true_responses,
                                              result.means):
-        # zip is the first iterable, bound now, not when the CSV writer reads the rows
-        rows = itertools.chain.from_iterable(_cluster_rows(d, points, trial_texts)
-                                             for d, points in zip(config.d_values, means))
-        files[f"cloud_n{n_modes}"] = (f"clone_cloud_n{n_modes}.csv",
-                                      (("D", "trial", "x", "y"), rows))
+        files[f"cloud_n{n_modes}"] = (f"clone_cloud_n{n_modes}.csv", (
+            ("D", "trial", "x", "y"), (fractions, trials, *means.reshape(-1, 2).T)))
         true_x, true_y = true_response.tolist()
         summary[f"n{n_modes}"] = {
             "true_x": true_x,
@@ -484,35 +471,38 @@ def _clone_cloud_campaign(config: CampaignConfig):
 def _clone_histograms_campaign(config: CampaignConfig):
     result = run_clone_experiments(config)
     files = {}
+    clusters = len(config.d_values)
     for n_modes, p_ins in zip(config.mode_counts, result.p_ins):
-        # zip is the first iterable, bound now, not when the CSV writer reads the rows
-        rows = ((d, *row) for d, samples in zip(config.d_values, p_ins)
-                for row in _histogram_rows(samples, config.histogram_bin))
+        # one histogram per fraction, one after another
+        lefts, rights, counts = _histogram_columns(p_ins, config.histogram_bin)
+        columns = (np.repeat(config.d_values, len(lefts)), np.tile(lefts, clusters),
+                   np.tile(rights, clusters), counts.ravel())
         files[f"histograms_n{n_modes}"] = (f"clone_histograms_n{n_modes}.csv",
-                                           (("D", "bin_left", "bin_right", "count"), rows))
+                                           (("D", "bin_left", "bin_right", "count"), columns))
     return files, {"p_in_expected": result.p_in_expected, "trials": config.trials}
 
 
 def _cheating_campaign(config: CampaignConfig):
     result = run_clone_experiments(config)
     # with no trials nothing is accepted, and the rate is 0 / 1
-    rates = (result.accepted / max(config.trials, 1)).tolist()
-    rows = [(d, n_modes, rate, config.trials)
-            for n_modes, n_rates in zip(config.mode_counts, rates)
-            for d, rate in zip(config.d_values, n_rates)]
-    files = {"cheating": ("cheating.csv", (("D", "n_modes", "accept_rate", "trials"), rows))}
+    rates = result.accepted / max(config.trials, 1)
+    fractions, mode_counts = config.d_values, config.mode_counts
+    columns = (np.tile(fractions, len(mode_counts)), np.repeat(mode_counts, len(fractions)),
+               rates.ravel(), np.full(rates.size, config.trials))
+    files = {"cheating": ("cheating.csv", (("D", "n_modes", "accept_rate", "trials"), columns))}
     return files, {
         "p_in_expected": result.p_in_expected,
         "trials": config.trials,
         "acceptance": [
-            {"D": d, "n_modes": n, "accept_rate": rate, "trials": trials}
-            for d, n, rate, trials in rows
+            {"D": d, "n_modes": n, "accept_rate": rate, "trials": config.trials}
+            for n, n_rates in zip(mode_counts, rates.tolist())
+            for d, rate in zip(fractions, n_rates)
         ],
     }
 
 
 # experiment id -> campaign; a campaign returns its CSV files, keyed by
-# artifact name as (file name, (header, rows)), and its summary document
+# artifact name as (file name, (header, columns)), and its summary document
 _CAMPAIGNS = {
     "response_cloud": _response_campaign,
     "enhancement_condition": _enhancement_campaign,

@@ -79,11 +79,11 @@ def test_criterion_3_collision_resistance():
     result = run_collision_histogram(config)
     elapsed = time.monotonic() - started
     expected = result.p_in_expected
-    # the mode bin is the first fullest row: max keeps the first of equal keys
-    mode_left, mode_right, _ = max(
-        experiments._histogram_rows(result.false_p_ins, config.histogram_bin),
-        key=lambda row: row[2],
-    )
+    # the mode bin is the first fullest bin: argmax keeps the first of equal counts
+    lefts, rights, counts = experiments._histogram_columns([result.false_p_ins],
+                                                           config.histogram_bin)
+    mode = int(np.argmax(counts[0]))
+    mode_left, mode_right = lefts[mode], rights[mode]
     checks = {
         "true key accepted": result.true_key_accepted,
         "99% of false keys rejected": result.false_acceptance_rate <= 0.01,

@@ -862,8 +862,8 @@ def test_verify_out_of_memory_exits_2_without_output(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("sessions", [4095, 4096, 4097, 8193])
 def test_verify_trace_csv_rows_at_block_edges(tmp_path, capsys, sessions):
-    # the writer converts the trace 4,096 rows at a time; every row is written,
-    # once, from Python ints and floats, exactly as a row-by-row writer would
+    # the writer renders the trace's columns 4,096 rows at a time; every row is
+    # written, once, exactly as a row-by-row writer of its ints and floats would
     config_path = tmp_path / "config.json"
     _write_enroll_config(config_path, n_modes=4)
     enrolled = tmp_path / "enrolled"

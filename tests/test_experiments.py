@@ -159,30 +159,32 @@ def test_config_refusal_names_the_field_typed(field, value, error):
 
 def test_histogram_construction():
     samples = [0.0, 0.005, 0.5, 1.0]
-    rows = list(experiments._histogram_rows(samples, 0.01))
-    lefts, rights, counts = zip(*rows)
+    lefts, rights, (counts,) = experiments._histogram_columns([samples], 0.01)
     assert lefts[0] == 0.0
     assert rights[-1] == 1.0
     assert len(counts) == 100
     assert sum(counts) == len(samples) == 4
     assert counts[0] == 2  # 0.0 and 0.005
     assert counts[-1] == 1  # 1.0 lands in the closing bin
-    # the mode bin is the first fullest row: max keeps the first of equal keys
-    assert max(rows, key=lambda row: row[2])[:2] == (0.0, 0.01)
+    # the mode bin is the first fullest bin: argmax keeps the first of equal counts
+    mode = int(np.argmax(counts))
+    assert (lefts[mode], rights[mode]) == (0.0, 0.01)
 
 
 def test_histogram_bin_width_follows_the_config_interval():
     # CampaignConfig checks the width against REAL_INTERVALS["histogram_bin"],
     # [1e-4, 1] (see test_config_validation); its narrowest width gives 10,000 bins
-    assert len(list(experiments._histogram_rows([0.1], 1e-4))) == 10_000
+    assert [len(column) for column in experiments._histogram_columns([[0.1]], 1e-4)] == \
+        [10_000, 10_000, 1]
 
 
 def test_histogram_rows():
-    rows = list(experiments._histogram_rows([0.25], 0.25))
-    assert len(rows) == 4
-    assert rows[1] == (0.25, 0.5, 1)
-    # the CSV writer formats by repr, which spells a numpy scalar np.float64(...)
-    assert [tuple(map(type, row)) for row in rows] == [(float, float, int)] * 4
+    lefts, rights, counts = experiments._histogram_columns([[0.25], [0.0, 0.3, 1.0]], 0.25)
+    assert len(lefts) == len(rights) == 4
+    assert (lefts[1], rights[1]) == (0.25, 0.5)
+    assert counts.tolist() == [[0, 1, 0, 0], [1, 1, 0, 1]]
+    # the CSV writer takes float64 edges and integer counts
+    assert (lefts.dtype, rights.dtype, counts.dtype) == (np.float64, np.float64, np.int64)
 
 
 def _small_collision_config(seed=3):
@@ -419,7 +421,7 @@ def test_each_clone_writer_derives_only_what_it_writes(monkeypatch, tmp_path):
     for experiment_id in ("clone_histograms", "cheating_curve"):
         config = CampaignConfig.from_dict({**sweep, "experiment_id": experiment_id})
         run_campaign(config, tmp_path / experiment_id)
-    monkeypatch.setattr(experiments, "_histogram_rows", forbidden)
+    monkeypatch.setattr(experiments, "_histogram_columns", forbidden)
     config = CampaignConfig.from_dict({**sweep, "experiment_id": "cheating_curve"})
     run_campaign(config, tmp_path / "cheating_only")
 
@@ -510,21 +512,22 @@ def test_campaign_outputs_are_byte_identical(tmp_path):
         assert filecmp.cmp(first[key], second[key], shallow=False), key
 
 
-def _csv_writer_oracle(path, header, rows):
-    """The artifact writer as ``csv.writer`` does it: floats by ``repr``."""
+def _csv_writer_oracle(path, header, columns):
+    """The artifact writer as ``csv.writer`` does it, row by row: floats by ``repr``."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
+        for row in zip(*(np.asarray(column).tolist() for column in columns)):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def test_write_csv_bytes_equal_csv_writer(tmp_path, monkeypatch):
-    header = ("a", "b", "c")
-    rows = [(0, -0.0, 1e-300), (5e-324, 0.1 + 0.2, -(2**70)), (1 / 3, -7, 1.7976931348623157e308),
-            (2.0, math.pi * 1e-17, 123456789.12345679)]
-    jsonio.write_csv(tmp_path / "fast.csv", header, rows)
-    _csv_writer_oracle(tmp_path / "oracle.csv", header, rows)
+    header = ("a", "b", "c", "d")
+    columns = [np.array([0.0, 5e-324, 1 / 3, 2.0]), np.array([-0.0, 0.1 + 0.2, 7.5, math.pi * 1e-17]),
+               np.array([1e-300, 2500.0, 1.7976931348623157e308, 123456789.12345679]),
+               np.array([0, -(2**63), -7, 2**63 - 1])]
+    jsonio.write_csv(tmp_path / "fast.csv", header, columns)
+    _csv_writer_oracle(tmp_path / "oracle.csv", header, columns)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     # every artifact of every campaign, and the trace of a traced verification

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,14 +242,13 @@ def test_empty_containers():
 
 def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
     target = tmp_path / "table.csv"
-    jsonio.write_csv(target, ("a",), [(1,)])
-
-    def rows():
-        yield (2,)
-        raise RuntimeError("row source failed")
-
-    with pytest.raises(RuntimeError):
-        jsonio.write_csv(target, ("a",), rows())
+    jsonio.write_csv(target, ("a",), [[1]])
+    # the first 4,096-row block is written before the second is found to hold a NaN
+    values = np.arange(5000.0)
+    values[4100] = math.nan
+    message = f"{target}: cannot write the non-finite nan of column a"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        jsonio.write_csv(target, ("a",), [values])
     assert target.read_bytes() == b"a\n1\n"
     assert [path.name for path in tmp_path.iterdir()] == ["table.csv"]
 
@@ -254,24 +256,159 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
 def test_write_csv_writes_numbers_as_repr_and_text_verbatim(tmp_path):
     floats = [0.1, -0.0, 2500.0, 1e16, 1e-05, 5e-324, 0.1 + 0.2, -1.7976931348623157e308]
     ints = [0, -7, 2**70]
-    values = [*floats, *ints, True, False]
     target = tmp_path / "values.csv"
-    jsonio.write_csv(target, ("value",), [(value,) for value in values])
+    jsonio.write_csv(target, ("float",), [floats])
     lines = target.read_text(encoding="utf-8").splitlines()
-    assert lines == ["value", *map(repr, values)]
+    assert lines == ["float", *map(repr, floats)]
     assert lines[1:7] == ["0.1", "-0.0", "2500.0", "1e+16", "1e-05", "5e-324"]
-    # text, such as a value many rows share rendered once, is written as it is
-    jsonio.write_csv(target, ("D", "x"), [("0.05", 1.5), ("0.05", "-0.0")])
-    assert target.read_bytes() == b"D,x\n0.05,1.5\n0.05,-0.0\n"
+    jsonio.write_csv(target, ("int",), [ints])
+    assert target.read_text(encoding="utf-8").splitlines() == ["int", *map(repr, ints)]
+
+
+def _lines(text):
+    """The rows of a NUL-padded byte matrix, one a line, as the CSV writer joins them."""
+    newlines = np.full((len(text), 1), ord("\n"), dtype=np.uint8)
+    return np.concatenate([text, newlines], axis=1).tobytes().translate(None, b"\0").decode()
+
+
+def _reprs(values):
+    return "".join(f"{value!r}\n" for value in values)
+
+
+def _float_lines(values):
+    return _lines(jsonio._float_text(np.asarray(values, dtype=np.float64)))
+
+
+def test_float_kernel_writes_repr_for_a_million_random_doubles():
+    rng = np.random.default_rng(20)
+    patterns = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    decades = np.repeat(np.arange(-31, 17), 16_000)
+    values = [patterns[np.isfinite(patterns)],
+              rng.uniform(1.0, 10.0, len(decades)) * 10.0 ** decades,  # each decade alike
+              10.0 ** rng.uniform(-6.0, 18.0, 100_000)]
+    values = np.concatenate(values) * rng.choice([-1.0, 1.0], sum(map(len, values)))
+    assert len(values) >= 1_000_000
+    for block in np.array_split(values, 100):
+        assert _float_lines(block) == _reprs(block.tolist())
+    # the kernel, not its fallback, writes nearly every value in [1e-30, 1e13)
+    covered = values[(np.abs(values) >= 1e-30) & (np.abs(values) < 1e13)]
+    assert np.mean(jsonio._shortest(np.abs(covered))[3]) > 0.999
+
+
+def _decimal_midpoints(rng):
+    """Doubles exactly halfway between two neighbouring 17- or 16-digit
+    decimals, ``j * 2**-(17 - E)`` and ``j * 2**-(16 - E)`` for odd ``j``,
+    with their neighbours on each side."""
+    values = []
+    for exponent in range(-4, 16):
+        for places in (17 - exponent, 16 - exponent):
+            for _ in range(20):
+                low, high = 10.0 ** exponent, 10.0 ** (exponent + 1)
+                odd = 2 * int(rng.integers(int(low * 2.0 ** places) // 2,
+                                           int(high * 2.0 ** places) // 2)) + 1
+                if odd < 2**53:
+                    values.append(math.ldexp(odd, -places))
+    values = np.array(values)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+def test_float_kernel_writes_repr_at_the_edge_cases():
+    rng = np.random.default_rng(21)
+    integral = [1.0, 7.0, 10.0, 100.0, 2500.0, 123456789.0, 4503599627370497.0, 1e15,
+                9007199254740993.0, 9999999999999998.0]
+    ones = [1e-4, 2.0**-1022, 5e-324, 1e16, 0.1, 0.1 + 0.2, 1 / 3, 0.0, 1.7976931348623157e308,
+            1e-5, 1.5e-5, 1e-30, 9.99e-31, 1.89305012124321e-15]
+    neighbours = [math.nextafter(value, direction) for value in ones + integral
+                  for direction in (0.0, math.inf) if value < 1.7976931348623157e308]
+    powers = [2.0**p for p in range(-1074, 1024)]
+    # halfway between two 16- or 17-digit decimals that both read back, where
+    # repr picks the even one, or halfway past its shortest digits
+    ties = [600000000000000.25, 600000000000000.75, 1 + 2**-17, 999999999999999.875]
+    values = np.concatenate([ones, integral, neighbours, powers, ties, _decimal_midpoints(rng)])
+    values = np.concatenate([values, -values])
+    assert _float_lines(values) == _reprs(values.tolist())
+    assert _float_lines([600000000000000.25, 600000000000000.75]) == \
+        "600000000000000.2\n600000000000000.8\n"
+
+
+def test_float_kernel_proves_no_value_that_needs_repr():
+    # a power-of-two significand has a smaller ulp below than above, and at one
+    # half repr picks between two decimals that both read back
+    powers = np.array([2.0**p for p in range(-13, 54)])
+    halves = np.array([1 + 2**-17, 600000000000000.25, 600000000000000.75])
+    outside = np.array([math.nextafter(1e-30, 0.0), 1e16, 5e-324, 1e300])
+    for values in (powers, halves, outside):
+        assert not jsonio._shortest(values)[3].any()
+    neighbours = np.nextafter(np.concatenate([powers[powers < 2.0**40], halves]), np.inf)
+    assert jsonio._shortest(neighbours)[3].all()
+    assert jsonio._shortest(np.array([0.0, 1e-30, 1e-5, 1e-4, 0.1, 2500.0,
+                                      9999999999999998.0]))[3].all()
+
+
+def test_a_wider_slack_writes_no_wrong_digit(monkeypatch):
+    # a random double's nearest short decimal is almost never within 2**-47 of
+    # its interval's edge or of one half; widened, the slack leaves more values
+    # to repr, and none is written wrong
+    rng = np.random.default_rng(22)
+    values = rng.uniform(1.0, 10.0, 100_000) * 10.0 ** rng.integers(-30, 13, 100_000)
+    proven = np.mean(jsonio._shortest(values)[3])
+    monkeypatch.setattr(jsonio, "_SLACK", 2.0**-6)
+    assert np.mean(jsonio._shortest(values)[3]) < proven - 1e-4
+    assert _float_lines(values) == _reprs(values.tolist())
+
+
+def test_int_kernel_writes_str():
+    rng = np.random.default_rng(23)
+    signed = np.concatenate([rng.integers(-2**63, 2**63, 100_000, dtype=np.int64),
+                             [0, -1, 9, 10, -10, 99_999, 2**63 - 1, -2**63],
+                             rng.integers(-10**6, 10**6, 1000)])
+    unsigned = np.array([0, 7, 10**19, 2**64 - 1], dtype=np.uint64)
+    wide = np.array([2**70, -2**100, 5], dtype=object)
+    for values in (signed, unsigned, wide, signed.astype(np.int32)[-1000:], np.array([0])):
+        assert _lines(jsonio._int_text(values)) == "".join(f"{value}\n" for value in values.tolist())
+
+
+@given(st.lists(st.tuples(finite_floats, st.integers(-2**63, 2**63 - 1)), max_size=300))
+def test_every_column_renders_as_repr_or_str(rows):
+    floats = [value for value, _ in rows]
+    ints = [value for _, value in rows]
+    with tempfile.TemporaryDirectory() as directory:
+        target = Path(directory) / "table.csv"
+        jsonio.write_csv(target, ("x", "k"), [np.array(floats, dtype=np.float64),
+                                              np.array(ints, dtype=np.int64)])
+        assert target.read_text() == "x,k\n" + "".join(f"{x!r},{k}\n" for x, k in rows)
+
+
+@pytest.mark.parametrize("columns,error", [
+    ([[1.0], [1.0, 2.0]], ValueError),
+    ([[1.0]], ValueError),
+    ([[True, False], [1, 2]], TypeError),
+    ([np.array([1.0], dtype=np.float32), [1]], TypeError),
+    ([["a"], [1]], TypeError),
+    ([[[1.0]], [1]], TypeError),
+])
+def test_write_csv_refuses_columns_it_cannot_write(tmp_path, columns, error):
+    with pytest.raises(error, match=f"^{re.escape(str(tmp_path / 'table.csv'))}: "):
+        jsonio.write_csv(tmp_path / "table.csv", ("a", "b"), columns)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_csv_refuses_non_finite_floats(tmp_path, value):
+    target = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(target))}: cannot write the "
+                                         f"non-finite {value!r} of column y$"):
+        jsonio.write_csv(target, ("k", "x", "y"), [[1, 2], [0.5, 1.5], [2.5, value]])
+    assert not list(tmp_path.iterdir())
 
 
 def test_write_artifacts_creates_the_directory_and_writes_in_the_order_given(tmp_path):
     document = {"seed": 3, "values": [0.1, 2500.0]}
-    header, rows = ("trial", "x"), [(0, 0.1), (1, -0.0)]
+    header, columns = ("trial", "x"), [np.array([0, 1]), np.array([0.1, -0.0])]
     out_dir = tmp_path / "a" / "b"
     paths = jsonio.write_artifacts(str(out_dir), {
         "summary": ("summary.json", document),
-        "table": ("table.csv", (header, iter(rows))),
+        "table": ("table.csv", (header, columns)),
         "config": ("config.json", [1, 2]),
     })
     assert list(paths) == ["summary", "table", "config"]
@@ -279,7 +416,7 @@ def test_write_artifacts_creates_the_directory_and_writes_in_the_order_given(tmp
                      "config": out_dir / "config.json"}
     # each file has the bytes of the writer its suffix names
     jsonio.dump(document, tmp_path / "summary.json")
-    jsonio.write_csv(tmp_path / "table.csv", header, rows)
+    jsonio.write_csv(tmp_path / "table.csv", header, columns)
     jsonio.dump([1, 2], tmp_path / "config.json")
     for path in paths.values():
         assert path.read_bytes() == (tmp_path / path.name).read_bytes()

@@ -95,15 +95,18 @@ def clone_key(true_key: ScatteringKey, fraction: float,
 
 
 def false_key_sums(mode_count: int, l_over_L: float, tau: float, rows: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Masked sums of ``rows`` false keys under any mask, shape ``(rows,)``.
+                   *streams: np.random.Generator) -> np.ndarray:
+    """Masked sums of ``rows`` false keys from each stream under any mask,
+    shape ``(rows * len(streams),)``, the streams' rows one after another.
 
     The one-mode case of :func:`draw_coefficients` at the sum's variance
-    ``tau * (1 - l_over_L) / mode_count``: one ``(rows, 2, 1)`` block of
-    standard normals, so the first ``r`` rows equal an ``r``-row draw.
+    ``tau * (1 - l_over_L) / mode_count``: each stream draws one ``(rows,
+    2, 1)`` block of standard normals, so its rows equal a one-stream call
+    and its first ``r`` rows an ``r``-row draw.
     """
     tau = require_real("tau", tau, REAL_INTERVALS["tau"])
-    return draw_coefficients(rows, 1, tau * ensemble_variance(mode_count, l_over_L), rng)[:, 0]
+    variance = tau * ensemble_variance(mode_count, l_over_L)
+    return draw_coefficients(rows, 1, variance, *streams)[:, 0]
 
 
 def clone_sums(true_key: ScatteringKey, fraction: float, tau: float, mask: PhaseMask,

@@ -22,17 +22,25 @@ Every chunk draws from its one stream the keys of all 256 rows, then
 one ``binomial(m_sessions, p̄)`` for the hit counts of its ``rows``
 trials; a partial chunk keeps the first ``rows`` keys, so its rows are
 those of a full chunk, and a campaign that verifies nothing stops after
-the keys.  The keys take one call per array: ``standard_normal((256, 2,
-1))`` for the masked sums of false keys (see
+the keys.  The keys take one call per array: one ``(256, 2, 1)`` block
+of ``standard_normal`` for the masked sums of false keys (see
 :func:`cvpuk.adversary.false_key_sums`; no false key's coefficients are
 drawn); ``integers(0, n - arange(s), size=(256, s))`` with ``s =
 min(count, n - count)``, the offsets of a partial Fisher–Yates shuffle,
 for the replaced positions of clones (none when ``count == n``), then
-``standard_normal((256, 2, 1))`` for their fresh terms' sums (see
+one such block of normals for their fresh terms' sums (see
 :func:`cvpuk.adversary.clone_sums`; a fraction that replaces nothing
-draws no key, and its clones share the true key's one masked sum).  The
-chunk is also the unit of masked sums and ``p̄``.  Campaigns never
-trace.
+draws no key, and its clones share the true key's one masked sum).
+
+A false-key campaign draws every chunk's keys before it evaluates any of
+them: each chunk's stream writes its 256 rows into one population, placed
+by the chunk's first trial, whose masked sums are formed in one pass and,
+in ``response_cloud``, its responses in one more.  ``collision_histogram``
+then verifies chunk by chunk, each chunk on its own stream.  This orders
+only the work across streams: each stream draws its keys before its hit
+counts, as the table says.  A clone campaign draws, sums and verifies one
+chunk at a time; the chunk is its unit of masked sums and ``p̄``, as it
+is the false keys' unit of ``p̄``.  Campaigns never trace.
 """
 
 from __future__ import annotations
@@ -249,6 +257,16 @@ def _chunks(trials: int, seed: int, *path: int):
             for chunk, start in enumerate(range(0, trials, STREAM_CHUNK))]
 
 
+def _false_key_population(config: CampaignConfig):
+    """``(chunks, sums)``: the :func:`_chunks` of the false keys' trials and
+    the masked sums of all 256 keys of every chunk, a partial one included,
+    the chunk that starts at trial ``t`` at rows ``t`` to ``t + 255``."""
+    chunks = _chunks(config.trials, config.seed, 2)
+    streams = [stream for stream, _, _ in sorted(chunks, key=lambda chunk: chunk[1])]
+    return chunks, false_key_sums(config.n_modes, config.l_over_L, config.tau, STREAM_CHUNK,
+                                  *streams)
+
+
 def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     """Verify one true key and a population of false keys.
 
@@ -270,13 +288,12 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     true_sum = masked_sums(true_key.coefficients[np.newaxis], config.tau, database.mask)
     _, true_p_ins, true_verdicts = verify_block(true_sum, database, verification, true_stream)
 
+    chunks, sums = _false_key_population(config)
     false_p_ins = np.empty(config.trials)
     accepted = 0
-    for stream, start, rows in _chunks(config.trials, config.seed, 2):
-        sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, STREAM_CHUNK,
-                              stream)[:rows]
+    for stream, start, rows in chunks:
         _, false_p_ins[start:start + rows], verdicts = verify_block(
-            sums, database, verification, stream)
+            sums[start:start + rows], database, verification, stream)
         accepted += int(np.count_nonzero(verdicts))
 
     return CollisionResult(
@@ -298,11 +315,8 @@ def run_response_cloud(config: CampaignConfig) -> ResponseCloudResult:
     gain = enhancement(true_key, database.mask)
     rho_false, rho_true = radii(config.mu_c, true_key.variance, gain)
 
-    means = np.empty((config.trials, 2))
-    for stream, start, rows in _chunks(config.trials, config.seed, 2):
-        sums = false_key_sums(config.n_modes, config.l_over_L, config.tau, STREAM_CHUNK,
-                              stream)[:rows]
-        means[start:start + rows] = probes.responses(sums, 0)
+    _, sums = _false_key_population(config)
+    means = probes.responses(sums[:config.trials], 0)
 
     return ResponseCloudResult(
         true_response=database.centers[0],

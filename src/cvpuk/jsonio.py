@@ -12,9 +12,10 @@ each string equal to ``repr``'s, and the few it cannot prove, such as
 numbers outside ``[1e-30, 1e16)`` or powers of two, are written by
 ``float.__repr__`` itself.  The same document always gives the same
 bytes.  Non-finite numbers are refused both ways: ``dumps`` and
-``write_csv`` will not write them and ``load`` will not read them.
-The readers check each field with :func:`require_int`, :func:`require_real`
-or, for an array such as a key's coefficients, :func:`require_array`.
+``write_csv`` will not write them and ``load`` will not read them;
+``load`` also refuses a name repeated in any object.  The readers check
+each field with :func:`require_int`, :func:`require_real` or, for an
+array such as a key's coefficients, :func:`require_array`.
 A file is written to ``<name>.tmp`` and renamed over its target, so a
 reader never sees a torn file.  :func:`write_artifacts` is the one
 writer of an output directory: it alone creates one, and it writes each
@@ -466,14 +467,29 @@ def _int(text: str) -> int:
                          f"to read") from None
 
 
+def _unique_fields(pairs: list) -> dict:
+    """The object of one JSON object's ``(name, value)`` pairs; a name given
+    twice is refused, where a dict would silently keep its last value."""
+    document = dict(pairs)
+    if len(document) < len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise ValueError(f"duplicate field {json.dumps(name)} in JSON")
+            seen.add(name)
+    return document
+
+
 def load(path):
     """Parse a JSON file, rejecting NaN, Infinity, out-of-range floats, an
-    integer too long to convert and nesting deeper than the parser's
-    recursion limit.  Every refusal, also of a malformed or non-UTF-8
-    file, is a ValueError whose message starts with the path."""
+    integer too long to convert, a name repeated in any object and nesting
+    deeper than the parser's recursion limit.  Every refusal, also of a
+    malformed or non-UTF-8 file, is a ValueError whose message starts with
+    the path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle, parse_constant=_finite_float, parse_float=_finite_float,
+            return json.load(handle, object_pairs_hook=_unique_fields,
+                             parse_constant=_finite_float, parse_float=_finite_float,
                              parse_int=_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply to read") from None

@@ -144,13 +144,19 @@ def ensemble_variance(mode_count: int, l_over_L: float) -> float:
 
 
 def draw_coefficients(rows: int, count: int, variance: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """``(rows, count)`` independent circular complex Gaussians of total
-    variance ``variance``, from one ``(rows, 2, count)`` block of standard
-    normals.  Every key and clone coefficient comes from here; a key is
-    the one-row case, and the first ``r`` rows equal an ``r``-row draw.
+                      *rngs: np.random.Generator) -> np.ndarray:
+    """``(rows * len(rngs), count)`` independent circular complex Gaussians of
+    total variance ``variance``, from one block of standard normals: each
+    generator in turn writes ``rows`` rows of it, in the C order of its own
+    ``(rows, 2, count)`` draw, so its rows are what it alone would give.
+    Every key, clone and false-key coefficient comes from here: a key is the
+    one-row case of one generator, a false-key population takes one
+    generator per chunk, and the first ``r`` rows of a generator equal an
+    ``r``-row draw.
     """
-    parts = rng.standard_normal((rows, 2, count))
+    parts = np.empty((len(rngs) * rows, 2, count))
+    for index, rng in enumerate(rngs):
+        rng.standard_normal(out=parts[index * rows:(index + 1) * rows])
     return math.sqrt(variance / 2.0) * (parts[:, 0] + 1j * parts[:, 1])
 
 

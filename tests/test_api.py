@@ -26,6 +26,7 @@ from cvpuk import (
     run_response_cloud,
     substream,
 )
+from cvpuk.adversary import false_key_sums
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("adversary", "cli", "experiments", "homodyne", "jsonio", "protocol",
@@ -222,6 +223,28 @@ def test_only_exact_enrollment_finds_the_optimal_mask():
     # and every campaign takes its mask from an exact enrollment
     callers = _callers({"optimal_mask"})
     assert list(callers) == ["protocol.enroll_exact"], callers
+
+
+def test_only_draw_coefficients_draws_standard_normals():
+    # keys, clones and false-key populations all form their circular
+    # Gaussians from scattering.draw_coefficients' block of standard normals
+    callers = _callers({"standard_normal"})
+    assert list(callers) == ["scattering.draw_coefficients"], callers
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, 256])
+def test_several_stream_false_key_sums_are_the_one_stream_calls_in_turn(rows):
+    streams = [substream(91, 2, chunk) for chunk in (2, 0, 1)]
+    several = false_key_sums(40, 0.2, 0.8, rows, *streams)
+    singles = []
+    for chunk, stream in zip((2, 0, 1), streams):
+        alone = substream(91, 2, chunk)
+        singles.append(false_key_sums(40, 0.2, 0.8, rows, alone))
+        # each stream is advanced by its own rows keys, and by nothing else
+        assert stream.bit_generator.state == alone.bit_generator.state
+    assert several.shape == (3 * rows,)
+    assert several.tobytes() == np.concatenate(singles).tobytes()
+    assert false_key_sums(40, 0.2, 0.8, rows).shape == (0,)
 
 
 def test_only_masked_terms_forms_a_masked_term():

@@ -493,8 +493,8 @@ def test_non_finite_rows_are_refused_where_their_response_is_formed():
     true_key = generate_key(4, 0.2, substream(62, 0))
 
     class Poisoned:
-        def standard_normal(self, shape):
-            return np.full(shape, np.nan)
+        def standard_normal(self, out):
+            out[...] = np.nan
 
         def integers(self, low, high, size):
             return np.zeros(size, dtype=np.intp)

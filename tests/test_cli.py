@@ -835,6 +835,48 @@ def test_unreadable_json_exits_2_naming_its_file(tmp_path, capsys, command, text
     assert not out_dir.exists()
 
 
+def _repeat_first(text, name, value):
+    """``text`` with ``"name": value,`` put before the first ``name`` field."""
+    field = f'"{name}":'
+    assert field in text
+    return text.replace(field, f"{field} {value}, {field}", 1)
+
+
+@pytest.mark.parametrize("reader,name", [
+    ("campaign config", "mode_counts"), ("enroll config", "seed"), ("key", "l_over_L"),
+    ("database", "x")])
+def test_repeated_json_field_exits_2_naming_it_without_output(tmp_path, capsys, reader, name):
+    # a dict keeps the last of a repeated name, so the value before it would
+    # go unchecked: mode_counts [0] is refused alone, but not before [16]
+    config_path = tmp_path / "config.json"
+    _write_enroll_config(config_path)
+    if reader == "campaign config":
+        command = ["campaign"]
+        text = '{"experiment_id": "enhancement_condition", "mode_counts": [0], ' \
+               '"mode_counts": [16]}'
+    elif reader == "enroll config":
+        command = ["enroll"]
+        text = _repeat_first(config_path.read_text(), "seed", 9)
+    else:
+        enrolled = tmp_path / "enrolled"
+        assert main(["enroll", "--config", str(config_path), "--out", str(enrolled)]) == 0
+        capsys.readouterr()
+        files = {"key": enrolled / "key.json", "database": enrolled / "database.json"}
+        # the database's x is a field of its first record, one object inside another
+        text = _repeat_first(files[reader].read_text(), name, 0.0)
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(text)
+    if reader in ("key", "database"):
+        files[reader] = repeated
+        command = ["verify", "--database", str(files["database"]), "--key", str(files["key"])]
+    else:
+        command += ["--config", str(repeated)]
+    out_dir = tmp_path / "out"
+    assert main([*command, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f'error: {repeated}: duplicate field "{name}" in JSON\n'
+    assert not out_dir.exists()
+
+
 def test_verify_out_of_memory_exits_2_without_output(tmp_path, capsys, monkeypatch):
     # a session trace too large to allocate is a refused input, not exit code
     # 1, verify's reject code; verify is stubbed, because whether a huge

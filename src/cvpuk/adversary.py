@@ -31,16 +31,16 @@ __all__ = [
 ]
 
 
-def false_key(mode_count: int, l_over_L: float, rng: np.random.Generator) -> ScatteringKey:
+def false_key(n_modes: int, l_over_L: float, rng: np.random.Generator) -> ScatteringKey:
     """A counterfeit key with no knowledge of the original: a fresh random key."""
-    return generate_key(mode_count, l_over_L, rng)
+    return generate_key(n_modes, l_over_L, rng)
 
 
-def replaced_count(fraction: float, mode_count: int) -> int:
-    """Number of coefficients a clone replaces: fraction * mode_count,
+def replaced_count(fraction: float, n_modes: int) -> int:
+    """Number of coefficients a clone replaces: fraction * n_modes,
     rounded to the nearest integer with ties away from zero."""
     fraction = require_real("fraction", fraction, REAL_INTERVALS["d_values"])
-    return int(math.floor(fraction * mode_count + 0.5))
+    return int(math.floor(fraction * n_modes + 0.5))
 
 
 def _replaced_positions(true_key: ScatteringKey, fraction: float, rows: int,
@@ -54,7 +54,7 @@ def _replaced_positions(true_key: ScatteringKey, fraction: float, rows: int,
     depends only on row ``r`` of the offsets, so the first rows equal a
     draw of fewer rows.  ``count == 0`` and ``count == n`` draw nothing
     from ``rng``."""
-    n = true_key.mode_count
+    n = true_key.n_modes
     count = replaced_count(fraction, n)
     if not count:
         return np.empty((rows, 0), dtype=np.intp)
@@ -94,18 +94,18 @@ def clone_key(true_key: ScatteringKey, fraction: float,
     return ScatteringKey(coefficients, true_key.l_over_L), positions
 
 
-def false_key_sums(mode_count: int, l_over_L: float, tau: float, rows: int,
+def false_key_sums(n_modes: int, l_over_L: float, tau: float, rows: int,
                    *streams: np.random.Generator) -> np.ndarray:
     """Masked sums of ``rows`` false keys from each stream under any mask,
     shape ``(rows * len(streams),)``, the streams' rows one after another.
 
     The one-mode case of :func:`draw_coefficients` at the sum's variance
-    ``tau * (1 - l_over_L) / mode_count``: each stream draws one ``(rows,
+    ``tau * (1 - l_over_L) / n_modes``: each stream draws one ``(rows,
     2, 1)`` block of standard normals, so its rows equal a one-stream call
     and its first ``r`` rows an ``r``-row draw.
     """
     tau = require_real("tau", tau, REAL_INTERVALS["tau"])
-    variance = tau * ensemble_variance(mode_count, l_over_L)
+    variance = tau * ensemble_variance(n_modes, l_over_L)
     return draw_coefficients(rows, 1, variance, *streams)[:, 0]
 
 
@@ -124,5 +124,5 @@ def clone_sums(true_key: ScatteringKey, fraction: float, tau: float, mask: Phase
     count = positions.shape[1]
     if not count:
         return np.full(rows, np.sum(terms))
-    fresh = draw_coefficients(rows, 1, count * tau * true_key.variance / true_key.mode_count, rng)
+    fresh = draw_coefficients(rows, 1, count * tau * true_key.variance / true_key.n_modes, rng)
     return np.sum(terms) - np.sum(terms[positions], axis=1) + fresh[:, 0]

@@ -28,17 +28,10 @@ from .streams import substream
 __all__ = ["main"]
 
 
-# a refusal names the flag the user typed, not the parameter that checks it
-_THRESHOLDS_FLAGS = {"epsilon": "--epsilon", "zeta": "--zeta", "mean_challenge_photons": "--mu-c",
-                     "mode_count": "--n-modes", "l_over_L": "--l-over-L", "efficiency": "--eta",
-                     "delta_over_sigma": "--delta-over-sigma"}
-
-
 def _cmd_thresholds(args) -> int:
-    with jsonio.renamed_refusals(**_THRESHOLDS_FLAGS):
-        sessions = m_threshold(args.epsilon, args.zeta)
-        threshold = e_threshold(args.mu_c, args.n_modes, args.l_over_L)
-        channel = HomodyneChannel.from_delta_ratio(args.eta, args.delta_over_sigma)
+    m_th = m_threshold(args.epsilon, args.zeta)
+    threshold = e_threshold(args.mu_c, args.n_modes, args.l_over_L)
+    channel = HomodyneChannel.from_delta_ratio(args.eta, args.delta_over_sigma)
     expected_enhancement = math.pi * args.n_modes / 4.0
     rho_false, rho_true = radii(args.mu_c, ensemble_variance(args.n_modes, args.l_over_L),
                                 expected_enhancement)
@@ -46,7 +39,7 @@ def _cmd_thresholds(args) -> int:
         f"sigma      = {channel.shot_noise!r}",
         f"delta      = {channel.bin_width!r}",
         f"P_in       = {public_p_in(channel, args.epsilon)!r}",
-        f"M_th       = {sessions}",
+        f"M_th       = {m_th}",
         f"E_th       = {threshold!r}",
         f"E_expected = {expected_enhancement!r}  (mean optimal-mask enhancement)",
         f"rho_f      = {rho_false!r}",
@@ -68,26 +61,21 @@ def _cmd_enroll(args) -> int:
     else:
         seed = jsonio.require_int("--seed", args.seed, 0)
     n_modes = jsonio.require_int("n_modes", config["n_modes"])
-    # a refusal names the config's field, not the consumer's parameter
-    typed = {"size": "n_probe_states", "mean_photons": "mu_p", "mode_count": "n_modes",
-             "efficiency": "eta"}
-    with jsonio.renamed_refusals(**typed):
-        probes = ProbeSet(config["n_probe_states"], config["mu_p"])
-        channel = HomodyneChannel.from_delta_ratio(config["eta"], config["delta_over_sigma"])
+    probes = ProbeSet(config["n_probe_states"], config["mu_p"])
+    channel = HomodyneChannel.from_delta_ratio(config["eta"], config["delta_over_sigma"])
     if "key_path" in config:
         if not isinstance(config["key_path"], str):
             raise TypeError(f"key_path must be a string, got {config['key_path']!r}")
         key = ScatteringKey.from_dict(jsonio.load(config["key_path"]))
-        if key.mode_count != n_modes:
-            raise ValueError(f"key has {key.mode_count} modes, config says {n_modes}")
+        if key.n_modes != n_modes:
+            raise ValueError(f"key has {key.n_modes} modes, config says {n_modes}")
         # like n_modes, a given l_over_L is compared, not consumed, so it is checked here
         if "l_over_L" in config and key.l_over_L != jsonio.require_real(
                 "l_over_L", config["l_over_L"], jsonio.REAL_INTERVALS["l_over_L"]):
             raise ValueError(f"key has l_over_L {key.l_over_L!r}, "
                              f"config says {config['l_over_L']!r}")
     else:
-        with jsonio.renamed_refusals(**typed):
-            key = generate_key(n_modes, config["l_over_L"], substream(seed, 0))
+        key = generate_key(n_modes, config["l_over_L"], substream(seed, 0))
 
     mode = config.get("enrollment", "exact")
     if mode == "sampled":
@@ -107,12 +95,10 @@ def _cmd_enroll(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = jsonio.require_int("--seed", args.seed, 0)
+    seed = jsonio.require_int("seed", args.seed, 0)
     database = CrpDatabase.from_dict(jsonio.load(args.database))
     key = ScatteringKey.from_dict(jsonio.load(args.key))
-    with jsonio.renamed_refusals(sessions="--sessions", error_level="--epsilon",
-                                 confidence_param="--zeta"):
-        config = VerificationConfig(args.sessions, args.epsilon, args.zeta)
+    config = VerificationConfig(args.m_sessions, args.epsilon, args.zeta)
     report = verify(key, database, config, substream(seed, 0), trace=args.trace)
 
     artifacts = {"report": ("report.json", report.to_dict())}
@@ -134,6 +120,13 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
+def _flags(*actions: argparse.Action) -> dict[str, str]:
+    """``{field: flag}`` of flags whose values a command checks under their
+    field names, the actions' ``dest``: :func:`main` names a refusal of the
+    field by the flag that set it."""
+    return {action.dest: action.option_strings[0] for action in actions}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
@@ -149,16 +142,19 @@ def build_parser() -> argparse.ArgumentParser:
         "thresholds", help="print the protocol constants for a parameter set"
     )
     # each default is the reference value, CampaignConfig's default of that field
-    thresholds.add_argument("--epsilon", type=float, default=CampaignConfig.epsilon)
-    thresholds.add_argument("--zeta", type=float, default=CampaignConfig.zeta)
-    thresholds.add_argument("--mu-c", type=float, default=CampaignConfig.tau * CampaignConfig.mu_p,
-                            help="mean challenge photons after the modulator")
-    thresholds.add_argument("--n-modes", type=int, default=CampaignConfig.n_modes)
-    thresholds.add_argument("--l-over-L", type=float, default=CampaignConfig.l_over_L)
-    thresholds.add_argument("--delta-over-sigma", type=float,
-                            default=CampaignConfig.delta_over_sigma)
-    thresholds.add_argument("--eta", type=float, default=CampaignConfig.eta)
-    thresholds.set_defaults(func=_cmd_thresholds)
+    checked = (
+        thresholds.add_argument("--epsilon", type=float, default=CampaignConfig.epsilon),
+        thresholds.add_argument("--zeta", type=float, default=CampaignConfig.zeta),
+        thresholds.add_argument("--mu-c", type=float,
+                                default=CampaignConfig.tau * CampaignConfig.mu_p,
+                                help="mean challenge photons after the modulator"),
+        thresholds.add_argument("--n-modes", type=int, default=CampaignConfig.n_modes),
+        thresholds.add_argument("--l-over-L", type=float, default=CampaignConfig.l_over_L),
+        thresholds.add_argument("--delta-over-sigma", type=float,
+                                default=CampaignConfig.delta_over_sigma),
+        thresholds.add_argument("--eta", type=float, default=CampaignConfig.eta),
+    )
+    thresholds.set_defaults(func=_cmd_thresholds, flags=_flags(*checked))
 
     enroll = commands.add_parser(
         "enroll", help="generate (or load) a key and write its record database"
@@ -173,16 +169,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_cmd.add_argument("--database", required=True)
     verify_cmd.add_argument("--key", required=True)
-    verify_cmd.add_argument("--sessions", type=int, default=CampaignConfig.m_sessions)
-    verify_cmd.add_argument("--epsilon", type=float, default=CampaignConfig.epsilon)
-    verify_cmd.add_argument("--zeta", type=float, default=CampaignConfig.zeta,
-                            help="confidence parameter: range-checked, but it enters neither "
-                                 "the verdict nor report.json")
-    verify_cmd.add_argument("--seed", type=int, default=CampaignConfig.seed)
+    checked = (
+        verify_cmd.add_argument("--sessions", dest="m_sessions", metavar="SESSIONS", type=int,
+                                default=CampaignConfig.m_sessions),
+        verify_cmd.add_argument("--epsilon", type=float, default=CampaignConfig.epsilon),
+        verify_cmd.add_argument("--zeta", type=float, default=CampaignConfig.zeta,
+                                help="confidence parameter: range-checked, but it enters "
+                                     "neither the verdict nor report.json"),
+        verify_cmd.add_argument("--seed", type=int, default=CampaignConfig.seed),
+    )
     verify_cmd.add_argument("--out", default=".", help="directory for the report")
     verify_cmd.add_argument("--trace", action="store_true",
                             help="also write the per-session trace CSV")
-    verify_cmd.set_defaults(func=_cmd_verify)
+    verify_cmd.set_defaults(func=_cmd_verify, flags=_flags(*checked))
 
     campaign = commands.add_parser(
         "campaign", help="run a Monte Carlo campaign into an output directory"
@@ -214,7 +213,11 @@ def main(argv=None) -> int:
     # is advice that a filter such as ``-W error`` raises
     except (OSError, ValueError, TypeError, OverflowError, MemoryError, Warning) as exc:
         text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
-        print(f"error: {text}", file=sys.stderr)
+        # a refusal of a flag's field, such as "m_sessions must ...", names the flag
+        # typed; enroll and campaign check config fields, which keep their names
+        name, space, rest = text.partition(" ")
+        print(f"error: {getattr(args, 'flags', {}).get(name, name)}{space}{rest}",
+              file=sys.stderr)
         return 2
     finally:
         warnings.formatwarning = shown

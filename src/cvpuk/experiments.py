@@ -62,7 +62,7 @@ from .protocol import (
     radii,
     verify_block,
 )
-from .scattering import enhancement, ensemble_variance, generate_key, masked_sums
+from .scattering import enhancement, generate_key, masked_sums, require_mode_count
 from .streams import substream
 
 __all__ = [
@@ -127,14 +127,15 @@ class CampaignConfig:
     def __post_init__(self):
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment_id {self.experiment_id!r}")
-        for name, minimum in (("n_modes", 1), ("trials", 0), ("seed", 0)):
+        object.__setattr__(self, "n_modes", require_mode_count("n_modes", self.n_modes))
+        for name, minimum in (("trials", 0), ("seed", 0)):
             object.__setattr__(self, name, jsonio.require_int(name, getattr(self, name), minimum))
         for name in ("mode_counts", "d_values", "photons_per_mode_values"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise TypeError(f"{name} must be a list or tuple, got {getattr(self, name)!r}")
         object.__setattr__(
             self, "mode_counts",
-            tuple(jsonio.require_int("mode_counts", n, 1) for n in self.mode_counts),
+            tuple(require_mode_count("mode_counts", n) for n in self.mode_counts),
         )
         for name, interval in jsonio.REAL_INTERVALS.items():
             value = getattr(self, name)
@@ -143,19 +144,12 @@ class CampaignConfig:
             else:
                 value = jsonio.require_real(name, value, interval)
             object.__setattr__(self, name, value)
-        # ensemble_variance refuses a mode count beyond the double range
-        with jsonio.renamed_refusals(mode_count="n_modes"):
-            ensemble_variance(self.n_modes, self.l_over_L)
-        with jsonio.renamed_refusals(mode_count="mode_counts"):
-            for n_modes in self.mode_counts:
-                ensemble_variance(n_modes, self.l_over_L)
         for name in ("mode_counts", "d_values"):  # each entry keys its own artifacts
             entries = getattr(self, name)
             if len(set(entries)) != len(entries):
                 raise ValueError(f"{name} must not repeat an entry, got {list(entries)}")
-        with jsonio.renamed_refusals(size="n_probe_states", sessions="m_sessions"):
-            self.probe_set()  # checks n_probe_states
-            self.verification()  # checks m_sessions
+        self.probe_set()  # checks n_probe_states
+        self.verification()  # checks m_sessions
 
     @property
     def mu_c(self) -> float:
@@ -279,7 +273,7 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     probes = config.probe_set()
     channel = config.channel()
     verification = config.verification()
-    expected = public_p_in(channel, verification.error_level)
+    expected = public_p_in(channel, verification.epsilon)
 
     true_stream = substream(config.seed, 0)
     true_key = generate_key(config.n_modes, config.l_over_L, true_stream)
@@ -358,7 +352,7 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     probes = config.probe_set()
     verification = config.verification()
     verifies = config.experiment_id != "clone_cloud"
-    expected = public_p_in(channel, verification.error_level) if verifies \
+    expected = public_p_in(channel, verification.epsilon) if verifies \
         else p_in_theoretical(channel)
 
     clusters = (len(config.mode_counts), len(config.d_values))

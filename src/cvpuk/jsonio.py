@@ -24,7 +24,6 @@ file by :func:`dump` or :func:`write_csv`.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import math
@@ -36,8 +35,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["REAL_INTERVALS", "dumps", "dump", "write_csv", "write_artifacts", "load",
-           "require_object", "require_int", "require_real", "require_array",
-           "renamed_refusals"]
+           "require_object", "require_int", "require_real", "require_array"]
 
 # allowed interval of every real-valued parameter; a tuple field's
 # interval applies to each of its entries.  The code that consumes a value
@@ -506,22 +504,6 @@ def require_object(name: str, document, known) -> dict:
     if unknown:
         raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
     return document
-
-
-@contextlib.contextmanager
-def renamed_refusals(**typed: str):
-    """Refusals raised in the block name the field the user typed, not the
-    consumer's parameter: ``typed`` maps a parameter, such as a ProbeSet's
-    ``size``, to that field, such as ``n_probe_states``.  Each check and its
-    bound stay with the consumer; only the name its message starts with
-    changes, and the exception is re-raised with its type and traceback."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        name, space, rest = str(exc).partition(" ")
-        if name in typed and len(exc.args) == 1:
-            exc.args = (typed[name] + space + rest,)
-        raise
 
 
 def require_int(name: str, value, minimum: int | None = None) -> int:

@@ -40,7 +40,7 @@ A verification run is deterministic given its generator; independent
 runs should use independently seeded generators.  The database is
 immutable after enrollment, and the acceptance bins are computed from
 the database alone, never from the key under test.  Only verification
-uses the bin width and the error level, so only it advises on them
+uses the bin width and the error level ``epsilon``, so only it advises on them
 (:func:`public_p_in`), once every check that can refuse it has passed;
 :func:`verify_block` does not, so that a campaign advises once.
 """
@@ -83,9 +83,11 @@ class CrpDatabase:
     ``centers[k]`` holds the enrolled response ``(x, y)`` to probe ``k``,
     the bin centres for local-oscillator phases 0 and pi/2.  Every probe
     shares the one ``mask`` and the one estimation error bound
-    ``enrollment_error`` (0 for exact enrollment).  ``setup_loss`` is the
-    set-up's power throughput ``tau``, the one set-up quantity that
-    verification needs.
+    ``enrollment_error`` (0 for exact enrollment).  ``tau`` is the set-up's
+    power throughput, the one set-up quantity that verification needs.
+    The file keys of ``tau``, ``probe_set.n_probe_states`` and
+    ``probe_set.mu_p`` are ``setup_loss``, ``size`` and ``mean_photons``,
+    which only :meth:`to_dict` and :meth:`from_dict` name.
     """
 
     mask: PhaseMask
@@ -93,25 +95,24 @@ class CrpDatabase:
     enrollment_error: float
     probe_set: ProbeSet
     channel: HomodyneChannel
-    setup_loss: float
+    tau: float
 
     def __post_init__(self):
-        centers = require_array("centers", self.centers, (self.probe_set.size, 2))
+        centers = require_array("centers", self.centers, (self.probe_set.n_probe_states, 2))
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "setup_loss",
-                           require_real("setup_loss", self.setup_loss, REAL_INTERVALS["tau"]))
+        object.__setattr__(self, "tau", require_real("tau", self.tau, REAL_INTERVALS["tau"]))
         object.__setattr__(self, "enrollment_error",
                            require_real("enrollment_error", self.enrollment_error, "[0, inf)"))
 
     def to_dict(self) -> dict:
         return {
             "probe_set": {
-                "size": int(self.probe_set.size),
-                "mean_photons": float(self.probe_set.mean_photons),
+                "size": int(self.probe_set.n_probe_states),
+                "mean_photons": float(self.probe_set.mu_p),
             },
             "channel": self.channel.to_dict(),
-            "setup_loss": float(self.setup_loss),
+            "setup_loss": float(self.tau),
             "enrollment_error": self.enrollment_error,
             "mask": self.mask.phases.tolist(),
             "records": [{"k": k, "x": x, "y": y}
@@ -133,9 +134,10 @@ class CrpDatabase:
         records = sorted((require_object(f"records[{index}]", record, ("k", "x", "y"))
                           for index, record in enumerate(records)),
                          key=lambda r: require_int("k", r["k"]))
-        if [r["k"] for r in records] != list(range(probe_set.size)):
+        n_probe_states = probe_set.n_probe_states
+        if [r["k"] for r in records] != list(range(n_probe_states)):
             raise ValueError("records must hold each probe index 0..N-1 exactly once")
-        x, y = (require_array(f"records.{name}", [r[name] for r in records], (probe_set.size,))
+        x, y = (require_array(f"records.{name}", [r[name] for r in records], (n_probe_states,))
                 for name in "xy")
         return cls(
             mask=PhaseMask(require_array("mask", data["mask"], (None,))),
@@ -143,7 +145,7 @@ class CrpDatabase:
             enrollment_error=enrollment_error,
             probe_set=probe_set,
             channel=HomodyneChannel.from_dict(data["channel"]),
-            setup_loss=data["setup_loss"],
+            tau=data["setup_loss"],
         )
 
 
@@ -154,7 +156,7 @@ def enroll_exact(key: ScatteringKey, tau: float, probes: ProbeSet,
     The stored responses are the true quadrature means, the idealized
     limit of an enroller free to take unbounded samples; the estimation
     error of every record is zero.  The set-up throughput ``tau`` is
-    stored as the database's ``setup_loss``.
+    stored in the database.
     """
     mask = optimal_mask(key)
     centers = probes.responses(masked_sums(key.coefficients, tau, mask))
@@ -168,7 +170,7 @@ def enroll_sampled(key: ScatteringKey, tau: float, probes: ProbeSet,
 
     Perturbs the exact centres of :func:`enroll_exact`, under the same
     mask: models ``per_quadrature_samples`` outcomes around the true mean
-    of each probe state's two quadratures, ``2 * probes.size *
+    of each probe state's two quadratures, ``2 * probes.n_probe_states *
     per_quadrature_samples`` draws in all, and stores their sample
     means.  The mean of ``M_e`` draws from ``N(mean, sigma)`` is exactly
     distributed as ``N(mean, sigma / sqrt(M_e))``, so each stored centre
@@ -211,19 +213,20 @@ def m_threshold(epsilon: float, zeta: float) -> int:
     return int(threshold)
 
 
-def e_threshold(mean_challenge_photons: float, mode_count: int, l_over_L: float) -> float:
-    """Enhancement needed to guarantee false-key detection.
+def e_threshold(mu_c: float, n_modes: int, l_over_L: float) -> float:
+    """Enhancement needed to guarantee false-key detection at ``mu_c`` mean
+    challenge photons.
 
     Derived from requiring the true-key response radius to exceed the
     false-key radius by several shot-noise units in the worst case;
     approaches 16 as the photon number per mode grows.
     """
-    require_real("mean_challenge_photons", mean_challenge_photons, "(0, inf)")
-    ensemble_variance(mode_count, l_over_L)  # checks both parameters
-    photons_per_mode = (mean_challenge_photons / mode_count) * (1.0 - l_over_L)
+    require_real("mu_c", mu_c, "(0, inf)")
+    ensemble_variance(n_modes, l_over_L)  # checks both parameters
+    photons_per_mode = (mu_c / n_modes) * (1.0 - l_over_L)
     if not photons_per_mode > 0.0:
         raise ValueError(f"photons per mode underflow to 0 at mean_challenge_photons "
-                         f"{mean_challenge_photons!r}")
+                         f"{mu_c!r}")
     try:
         threshold = 16.0 * (1.0 + 0.75 / math.sqrt(photons_per_mode)) ** 2
     except OverflowError:
@@ -234,36 +237,36 @@ def e_threshold(mean_challenge_photons: float, mode_count: int, l_over_L: float)
     return threshold
 
 
-def radii(mean_challenge_photons: float, variance: float,
-          enhancement: float) -> tuple[float, float]:
+def radii(mu_c: float, variance: float, enhancement: float) -> tuple[float, float]:
     """Characteristic response radii (false-key, true-key) in phase space.
 
     False-key responses concentrate within ``4 * sqrt(mu_c * variance)``
     of the origin; the optimized true-key response sits at radius
     ``sqrt(enhancement)`` quarters of that.
     """
-    require_real("mean_challenge_photons", mean_challenge_photons, "(0, inf)")
+    require_real("mu_c", mu_c, "(0, inf)")
     require_real("variance", variance, "(0, inf)")
     require_real("enhancement", enhancement, "(0, inf)")
-    rho_false = 4.0 * math.sqrt(mean_challenge_photons * variance)
+    rho_false = 4.0 * math.sqrt(mu_c * variance)
     rho_true = math.sqrt(enhancement) * rho_false / 4.0
     return rho_false, rho_true
 
 
 @dataclass(frozen=True)
 class VerificationConfig:
-    """Session count and convergence parameters of a verification run."""
+    """Session count ``m_sessions``, error level ``epsilon`` and confidence
+    parameter ``zeta`` of a verification run."""
 
-    sessions: int
-    error_level: float
-    confidence_param: float
+    m_sessions: int
+    epsilon: float
+    zeta: float
 
     def __post_init__(self):
         # numpy draws a binomial count as a 64-bit integer
-        if require_int("sessions", self.sessions, 1) >= 2**63:
-            raise ValueError(f"sessions must lie in [1, 2**63), got {self.sessions}")
-        require_real("error_level", self.error_level, REAL_INTERVALS["epsilon"])
-        require_real("confidence_param", self.confidence_param, REAL_INTERVALS["zeta"])
+        if require_int("m_sessions", self.m_sessions, 1) >= 2**63:
+            raise ValueError(f"m_sessions must lie in [1, 2**63), got {self.m_sessions}")
+        require_real("epsilon", self.epsilon, REAL_INTERVALS["epsilon"])
+        require_real("zeta", self.zeta, REAL_INTERVALS["zeta"])
 
 
 @dataclass(frozen=True)
@@ -275,7 +278,8 @@ class VerificationReport:
     ``theta`` (local-oscillator phase, 0 or pi/2), ``outcome`` and ``hit``
     (``uint8``, 0 or 1), 25 bytes a session.  ``enrollment_error`` echoes
     the database's estimation error bound so downstream analysis can
-    quantify how noisy enrollment propagates.
+    quantify how noisy enrollment propagates.  ``sessions`` is named
+    after its ``report.json`` key.
     """
 
     sessions: int
@@ -338,7 +342,7 @@ def hit_probabilities(sums: np.ndarray, database: CrpDatabase) -> np.ndarray:
     arguments = np.stack((highs, lows))[:, np.newaxis] - means
     arguments /= _SQRT2 * database.channel.shot_noise
     erfs = _erf(arguments)
-    cells = 2 * database.probe_set.size
+    cells = 2 * database.probe_set.n_probe_states
     masses = np.subtract(erfs[0], erfs[1], out=erfs[0])
     masses *= 0.5
     return np.clip(masses.reshape(len(distinct), cells).sum(axis=1) / cells, 0.0, 1.0)[rows]
@@ -460,17 +464,18 @@ _ERF_FORMULAS = (
 )
 
 
-def public_p_in(channel: HomodyneChannel, error_level: float) -> float:
+def public_p_in(channel: HomodyneChannel, epsilon: float) -> float:
     """The public in-bin probability of ``channel``, with a warning naming the
     caller's caller on a bin width outside the recommended bracket ``[2 sigma,
-    4 sigma)`` and on an error level not small against the probability."""
-    error_level = require_real("error_level", error_level, REAL_INTERVALS["epsilon"])
+    4 sigma)`` and on an error level ``epsilon`` not small against the
+    probability; the advice's text calls it ``error_level``."""
+    epsilon = require_real("epsilon", epsilon, REAL_INTERVALS["epsilon"])
     sigma, expected = channel.shot_noise, p_in_theoretical(channel)
     if not 2.0 * sigma <= channel.bin_width < 4.0 * sigma:
         warnings.warn(f"bin_width {channel.bin_width} outside the recommended bracket "
                       f"[{2.0 * sigma}, {4.0 * sigma})", stacklevel=3)
-    if error_level >= expected / 2.0:
-        warnings.warn(f"error_level {error_level} is not small against the "
+    if epsilon >= expected / 2.0:
+        warnings.warn(f"error_level {epsilon} is not small against the "
                       f"in-bin probability {expected}", stacklevel=3)
     return expected
 
@@ -478,7 +483,7 @@ def public_p_in(channel: HomodyneChannel, error_level: float) -> float:
 def _accepted(p_in, expected: float, config: VerificationConfig):
     """The acceptance rule: the hit frequency lies within the error level of
     the public in-bin probability (element by element for an array)."""
-    return abs(p_in - expected) < config.error_level
+    return abs(p_in - expected) < config.epsilon
 
 
 def verify(key_under_test: ScatteringKey, database: CrpDatabase,
@@ -488,16 +493,16 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
 
     Each session draws a probe index uniformly, computes the physical
     response of the key under test with the database's mask and set-up
-    throughput (the enrolled ``setup_loss``), measures one uniformly
+    throughput (the enrolled ``tau``), measures one uniformly
     chosen quadrature with shot noise, and scores a hit when the outcome
     falls inside the closed bin centred on the stored (enrolled)
     response for that probe and quadrature.  The key is
-    accepted when the hit frequency lies within ``error_level`` of the
+    accepted when the hit frequency lies within ``epsilon`` of the
     public in-bin probability.
 
     The response depends on the key only through its masked sum, which
     is formed once.  Sessions are independent and identically
-    distributed, so the hit count is exactly ``Binomial(sessions, p̄)``
+    distributed, so the hit count is exactly ``Binomial(m_sessions, p̄)``
     with ``p̄`` from :func:`hit_probabilities`; an untraced run draws that
     one variate, row 0 of what :func:`verify_block` draws, and costs the
     same at any session count.  With ``trace=True`` every session is
@@ -508,18 +513,17 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     fully reproducible from its seed.
     """
     channel = database.channel
-    sums = masked_sums(key_under_test.coefficients[np.newaxis], database.setup_loss,
-                       database.mask)
-    sessions = config.sessions
+    sums = masked_sums(key_under_test.coefficients[np.newaxis], database.tau, database.mask)
+    m_sessions = config.m_sessions
     session_trace = None
     if trace:
         means, lows, highs = _cells(sums, database)
-        ks = rng.integers(0, database.probe_set.size, size=sessions)
-        quads = rng.integers(0, 2, size=sessions)
+        ks = rng.integers(0, database.probe_set.n_probe_states, size=m_sessions)
+        quads = rng.integers(0, 2, size=m_sessions)
         outcomes = rng.normal(means[0, ks, quads], channel.shot_noise)
         hits = (outcomes >= lows[ks, quads]) & (outcomes <= highs[ks, quads])
         total_hits = int(hits.sum())
-        p_in = total_hits / sessions
+        p_in = total_hits / m_sessions
         accepted = bool(_accepted(p_in, p_in_theoretical(channel), config))
         session_trace = np.rec.fromarrays([ks, quads * HALF_PI, outcomes, hits.view(np.uint8)],
                                           names=("k", "theta", "outcome", "hit"))
@@ -529,11 +533,11 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
         total_hits, p_in, accepted = int(hits[0]), float(p_ins[0]), bool(verdicts[0])
 
     return VerificationReport(
-        sessions=sessions,
+        sessions=m_sessions,
         hits=total_hits,
         p_in=p_in,
         # advice only once the responses are formed: they refuse a non-finite sum
-        p_in_expected=public_p_in(channel, config.error_level),
+        p_in_expected=public_p_in(channel, config.epsilon),
         accepted=accepted,
         enrollment_error=database.enrollment_error,
         session_trace=session_trace,
@@ -545,13 +549,13 @@ def verify_block(sums: np.ndarray, database: CrpDatabase, config: VerificationCo
     """Untraced verification of a block of keys from one generator.
 
     ``sums`` holds the keys' masked sums, as for :func:`hit_probabilities`.
-    One ``rng.binomial(sessions, p_bars)`` call draws every hit count, so
+    One ``rng.binomial(m_sessions, p_bars)`` call draws every hit count, so
     row 0 is what ``verify(key_0, database, config, rng)`` draws and no
     row depends on the rows after it.  Returns the hit counts, the in-bin
     frequencies and the acceptance flags, each of shape ``(B,)``.  It
     gives no advice: a campaign calls :func:`public_p_in` once, before its
     sweep.
     """
-    hits = rng.binomial(config.sessions, hit_probabilities(sums, database))
-    p_ins = hits / config.sessions
+    hits = rng.binomial(config.m_sessions, hit_probabilities(sums, database))
+    p_ins = hits / config.m_sessions
     return hits, p_ins, _accepted(p_ins, p_in_theoretical(database.channel), config)

@@ -37,6 +37,7 @@ __all__ = [
     "ScatteringKey",
     "PhaseMask",
     "wrap_phase",
+    "require_mode_count",
     "ensemble_variance",
     "draw_coefficients",
     "generate_key",
@@ -85,7 +86,7 @@ class ScatteringKey:
         object.__setattr__(self, "coefficients", coefficients)
 
     @property
-    def mode_count(self) -> int:
+    def n_modes(self) -> int:
         """Number of controllable input modes, one per coefficient."""
         return self.coefficients.size
 
@@ -93,7 +94,7 @@ class ScatteringKey:
     def variance(self) -> float:
         """Per-coefficient ensemble variance of the generating parameters, not
         a sample estimate from the coefficients."""
-        return ensemble_variance(self.mode_count, self.l_over_L)
+        return ensemble_variance(self.n_modes, self.l_over_L)
 
     def to_dict(self) -> dict:
         """JSON-ready document with coefficients as [re, im] pairs."""
@@ -130,17 +131,23 @@ class PhaseMask:
         return self.phases.size
 
 
-def ensemble_variance(mode_count: int, l_over_L: float) -> float:
-    """Per-coefficient variance ``(1 - l_over_L) / mode_count`` of a fresh key.
+def require_mode_count(name: str, value) -> int:
+    """``value`` as a mode count, an integer from 1 to the largest double;
+    a refusal names ``name``, such as ``n_modes`` or ``mode_counts``.  Beyond
+    the double range a division by the count would raise an OverflowError
+    that names no parameter."""
+    value = require_int(name, value, 1)
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must not exceed the double range, "
+                         f"got a {len(str(value))}-digit integer")
+    return value
 
-    A mode count beyond the largest double is refused by name, where the
-    division would raise an OverflowError that names no parameter."""
-    mode_count = require_int("mode_count", mode_count, 1)
-    if mode_count > sys.float_info.max:
-        raise ValueError(f"mode_count must not exceed the double range, "
-                         f"got a {len(str(mode_count))}-digit integer")
+
+def ensemble_variance(n_modes: int, l_over_L: float) -> float:
+    """Per-coefficient variance ``(1 - l_over_L) / n_modes`` of a fresh key."""
+    n_modes = require_mode_count("n_modes", n_modes)
     l_over_L = require_real("l_over_L", l_over_L, REAL_INTERVALS["l_over_L"])
-    return (1.0 - l_over_L) / mode_count
+    return (1.0 - l_over_L) / n_modes
 
 
 def draw_coefficients(rows: int, count: int, variance: float,
@@ -160,15 +167,15 @@ def draw_coefficients(rows: int, count: int, variance: float,
     return math.sqrt(variance / 2.0) * (parts[:, 0] + 1j * parts[:, 1])
 
 
-def generate_key(mode_count: int, l_over_L: float, rng: np.random.Generator) -> ScatteringKey:
+def generate_key(n_modes: int, l_over_L: float, rng: np.random.Generator) -> ScatteringKey:
     """Draw a fresh random key.
 
     Each coefficient is an independent circular complex Gaussian with
-    zero mean and total variance ``(1 - l_over_L) / mode_count``, split
+    zero mean and total variance ``(1 - l_over_L) / n_modes``, split
     evenly between the real and imaginary parts so the phase is uniform.
     """
-    variance = ensemble_variance(mode_count, l_over_L)
-    return ScatteringKey(draw_coefficients(1, mode_count, variance, rng)[0], float(l_over_L))
+    variance = ensemble_variance(n_modes, l_over_L)
+    return ScatteringKey(draw_coefficients(1, n_modes, variance, rng)[0], float(l_over_L))
 
 
 def masked_terms(coefficients: np.ndarray, tau: float, mask: PhaseMask) -> np.ndarray:
@@ -179,12 +186,12 @@ def masked_terms(coefficients: np.ndarray, tau: float, mask: PhaseMask) -> np.nd
     some loops only, which round a cancelling product differently; a
     one-mode multiply runs along the rows in a loop of its own, so the
     phase factors take the block's number of dimensions."""
-    mode_count = coefficients.shape[-1]
+    n_modes = coefficients.shape[-1]
     tau = require_real("tau", tau, REAL_INTERVALS["tau"])
-    if len(mask) != mode_count:
+    if len(mask) != n_modes:
         raise ValueError("mask length does not match the key's mode count")
     phase_factors = np.exp(1j * mask.phases).reshape((1,) * (coefficients.ndim - 1) + (-1,))
-    return coefficients * math.sqrt(tau / mode_count) * phase_factors
+    return coefficients * math.sqrt(tau / n_modes) * phase_factors
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -32,7 +32,7 @@ def _channel():
 def test_false_key_matches_generator_contract():
     key = false_key(256, 0.2, substream(200, 0))
     assert key.variance == 0.003125
-    assert key.mode_count == 256
+    assert key.n_modes == 256
 
 
 def test_false_key_never_equals_true_key():

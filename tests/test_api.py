@@ -142,9 +142,8 @@ def test_only_jsonio_writes_files():
 
 # parameters whose domain is an interval of jsonio.REAL_INTERVALS, under the
 # names the code that consumes them gives them
-CONSUMED_PARAMETERS = {"tau", "l_over_L", "efficiency", "mean_photons", "bin_width",
-                       "delta_over_sigma", "epsilon", "zeta", "error_level",
-                       "confidence_param", "fraction"}
+CONSUMED_PARAMETERS = {"tau", "l_over_L", "eta", "mu_p", "bin_width", "delta_over_sigma",
+                       "epsilon", "zeta", "fraction"}
 
 
 def _hand_written_intervals(tree):
@@ -170,6 +169,52 @@ def test_only_jsonio_writes_parameter_intervals():
             if lines:
                 copies[path.stem] = lines
     assert copies == {}
+
+
+def test_interval_guard_sees_a_comparison_under_a_field_name():
+    for source in ("0 < eta", "self.mu_p > 0.0", "0.0 < tau <= 1.0", "epsilon >= 1"):
+        assert list(_hand_written_intervals(ast.parse(source))) == [1], source
+
+
+# second names that protocol quantities once had beside their config field's
+# name: N is n_probe_states, mu_p, eta, M is m_sessions, epsilon, zeta, n is
+# n_modes, tau and mu_c
+RETIRED_NAMES = {"size", "mean_photons", "efficiency", "error_level", "confidence_param",
+                 "mode_count", "setup_loss", "mean_challenge_photons", "sessions"}
+# report.json's key, and the read-only alias that the benchmark's tracer reads
+RETIRED_NAME_EXCEPTIONS = {("VerificationReport", "sessions"), ("ProbeSet", "size")}
+
+
+def _parameters_and_fields(tree):
+    """``(scope, name)`` of every function parameter, scoped by its function,
+    and of every class field, annotated or a property, scoped by its class."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            arguments = node.args
+            for argument in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                             arguments.vararg, arguments.kwarg):
+                if argument is not None:
+                    yield getattr(node, "name", "<lambda>"), argument.arg
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+                elif isinstance(item, ast.FunctionDef) and any(
+                        getattr(decorator, "id", None) == "property"
+                        for decorator in item.decorator_list):
+                    yield node.name, item.name
+
+
+def test_one_name_per_quantity():
+    # every parameter and field takes its config field's name, so a consumer's
+    # own refusal names what the user typed; the file keys of database.json
+    # and report.json are mapped by to_dict and from_dict alone
+    retired = [(path.stem, scope, name) for path in sorted((ROOT / "src" / "cvpuk").glob("*.py"))
+               for scope, name in _parameters_and_fields(ast.parse(path.read_text(
+                   encoding="utf-8")))
+               if name in RETIRED_NAMES]
+    assert {(scope, name) for _, scope, name in retired} == RETIRED_NAME_EXCEPTIONS, retired
+    assert len(retired) == len(RETIRED_NAME_EXCEPTIONS)
 
 
 def _sites(matches, node, scope=""):

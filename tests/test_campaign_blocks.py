@@ -110,7 +110,7 @@ def _reference_clone_chunks(config, true_key, mask, n_index, d_index):
     plus the row's circular Gaussian of variance ``count * tau * variance / n``.
     The normals of all rows follow all the offsets; a fraction that replaces
     nothing draws nothing."""
-    n_modes = true_key.mode_count
+    n_modes = true_key.n_modes
     count = replaced_count(config.d_values[d_index], n_modes)
     true_sum = masked_sums(true_key.coefficients, config.tau, mask)
     terms = masked_terms(true_key.coefficients, config.tau, mask)
@@ -587,7 +587,7 @@ def _reference_hit_probabilities(sums, database):
     """``p̄`` of every row on its own: each cell's mass from two scalar
     ``math.erf`` calls in a list comprehension, each row's mean by ``math.fsum``."""
     amplitudes = sums[:, np.newaxis] * database.probe_set.amplitudes()
-    means = _quadrature_means(amplitudes).reshape(len(sums), 2 * database.probe_set.size)
+    means = _quadrature_means(amplitudes).reshape(len(sums), 2 * database.probe_set.n_probe_states)
     half = 0.5 * database.channel.bin_width
     scale = math.sqrt(2.0) * database.channel.shot_noise
     highs = ((database.centers + half).ravel() - means) / scale
@@ -601,7 +601,7 @@ def _reference_hit_probabilities(sums, database):
 
 def _reference_p_bar(key, database):
     """Reference ``p̄`` of one key, from the masked sum of its ``(n,)`` row."""
-    total = masked_sums(key.coefficients, database.setup_loss, database.mask)
+    total = masked_sums(key.coefficients, database.tau, database.mask)
     return float(_reference_hit_probabilities(np.array([total]), database)[0])
 
 
@@ -619,7 +619,7 @@ def test_untraced_verify_draws_one_binomial_of_the_reference_p_bar(n_modes):
     }
     for stream, (name, key) in enumerate(keys.items(), start=3):
         p_bar = _reference_p_bar(key, database)
-        expected = substream(73, n_modes, stream).binomial(verification.sessions, p_bar)
+        expected = substream(73, n_modes, stream).binomial(verification.m_sessions, p_bar)
         report = verify(key, database, verification, substream(73, n_modes, stream))
         assert report.hits == expected, name
 
@@ -644,7 +644,7 @@ def _assert_near_oracle(p_bars, sums, database):
     and the mean add at most ``(2N + 1) 2**-53`` relative to first order.  So
     ``|p̄ - oracle| <= 2**-52 + (2N + 1) 2**-53 oracle``, with a factor 2 on the
     absolute term for the second-order terms."""
-    relative = (2 * database.probe_set.size + 1) * 2.0**-53
+    relative = (2 * database.probe_set.n_probe_states + 1) * 2.0**-53
     with mpmath.workdps(50):
         for row, (p_bar, oracle) in enumerate(zip(p_bars.tolist(),
                                                   _oracle_p_bars(sums, database))):
@@ -653,7 +653,7 @@ def _assert_near_oracle(p_bars, sums, database):
 
 def _p_bar_alone(key, database):
     """``p̄`` of one key, evaluated in a block of its own."""
-    total = masked_sums(key.coefficients, database.setup_loss, database.mask)
+    total = masked_sums(key.coefficients, database.tau, database.mask)
     return float(hit_probabilities(np.array([total]), database)[0])
 
 

@@ -67,7 +67,7 @@ def test_flag_defaults_are_the_campaign_config_defaults():
         config.delta_over_sigma, config.eta)
     assert thresholds.mu_c == 2000.0
     verify_args = build_parser().parse_args(["verify", "--database", "d", "--key", "k"])
-    assert (verify_args.sessions, verify_args.epsilon, verify_args.zeta, verify_args.seed) == (
+    assert (verify_args.m_sessions, verify_args.epsilon, verify_args.zeta, verify_args.seed) == (
         config.m_sessions, config.epsilon, config.zeta, config.seed)
 
 
@@ -207,7 +207,7 @@ def test_enroll_writes_key_and_database(tmp_path):
     assert [list(record) for record in database_document["records"]] == [["k", "x", "y"]] * 11
     key = ScatteringKey.from_dict(key_document)
     database = CrpDatabase.from_dict(database_document)
-    assert key.mode_count == 32
+    assert key.n_modes == 32
     assert database.centers.shape == (11, 2)
     assert database.enrollment_error == 0.0
 
@@ -467,8 +467,8 @@ def test_enroll_bad_config_exits_2_without_output(tmp_path, capsys, field, value
     pytest.param("n_modes", 10**400, id="n_modes-1e400"),
 ])
 def test_enroll_refusal_names_the_field_typed(tmp_path, capsys, field, value):
-    # ProbeSet, HomodyneChannel and generate_key check these fields under their
-    # own parameter names (size, efficiency, mean_photons, mode_count)
+    # ProbeSet, HomodyneChannel and generate_key check these fields under
+    # parameters of the same names
     config_path = tmp_path / "config.json"
     _write_enroll_config(config_path, **{field: value})
     assert main(["enroll", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
@@ -485,7 +485,7 @@ def test_enroll_refusal_names_the_field_typed(tmp_path, capsys, field, value):
     ("verify", ("--sessions", "0")), ("verify", ("--epsilon", "2")), ("verify", ("--zeta", "0")),
 ])
 def test_flag_refusal_names_the_flag_typed(tmp_path, capsys, command, flags):
-    # the checks run under parameter names such as mean_challenge_photons and error_level
+    # the checks run under field names such as mu_c and m_sessions
     argv = [command, *flags]
     if command == "verify":
         config_path = tmp_path / "config.json"

@@ -30,8 +30,8 @@ ERF_ONE_OVER_SQRT2 = 0.6826894921370859
 ERF_SQRT2 = 0.9544997361036416
 
 
-def _channel(efficiency=0.55, ratio=2.0):
-    return HomodyneChannel.from_delta_ratio(efficiency, ratio)
+def _channel(eta=0.55, ratio=2.0):
+    return HomodyneChannel.from_delta_ratio(eta, ratio)
 
 
 def test_probe_state_amplitude():
@@ -82,7 +82,7 @@ def test_one_probe_response_is_its_column_of_the_full_response():
     for sums in (block, block.reshape(16, 32), np.complex128(block[0]),
                  np.zeros(0, dtype=complex)):
         full = probes.responses(sums)
-        for k in range(probes.size):
+        for k in range(probes.n_probe_states):
             one = probes.responses(sums, k)
             assert one.shape == full[..., k, :].shape
             assert one.tobytes() == full[..., k, :].tobytes(), k
@@ -132,7 +132,7 @@ def test_sample_quadrature_mean_recovery():
 def _cells_of(key, database):
     """One key's quadrature means ``(N, 2)``, from its masked sum, and the
     stored bins' edges."""
-    sums = masked_sums(key.coefficients[np.newaxis], database.setup_loss, database.mask)
+    sums = masked_sums(key.coefficients[np.newaxis], database.tau, database.mask)
     means, lows, highs = _cells(sums, database)
     return means[0], lows, highs
 
@@ -175,8 +175,8 @@ def test_bin_center_equals_quadrature_mean():
         # the paper's field sum_j c_j sqrt(tau / n) e^{i phi_j} alpha_k, term by term
         total = sum(c * math.sqrt(0.8 / n_modes) * cmath.exp(1j * phi)
                     for c, phi in zip(key.coefficients.tolist(), database.mask.phases.tolist()))
-        alphas = (math.sqrt(probes.mean_photons) * cmath.exp(2j * math.pi * k / probes.size)
-                  for k in range(probes.size))
+        alphas = (math.sqrt(probes.mu_p) * cmath.exp(2j * math.pi * k / probes.n_probe_states)
+                  for k in range(probes.n_probe_states))
         for (x, y), low, high, alpha in zip(means, lows, highs, alphas):
             expected = [_quadrature_mean(total * alpha, theta) for theta in (0.0, HALF_PI)]
             assert [x, y] == pytest.approx(expected, rel=1e-12, abs=1e-9)

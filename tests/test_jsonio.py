@@ -429,19 +429,3 @@ def test_write_artifacts_creates_the_directory_and_writes_in_the_order_given(tmp
     assert (out_dir / "summary.json").read_text() == "{}\n"
     assert (out_dir / "other.txt").read_text() == "kept"
 
-
-def test_renamed_refusals_name_the_typed_field_and_keep_the_exception():
-    with pytest.raises(ValueError, match=r"^n_probe_states must be at least 3, got 2$") as caught:
-        with jsonio.renamed_refusals(size="n_probe_states"):
-            jsonio.require_int("size", 2, 3)
-    assert type(caught.value) is ValueError
-    with pytest.raises(TypeError, match=r"^eta must be a real number"):
-        with jsonio.renamed_refusals(efficiency="eta"):
-            jsonio.require_real("efficiency", "0.5", "(0, 1]")
-    # a name it does not map, and an error of another kind, pass unchanged
-    with pytest.raises(ValueError, match=r"^tau must"):
-        with jsonio.renamed_refusals(size="n_probe_states"):
-            jsonio.require_real("tau", 2.0, "(0, 1]")
-    with pytest.raises(KeyError):
-        with jsonio.renamed_refusals(size="n_probe_states"):
-            {}["size"]

@@ -36,7 +36,8 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.protocol import _ERF_EDGES, _erf, hit_probabilities, public_p_in, verify_block
+from cvpuk.protocol import (_ERF_EDGES, _accepted, _erf, hit_probabilities, public_p_in,
+                             verify_block)
 from cvpuk.scattering import masked_sums
 
 
@@ -80,29 +81,29 @@ _KEY = generate_key(4, 0.2, substream(6, 0))
 # int() would read as valid values, a non-integral count where it is an int,
 # and the interval's excluded edge)
 REFUSED_PARAMETERS = [
-    ("ProbeSet", lambda v: ProbeSet(v, 2500.0), "size", (True, "11", 11.5, 2)),
-    ("ProbeSet", lambda v: ProbeSet(11, v), "mean_photons", (True, "2500", 0.0)),
-    ("HomodyneChannel", lambda v: HomodyneChannel(v, 1.9), "efficiency", (True, "0.55", 0.0)),
+    ("ProbeSet", lambda v: ProbeSet(v, 2500.0), "n_probe_states", (True, "11", 11.5, 2)),
+    ("ProbeSet", lambda v: ProbeSet(11, v), "mu_p", (True, "2500", 0.0)),
+    ("HomodyneChannel", lambda v: HomodyneChannel(v, 1.9), "eta", (True, "0.55", 0.0)),
     ("HomodyneChannel", lambda v: HomodyneChannel(0.55, v), "bin_width", (True, "1.9", 0.0)),
-    ("from_delta_ratio", lambda v: HomodyneChannel.from_delta_ratio(v, 2.0), "efficiency",
+    ("from_delta_ratio", lambda v: HomodyneChannel.from_delta_ratio(v, 2.0), "eta",
      (True, "0.55", 0.0)),
     ("from_delta_ratio", lambda v: HomodyneChannel.from_delta_ratio(0.55, v),
      "delta_over_sigma", (True, "2", 0.0)),
-    ("VerificationConfig", lambda v: VerificationConfig(v, 0.05, 0.05), "sessions",
+    ("VerificationConfig", lambda v: VerificationConfig(v, 0.05, 0.05), "m_sessions",
      (True, "1000", 1000.5, 0)),
-    ("VerificationConfig", lambda v: VerificationConfig(1000, v, 0.05), "error_level",
+    ("VerificationConfig", lambda v: VerificationConfig(1000, v, 0.05), "epsilon",
      (True, "0.05", 0.0)),
-    ("VerificationConfig", lambda v: VerificationConfig(1000, 0.05, v), "confidence_param",
+    ("VerificationConfig", lambda v: VerificationConfig(1000, 0.05, v), "zeta",
      (True, "0.05", 1.0)),
     ("public_p_in", lambda v: public_p_in(HomodyneChannel.from_delta_ratio(0.55, 2.0), v),
-     "error_level", (math.nan, "0.05", True, -1.0)),
+     "epsilon", (math.nan, "0.05", True, -1.0)),
     ("enrollment_error", enrollment_error, "per_quadrature_samples", (True, "25", 2.5, 0)),
     ("ScatteringKey", lambda v: ScatteringKey(np.ones(4), v), "l_over_L", (True, "0.2", 1.0)),
     ("clone_key", lambda v: clone_key(_KEY, v, substream(6, 1)), "fraction",
      (True, "0.1", -0.01)),
-    ("e_threshold", lambda v: e_threshold(v, 121, 0.2), "mean_challenge_photons",
+    ("e_threshold", lambda v: e_threshold(v, 121, 0.2), "mu_c",
      (True, "2000", 0.0, math.inf)),
-    ("radii", lambda v: radii(v, 1.0, 4.0), "mean_challenge_photons",
+    ("radii", lambda v: radii(v, 1.0, 4.0), "mu_c",
      (True, "2000", 0.0, math.inf)),
     ("radii", lambda v: radii(2000.0, v, 4.0), "variance", (True, "1", 0.0, math.inf)),
     ("radii", lambda v: radii(2000.0, 1.0, v), "enhancement", (True, "4", 0.0, math.inf)),
@@ -127,7 +128,7 @@ def test_e_threshold_values():
         e_threshold(0.0, 121, 0.2)
     with pytest.raises(ValueError, match="l_over_L"):
         e_threshold(2000.0, 121, 1.0)
-    with pytest.raises(ValueError, match="mode_count"):
+    with pytest.raises(ValueError, match="n_modes"):
         e_threshold(2000.0, 0, 0.2)
     for args in ((math.nan, 121, 0.2), (2000.0, 121, math.nan)):
         with pytest.raises(ValueError):
@@ -179,16 +180,16 @@ def test_enrollment_sample_size_helpers():
 def test_enroll_exact_structure():
     key, tau, probes, channel = _setup()
     database = enroll_exact(key, tau, probes, channel)
-    assert database.centers.shape == (probes.size, 2)
+    assert database.centers.shape == (probes.n_probe_states, 2)
     assert database.enrollment_error == 0.0
     assert type(database.enrollment_error) is float
-    assert database.setup_loss == tau
+    assert database.tau == tau
 
     magnitudes = np.hypot(database.centers[:, 0], database.centers[:, 1])
     assert np.allclose(magnitudes, magnitudes[0], rtol=1e-12)
 
     # probe phases rotate the response rigidly in steps of 2*pi/N
-    step = 2.0 * math.pi / probes.size
+    step = 2.0 * math.pi / probes.n_probe_states
     angles = np.arctan2(database.centers[:, 1], database.centers[:, 0])
     for k, angle in enumerate(angles):
         expected = math.remainder(angles[0] + k * step, 2.0 * math.pi)
@@ -200,7 +201,7 @@ def test_enroll_exact_structure():
 def test_enroll_exact_response_power_identity():
     key, tau, probes, channel = _setup(seed=101)
     database = enroll_exact(key, tau, probes, channel)
-    mu_c = tau * probes.mean_photons
+    mu_c = tau * probes.mu_p
     gain = enhancement(key, database.mask)
     expected = 2.0 * gain * key.variance * mu_c
     for x, y in database.centers:
@@ -239,7 +240,7 @@ def test_enroll_sampled_draws_one_normal_per_cell_in_probe_order():
     exact = enroll_exact(key, tau, probes, channel)
     sampled = enroll_sampled(key, tau, probes, channel, 400, substream(114, 0))
     standard_error = channel.shot_noise / 20.0
-    normals = substream(114, 0).standard_normal((probes.size, 2))
+    normals = substream(114, 0).standard_normal((probes.n_probe_states, 2))
     assert np.allclose(sampled.centers, exact.centers + standard_error * normals,
                        rtol=0.0, atol=1e-12)
     assert sampled.enrollment_error == enrollment_error(400)
@@ -268,12 +269,12 @@ def test_database_validation():
     key, tau, probes, channel = _setup(n_modes=8, n_probes=3)
     database = enroll_exact(key, tau, probes, channel)
 
-    def rebuild(centers=database.centers, error=0.0, setup_loss=0.8):
-        return CrpDatabase(database.mask, centers, error, probes, channel, setup_loss)
+    def rebuild(centers=database.centers, error=0.0, tau=0.8):
+        return CrpDatabase(database.mask, centers, error, probes, channel, tau)
 
     assert rebuild().centers.tolist() == database.centers.tolist()
     assert [spec.name for spec in dataclasses.fields(database)] == [
-        "mask", "centers", "enrollment_error", "probe_set", "channel", "setup_loss"]
+        "mask", "centers", "enrollment_error", "probe_set", "channel", "tau"]
     with pytest.raises(ValueError):
         rebuild(centers=database.centers[:2])
     with pytest.raises(ValueError):
@@ -293,12 +294,12 @@ def test_database_validation():
     for bad in (True, np.bool_(True), "0.25"):
         with pytest.raises(TypeError):
             rebuild(error=bad)
-        with pytest.raises(TypeError, match="setup_loss"):
-            rebuild(setup_loss=bad)
+        with pytest.raises(TypeError, match="tau"):
+            rebuild(tau=bad)
     for bad in (0.0, 1.5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="setup_loss"):
-            rebuild(setup_loss=bad)
-    assert rebuild(setup_loss=1).setup_loss == 1.0
+        with pytest.raises(ValueError, match="tau"):
+            rebuild(tau=bad)
+    assert rebuild(tau=1).tau == 1.0
     # stored arrays are immutable
     with pytest.raises(ValueError):
         database.centers[0, 0] = 1.0
@@ -347,7 +348,7 @@ def test_database_json_roundtrip():
     restored = CrpDatabase.from_dict(json.loads(jsonio.dumps(document)))
     assert restored.probe_set == database.probe_set
     assert restored.channel == database.channel
-    assert restored.setup_loss == database.setup_loss
+    assert restored.tau == database.tau
     assert np.array_equal(restored.mask.phases, database.mask.phases)
     assert np.array_equal(restored.centers, database.centers)
     assert restored.enrollment_error == database.enrollment_error
@@ -375,6 +376,16 @@ def test_key_and_database_round_trips_keep_negative_zeros():
 # ----------------------------------------------------------------- verify
 
 
+def test_a_hit_frequency_exactly_epsilon_from_p_in_is_rejected():
+    # the acceptance window |p_in - P_in| < epsilon is open; each difference
+    # here is exact in binary, so the edge itself is compared
+    config = VerificationConfig(1000, 0.25, 0.05)
+    assert not _accepted(0.5, 0.75, config)
+    assert not _accepted(1.0, 0.75, config)
+    assert _accepted(math.nextafter(0.5, 1.0), 0.75, config)
+    assert _accepted(np.array([0.5, 0.625, 1.0]), 0.75, config).tolist() == [False, True, False]
+
+
 def test_verify_true_key_accepted():
     key, tau, probes, channel = _setup(seed=104)
     database = enroll_exact(key, tau, probes, channel)
@@ -392,7 +403,7 @@ def test_verify_false_key_rejected():
     key, tau, probes, channel = _setup(seed=105)
     database = enroll_exact(key, tau, probes, channel)
     config = VerificationConfig(1000, 0.05, 0.05)
-    impostor = generate_key(key.mode_count, 0.2, substream(105, 1))
+    impostor = generate_key(key.n_modes, 0.2, substream(105, 1))
     report = verify(impostor, database, config, substream(105, 2))
     assert not report.accepted
     assert report.p_in < report.p_in_expected / 2.0
@@ -424,7 +435,7 @@ def test_verify_uses_enrolled_throughput():
     # key passes under the tau it was enrolled with, whatever that is
     key, _, probes, channel = _setup(seed=113)
     database = enroll_exact(key, 0.3, probes, channel)
-    assert database.setup_loss == 0.3
+    assert database.tau == 0.3
     config = VerificationConfig(1000, 0.05, 0.05)
     assert verify(key, database, config, substream(113, 1)).accepted
     # the same records stored under another throughput no longer match
@@ -449,7 +460,7 @@ def test_verify_warns_on_large_error_level():
 
     def calls(ratio, config):
         database = enroll_exact(key, tau, probes, HomodyneChannel.from_delta_ratio(0.55, ratio))
-        campaign = {"delta_over_sigma": ratio, "epsilon": config.error_level, "trials": 3,
+        campaign = {"delta_over_sigma": ratio, "epsilon": config.epsilon, "trials": 3,
                     "m_sessions": 10, "n_modes": 16, "mode_counts": (16,),
                     "d_values": (0.0, 0.5)}
         return {
@@ -542,7 +553,7 @@ def test_rejection_rate_monotone_in_error_level():
     expected = p_in_theoretical(channel)
     p_ins = []
     for trial in range(500):
-        impostor = generate_key(key.mode_count, 0.2, substream(111, 1, trial))
+        impostor = generate_key(key.n_modes, 0.2, substream(111, 1, trial))
         report = verify(impostor, database, config, substream(111, 2, trial))
         p_ins.append(report.p_in)
     p_ins = np.array(p_ins)
@@ -557,7 +568,7 @@ def test_verification_config_validation():
     with pytest.raises(ValueError):
         VerificationConfig(0, 0.05, 0.05)
     # numpy's binomial takes a 64-bit count; one more must be refused, not overflow
-    assert VerificationConfig(2**63 - 1, 0.05, 0.05).sessions == 2**63 - 1
+    assert VerificationConfig(2**63 - 1, 0.05, 0.05).m_sessions == 2**63 - 1
     with pytest.raises(ValueError, match="sessions"):
         VerificationConfig(2**63, 0.05, 0.05)
     with pytest.raises(ValueError):
@@ -582,7 +593,7 @@ def test_report_serialization():
 
 def _p_bar(key, database):
     """``p̄`` of one key, from its masked sum under the database's mask."""
-    sums = masked_sums(key.coefficients[np.newaxis], database.setup_loss, database.mask)
+    sums = masked_sums(key.coefficients[np.newaxis], database.tau, database.mask)
     return float(hit_probabilities(sums, database)[0])
 
 
@@ -602,11 +613,11 @@ def _hit_probability_oracle(key, database):
     highs = database.centers + half
     probes = database.probe_set
     with mpmath.workdps(40):
-        coupling = mpmath.sqrt(mpmath.mpf(database.setup_loss) / key.mode_count)
+        coupling = mpmath.sqrt(mpmath.mpf(database.tau) / key.n_modes)
         masked = mpmath.fsum(mpmath.mpc(c) * coupling * mpmath.expj(phi) for c, phi
                              in zip(key.coefficients.tolist(), database.mask.phases.tolist()))
-        fields = [masked * mpmath.sqrt(probes.mean_photons)
-                  * mpmath.expj(2 * mpmath.pi * k / probes.size) for k in range(probes.size)]
+        fields = [masked * mpmath.sqrt(probes.mu_p)
+                  * mpmath.expj(2 * mpmath.pi * k / probes.n_probe_states) for k in range(probes.n_probe_states)]
         means = [part * mpmath.sqrt(2) for field in fields for part in (field.real, field.imag)]
         sigma = mpmath.mpf(database.channel.shot_noise)
         total = mpmath.fsum(
@@ -621,7 +632,7 @@ def test_hit_probability_matches_mpmath_oracle():
     key, tau, probes, channel = _setup(seed=123)
     database = enroll_exact(key, tau, probes, channel)
     clone, _ = clone_key(key, 0.03, substream(123, 1))
-    impostor = generate_key(key.mode_count, 0.2, substream(123, 2))
+    impostor = generate_key(key.n_modes, 0.2, substream(123, 2))
     for probe_key in (clone, impostor):
         expected = _hit_probability_oracle(probe_key, database)
         assert abs(_p_bar(probe_key, database) - expected) <= 1e-12
@@ -734,7 +745,7 @@ def test_verify_at_paper_session_count():
     genuine = verify(key, database, config, substream(125, 1))
     assert genuine.sessions == 22_802_708
     assert genuine.accepted
-    impostor = generate_key(key.mode_count, 0.2, substream(125, 2))
+    impostor = generate_key(key.n_modes, 0.2, substream(125, 2))
     false = verify(impostor, database, config, substream(125, 3))
     assert not false.accepted
     assert false.p_in < genuine.p_in_expected / 2.0
@@ -780,10 +791,10 @@ def test_hit_probability_never_exceeds_p_in(key_and_database):
 def test_database_json_round_trip_gives_the_exact_doubles(key_and_database, error):
     _, exact = key_and_database
     database = CrpDatabase(exact.mask, exact.centers, error,
-                           exact.probe_set, exact.channel, exact.setup_loss)
+                           exact.probe_set, exact.channel, exact.tau)
     restored = CrpDatabase.from_dict(json.loads(jsonio.dumps(database.to_dict())))
     assert restored.centers.tobytes() == database.centers.tobytes()
     assert restored.mask.phases.tobytes() == database.mask.phases.tobytes()
     assert (restored.enrollment_error, restored.probe_set, restored.channel,
-            restored.setup_loss) == (database.enrollment_error, database.probe_set,
-                                     database.channel, database.setup_loss)
+            restored.tau) == (database.enrollment_error, database.probe_set,
+                                     database.channel, database.tau)

@@ -30,7 +30,7 @@ from cvpuk.scattering import ensemble_variance, masked_sums
 def test_generated_variance_matches_parameters():
     key = generate_key(256, 0.2, substream(1, 0))
     assert key.variance == 0.003125
-    assert key.mode_count == 256
+    assert key.n_modes == 256
     assert key.coefficients.shape == (256,)
     assert np.all(np.isfinite(key.coefficients))
 
@@ -61,7 +61,7 @@ def test_generated_ensemble_statistics():
 def test_generate_key_rejects_bad_parameters(mode_count, l_over_L):
     # the message names the parameter at fault
     with pytest.raises((TypeError, ValueError),
-                       match="l_over_L" if mode_count == 4 else "mode_count"):
+                       match="l_over_L" if mode_count == 4 else "n_modes"):
         generate_key(mode_count, l_over_L, substream(3, 0))
 
 
@@ -71,7 +71,7 @@ def test_mode_count_beyond_the_double_range_is_refused_by_name():
     largest = int(sys.float_info.max)
     assert ensemble_variance(largest, 0.2) == 0.8 / sys.float_info.max
     for mode_count in (largest + 1, 10**400):
-        with pytest.raises(ValueError, match=r"^mode_count must not exceed the double range, "
+        with pytest.raises(ValueError, match=r"^n_modes must not exceed the double range, "
                                              rf"got a {len(str(mode_count))}-digit integer$"):
             ensemble_variance(mode_count, 0.2)
 
@@ -98,7 +98,7 @@ def _unit_key(coefficients):
 
 def _masked_sum(key, tau, mask):
     """The paper's masked sum ``sum_j c_j sqrt(tau / n) e^{i phi_j}``, term by term."""
-    coupling = math.sqrt(tau / key.mode_count)
+    coupling = math.sqrt(tau / key.n_modes)
     return sum(c * coupling * cmath.exp(1j * phi)
                for c, phi in zip(key.coefficients.tolist(), mask.phases.tolist()))
 
@@ -383,7 +383,7 @@ def test_key_json_round_trip_gives_the_exact_doubles(pairs, l_over_L):
     restored = ScatteringKey.from_dict(json.loads(jsonio.dumps(key.to_dict())))
     # tobytes tells -0.0 from 0.0, which == would not
     assert restored.coefficients.tobytes() == key.coefficients.tobytes()
-    assert (restored.variance, restored.mode_count, restored.l_over_L) == (
+    assert (restored.variance, restored.n_modes, restored.l_over_L) == (
         key.variance, len(pairs), key.l_over_L)
 
 
@@ -396,7 +396,7 @@ def test_key_json_roundtrip():
     restored = ScatteringKey.from_dict(json.loads(document))
     assert np.array_equal(restored.coefficients, key.coefficients)
     assert restored.variance == key.variance
-    assert restored.mode_count == 32
+    assert restored.n_modes == 32
     assert restored.l_over_L == key.l_over_L
     assert jsonio.dumps(restored.to_dict()) == document
     document = key.to_dict()
@@ -412,14 +412,14 @@ def test_legacy_key_document_loads_to_an_equal_key():
     for legacy in ({"mode_count": 32, "target_mode": 5}, {"mode_count": 7, "target_mode": 0.5}):
         restored = ScatteringKey.from_dict({**legacy, **key.to_dict()})
         assert restored.coefficients.tobytes() == key.coefficients.tobytes()
-        assert (restored.mode_count, restored.l_over_L) == (32, key.l_over_L)
+        assert (restored.n_modes, restored.l_over_L) == (32, key.l_over_L)
         assert jsonio.dumps(restored.to_dict()) == jsonio.dumps(key.to_dict())
 
 
 def test_key_fields_are_the_coefficients_and_l_over_L():
     key = generate_key(8, 0.2, substream(20, 0))
     assert [spec.name for spec in dataclasses.fields(key)] == ["coefficients", "l_over_L"]
-    assert key.mode_count == key.coefficients.size == 8
+    assert key.n_modes == key.coefficients.size == 8
     for coefficients in (np.zeros((2, 2)), np.zeros(0), np.zeros(()), [math.nan]):
         with pytest.raises(ValueError):
             ScatteringKey(coefficients, 0.2)

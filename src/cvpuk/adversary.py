@@ -44,33 +44,39 @@ def replaced_count(fraction: float, n_modes: int) -> int:
 
 
 def _replaced_positions(true_key: ScatteringKey, fraction: float, rows: int,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Replaced positions ``(rows, count)`` of ``rows`` clones by a partial
+                        *streams: np.random.Generator) -> np.ndarray:
+    """Replaced positions ``(rows * len(streams), count)`` of ``rows`` clones
+    from each stream, the streams' rows one after another, by a partial
     Fisher–Yates shuffle (Durstenfeld, CACM 7, 420, 1964) of each row's slots
-    ``0 .. n-1``: one ``integers(0, n - arange(s), size=(rows, s))`` call,
-    ``s = min(count, n - count)``, then step ``i`` swaps slot ``i`` with slot
-    ``i + offset``.  The replaced positions are slots ``:count``, or past
-    half the complement of the ``s`` kept ones, slots ``s:``.  Row ``r``
-    depends only on row ``r`` of the offsets, so the first rows equal a
-    draw of fewer rows.  ``count == 0`` and ``count == n`` draw nothing
-    from ``rng``."""
+    ``0 .. n-1``.  Each stream draws its offsets in one ``integers(0, n -
+    arange(s), size=(rows, s))`` call, ``s = min(count, n - count)``; then
+    one walk over the slot table of all the rows makes step ``i`` swap slot
+    ``i`` with slot ``i + offset``.  The replaced positions are slots
+    ``:count``, or past half the complement of the ``s`` kept ones, slots
+    ``s:``.  Row ``r`` depends only on row ``r`` of the offsets, so a
+    stream's rows equal a one-stream draw and its first rows a draw of
+    fewer rows.  ``count == 0`` and ``count == n`` draw nothing."""
     n = true_key.n_modes
     count = replaced_count(fraction, n)
+    total = rows * len(streams)
     if not count:
-        return np.empty((rows, 0), dtype=np.intp)
+        return np.empty((total, 0), dtype=np.intp)
     steps = min(count, n - count)
-    offsets = rng.integers(0, n - np.arange(steps), size=(rows, steps))
-    # slot k of row r sits at k * rows + r, so each step's slot i is one contiguous run
-    targets = (offsets.T + np.arange(steps)[:, np.newaxis]) * rows + np.arange(rows)
+    offsets = np.empty((total, steps), dtype=np.int64)
+    for index, rng in enumerate(streams):
+        offsets[index * rows:(index + 1) * rows] = rng.integers(
+            0, n - np.arange(steps), size=(rows, steps))
+    # slot k of row r sits at k * total + r, so each step's slot i is one contiguous run
+    targets = (offsets.T + np.arange(steps)[:, np.newaxis]) * total + np.arange(total)
     # a slot holds a position below n, a mode count far below 2**31, so 32 bits
     # hold it: half the table of 64-bit slots to fill and to move
-    slots = np.repeat(np.arange(n, dtype=np.int32), rows)
+    slots = np.repeat(np.arange(n, dtype=np.int32), total)
     for i, target in enumerate(targets):
-        current = slots[i * rows:(i + 1) * rows]
+        current = slots[i * total:(i + 1) * total]
         picked = slots[target]
         slots[target] = current
         current[...] = picked
-    slots = slots.reshape(n, rows)
+    slots = slots.reshape(n, total)
     # row-major again, so that each clone's terms are summed as one row on its own:
     # np.sum(terms[positions], axis=1) adds a column-major row in another order
     kept = slots[:count] if count == steps else slots[steps:]
@@ -110,19 +116,23 @@ def false_key_sums(n_modes: int, l_over_L: float, tau: float, rows: int,
 
 
 def clone_sums(true_key: ScatteringKey, fraction: float, tau: float, mask: PhaseMask,
-               rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Masked sums of ``rows`` clones under ``mask``, shape ``(rows,)``: row ``r``
-    is ``true_sum - sum(t[R_r]) + fresh_r``, with ``t`` the true key's
+               rows: int, *streams: np.random.Generator) -> np.ndarray:
+    """Masked sums of ``rows`` clones from each stream under ``mask``, shape
+    ``(rows * len(streams),)``, the streams' rows one after another: row
+    ``r`` is ``true_sum - sum(t[R_r]) + fresh_r``, with ``t`` the true key's
     :func:`masked_terms`, ``R_r`` row ``r`` of one partial Fisher–Yates draw
-    of positions (row 0 is what :func:`clone_key` picks from the same stream)
-    and ``fresh_r`` the replacements' terms, one circular Gaussian of variance
-    ``count * tau * variance / n`` from a ``(rows, 2, 1)`` block drawn after
-    all positions.  ``rng`` is always a generator; a fraction that replaces
-    nothing draws nothing from it, and every row is the true sum."""
+    of positions and ``fresh_r`` the replacements' terms, one circular
+    Gaussian of variance ``count * tau * variance / n``.  Each stream draws
+    its ``(rows, s)`` offsets and then its ``(rows, 2, 1)`` block of normals,
+    keys first; one walk over the slot table and one gather-and-sum then
+    serve all the rows.  So a stream's rows equal a one-stream call, whose
+    row 0 is what :func:`clone_key` picks from the same stream.  A fraction
+    that replaces nothing draws nothing, and every row is the true sum."""
     terms = masked_terms(true_key.coefficients, tau, mask)
-    positions = _replaced_positions(true_key, fraction, rows, rng)
+    positions = _replaced_positions(true_key, fraction, rows, *streams)
     count = positions.shape[1]
     if not count:
-        return np.full(rows, np.sum(terms))
-    fresh = draw_coefficients(rows, 1, count * tau * true_key.variance / true_key.n_modes, rng)
+        return np.full(len(positions), np.sum(terms))
+    fresh = draw_coefficients(rows, 1, count * tau * true_key.variance / true_key.n_modes,
+                              *streams)
     return np.sum(terms) - np.sum(terms[positions], axis=1) + fresh[:, 0]

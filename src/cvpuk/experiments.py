@@ -32,15 +32,25 @@ one such block of normals for their fresh terms' sums (see
 :func:`cvpuk.adversary.clone_sums`; a fraction that replaces nothing
 draws no key, and its clones share the true key's one masked sum).
 
-A false-key campaign draws every chunk's keys before it evaluates any of
-them: each chunk's stream writes its 256 rows into one population, placed
-by the chunk's first trial, whose masked sums are formed in one pass and,
-in ``response_cloud``, its responses in one more.  ``collision_histogram``
-then verifies chunk by chunk, each chunk on its own stream.  This orders
-only the work across streams: each stream draws its keys before its hit
-counts, as the table says.  A clone campaign draws, sums and verifies one
-chunk at a time; the chunk is its unit of masked sums and ``p̄``, as it
-is the false keys' unit of ``p̄``.  Campaigns never trace.
+A population is verified in blocks of at most ``BLOCK_CHUNKS`` = 4
+consecutive chunks, 1,024 rows, taken in the order of their first
+trials: one :func:`~cvpuk.protocol.hit_probabilities` pass evaluates
+``p̄`` of the block's trials, and then each chunk draws the hit counts of
+its own trials from its own stream.  A false-key campaign draws every
+chunk's keys before it evaluates any of them: each chunk's stream writes
+its 256 rows into one population, placed by the chunk's first trial,
+whose masked sums are formed in one pass and, in ``response_cloud``, its
+responses in one more; ``collision_histogram`` then verifies the
+population block by block.  A clone campaign forms each cluster, one
+mode count and one fraction, block by block: one
+:func:`~cvpuk.adversary.clone_sums` call draws the clones of the block's
+chunks, each stream its positions and then its normals, one
+:meth:`~cvpuk.homodyne.ProbeSet.responses` call places them and, unless
+the campaign is ``clone_cloud``, the block is verified.  A block never
+spans two fractions or two mode counts.  This orders only the work
+across streams: each stream draws its keys before its hit counts, as the
+table says, and a row's masked sum, response and ``p̄`` carry the same
+bits in a block of any size.  Campaigns never trace.
 """
 
 from __future__ import annotations
@@ -56,11 +66,12 @@ from .adversary import clone_sums, false_key_sums
 from .homodyne import HomodyneChannel, ProbeSet, p_in_theoretical
 from .protocol import (
     VerificationConfig,
+    binomial_verdicts,
     e_threshold,
     enroll_exact,
+    hit_probabilities,
     public_p_in,
     radii,
-    verify_block,
 )
 from .scattering import enhancement, generate_key, masked_sums, require_mode_count
 from .streams import substream
@@ -87,6 +98,10 @@ REPORTED_ENHANCEMENT_BAND = (50.0, 1000.0)
 # trials per chunk of a campaign's random streams; part of the stream
 # layout (see the table above), so changing it changes every artifact
 STREAM_CHUNK = 256
+# chunks verified in one p̄ pass and drawn in one clone_sums call, so a block
+# holds at most 1,024 rows; rows do not depend on their block, so this moves
+# no result, and a block as wide as a mode count was slower and held more memory
+BLOCK_CHUNKS = 4
 
 
 @dataclass(frozen=True)
@@ -251,14 +266,46 @@ def _chunks(trials: int, seed: int, *path: int):
             for chunk, start in enumerate(range(0, trials, STREAM_CHUNK))]
 
 
+def _blocks(chunks):
+    """The chunks in the order of their first trials, in runs of at most
+    ``BLOCK_CHUNKS`` consecutive ones; only the last run's last chunk may
+    be partial, so each run's trials follow one another."""
+    ordered = sorted(chunks, key=lambda chunk: chunk[1])
+    return [ordered[k:k + BLOCK_CHUNKS] for k in range(0, len(ordered), BLOCK_CHUNKS)]
+
+
+def _verify_chunks(chunks, sums, database, verification):
+    """``(p_ins, accepted)`` of a run of consecutive chunks given ``sums``,
+    the masked sums of its trials in trial order: the trials' in-bin
+    frequencies, in the same order, and how many of them are accepted.
+
+    Each of the :func:`_blocks` of the run takes one
+    :func:`~cvpuk.protocol.hit_probabilities` pass over its trials, at most
+    1,024 rows; then each of its chunks, in the order of their first
+    trials, draws its trials' :func:`~cvpuk.protocol.binomial_verdicts` from
+    its own stream.  A row's ``p̄`` has the bits of that row alone, so every
+    chunk draws what it would draw verified on its own."""
+    p_ins = np.empty(len(sums))
+    accepted = 0
+    row = 0
+    for block in _blocks(chunks):
+        p_bars = hit_probabilities(sums[row:row + sum(chunk[2] for chunk in block)], database)
+        for stream, _, rows in block:
+            _, p_ins[row:row + rows], verdicts = binomial_verdicts(p_bars[:rows], database,
+                                                                   verification, stream)
+            accepted += int(np.count_nonzero(verdicts))
+            p_bars, row = p_bars[rows:], row + rows
+    return p_ins, accepted
+
+
 def _false_key_population(config: CampaignConfig):
-    """``(chunks, sums)``: the :func:`_chunks` of the false keys' trials and
-    the masked sums of all 256 keys of every chunk, a partial one included,
-    the chunk that starts at trial ``t`` at rows ``t`` to ``t + 255``."""
-    chunks = _chunks(config.trials, config.seed, 2)
-    streams = [stream for stream, _, _ in sorted(chunks, key=lambda chunk: chunk[1])]
+    """``(chunks, sums)``: the :func:`_chunks` of the false keys' trials, in
+    the order of their first trials, and the masked sums of all 256 keys of
+    every chunk, a partial one included, the chunk that starts at trial
+    ``t`` at rows ``t`` to ``t + 255``."""
+    chunks = sorted(_chunks(config.trials, config.seed, 2), key=lambda chunk: chunk[1])
     return chunks, false_key_sums(config.n_modes, config.l_over_L, config.tau, STREAM_CHUNK,
-                                  *streams)
+                                  *[stream for stream, _, _ in chunks])
 
 
 def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
@@ -278,22 +325,18 @@ def run_collision_histogram(config: CampaignConfig) -> CollisionResult:
     true_stream = substream(config.seed, 0)
     true_key = generate_key(config.n_modes, config.l_over_L, true_stream)
     database = enroll_exact(true_key, config.tau, probes, channel)
-    # what an untraced verify of the true key draws: row 0 of a block of one
+    # what an untraced verify of the true key draws: one chunk of one row
     true_sum = masked_sums(true_key.coefficients[np.newaxis], config.tau, database.mask)
-    _, true_p_ins, true_verdicts = verify_block(true_sum, database, verification, true_stream)
+    true_p_ins, true_accepted = _verify_chunks([(true_stream, 0, 1)], true_sum, database,
+                                               verification)
 
     chunks, sums = _false_key_population(config)
-    false_p_ins = np.empty(config.trials)
-    accepted = 0
-    for stream, start, rows in chunks:
-        _, false_p_ins[start:start + rows], verdicts = verify_block(
-            sums[start:start + rows], database, verification, stream)
-        accepted += int(np.count_nonzero(verdicts))
+    false_p_ins, accepted = _verify_chunks(chunks, sums[:config.trials], database, verification)
 
     return CollisionResult(
         true_key_p_in=float(true_p_ins[0]),
         p_in_expected=expected,
-        true_key_accepted=bool(true_verdicts[0]),
+        true_key_accepted=bool(true_accepted),
         false_p_ins=_read_only(false_p_ins),
         false_acceptance_rate=accepted / config.trials if config.trials else 0.0,
     )
@@ -365,14 +408,16 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
         database = enroll_exact(true_key, config.tau, probes, channel)
         true_responses[i] = database.centers[0]
         for d, fraction in enumerate(config.d_values):
-            for stream, start, rows in _chunks(config.trials, config.seed, 5, i, d):
+            for block in _blocks(_chunks(config.trials, config.seed, 5, i, d)):
+                start = block[0][1]
+                rows = sum(chunk[2] for chunk in block)
                 sums = clone_sums(true_key, fraction, config.tau, database.mask, STREAM_CHUNK,
-                                  stream)[:rows]
+                                  *[stream for stream, _, _ in block])[:rows]
                 means[i, d, start:start + rows] = probes.responses(sums, 0)
                 if verifies:
-                    _, p_ins[i, d, start:start + rows], verdicts = verify_block(
-                        sums, database, verification, stream)
-                    accepted[i, d] += np.count_nonzero(verdicts)
+                    p_ins[i, d, start:start + rows], verified = _verify_chunks(
+                        block, sums, database, verification)
+                    accepted[i, d] += verified
 
     return CloneExperimentsResult(
         true_responses=_read_only(true_responses),

@@ -42,7 +42,7 @@ immutable after enrollment, and the acceptance bins are computed from
 the database alone, never from the key under test.  Only verification
 uses the bin width and the error level ``epsilon``, so only it advises on them
 (:func:`public_p_in`), once every check that can refuse it has passed;
-:func:`verify_block` does not, so that a campaign advises once.
+:func:`binomial_verdicts` does not, so that a campaign advises once.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ __all__ = [
     "enrollment_error",
     "m_threshold",
     "hit_probabilities",
+    "binomial_verdicts",
     "public_p_in",
     "verify",
-    "verify_block",
     "e_threshold",
     "radii",
 ]
@@ -225,8 +225,7 @@ def e_threshold(mu_c: float, n_modes: int, l_over_L: float) -> float:
     ensemble_variance(n_modes, l_over_L)  # checks both parameters
     photons_per_mode = (mu_c / n_modes) * (1.0 - l_over_L)
     if not photons_per_mode > 0.0:
-        raise ValueError(f"photons per mode underflow to 0 at mean_challenge_photons "
-                         f"{mu_c!r}")
+        raise ValueError(f"photons per mode underflow to 0 at mu_c {mu_c!r}")
     try:
         threshold = 16.0 * (1.0 + 0.75 / math.sqrt(photons_per_mode)) ** 2
     except OverflowError:
@@ -468,14 +467,14 @@ def public_p_in(channel: HomodyneChannel, epsilon: float) -> float:
     """The public in-bin probability of ``channel``, with a warning naming the
     caller's caller on a bin width outside the recommended bracket ``[2 sigma,
     4 sigma)`` and on an error level ``epsilon`` not small against the
-    probability; the advice's text calls it ``error_level``."""
+    probability; each advice begins with the name of its parameter."""
     epsilon = require_real("epsilon", epsilon, REAL_INTERVALS["epsilon"])
     sigma, expected = channel.shot_noise, p_in_theoretical(channel)
     if not 2.0 * sigma <= channel.bin_width < 4.0 * sigma:
         warnings.warn(f"bin_width {channel.bin_width} outside the recommended bracket "
                       f"[{2.0 * sigma}, {4.0 * sigma})", stacklevel=3)
     if epsilon >= expected / 2.0:
-        warnings.warn(f"error_level {epsilon} is not small against the "
+        warnings.warn(f"epsilon {epsilon} is not small against the "
                       f"in-bin probability {expected}", stacklevel=3)
     return expected
 
@@ -504,8 +503,8 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     is formed once.  Sessions are independent and identically
     distributed, so the hit count is exactly ``Binomial(m_sessions, p̄)``
     with ``p̄`` from :func:`hit_probabilities`; an untraced run draws that
-    one variate, row 0 of what :func:`verify_block` draws, and costs the
-    same at any session count.  With ``trace=True`` every session is
+    one variate by :func:`binomial_verdicts`, as row 0 of a block, and costs
+    the same at any session count.  With ``trace=True`` every session is
     drawn around the same quadrature means, in a fixed bulk order (all
     probe indices, then all quadrature choices, then all outcomes), and
     kept as arrays in ``session_trace``.  The two paths consume the generator
@@ -529,7 +528,8 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
                                           names=("k", "theta", "outcome", "hit"))
         session_trace.flags.writeable = False
     else:
-        hits, p_ins, verdicts = verify_block(sums, database, config, rng)
+        hits, p_ins, verdicts = binomial_verdicts(hit_probabilities(sums, database), database,
+                                                  config, rng)
         total_hits, p_in, accepted = int(hits[0]), float(p_ins[0]), bool(verdicts[0])
 
     return VerificationReport(
@@ -544,18 +544,18 @@ def verify(key_under_test: ScatteringKey, database: CrpDatabase,
     )
 
 
-def verify_block(sums: np.ndarray, database: CrpDatabase, config: VerificationConfig,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Untraced verification of a block of keys from one generator.
+def binomial_verdicts(p_bars: np.ndarray, database: CrpDatabase, config: VerificationConfig,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hit counts, in-bin frequencies and acceptance flags, each of shape
+    ``(B,)``, of keys whose sessions hit with probabilities ``p_bars``.
 
-    ``sums`` holds the keys' masked sums, as for :func:`hit_probabilities`.
     One ``rng.binomial(m_sessions, p_bars)`` call draws every hit count, so
-    row 0 is what ``verify(key_0, database, config, rng)`` draws and no
-    row depends on the rows after it.  Returns the hit counts, the in-bin
-    frequencies and the acceptance flags, each of shape ``(B,)``.  It
-    gives no advice: a campaign calls :func:`public_p_in` once, before its
-    sweep.
+    no row depends on the rows after it, and the acceptance rule judges each
+    frequency.  This is the one place where an untraced verification draws
+    and judges: :func:`verify` draws row 0 of a block of one key, and a
+    campaign each chunk's rows.  It gives no advice: a campaign calls
+    :func:`public_p_in` once, before its sweep.
     """
-    hits = rng.binomial(config.m_sessions, hit_probabilities(sums, database))
+    hits = rng.binomial(config.m_sessions, p_bars)
     p_ins = hits / config.m_sessions
     return hits, p_ins, _accepted(p_ins, p_in_theoretical(database.channel), config)

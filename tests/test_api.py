@@ -20,13 +20,14 @@ from cvpuk import (
     ScatteringKey,
     clone_key,
     generate_key,
+    optimal_mask,
     run_clone_experiments,
     run_collision_histogram,
     run_enhancement_condition,
     run_response_cloud,
     substream,
 )
-from cvpuk.adversary import false_key_sums
+from cvpuk.adversary import clone_sums, false_key_sums
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("adversary", "cli", "experiments", "homodyne", "jsonio", "protocol",
@@ -292,6 +293,26 @@ def test_several_stream_false_key_sums_are_the_one_stream_calls_in_turn(rows):
     assert false_key_sums(40, 0.2, 0.8, rows).shape == (0,)
 
 
+# at 40 modes: nothing replaced, fewer than half, exactly half, more than half
+# (the walk keeps the 10 that stay) and every mode (no offset is drawn)
+@pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("rows", [0, 1, 5, 256])
+def test_several_stream_clone_sums_are_the_one_stream_calls_in_turn(rows, fraction):
+    true_key = generate_key(40, 0.2, substream(92, 0))
+    mask = optimal_mask(true_key)
+    streams = [substream(92, 5, chunk) for chunk in (2, 0, 1)]
+    several = clone_sums(true_key, fraction, 0.8, mask, rows, *streams)
+    singles = []
+    for chunk, stream in zip((2, 0, 1), streams):
+        alone = substream(92, 5, chunk)
+        singles.append(clone_sums(true_key, fraction, 0.8, mask, rows, alone))
+        # each stream draws its own offsets and normals, and nothing else
+        assert stream.bit_generator.state == alone.bit_generator.state
+    assert several.shape == (3 * rows,)
+    assert several.tobytes() == np.concatenate(singles).tobytes()
+    assert clone_sums(true_key, fraction, 0.8, mask, rows).shape == (0,)
+
+
 def test_only_masked_terms_forms_a_masked_term():
     # every masked sum, a clone's included, adds up the terms
     # c_j sqrt(tau / n) e^{i phi_j} of scattering.masked_terms; a second
@@ -315,7 +336,7 @@ def test_verification_has_no_per_session_loop():
     # a session's outcome stays in numpy arrays from the draw to the report;
     # a Python loop here would build objects per session or per cell
     tree = ast.parse((ROOT / "src" / "cvpuk" / "protocol.py").read_text(encoding="utf-8"))
-    scanned = {"verify", "verify_block", "hit_probabilities", "_cells"}
+    scanned = {"verify", "binomial_verdicts", "hit_probabilities", "_cells"}
     loops = [(node.name, inner.lineno) for node in tree.body
              if isinstance(node, ast.FunctionDef) and node.name in scanned
              for inner in ast.walk(node) if isinstance(inner, _LOOPS)]

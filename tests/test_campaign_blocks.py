@@ -45,7 +45,7 @@ from cvpuk import experiments
 from cvpuk.adversary import clone_sums, false_key_sums, replaced_count
 from cvpuk.experiments import STREAM_CHUNK
 from cvpuk.homodyne import p_in_theoretical
-from cvpuk.protocol import hit_probabilities, verify_block
+from cvpuk.protocol import binomial_verdicts, hit_probabilities
 from cvpuk.scattering import masked_sums, masked_terms
 
 
@@ -302,16 +302,17 @@ def test_chunk_order_changes_no_artifact_byte(tmp_path, monkeypatch):
 
 
 def _recorded_p_ins(monkeypatch):
-    """Every in-bin frequency the campaigns draw, in drawing order."""
+    """Every in-bin frequency the campaigns draw, in drawing order, recorded
+    where each chunk draws its hit counts."""
     recorded = []
-    original = experiments.verify_block
+    original = experiments.binomial_verdicts
 
     def recording(*args, **kwargs):
         hits, p_ins, verdicts = original(*args, **kwargs)
         recorded.extend(p_ins.tolist())
         return hits, p_ins, verdicts
 
-    monkeypatch.setattr(experiments, "verify_block", recording)
+    monkeypatch.setattr(experiments, "binomial_verdicts", recording)
     return recorded
 
 
@@ -357,10 +358,11 @@ def test_every_chunk_draws_from_one_stream_of_the_table(monkeypatch):
         paths.append(path)
         return substream(seed, *path)
 
-    def recording_clone_sums(true_key, fraction, tau, mask, rows, rng):
-        state = rng.bit_generator.state
-        sums = clone_sums(true_key, fraction, tau, mask, rows, rng)
-        drawn.append((fraction, rng.bit_generator.state != state))
+    def recording_clone_sums(true_key, fraction, tau, mask, rows, *streams):
+        states = [rng.bit_generator.state for rng in streams]
+        sums = clone_sums(true_key, fraction, tau, mask, rows, *streams)
+        drawn.extend((fraction, rng.bit_generator.state != state)
+                     for rng, state in zip(streams, states))
         return sums
 
     monkeypatch.setattr(experiments, "substream", recording_substream)
@@ -376,7 +378,8 @@ def test_every_chunk_draws_from_one_stream_of_the_table(monkeypatch):
         results[experiment_id] = runner(CampaignConfig(experiment_id=experiment_id, **base))
         built[experiment_id] = sorted(paths)
         if runner is run_clone_experiments:
-            # only a fraction that replaces something advances its chunk's stream
+            # only a fraction that replaces something advances its chunk's stream;
+            # both chunks of a cluster are one block, drawn in one call
             assert drawn == [(0.0, False), (0.0, False), (0.05, True), (0.05, True)] * 2
     assert built["collision_histogram"] == built["response_cloud"] == [(0,), (2, 0), (2, 1)]
     # every fraction has one stream per chunk, also D = 0, whose clones draw nothing
@@ -399,9 +402,71 @@ def test_every_chunk_draws_from_one_stream_of_the_table(monkeypatch):
         assert experiments._cloud_summary(means)[2] == 0.0
         true_sum = masked_sums(true_key.coefficients, config.tau, database.mask)
         for chunk, (start, rows) in enumerate([(0, STREAM_CHUNK), (STREAM_CHUNK, 44)]):
-            _, p_ins, _ = verify_block(np.full(rows, true_sum), database,
-                                       config.verification(), substream(43, 5, n_index, 0, chunk))
+            _, p_ins, _ = binomial_verdicts(
+                hit_probabilities(np.full(rows, true_sum), database), database,
+                config.verification(), substream(43, 5, n_index, 0, chunk))
             assert result.p_ins[n_index, 0, start:start + rows].tolist() == p_ins.tolist()
+
+
+# six chunks: one block of four, then one full chunk and one partial one
+BLOCK_TRIALS = 1300
+
+
+def _blocked_configs():
+    """A clone sweep over every kind of fraction at 40 modes (none, two, half,
+    three quarters and all of the modes replaced) and a false-key population,
+    each of ``BLOCK_TRIALS`` trials."""
+    return (CampaignConfig(experiment_id="cheating_curve", trials=BLOCK_TRIALS, m_sessions=500,
+                           mode_counts=(40,), d_values=(0.0, 0.05, 0.5, 0.75, 1.0), seed=54),
+            CampaignConfig(experiment_id="collision_histogram", trials=BLOCK_TRIALS,
+                           m_sessions=500, seed=54))
+
+
+def test_blocks_of_four_chunks_equal_the_chunk_references():
+    clones, collision = _blocked_configs()
+    result = run_clone_experiments(clones)
+    seen_accepts = 0
+    for d_index in range(len(clones.d_values)):
+        points, p_ins, verdicts = _reference_clone_cluster(clones, 0, d_index)
+        assert [tuple(point) for point in result.means[0, d_index].tolist()] == points
+        assert result.p_ins[0, d_index].tolist() == p_ins
+        assert result.accepted[0, d_index] == sum(verdicts)
+        seen_accepts += sum(verdicts)
+    assert 0 < seen_accepts < len(clones.d_values) * BLOCK_TRIALS
+
+    true_outcome, expected = _reference_collision(collision)
+    result = run_collision_histogram(collision)
+    assert (result.true_key_p_in, result.true_key_accepted) == true_outcome
+    assert result.false_p_ins.tolist() == [p_in for p_in, _ in expected]
+    assert result.false_acceptance_rate == sum(v for _, v in expected) / BLOCK_TRIALS
+
+
+def test_blocks_hold_at_most_four_chunks(monkeypatch):
+    # the memory bound: no clone_sums call draws more than four chunks' keys,
+    # and no p̄ pass holds more than 1,024 rows
+    streams = []
+    rows = []
+
+    def recording_clone_sums(*args):
+        streams.append(len(args) - 5)
+        return clone_sums(*args)
+
+    def recording_hit_probabilities(sums, database):
+        rows.append(len(sums))
+        return hit_probabilities(sums, database)
+
+    monkeypatch.setattr(experiments, "clone_sums", recording_clone_sums)
+    monkeypatch.setattr(experiments, "hit_probabilities", recording_hit_probabilities)
+    clones, collision = _blocked_configs()
+    run_clone_experiments(clones)
+    assert max(streams) <= 4 and max(rows) <= 4 * STREAM_CHUNK
+    # per fraction, one block of four chunks and one of the remaining two
+    assert streams == [4, 2] * len(clones.d_values)
+    assert rows == [1024, 276] * len(clones.d_values)
+    rows.clear()
+    run_collision_histogram(collision)
+    # the true key on its own, then the false keys in the same two blocks
+    assert rows == [1, 1024, 276]
 
 
 # no trials, one trial, a whole number of chunks (16 at one mode, one at
@@ -566,8 +631,8 @@ def test_block_verification_equals_single_verifications():
     # equal sums, evaluated once, still give every row its own p̄
     repeats = [0, 3, 0, 0, 3, 1]
     assert hit_probabilities(sums[repeats], database).tolist() == p_bars[repeats].tolist()
-    block_hits, p_ins, verdicts = verify_block(sums, database, config.verification(),
-                                               substream(64, 2))
+    block_hits, p_ins, verdicts = binomial_verdicts(p_bars, database, config.verification(),
+                                                    substream(64, 2))
     hits = substream(64, 2).binomial(1000, p_bars.tolist())
     assert block_hits.tolist() == hits.tolist()
     assert p_ins.tolist() == (hits / 1000).tolist()
@@ -578,7 +643,8 @@ def test_block_verification_equals_single_verifications():
     assert (block_hits[0], p_ins[0], bool(verdicts[0])) == (
         report.hits, report.p_in, report.accepted)
     assert 0 < int(np.count_nonzero(verdicts)) < len(keys)
-    empty = verify_block(sums[:0], database, config.verification(), substream(64, 3))
+    empty = binomial_verdicts(hit_probabilities(sums[:0], database), database,
+                              config.verification(), substream(64, 3))
     assert [part.shape for part in empty] == [(0,)] * 3
     assert hit_probabilities(sums[:0], database).shape == (0,)
 

@@ -103,7 +103,7 @@ def test_thresholds_bad_flag_exits_2_without_output(capsys, flags):
 
 @pytest.mark.parametrize("flags,advice", [
     (("--delta-over-sigma", "10"), "bin_width"),
-    (("--epsilon", "0.4"), "error_level"),
+    (("--epsilon", "0.4"), "epsilon"),
 ], ids=["bin_width", "error_level"])
 def test_thresholds_advises_once_and_prints_every_line(capsys, flags, advice):
     with warnings.catch_warnings(record=True) as caught:
@@ -167,7 +167,8 @@ def test_advice_raised_as_an_error_exits_2_with_one_error_line():
     result = _run_with_warnings("error", "thresholds", "--epsilon", "0.4")
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr == ("error: error_level 0.4 is not small against the in-bin "
+    # the advice names epsilon, which the flag map shows as the flag typed
+    assert result.stderr == ("error: --epsilon 0.4 is not small against the in-bin "
                              "probability 0.682689492137086\n")
 
 

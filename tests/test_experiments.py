@@ -23,7 +23,7 @@ from cvpuk.cli import main
 from cvpuk.experiments import EXPERIMENT_IDS, REPORTED_ENHANCEMENT_BAND, STREAM_CHUNK
 from cvpuk import HomodyneChannel, VerificationConfig, enroll_exact, generate_key, ProbeSet
 from cvpuk.adversary import false_key_sums
-from cvpuk.protocol import hit_probabilities, verify_block
+from cvpuk.protocol import binomial_verdicts, hit_probabilities
 
 
 @pytest.mark.parametrize("field,entries", [
@@ -235,7 +235,8 @@ def test_collision_histogram_trials_are_order_independent():
                            stream)[:1]
     assert first.tobytes() == sums[:1].tobytes() == false_key_sums(
         config.n_modes, config.l_over_L, config.tau, 1, substream(config.seed, 2, 0)).tobytes()
-    _, p_ins, _ = verify_block(first, database, verification, stream)
+    _, p_ins, _ = binomial_verdicts(hit_probabilities(first, database), database, verification,
+                                    stream)
     assert p_ins[0] == result.false_p_ins[0]
 
 
@@ -367,7 +368,9 @@ def test_clone_cloud_runs_no_verification(monkeypatch, tmp_path):
         raise AssertionError("clone_cloud must not verify")
 
     with monkeypatch.context() as patch:
-        patch.setattr("cvpuk.experiments.verify_block", forbidden)
+        # a block is verified by one p̄ pass and then one binomial draw a chunk
+        patch.setattr("cvpuk.experiments.hit_probabilities", forbidden)
+        patch.setattr("cvpuk.experiments.binomial_verdicts", forbidden)
         cloud = run_clone_experiments(config)
         paths = run_campaign(config, tmp_path / "cloud")
     assert set(paths) == {"config", "summary", "cloud_n16", "cloud_n32"}

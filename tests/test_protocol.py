@@ -36,8 +36,8 @@ from cvpuk import (
     substream,
     verify,
 )
-from cvpuk.protocol import (_ERF_EDGES, _accepted, _erf, hit_probabilities, public_p_in,
-                             verify_block)
+from cvpuk.protocol import (_ERF_EDGES, _accepted, _erf, binomial_verdicts, hit_probabilities,
+                             public_p_in)
 from cvpuk.scattering import masked_sums
 
 
@@ -134,7 +134,7 @@ def test_e_threshold_values():
         with pytest.raises(ValueError):
             e_threshold(*args)
     # a photon number per mode that rounds to 0 is refused, not divided by
-    with pytest.raises(ValueError, match="underflow"):
+    with pytest.raises(ValueError, match="^photons per mode underflow to 0 at mu_c 5e-324$"):
         e_threshold(5e-324, 121, 0.2)
 
 
@@ -475,7 +475,7 @@ def test_verify_warns_on_large_error_level():
         }
 
     for name, call in calls(2.0, VerificationConfig(10, 0.4, 0.05)).items():
-        assert _advice(call) == ["error_level"], name
+        assert _advice(call) == ["epsilon"], name
     # the bin-width advice, at the edges of the bracket [2 sigma, 4 sigma)
     config = VerificationConfig(10, 0.05, 0.05)
     for ratio, advice in ((1.9, ["bin_width"]), (2.0, []), (3.99, []), (4.0, ["bin_width"])):
@@ -483,13 +483,14 @@ def test_verify_warns_on_large_error_level():
             assert _advice(call) == advice, (ratio, name)
 
 
-def test_verify_block_gives_no_advice():
+def test_binomial_verdicts_give_no_advice():
     key, tau, probes, _ = _setup(n_modes=16, seed=108)
     channel = HomodyneChannel.from_delta_ratio(0.55, 4.0)
     database = enroll_exact(key, tau, probes, channel)
     sums = masked_sums(key.coefficients[np.newaxis], tau, database.mask)
-    assert _advice(lambda: verify_block(sums, database, VerificationConfig(10, 0.4, 0.05),
-                                        substream(108, 1))) == []
+    assert _advice(lambda: binomial_verdicts(hit_probabilities(sums, database), database,
+                                             VerificationConfig(10, 0.4, 0.05),
+                                             substream(108, 1))) == []
 
 
 def test_verify_trace_hits_recomputable_from_database():

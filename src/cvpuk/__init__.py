@@ -42,7 +42,7 @@ from .scattering import (
     optimal_mask,
     wrap_phase,
 )
-from .streams import substream
+from .streams import substream, substreams
 
 __version__ = "0.1.0"
 
@@ -76,5 +76,6 @@ __all__ = [
     "optimal_mask",
     "wrap_phase",
     "substream",
+    "substreams",
     "__version__",
 ]

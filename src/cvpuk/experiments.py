@@ -18,6 +18,11 @@ Sub-stream paths:
                       fraction index ``d``, then their verification
 ====================  ==========================================
 
+A purpose's chunk paths share one length, so :func:`_chunks` derives all
+their streams in one :func:`~cvpuk.streams.substreams` call, a single
+vectorised pass from 16 chunks on; each stream has the state of
+``substream(seed, *path)``, so the table alone fixes the draws.
+
 Every chunk draws from its one stream the keys of all 256 rows, then
 one ``binomial(m_sessions, p̄)`` for the hit counts of its ``rows``
 trials; a partial chunk keeps the first ``rows`` keys, so its rows are
@@ -74,7 +79,7 @@ from .protocol import (
     radii,
 )
 from .scattering import enhancement, generate_key, masked_sums, require_mode_count
-from .streams import substream
+from .streams import substream, substreams
 
 __all__ = [
     "EXPERIMENT_IDS",
@@ -262,8 +267,10 @@ def _chunks(trials: int, seed: int, *path: int):
     """``(stream, first trial, rows)`` of every chunk, the stream that of
     ``path + (chunk index,)``; each chunk writes at its own trial indices,
     so the order of this list changes no result."""
-    return [(substream(seed, *path, chunk), start, min(STREAM_CHUNK, trials - start))
-            for chunk, start in enumerate(range(0, trials, STREAM_CHUNK))]
+    starts = range(0, trials, STREAM_CHUNK)
+    streams = substreams(seed, [(*path, chunk) for chunk in range(len(starts))])
+    return [(stream, start, min(STREAM_CHUNK, trials - start))
+            for stream, start in zip(streams, starts)]
 
 
 def _blocks(chunks):

@@ -222,6 +222,8 @@ def _float_layouts():
 
 _QUADS, _FIRST_DIGITS, _QUADS_PACKED = _quad_tables()
 _LAYOUTS, _KEPT = _float_layouts()
+# a minus sign in byte 0 of a float's first eight bytes, as one uint64
+_MINUS = np.frombuffer(b"-" + bytes(7), dtype=np.uint64)[0]
 
 
 def _shortest(magnitudes: np.ndarray):
@@ -286,8 +288,11 @@ def _shortest(magnitudes: np.ndarray):
     # an element leaves the search once its nearest multiple is outside or undecided;
     # one not proven now leaves at once
     live, n, f = np.arange(len(magnitudes)), m, fraction
-    inner = np.where(proven, half_ulp - _SLACK, -1.0)
-    outer = np.where(proven, half_ulp + _SLACK, -1.0)
+    if proven.all():
+        inner, outer = half_ulp - _SLACK, half_ulp + _SLACK
+    else:
+        inner = np.where(proven, half_ulp - _SLACK, -1.0)
+        outer = np.where(proven, half_ulp + _SLACK, -1.0)
     for k in (16, 15):
         divisor = 10 ** (17 - k)
         quotient = n // divisor
@@ -334,18 +339,19 @@ def _float_text(values: np.ndarray) -> np.ndarray:
         chunks[:, column] = _QUADS.take(m - quotient * 10000)
         m = quotient
     chunks[:, 0] = _FIRST_DIGITS.take(m)
-    last = np.maximum(digits - 1, np.where(exponent >= 0, exponent + 1, 0))
+    # the digit after the point of a number of at least 1; below 1, exponent + 1 <= 0 <= digits - 1
+    last = np.maximum(digits - 1, exponent + 1)
     chunks |= _LAYOUTS.take(exponent + 30, axis=0)
     chunks &= _KEPT.take(last, axis=0)
+    chunks[:, 0] |= np.signbit(values) * _MINUS  # byte 0 is the sign's, still NUL
     text = chunks.view(np.uint8)
-    text[:, 0] = np.where(np.signbit(values), 45, 0)
     unproven = np.flatnonzero(~proven)
     if unproven.size:
         texts = _padded(list(map(float.__repr__, values[unproven].tolist())))
         text[unproven] = 0
         text[unproven, :texts.shape[1]] = texts
     # the exponent's bytes only where one is written
-    return text if (exponent[proven] < -4).any() else text[:, :40]
+    return text if ((exponent < -4) & proven).any() else text[:, :40]
 
 
 def _padded(texts: list) -> np.ndarray:

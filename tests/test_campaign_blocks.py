@@ -18,6 +18,7 @@ against an mpmath oracle, within a stated bound.
 """
 
 import csv
+import dataclasses
 import filecmp
 import math
 
@@ -39,9 +40,10 @@ from cvpuk import (
     run_collision_histogram,
     run_response_cloud,
     substream,
+    substreams,
     verify,
 )
-from cvpuk import experiments
+from cvpuk import experiments, streams
 from cvpuk.adversary import clone_sums, false_key_sums, replaced_count
 from cvpuk.experiments import STREAM_CHUNK
 from cvpuk.homodyne import p_in_theoretical
@@ -347,6 +349,30 @@ def test_first_trials_do_not_depend_on_trial_count(config, monkeypatch):
         assert short_result.means.tolist() == long_result.means[:, :, :300].tolist()
 
 
+@pytest.mark.parametrize("experiment_id,runner", [
+    ("response_cloud", run_response_cloud),
+    ("collision_histogram", run_collision_histogram),
+    ("cheating_curve", run_clone_experiments),
+])
+def test_one_pass_chunk_streams_give_the_bits_of_one_seed_sequence_a_chunk(
+        monkeypatch, experiment_id, runner):
+    # 6,400 trials are 25 chunks, above the crossover; the cheating curve is one cluster
+    config = CampaignConfig(experiment_id=experiment_id, trials=6400, seed=47,
+                            mode_counts=(16,), d_values=(0.05,))
+    assert 25 >= streams._ONE_PASS_PATHS
+    ported = runner(config)
+    monkeypatch.setattr(experiments, "substreams",
+                        lambda seed, paths: [substream(seed, *path) for path in paths])
+    oracle = runner(config)
+    for field in dataclasses.fields(ported):
+        got, expected = getattr(ported, field.name), getattr(oracle, field.name)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == expected.dtype and got.shape == expected.shape, field.name
+            assert got.tobytes() == expected.tobytes(), field.name
+        else:
+            assert type(got) is type(expected) and got == expected, field.name
+
+
 def test_every_chunk_draws_from_one_stream_of_the_table(monkeypatch):
     # 300 trials are one full chunk and one partial chunk
     base = dict(trials=300, m_sessions=200, d_values=(0.0, 0.05), mode_counts=(16, 40),
@@ -358,6 +384,10 @@ def test_every_chunk_draws_from_one_stream_of_the_table(monkeypatch):
         paths.append(path)
         return substream(seed, *path)
 
+    def recording_substreams(seed, chunk_paths):
+        paths.extend(chunk_paths)
+        return substreams(seed, chunk_paths)
+
     def recording_clone_sums(true_key, fraction, tau, mask, rows, *streams):
         states = [rng.bit_generator.state for rng in streams]
         sums = clone_sums(true_key, fraction, tau, mask, rows, *streams)
@@ -366,6 +396,7 @@ def test_every_chunk_draws_from_one_stream_of_the_table(monkeypatch):
         return sums
 
     monkeypatch.setattr(experiments, "substream", recording_substream)
+    monkeypatch.setattr(experiments, "substreams", recording_substreams)
     monkeypatch.setattr(experiments, "clone_sums", recording_clone_sums)
     built = {}
     results = {}
@@ -387,6 +418,10 @@ def test_every_chunk_draws_from_one_stream_of_the_table(monkeypatch):
                                       for c in range(2)]
     assert built["clone_cloud"] == built["cheating_curve"] == clone_paths
     assert not [path for runs in built.values() for path in runs if path[0] in (1, 3, 6)]
+    # 6,400 trials are 25 chunks, whose streams come from one vectorised pass
+    paths.clear()
+    run_response_cloud(CampaignConfig(experiment_id="response_cloud", **{**base, "trials": 6400}))
+    assert sorted(paths) == [(0,)] + [(2, c) for c in range(25)]
 
     # a D = 0 clone is the true key, whose one masked sum is reused and
     # verified on the chunk's fresh stream

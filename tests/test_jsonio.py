@@ -265,6 +265,28 @@ def test_write_csv_writes_numbers_as_repr_and_text_verbatim(tmp_path):
     assert target.read_text(encoding="utf-8").splitlines() == ["int", *map(repr, ints)]
 
 
+@pytest.mark.parametrize("unproven", [0.5, 1e16, 2.0**-20])
+def test_an_all_proven_block_and_a_block_with_one_value_for_repr(tmp_path, unproven):
+    # the first block takes the kernel's all-proven branches, with signs and an
+    # exponent field; the second its general ones, whose one proven exponent
+    # under -4 belongs to a value that repr writes, so no field is written
+    rng = np.random.default_rng(24)
+    rows = jsonio._BLOCK_ROWS
+    first = rng.standard_normal(rows) * 10.0 ** rng.integers(-8, 8, rows)
+    first[:5] = [-0.0, 1e-05, 1.5e-05, -1.5e-05, -2500.0]
+    second = rng.choice([-1.0, 1.0], rows) * rng.uniform(1.0, 10.0, rows) \
+        * 10.0 ** rng.integers(-3, 8, rows)
+    second[rows // 2] = unproven
+    assert jsonio._shortest(np.abs(first))[3].all()
+    assert np.flatnonzero(~jsonio._shortest(np.abs(second))[3]).tolist() == [rows // 2]
+    assert jsonio._float_text(first).shape[1] == 48
+    assert jsonio._float_text(second).shape[1] == 40
+    column = np.concatenate([first, second])
+    target = tmp_path / "blocks.csv"
+    jsonio.write_csv(target, ("x",), [column])
+    assert target.read_text(encoding="utf-8").splitlines() == ["x", *map(repr, column.tolist())]
+
+
 def _lines(text):
     """The rows of a NUL-padded byte matrix, one a line, as the CSV writer joins them."""
     newlines = np.full((len(text), 1), ord("\n"), dtype=np.uint8)

@@ -62,16 +62,18 @@ def _replaced_positions(true_key: ScatteringKey, fraction: float, rows: int,
     if not count:
         return np.empty((total, 0), dtype=np.intp)
     steps = min(count, n - count)
-    offsets = np.empty((total, steps), dtype=np.int64)
+    # step-major, so that each step's offsets of all the rows are one row
+    offsets = np.empty((steps, total), dtype=np.int64)
     for index, rng in enumerate(streams):
-        offsets[index * rows:(index + 1) * rows] = rng.integers(
-            0, n - np.arange(steps), size=(rows, steps))
+        offsets[:, index * rows:(index + 1) * rows] = rng.integers(
+            0, n - np.arange(steps), size=(rows, steps)).T
     # slot k of row r sits at k * total + r, so each step's slot i is one contiguous run
-    targets = (offsets.T + np.arange(steps)[:, np.newaxis]) * total + np.arange(total)
+    lanes = np.arange(total)
     # a slot holds a position below n, a mode count far below 2**31, so 32 bits
     # hold it: half the table of 64-bit slots to fill and to move
     slots = np.repeat(np.arange(n, dtype=np.int32), total)
-    for i, target in enumerate(targets):
+    for i, offset in enumerate(offsets):
+        target = (offset + i) * total + lanes
         current = slots[i * total:(i + 1) * total]
         picked = slots[target]
         slots[target] = current

@@ -18,10 +18,12 @@ Sub-stream paths:
                       fraction index ``d``, then their verification
 ====================  ==========================================
 
-A purpose's chunk paths share one length, so :func:`_chunks` derives all
-their streams in one :func:`~cvpuk.streams.substreams` call, a single
-vectorised pass from 16 chunks on; each stream has the state of
-``substream(seed, *path)``, so the table alone fixes the draws.
+A campaign's chunk paths share one length, so :func:`_chunks` derives
+all of them, the ``(2, c)`` of a false-key population or the ``(5, i,
+d, c)`` of every cluster of a clone sweep, in one
+:func:`~cvpuk.streams.substreams` call, a single vectorised pass; each
+stream has the state of ``substream(seed, *path)``, so the table alone
+fixes the draws.
 
 Every chunk draws from its one stream the keys of all 256 rows, then
 one ``binomial(m_sessions, p̄)`` for the hit counts of its ``rows``
@@ -263,14 +265,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _chunks(trials: int, seed: int, *path: int):
-    """``(stream, first trial, rows)`` of every chunk, the stream that of
-    ``path + (chunk index,)``; each chunk writes at its own trial indices,
-    so the order of this list changes no result."""
+def _chunks(trials: int, seed: int, *prefixes: tuple[int, ...]):
+    """For each of ``prefixes``, paths of one length, the ``(stream, first
+    trial, rows)`` of every chunk, the stream that of ``prefix + (chunk
+    index,)``, all from one :func:`~cvpuk.streams.substreams` call; each
+    chunk writes at its own trial indices, so the order of a prefix's list
+    changes no result."""
     starts = range(0, trials, STREAM_CHUNK)
-    streams = substreams(seed, [(*path, chunk) for chunk in range(len(starts))])
-    return [(stream, start, min(STREAM_CHUNK, trials - start))
-            for stream, start in zip(streams, starts)]
+    streams = iter(substreams(seed, [(*prefix, chunk) for prefix in prefixes
+                                     for chunk in range(len(starts))]))
+    return [[(next(streams), start, min(STREAM_CHUNK, trials - start)) for start in starts]
+            for _ in prefixes]
 
 
 def _blocks(chunks):
@@ -310,7 +315,7 @@ def _false_key_population(config: CampaignConfig):
     the order of their first trials, and the masked sums of all 256 keys of
     every chunk, a partial one included, the chunk that starts at trial
     ``t`` at rows ``t`` to ``t + 255``."""
-    chunks = sorted(_chunks(config.trials, config.seed, 2), key=lambda chunk: chunk[1])
+    chunks = sorted(_chunks(config.trials, config.seed, (2,))[0], key=lambda chunk: chunk[1])
     return chunks, false_key_sums(config.n_modes, config.l_over_L, config.tau, STREAM_CHUNK,
                                   *[stream for stream, _, _ in chunks])
 
@@ -410,12 +415,14 @@ def run_clone_experiments(config: CampaignConfig) -> CloneExperimentsResult:
     means = np.empty((*clusters, config.trials, 2))
     p_ins = np.empty((*clusters, config.trials) if verifies else 0)
     accepted = np.zeros(clusters if verifies else 0, dtype=int)
+    cluster_chunks = _chunks(config.trials, config.seed,
+                             *[(5, i, d) for i in range(clusters[0]) for d in range(clusters[1])])
     for i, n_modes in enumerate(config.mode_counts):
         true_key = generate_key(n_modes, config.l_over_L, substream(config.seed, 4, i))
         database = enroll_exact(true_key, config.tau, probes, channel)
         true_responses[i] = database.centers[0]
         for d, fraction in enumerate(config.d_values):
-            for block in _blocks(_chunks(config.trials, config.seed, 5, i, d)):
+            for block in _blocks(cluster_chunks[i * clusters[1] + d]):
                 start = block[0][1]
                 rows = sum(chunk[2] for chunk in block)
                 sums = clone_sums(true_key, fraction, config.tau, database.mask, STREAM_CHUNK,

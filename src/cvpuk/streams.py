@@ -9,18 +9,17 @@ the unit that is reproducible on its own, so they can execute in any
 order, or in parallel, without changing any result.
 
 :func:`substream` builds one stream through numpy's ``SeedSequence``, at
-about 15 µs a stream.  :func:`substreams` builds the streams of many
-paths of one length, such as a population's chunks: from
-``_ONE_PASS_PATHS`` = 16 paths on, it runs ``SeedSequence``'s hash (after
-M. E. O'Neill's ``seed_seq`` design) once for all of them as ``uint32``
-array arithmetic and hands each state to ``PCG64``, at a fixed cost of
-about ten :func:`substream` calls and a sixth of one a stream.  Below
-that count it returns :func:`substream`'s own generators.  Either way
-every generator has the ``bit_generator.state`` of ``substream(seed,
-*path)``, so a path draws the same numbers by either function.  The
-one-pass generators hold a fixed state, not a ``SeedSequence``, so they
-cannot ``spawn``; no campaign spawns.  ``numpy.random`` is first
-imported by the first call.
+about 12 µs a stream; it serves the single streams, such as a true key's.
+:func:`substreams` builds the streams of many paths of one length, such
+as a campaign's chunks, in one pass: it runs ``SeedSequence``'s hash
+(after M. E. O'Neill's ``seed_seq`` design) once for all of them as
+``uint32`` array arithmetic and hands each state to ``PCG64``, at about
+0.13 ms a call and 1.6 µs a stream.  A campaign makes one such call for
+all its chunks.  Every generator has the ``bit_generator.state`` of
+``substream(seed, *path)``, so a path draws the same numbers by either
+function.  The one-pass generators hold a fixed state, not a
+``SeedSequence``, so they cannot ``spawn``; no campaign spawns.
+``numpy.random`` is first imported by the first call.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ import operator
 import numpy as np
 
 __all__ = ["substream", "substreams"]
-
-# from this many paths on, one vectorised pass beats one SeedSequence a path;
-# the two break even at about 12 paths
-_ONE_PASS_PATHS = 16
 
 # SeedSequence's pool size and hash constants, as numpy's bit_generator.pyx has them
 _POOL = 4
@@ -60,8 +55,6 @@ def substreams(seed: int, paths) -> list[np.random.Generator]:
     """
     table = _path_table(paths)
     words = _seed_words(seed)
-    if len(table) < _ONE_PASS_PATHS:
-        return [substream(seed, *path) for path in table.tolist()]
     if table.shape[1] and len(words) < _POOL:  # SeedSequence pads a spawned seed's words
         words += [0] * (_POOL - len(words))
     pool = _mixed_pool(words + list(table.T))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,25 @@ def test_replaced_positions_are_uniform_subsets(count):
                   <= 4.0 * math.sqrt(single * (1.0 - single) / rows))
     assert np.all(np.abs(together[off_diagonal] - pair)
                   <= 4.0 * math.sqrt(pair * (1.0 - pair) / rows))
+
+
+def test_a_four_stream_clone_block_near_half_the_modes_peaks_below_9_mb():
+    # a block of four 256-row chunks at n = 625, D = 0.5 walks 312 steps over
+    # 1,024 rows; its step targets are formed one step at a time, so no
+    # (steps, rows) table of 64-bit targets is held beside the slot table
+    n_modes, fraction, rows = 625, 0.5, 256
+    true_key = generate_key(n_modes, 0.2, substream(220, 0))
+    mask = optimal_mask(true_key)
+    clone_sums(true_key, fraction, 0.8, mask, rows, substream(220, 1))  # warm-up
+    streams = [substream(220, 2, chunk) for chunk in range(4)]
+    tracemalloc.start()
+    try:
+        sums = clone_sums(true_key, fraction, 0.8, mask, rows, *streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (4 * rows,)
+    assert peak < 9e6
 
 
 def test_clone_distance_grows_with_fraction():

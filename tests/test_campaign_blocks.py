@@ -43,9 +43,9 @@ from cvpuk import (
     substreams,
     verify,
 )
-from cvpuk import experiments, streams
+from cvpuk import experiments
 from cvpuk.adversary import clone_sums, false_key_sums, replaced_count
-from cvpuk.experiments import STREAM_CHUNK
+from cvpuk.experiments import EXPERIMENT_IDS, STREAM_CHUNK
 from cvpuk.homodyne import p_in_theoretical
 from cvpuk.protocol import binomial_verdicts, hit_probabilities
 from cvpuk.scattering import masked_sums, masked_terms
@@ -210,13 +210,19 @@ TRIALS = 70
 
 def test_block_geometry_of_the_reference_config():
     assert STREAM_CHUNK == 256
-    assert experiments._chunks(0, 7, 2) == []
-    assert [(start, rows) for _, start, rows in experiments._chunks(70, 7, 2)] == [(0, 70)]
-    chunks = experiments._chunks(600, 7, 5, 1, 0)
-    assert [(start, rows) for _, start, rows in chunks] == [(0, 256), (256, 256), (512, 88)]
-    # chunk c draws from the stream of its purpose's path followed by c
-    for chunk, (stream, _, _) in enumerate(chunks):
-        assert stream.bit_generator.state == substream(7, 5, 1, 0, chunk).bit_generator.state
+    assert experiments._chunks(0, 7, (2,)) == [[]]
+    assert experiments._chunks(0, 7, (5, 0, 0), (5, 0, 1)) == [[], []]
+    assert [[(start, rows) for _, start, rows in chunks]
+            for chunks in experiments._chunks(70, 7, (2,))] == [[(0, 70)]]
+    prefixes = [(5, 1, 0), (5, 0, 2)]
+    per_prefix = experiments._chunks(600, 7, *prefixes)
+    assert len(per_prefix) == len(prefixes)
+    for prefix, chunks in zip(prefixes, per_prefix):
+        assert [(start, rows) for _, start, rows in chunks] == [(0, 256), (256, 256), (512, 88)]
+        # chunk c draws from the stream of its purpose's path followed by c
+        for chunk, (stream, _, _) in enumerate(chunks):
+            assert (stream.bit_generator.state
+                    == substream(7, *prefix, chunk).bit_generator.state)
 
 
 def test_response_cloud_rows_equal_isolated_trials(tmp_path):
@@ -292,9 +298,11 @@ def test_chunk_order_changes_no_artifact_byte(tmp_path, monkeypatch):
     reference = {c.experiment_id: run_campaign(c, tmp_path / "ref" / c.experiment_id)
                  for c in configs}
     in_order = experiments._chunks
-    monkeypatch.setattr(experiments, "_chunks", lambda *args: in_order(*args)[::-1])
-    assert [(start, rows) for _, start, rows in experiments._chunks(600, 42, 2)] == [
-        (512, 88), (256, 256), (0, 256)]
+    monkeypatch.setattr(experiments, "_chunks",
+                        lambda *args: [chunks[::-1] for chunks in in_order(*args)])
+    for chunks in experiments._chunks(600, 42, (5, 0, 0), (5, 0, 1)):
+        assert [(start, rows) for _, start, rows in chunks] == [
+            (512, 88), (256, 256), (0, 256)]
     for config in configs:
         paths = run_campaign(config, tmp_path / "reversed" / config.experiment_id)
         assert set(paths) == set(reference[config.experiment_id])
@@ -356,10 +364,9 @@ def test_first_trials_do_not_depend_on_trial_count(config, monkeypatch):
 ])
 def test_one_pass_chunk_streams_give_the_bits_of_one_seed_sequence_a_chunk(
         monkeypatch, experiment_id, runner):
-    # 6,400 trials are 25 chunks, above the crossover; the cheating curve is one cluster
+    # 6,400 trials are 25 chunks; the cheating curve is one cluster
     config = CampaignConfig(experiment_id=experiment_id, trials=6400, seed=47,
                             mode_counts=(16,), d_values=(0.05,))
-    assert 25 >= streams._ONE_PASS_PATHS
     ported = runner(config)
     monkeypatch.setattr(experiments, "substreams",
                         lambda seed, paths: [substream(seed, *path) for path in paths])
@@ -441,6 +448,39 @@ def test_every_chunk_draws_from_one_stream_of_the_table(monkeypatch):
                 hit_probabilities(np.full(rows, true_sum), database), database,
                 config.verification(), substream(43, 5, n_index, 0, chunk))
             assert result.p_ins[n_index, 0, start:start + rows].tolist() == p_ins.tolist()
+
+
+@pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
+@pytest.mark.parametrize("sizes", [{}, {"trials": 600, "mode_counts": (16, 40),
+                                       "d_values": (0.0, 0.05)}],
+                         ids=["defaults", "600 trials"])
+def test_a_campaign_derives_all_its_chunk_streams_in_one_pass(experiment_id, sizes, tmp_path,
+                                                               monkeypatch):
+    single, passes = [], []
+
+    def recording_substream(seed, *path):
+        single.append(path)
+        return substream(seed, *path)
+
+    def recording_substreams(seed, chunk_paths):
+        passes.append(list(chunk_paths))
+        return substreams(seed, chunk_paths)
+
+    monkeypatch.setattr(experiments, "substream", recording_substream)
+    monkeypatch.setattr(experiments, "substreams", recording_substreams)
+    config = CampaignConfig(experiment_id=experiment_id, **sizes)
+    run_campaign(config, tmp_path / experiment_id)
+    chunks = range(math.ceil(config.trials / STREAM_CHUNK))
+    if experiment_id == "enhancement_condition":
+        assert single == passes == []
+    elif experiment_id in ("collision_histogram", "response_cloud"):
+        assert single == [(0,)]
+        assert passes == [[(2, c) for c in chunks]]
+    else:
+        modes = range(len(config.mode_counts))
+        assert single == [(4, i) for i in modes]
+        assert passes == [[(5, i, d, c) for i in modes for d in range(len(config.d_values))
+                           for c in chunks]]
 
 
 # six chunks: one block of four, then one full chunk and one partial one

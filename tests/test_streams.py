@@ -3,9 +3,8 @@
 ``substream`` goes through numpy's own ``SeedSequence`` and is the oracle.
 Each generator is compared by its ``bit_generator.state`` and by the first
 draws of the three kinds a campaign makes: normals, Fisher–Yates offsets and
-binomial hit counts.  Below ``_ONE_PASS_PATHS`` paths ``substreams`` hands
-out ``substream``'s generators, so every case also runs with the one-pass
-port forced.
+binomial hit counts.  Every path count goes through the one vectorised pass,
+from no paths up.
 """
 
 import subprocess
@@ -14,7 +13,6 @@ import sys
 import numpy as np
 import pytest
 
-from cvpuk import streams
 from cvpuk.streams import substream, substreams
 
 # 2**128 + 3 has five words, more than SeedSequence's pool of four
@@ -35,34 +33,35 @@ def _assert_equal_to_substream(seed, paths):
         assert _draws(rng) == _draws(oracle), path
 
 
-@pytest.fixture(params=["as shipped", "one pass forced"])
-def crossover(request, monkeypatch):
-    if request.param == "one pass forced":
-        monkeypatch.setattr(streams, "_ONE_PASS_PATHS", 0)
+# the (5, i, d, c) paths of a clone campaign at the defaults: three mode
+# counts, five fractions and two chunks of 500 trials
+DEFAULT_CLONE_PATHS = [(5, i, d, c) for i in range(3) for d in range(5) for c in range(2)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chunk_paths_of_a_million_key_population(seed):
     # (2, c) for c < 4,000 are the chunks of up to 1,024,000 false keys
-    paths = [(2, chunk) for chunk in range(4000)]
-    assert len(paths) >= streams._ONE_PASS_PATHS
-    _assert_equal_to_substream(seed, paths)
+    _assert_equal_to_substream(seed, [(2, chunk) for chunk in range(4000)])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_mixed_paths_one_path_the_empty_path_and_no_paths(seed, crossover):
+def test_every_path_count_up_to_twenty_and_a_default_clone_campaign(seed):
+    # up to 20 paths, where one SeedSequence a path once served, and the
+    # 30 paths that one clone campaign derives in one call
+    for count in range(21):
+        _assert_equal_to_substream(seed, [(2, chunk) for chunk in range(count)])
+    _assert_equal_to_substream(seed, DEFAULT_CLONE_PATHS)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mixed_paths_one_path_the_empty_path_and_no_paths(seed):
     clone_paths = [(5, i, d, c) for i in range(3) for d in range(5) for c in (0, 1, 2**32 - 1)]
     for paths in (clone_paths, clone_paths[:1], [(7,)] * 20, [()], [()] * 20, []):
         _assert_equal_to_substream(seed, paths)
 
 
-def test_the_crossover_lies_inside_a_default_population():
-    # a 1e5-key response cloud has 391 chunks; a 500-trial clone cluster has 2
-    assert 2 < streams._ONE_PASS_PATHS <= 391
-
-
 @pytest.mark.parametrize("bad", [-1, 2**32, 2**64, -2**63 - 5])
-def test_an_entry_outside_32_bits_is_refused(bad, crossover):
+def test_an_entry_outside_32_bits_is_refused(bad):
     with pytest.raises(ValueError, match=r"^path entries must be integers in \[0, 2\*\*32\), "
                                          rf"got {bad}$"):
         substreams(3, [(2, chunk) for chunk in range(19)] + [(2, bad)])
@@ -74,18 +73,18 @@ def test_an_entry_outside_32_bits_is_refused(bad, crossover):
     ([(True,)], TypeError),
     ([2, 3], TypeError),
 ])
-def test_paths_of_unequal_lengths_or_non_integers_are_refused(paths, error, crossover):
+def test_paths_of_unequal_lengths_or_non_integers_are_refused(paths, error):
     with pytest.raises(error):
         substreams(3, paths * 10)
 
 
-def test_a_negative_seed_is_refused(crossover):
+def test_a_negative_seed_is_refused():
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
         substreams(-1, [(2, 0)] * 20)
 
 
 def test_one_pass_generators_do_not_spawn():
-    rng = substreams(5, [(2, chunk) for chunk in range(streams._ONE_PASS_PATHS)])[0]
+    rng, = substreams(5, [(2, 0)])
     with pytest.raises(TypeError):
         rng.spawn(1)
 
